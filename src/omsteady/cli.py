@@ -31,7 +31,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .errors import (
     CorrelatedBathUnsupported,
@@ -361,7 +360,9 @@ def _cmd_optimize(args) -> int:
         step = steps[i] if best_x[i] + steps[i] <= hi_arr[i] else -steps[i]
         vertex[i] = min(max(vertex[i] + step, lo_arr[i]), hi_arr[i])
         simplex.append(vertex)
-    result = _sciopt.minimize(
+    from scipy.optimize import minimize  # only this subcommand needs it
+
+    result = minimize(
         neg, best_x, method="Nelder-Mead",
         options={
             "initial_simplex": np.array(simplex),

@@ -18,7 +18,7 @@ is enforced when both are supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import InvalidParams
 
@@ -41,6 +41,19 @@ _COUPLING_CONSISTENCY_RTOL = 1e-9
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvalidParams(msg)
+
+
+def _reject_non_finite(record) -> None:
+    """Raise InvalidParams naming the first NaN or infinite field, if any.
+
+    Called when the sum of a record's fields is not finite, which is
+    cheap to test on every construction; a sum of finite fields that
+    merely overflows passes.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidParams(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,11 @@ class SystemParams1D:
     hbar: float = 1.0
 
     def __post_init__(self):
+        # NaN and infinities first: they slip through the sign checks below.
+        if not math.isfinite(self.omega_b + self.gamma_b + self.kappa + self.delta
+                             + (self.lambda_o or 0.0) + (self.G_o or 0.0) + self.mass
+                             + self.temperature + self.hbar):
+            _reject_non_finite(self)
         _require(self.omega_b > 0, "omega_b must be positive")
         _require(self.gamma_b >= 0, "gamma_b must be nonnegative")
         _require(self.kappa > 0, "kappa must be positive")
@@ -121,6 +139,10 @@ class SystemParams2D:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.omega_x + self.omega_y + self.gamma_x + self.gamma_y
+                             + self.phi + self.kappa + self.delta + self.lambda_o
+                             + self.mass + self.temperature + self.hbar):
+            _reject_non_finite(self)
         _require(self.omega_x > 0, "omega_x must be positive")
         _require(self.omega_y > 0, "omega_y must be positive")
         _require(self.gamma_x >= 0, "gamma_x must be nonnegative")
@@ -181,6 +203,10 @@ class SystemParamsRWA:
     n_B_d: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.omega_b + self.omega_d + self.gamma_b + self.gamma_d
+                             + self.kappa + self.delta + self.G_o + self.G_m
+                             + self.n_B_b + self.n_B_d):
+            _reject_non_finite(self)
         _require(self.omega_b > 0, "omega_b must be positive")
         _require(self.omega_d > 0, "omega_d must be positive")
         _require(self.gamma_b >= 0, "gamma_b must be nonnegative")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from warnings import catch_warnings
 
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gaussian import Cov1D, occupation_and_purity_1d, purity_2d_general
 from .langevin import NoiseMode, build_1d, build_2d, build_rwa, steady_covariance
-from .models import SystemParams1D, SystemParams2D, SystemParamsRWA
+from .models import SystemParams1D, SystemParams2D, SystemParamsRWA, bright_dark
 from .spectral import integrate_moments
 
 __all__ = [
@@ -70,6 +70,7 @@ _PARAM_TYPES = {
     "twoD": SystemParams2D,
     "rwa": SystemParamsRWA,
 }
+_FIELDS = {cls: frozenset(f.name for f in fields(cls)) for cls in _PARAM_TYPES.values()}
 
 #: Unit strings for every quantity and parameter the CSV can contain,
 #: in the hbar = m = 1 frame with frequencies in units of omega_ref.
@@ -397,12 +398,18 @@ def with_param(params, name: str, value: float):
 
     The 1D coupling is stored in both rate (G_o) and gradient
     (lambda_o) form; overriding either clears the other so the pair is
-    rebuilt consistently.
+    rebuilt consistently. The 2D record stores only lambda_o; a G_o
+    there is converted at the bright-mode frequency of the record, as
+    in resonant_2d_design.
     """
     if isinstance(params, SystemParams1D) and name in ("G_o", "lambda_o"):
         other = {"G_o": "lambda_o", "lambda_o": "G_o"}[name]
         return replace(params, **{name: value, other: None})
-    if not hasattr(params, name):
+    if name not in _FIELDS[type(params)]:
+        if isinstance(params, SystemParams2D) and name == "G_o":
+            omega = bright_dark(params).omega_b
+            lambda_o = value / math.sqrt(params.hbar / (2.0 * params.mass * omega))
+            return replace(params, lambda_o=lambda_o)
         raise InvalidParams(
             f"{type(params).__name__} has no parameter {name!r}"
         )
@@ -414,11 +421,16 @@ def evaluate_config(config: RunConfig,
     """Evaluate one parameter point; raises on instability or bad input.
 
     Returns the requested quantities and any regime warnings the
-    underlying solver attached.
+    underlying solver attached. A G_o override is applied last, so the
+    coupling rate it sets holds at the point's final frequencies.
     """
     p = config.params
-    for name, value in (overrides or {}).items():
-        p = with_param(p, name, value)
+    overrides = overrides or {}
+    for name, value in overrides.items():
+        if name != "G_o":
+            p = with_param(p, name, value)
+    if "G_o" in overrides:
+        p = with_param(p, "G_o", overrides["G_o"])
     with catch_warnings(record=True) as caught:
         values, warn = _EVALUATORS[(config.model, config.solver)](p)
     warn = warn + tuple(str(w.message) for w in caught)

@@ -4,6 +4,8 @@ import subprocess
 import pytest
 
 from omsteady.cli import main
+from omsteady.closedform import backaction_1d
+from omsteady.models import SystemParams1D
 
 
 def run_cli(*argv):
@@ -61,6 +63,13 @@ class TestPoint:
 
     def test_malformed_param(self, capsys):
         assert run_cli("point", "--param", "G_o") == 2
+
+    @pytest.mark.parametrize("param", ["G_o=nan", "kappa=inf", "delta=-inf"])
+    def test_non_finite_param_is_config_error(self, param, capsys):
+        assert run_cli("point", "--param", param) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, capsys):
         assert run_cli("point", "--config", "/nonexistent/x.ini") == 2
@@ -160,6 +169,32 @@ axis1 = G_o, 0.1, 0.4, 5
     def test_bad_axis_spec(self, capsys):
         assert run_cli("sweep", "--axis", "G_o, 0.1", "--out", "/tmp/n.csv") == 2
         assert "axis spec" in capsys.readouterr().err
+
+    def test_twoD_coupling_axis(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = run_cli("sweep", "--param", "model=twoD",
+                       "--axis", "G_o,0.1,0.3,3", "--out", str(out))
+        assert code == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+
+    def test_spectral_through_exceptional_point_band(self, tmp_path):
+        # two response poles meet at G_o = kappa/4 = 0.05; the spectral
+        # route must hold its accuracy on the way there
+        out = tmp_path / "s.csv"
+        code = run_cli("sweep", "--param", "solver=spectral",
+                       "--axis", "G_o,0.0491,0.0500,40", "--out", str(out))
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        names = lines[0].split(",")
+        rows = [dict(zip(names, line.split(","))) for line in lines[2:]]
+        assert len(rows) == 40
+        for row in rows:
+            p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0,
+                               G_o=float(row["G_o"]))
+            exact = backaction_1d(p)
+            assert row["stable"] == "1"
+            assert float(row["xx"]) == pytest.approx(exact.xx, rel=1e-6)
+            assert float(row["pp"]) == pytest.approx(exact.pp, rel=1e-6)
 
 
 class TestFigure:

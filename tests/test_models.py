@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -172,3 +173,33 @@ class TestDerivedScales:
         bd = BrightDark(omega_b=1.0, omega_d=1.0, gamma_b=0.0, gamma_d=0.0,
                         delta_m=0.1, eta_m=0.0, omega_bar_m=1.0, G_m=0.05)
         assert bd.delta_m == 0.1
+
+
+_VALID_RECORDS = (
+    SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.1),
+    resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2),
+    SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-9, gamma_d=1e-9,
+                    kappa=1e-3, delta=1.0, G_o=2e-3, G_m=1e-3),
+)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record", _VALID_RECORDS, ids=lambda r: type(r).__name__)
+def test_non_finite_fields_rejected(record, bad):
+    # every field of every params record, so a field added later without
+    # a finiteness check fails here
+    for f in dataclasses.fields(record):
+        kwargs = {g.name: getattr(record, g.name) for g in dataclasses.fields(record)}
+        kwargs[f.name] = bad
+        if f.name in ("G_o", "lambda_o") and isinstance(record, SystemParams1D):
+            other = "lambda_o" if f.name == "G_o" else "G_o"
+            kwargs[other] = None
+        with pytest.raises(InvalidParams, match=f"{f.name} must be finite"):
+            type(record)(**kwargs)
+
+
+def test_finite_fields_whose_sum_overflows_accepted():
+    # the record checks the sum of its fields first; an overflowing sum
+    # of finite fields must not be taken for a non-finite field
+    p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1e308, G_o=1e308)
+    assert p.delta == 1e308

@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from omsteady.closedform import weak_coupling
-from omsteady.errors import InvalidParams, QuadratureFailure, UnstableSystem
+from omsteady import spectral
+from omsteady.closedform import backaction_1d, weak_coupling
+from omsteady.errors import AssumptionViolated, InvalidParams, QuadratureFailure, UnstableSystem
 from omsteady.gaussian import occupation_and_purity_1d
 from omsteady.langevin import NoiseMode, build_1d, stability, steady_covariance
 from omsteady.models import SystemParams1D, temperature_for_occupation
@@ -193,3 +197,82 @@ class TestFreqGrid:
     def test_unordered_segment(self):
         with pytest.raises(InvalidParams):
             FreqGrid(segments=((1.0, -1.0),))
+
+
+class TestExceptionalPoint:
+    """kappa = 0.2, delta = omega_b = 1: two response poles meet at G_o = kappa/4."""
+
+    @staticmethod
+    def params(g):
+        return SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=g)
+
+    def test_quadrature_holds_across_the_band(self):
+        worst = 0.0
+        for g in np.linspace(0.049, 0.051, 401):
+            p = self.params(float(g))
+            cov, exact = integrate_moments(p), backaction_1d(p)
+            worst = max(worst, abs(cov.xx - exact.xx) / exact.xx,
+                        abs(cov.pp - exact.pp) / exact.pp)
+        assert worst <= 1e-6  # the oracle-chain-1d tolerance
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-12, 1e-10, -1e-8])
+    def test_residue_route_refuses_near_double_root(self, shift):
+        with pytest.raises(AssumptionViolated, match="simple roots"):
+            integrate_moments_residue(self.params(0.05 + shift))
+
+    def test_residue_route_accurate_where_it_answers(self):
+        for g in (0.0491, 0.05 + 1e-6, 0.0509):
+            p = self.params(g)
+            cov, exact = integrate_moments_residue(p), backaction_1d(p)
+            assert cov.xx == pytest.approx(exact.xx, rel=1e-8)
+            assert cov.pp == pytest.approx(exact.pp, rel=1e-8)
+
+
+def _quad_moments(p):
+    """xx and pp by scipy's QUADPACK on the same window, a test-only oracle."""
+    from scipy.integrate import quad
+
+    w_max, points = spectral._integration_window(p)
+    out = []
+    for power in (0, 2):
+        def f(w):
+            return (p.mass * w) ** power * float(position_psd(w, p, check_stability=False))
+
+        total = quad(f, -w_max, w_max, points=points, limit=500,
+                     epsabs=0.0, epsrel=1e-11)[0]
+        if power == 0 or p.gamma_b == 0.0:
+            total += quad(f, w_max, np.inf, epsabs=0.0, epsrel=1e-11)[0]
+            total += quad(f, -np.inf, -w_max, epsabs=0.0, epsrel=1e-11)[0]
+        out.append(total / (2.0 * math.pi))
+    return out
+
+
+@pytest.mark.parametrize("p", [
+    SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.4),
+    SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.1, delta=0.5, G_o=0.2),
+    SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=1.0, delta=2.0, G_o=0.3),
+    SystemParams1D(omega_b=1.0, gamma_b=1e-4, kappa=0.2, delta=1.0, G_o=0.05,
+                   temperature=temperature_for_occupation(5.0, 1.0)),
+], ids=["residue-1", "residue-2", "residue-3", "thermal"])
+def test_panel_rule_matches_quadpack(p):
+    cov = integrate_moments(p)
+    xx, pp = _quad_moments(p)
+    assert cov.xx == pytest.approx(xx, rel=1e-8)
+    assert cov.pp == pytest.approx(pp, rel=1e-8)
+
+
+def test_infinite_explicit_segments_match_the_window():
+    auto = moment_integrals(P_REF)
+    for segs in (((-np.inf, np.inf),), ((-np.inf, -3.0), (-3.0, 0.5), (0.5, np.inf))):
+        explicit = moment_integrals(P_REF, FreqGrid(segments=segs))
+        for key in ("xx", "pp", "commutator"):
+            assert explicit[key] == pytest.approx(auto[key], rel=1e-10)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = Path(spectral.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import omsteady; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -14,6 +14,7 @@ from omsteady.sweep import (
     SweepSpec,
     SweepResult,
     available_quantities,
+    evaluate_config,
     evaluate_point,
     format_float,
     run_sweep,
@@ -100,6 +101,27 @@ class TestWithParam:
     def test_unknown_name(self):
         with pytest.raises(InvalidParams, match="no parameter"):
             with_param(P_1D, "wavelength", 1.0)
+
+    def test_twoD_coupling_rate_maps_to_gradient(self):
+        # G_o is a derived property of the 2D record; it is converted at
+        # the bright-mode frequency, as resonant_2d_design does
+        base = resonant_2d_design(omega=1.0, G_o=0.1, G_m=0.05, kappa=0.2)
+        p = with_param(base, "G_o", 0.3)
+        assert p.G_o == pytest.approx(0.3, rel=1e-15)
+        expect = resonant_2d_design(omega=1.0, G_o=0.3, G_m=0.05, kappa=0.2)
+        assert p.lambda_o == pytest.approx(expect.lambda_o, rel=1e-15)
+
+    def test_twoD_coupling_rate_holds_whatever_the_axis_order(self):
+        base = resonant_2d_design(omega=1.0, G_o=0.1, G_m=0.05, kappa=0.2)
+        config = RunConfig(model="twoD", solver="closed_form", params=base)
+        first = evaluate_config(config, {"G_o": 0.2, "omega_x": 1.2})[0]
+        last = evaluate_config(config, {"omega_x": 1.2, "G_o": 0.2})[0]
+        assert first == last
+
+    def test_derived_property_is_not_a_field(self):
+        base = resonant_2d_design(omega=1.0, G_o=0.1, G_m=0.05, kappa=0.2)
+        with pytest.raises(InvalidParams, match="no parameter"):
+            with_param(base, "G_m", 0.1)
 
 
 class TestEvaluatePoint:
