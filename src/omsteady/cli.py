@@ -10,7 +10,8 @@ validate   run the cross-solver validation suite
 
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration
 error, 3 unstable system or out-of-regime request, 4 internal oracle
-mismatch (including quadrature or solver self-check failures).
+mismatch (including quadrature or solver self-check failures). An
+error's code is its ``exit_code`` (see :mod:`omsteady.errors`).
 
 Configuration files are plain-text INI: a [run] section for model,
 solver and outputs, a [params] section for the physical parameters,
@@ -32,29 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorrelatedBathUnsupported,
-    DegenerateState,
-    FixedPointDivergence,
-    InvalidParams,
-    InvalidRegime,
-    OracleMismatch,
-    QuadratureFailure,
-    SolveFailure,
-    UncertaintyViolation,
-    UndampedDarkMode,
-    UnstableRegime,
-    UnstableSystem,
-)
+from .errors import InvalidParams, OmsteadyError, UnstableRegime
 from .figures import FIGURES, make_figure
-from .models import (
-    SystemParams1D,
-    SystemParams2D,
-    SystemParamsRWA,
-    bright_dark,
-    temperature_for_occupation,
-)
+from .models import bright_dark, temperature_for_occupation
 from .sweep import (
+    _FIELDS,
+    _PARAM_TYPES,
     MODELS,
     SOLVERS,
     UNITS,
@@ -71,12 +55,6 @@ from .sweep import (
 from .validation import run_validation
 
 __all__ = ["main"]
-
-_PARAM_TYPES = {
-    "oneD": SystemParams1D,
-    "twoD": SystemParams2D,
-    "rwa": SystemParamsRWA,
-}
 
 #: Baseline parameter sets, overridable from config files and --param.
 _DEFAULT_PARAMS = {
@@ -124,18 +102,8 @@ outputs override [run]. All frequencies are in units of omega_ref and
 hbar = m = 1 unless overridden.
 """
 
-_UNSTABLE_ERRORS = (
-    UnstableSystem,
-    UnstableRegime,
-    InvalidRegime,
-    UndampedDarkMode,
-    CorrelatedBathUnsupported,
-    DegenerateState,
-    UncertaintyViolation,
-    FixedPointDivergence,
-)
-
-_ORACLE_ERRORS = (OracleMismatch, QuadratureFailure, SolveFailure)
+#: What main prints before the message of an error with each exit code.
+_PREFIXES = {2: "config error", 3: "unstable or out of regime", 4: "oracle mismatch"}
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
@@ -174,7 +142,7 @@ def _to_float(key: str, raw: str) -> float:
 def _build_params(model: str, raw: dict[str, str]):
     """Construct the params record for ``model`` from string overrides."""
     cls = _PARAM_TYPES[model]
-    known = {f.name for f in fields(cls)}
+    known = _FIELDS[cls]
     merged = dict(_DEFAULT_PARAMS[model])
     n_b_override: float | None = None
     for key, value in raw.items():
@@ -300,8 +268,8 @@ def _cmd_optimize(args) -> int:
     if not cp.has_section("optimize"):
         raise InvalidParams("optimize needs an [optimize] config section")
     names = [n.strip() for n in cp.get("optimize", "free").split(",") if n.strip()]
-    los = [float(x) for x in cp.get("optimize", "lo").split(",")]
-    his = [float(x) for x in cp.get("optimize", "hi").split(",")]
+    los = [_to_float("lo", x) for x in cp.get("optimize", "lo").split(",")]
+    his = [_to_float("hi", x) for x in cp.get("optimize", "hi").split(",")]
     if not (1 <= len(names) <= 3) or len(los) != len(names) or len(his) != len(names):
         raise InvalidParams("optimize needs 1-3 free names with aligned lo/hi lists")
     for nm, lo, hi in zip(names, los, his):
@@ -313,7 +281,13 @@ def _cmd_optimize(args) -> int:
         raise InvalidParams(
             f"objective {objective!r} not available for this model/solver"
         )
-    grid_n = cp.getint("optimize", "grid", fallback=12)
+    grid_text = cp.get("optimize", "grid", fallback="12")
+    try:
+        grid_n = int(grid_text)
+    except ValueError:
+        raise InvalidParams(f"optimize grid is not an integer: {grid_text!r}") from None
+    if grid_n < 2:
+        raise InvalidParams("optimize grid needs at least 2 points per dimension")
     scale = cp.get("optimize", "scale", fallback="linear").strip()
     if scale not in ("linear", "log"):
         raise InvalidParams("optimize scale must be 'linear' or 'log'")
@@ -469,15 +443,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParams, configparser.Error) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except configparser.Error as exc:
+        print(f"{_PREFIXES[2]}: {exc}", file=sys.stderr)
         return 2
-    except _UNSTABLE_ERRORS as exc:
-        print(f"unstable or out of regime: {exc}", file=sys.stderr)
-        return 3
-    except _ORACLE_ERRORS as exc:
-        print(f"oracle mismatch: {exc}", file=sys.stderr)
-        return 4
+    except OmsteadyError as exc:
+        print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,29 +1,50 @@
 """Exception taxonomy for the omsteady package.
 
 Every error raised by this package derives from :class:`OmsteadyError`,
-so callers can catch the whole family with one except clause. The CLI
-maps these onto process exit codes (see :mod:`omsteady.cli`).
+so callers can catch the whole family with one except clause. Each
+class carries the process exit code the CLI returns for it, and that
+code alone decides what a sweep does with the error: codes 2 and 3
+flag the grid point (stable=0, reason in the warnings column) and the
+sweep goes on; code 4 aborts it.
+
+2  bad input: InvalidParams
+3  no steady state, or outside a route's regime: UncertaintyViolation,
+   DegenerateState, AssumptionViolated, CorrelatedBathUnsupported,
+   UnstableSystem, FixedPointDivergence, InvalidRegime, UnstableRegime,
+   UndampedDarkMode
+4  a numeric self-check failed: SolveFailure, QuadratureFailure,
+   OracleMismatch, and OmsteadyError itself
 """
 
 
 class OmsteadyError(Exception):
     """Base class for all omsteady errors."""
 
+    exit_code = 4
+
 
 class InvalidParams(OmsteadyError):
     """A parameter record violates its domain (sign, range, consistency)."""
+
+    exit_code = 2
 
 
 class UncertaintyViolation(OmsteadyError):
     """A covariance matrix violates the Heisenberg bound."""
 
+    exit_code = 3
+
 
 class DegenerateState(OmsteadyError):
     """A covariance matrix is singular or otherwise unusable."""
 
+    exit_code = 3
+
 
 class AssumptionViolated(OmsteadyError):
     """An operation's structural assumption does not hold for the input."""
+
+    exit_code = 3
 
 
 class CorrelatedBathUnsupported(OmsteadyError):
@@ -31,9 +52,13 @@ class CorrelatedBathUnsupported(OmsteadyError):
     baths would be correlated (unequal damping with nonzero cross
     damping); no uncorrelated surrogate exists for that case."""
 
+    exit_code = 3
+
 
 class UnstableSystem(OmsteadyError):
     """The drift matrix has a non-decaying eigenvalue; no steady state."""
+
+    exit_code = 3
 
 
 class SolveFailure(OmsteadyError):
@@ -47,18 +72,26 @@ class QuadratureFailure(OmsteadyError):
 class FixedPointDivergence(OmsteadyError):
     """Fixed-point iteration failed to converge within the iteration cap."""
 
+    exit_code = 3
+
 
 class InvalidRegime(OmsteadyError):
     """Closed-form expression evaluated outside its regime of validity."""
+
+    exit_code = 3
 
 
 class UnstableRegime(OmsteadyError):
     """Closed-form expression evaluated past its stability boundary."""
 
+    exit_code = 3
+
 
 class UndampedDarkMode(OmsteadyError):
     """The dark mode has no damping channel, so the model has no steady
     state (requires nonzero mechanical mixing and optical damping)."""
+
+    exit_code = 3
 
 
 class OracleMismatch(OmsteadyError):

@@ -44,16 +44,21 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _reject_non_finite(record) -> None:
-    """Raise InvalidParams naming the first NaN or infinite field, if any.
+    """Raise InvalidParams naming the first field that is not finite or
+    whose square overflows, if any.
 
-    Called when the sum of a record's fields is not finite, which is
-    cheap to test on every construction; a sum of finite fields that
-    merely overflows passes.
+    Called when the sum of the squares of a record's fields is not
+    finite, which is as cheap to test on every construction as a plain
+    sum and also catches fields so large that the squares the models
+    are built from overflow. A sum of finite squares that merely
+    overflows passes.
     """
     for f in fields(record):
         value = getattr(record, f.name)
         if value is not None and not math.isfinite(value):
             raise InvalidParams(f"{f.name} must be finite, got {value!r}")
+        if value is not None and not math.isfinite(value * value):
+            raise InvalidParams(f"{f.name} must be below 1.3e154 in magnitude, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,11 @@ class SystemParams1D:
 
     def __post_init__(self):
         # NaN and infinities first: they slip through the sign checks below.
-        if not math.isfinite(self.omega_b + self.gamma_b + self.kappa + self.delta
-                             + (self.lambda_o or 0.0) + (self.G_o or 0.0) + self.mass
-                             + self.temperature + self.hbar):
+        lam, rate = self.lambda_o or 0.0, self.G_o or 0.0
+        if not math.isfinite(self.omega_b * self.omega_b + self.gamma_b * self.gamma_b
+                             + self.kappa * self.kappa + self.delta * self.delta
+                             + lam * lam + rate * rate + self.mass * self.mass
+                             + self.temperature * self.temperature + self.hbar * self.hbar):
             _reject_non_finite(self)
         _require(self.omega_b > 0, "omega_b must be positive")
         _require(self.gamma_b >= 0, "gamma_b must be nonnegative")
@@ -109,6 +116,9 @@ class SystemParams1D:
                     "lambda_o and G_o are inconsistent: "
                     f"G_o={self.G_o} but lambda_o implies {expect}"
                 )
+        # the derived form of the coupling can overflow where the given one did not
+        if not math.isfinite(self.lambda_o * self.lambda_o + self.G_o * self.G_o):
+            _reject_non_finite(self)
 
     def with_coupling_rate(self, G_o: float) -> "SystemParams1D":
         """Copy of these parameters with a different coupling rate."""
@@ -139,9 +149,12 @@ class SystemParams2D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.omega_x + self.omega_y + self.gamma_x + self.gamma_y
-                             + self.phi + self.kappa + self.delta + self.lambda_o
-                             + self.mass + self.temperature + self.hbar):
+        if not math.isfinite(self.omega_x * self.omega_x + self.omega_y * self.omega_y
+                             + self.gamma_x * self.gamma_x + self.gamma_y * self.gamma_y
+                             + self.phi * self.phi + self.kappa * self.kappa
+                             + self.delta * self.delta + self.lambda_o * self.lambda_o
+                             + self.mass * self.mass + self.temperature * self.temperature
+                             + self.hbar * self.hbar):
             _reject_non_finite(self)
         _require(self.omega_x > 0, "omega_x must be positive")
         _require(self.omega_y > 0, "omega_y must be positive")
@@ -203,9 +216,11 @@ class SystemParamsRWA:
     n_B_d: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.omega_b + self.omega_d + self.gamma_b + self.gamma_d
-                             + self.kappa + self.delta + self.G_o + self.G_m
-                             + self.n_B_b + self.n_B_d):
+        if not math.isfinite(self.omega_b * self.omega_b + self.omega_d * self.omega_d
+                             + self.gamma_b * self.gamma_b + self.gamma_d * self.gamma_d
+                             + self.kappa * self.kappa + self.delta * self.delta
+                             + self.G_o * self.G_o + self.G_m * self.G_m
+                             + self.n_B_b * self.n_B_b + self.n_B_d * self.n_B_d):
             _reject_non_finite(self)
         _require(self.omega_b > 0, "omega_b must be positive")
         _require(self.omega_d > 0, "omega_d must be positive")

@@ -5,9 +5,10 @@ quantities) plus a SweepSpec (one or two named axes). Rows are
 computed in grid order into a preallocated buffer, optionally in
 parallel; output never depends on worker count or completion order.
 
-Unstable or invalid grid points are kept as rows with an explicit
-stable=0 flag and empty quantity cells. Nothing is interpolated or
-fabricated.
+Unstable or invalid grid points (errors with exit code 2 or 3, see
+:mod:`omsteady.errors`) are kept as rows with an explicit stable=0
+flag and empty quantity cells; an error with exit code 4 aborts the
+sweep. Nothing is interpolated or fabricated.
 
 CSV format: comma separated, '.' decimal point, first line column
 names, second line units, UTF-8 with LF line endings, every float
@@ -27,17 +28,7 @@ from warnings import catch_warnings
 import numpy as np
 
 from .closedform import backaction_1d, backaction_2d, bare_occupation, rwa_optimum
-from .errors import (
-    CorrelatedBathUnsupported,
-    DegenerateState,
-    FixedPointDivergence,
-    InvalidParams,
-    InvalidRegime,
-    UncertaintyViolation,
-    UndampedDarkMode,
-    UnstableRegime,
-    UnstableSystem,
-)
+from .errors import InvalidParams, OmsteadyError
 from .gaussian import Cov1D, occupation_and_purity_1d, purity_2d_general
 from .langevin import NoiseMode, build_1d, build_2d, build_rwa, steady_covariance
 from .models import SystemParams1D, SystemParams2D, SystemParamsRWA, bright_dark
@@ -120,46 +111,27 @@ UNITS = {
     "warnings": "text",
 }
 
-#: Exceptions that mark a grid point unstable or out of regime rather
-#: than aborting the whole sweep.
-_POINT_ERRORS = (
-    UnstableSystem,
-    UnstableRegime,
-    InvalidRegime,
-    UndampedDarkMode,
-    UncertaintyViolation,
-    DegenerateState,
-    CorrelatedBathUnsupported,
-    FixedPointDivergence,
-    InvalidParams,
-)
-
 
 def _noise_for(gamma: float) -> NoiseMode:
     return NoiseMode.MarkovianThermal if gamma > 0 else NoiseMode.VacuumOnly
 
 
-def _eval_oneD_lyapunov(p: SystemParams1D) -> tuple[dict, tuple[str, ...]]:
-    sys = build_1d(p, _noise_for(p.gamma_b))
-    cov = steady_covariance(sys).mechanical_1d()
+def _oneD_values(cov: Cov1D, p: SystemParams1D) -> dict:
     n, mu = occupation_and_purity_1d(cov)
-    out = {
+    return {
         "xx": cov.xx, "pp": cov.pp, "xp": cov.xp,
         "n_bar": n, "purity": mu,
         "n_bar_0": bare_occupation(cov, p.omega_b, p.mass),
     }
-    return out, sys.warnings
+
+
+def _eval_oneD_lyapunov(p: SystemParams1D) -> tuple[dict, tuple[str, ...]]:
+    sys = build_1d(p, _noise_for(p.gamma_b))
+    return _oneD_values(steady_covariance(sys).mechanical_1d(), p), sys.warnings
 
 
 def _eval_oneD_spectral(p: SystemParams1D) -> tuple[dict, tuple[str, ...]]:
-    cov = integrate_moments(p)
-    n, mu = occupation_and_purity_1d(cov)
-    out = {
-        "xx": cov.xx, "pp": cov.pp, "xp": cov.xp,
-        "n_bar": n, "purity": mu,
-        "n_bar_0": bare_occupation(cov, p.omega_b, p.mass),
-    }
-    return out, ()
+    return _oneD_values(integrate_moments(p), p), ()
 
 
 def _eval_oneD_closed_form(p: SystemParams1D) -> tuple[dict, tuple[str, ...]]:
@@ -227,41 +199,27 @@ def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
     )
 
 
-_EVALUATORS = {
-    ("oneD", "lyapunov"): _eval_oneD_lyapunov,
-    ("oneD", "spectral"): _eval_oneD_spectral,
-    ("oneD", "closed_form"): _eval_oneD_closed_form,
-    ("twoD", "lyapunov"): _eval_twoD_lyapunov,
-    ("twoD", "closed_form"): _eval_twoD_closed_form,
-    ("rwa", "lyapunov"): _eval_rwa_lyapunov,
-    ("rwa", "closed_form"): _eval_rwa_closed_form,
-}
+_ONE_D = ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0")
+_TWO_D = ("xx_b", "pp_b", "xx_d", "pp_d", "x_b_x_d", "p_b_p_d")
+_JOINT = ("purity_2d", "purity_product")
+_MODAL = ("N_plus", "N_minus")
 
-_QUANTITIES = {
-    ("oneD", "lyapunov"): ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0"),
-    ("oneD", "spectral"): ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0"),
-    ("oneD", "closed_form"): (
-        "xx", "pp", "xp", "n_bar", "purity", "n_bar_0", "M_Omega", "n_min_weak",
-    ),
-    ("twoD", "lyapunov"): (
-        "xx_b", "pp_b", "xx_d", "pp_d", "x_b_x_d", "p_b_p_d",
-        "purity_2d", "purity_product", "N_plus", "N_minus",
-    ),
-    ("twoD", "closed_form"): (
-        "xx_b", "pp_b", "xx_d", "pp_d", "x_b_x_d", "p_b_p_d",
-        "purity_2d", "purity_product",
-    ),
-    ("rwa", "lyapunov"): (
-        "n_b", "n_d", "purity_2d", "purity_product", "N_plus", "N_minus",
-    ),
-    ("rwa", "closed_form"): ("G_m_opt", "purity_opt"),
+#: (model, solver) -> (evaluator, the quantities it returns, in CSV order).
+_EVALUATORS = {
+    ("oneD", "lyapunov"): (_eval_oneD_lyapunov, _ONE_D),
+    ("oneD", "spectral"): (_eval_oneD_spectral, _ONE_D),
+    ("oneD", "closed_form"): (_eval_oneD_closed_form, _ONE_D + ("M_Omega", "n_min_weak")),
+    ("twoD", "lyapunov"): (_eval_twoD_lyapunov, _TWO_D + _JOINT + _MODAL),
+    ("twoD", "closed_form"): (_eval_twoD_closed_form, _TWO_D + _JOINT),
+    ("rwa", "lyapunov"): (_eval_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL),
+    ("rwa", "closed_form"): (_eval_rwa_closed_form, ("G_m_opt", "purity_opt")),
 }
 
 
 def available_quantities(model: str, solver: str) -> tuple[str, ...]:
     """Quantity names a (model, solver) pair can produce."""
     try:
-        return _QUANTITIES[(model, solver)]
+        return _EVALUATORS[(model, solver)][1]
     except KeyError:
         raise InvalidParams(
             f"no evaluator for model={model!r} solver={solver!r}"
@@ -337,6 +295,8 @@ class SweepSpec:
     def __post_init__(self):
         if not (1 <= len(self.axes) <= 2):
             raise InvalidParams("a sweep takes one or two axes")
+        if len({a.name for a in self.axes}) < len(self.axes):
+            raise InvalidParams(f"duplicate axis name {self.axes[0].name!r}")
 
     def grid(self) -> list[tuple[float, ...]]:
         vals = [a.values() for a in self.axes]
@@ -393,18 +353,28 @@ def _sanitize_warning(text: str) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
+#: SystemParams1D fields whose replacement clears a coupling field, so
+#: the record rebuilds it: the other form of the coupling, or lambda_o
+#: where the factor sqrt(hbar / (2 m omega_b)) between the two changes.
+_CLEARS_1D = {"G_o": "lambda_o", "lambda_o": "G_o",
+              "omega_b": "lambda_o", "mass": "lambda_o", "hbar": "lambda_o"}
+#: Overrides that evaluate_config applies after all others.
+_COUPLINGS = ("lambda_o", "G_o")
+
+
 def with_param(params, name: str, value: float):
     """Copy of a params record with one named parameter replaced.
 
     The 1D coupling is stored in both rate (G_o) and gradient
     (lambda_o) form; overriding either clears the other so the pair is
-    rebuilt consistently. The 2D record stores only lambda_o; a G_o
-    there is converted at the bright-mode frequency of the record, as
-    in resonant_2d_design.
+    rebuilt consistently. Overriding omega_b, mass or hbar, which enter
+    the conversion between the two, clears lambda_o, so the coupling
+    rate G_o holds. The 2D record stores only lambda_o; a G_o there is
+    converted at the bright-mode frequency of the record, as in
+    resonant_2d_design.
     """
-    if isinstance(params, SystemParams1D) and name in ("G_o", "lambda_o"):
-        other = {"G_o": "lambda_o", "lambda_o": "G_o"}[name]
-        return replace(params, **{name: value, other: None})
+    if isinstance(params, SystemParams1D) and name in _CLEARS_1D:
+        return replace(params, **{name: value, _CLEARS_1D[name]: None})
     if name not in _FIELDS[type(params)]:
         if isinstance(params, SystemParams2D) and name == "G_o":
             omega = bright_dark(params).omega_b
@@ -421,18 +391,20 @@ def evaluate_config(config: RunConfig,
     """Evaluate one parameter point; raises on instability or bad input.
 
     Returns the requested quantities and any regime warnings the
-    underlying solver attached. A G_o override is applied last, so the
-    coupling rate it sets holds at the point's final frequencies.
+    underlying solver attached. Coupling overrides (lambda_o, then G_o)
+    are applied last, so the coupling they set holds at the point's
+    final frequencies and scales.
     """
     p = config.params
     overrides = overrides or {}
     for name, value in overrides.items():
-        if name != "G_o":
+        if name not in _COUPLINGS:
             p = with_param(p, name, value)
-    if "G_o" in overrides:
-        p = with_param(p, "G_o", overrides["G_o"])
+    for name in _COUPLINGS:
+        if name in overrides:
+            p = with_param(p, name, overrides[name])
     with catch_warnings(record=True) as caught:
-        values, warn = _EVALUATORS[(config.model, config.solver)](p)
+        values, warn = _EVALUATORS[(config.model, config.solver)][0](p)
     warn = warn + tuple(str(w.message) for w in caught)
     return {q: values[q] for q in config.outputs}, warn
 
@@ -441,13 +413,16 @@ def evaluate_point(config: RunConfig, overrides: dict | None = None) -> SweepRow
     """Evaluate one parameter point, folding in optional overrides.
 
     Returns a flagged row instead of raising when the point is
-    unstable, out of regime, or parametrically invalid.
+    unstable, out of regime, or parametrically invalid (an error with
+    exit code 2 or 3); an error with exit code 4 propagates.
     """
     axis_values = tuple(float(v) for v in (overrides or {}).values())
     try:
         values, warn = evaluate_config(config, overrides)
         return SweepRow(axis_values, values, True, warn)
-    except _POINT_ERRORS as exc:
+    except OmsteadyError as exc:
+        if exc.exit_code == 4:
+            raise
         return SweepRow(axis_values, None, False, (f"{type(exc).__name__}: {exc}",))
 
 

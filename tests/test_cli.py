@@ -71,6 +71,17 @@ class TestPoint:
         assert "must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("solver", ["lyapunov", "spectral", "closed_form"])
+    @pytest.mark.parametrize("param", ["G_o=1e308", "G_o=1e160", "omega_b=1e200",
+                                       "delta=1e200", "kappa=1e200"])
+    def test_overflowing_param_is_config_error(self, solver, param, capsys):
+        # finite, but its square overflows in the drift or the closed forms
+        assert run_cli("point", "--solver", solver, "--param", param) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: " + param.split("=")[0] + " must be below")
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, capsys):
         assert run_cli("point", "--config", "/nonexistent/x.ini") == 2
 
@@ -169,6 +180,13 @@ axis1 = G_o, 0.1, 0.4, 5
     def test_bad_axis_spec(self, capsys):
         assert run_cli("sweep", "--axis", "G_o, 0.1", "--out", "/tmp/n.csv") == 2
         assert "axis spec" in capsys.readouterr().err
+
+    def test_duplicate_axis_name(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--axis", "G_o,0.1,0.2,2", "--axis", "G_o,0.3,0.4,2",
+                       "--out", str(out)) == 2
+        assert "duplicate axis name 'G_o'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_twoD_coupling_axis(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -275,6 +293,19 @@ hi = 0.9
 """, encoding="utf-8")
         assert run_cli("optimize", "--config", str(cfg)) == 3
         assert "no stable point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("lo", "wide"), ("hi", "0.5, x"), ("grid", "many"), ("grid", "12.5"), ("grid", "1"),
+    ])
+    def test_bad_optimize_key_is_config_error(self, tmp_path, capsys, key, value):
+        settings = {"free": "G_o", "lo": "0.1", "hi": "0.4", "grid": "4", key: value}
+        cfg = tmp_path / "opt.ini"
+        cfg.write_text("[run]\nsolver = closed_form\n\n[optimize]\n" + "".join(
+            f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
 
     def test_missing_section(self, tmp_path, capsys):
         cfg = tmp_path / "opt.ini"

@@ -183,23 +183,45 @@ _VALID_RECORDS = (
 )
 
 
+def _with_field(record, name, value):
+    kwargs = {g.name: getattr(record, g.name) for g in dataclasses.fields(record)}
+    kwargs[name] = value
+    if name in ("G_o", "lambda_o") and isinstance(record, SystemParams1D):
+        kwargs["lambda_o" if name == "G_o" else "G_o"] = None
+    return kwargs
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("record", _VALID_RECORDS, ids=lambda r: type(r).__name__)
 def test_non_finite_fields_rejected(record, bad):
     # every field of every params record, so a field added later without
     # a finiteness check fails here
     for f in dataclasses.fields(record):
-        kwargs = {g.name: getattr(record, g.name) for g in dataclasses.fields(record)}
-        kwargs[f.name] = bad
-        if f.name in ("G_o", "lambda_o") and isinstance(record, SystemParams1D):
-            other = "lambda_o" if f.name == "G_o" else "G_o"
-            kwargs[other] = None
         with pytest.raises(InvalidParams, match=f"{f.name} must be finite"):
-            type(record)(**kwargs)
+            type(record)(**_with_field(record, f.name, bad))
+
+
+@pytest.mark.parametrize("big", [1e160, -1e160])
+@pytest.mark.parametrize("record", _VALID_RECORDS, ids=lambda r: type(r).__name__)
+def test_fields_whose_square_overflows_rejected(record, big):
+    # finite, but the drift matrices and closed forms square every field
+    for f in dataclasses.fields(record):
+        with pytest.raises(InvalidParams, match=f"{f.name} must be below 1.3e154"):
+            type(record)(**_with_field(record, f.name, big))
 
 
 def test_finite_fields_whose_sum_overflows_accepted():
-    # the record checks the sum of its fields first; an overflowing sum
-    # of finite fields must not be taken for a non-finite field
-    p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1e308, G_o=1e308)
-    assert p.delta == 1e308
+    # the record checks the sum of the squares of its fields first; an
+    # overflowing sum of finite squares must not be taken for a
+    # non-finite field
+    p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=1e154, delta=1e154, G_o=0.1)
+    assert p.delta == 1e154
+
+
+@pytest.mark.parametrize("given, derived", [
+    (dict(lambda_o=1e150, mass=1e-20), "G_o"),
+    (dict(G_o=1e150, mass=1e20), "lambda_o"),
+])
+def test_derived_coupling_that_overflows_rejected(given, derived):
+    with pytest.raises(InvalidParams, match=f"{derived} must be below 1.3e154"):
+        SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, **given)

@@ -64,6 +64,10 @@ class TestSweepSpec:
         with pytest.raises(InvalidParams):
             SweepSpec(axes=(Axis("a", 0, 1, 2),) * 3)
 
+    def test_duplicate_axis_names_rejected(self):
+        with pytest.raises(InvalidParams, match="duplicate axis name 'G_o'"):
+            SweepSpec(axes=(Axis("G_o", 0.1, 0.2, 2), Axis("G_o", 0.3, 0.4, 3)))
+
 
 class TestRunConfig:
     def test_outputs_default_to_all(self):
@@ -116,6 +120,25 @@ class TestWithParam:
         config = RunConfig(model="twoD", solver="closed_form", params=base)
         first = evaluate_config(config, {"G_o": 0.2, "omega_x": 1.2})[0]
         last = evaluate_config(config, {"omega_x": 1.2, "G_o": 0.2})[0]
+        assert first == last
+
+    @pytest.mark.parametrize("name", ["omega_b", "mass", "hbar"])
+    def test_oneD_scale_sweep_keeps_the_coupling_rate(self, name):
+        # these fields enter the G_o <-> lambda_o conversion; the rate holds
+        result = run_sweep(config_1d("lyapunov"), SweepSpec((Axis(name, 0.8, 1.2, 3),)))
+        for (value,), row in zip(result.spec.grid(), result.rows):
+            assert row.stable, row.warnings
+            assert with_param(P_1D, name, value).G_o == P_1D.G_o
+            fresh = RunConfig(model="oneD", solver="lyapunov",
+                              params=SystemParams1D(**{
+                                  "omega_b": 1.0, "gamma_b": 0.0, "kappa": 0.2,
+                                  "delta": 1.0, "G_o": P_1D.G_o, name: value}))
+            assert row.values == evaluate_config(fresh)[0]
+
+    def test_oneD_coupling_gradient_holds_whatever_the_axis_order(self):
+        config = config_1d()
+        first = evaluate_config(config, {"lambda_o": 0.3, "omega_b": 1.2})[0]
+        last = evaluate_config(config, {"omega_b": 1.2, "lambda_o": 0.3})[0]
         assert first == last
 
     def test_derived_property_is_not_a_field(self):
