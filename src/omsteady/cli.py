@@ -46,6 +46,7 @@ from .sweep import (
     RunConfig,
     SweepSpec,
     available_quantities,
+    check_param_names,
     evaluate_config,
     evaluate_point,
     format_float,
@@ -196,7 +197,7 @@ def _cmd_point(args) -> int:
     values, warn = evaluate_config(config)
     lines = [
         f"model={config.model} solver={config.solver}",
-        f"unit frame: {config.unit_frame}",
+        "unit frame: hbar = m = 1, frequencies in omega_ref",
         "params: " + " ".join(
             f"{f.name}={getattr(config.params, f.name)!r}"
             for f in fields(config.params)
@@ -272,27 +273,20 @@ def _cmd_optimize(args) -> int:
     his = [_to_float("hi", x) for x in cp.get("optimize", "hi").split(",")]
     if not (1 <= len(names) <= 3) or len(los) != len(names) or len(his) != len(names):
         raise InvalidParams("optimize needs 1-3 free names with aligned lo/hi lists")
-    for nm, lo, hi in zip(names, los, his):
-        if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidParams(f"bounds for {nm!r} must be finite with lo < hi")
+    check_param_names(config.params, names)
+    grid_text = cp.get("optimize", "grid", fallback="12")
+    try:
+        grid_n = int(grid_text)
+    except ValueError:
+        raise InvalidParams(f"optimize grid is not an integer: {grid_text!r}") from None
+    scale = cp.get("optimize", "scale", fallback="linear").strip()
+    axes = [Axis(nm, lo, hi, grid_n, scale).values() for nm, lo, hi in zip(names, los, his)]
     objective = cp.get("optimize", "objective", fallback="").strip() \
         or _default_objective(config)
     if objective not in available_quantities(config.model, config.solver):
         raise InvalidParams(
             f"objective {objective!r} not available for this model/solver"
         )
-    grid_text = cp.get("optimize", "grid", fallback="12")
-    try:
-        grid_n = int(grid_text)
-    except ValueError:
-        raise InvalidParams(f"optimize grid is not an integer: {grid_text!r}") from None
-    if grid_n < 2:
-        raise InvalidParams("optimize grid needs at least 2 points per dimension")
-    scale = cp.get("optimize", "scale", fallback="linear").strip()
-    if scale not in ("linear", "log"):
-        raise InvalidParams("optimize scale must be 'linear' or 'log'")
-    if scale == "log" and any(lo <= 0 for lo in los):
-        raise InvalidParams("log-scale optimize needs positive lower bounds")
 
     evals = 0
 
@@ -304,11 +298,6 @@ def _cmd_optimize(args) -> int:
             return None
         return row.values[objective]
 
-    if scale == "log":
-        axes = [np.logspace(math.log10(lo), math.log10(hi), grid_n)
-                for lo, hi in zip(los, his)]
-    else:
-        axes = [np.linspace(lo, hi, grid_n) for lo, hi in zip(los, his)]
     best_x, best_val = None, -math.inf
     for point in product(*axes):
         val = measure(np.asarray(point))
@@ -366,7 +355,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_validate(args) -> int:
     t0 = time.perf_counter()
-    results = run_validation(perturb_diffusion=args.perturb_diffusion)
+    results = run_validation()
     for r in results:
         print(r.row())
     print(f"elapsed {time.perf_counter() - t0:.2f} s")
@@ -432,8 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_val = sub.add_parser("validate", help="run the cross-solver validation suite")
-    p_val.add_argument("--perturb-diffusion", type=float, default=0.0,
-                       help=argparse.SUPPRESS)
     p_val.set_defaults(func=_cmd_validate)
 
     return parser

@@ -26,14 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .closedform import backaction_1d, backaction_2d, bare_occupation, strong_coupling, weak_coupling
-from .errors import OracleMismatch
-from .gaussian import Cov1D, occupation_and_purity_1d, purity_2d_general
-from .langevin import NoiseMode, build_1d, build_2d, build_rwa, steady_covariance
+from .closedform import strong_coupling, weak_coupling
+from .errors import InvalidParams, OracleMismatch
 from .models import SystemParams1D, SystemParamsRWA, resonant_2d_design
-from .sweep import format_float, write_csv
+from .sweep import _EVALUATORS, format_float, write_csv
 
-__all__ = ["FIGURES", "FigureCheck", "FigureOutput", "make_figure"]
+__all__ = ["FIGURES", "FigureCheck", "FigureOutput", "fig3_params", "make_figure"]
 
 FIGURES = ("fig2", "fig3", "fig4")
 
@@ -81,8 +79,14 @@ _FIG2_KAPPA = 0.2
 _FIG2_G = np.linspace(0.2, 0.49, 59)
 
 
+def _rel_err(value: float, exact: float) -> float:
+    return abs(value - exact) / exact
+
+
 def _fig2(out_dir: Path, tolerance: float | None) -> FigureOutput:
     tol = _EXACT_PAIR_RTOL if tolerance is None else tolerance
+    closed_form = _EVALUATORS[("oneD", "closed_form")][0]
+    lyapunov = _EVALUATORS[("oneD", "lyapunov")][0]
     rows = []
     worst_exact = 0.0
     worst_bare = 0.0
@@ -91,36 +95,26 @@ def _fig2(out_dir: Path, tolerance: float | None) -> FigureOutput:
     for g in _FIG2_G:
         p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=_FIG2_KAPPA,
                            delta=1.0, G_o=float(g))
-        cf = backaction_1d(p)
-        n0_cf = bare_occupation(
-            Cov1D(xx=cf.xx, pp=cf.pp, xp=0.0, hbar=p.hbar), p.omega_b, p.mass
-        )
+        cf, _ = closed_form(p)
+        ly, _ = lyapunov(p)
         sc = strong_coupling(p)
-
-        cov = steady_covariance(build_1d(p, NoiseMode.VacuumOnly)).mechanical_1d()
-        n_ly, _ = occupation_and_purity_1d(cov)
-        n0_ly = bare_occupation(cov, p.omega_b, p.mass)
-        worst_exact = max(worst_exact, abs(n_ly - cf.n_bar) / cf.n_bar)
-        worst_bare = max(worst_bare, abs(n0_ly - n0_cf) / n0_cf)
+        worst_exact = max(worst_exact, _rel_err(ly["n_bar"], cf["n_bar"]))
+        worst_bare = max(worst_bare, _rel_err(ly["n_bar_0"], cf["n_bar_0"]))
         bound = 10.0 * ((p.kappa / g) ** 2 + g**2)
-        worst_strong = max(worst_strong, (abs(sc.n_bar - cf.n_bar) / cf.n_bar) / bound)
+        worst_strong = max(worst_strong, _rel_err(sc.n_bar, cf["n_bar"]) / bound)
         worst_strong_bare = max(
-            worst_strong_bare, (abs(sc.n_bar_0 - n0_cf) / n0_cf) / bound
+            worst_strong_bare, _rel_err(sc.n_bar_0, cf["n_bar_0"]) / bound
         )
-
-        rows.append([
-            format_float(g), format_float(cf.n_bar), format_float(n0_cf),
-            format_float(sc.n_bar), format_float(sc.n_bar_0),
-            format_float(cf.n_min_weak),
-        ])
+        rows.append([format_float(v) for v in (
+            g, cf["n_bar"], cf["n_bar_0"], sc.n_bar, sc.n_bar_0, cf["n_min_weak"],
+        )])
 
     # The reference column must agree with the weak-coupling route in
     # its own limit (evaluated once; the column is drive-independent).
     p_weak = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=_FIG2_KAPPA,
                             delta=1.0, G_o=1e-4)
-    wk = weak_coupling(p_weak)
-    ref = backaction_1d(p_weak).n_min_weak
-    worst_weak = abs(wk.n_bar - ref) / ref
+    ref = closed_form(p_weak)[0]["n_min_weak"]
+    worst_weak = _rel_err(weak_coupling(p_weak).n_bar, ref)
 
     checks = (
         _gate("n_bar closed form vs lyapunov", worst_exact, tol),
@@ -159,7 +153,8 @@ _FIG3_NB = 0.05 * _FIG3_KAPPA / _FIG3_GAMMA_TOT
 _FIG3_RATIO = np.logspace(math.log10(0.05), math.log10(5.0), 50)
 
 
-def _fig3_params(g_o: float, g_m: float) -> SystemParamsRWA:
+def fig3_params(g_o: float, g_m: float) -> SystemParamsRWA:
+    """Rotating-wave record with the fig3 bath at coupling rates G_o, G_m."""
     return SystemParamsRWA(
         omega_b=1.0, omega_d=1.0,
         gamma_b=_FIG3_GAMMA_TOT / 2.0, gamma_d=_FIG3_GAMMA_TOT / 2.0,
@@ -170,24 +165,21 @@ def _fig3_params(g_o: float, g_m: float) -> SystemParamsRWA:
 
 def _fig3(out_dir: Path, tolerance: float | None) -> FigureOutput:
     tol_routes = _PURITY_ROUTE_RTOL if tolerance is None else tolerance
+    lyapunov = _EVALUATORS[("rwa", "lyapunov")][0]
     rows = []
     worst_route = 0.0
     best_by_column: dict[int, tuple[float, float]] = {}
     for i, ro in enumerate(_FIG3_RATIO):
-        for j, rm in enumerate(_FIG3_RATIO):
-            p = _fig3_params(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA)
-            cov = steady_covariance(build_rwa(p)).mechanical_2d()
-            s = purity_2d_general(cov)
+        for rm in _FIG3_RATIO:
+            s, _ = lyapunov(fig3_params(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA))
+            mu = s["purity_2d"]
             # Same covariance, two purity routes: determinant vs the
             # product over symplectic occupations.
-            mu_modes = 1.0 / ((2.0 * s.N_plus + 1.0) * (2.0 * s.N_minus + 1.0))
-            worst_route = max(worst_route, abs(mu_modes - s.purity_2d) / s.purity_2d)
-            if i not in best_by_column or s.purity_2d > best_by_column[i][1]:
-                best_by_column[i] = (float(rm), s.purity_2d)
-            rows.append([
-                format_float(ro), format_float(rm), format_float(s.purity_2d),
-                format_float(s.N_plus), format_float(s.N_minus),
-            ])
+            mu_modes = 1.0 / ((2.0 * s["N_plus"] + 1.0) * (2.0 * s["N_minus"] + 1.0))
+            worst_route = max(worst_route, _rel_err(mu_modes, mu))
+            if i not in best_by_column or mu > best_by_column[i][1]:
+                best_by_column[i] = (float(rm), mu)
+            rows.append([format_float(v) for v in (ro, rm, mu, s["N_plus"], s["N_minus"])])
 
     # The ridge of the map must track the analytic optimum. Checked on
     # the strong-coupling half of the axis where the optimum formula
@@ -235,6 +227,8 @@ _FIG4_G = np.linspace(0.01, 0.35, 69)
 
 def _fig4(out_dir: Path, tolerance: float | None) -> FigureOutput:
     tol = _EXACT_PAIR_RTOL if tolerance is None else tolerance
+    closed_form = _EVALUATORS[("twoD", "closed_form")][0]
+    lyapunov = _EVALUATORS[("twoD", "lyapunov")][0]
     rows = []
     worst_joint = 0.0
     worst_product = 0.0
@@ -243,21 +237,12 @@ def _fig4(out_dir: Path, tolerance: float | None) -> FigureOutput:
             omega=1.0, G_o=float(g), G_m=float(g) / math.sqrt(2.0),
             kappa=_FIG4_KAPPA,
         )
-        cf = backaction_2d(p)
-        cov = steady_covariance(build_2d(p, NoiseMode.VacuumOnly)).mechanical_2d()
-        s = purity_2d_general(cov)
-        mu_prod_ly = s.purity_product_1d
-        worst_joint = max(worst_joint, abs(s.purity_2d - cf.purity_2d) / cf.purity_2d)
-        worst_product = max(
-            worst_product, abs(mu_prod_ly - cf.purity_product) / cf.purity_product
-        )
-        rows.append([
-            format_float(g),
-            format_float(1.0 - cf.purity_2d),
-            format_float(1.0 - cf.purity_product),
-            format_float(cf.purity_2d),
-            format_float(cf.purity_product),
-        ])
+        cf, _ = closed_form(p)
+        ly, _ = lyapunov(p)
+        mu, mu_prod = cf["purity_2d"], cf["purity_product"]
+        worst_joint = max(worst_joint, _rel_err(ly["purity_2d"], mu))
+        worst_product = max(worst_product, _rel_err(ly["purity_product"], mu_prod))
+        rows.append([format_float(v) for v in (g, 1.0 - mu, 1.0 - mu_prod, mu, mu_prod)])
 
     checks = (
         _gate("joint purity closed form vs lyapunov", worst_joint, tol),
@@ -299,8 +284,11 @@ def make_figure(fig_id: str, out_dir: str | Path,
     All paired cross-checks run before any file is written; on
     mismatch OracleMismatch propagates and the directory is untouched.
     ``tolerance`` overrides the per-figure default for the exact-pair
-    checks (fig2, fig4) or the dual-route check (fig3).
+    checks (fig2, fig4) or the dual-route check (fig3); it must be
+    finite and positive (InvalidParams otherwise).
     """
+    if tolerance is not None and not 0.0 < tolerance < math.inf:
+        raise InvalidParams(f"tolerance must be finite and positive, got {tolerance!r}")
     if fig_id not in _BUILDERS:
         raise ValueError(f"unknown figure {fig_id!r}; choose from {FIGURES}")
     out = Path(out_dir)

@@ -79,7 +79,6 @@ class Cov2D:
 
     matrix: np.ndarray
     hbar: float = 1.0
-    basis_label: str = "bright/dark"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)

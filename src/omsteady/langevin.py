@@ -53,8 +53,6 @@ __all__ = [
 
 LYAPUNOV_RESIDUAL_RTOL = 1e-10
 
-_CONVENTION = "X=(a+a^dag)/sqrt(2); vacuum input -> kappa/2 per quadrature"
-
 
 class NoiseMode(enum.Enum):
     """Which noise sources enter the diffusion matrix.
@@ -76,7 +74,6 @@ class LinearSystem:
     drift: np.ndarray
     diffusion: np.ndarray
     labels: tuple[str, ...]
-    convention_note: str = _CONVENTION
     hbar: float = 1.0
     warnings: tuple[str, ...] = ()
 
@@ -105,7 +102,6 @@ class CovarianceMatrix:
     matrix: np.ndarray
     labels: tuple[str, ...]
     hbar: float = 1.0
-    convention_note: str = _CONVENTION
 
     def block(self, names: tuple[str, ...]) -> np.ndarray:
         idx = [self.labels.index(nm) for nm in names]
@@ -120,8 +116,7 @@ class CovarianceMatrix:
         names = ("x_b", "p_b", "x_d", "p_d")
         if "x_b" not in self.labels:
             names = ("X_b", "P_b", "X_d", "P_d")
-        return Cov2D(matrix=self.block(names), hbar=self.hbar,
-                     basis_label="bright/dark")
+        return Cov2D(matrix=self.block(names), hbar=self.hbar)
 
 
 def build_1d(params: SystemParams1D, noise: NoiseMode) -> LinearSystem:
@@ -321,9 +316,4 @@ def steady_covariance(sys: LinearSystem) -> CovarianceMatrix:
         raise SolveFailure(
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_RTOL:.1e} * {scale:.3e}"
         )
-    return CovarianceMatrix(
-        matrix=V,
-        labels=sys.labels,
-        hbar=sys.hbar,
-        convention_note=sys.convention_note,
-    )
+    return CovarianceMatrix(matrix=V, labels=sys.labels, hbar=sys.hbar)

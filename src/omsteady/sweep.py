@@ -48,6 +48,7 @@ __all__ = [
     "write_csv",
     "sweep_to_csv",
     "with_param",
+    "check_param_names",
     "evaluate_config",
     "format_float",
     "UNITS",
@@ -234,7 +235,6 @@ class RunConfig:
     solver: str
     params: SystemParams1D | SystemParams2D | SystemParamsRWA
     outputs: tuple[str, ...] = ()
-    unit_frame: str = "hbar = m = 1, frequencies in omega_ref"
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -273,6 +273,8 @@ class Axis:
     def __post_init__(self):
         if self.count < 2:
             raise InvalidParams("axis count must be at least 2")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidParams(f"axis {self.name!r} needs finite lo and hi")
         if not (self.lo < self.hi):
             raise InvalidParams("axis needs lo < hi")
         if self.scale not in ("linear", "log"):
@@ -360,6 +362,16 @@ _CLEARS_1D = {"G_o": "lambda_o", "lambda_o": "G_o",
               "omega_b": "lambda_o", "mass": "lambda_o", "hbar": "lambda_o"}
 #: Overrides that evaluate_config applies after all others.
 _COUPLINGS = ("lambda_o", "G_o")
+#: Names with_param can set: the record's fields, and G_o on a 2D record.
+_SETTABLE = {cls: names | {"G_o"} if cls is SystemParams2D else names
+             for cls, names in _FIELDS.items()}
+
+
+def check_param_names(params, names) -> None:
+    """Raise InvalidParams for the first name with_param cannot set on params."""
+    for name in names:
+        if name not in _SETTABLE[type(params)]:
+            raise InvalidParams(f"{type(params).__name__} has no parameter {name!r}")
 
 
 def with_param(params, name: str, value: float):
@@ -373,16 +385,13 @@ def with_param(params, name: str, value: float):
     converted at the bright-mode frequency of the record, as in
     resonant_2d_design.
     """
+    check_param_names(params, (name,))
     if isinstance(params, SystemParams1D) and name in _CLEARS_1D:
         return replace(params, **{name: value, _CLEARS_1D[name]: None})
-    if name not in _FIELDS[type(params)]:
-        if isinstance(params, SystemParams2D) and name == "G_o":
-            omega = bright_dark(params).omega_b
-            lambda_o = value / math.sqrt(params.hbar / (2.0 * params.mass * omega))
-            return replace(params, lambda_o=lambda_o)
-        raise InvalidParams(
-            f"{type(params).__name__} has no parameter {name!r}"
-        )
+    if name == "G_o" and isinstance(params, SystemParams2D):
+        omega = bright_dark(params).omega_b
+        lambda_o = value / math.sqrt(params.hbar / (2.0 * params.mass * omega))
+        return replace(params, lambda_o=lambda_o)
     return replace(params, **{name: value})
 
 
@@ -432,10 +441,15 @@ def _worker(task) -> SweepRow:
 
 
 def run_sweep(config: RunConfig, spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the grid; row order is grid order regardless of jobs."""
+    """Evaluate the grid; row order is grid order regardless of jobs.
+
+    An axis that with_param cannot set raises InvalidParams before any
+    point is evaluated.
+    """
     if jobs < 1:
         raise InvalidParams("jobs must be at least 1")
     names = [a.name for a in spec.axes]
+    check_param_names(config.params, names)
     points = spec.grid()
     tasks = [(config, names, pt) for pt in points]
     rows: list[SweepRow | None] = [None] * len(points)

@@ -11,39 +11,30 @@ The checks are deliberately kept as separate named entries rather than
 one big assertion, so a regression report points at the physics that
 broke, not at a generic "validation failed".
 
-``perturb_diffusion`` multiplies the diffusion matrix fed to the 1D
-Lyapunov solve by (1 + eps). It exists so the harness itself can be
-tested: a nonzero perturbation must make `lyapunov-vs-closed-form-1d`
-fail and nothing else.
+Checks that compare solvers on model quantities evaluate each route
+through the sweep evaluator registry, so they test the same numeric
+path that sweeps and figures use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (
-    backaction_1d,
-    backaction_2d,
-    bare_occupation,
-    rwa_optimum,
-    strong_coupling,
-)
-from .gaussian import Cov1D, decompose_1d, occupation_and_purity_1d, purity_2d_general
+from .closedform import backaction_1d, strong_coupling
+from .figures import _FIG3_KAPPA, fig3_params
+from .gaussian import Cov1D, decompose_1d
 from .langevin import (
     LYAPUNOV_RESIDUAL_RTOL,
-    LinearSystem,
     NoiseMode,
     build_1d,
     build_2d,
-    build_rwa,
     steady_covariance,
 )
 from .models import (
     SystemParams1D,
-    SystemParams2D,
     SystemParamsRWA,
     resonant_2d_design,
     temperature_for_occupation,
@@ -55,6 +46,7 @@ from .spectral import (
     position_psd,
     moment_integrals,
 )
+from .sweep import _EVALUATORS
 
 __all__ = ["CheckResult", "run_validation", "CHECK_NAMES"]
 
@@ -105,29 +97,22 @@ def _grid_1d():
                 )
 
 
-def _perturbed(sys: LinearSystem, eps: float) -> LinearSystem:
-    if eps == 0.0:
-        return sys
-    return replace(sys, diffusion=sys.diffusion * (1.0 + eps))
-
-
-def _check_lyapunov_vs_closed_form_1d(perturb: float = 0.0) -> CheckResult:
+def _check_lyapunov_vs_closed_form_1d() -> CheckResult:
     """Five steady-state quantities, exact formulas vs Lyapunov solve."""
     tol = 1e-10
+    closed_form = _EVALUATORS[("oneD", "closed_form")][0]
+    lyapunov = _EVALUATORS[("oneD", "lyapunov")][0]
     worst, where = 0.0, ""
     for p in _grid_1d():
-        cf = backaction_1d(p)
-        sys = _perturbed(build_1d(p, NoiseMode.VacuumOnly), perturb)
-        cov = steady_covariance(sys).mechanical_1d()
-        n_num, _ = occupation_and_purity_1d(cov)
-        m_num = decompose_1d(cov).M_Omega
-        scale_xp = math.sqrt(cov.xx * cov.pp)
+        cf, _ = closed_form(p)
+        ly, _ = lyapunov(p)
+        cov = Cov1D(xx=ly["xx"], pp=ly["pp"], xp=ly["xp"], hbar=p.hbar)
         errs = (
-            abs(cov.xx - cf.xx) / cf.xx,
-            abs(cov.pp - cf.pp) / cf.pp,
-            abs(cov.xp) / scale_xp,
-            abs(n_num - cf.n_bar) / max(cf.n_bar, 1e-3),
-            abs(m_num - cf.M_Omega) / cf.M_Omega,
+            abs(cov.xx - cf["xx"]) / cf["xx"],
+            abs(cov.pp - cf["pp"]) / cf["pp"],
+            abs(cov.xp) / math.sqrt(cov.xx * cov.pp),
+            abs(ly["n_bar"] - cf["n_bar"]) / max(cf["n_bar"], 1e-3),
+            abs(decompose_1d(cov).M_Omega - cf["M_Omega"]) / cf["M_Omega"],
         )
         e = max(errs)
         if e > worst:
@@ -138,13 +123,12 @@ def _check_lyapunov_vs_closed_form_1d(perturb: float = 0.0) -> CheckResult:
 def _check_oracle_chain_1d() -> CheckResult:
     """Closed form, Lyapunov and spectral quadrature, pairwise on xx/pp."""
     tol = 1e-6
+    routes = [_EVALUATORS[("oneD", s)][0] for s in ("closed_form", "lyapunov", "spectral")]
     worst, where = 0.0, ""
     for p in _grid_1d():
-        cf = backaction_1d(p)
-        ly = steady_covariance(build_1d(p, NoiseMode.VacuumOnly)).mechanical_1d()
-        sp = integrate_moments(p)
+        cf, ly, sp = (route(p)[0] for route in routes)
         for name in ("xx", "pp"):
-            a, b, c = getattr(cf, name), getattr(ly, name), getattr(sp, name)
+            a, b, c = cf[name], ly[name], sp[name]
             e = max(abs(a - b), abs(b - c), abs(a - c)) / abs(a)
             if e > worst:
                 worst, where = e, f"{name} at delta={p.delta} kappa={p.kappa} G_o={p.G_o:.4g}"
@@ -163,17 +147,14 @@ def _grid_2d():
 def _check_oracle_chain_2d() -> CheckResult:
     """Six exact two-mode moments vs the 6x6 Lyapunov solve."""
     tol = 1e-8
+    closed_form = _EVALUATORS[("twoD", "closed_form")][0]
+    lyapunov = _EVALUATORS[("twoD", "lyapunov")][0]
     worst, where = 0.0, ""
     for p in _grid_2d():
-        cf = backaction_2d(p)
-        V = steady_covariance(build_2d(p, NoiseMode.VacuumOnly)).mechanical_2d().matrix
-        pairs = (
-            ("xx_b", V[0, 0]), ("pp_b", V[1, 1]), ("xx_d", V[2, 2]),
-            ("pp_d", V[3, 3]), ("x_b_x_d", V[0, 2]), ("p_b_p_d", V[1, 3]),
-        )
-        for name, num in pairs:
-            exact = getattr(cf, name)
-            e = abs(num - exact) / max(abs(exact), 1e-6)
+        cf, _ = closed_form(p)
+        ly, _ = lyapunov(p)
+        for name in ("xx_b", "pp_b", "xx_d", "pp_d", "x_b_x_d", "p_b_p_d"):
+            e = abs(ly[name] - cf[name]) / max(abs(cf[name]), 1e-6)
             if e > worst:
                 worst, where = e, f"{name} at G_o={p.G_o:.3g}"
     return CheckResult("oracle-chain-2d", worst <= tol, worst, tol, where)
@@ -206,17 +187,13 @@ def _check_rwa_vs_full_model() -> CheckResult:
         omega=1.0, G_o=g_o, G_m=g_o / math.sqrt(2.0), kappa=kappa,
         gamma=gamma, temperature=temp,
     )
-    mu_full = purity_2d_general(
-        steady_covariance(build_2d(p2, NoiseMode.MarkovianThermal)).mechanical_2d()
-    ).purity_2d
+    mu_full = _EVALUATORS[("twoD", "lyapunov")][0](p2)[0]["purity_2d"]
     pr = SystemParamsRWA(
         omega_b=1.0, omega_d=1.0, gamma_b=gamma, gamma_d=gamma,
         kappa=kappa, delta=1.0, G_o=g_o, G_m=g_o / math.sqrt(2.0),
         n_B_b=n_b, n_B_d=n_b,
     )
-    mu_rwa = purity_2d_general(
-        steady_covariance(build_rwa(pr)).mechanical_2d()
-    ).purity_2d
+    mu_rwa = _EVALUATORS[("rwa", "lyapunov")][0](pr)[0]["purity_2d"]
     worst = abs(mu_full - mu_rwa) / mu_full
     return CheckResult(
         "rwa-vs-full-model", worst <= tol, worst, tol,
@@ -231,14 +208,12 @@ def _check_bare_occupation_dominates() -> CheckResult:
     and open up at strong drive (the two occupations are genuinely
     different quantities there, not one curve with rounding noise).
     """
-    gs = np.linspace(0.005, 0.45, 90)
+    closed_form = _EVALUATORS[("oneD", "closed_form")][0]
+    lyapunov = _EVALUATORS[("oneD", "lyapunov")][0]
     gaps = []
-    for g in gs:
+    for g in np.linspace(0.005, 0.45, 90):
         p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=float(g))
-        cf = backaction_1d(p)
-        ly = steady_covariance(build_1d(p, NoiseMode.VacuumOnly)).mechanical_1d()
-        n0 = bare_occupation(ly, p.omega_b, p.mass)
-        gaps.append(n0 - cf.n_bar)
+        gaps.append(lyapunov(p)[0]["n_bar_0"] - closed_form(p)[0]["n_bar"])
     worst = -min(gaps)  # positive iff the ordering is violated somewhere
     passed = worst <= 0.0 and gaps[0] < 1e-4 and gaps[-1] > 1e-2
     return CheckResult(
@@ -263,39 +238,26 @@ def _check_strong_coupling_regime() -> CheckResult:
     )
 
 
-def _rwa_purity(kappa: float, g_o: float, g_m: float, gamma_tot: float,
-                n_b: float) -> float:
-    p = SystemParamsRWA(
-        omega_b=1.0, omega_d=1.0, gamma_b=gamma_tot / 2.0, gamma_d=gamma_tot / 2.0,
-        kappa=kappa, delta=1.0, G_o=g_o, G_m=g_m, n_B_b=n_b, n_B_d=n_b,
-    )
-    cov = steady_covariance(build_rwa(p)).mechanical_2d()
-    return purity_2d_general(cov).purity_2d
-
-
 def _check_rwa_optimum_location() -> CheckResult:
-    """Grid maximization over G_m lands within 5% of the analytic optimum."""
+    """Grid maximization over G_m lands within 5% of the analytic optimum.
+
+    Evaluated on the fig3 bath.
+    """
     tol = 0.05
-    kappa = 1e-3
-    gamma_tot = 1e-9 * kappa
-    n_b = 0.05 * kappa / gamma_tot
+    kappa = _FIG3_KAPPA
+    lyapunov = _EVALUATORS[("rwa", "lyapunov")][0]
     worst, where = 0.0, ""
     for g_o_ratio in (2.0, 5.0):
         g_o = g_o_ratio * kappa
         target = g_o / math.sqrt(2.0)
         grid = np.linspace(0.3 * target, 2.0 * target, 120)
-        purities = [_rwa_purity(kappa, g_o, float(g), gamma_tot, n_b) for g in grid]
+        purities = [lyapunov(fig3_params(g_o, float(g)))[0]["purity_2d"] for g in grid]
         g_best = float(grid[int(np.argmax(purities))])
         e = abs(g_best - target) / target
         if e > worst:
             worst, where = e, f"G_o={g_o:.3g}: grid opt {g_best:.4g} vs {target:.4g}"
-    formula_opt, _ = rwa_optimum(
-        SystemParamsRWA(
-            omega_b=1.0, omega_d=1.0, gamma_b=gamma_tot / 2.0,
-            gamma_d=gamma_tot / 2.0, kappa=kappa, delta=1.0,
-            G_o=2.0 * kappa, G_m=kappa, n_B_b=n_b, n_B_d=n_b,
-        )
-    )
+    optimum, _ = _EVALUATORS[("rwa", "closed_form")][0](fig3_params(2.0 * kappa, kappa))
+    formula_opt = optimum["G_m_opt"]
     assert abs(formula_opt - 2.0 * kappa / math.sqrt(2.0)) < 1e-15
     return CheckResult("rwa-optimum-location", worst <= tol, worst, tol, where)
 
@@ -400,23 +362,10 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
-def run_validation(perturb_diffusion: float = 0.0,
-                   names: tuple[str, ...] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) and return their results.
-
-    ``perturb_diffusion`` feeds a multiplicative error into the 1D
-    Lyapunov check only; see the module docstring.
-    """
+def run_validation(names: tuple[str, ...] | None = None) -> list[CheckResult]:
+    """Run the named checks (all by default) and return their results."""
     selected = set(names) if names is not None else set(CHECK_NAMES)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown validation checks: {sorted(unknown)}")
-    results = []
-    for name, fn in _CHECKS:
-        if name not in selected:
-            continue
-        if name == "lyapunov-vs-closed-form-1d":
-            results.append(fn(perturb_diffusion))
-        else:
-            results.append(fn())
-    return results
+    return [fn() for name, fn in _CHECKS if name in selected]

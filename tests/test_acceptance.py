@@ -31,6 +31,7 @@ from omsteady.closedform import (
     weak_coupling,
 )
 from omsteady.errors import UncertaintyViolation
+from omsteady.figures import fig3_params
 from omsteady.gaussian import (
     Cov1D,
     Cov2D,
@@ -49,7 +50,6 @@ from omsteady.langevin import (
 )
 from omsteady.models import (
     SystemParams1D,
-    SystemParamsRWA,
     g_o_squared,
     resonant_2d_design,
     temperature_for_occupation,
@@ -141,20 +141,16 @@ def test_two_mode_purity_split_reference_points():
     assert elapsed < 5.0, f"runtime budget 5 s exceeded: {elapsed:.2f}s"
 
 
-# rotating-wave map shares one parameter set: gamma_tot/kappa = 1e-9
-# and n_B chosen so gamma_tot * n_B / kappa = 0.05
+# rotating-wave checks run on the fig3 bath (figures.fig3_params):
+# gamma_tot/kappa = 1e-9 and n_B chosen so gamma_tot * n_B / kappa = 0.05;
+# the constants restate it for the expected values
 _RWA_KAPPA = 1e-3
 _RWA_GAMMA_TOT = 1e-9 * _RWA_KAPPA
 _RWA_NB = 0.05 * _RWA_KAPPA / _RWA_GAMMA_TOT
 
 
 def _rwa_summary(g_o: float, g_m: float) -> Summary2D:
-    p = SystemParamsRWA(
-        omega_b=1.0, omega_d=1.0,
-        gamma_b=_RWA_GAMMA_TOT / 2.0, gamma_d=_RWA_GAMMA_TOT / 2.0,
-        kappa=_RWA_KAPPA, delta=1.0, G_o=g_o, G_m=g_m,
-        n_B_b=_RWA_NB, n_B_d=_RWA_NB,
-    )
+    p = fig3_params(g_o, g_m)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cov = steady_covariance(build_rwa(p)).mechanical_2d()

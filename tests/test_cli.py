@@ -1,9 +1,10 @@
+import argparse
 import shutil
 import subprocess
 
 import pytest
 
-from omsteady.cli import main
+from omsteady.cli import _build_parser, main
 from omsteady.closedform import backaction_1d
 from omsteady.models import SystemParams1D
 
@@ -188,6 +189,23 @@ axis1 = G_o, 0.1, 0.4, 5
         assert "duplicate axis name 'G_o'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis", ["foo,0.1,0.2,3", "G_0,0.1,0.2,3"])
+    def test_misspelled_axis_name_is_config_error(self, tmp_path, capsys, axis):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--axis", axis, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        name = axis.split(",")[0]
+        assert err == f"config error: SystemParams1D has no parameter {name!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["G_o,0.1,inf,3", "G_o,-inf,0.2,3"])
+    def test_non_finite_axis_bound_is_config_error(self, tmp_path, capsys, axis):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--axis", axis, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: axis 'G_o' needs finite lo and hi\n"
+        assert not out.exists()
+
     def test_twoD_coupling_axis(self, tmp_path):
         out = tmp_path / "s.csv"
         code = run_cli("sweep", "--param", "model=twoD",
@@ -228,6 +246,15 @@ class TestFigure:
                        "--tolerance", "1e-18")
         assert code == 4
         assert "oracle mismatch" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+    def test_bad_tolerance_is_config_error(self, tmp_path, capsys, tolerance):
+        assert run_cli("figure", "fig2", "--out", str(tmp_path),
+                       "--tolerance", tolerance) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tolerance must be finite and positive")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_figure_is_usage_error(self):
@@ -296,6 +323,7 @@ hi = 0.9
 
     @pytest.mark.parametrize("key, value", [
         ("lo", "wide"), ("hi", "0.5, x"), ("grid", "many"), ("grid", "12.5"), ("grid", "1"),
+        ("hi", "inf"), ("lo", "nan"), ("lo", "0.5"), ("scale", "cubic"),
     ])
     def test_bad_optimize_key_is_config_error(self, tmp_path, capsys, key, value):
         settings = {"free": "G_o", "lo": "0.1", "hi": "0.4", "grid": "4", key: value}
@@ -306,6 +334,14 @@ hi = 0.9
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
+
+    def test_misspelled_free_name_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "opt.ini"
+        cfg.write_text("[run]\nsolver = closed_form\n\n[optimize]\n"
+                       "free = G_0\nlo = 0.1\nhi = 0.4\n", encoding="utf-8")
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            "config error: SystemParams1D has no parameter 'G_0'\n")
 
     def test_missing_section(self, tmp_path, capsys):
         cfg = tmp_path / "opt.ini"
@@ -320,11 +356,27 @@ class TestValidate:
         assert "all checks passed" in out
         assert "lyapunov-vs-closed-form-1d" in out
 
-    def test_injected_fault_detected(self, capsys):
-        assert run_cli("validate", "--perturb-diffusion", "1e-6") == 1
+    def test_injected_fault_detected(self, capsys, perturbed_diffusion):
+        assert run_cli("validate") == 1
         captured = capsys.readouterr()
         assert "validation FAILED" in captured.err
         assert "lyapunov-vs-closed-form-1d" in captured.err
+
+
+def test_subcommand_options_are_pinned():
+    # adding or removing a knob must change this test on purpose
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {cmd: sorted(opt for a in p._actions for opt in a.option_strings or [a.dest])
+               for cmd, p in sub.choices.items()}
+    common = ["--config", "--help", "--out", "--param", "--solver", "-h"]
+    assert options == {
+        "point": common,
+        "sweep": sorted(common + ["--axis", "--jobs"]),
+        "figure": ["--help", "--out", "--tolerance", "-h", "id"],
+        "optimize": common,
+        "validate": ["--help", "-h"],
+    }
 
 
 class TestConsoleScript:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from omsteady import sweep
 from omsteady.closedform import backaction_1d
 from omsteady.errors import InvalidParams
 from omsteady.models import SystemParams1D, SystemParamsRWA, resonant_2d_design
@@ -44,6 +45,8 @@ class TestAxis:
         dict(lo=0.0, hi=1.0, count=1),
         dict(lo=0.0, hi=1.0, count=5, scale="cubic"),
         dict(lo=0.0, hi=1.0, count=5, scale="log"),
+        dict(lo=0.1, hi=math.inf, count=3),
+        dict(lo=-math.inf, hi=0.2, count=3),
     ])
     def test_invalid_axis(self, kwargs):
         with pytest.raises(InvalidParams):
@@ -205,6 +208,17 @@ class TestRunSweep:
     def test_bad_jobs(self):
         with pytest.raises(InvalidParams):
             run_sweep(config_1d(), self.SPEC, jobs=0)
+
+    def test_unknown_axis_name_rejected_before_any_point(self, monkeypatch):
+        calls = []
+        route = ("oneD", "closed_form")
+        evaluator, quantities = sweep._EVALUATORS[route]
+        monkeypatch.setitem(sweep._EVALUATORS, route,
+                            (lambda p: calls.append(p) or evaluator(p), quantities))
+        spec = SweepSpec(axes=(Axis("G_o", 0.1, 0.2, 2), Axis("foo", 0.1, 0.2, 2)))
+        with pytest.raises(InvalidParams, match="has no parameter 'foo'"):
+            run_sweep(config_1d(), spec)
+        assert calls == []
 
 
 class TestCsvOutput:

@@ -29,12 +29,12 @@ class TestRunValidation:
         with pytest.raises(ValueError, match="unknown validation"):
             run_validation(names=("lyapunov-vs-spellcheck",))
 
-    def test_injected_fault_caught_by_exactly_one_check(self):
+    def test_injected_fault_caught_by_exactly_one_check(self, perturbed_diffusion):
         # scaling the diffusion matrix breaks the Lyapunov-vs-analytic
         # comparison and nothing else in the selected subset
         names = ("lyapunov-vs-closed-form-1d", "oracle-chain-2d",
                  "psd-nonnegative")
-        results = run_validation(perturb_diffusion=1e-6, names=names)
+        results = run_validation(names=names)
         status = {r.name: r.passed for r in results}
         assert status["lyapunov-vs-closed-form-1d"] is False
         assert status["oracle-chain-2d"] is True
