@@ -46,6 +46,7 @@ from .sweep import (
     RunConfig,
     SweepSpec,
     available_quantities,
+    check_grid_size,
     check_param_names,
     evaluate_config,
     evaluate_point,
@@ -92,10 +93,11 @@ configuration file keys (INI format):
     axis2  = same format (optional)
 
   [optimize]
-    free      = comma list of 1-3 parameter names
+    free      = comma list of 1-3 distinct parameter names
     lo, hi    = comma lists of bounds, aligned with free
     objective = quantity to maximize (default purity / purity_2d)
-    grid      = coarse-scan points per dimension (default 12)
+    grid      = coarse-scan points per dimension (default 12; at most
+                1000000 points over all dimensions, as for a sweep)
     scale     = linear | log grid spacing (default linear)
 
 --param KEY=VALUE overrides [params]; the keys model, solver and
@@ -273,12 +275,16 @@ def _cmd_optimize(args) -> int:
     his = [_to_float("hi", x) for x in cp.get("optimize", "hi").split(",")]
     if not (1 <= len(names) <= 3) or len(los) != len(names) or len(his) != len(names):
         raise InvalidParams("optimize needs 1-3 free names with aligned lo/hi lists")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise InvalidParams(f"duplicate free name {name!r}")
     check_param_names(config.params, names)
     grid_text = cp.get("optimize", "grid", fallback="12")
     try:
         grid_n = int(grid_text)
     except ValueError:
         raise InvalidParams(f"optimize grid is not an integer: {grid_text!r}") from None
+    check_grid_size(grid_n ** len(names))
     scale = cp.get("optimize", "scale", fallback="linear").strip()
     axes = [Axis(nm, lo, hi, grid_n, scale).values() for nm, lo, hi in zip(names, los, his)]
     objective = cp.get("optimize", "objective", fallback="").strip() \

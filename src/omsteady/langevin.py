@@ -16,14 +16,16 @@ a)/sqrt(2), so a vacuum input of rate kappa produces diffusion
 kappa/2 per cavity quadrature. This fixes every factor of two below.
 
 The Lyapunov solve is a dense linear solve over the n(n+1)/2
-independent entries of the symmetric unknown. At these sizes (n <= 6)
-that is faster and more predictable than iterative or Schur-based
-methods, and it is exactly deterministic.
+independent entries of the symmetric unknown. Its operator is filled
+from a cached index map, built once per dimension n. At these sizes
+(n <= 6) that is faster and more predictable than iterative or
+Schur-based methods, and it is exactly deterministic.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +87,9 @@ class LinearSystem:
             raise InvalidParams("drift and diffusion must be square and same size")
         if n != len(self.labels) or n % 2:
             raise InvalidParams("labels must match an even dimension")
+        for name, mat in (("drift", a), ("diffusion", d)):
+            if not np.isfinite(mat).all():
+                raise InvalidParams(f"{name} matrix has a non-finite entry")
         if np.abs(d - d.T).max() > 1e-14 * max(np.abs(d).max(), 1.0):
             raise InvalidParams("diffusion matrix must be symmetric")
         object.__setattr__(self, "drift", a)
@@ -273,8 +278,29 @@ def stability(sys: LinearSystem) -> bool:
     return bool(np.all(ev.real < -1e-12 * rho))
 
 
-def _vech_indices(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
+@functools.cache
+def _vech_map(n: int) -> tuple[np.ndarray, ...]:
+    """Index map of the vech operator for dimension n, built once.
+
+    Holds the upper-triangle rows and columns of the vech ordering and,
+    for every drift term of every vech equation, the flat entry of M it
+    lands on and the flat entry of A it reads. The arrays are shared by
+    every call, so they are read-only.
+    """
+    iu, ju = np.triu_indices(n)
+    nn = iu.size
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(nn)
+    k = np.arange(n)
+    row = np.arange(nn)[:, None] * nn
+    i, j = iu[:, None], ju[:, None]
+    # (A V)_ij = sum_k A_ik V_kj ; (V A^T)_ij = sum_k V_ik A_jk
+    target = np.concatenate([(row + pos[k, j]).ravel(), (row + pos[i, k]).ravel()])
+    source = np.concatenate([(i * n + k).ravel(), (j * n + k).ravel()])
+    vmap = (iu, ju, target, source)
+    for arr in vmap:
+        arr.flags.writeable = False
+    return vmap
 
 
 def steady_covariance(sys: LinearSystem) -> CovarianceMatrix:
@@ -289,24 +315,20 @@ def steady_covariance(sys: LinearSystem) -> CovarianceMatrix:
         raise UnstableSystem("drift matrix has a non-decaying eigenvalue")
     A, D = sys.drift, sys.diffusion
     n = sys.dim
-    pairs = _vech_indices(n)
-    pos = {p: k for k, p in enumerate(pairs)}
-    nn = len(pairs)
-    M = np.zeros((nn, nn))
-    rhs = np.empty(nn)
-    for row, (i, j) in enumerate(pairs):
-        rhs[row] = -D[i, j]
-        for k in range(n):
-            # (A V)_ij = sum_k A_ik V_kj ; (V A^T)_ij = sum_k V_ik A_jk
-            M[row, pos[(min(k, j), max(k, j))]] += A[i, k]
-            M[row, pos[(min(i, k), max(i, k))]] += A[j, k]
+    iu, ju, target, source = _vech_map(n)
+    nn = iu.size
+    # Each entry of M takes at most two terms, added onto +0.0, so the
+    # sum does not depend on their order.
+    M = np.zeros(nn * nn)
+    np.add.at(M, target, A.take(source))
+    M = M.reshape(nn, nn)
+    rhs = -D[iu, ju]
     try:
         v = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"Lyapunov linear system is singular: {exc}") from exc
     V = np.empty((n, n))
-    for k, (i, j) in enumerate(pairs):
-        V[i, j] = V[j, i] = v[k]
+    V[iu, ju] = V[ju, iu] = v
     resid = np.abs(A @ V + V @ A.T + D).max()
     # Backward-error scale: when the covariance dwarfs the diffusion
     # (weakly damped hot modes), rounding in forming A V alone exceeds

@@ -52,6 +52,8 @@ __all__ = [
     "evaluate_config",
     "format_float",
     "UNITS",
+    "MAX_GRID_POINTS",
+    "check_grid_size",
 ]
 
 MODELS = ("oneD", "twoD", "rwa")
@@ -260,6 +262,15 @@ class RunConfig:
             object.__setattr__(self, "outputs", tuple(self.outputs))
 
 
+MAX_GRID_POINTS = 1_000_000
+
+
+def check_grid_size(points: int) -> None:
+    """Reject a grid of more than MAX_GRID_POINTS points before it is built."""
+    if points > MAX_GRID_POINTS:
+        raise InvalidParams(f"grid of {points} points exceeds the limit of {MAX_GRID_POINTS}")
+
+
 @dataclass(frozen=True)
 class Axis:
     """One sweep axis over a named parameter."""
@@ -273,6 +284,7 @@ class Axis:
     def __post_init__(self):
         if self.count < 2:
             raise InvalidParams("axis count must be at least 2")
+        check_grid_size(self.count)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InvalidParams(f"axis {self.name!r} needs finite lo and hi")
         if not (self.lo < self.hi):
@@ -299,6 +311,7 @@ class SweepSpec:
             raise InvalidParams("a sweep takes one or two axes")
         if len({a.name for a in self.axes}) < len(self.axes):
             raise InvalidParams(f"duplicate axis name {self.axes[0].name!r}")
+        check_grid_size(math.prod(a.count for a in self.axes))
 
     def grid(self) -> list[tuple[float, ...]]:
         vals = [a.values() for a in self.axes]

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+from omsteady import sweep
 from omsteady.cli import _build_parser, main
 from omsteady.closedform import backaction_1d
 from omsteady.models import SystemParams1D
@@ -82,6 +83,13 @@ class TestPoint:
         assert err.count("\n") == 1
         assert err.startswith("config error: " + param.split("=")[0] + " must be below")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model", ["oneD", "twoD"])
+    def test_overflowing_drift_is_config_error(self, model, capsys):
+        # finite mass, but 1/m overflows to inf in the drift
+        assert run_cli("point", "--param", f"model={model}", "--param", "mass=1e-310") == 2
+        err = capsys.readouterr().err
+        assert err == "config error: drift matrix has a non-finite entry\n"
 
     def test_missing_config_file(self, capsys):
         assert run_cli("point", "--config", "/nonexistent/x.ini") == 2
@@ -204,6 +212,16 @@ axis1 = G_o, 0.1, 0.4, 5
         assert run_cli("sweep", "--axis", axis, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err == "config error: axis 'G_o' needs finite lo and hi\n"
+        assert not out.exists()
+
+    def test_huge_axis_count_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sweep.Axis, "values", lambda self: pytest.fail("grid was built"))
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--axis", "G_o,0.1,0.2,100000000000",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: grid of 100000000000 points exceeds "
+                       f"the limit of {sweep.MAX_GRID_POINTS}\n")
         assert not out.exists()
 
     def test_twoD_coupling_axis(self, tmp_path):
@@ -342,6 +360,25 @@ hi = 0.9
         assert run_cli("optimize", "--config", str(cfg)) == 2
         assert capsys.readouterr().err == (
             "config error: SystemParams1D has no parameter 'G_0'\n")
+
+    def test_duplicate_free_name_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "opt.ini"
+        cfg.write_text("[run]\nsolver = closed_form\n\n[optimize]\n"
+                       "free = delta, delta\nlo = 0.3, 0.3\nhi = 3.0, 3.0\n",
+                       encoding="utf-8")
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == "config error: duplicate free name 'delta'\n"
+
+    def test_oversized_grid_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # each axis is within the limit, the product grid ** 2 is not
+        monkeypatch.setattr(sweep.Axis, "values", lambda self: pytest.fail("grid was built"))
+        cfg = tmp_path / "opt.ini"
+        cfg.write_text("[run]\nsolver = closed_form\n\n[optimize]\n"
+                       "free = delta, G_o\nlo = 0.3, 0.1\nhi = 3.0, 0.4\ngrid = 1001\n",
+                       encoding="utf-8")
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            f"config error: grid of 1002001 points exceeds the limit of {sweep.MAX_GRID_POINTS}\n")
 
     def test_missing_section(self, tmp_path, capsys):
         cfg = tmp_path / "opt.ini"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from omsteady import langevin
 from omsteady.errors import (
     CorrelatedBathUnsupported,
     InvalidParams,
+    SolveFailure,
     UnstableSystem,
 )
 from omsteady.gaussian import occupation_and_purity_1d, purity_2d_general
@@ -150,6 +152,82 @@ class TestSteadyCovariance:
         assert c1.xp == cov.matrix[0, 1]
 
 
+def _loop_reference(sys):
+    """The vech solve assembled entry by entry in a double loop."""
+    if not langevin.stability(sys):
+        raise UnstableSystem("drift matrix has a non-decaying eigenvalue")
+    A, D = sys.drift, sys.diffusion
+    n = sys.dim
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = {p: k for k, p in enumerate(pairs)}
+    M = np.zeros((len(pairs), len(pairs)))
+    rhs = np.empty(len(pairs))
+    for row, (i, j) in enumerate(pairs):
+        rhs[row] = -D[i, j]
+        for k in range(n):
+            M[row, pos[(min(k, j), max(k, j))]] += A[i, k]
+            M[row, pos[(min(i, k), max(i, k))]] += A[j, k]
+    try:
+        v = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(str(exc)) from exc
+    V = np.empty((n, n))
+    for k, (i, j) in enumerate(pairs):
+        V[i, j] = V[j, i] = v[k]
+    resid = np.abs(A @ V + V @ A.T + D).max()
+    scale = max(np.abs(D).max(), np.abs(A).max() * np.abs(V).max())
+    if not np.isfinite(resid) or resid > LYAPUNOV_RESIDUAL_RTOL * scale:
+        raise SolveFailure("residual")
+    return V
+
+
+def _random_stable_system(rng, n):
+    A = rng.standard_normal((n, n))
+    A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.05, 1.0)) * np.eye(n)
+    B = rng.standard_normal((n, n))
+    labels = tuple(f"q{k}" for k in range(n))
+    return LinearSystem(drift=A, diffusion=B @ B.T, labels=labels)
+
+
+class TestVechAssemblyMatchesLoop:
+    """The index-map assembly gives the double loop's covariance bit for bit."""
+
+    @pytest.mark.parametrize("sys", [
+        build_1d(P_1D, NoiseMode.VacuumOnly),
+        build_1d(SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=0.4,
+                                temperature=temperature_for_occupation(2.0, 1.0)),
+                 NoiseMode.MarkovianThermal),
+        build_2d(resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2),
+                 NoiseMode.VacuumOnly),
+        build_rwa(SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-6, gamma_d=1e-6,
+                                  kappa=1e-3, delta=1.0, G_o=2e-3, G_m=2e-3 / math.sqrt(2.0),
+                                  n_B_b=25.0, n_B_d=25.0)),
+    ], ids=["1d-vacuum", "1d-thermal", "2d", "rwa"])
+    def test_model_builds(self, sys):
+        assert np.array_equal(steady_covariance(sys).matrix, _loop_reference(sys))
+
+    def test_random_stable_drifts_in_mixed_sizes(self):
+        rng = np.random.default_rng(20221018)
+        for n in rng.choice([2, 4, 6], size=200):
+            sys = _random_stable_system(rng, int(n))
+            assert np.array_equal(steady_covariance(sys).matrix, _loop_reference(sys))
+
+    def test_unstable_raises_like_loop(self):
+        sys = build_1d(P_1D.with_coupling_rate(0.55), NoiseMode.VacuumOnly)
+        for solve in (steady_covariance, _loop_reference):
+            with pytest.raises(UnstableSystem):
+                solve(sys)
+
+    def test_singular_operator_raises_like_loop(self, monkeypatch):
+        # Eigenvalues +1 and -1 sum to zero, so the vech operator is singular.
+        monkeypatch.setattr(langevin, "stability", lambda sys: True)
+        sys = LinearSystem(drift=np.diag([1.0, -1.0]), diffusion=np.eye(2),
+                           labels=("x", "p"))
+        for solve in (steady_covariance, _loop_reference):
+            with pytest.raises(SolveFailure):
+                solve(sys)
+
+
 class TestBuild2D:
     P = resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2)
 
@@ -260,3 +338,11 @@ class TestLinearSystemValidation:
         d[0, 1] = 0.5
         with pytest.raises(InvalidParams):
             LinearSystem(drift=-np.eye(2), diffusion=d, labels=("x", "p"))
+
+    @pytest.mark.parametrize("name", ["drift", "diffusion"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry(self, name, bad):
+        mats = {"drift": -np.eye(2), "diffusion": np.eye(2)}
+        mats[name][0, 0] = bad
+        with pytest.raises(InvalidParams, match=f"{name} matrix has a non-finite entry"):
+            LinearSystem(labels=("x", "p"), **mats)

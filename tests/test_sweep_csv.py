@@ -47,6 +47,8 @@ class TestAxis:
         dict(lo=0.0, hi=1.0, count=5, scale="log"),
         dict(lo=0.1, hi=math.inf, count=3),
         dict(lo=-math.inf, hi=0.2, count=3),
+        dict(lo=0.1, hi=0.2, count=sweep.MAX_GRID_POINTS + 1),
+        dict(lo=0.1, hi=0.2, count=100_000_000_000),
     ])
     def test_invalid_axis(self, kwargs):
         with pytest.raises(InvalidParams):
@@ -70,6 +72,13 @@ class TestSweepSpec:
     def test_duplicate_axis_names_rejected(self):
         with pytest.raises(InvalidParams, match="duplicate axis name 'G_o'"):
             SweepSpec(axes=(Axis("G_o", 0.1, 0.2, 2), Axis("G_o", 0.3, 0.4, 3)))
+
+    def test_point_count_above_limit_rejected_at_construction(self, monkeypatch):
+        monkeypatch.setattr(Axis, "values", lambda self: pytest.fail("grid was built"))
+        side = math.isqrt(sweep.MAX_GRID_POINTS)
+        SweepSpec(axes=(Axis("a", 0.0, 1.0, side), Axis("b", 0.0, 1.0, side)))
+        with pytest.raises(InvalidParams, match="exceeds the limit"):
+            SweepSpec(axes=(Axis("a", 0.0, 1.0, side + 1), Axis("b", 0.0, 1.0, side)))
 
 
 class TestRunConfig:
