@@ -72,7 +72,6 @@ from .closedform import (
     weak_coupling,
 )
 from .spectral import (
-    FreqGrid,
     brownian_psd,
     cavity_self_energy,
     cavity_susceptibility,

@@ -171,8 +171,7 @@ def _build_params(model: str, raw: dict[str, str]):
     return params
 
 
-def _build_run_config(args) -> RunConfig:
-    cp = _read_config(args.config)
+def _build_run_config(args, cp: configparser.ConfigParser) -> RunConfig:
     run_over, par_over = _split_params(args.param or [])
     model = run_over.get("model") or cp.get("run", "model", fallback="oneD")
     solver = (
@@ -195,7 +194,7 @@ def _build_run_config(args) -> RunConfig:
 
 
 def _cmd_point(args) -> int:
-    config = _build_run_config(args)
+    config = _build_run_config(args, _read_config(args.config))
     values, warn = evaluate_config(config)
     lines = [
         f"model={config.model} solver={config.solver}",
@@ -231,8 +230,8 @@ def _parse_axis(text: str) -> Axis:
 
 
 def _cmd_sweep(args) -> int:
-    config = _build_run_config(args)
     cp = _read_config(args.config)
+    config = _build_run_config(args, cp)
     axis_texts = [t for t in (args.axis or []) if t]
     if not axis_texts and cp.has_section("sweep"):
         for key in ("axis1", "axis2"):
@@ -266,8 +265,8 @@ def _default_objective(config: RunConfig) -> str:
 
 
 def _cmd_optimize(args) -> int:
-    config = _build_run_config(args)
     cp = _read_config(args.config)
+    config = _build_run_config(args, cp)
     if not cp.has_section("optimize"):
         raise InvalidParams("optimize needs an [optimize] config section")
     names = [n.strip() for n in cp.get("optimize", "free").split(",") if n.strip()]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import FixedPointDivergence, InvalidRegime, UndampedDarkMode, UnstableRegime
 from .gaussian import Cov1D, Cov2D, purity_2d_general
 from .models import (
-    BrightDark,
     SystemParams1D,
     SystemParams2D,
     SystemParamsRWA,
@@ -279,20 +278,8 @@ def bare_occupation(cov: Cov1D, omega: float, mass: float = 1.0) -> float:
     return 0.25 * (cov.xx / x_zpf2 + cov.pp / p_zpf2) - 0.5
 
 
-def backaction_2d(
-    params: SystemParams2D | BrightDark,
-    *,
-    kappa: float | None = None,
-    delta: float | None = None,
-    lambda_o: float | None = None,
-    mass: float = 1.0,
-    hbar: float = 1.0,
-) -> Backaction2DResult:
+def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
     """Exact two-mode steady state when vacuum noise dominates.
-
-    Accepts either the raw trap parameters or an already rotated
-    :class:`BrightDark` record together with the drive parameters
-    (kappa, delta, lambda_o) as keywords.
 
     Requires undamped mechanics (the definition of the backaction
     limit) and a dark mode that is actually cooled: the dark mode has
@@ -301,21 +288,11 @@ def backaction_2d(
     Stability requires (omega_b^2 - 2 g_o^2) omega_d^2 to exceed
     (omega_bar_m delta_m)^2.
     """
-    if isinstance(params, SystemParams2D):
-        if params.gamma_x != 0.0 or params.gamma_y != 0.0:
-            raise InvalidRegime("backaction_2d assumes gamma_x = gamma_y = 0")
-        bd = bright_dark(params)
-        kappa, delta, lambda_o = params.kappa, params.delta, params.lambda_o
-        mass, hbar = params.mass, params.hbar
-    else:
-        bd = params
-        if kappa is None or delta is None or lambda_o is None:
-            raise InvalidRegime(
-                "backaction_2d with a BrightDark record needs kappa, delta and lambda_o"
-            )
-        if bd.gamma_b != 0.0 or bd.gamma_d != 0.0 or bd.eta_m != 0.0:
-            raise InvalidRegime("backaction_2d assumes undamped mechanics")
-    m = mass
+    if params.gamma_x != 0.0 or params.gamma_y != 0.0:
+        raise InvalidRegime("backaction_2d assumes gamma_x = gamma_y = 0")
+    bd = bright_dark(params)
+    kappa, delta, lambda_o = params.kappa, params.delta, params.lambda_o
+    m, hbar = params.mass, params.hbar
     if delta <= 0:
         raise UnstableRegime("backaction steady state requires delta > 0")
     p1 = SystemParams1D(

@@ -20,7 +20,6 @@ gnuplot text so the artifacts carry no binary or library dependency.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 from .closedform import strong_coupling, weak_coupling
 from .errors import InvalidParams, OracleMismatch
 from .models import SystemParams1D, SystemParamsRWA, resonant_2d_design
-from .sweep import _EVALUATORS, format_float, write_csv
+from .sweep import _EVALUATORS, _write_atomic, format_float, write_csv
 
 __all__ = ["FIGURES", "FigureCheck", "FigureOutput", "fig3_params", "make_figure"]
 
@@ -139,7 +138,7 @@ plot "fig2.csv" skip 2 using 1:2 with lines lw 2 title "thermal occupation (exac
      "fig2.csv" skip 2 using 1:5 with lines dt 2 title "bare-basis, normal-mode approx", \\
      "fig2.csv" skip 2 using 1:6 with lines dt 3 title "weak-drive limit"
 """
-    plot_path = _write_text(out_dir / "fig2.gp", plot)
+    plot_path = _write_atomic(out_dir / "fig2.gp", [plot])
     return FigureOutput(csv_path, plot_path, checks)
 
 
@@ -215,7 +214,7 @@ set key top left
 plot "fig3.csv" skip 2 using 1:2:3 with points pt 5 ps 1.2 palette notitle, \\
      [x=0.05:5] x/sqrt(2) with lines lw 2 lc rgb "white" title "G_m = G_o/sqrt(2)"
 """
-    plot_path = _write_text(out_dir / "fig3.gp", plot)
+    plot_path = _write_atomic(out_dir / "fig3.gp", [plot])
     return FigureOutput(csv_path, plot_path, checks)
 
 
@@ -261,17 +260,8 @@ set key top left
 plot "fig4.csv" skip 2 using 1:2 with lines lw 2 title "1 - joint purity", \\
      "fig4.csv" skip 2 using 1:3 with lines lw 2 title "1 - product of reduced purities"
 """
-    plot_path = _write_text(out_dir / "fig4.gp", plot)
+    plot_path = _write_atomic(out_dir / "fig4.gp", [plot])
     return FigureOutput(csv_path, plot_path, checks)
-
-
-def _write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-    os.replace(tmp, path)
-    return path
 
 
 _BUILDERS = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4}

@@ -18,7 +18,7 @@ is enforced when both are supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import InvalidParams
 
@@ -119,10 +119,6 @@ class SystemParams1D:
         # the derived form of the coupling can overflow where the given one did not
         if not math.isfinite(self.lambda_o * self.lambda_o + self.G_o * self.G_o):
             _reject_non_finite(self)
-
-    def with_coupling_rate(self, G_o: float) -> "SystemParams1D":
-        """Copy of these parameters with a different coupling rate."""
-        return replace(self, G_o=G_o, lambda_o=None)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ of rounds raises QuadratureFailure instead of returning a value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,7 +41,6 @@ from .gaussian import Cov1D
 from .models import SystemParams1D
 
 __all__ = [
-    "FreqGrid",
     "cavity_susceptibility",
     "cavity_self_energy",
     "mechanical_response",
@@ -73,29 +71,6 @@ _MAX_PANELS = 20_000
 #: it (the roundoff floor of QUADPACK's rules); a panel at that floor
 #: is not bisected, since halving it cannot lower the floor.
 _ROUNDOFF = 50.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class FreqGrid:
-    """Integration control: segment list plus tolerances.
-
-    ``segments`` may be empty, in which case the integrator builds its
-    own window from the response poles (recommended). Explicit
-    segments must be ordered and non-overlapping.
-    """
-
-    segments: tuple[tuple[float, float], ...] = ()
-    rel_tol: float = 1e-10
-    abs_tol: float = 0.0
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol < 0:
-            raise InvalidParams("tolerances must be positive (abs_tol may be 0)")
-        prev_hi = -math.inf
-        for lo, hi in self.segments:
-            if not (lo < hi) or lo < prev_hi:
-                raise InvalidParams("segments must be ordered and non-overlapping")
-            prev_hi = hi
 
 
 def cavity_susceptibility(omega, kappa: float, delta: float):
@@ -174,7 +149,6 @@ def brownian_psd(omega, gamma: float, temperature: float, m: float,
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
-    out = np.empty_like(w)
     if temperature <= 0:
         out = np.where(w > 0, 2.0 * hbar * m * gamma * w, 0.0)
     else:
@@ -205,7 +179,7 @@ def position_psd(omega, params: SystemParams1D, check_stability: bool = True):
     return np.abs(r) ** 2 * (s_brown + s_ba)
 
 
-def _integration_window(params: SystemParams1D) -> tuple[float, list[float]]:
+def _integration_window(poles: np.ndarray, omega_b: float) -> tuple[float, list[float]]:
     """Window edge and quadrature breakpoints from the response poles.
 
     Weakly damped poles produce near-singular peaks many orders of
@@ -213,9 +187,8 @@ def _integration_window(params: SystemParams1D) -> tuple[float, list[float]]:
     breakpoints around each pole center hands the adaptive rule an
     initial partition that already resolves the peak scale.
     """
-    poles = response_poles(params)
     biggest = float(np.abs(poles).max())
-    w_max = 10.0 * max(biggest, params.omega_b)
+    w_max = 10.0 * max(biggest, omega_b)
     points: set[float] = set()
     for p in poles:
         center, width = float(p.real), abs(float(p.imag))
@@ -229,26 +202,17 @@ def _integration_window(params: SystemParams1D) -> tuple[float, list[float]]:
     return w_max, sorted(points)
 
 
-def _panels(segments, scale: float, points=()) -> np.ndarray:
-    """Initial panels (lo, hi, side, anchor) covering ``segments``, one per row.
+def _panels(w_max: float, points) -> np.ndarray:
+    """Initial panels (lo, hi, side, anchor), one per row.
 
-    A finite segment becomes panels in omega (side 0), split at the
-    ``points`` inside it. An infinite end becomes a tail panel in t on
-    (0, 1] with omega = side * anchor / t; the anchor is the segment's
-    finite end if that lies at least ``scale`` from zero, and ``scale``
-    otherwise, with a finite panel reaching from the end to it.
+    The lower tail first, then panels in omega (side 0) from -w_max to
+    w_max split at ``points`` (all strictly inside), then the upper
+    tail. A tail panel is in t on (0, 1] with omega = side * w_max / t.
     """
-    rows = []
-    for lo, hi in segments:
-        if math.isinf(lo):
-            lo = min(hi, -scale)
-            rows.append((0.0, 1.0, -1.0, -lo))
-        if math.isinf(hi):
-            hi = max(lo, scale)
-            rows.append((0.0, 1.0, 1.0, hi))
-        if lo < hi:
-            edges = [lo] + [p for p in points if lo < p < hi] + [hi]
-            rows += [(a, b, 0.0, 0.0) for a, b in zip(edges[:-1], edges[1:])]
+    edges = [-w_max, *points, w_max]
+    rows = [(0.0, 1.0, -1.0, w_max)]
+    rows += [(a, b, 0.0, 0.0) for a, b in zip(edges[:-1], edges[1:])]
+    rows.append((0.0, 1.0, 1.0, w_max))
     return np.array(rows, dtype=float)
 
 
@@ -281,20 +245,20 @@ def _panel_sums(params: SystemParams1D, panels: np.ndarray, pp_tails: bool):
 
 
 def _adaptive_panels(params: SystemParams1D, panels: np.ndarray, pp_tails: bool,
-                     grid: FreqGrid) -> tuple[np.ndarray, np.ndarray]:
+                     rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrals over dw of S, m^2 w^2 S and m w S with their error estimates.
 
     Bisects, every round and all at once, each panel whose error in an
-    integral that is not yet within max(abs_tol, rel_tol * |integral|)
-    exceeds that tolerance over the number of panels. Stops when all
-    three are within it, or when no panel above its roundoff floor
-    remains to bisect (the caller's error gate then decides). Raises
+    integral that is not yet within rel_tol * |integral| exceeds that
+    tolerance over the number of panels. Stops when all three are
+    within it, or when no panel above its roundoff floor remains to
+    bisect (the caller's error gate then decides). Raises
     QuadratureFailure when the rounds or the panel budget run out.
     """
     value, err, refinable = _panel_sums(params, panels, pp_tails)
     for _ in range(_MAX_ROUNDS):
         total, total_err = value.sum(axis=1), err.sum(axis=1)
-        tol = np.maximum(grid.abs_tol, grid.rel_tol * np.abs(total))
+        tol = rel_tol * np.abs(total)
         unmet = (total_err > tol)[:, None]
         split = (unmet & refinable & (err > (tol / len(panels))[:, None])).any(axis=0)
         if not split.any():
@@ -318,36 +282,34 @@ def _adaptive_panels(params: SystemParams1D, panels: np.ndarray, pp_tails: bool,
     )
 
 
-def moment_integrals(params: SystemParams1D, grid: FreqGrid | None = None) -> dict:
+def moment_integrals(params: SystemParams1D, rel_tol: float = 1e-10) -> dict:
     """Raw spectral integrals with error estimates.
 
     Returns a dict with keys xx, pp, commutator and their quadrature
     error estimates (err_xx, err_pp, err_commutator). The commutator entry
     is m * int dw/2pi w S_xx, which must equal hbar/2 for a stationary
-    state; integrate_moments uses it as a consistency gate.
+    state; integrate_moments uses it as a consistency gate. The rule
+    refines until each error estimate is within rel_tol of its
+    integral; xx and pp fail unless within 10 rel_tol. rel_tol must be
+    positive (InvalidParams otherwise).
     """
-    if grid is None:
-        grid = FreqGrid()
-    if not spectral_stability(params):
+    if not rel_tol > 0:
+        raise InvalidParams(f"rel_tol must be positive, got {rel_tol!r}")
+    poles = response_poles(params)
+    if not np.all(poles.imag < 0):
         raise UnstableSystem("response poles not confined to the lower half plane")
-    if grid.segments:
-        panels = _panels(grid.segments, params.omega_b)
-        pp_tails = True
-    else:
-        w_max, points = _integration_window(params)
-        panels = _panels(((-math.inf, -w_max), (-w_max, w_max), (w_max, math.inf)),
-                         w_max, points)
-        # The xx and commutator integrands decay at least as 1/w^2 and
-        # get their infinite tails. The pp integrand is only 1/w for an
-        # Ohmic bath (gamma_b > 0); there the 10x-pole window is the
-        # physical cutoff and tails are deliberately omitted.
-        pp_tails = params.gamma_b == 0.0
-    totals, errs = _adaptive_panels(params, panels, pp_tails, grid)
+    panels = _panels(*_integration_window(poles, params.omega_b))
+    # The xx and commutator integrands decay at least as 1/w^2 and get
+    # their infinite tails. The pp integrand is only 1/w for an Ohmic
+    # bath (gamma_b > 0); there the 10x-pole window is the physical
+    # cutoff and tails are deliberately omitted.
+    pp_tails = params.gamma_b == 0.0
+    totals, errs = _adaptive_panels(params, panels, pp_tails, rel_tol)
     out: dict[str, float] = {}
     for name, total, tot_err in zip(("xx", "pp", "commutator"), totals, errs):
         value = float(total) / (2.0 * math.pi)
         err_val = float(tot_err) / (2.0 * math.pi)
-        tol = max(grid.abs_tol, 10.0 * grid.rel_tol * abs(value))
+        tol = 10.0 * rel_tol * abs(value)
         if not math.isfinite(value) or (err_val > tol and name != "commutator"):
             raise QuadratureFailure(
                 f"{name} integral error estimate {err_val:.3e} exceeds tolerance {tol:.3e}"
@@ -364,16 +326,16 @@ _COMMUTATOR_RTOL = 1e-6
 _RESIDUE_RTOL = 1e-8
 
 
-def integrate_moments(params: SystemParams1D, grid: FreqGrid | None = None) -> Cov1D:
+def integrate_moments(params: SystemParams1D, rel_tol: float = 1e-10) -> Cov1D:
     """Steady-state (xx, pp) by adaptive quadrature of the spectrum.
 
     The symmetrized cross moment of a stationary process vanishes;
     rather than assuming that, the integrator checks the commutator
     sum rule m * int dw/2pi w S_xx = hbar/2 (the antisymmetric part of
     the same cross spectrum) and fails loudly if quadrature error or a
-    truncated window broke it.
+    truncated window broke it. ``rel_tol`` is that of moment_integrals.
     """
-    vals = moment_integrals(params, grid)
+    vals = moment_integrals(params, rel_tol)
     comm_target = params.hbar / 2.0
     if abs(vals["commutator"] - comm_target) > _COMMUTATOR_RTOL * comm_target:
         raise QuadratureFailure(

@@ -115,10 +115,6 @@ UNITS = {
 }
 
 
-def _noise_for(gamma: float) -> NoiseMode:
-    return NoiseMode.MarkovianThermal if gamma > 0 else NoiseMode.VacuumOnly
-
-
 def _oneD_values(cov: Cov1D, p: SystemParams1D) -> dict:
     n, mu = occupation_and_purity_1d(cov)
     return {
@@ -129,7 +125,7 @@ def _oneD_values(cov: Cov1D, p: SystemParams1D) -> dict:
 
 
 def _eval_oneD_lyapunov(p: SystemParams1D) -> tuple[dict, tuple[str, ...]]:
-    sys = build_1d(p, _noise_for(p.gamma_b))
+    sys = build_1d(p, NoiseMode.MarkovianThermal)
     return _oneD_values(steady_covariance(sys).mechanical_1d(), p), sys.warnings
 
 
@@ -160,7 +156,7 @@ def _summary_2d(cov) -> dict:
 
 
 def _eval_twoD_lyapunov(p: SystemParams2D) -> tuple[dict, tuple[str, ...]]:
-    sys = build_2d(p, _noise_for(max(p.gamma_x, p.gamma_y)))
+    sys = build_2d(p, NoiseMode.MarkovianThermal)
     cov = steady_covariance(sys).mechanical_2d()
     V = cov.matrix
     out = {
@@ -453,47 +449,56 @@ def _worker(task) -> SweepRow:
     return evaluate_point(config, dict(zip(names, point)))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: RunConfig, spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the grid; row order is grid order regardless of jobs.
 
-    An axis that with_param cannot set raises InvalidParams before any
+    At most one worker process per grid point and per usable CPU is
+    started, whatever ``jobs`` asks for; one worker means no pool. An
+    axis that with_param cannot set raises InvalidParams before any
     point is evaluated.
     """
     if jobs < 1:
         raise InvalidParams("jobs must be at least 1")
     names = [a.name for a in spec.axes]
     check_param_names(config.params, names)
-    points = spec.grid()
-    tasks = [(config, names, pt) for pt in points]
-    rows: list[SweepRow | None] = [None] * len(points)
+    tasks = [(config, names, pt) for pt in spec.grid()]
+    if jobs > 1:
+        jobs = min(jobs, len(tasks), _usable_cpus())
     if jobs == 1:
-        for i, t in enumerate(tasks):
-            rows[i] = _worker(t)
+        rows = [_worker(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, row in enumerate(pool.map(_worker, tasks, chunksize=16)):
-                rows[i] = row
+            rows = list(pool.map(_worker, tasks, chunksize=16))
     return SweepResult(config=config, spec=spec, rows=tuple(rows))
+
+
+def _write_atomic(path: str | Path, lines) -> Path:
+    """Write text lines to a temporary sibling, then rename it onto path."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(lines)
+    os.replace(tmp, path)
+    return path
 
 
 def write_csv(path: str | Path, names: list[str], units: list[str],
               rows: list[list[str]]) -> Path:
     """Write a two-header-line CSV atomically (write then rename)."""
-    path = Path(path)
     if len(names) != len(units):
         raise InvalidParams("names and units rows must have equal length")
     for r in rows:
         if len(r) != len(names):
             raise InvalidParams("row length does not match header")
-    tmp = path.with_name(path.name + ".tmp")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(names) + "\n")
-        f.write(",".join(units) + "\n")
-        for r in rows:
-            f.write(",".join(r) + "\n")
-    os.replace(tmp, path)
-    return path
+    return _write_atomic(path, (",".join(r) + "\n" for r in (names, units, *rows)))
 
 
 def sweep_to_csv(config: RunConfig, spec: SweepSpec, path: str | Path,

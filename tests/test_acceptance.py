@@ -55,6 +55,7 @@ from omsteady.models import (
     temperature_for_occupation,
 )
 from omsteady.spectral import integrate_moments
+from omsteady.sweep import with_param
 
 
 def _verdict(label: str, ok: bool, detail: str) -> bool:
@@ -346,9 +347,9 @@ def test_stability_flip_location():
     base = _params_1d(0.01)
     # the closed-form position variance diverges where the softened
     # frequency crosses zero: omega_b^2 = 2 g_o^2, solved for G_o
-    g_star = math.sqrt(1.0 / (2.0 * g_o_squared(base.with_coupling_rate(1.0))))
+    g_star = math.sqrt(1.0 / (2.0 * g_o_squared(with_param(base, "G_o", 1.0))))
     grid = np.arange(0.49, 0.52 + 1e-12, 1e-4)
-    flags = [stability(build_1d(base.with_coupling_rate(float(g)),
+    flags = [stability(build_1d(with_param(base, "G_o", float(g)),
                                 NoiseMode.VacuumOnly)) for g in grid]
     flips = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
     elapsed = time.perf_counter() - t0

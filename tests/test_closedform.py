@@ -20,7 +20,6 @@ from omsteady.gaussian import Cov1D, decompose_1d
 from omsteady.models import (
     SystemParams1D,
     SystemParamsRWA,
-    bright_dark,
     resonant_2d_design,
 )
 
@@ -191,16 +190,6 @@ class TestBackaction2D:
         assert gap_joint == pytest.approx(0.010074068011033277, rel=1e-9)
         assert gap_product == pytest.approx(0.010123585342934893, rel=1e-9)
         assert abs(gap_product - gap_joint) / gap_joint < 0.01
-
-    def test_bright_dark_keyword_route_matches(self):
-        bd = bright_dark(self.P)
-        r = backaction_2d(bd, kappa=0.2, delta=1.0, lambda_o=self.P.lambda_o)
-        assert r == self.R
-
-    def test_keyword_route_needs_drive(self):
-        bd = bright_dark(self.P)
-        with pytest.raises(InvalidRegime, match="needs kappa"):
-            backaction_2d(bd)
 
     def test_damped_input_rejected(self):
         import dataclasses

@@ -29,6 +29,7 @@ from omsteady.models import (
     resonant_2d_design,
     temperature_for_occupation,
 )
+from omsteady.sweep import with_param
 
 P_1D = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.4)
 
@@ -79,7 +80,7 @@ class TestStability:
         assert stability(build_1d(P_1D, NoiseMode.VacuumOnly))
 
     def test_above_threshold_unstable(self):
-        p = P_1D.with_coupling_rate(0.55)
+        p = with_param(P_1D, "G_o", 0.55)
         assert not stability(build_1d(p, NoiseMode.VacuumOnly))
 
     def test_marginal_rotation_classed_unstable(self):
@@ -97,9 +98,9 @@ class TestStability:
         # stability is lost where omega_b^2 = 2 g_o^2
         k = (P_1D.kappa / 2.0) ** 2 + P_1D.delta**2
         g_crit = math.sqrt(k / (4.0 * P_1D.delta))
-        assert stability(build_1d(P_1D.with_coupling_rate(g_crit * (1 - 1e-6)),
+        assert stability(build_1d(with_param(P_1D, "G_o", g_crit * (1 - 1e-6)),
                                   NoiseMode.VacuumOnly))
-        assert not stability(build_1d(P_1D.with_coupling_rate(g_crit * (1 + 1e-6)),
+        assert not stability(build_1d(with_param(P_1D, "G_o", g_crit * (1 + 1e-6)),
                                       NoiseMode.VacuumOnly))
 
 
@@ -130,7 +131,7 @@ class TestSteadyCovariance:
         assert np.array_equal(a, b)
 
     def test_unstable_raises(self):
-        sys = build_1d(P_1D.with_coupling_rate(0.55), NoiseMode.VacuumOnly)
+        sys = build_1d(with_param(P_1D, "G_o", 0.55), NoiseMode.VacuumOnly)
         with pytest.raises(UnstableSystem):
             steady_covariance(sys)
 
@@ -213,7 +214,7 @@ class TestVechAssemblyMatchesLoop:
             assert np.array_equal(steady_covariance(sys).matrix, _loop_reference(sys))
 
     def test_unstable_raises_like_loop(self):
-        sys = build_1d(P_1D.with_coupling_rate(0.55), NoiseMode.VacuumOnly)
+        sys = build_1d(with_param(P_1D, "G_o", 0.55), NoiseMode.VacuumOnly)
         for solve in (steady_covariance, _loop_reference):
             with pytest.raises(UnstableSystem):
                 solve(sys)

@@ -55,13 +55,6 @@ class TestSystemParams1D:
         with pytest.raises(InvalidParams):
             SystemParams1D(**kwargs)
 
-    def test_with_coupling_rate(self):
-        p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.1)
-        q = p.with_coupling_rate(0.3)
-        assert q.G_o == 0.3
-        assert q.lambda_o == pytest.approx(0.3 / math.sqrt(0.5), rel=1e-15)
-        assert q.kappa == p.kappa
-
     def test_nonunit_mass_conversion(self):
         p = SystemParams1D(omega_b=2.0, gamma_b=0.0, kappa=0.2, delta=1.0,
                            G_o=0.1, mass=3.0, hbar=0.5)

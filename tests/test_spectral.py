@@ -13,7 +13,6 @@ from omsteady.gaussian import occupation_and_purity_1d
 from omsteady.langevin import NoiseMode, build_1d, stability, steady_covariance
 from omsteady.models import SystemParams1D, temperature_for_occupation
 from omsteady.spectral import (
-    FreqGrid,
     brownian_psd,
     cavity_susceptibility,
     integrate_moments,
@@ -24,6 +23,7 @@ from omsteady.spectral import (
     response_poles,
     spectral_stability,
 )
+from omsteady.sweep import with_param
 
 P_REF = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.4)
 
@@ -54,7 +54,7 @@ class TestResponses:
 
     def test_stability_agrees_with_time_domain(self):
         for g in (0.1, 0.4, 0.502, 0.503, 0.6):
-            p = P_REF.with_coupling_rate(g)
+            p = with_param(P_REF, "G_o", g)
             assert spectral_stability(p) == stability(
                 build_1d(p, NoiseMode.VacuumOnly))
 
@@ -96,7 +96,7 @@ class TestPositionPsd:
         assert 0.0 < ratio < 1.0
 
     def test_unstable_rejected(self):
-        p = P_REF.with_coupling_rate(0.6)
+        p = with_param(P_REF, "G_o", 0.6)
         with pytest.raises(UnstableSystem):
             position_psd(1.0, p)
         # the opt-out exists for plotting the would-be spectrum
@@ -151,17 +151,21 @@ class TestMomentIntegration:
         assert devs[0.005] < 0.01
         assert devs[0.005] < devs[0.02] < 0.12
 
-    def test_truncated_window_fails_sum_rule(self):
+    def test_truncated_window_fails_sum_rule(self, monkeypatch):
+        # a window that cuts off part of the spectrum leaves the
+        # commutator integral short of hbar/2; 2e-6 is twice the gate
+        vals = dict(moment_integrals(P_REF), commutator=0.5 * (1.0 - 2e-6))
+        monkeypatch.setattr(spectral, "moment_integrals", lambda p, rel_tol: vals)
         with pytest.raises(QuadratureFailure, match="stationarity"):
-            integrate_moments(P_REF, FreqGrid(segments=((-3.0, 3.0),)))
+            integrate_moments(P_REF)
 
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystem):
-            integrate_moments(P_REF.with_coupling_rate(0.6))
+            integrate_moments(with_param(P_REF, "G_o", 0.6))
 
     def test_tolerance_convergence(self):
-        loose = integrate_moments(P_REF, FreqGrid(rel_tol=1e-8))
-        tight = integrate_moments(P_REF, FreqGrid(rel_tol=1e-12))
+        loose = integrate_moments(P_REF, rel_tol=1e-8)
+        tight = integrate_moments(P_REF, rel_tol=1e-12)
         assert loose.xx == pytest.approx(tight.xx, rel=1e-8)
         assert loose.pp == pytest.approx(tight.pp, rel=1e-8)
 
@@ -184,19 +188,24 @@ class TestMomentIntegration:
 
 
 class TestFreqGrid:
+    """The frequency grid is refined to one relative tolerance, rel_tol."""
+
     def test_bad_tolerances(self):
-        with pytest.raises(InvalidParams):
-            FreqGrid(rel_tol=0.0)
-        with pytest.raises(InvalidParams):
-            FreqGrid(abs_tol=-1.0)
+        for rel_tol in (0.0, -1e-10, math.nan):
+            with pytest.raises(InvalidParams, match="rel_tol"):
+                moment_integrals(P_REF, rel_tol=rel_tol)
+            with pytest.raises(InvalidParams, match="rel_tol"):
+                integrate_moments(P_REF, rel_tol=rel_tol)
 
-    def test_overlapping_segments(self):
-        with pytest.raises(InvalidParams):
-            FreqGrid(segments=((-1.0, 1.0), (0.5, 2.0)))
-
-    def test_unordered_segment(self):
-        with pytest.raises(InvalidParams):
-            FreqGrid(segments=((1.0, -1.0),))
+    def test_panel_layout(self):
+        w_max, points = spectral._integration_window(response_poles(P_REF), P_REF.omega_b)
+        panels = spectral._panels(w_max, points)
+        assert tuple(panels[0]) == (0.0, 1.0, -1.0, w_max)
+        assert tuple(panels[-1]) == (0.0, 1.0, 1.0, w_max)
+        window = panels[1:-1]
+        assert np.all(window[:, 2:] == 0.0)
+        np.testing.assert_array_equal(window[:, 0], [-w_max, *points])
+        np.testing.assert_array_equal(window[:, 1], [*points, w_max])
 
 
 class TestExceptionalPoint:
@@ -232,7 +241,7 @@ def _quad_moments(p):
     """xx and pp by scipy's QUADPACK on the same window, a test-only oracle."""
     from scipy.integrate import quad
 
-    w_max, points = spectral._integration_window(p)
+    w_max, points = spectral._integration_window(response_poles(p), p.omega_b)
     out = []
     for power in (0, 2):
         def f(w):
@@ -259,14 +268,6 @@ def test_panel_rule_matches_quadpack(p):
     xx, pp = _quad_moments(p)
     assert cov.xx == pytest.approx(xx, rel=1e-8)
     assert cov.pp == pytest.approx(pp, rel=1e-8)
-
-
-def test_infinite_explicit_segments_match_the_window():
-    auto = moment_integrals(P_REF)
-    for segs in (((-np.inf, np.inf),), ((-np.inf, -3.0), (-3.0, 0.5), (0.5, np.inf))):
-        explicit = moment_integrals(P_REF, FreqGrid(segments=segs))
-        for key in ("xx", "pp", "commutator"):
-            assert explicit[key] == pytest.approx(auto[key], rel=1e-10)
 
 
 def test_import_leaves_scipy_integrate_unloaded():

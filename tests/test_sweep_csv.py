@@ -218,6 +218,35 @@ class TestRunSweep:
         with pytest.raises(InvalidParams):
             run_sweep(config_1d(), self.SPEC, jobs=0)
 
+    def test_jobs_capped_at_points_and_cpus(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+        spec = SweepSpec(axes=(Axis("G_o", 0.1, 0.4, 4),))
+        serial = run_sweep(config_1d(), spec, jobs=1).csv_rows()
+        assert asked == []
+        cap = min(4, sweep._usable_cpus())
+        assert run_sweep(config_1d(), spec, jobs=10**6).csv_rows() == serial
+        assert asked == ([cap] if cap > 1 else [])
+        for cpus, expect in ((3, [3]), (64, [4]), (1, [])):
+            asked.clear()
+            monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+            assert run_sweep(config_1d(), spec, jobs=10**6).csv_rows() == serial
+            assert asked == expect
+
     def test_unknown_axis_name_rejected_before_any_point(self, monkeypatch):
         calls = []
         route = ("oneD", "closed_form")
