@@ -410,7 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="axis as 'name, lo, hi, count[, scale]' "
                               "(repeatable, max twice; overrides [sweep])")
     p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="parallel workers (output is identical for any N)")
+                         help="parallel workers for the spectral and closed-form "
+                              "solvers; Lyapunov grids run as stacked solves in "
+                              "one process (output is identical for any N)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="reproduce a reference figure")

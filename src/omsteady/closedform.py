@@ -17,6 +17,8 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FixedPointDivergence, InvalidRegime, UndampedDarkMode, UnstableRegime
 from .gaussian import Cov1D, Cov2D, purity_2d_general
 from .models import (
@@ -40,6 +42,7 @@ __all__ = [
     "backaction_1d",
     "backaction_2d",
     "bare_occupation",
+    "bare_occupation_batch",
     "rwa_optimum",
 ]
 
@@ -262,6 +265,13 @@ def backaction_1d(params: SystemParams1D) -> Backaction1DResult:
     )
 
 
+def _bare_occupation(xx, pp, hbar, omega, mass):
+    # One formula for floats and for arrays.
+    x_zpf2 = hbar / (2.0 * mass * omega)
+    p_zpf2 = hbar * mass * omega / 2.0
+    return 0.25 * (xx / x_zpf2 + pp / p_zpf2) - 0.5
+
+
 def bare_occupation(cov: Cov1D, omega: float, mass: float = 1.0) -> float:
     """Occupation of a state referred to a fixed reference oscillator.
 
@@ -273,9 +283,21 @@ def bare_occupation(cov: Cov1D, omega: float, mass: float = 1.0) -> float:
     """
     if omega <= 0 or mass <= 0:
         raise InvalidRegime("reference oscillator needs omega > 0 and mass > 0")
-    x_zpf2 = cov.hbar / (2.0 * mass * omega)
-    p_zpf2 = cov.hbar * mass * omega / 2.0
-    return 0.25 * (cov.xx / x_zpf2 + cov.pp / p_zpf2) - 0.5
+    return _bare_occupation(cov.xx, cov.pp, cov.hbar, omega, mass)
+
+
+def bare_occupation_batch(xx, pp, hbar, omega, mass):
+    """Stacked bare_occupation over arrays of moments and reference oscillators.
+
+    Returns the occupations and a mask of the items that settle; an
+    item whose omega or mass is not positive does not (the scalar call
+    raises InvalidRegime for it) and its occupation means nothing.
+    """
+    xx, pp, hbar, omega, mass = (np.asarray(a, dtype=float)
+                                 for a in (xx, pp, hbar, omega, mass))
+    settled = (omega > 0) & (mass > 0)
+    return _bare_occupation(xx, pp, hbar, np.where(settled, omega, 1.0),
+                            np.where(settled, mass, 1.0)), settled
 
 
 def backaction_2d(params: SystemParams2D) -> Backaction2DResult:

@@ -97,3 +97,16 @@ class UndampedDarkMode(OmsteadyError):
 class OracleMismatch(OmsteadyError):
     """A paired cross-check between two independent routes to the same
     quantity exceeded its tolerance; the output was not written."""
+
+
+def flag_first(errors: list, bad, make) -> None:
+    """Give each flagged item of a stack that has no error yet the error make(k).
+
+    Stacked routines keep one outcome per item, None while it settles.
+    Called once per check, in the order the scalar routine runs its
+    checks, this leaves every item with the error the scalar call
+    raises for it.
+    """
+    for k in bad.nonzero()[0]:
+        if errors[k] is None:
+            errors[k] = make(int(k))

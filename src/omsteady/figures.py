@@ -26,11 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .closedform import strong_coupling, weak_coupling
-from .errors import InvalidParams, OracleMismatch
+from .errors import InvalidParams, OmsteadyError, OracleMismatch
 from .models import SystemParams1D, SystemParamsRWA, resonant_2d_design
-from .sweep import _EVALUATORS, _write_atomic, format_float, write_csv
+from .sweep import _EVALUATORS, _write_atomic, evaluate_records, format_float, write_csv
 
-__all__ = ["FIGURES", "FigureCheck", "FigureOutput", "fig3_params", "make_figure"]
+__all__ = ["FIGURES", "FigureCheck", "FigureOutput", "fig3_params", "fig3_values",
+           "make_figure"]
 
 FIGURES = ("fig2", "fig3", "fig4")
 
@@ -162,15 +163,30 @@ def fig3_params(g_o: float, g_m: float) -> SystemParamsRWA:
     )
 
 
+def fig3_values(couplings) -> list[dict]:
+    """Rotating-wave Lyapunov values on the fig3 bath at each (G_o, G_m).
+
+    Evaluated as stacked solves; a point that does not settle raises
+    its error.
+    """
+    outcomes = evaluate_records("rwa", "lyapunov", [fig3_params(g_o, g_m)
+                                                    for g_o, g_m in couplings])
+    for out in outcomes:
+        if isinstance(out, OmsteadyError):
+            raise out
+    return [values for values, _ in outcomes]
+
+
 def _fig3(out_dir: Path, tolerance: float | None) -> FigureOutput:
     tol_routes = _PURITY_ROUTE_RTOL if tolerance is None else tolerance
-    lyapunov = _EVALUATORS[("rwa", "lyapunov")][0]
+    values = iter(fig3_values([(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA)
+                               for ro in _FIG3_RATIO for rm in _FIG3_RATIO]))
     rows = []
     worst_route = 0.0
     best_by_column: dict[int, tuple[float, float]] = {}
     for i, ro in enumerate(_FIG3_RATIO):
         for rm in _FIG3_RATIO:
-            s, _ = lyapunov(fig3_params(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA))
+            s = next(values)
             mu = s["purity_2d"]
             # Same covariance, two purity routes: determinant vs the
             # product over symplectic occupations.

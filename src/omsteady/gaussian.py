@@ -23,7 +23,7 @@ tiny complex numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     AssumptionViolated,
     DegenerateState,
     UncertaintyViolation,
+    flag_first,
 )
 
 __all__ = [
@@ -39,9 +40,11 @@ __all__ = [
     "Decomposition1D",
     "Summary2D",
     "occupation_and_purity_1d",
+    "occupation_and_purity_1d_batch",
     "decompose_1d",
     "wavefunction",
     "purity_2d_general",
+    "summary_2d_batch",
     "purity_2d_reduced",
     "symplectic_eigenvalues",
 ]
@@ -128,28 +131,57 @@ class Summary2D:
     purity_product_1d: float
 
 
-def _clamped_det_ratio(det: float, hbar: float) -> float:
-    """det / (hbar/2)^2 with sub-bound rounding noise clamped to 1."""
-    bound = (hbar / 2.0) ** 2
+def _py_pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k item by item with Python's float power.
+
+    numpy rounds x**2 (as x*x) and x**4 differently from the C pow
+    behind Python's float power in about 1 case in 1,000 and 1 in 40
+    on random inputs. Cov1D.det and the CSV files written so far use
+    Python's, so this keeps their bits.
+    """
+    return np.array([v ** k for v in x.tolist()], dtype=float)
+
+
+def _clamped_det_ratio(det: np.ndarray, hbar: np.ndarray, errors: list) -> np.ndarray:
+    """det / (hbar/2)^2 per item with sub-bound rounding noise clamped to 1.
+
+    An item below the bound by more than the tolerance gets an
+    UncertaintyViolation in ``errors``.
+    """
+    bound = _py_pow(hbar / 2.0, 2)
     ratio = det / bound
-    if ratio < 1.0:
-        if ratio < 1.0 - UNCERTAINTY_RTOL:
-            raise UncertaintyViolation(
-                f"covariance determinant {det:.6g} below (hbar/2)^2 = {bound:.6g}"
-            )
-        ratio = 1.0
-    return ratio
+    flag_first(errors, ratio < 1.0 - UNCERTAINTY_RTOL, lambda k: UncertaintyViolation(
+        f"covariance determinant {det[k]:.6g} below (hbar/2)^2 = {bound[k]:.6g}"))
+    return np.where(ratio < 1.0, 1.0, ratio)
+
+
+def _one(x) -> np.ndarray:
+    return np.array([x], dtype=float)
+
+
+def occupation_and_purity_1d_batch(xx, pp, xp, hbar):
+    """Stacked occupation_and_purity_1d over arrays of second moments.
+
+    Returns the arrays n_bar and purity and, per item, the error the
+    scalar call raises for it (None when the item settles).
+    """
+    xx, pp, xp, hbar = (np.asarray(a, dtype=float) for a in (xx, pp, xp, hbar))
+    errors: list = [None] * len(xx)
+    two_n_plus_1 = np.sqrt(_clamped_det_ratio(xx * pp - _py_pow(xp, 2), hbar, errors))
+    return 0.5 * (two_n_plus_1 - 1.0), 1.0 / two_n_plus_1, errors
 
 
 def occupation_and_purity_1d(cov: Cov1D) -> tuple[float, float]:
     """Thermal occupation and purity of a single-mode Gaussian state.
 
     2*n_bar + 1 = sqrt(4*xx*pp - (2*xp)^2) / hbar, purity = 1/(2*n_bar+1).
+    A batch of one through occupation_and_purity_1d_batch.
     """
-    ratio = _clamped_det_ratio(cov.det, cov.hbar)
-    two_n_plus_1 = math.sqrt(ratio)
-    n_bar = 0.5 * (two_n_plus_1 - 1.0)
-    return n_bar, 1.0 / two_n_plus_1
+    n_bar, purity, errors = occupation_and_purity_1d_batch(
+        *(_one(v) for v in (cov.xx, cov.pp, cov.xp, cov.hbar)))
+    if errors[0] is not None:
+        raise errors[0]
+    return float(n_bar[0]), float(purity[0])
 
 
 def decompose_1d(cov: Cov1D) -> Decomposition1D:
@@ -167,8 +199,11 @@ def decompose_1d(cov: Cov1D) -> Decomposition1D:
     """
     if cov.xx == 0.0 or cov.pp == 0.0:
         raise DegenerateState("decompose_1d needs nonzero xx and pp")
-    ratio = _clamped_det_ratio(cov.det, cov.hbar)
-    two_n_plus_1 = math.sqrt(ratio)
+    errors: list = [None]
+    ratio = _clamped_det_ratio(_one(cov.det), _one(cov.hbar), errors)
+    if errors[0] is not None:
+        raise errors[0]
+    two_n_plus_1 = math.sqrt(ratio[0])
     n_bar = 0.5 * (two_n_plus_1 - 1.0)
     root_det = two_n_plus_1 * cov.hbar / 2.0  # sqrt(xx*pp - xp^2), clamped
     sin_theta = cov.xp / math.sqrt(cov.xx * cov.pp)
@@ -234,6 +269,19 @@ _OMEGA_4 = np.array(
 )
 
 
+def _symplectic_batch(W: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """(nu_hi, nu_lo) of stacked 4x4 covariances; unpaired items get a DegenerateState."""
+    ev = np.linalg.eigvals(1j * (_OMEGA_4 @ W))
+    mods = np.sort(np.abs(ev), axis=-1)
+    # eigenvalues come in +-nu pairs, so the sorted moduli repeat:
+    # (nu_lo, nu_lo, nu_hi, nu_hi)
+    tol = _PAIRING_RTOL * np.maximum(mods[:, 3], 1e-300)
+    flag_first(errors, ((mods[:, 1] - mods[:, 0]) > tol) | ((mods[:, 3] - mods[:, 2]) > tol),
+               lambda k: DegenerateState(
+                   f"symplectic eigenvalues did not pair up: moduli {mods[k]}"))
+    return 0.5 * (mods[:, 2] + mods[:, 3]), 0.5 * (mods[:, 0] + mods[:, 1])
+
+
 def symplectic_eigenvalues(cov: Cov2D) -> tuple[float, float]:
     """The two symplectic eigenvalues of a 4x4 covariance matrix.
 
@@ -241,31 +289,43 @@ def symplectic_eigenvalues(cov: Cov2D) -> tuple[float, float]:
     in pairs (+nu, -nu); the pairs are matched to relative tolerance
     1e-9 and the two distinct moduli returned in descending order.
     """
-    ev = np.linalg.eigvals(1j * (_OMEGA_4 @ cov.matrix))
-    mods = np.sort(np.abs(ev))
-    # eigenvalues come in +-nu pairs, so the sorted moduli repeat:
-    # (nu_lo, nu_lo, nu_hi, nu_hi)
-    scale = max(mods[-1], 1e-300)
-    if (mods[1] - mods[0]) > _PAIRING_RTOL * scale or (
-        mods[3] - mods[2]
-    ) > _PAIRING_RTOL * scale:
-        raise DegenerateState(
-            f"symplectic eigenvalues did not pair up: moduli {mods}"
-        )
-    nu_lo = 0.5 * (mods[0] + mods[1])
-    nu_hi = 0.5 * (mods[2] + mods[3])
-    return float(nu_hi), float(nu_lo)
+    errors: list = [None]
+    nu_hi, nu_lo = _symplectic_batch(cov.matrix[None], errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(nu_hi[0]), float(nu_lo[0])
 
 
-def _clamped_modal_occupation(nu: float, hbar: float) -> float:
+def _clamped_modal_occupation(nu: np.ndarray, hbar: np.ndarray, errors: list) -> np.ndarray:
     half = hbar / 2.0
-    if nu < half:
-        if nu < half * (1.0 - UNCERTAINTY_RTOL):
-            raise UncertaintyViolation(
-                f"symplectic eigenvalue {nu:.6g} below hbar/2 = {half:.6g}"
-            )
-        nu = half
-    return nu / hbar - 0.5
+    flag_first(errors, nu < half * (1.0 - UNCERTAINTY_RTOL), lambda k: UncertaintyViolation(
+        f"symplectic eigenvalue {nu[k]:.6g} below hbar/2 = {half[k]:.6g}"))
+    return np.where(nu < half, half, nu) / hbar - 0.5
+
+
+def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
+    """Stacked purity_2d_general over covariances W[B, 4, 4] with hbar[B].
+
+    Returns a Summary2D whose fields are arrays over the stack and, per
+    item, the error the scalar call raises for it (None when the item
+    settles); the fields of a flagged item mean nothing.
+    """
+    W = np.ascontiguousarray(W, dtype=float)
+    hbar = np.asarray(hbar, dtype=float)
+    errors: list = [None] * len(W)
+    nu_hi, nu_lo = _symplectic_batch(W, errors)
+    N_plus = _clamped_modal_occupation(nu_hi, hbar, errors)
+    N_minus = _clamped_modal_occupation(nu_lo, hbar, errors)
+    det_ratio = np.linalg.det(W) / _py_pow(hbar / 2.0, 4)
+    flag_first(errors, det_ratio < 1.0 - 4.0 * UNCERTAINTY_RTOL, lambda k: UncertaintyViolation(
+        f"4x4 covariance determinant ratio {det_ratio[k]:.6g} below 1"))
+    purity_2d = 1.0 / np.sqrt(np.where(det_ratio < 1.0, 1.0, det_ratio))
+    prod = np.ones(len(W))
+    for b in (W[:, :2, :2], W[:, 2:, 2:]):
+        det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+        prod = prod / np.sqrt(_clamped_det_ratio(det, hbar, errors))
+    return Summary2D(purity_2d=purity_2d, N_plus=N_plus, N_minus=N_minus,
+                     purity_product_1d=prod), errors
 
 
 def purity_2d_general(cov: Cov2D) -> Summary2D:
@@ -275,32 +335,12 @@ def purity_2d_general(cov: Cov2D) -> Summary2D:
     from the symplectic eigenvalues, N = nu/hbar - 1/2, and satisfy
     purity_2d = 1/((2 N_plus + 1)(2 N_minus + 1)). The product of the
     two reduced single-mode purities is computed from the diagonal
-    2x2 blocks for comparison.
+    2x2 blocks for comparison. A batch of one through summary_2d_batch.
     """
-    nu_hi, nu_lo = symplectic_eigenvalues(cov)
-    N_plus = _clamped_modal_occupation(nu_hi, cov.hbar)
-    N_minus = _clamped_modal_occupation(nu_lo, cov.hbar)
-    det_ratio = np.linalg.det(cov.matrix) / (cov.hbar / 2.0) ** 4
-    if det_ratio < 1.0:
-        if det_ratio < 1.0 - 4.0 * UNCERTAINTY_RTOL:
-            raise UncertaintyViolation(
-                f"4x4 covariance determinant ratio {det_ratio:.6g} below 1"
-            )
-        det_ratio = 1.0
-    purity_2d = 1.0 / math.sqrt(det_ratio)
-
-    m = cov.matrix
-    prod = 1.0
-    for sl in (slice(0, 2), slice(2, 4)):
-        block = m[sl, sl]
-        det = float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
-        prod /= math.sqrt(_clamped_det_ratio(det, cov.hbar))
-    return Summary2D(
-        purity_2d=purity_2d,
-        N_plus=N_plus,
-        N_minus=N_minus,
-        purity_product_1d=prod,
-    )
+    s, errors = summary_2d_batch(cov.matrix[None], _one(cov.hbar))
+    if errors[0] is not None:
+        raise errors[0]
+    return Summary2D(*(float(getattr(s, f.name)[0]) for f in fields(Summary2D)))
 
 
 def purity_2d_reduced(cov: Cov2D) -> float:

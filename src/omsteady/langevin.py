@@ -20,6 +20,14 @@ independent entries of the symmetric unknown. Its operator is filled
 from a cached index map, built once per dimension n. At these sizes
 (n <= 6) that is faster and more predictable than iterative or
 Schur-based methods, and it is exactly deterministic.
+
+Solves are stacked: steady_covariance_batch takes B drift and
+diffusion matrices and runs one stacked eigenvalue check, one fill of
+the B operators and one stacked np.linalg.solve, then the residual
+gate, and returns one outcome per item. numpy's linalg routines are
+gufuncs that run the same LAPACK call on every matrix of a stack, so
+a stacked result equals the item solved alone, bit for bit. The
+scalar steady_covariance is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, SolveFailure, UnstableSystem, CorrelatedBathUnsupported
+from .errors import (CorrelatedBathUnsupported, InvalidParams, OmsteadyError, SolveFailure,
+                     UnstableSystem, flag_first)
 from .gaussian import Cov1D, Cov2D
 from .models import (
     SystemParams1D,
@@ -45,11 +54,13 @@ __all__ = [
     "NoiseMode",
     "LinearSystem",
     "CovarianceMatrix",
+    "CovarianceBatch",
     "build_1d",
     "build_2d",
     "build_rwa",
     "stability",
     "steady_covariance",
+    "steady_covariance_batch",
     "LYAPUNOV_RESIDUAL_RTOL",
 ]
 
@@ -266,6 +277,13 @@ def build_rwa(params: SystemParamsRWA) -> LinearSystem:
     )
 
 
+def _decaying(A: np.ndarray) -> np.ndarray:
+    """Per stacked drift A[B, n, n]: True iff every eigenvalue decays."""
+    ev = np.linalg.eigvals(A)
+    rho = np.abs(ev).max(axis=-1, initial=0.0)
+    return np.all(ev.real < -1e-12 * rho[..., None], axis=-1)
+
+
 def stability(sys: LinearSystem) -> bool:
     """True iff every drift eigenvalue decays.
 
@@ -273,9 +291,7 @@ def stability(sys: LinearSystem) -> bool:
     marginal rotations and zero matrices are classed unstable rather
     than flapping on rounding noise.
     """
-    ev = np.linalg.eigvals(sys.drift)
-    rho = np.abs(ev).max() if ev.size else 0.0
-    return bool(np.all(ev.real < -1e-12 * rho))
+    return bool(_decaying(sys.drift[None])[0])
 
 
 @functools.cache
@@ -303,39 +319,84 @@ def _vech_map(n: int) -> tuple[np.ndarray, ...]:
     return vmap
 
 
-def steady_covariance(sys: LinearSystem) -> CovarianceMatrix:
-    """Stationary covariance V solving A V + V A^T + D = 0.
+@dataclass(frozen=True)
+class CovarianceBatch:
+    """Stacked steady states with one outcome per item.
 
-    Solves the half-vectorized system directly: one dense solve over
-    the n(n+1)/2 distinct entries of V. Raises UnstableSystem when the
-    drift is not strictly stable and SolveFailure if the linear system
-    is singular or the residual check fails.
+    ``errors[k]`` is None when item k settled, and otherwise the
+    UnstableSystem or SolveFailure that ``steady_covariance`` raises
+    for it; ``matrix[k]`` is its covariance, or zeros when it was not
+    solved. ``residual`` and ``scale`` are the residual gate's figures,
+    max |A V + V A^T + D| and the scale its bound is stated against.
     """
-    if not stability(sys):
-        raise UnstableSystem("drift matrix has a non-decaying eigenvalue")
-    A, D = sys.drift, sys.diffusion
-    n = sys.dim
+
+    matrix: np.ndarray
+    residual: np.ndarray
+    scale: np.ndarray
+    errors: tuple[OmsteadyError | None, ...]
+
+
+def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
+    """Stationary covariances V[k] solving A[k] V + V A[k]^T + D[k] = 0.
+
+    One stacked stability check, one fill of every vech operator and
+    one stacked dense solve over the n(n+1)/2 distinct entries of each
+    V, then the residual gate. An item that fails a check gets the
+    error of the first check it fails and does not affect the others.
+    """
+    A = np.asarray(A, dtype=float)
+    D = np.asarray(D, dtype=float)
+    B, n = A.shape[0], A.shape[-1]
     iu, ju, target, source = _vech_map(n)
     nn = iu.size
+    errors: list[OmsteadyError | None] = [None] * B
+    stable = _decaying(A)
+    flag_first(errors, ~stable,
+               lambda k: UnstableSystem("drift matrix has a non-decaying eigenvalue"))
     # Each entry of M takes at most two terms, added onto +0.0, so the
     # sum does not depend on their order.
-    M = np.zeros(nn * nn)
-    np.add.at(M, target, A.take(source))
-    M = M.reshape(nn, nn)
-    rhs = -D[iu, ju]
+    M = np.zeros((B, nn * nn))
+    np.add.at(M, (slice(None), target), A.reshape(B, n * n)[:, source])
+    M = M.reshape(B, nn, nn)
+    # An unstable item is not solved; the identity keeps it from making
+    # the stack singular.
+    M[~stable] = np.eye(nn)
+    rhs = -D[:, iu, ju]
     try:
-        v = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"Lyapunov linear system is singular: {exc}") from exc
-    V = np.empty((n, n))
-    V[iu, ju] = V[ju, iu] = v
-    resid = np.abs(A @ V + V @ A.T + D).max()
+        v = np.linalg.solve(M, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # A stacked solve fails as a whole; solve each item alone.
+        v = np.zeros((B, nn))
+        for k in range(B):
+            try:
+                v[k] = np.linalg.solve(M[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError as exc:
+                errors[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
+                errors[k].__cause__ = exc
+    v[[e is not None for e in errors]] = 0.0
+    V = np.empty((B, n, n))
+    V[:, iu, ju] = V[:, ju, iu] = v
+    resid = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=(-2, -1))
     # Backward-error scale: when the covariance dwarfs the diffusion
     # (weakly damped hot modes), rounding in forming A V alone exceeds
     # any bound stated against |D| only.
-    scale = max(np.abs(D).max(), np.abs(A).max() * np.abs(V).max())
-    if not np.isfinite(resid) or resid > LYAPUNOV_RESIDUAL_RTOL * scale:
-        raise SolveFailure(
-            f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_RTOL:.1e} * {scale:.3e}"
-        )
-    return CovarianceMatrix(matrix=V, labels=sys.labels, hbar=sys.hbar)
+    scale = np.fmax(np.abs(D).max(axis=(-2, -1)),
+                    np.abs(A).max(axis=(-2, -1)) * np.abs(V).max(axis=(-2, -1)))
+    flag_first(errors, ~np.isfinite(resid) | (resid > LYAPUNOV_RESIDUAL_RTOL * scale),
+               lambda k: SolveFailure(f"Lyapunov residual {resid[k]:.3e} exceeds "
+                                      f"{LYAPUNOV_RESIDUAL_RTOL:.1e} * {scale[k]:.3e}"))
+    return CovarianceBatch(matrix=V, residual=resid, scale=scale, errors=tuple(errors))
+
+
+def steady_covariance(sys: LinearSystem) -> CovarianceMatrix:
+    """Stationary covariance V solving A V + V A^T + D = 0.
+
+    A batch of one through steady_covariance_batch. Raises
+    UnstableSystem when the drift is not strictly stable and
+    SolveFailure if the linear system is singular or the residual
+    check fails.
+    """
+    batch = steady_covariance_batch(sys.drift[None], sys.diffusion[None])
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    return CovarianceMatrix(matrix=batch.matrix[0], labels=sys.labels, hbar=sys.hbar)

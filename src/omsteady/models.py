@@ -18,6 +18,7 @@ is enforced when both are supplied.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import InvalidParams
@@ -41,6 +42,17 @@ _COUPLING_CONSISTENCY_RTOL = 1e-9
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvalidParams(msg)
+
+
+#: Smallest hbar whose (hbar/2)^4, the scale of a two-mode covariance
+#: determinant, is a normal float (about 2.443e-77; SI's 1.05e-34 passes).
+#: Compared with hbar itself, since (hbar/2)^4 overflows for large hbar.
+_HBAR_MIN = 2.0 * sys.float_info.min ** 0.25
+
+
+def _reject_tiny_hbar(hbar: float) -> None:
+    raise InvalidParams(f"hbar must be at least {_HBAR_MIN:.4g} so that (hbar/2)^4 is a "
+                        f"normal float, got {hbar!r}")
 
 
 def _reject_non_finite(record) -> None:
@@ -100,6 +112,8 @@ class SystemParams1D:
         _require(self.kappa > 0, "kappa must be positive")
         _require(self.mass > 0, "mass must be positive")
         _require(self.hbar > 0, "hbar must be positive")
+        if self.hbar < _HBAR_MIN:
+            _reject_tiny_hbar(self.hbar)
         _require(self.temperature >= 0, "temperature must be nonnegative")
         conv = math.sqrt(self.hbar / (2.0 * self.mass * self.omega_b))
         if self.lambda_o is None and self.G_o is None:
@@ -160,6 +174,8 @@ class SystemParams2D:
         _require(self.kappa > 0, "kappa must be positive")
         _require(self.mass > 0, "mass must be positive")
         _require(self.hbar > 0, "hbar must be positive")
+        if self.hbar < _HBAR_MIN:
+            _reject_tiny_hbar(self.hbar)
         _require(self.temperature >= 0, "temperature must be nonnegative")
 
     @property

@@ -126,8 +126,19 @@ def _response_poly_coeffs(params: SystemParams1D) -> np.ndarray:
 
 
 def response_poles(params: SystemParams1D) -> np.ndarray:
-    """The four poles of R_b(omega), via companion-matrix roots."""
-    return np.roots(_response_poly_coeffs(params))
+    """The four poles of R_b(omega), via companion-matrix roots.
+
+    Raises InvalidParams, before LAPACK sees the companion matrix, when
+    a coefficient over the leading one is not finite: extreme records
+    (a subnormal mass, say) overflow it.
+    """
+    coeffs = _response_poly_coeffs(params)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        monic = coeffs / coeffs[0]
+    if not np.isfinite(monic).all():
+        raise InvalidParams("response polynomial has a non-finite coefficient "
+                            "relative to its leading one")
+    return np.roots(coeffs)
 
 
 def spectral_stability(params: SystemParams1D) -> bool:

@@ -1,9 +1,11 @@
 """Grid evaluation engine and deterministic CSV output.
 
 A sweep is a RunConfig (model, solver, base parameters, requested
-quantities) plus a SweepSpec (one or two named axes). Rows are
-computed in grid order into a preallocated buffer, optionally in
-parallel; output never depends on worker count or completion order.
+quantities) plus a SweepSpec (one or two named axes). Lyapunov grids
+are evaluated as stacked solves over chunks of grid points in this
+process; the other solvers evaluate point by point, optionally in
+parallel. Rows come out in grid order, and output never depends on
+worker count, chunking or completion order.
 
 Unstable or invalid grid points (errors with exit code 2 or 3, see
 :mod:`omsteady.errors`) are kept as rows with an explicit stable=0
@@ -27,10 +29,13 @@ from warnings import catch_warnings
 
 import numpy as np
 
-from .closedform import backaction_1d, backaction_2d, bare_occupation, rwa_optimum
+from .closedform import (backaction_1d, backaction_2d, bare_occupation,
+                         bare_occupation_batch, rwa_optimum)
 from .errors import InvalidParams, OmsteadyError
-from .gaussian import Cov1D, occupation_and_purity_1d, purity_2d_general
-from .langevin import NoiseMode, build_1d, build_2d, build_rwa, steady_covariance
+from .gaussian import (Cov1D, occupation_and_purity_1d, occupation_and_purity_1d_batch,
+                       purity_2d_general, summary_2d_batch)
+from .langevin import (NoiseMode, build_1d, build_2d, build_rwa, steady_covariance,
+                       steady_covariance_batch)
 from .models import SystemParams1D, SystemParams2D, SystemParamsRWA, bright_dark
 from .spectral import integrate_moments
 
@@ -50,6 +55,7 @@ __all__ = [
     "with_param",
     "check_param_names",
     "evaluate_config",
+    "evaluate_records",
     "format_float",
     "UNITS",
     "MAX_GRID_POINTS",
@@ -198,6 +204,81 @@ def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
     )
 
 
+def _settled_covariances(records, build):
+    """Build every record's system and solve them as one stack.
+
+    Returns the systems (None where the build raised), the indices of
+    the records whose solve settled, and their covariances (None when
+    no system was built).
+    """
+    systems = []
+    for p in records:
+        try:
+            systems.append(build(p))
+        except OmsteadyError:
+            systems.append(None)
+    built = [k for k, sys in enumerate(systems) if sys is not None]
+    if not built:
+        return systems, [], None
+    batch = steady_covariance_batch(np.stack([systems[k].drift for k in built]),
+                                    np.stack([systems[k].diffusion for k in built]))
+    keep = [j for j, e in enumerate(batch.errors) if e is None]
+    return systems, [built[j] for j in keep], batch.matrix[keep]
+
+
+def _rows(count, systems, idx, cols: dict, settled) -> list:
+    """(values, warnings) per record from stacked columns over idx, None elsewhere."""
+    out = [None] * count
+    names = list(cols)
+    for k, ok, vals in zip(idx, settled, zip(*(c.tolist() for c in cols.values()))):
+        if ok:
+            out[k] = dict(zip(names, vals)), systems[k].warnings
+    return out
+
+
+def _summary_rows(records, systems, idx, W, head: dict) -> list:
+    """Rows of a two-mode evaluator: its own columns, then the 2D summary of W."""
+    s, errors = summary_2d_batch(W, np.array([systems[k].hbar for k in idx]))
+    cols = {**head, "purity_2d": s.purity_2d, "purity_product": s.purity_product_1d,
+            "N_plus": s.N_plus, "N_minus": s.N_minus}
+    return _rows(len(records), systems, idx, cols, [e is None for e in errors])
+
+
+def _batch_oneD_lyapunov(records) -> list:
+    systems, idx, V = _settled_covariances(
+        records, lambda p: build_1d(p, NoiseMode.MarkovianThermal))
+    if V is None:
+        return [None] * len(records)
+    xx, pp, xp = V[:, 0, 0], V[:, 1, 1], V[:, 0, 1]
+    hbar = np.array([systems[k].hbar for k in idx])
+    n, mu, errors = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
+    n_0, settled = bare_occupation_batch(xx, pp, hbar, [records[k].omega_b for k in idx],
+                                         [records[k].mass for k in idx])
+    # Cov1D rejects a negative variance (NaN passes).
+    settled &= ~((xx < 0) | (pp < 0)) & np.array([e is None for e in errors], dtype=bool)
+    cols = dict(zip(_ONE_D, (xx, pp, xp, n, mu, n_0)))
+    return _rows(len(records), systems, idx, cols, settled)
+
+
+def _batch_twoD_lyapunov(records) -> list:
+    systems, idx, V = _settled_covariances(
+        records, lambda p: build_2d(p, NoiseMode.MarkovianThermal))
+    if V is None:
+        return [None] * len(records)
+    head = {"xx_b": V[:, 0, 0], "pp_b": V[:, 1, 1], "xx_d": V[:, 2, 2], "pp_d": V[:, 3, 3],
+            "x_b_x_d": V[:, 0, 2], "p_b_p_d": V[:, 1, 3]}
+    return _summary_rows(records, systems, idx, V[:, :4, :4], head)
+
+
+def _batch_rwa_lyapunov(records) -> list:
+    systems, idx, V = _settled_covariances(records, build_rwa)
+    if V is None:
+        return [None] * len(records)
+    head = {"n_b": 0.5 * (V[:, 2, 2] + V[:, 3, 3] - 1.0),
+            "n_d": 0.5 * (V[:, 4, 4] + V[:, 5, 5] - 1.0)}
+    return _summary_rows(records, systems, idx, V[:, 2:, 2:], head)
+
+
 _ONE_D = ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0")
 _TWO_D = ("xx_b", "pp_b", "xx_d", "pp_d", "x_b_x_d", "p_b_p_d")
 _JOINT = ("purity_2d", "purity_product")
@@ -212,6 +293,16 @@ _EVALUATORS = {
     ("twoD", "closed_form"): (_eval_twoD_closed_form, _TWO_D + _JOINT),
     ("rwa", "lyapunov"): (_eval_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL),
     ("rwa", "closed_form"): (_eval_rwa_closed_form, ("G_m_opt", "purity_opt")),
+}
+
+#: (model, solver) -> batch form of the evaluator, for the pairs that
+#: have one. A batch form takes a list of params records and returns,
+#: per record, what the evaluator returns for it, or None where it
+#: does not settle the record.
+_BATCH_FORMS = {
+    ("oneD", "lyapunov"): _batch_oneD_lyapunov,
+    ("twoD", "lyapunov"): _batch_twoD_lyapunov,
+    ("rwa", "lyapunov"): _batch_rwa_lyapunov,
 }
 
 
@@ -404,6 +495,27 @@ def with_param(params, name: str, value: float):
     return replace(params, **{name: value})
 
 
+def _record(params, overrides: dict):
+    """The params record with overrides applied, coupling overrides
+    (lambda_o, then G_o) last, so the coupling they set holds at the
+    point's final frequencies and scales."""
+    p = params
+    for name, value in overrides.items():
+        if name not in _COUPLINGS:
+            p = with_param(p, name, value)
+    for name in _COUPLINGS:
+        if name in overrides:
+            p = with_param(p, name, overrides[name])
+    return p
+
+
+def _run(evaluator, p) -> tuple[dict, tuple[str, ...]]:
+    """An evaluator's values and warnings, with the Python warnings it raised."""
+    with catch_warnings(record=True) as caught:
+        values, warn = evaluator(p)
+    return values, warn + tuple(str(w.message) for w in caught)
+
+
 def evaluate_config(config: RunConfig,
                     overrides: dict | None = None) -> tuple[dict, tuple[str, ...]]:
     """Evaluate one parameter point; raises on instability or bad input.
@@ -413,18 +525,16 @@ def evaluate_config(config: RunConfig,
     are applied last, so the coupling they set holds at the point's
     final frequencies and scales.
     """
-    p = config.params
-    overrides = overrides or {}
-    for name, value in overrides.items():
-        if name not in _COUPLINGS:
-            p = with_param(p, name, value)
-    for name in _COUPLINGS:
-        if name in overrides:
-            p = with_param(p, name, overrides[name])
-    with catch_warnings(record=True) as caught:
-        values, warn = _EVALUATORS[(config.model, config.solver)][0](p)
-    warn = warn + tuple(str(w.message) for w in caught)
+    p = _record(config.params, overrides or {})
+    values, warn = _run(_EVALUATORS[(config.model, config.solver)][0], p)
     return {q: values[q] for q in config.outputs}, warn
+
+
+def _flagged_row(axis_values: tuple[float, ...], exc: OmsteadyError) -> SweepRow:
+    """The stable=0 row of an error with exit code 2 or 3; code 4 propagates."""
+    if exc.exit_code == 4:
+        raise exc
+    return SweepRow(axis_values, None, False, (f"{type(exc).__name__}: {exc}",))
 
 
 def evaluate_point(config: RunConfig, overrides: dict | None = None) -> SweepRow:
@@ -439,9 +549,72 @@ def evaluate_point(config: RunConfig, overrides: dict | None = None) -> SweepRow
         values, warn = evaluate_config(config, overrides)
         return SweepRow(axis_values, values, True, warn)
     except OmsteadyError as exc:
-        if exc.exit_code == 4:
-            raise
-        return SweepRow(axis_values, None, False, (f"{type(exc).__name__}: {exc}",))
+        return _flagged_row(axis_values, exc)
+
+
+#: Records per stacked evaluation: large enough to amortize the Python
+#: work per call, small enough to keep the stacks' memory flat.
+_CHUNK = 64
+
+
+def evaluate_records(model: str, solver: str, records: list) -> list:
+    """Evaluate params records; per record what evaluate_config returns.
+
+    Each item is (values, warnings) with every quantity of the pair, or
+    the OmsteadyError the record's evaluation raised. A pair with a
+    batch form runs it on chunks of _CHUNK records, and evaluates alone
+    each record the batch form does not settle, so its error is the
+    scalar one. A chunk in which any Python warning is raised is
+    evaluated record by record, so each record carries exactly the
+    warnings its own evaluation raises.
+    """
+    evaluator = _EVALUATORS[(model, solver)][0]
+    batch = _BATCH_FORMS.get((model, solver))
+    out = []
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start:start + _CHUNK]
+        results = [None] * len(chunk)
+        if batch is not None:
+            with catch_warnings(record=True) as caught:
+                results = batch(chunk)
+            if caught:
+                results = [None] * len(chunk)
+        for p, res in zip(chunk, results):
+            if res is None:
+                try:
+                    res = _run(evaluator, p)
+                except OmsteadyError as exc:
+                    res = exc
+            out.append(res)
+    return out
+
+
+def _batch_sweep_rows(config: RunConfig, names: list[str], grid) -> list[SweepRow]:
+    """The rows of a grid whose evaluator has a batch form, in grid order.
+
+    Records are built one chunk of grid points at a time, so a large
+    grid never holds more than one chunk of them.
+    """
+    rows = []
+    for start in range(0, len(grid), _CHUNK):
+        points = [tuple(pt) for pt in grid[start:start + _CHUNK]]
+        outcomes: list = []
+        for point in points:
+            try:
+                outcomes.append(_record(config.params, dict(zip(names, point))))
+            except OmsteadyError as exc:
+                outcomes.append(exc)
+        built = [k for k, o in enumerate(outcomes) if not isinstance(o, OmsteadyError)]
+        results = evaluate_records(config.model, config.solver, [outcomes[k] for k in built])
+        for k, res in zip(built, results):
+            outcomes[k] = res
+        for point, res in zip(points, outcomes):
+            if isinstance(res, OmsteadyError):
+                rows.append(_flagged_row(point, res))
+            else:
+                values, warn = res
+                rows.append(SweepRow(point, {q: values[q] for q in config.outputs}, True, warn))
+    return rows
 
 
 def _worker(task) -> SweepRow:
@@ -459,16 +632,22 @@ def _usable_cpus() -> int:
 def run_sweep(config: RunConfig, spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the grid; row order is grid order regardless of jobs.
 
-    At most one worker process per grid point and per usable CPU is
-    started, whatever ``jobs`` asks for; one worker means no pool. An
-    axis that with_param cannot set raises InvalidParams before any
+    A grid whose evaluator has a batch form (the Lyapunov solver) runs
+    as stacked solves in this process, whatever ``jobs`` is. Other
+    grids start at most one worker process per grid point and per
+    usable CPU, whatever ``jobs`` asks for; one worker means no pool.
+    An axis that with_param cannot set raises InvalidParams before any
     point is evaluated.
     """
     if jobs < 1:
         raise InvalidParams("jobs must be at least 1")
     names = [a.name for a in spec.axes]
     check_param_names(config.params, names)
-    tasks = [(config, names, pt) for pt in spec.grid()]
+    grid = spec.grid()
+    if (config.model, config.solver) in _BATCH_FORMS:
+        rows = _batch_sweep_rows(config, names, grid)
+        return SweepResult(config=config, spec=spec, rows=tuple(rows))
+    tasks = [(config, names, pt) for pt in grid]
     if jobs > 1:
         jobs = min(jobs, len(tasks), _usable_cpus())
     if jobs == 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import backaction_1d, strong_coupling
-from .figures import _FIG3_KAPPA, fig3_params
+from .figures import _FIG3_KAPPA, fig3_params, fig3_values
 from .gaussian import Cov1D, decompose_1d
 from .langevin import (
     LYAPUNOV_RESIDUAL_RTOL,
@@ -244,13 +244,12 @@ def _check_rwa_optimum_location() -> CheckResult:
     """
     tol = 0.05
     kappa = _FIG3_KAPPA
-    lyapunov = _EVALUATORS[("rwa", "lyapunov")][0]
     worst, where = 0.0, ""
     for g_o_ratio in (2.0, 5.0):
         g_o = g_o_ratio * kappa
         target = g_o / math.sqrt(2.0)
         grid = np.linspace(0.3 * target, 2.0 * target, 120)
-        purities = [lyapunov(fig3_params(g_o, float(g)))[0]["purity_2d"] for g in grid]
+        purities = [s["purity_2d"] for s in fig3_values([(g_o, float(g)) for g in grid])]
         g_best = float(grid[int(np.argmax(purities))])
         e = abs(g_best - target) / target
         if e > worst:

@@ -91,6 +91,25 @@ class TestPoint:
         err = capsys.readouterr().err
         assert err == "config error: drift matrix has a non-finite entry\n"
 
+    @pytest.mark.parametrize("model", ["oneD", "twoD"])
+    def test_underflowing_hbar_is_config_error(self, model, capsys):
+        # (hbar/2)^2 and (hbar/2)^4 underflow to zero in the purity formulas
+        assert run_cli("point", "--param", f"model={model}", "--param", "hbar=1e-200") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: hbar must be at least 2.443e-77 ")
+
+    @pytest.mark.parametrize("hbar", ["1.0545718e-34", "1e100"])
+    def test_si_and_large_hbar_are_accepted(self, hbar):
+        assert run_cli("point", "--param", f"hbar={hbar}") == 0
+
+    def test_spectral_subnormal_mass_is_config_error(self, capsys):
+        # the response polynomial over its subnormal leading coefficient overflows
+        assert run_cli("point", "--solver", "spectral", "--param", "mass=1e-310") == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: response polynomial has a non-finite coefficient "
+                       "relative to its leading one\n")
+
     def test_missing_config_file(self, capsys):
         assert run_cli("point", "--config", "/nonexistent/x.ini") == 2
 

@@ -65,3 +65,12 @@ def test_config_syntax_error_is_a_config_error(tmp_path, capsys):
     cfg.write_text("G_o = 0.4\n", encoding="utf-8")  # no section header
     assert main(["point", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_stacked_lyapunov_sweep_aborts_on_a_failed_residual_gate(monkeypatch):
+    # every residual gate fails: a SolveFailure, exit code 4, in a batch-form grid
+    monkeypatch.setattr("omsteady.langevin.LYAPUNOV_RESIDUAL_RTOL", -1.0)
+    p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.1)
+    spec = sweep.SweepSpec((sweep.Axis("G_o", 0.1, 0.7, 70),))
+    with pytest.raises(errors.SolveFailure, match="Lyapunov residual"):
+        sweep.run_sweep(RunConfig(model="oneD", solver="lyapunov", params=p), spec)

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omsteady.closedform import bare_occupation, bare_occupation_batch
 from omsteady.errors import (
     AssumptionViolated,
     DegenerateState,
+    InvalidRegime,
     UncertaintyViolation,
 )
 from omsteady.gaussian import (
     Cov1D,
     Cov2D,
+    Summary2D,
     decompose_1d,
     occupation_and_purity_1d,
+    occupation_and_purity_1d_batch,
     purity_2d_general,
     purity_2d_reduced,
+    summary_2d_batch,
     symplectic_eigenvalues,
     wavefunction,
 )
@@ -276,3 +281,76 @@ class TestReducedPurityFormula:
         cov = williamson_cov(1.2, 0.9, s)
         with pytest.raises(AssumptionViolated):
             purity_2d_reduced(cov)
+
+
+def _python_float_1d(xx, pp, xp, hbar):
+    """Occupation and purity in Python floats, as the scalar formula reads."""
+    ratio = max((xx * pp - xp**2) / (hbar / 2.0) ** 2, 1.0)
+    two_n_plus_1 = math.sqrt(ratio)
+    return 0.5 * (two_n_plus_1 - 1.0), 1.0 / two_n_plus_1
+
+
+class TestStackedCharacterization:
+    """Stacked forms give the scalar results bit for bit, and its errors."""
+
+    def test_1d_stack_matches_python_floats_and_scalar_errors(self):
+        rng = np.random.default_rng(11)
+        size = 3000
+        hbar = rng.choice([1.0, 0.37, 1.054571817e-34], size=size)
+        root_det = (2.0 * rng.uniform(0.0, 50.0, size) + 1.0) * hbar / 2.0
+        # a tenth of the items sit just below the Heisenberg bound, inside
+        # the rounding tolerance or beyond it
+        root_det[::10] = hbar[::10] / 2.0 * (1.0 - 10.0 ** rng.uniform(-12, -6, size // 10))
+        xx = root_det * 10.0 ** rng.uniform(-3, 3, size)
+        xp = root_det * rng.uniform(-0.9, 0.9, size)
+        pp = (root_det**2 + xp**2) / xx
+        n_bar, purity, errors = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
+        for k in range(size):
+            cov = Cov1D(xx=float(xx[k]), pp=float(pp[k]), xp=float(xp[k]), hbar=float(hbar[k]))
+            if errors[k] is None:
+                assert (n_bar[k], purity[k]) == _python_float_1d(cov.xx, cov.pp, cov.xp, cov.hbar)
+                assert (n_bar[k], purity[k]) == occupation_and_purity_1d(cov)
+            else:
+                with pytest.raises(UncertaintyViolation) as exc:
+                    occupation_and_purity_1d(cov)
+                assert str(exc.value) == str(errors[k])
+        assert 0 < sum(e is not None for e in errors) < size // 10
+
+    def test_2d_stack_matches_batches_of_one(self):
+        rng = np.random.default_rng(12)
+        covs = []
+        for _ in range(400):
+            s = (_mix(rng.uniform(-3, 3)) @ _local_squeeze(*rng.uniform(-1.5, 1.5, 2))
+                 @ _mix(rng.uniform(-3, 3)))
+            covs.append(williamson_cov(*rng.uniform(0.5, 40.0, 2), s, hbar=0.37))
+        covs.append(Cov2D(np.diag([0.1, 0.1, 1.0, 1.0])))  # below the bound
+        summary, errors = summary_2d_batch(np.stack([c.matrix for c in covs]),
+                                           [c.hbar for c in covs])
+        for k, cov in enumerate(covs):
+            if errors[k] is None:
+                one = purity_2d_general(cov)
+                assert one == Summary2D(summary.purity_2d[k], summary.N_plus[k],
+                                        summary.N_minus[k], summary.purity_product_1d[k])
+                assert one.purity_2d == 1.0 / math.sqrt(
+                    float(np.linalg.det(cov.matrix)) / (cov.hbar / 2.0) ** 4)
+            else:
+                with pytest.raises(type(errors[k])) as exc:
+                    purity_2d_general(cov)
+                assert str(exc.value) == str(errors[k])
+        assert errors[:-1] == [None] * 400
+        assert str(errors[-1]) == "symplectic eigenvalue 0.1 below hbar/2 = 0.5"
+
+    def test_bare_occupation_stack_matches_scalar(self):
+        rng = np.random.default_rng(13)
+        xx, pp = rng.uniform(0.5, 5.0, (2, 200))
+        hbar, omega, mass = rng.uniform(0.1, 3.0, (3, 200))
+        omega[::7] = 0.0
+        n_0, settled = bare_occupation_batch(xx, pp, hbar, omega, mass)
+        for k in range(200):
+            cov = Cov1D(xx=float(xx[k]), pp=float(pp[k]), hbar=float(hbar[k]))
+            if settled[k]:
+                assert n_0[k] == bare_occupation(cov, float(omega[k]), float(mass[k]))
+            else:
+                with pytest.raises(InvalidRegime):
+                    bare_occupation(cov, float(omega[k]), float(mass[k]))
+        assert not settled[::7].any() and settled.sum() == 200 - len(omega[::7])

@@ -190,20 +190,24 @@ def _random_stable_system(rng, n):
     return LinearSystem(drift=A, diffusion=B @ B.T, labels=labels)
 
 
+MODEL_BUILDS = [
+    build_1d(P_1D, NoiseMode.VacuumOnly),
+    build_1d(SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=0.4,
+                            temperature=temperature_for_occupation(2.0, 1.0)),
+             NoiseMode.MarkovianThermal),
+    build_2d(resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2),
+             NoiseMode.VacuumOnly),
+    build_rwa(SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-6, gamma_d=1e-6,
+                              kappa=1e-3, delta=1.0, G_o=2e-3, G_m=2e-3 / math.sqrt(2.0),
+                              n_B_b=25.0, n_B_d=25.0)),
+]
+MODEL_IDS = ["1d-vacuum", "1d-thermal", "2d", "rwa"]
+
+
 class TestVechAssemblyMatchesLoop:
     """The index-map assembly gives the double loop's covariance bit for bit."""
 
-    @pytest.mark.parametrize("sys", [
-        build_1d(P_1D, NoiseMode.VacuumOnly),
-        build_1d(SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=0.4,
-                                temperature=temperature_for_occupation(2.0, 1.0)),
-                 NoiseMode.MarkovianThermal),
-        build_2d(resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2),
-                 NoiseMode.VacuumOnly),
-        build_rwa(SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-6, gamma_d=1e-6,
-                                  kappa=1e-3, delta=1.0, G_o=2e-3, G_m=2e-3 / math.sqrt(2.0),
-                                  n_B_b=25.0, n_B_d=25.0)),
-    ], ids=["1d-vacuum", "1d-thermal", "2d", "rwa"])
+    @pytest.mark.parametrize("sys", MODEL_BUILDS, ids=MODEL_IDS)
     def test_model_builds(self, sys):
         assert np.array_equal(steady_covariance(sys).matrix, _loop_reference(sys))
 
@@ -222,11 +226,83 @@ class TestVechAssemblyMatchesLoop:
     def test_singular_operator_raises_like_loop(self, monkeypatch):
         # Eigenvalues +1 and -1 sum to zero, so the vech operator is singular.
         monkeypatch.setattr(langevin, "stability", lambda sys: True)
+        monkeypatch.setattr(langevin, "_decaying", lambda A: np.ones(len(A), dtype=bool))
         sys = LinearSystem(drift=np.diag([1.0, -1.0]), diffusion=np.eye(2),
                            labels=("x", "p"))
         for solve in (steady_covariance, _loop_reference):
             with pytest.raises(SolveFailure):
                 solve(sys)
+
+
+
+def _stack(systems):
+    return langevin.steady_covariance_batch(np.stack([s.drift for s in systems]),
+                                            np.stack([s.diffusion for s in systems]))
+
+
+def _scalar_outcome(sys):
+    """The covariance steady_covariance returns for sys, or the error it raises."""
+    try:
+        return steady_covariance(sys).matrix
+    except (UnstableSystem, SolveFailure) as exc:
+        return exc
+
+
+class TestStackedSolve:
+    """A stacked solve equals the batch of one and the loop, item by item."""
+
+    def test_model_builds_stacked_by_size(self):
+        for group in (MODEL_BUILDS[:2], MODEL_BUILDS[2:]):
+            batch = _stack(group + group[::-1])
+            assert batch.errors == (None,) * 4
+            for sys, V in zip(group + group[::-1], batch.matrix):
+                assert np.array_equal(V, steady_covariance(sys).matrix)
+                assert np.array_equal(V, _loop_reference(sys))
+
+    def test_random_stable_drifts_stacked_by_size(self):
+        rng = np.random.default_rng(20221018)
+        systems = [_random_stable_system(rng, int(n)) for n in rng.choice([2, 4, 6], size=200)]
+        for n in (2, 4, 6):
+            group = [s for s in systems if s.dim == n]
+            batch = _stack(group)
+            assert batch.errors == (None,) * len(group)
+            assert np.all(batch.residual <= LYAPUNOV_RESIDUAL_RTOL * batch.scale)
+            for sys, V in zip(group, batch.matrix):
+                assert np.array_equal(V, steady_covariance(sys).matrix)
+                assert np.array_equal(V, _loop_reference(sys))
+
+    def test_mixed_chunk_flags_items_like_the_scalar_solve(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        singular = LinearSystem(drift=np.diag([1.0, -1.0]), diffusion=np.eye(2),
+                                labels=("x", "p"))
+        unstable = LinearSystem(drift=np.diag([0.5, -1.0]), diffusion=np.eye(2),
+                                labels=("x", "p"))
+        # Let the singular drift past the stability check, as if it were stable.
+        decaying = langevin._decaying
+        monkeypatch.setattr(langevin, "_decaying", lambda A: decaying(A) | np.array(
+            [np.array_equal(a, singular.drift) for a in A]))
+        stable = [_random_stable_system(rng, 2) for _ in range(4)]
+        systems = [stable[0], singular, stable[1], unstable, stable[2], singular, stable[3]]
+        batch = _stack(systems)
+        for sys, V, err in zip(systems, batch.matrix, batch.errors):
+            expect = _scalar_outcome(sys)
+            if isinstance(expect, Exception):
+                assert type(err) is type(expect) and str(err) == str(expect)
+            else:
+                assert err is None
+                assert np.array_equal(V, expect)
+                assert np.array_equal(V, _loop_reference(sys))
+        assert [type(e).__name__ for e in batch.errors] == [
+            "NoneType", "SolveFailure", "NoneType", "UnstableSystem", "NoneType",
+            "SolveFailure", "NoneType"]
+        assert str(batch.errors[1]) == "Lyapunov linear system is singular: Singular matrix"
+
+    def test_scalar_errors_come_from_the_batch_outcome(self):
+        sys = build_1d(with_param(P_1D, "G_o", 0.55), NoiseMode.VacuumOnly)
+        batch = _stack([sys])
+        with pytest.raises(UnstableSystem, match="non-decaying eigenvalue") as exc:
+            steady_covariance(sys)
+        assert str(exc.value) == str(batch.errors[0])
 
 
 class TestBuild2D:

@@ -48,6 +48,7 @@ class TestSystemParams1D:
     @pytest.mark.parametrize("field,value", [
         ("omega_b", 0.0), ("omega_b", -1.0), ("gamma_b", -1e-9),
         ("kappa", 0.0), ("mass", 0.0), ("temperature", -0.1), ("hbar", 0.0),
+        ("hbar", 2.4426e-77),  # (hbar/2)^4 below the smallest normal float
     ])
     def test_domain_violations(self, field, value):
         kwargs = dict(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.1)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from omsteady import sweep
 from omsteady.closedform import backaction_1d
 from omsteady.errors import InvalidParams
-from omsteady.models import SystemParams1D, SystemParamsRWA, resonant_2d_design
+from omsteady.models import SystemParams1D, SystemParams2D, SystemParamsRWA, resonant_2d_design
 from omsteady.sweep import (
     Axis,
     RunConfig,
@@ -257,6 +259,92 @@ class TestRunSweep:
         with pytest.raises(InvalidParams, match="has no parameter 'foo'"):
             run_sweep(config_1d(), spec)
         assert calls == []
+
+
+RWA_BATH = SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=5e-13, gamma_d=5e-13,
+                           kappa=1e-3, delta=1.0, G_o=1e-3, G_m=1e-3,
+                           n_B_b=5e7, n_B_d=5e7)
+P_2D = SystemParams2D(omega_x=1.0, omega_y=1.2, gamma_x=5e-4, gamma_y=5e-4, phi=0.5,
+                      kappa=0.2, delta=1.0, lambda_o=0.3, temperature=2.0)
+
+# Grids of 65 and 129 points put chunk boundaries mid-grid.
+STACKED_GRIDS = {
+    # the upper G_o values leave the rotating-wave regime and carry a warning
+    "rwa": (RunConfig("rwa", "lyapunov", RWA_BATH),
+            SweepSpec(axes=(Axis("G_o", 1e-3, 0.3, 65, "log"),))),
+    # crosses the stability edge at G_o = 0.5025
+    "oneD-edge": (config_1d("lyapunov"), SweepSpec(axes=(Axis("G_o", 0.02, 0.7, 129),))),
+    # negative gamma_b is rejected at the record; the axis crosses 0
+    "oneD-gamma_b": (RunConfig("oneD", "lyapunov", replace(P_1D, temperature=2.0)),
+                     SweepSpec(axes=(Axis("gamma_b", -0.005, 0.005, 129),))),
+    # gamma_x != gamma_y correlates the rotated baths: CorrelatedBathUnsupported
+    "twoD-gamma_x": (RunConfig("twoD", "lyapunov", P_2D),
+                     SweepSpec(axes=(Axis("gamma_x", 0.0, 1e-3, 65),))),
+}
+
+
+def _pointwise_rows(config, spec):
+    names = [a.name for a in spec.axes]
+    return tuple(evaluate_point(config, dict(zip(names, pt))) for pt in spec.grid())
+
+
+class TestStackedSweep:
+    """Lyapunov grids run as stacked solves give the rows of point-by-point evaluation."""
+
+    @pytest.mark.parametrize("grid", STACKED_GRIDS)
+    def test_rows_equal_pointwise_rows(self, grid):
+        config, spec = STACKED_GRIDS[grid]
+        result = run_sweep(config, spec)
+        assert result.rows == _pointwise_rows(config, spec)
+        assert any(r.stable for r in result.rows)
+        assert any(not r.stable for r in result.rows) or grid == "rwa"
+        if grid == "rwa":
+            assert any(r.warnings for r in result.rows)
+
+    def test_flag_text_per_grid(self):
+        reasons = {grid: {r.warnings[0].split(":")[0] for r in run_sweep(*STACKED_GRIDS[grid]).rows
+                          if not r.stable}
+                   for grid in ("oneD-edge", "oneD-gamma_b", "twoD-gamma_x")}
+        assert reasons == {"oneD-edge": {"UnstableSystem"}, "oneD-gamma_b": {"InvalidParams"},
+                           "twoD-gamma_x": {"CorrelatedBathUnsupported"}}
+
+    def test_warning_in_a_chunk_falls_back_with_exact_text(self, monkeypatch):
+        config = STACKED_GRIDS["rwa"][0]
+        spec = SweepSpec(axes=(Axis("G_o", 1e-3, 0.3, 129, "log"),))
+        grid = [pt[0] for pt in spec.grid()]
+        # one warning in the first chunk, two from one source line in the second
+        warned = {grid[5], grid[100], grid[101]}
+        build = sweep.build_rwa
+
+        def warning_build(p):
+            if p.G_o in warned:
+                warnings.warn(f"injected at G_o={p.G_o!r}", RuntimeWarning)
+            return build(p)
+
+        monkeypatch.setattr(sweep, "build_rwa", warning_build)
+        calls = []
+        run = sweep._run
+        monkeypatch.setattr(sweep, "_run", lambda ev, p: calls.append(p) or run(ev, p))
+        rows = run_sweep(config, spec).rows
+        # points 0-63 and 64-127 are evaluated one by one, point 128 stacked
+        assert len(calls) == 128
+        assert rows == _pointwise_rows(config, spec)
+        for g, row in zip(grid, rows):
+            injected = [w for w in row.warnings if w.startswith("injected")]
+            assert injected == ([f"injected at G_o={g!r}"] if g in warned else [])
+
+    def test_lyapunov_grid_starts_no_pool_whatever_jobs(self, monkeypatch, tmp_path):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a Lyapunov grid must not start a process pool")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", NoPool)
+        config = RunConfig("rwa", "lyapunov", RWA_BATH)
+        spec = SweepSpec(axes=(Axis("G_o", 5e-5, 5e-3, 12, "log"),
+                               Axis("G_m", 5e-5, 5e-3, 11, "log")))
+        one = sweep_to_csv(config, spec, tmp_path / "j1.csv", jobs=1)
+        two = sweep_to_csv(config, spec, tmp_path / "j2.csv", jobs=2)
+        assert one.read_bytes() == two.read_bytes()
 
 
 class TestCsvOutput:
