@@ -49,6 +49,7 @@ from .sweep import (
     check_grid_size,
     check_param_names,
     evaluate_config,
+    evaluate_grid,
     evaluate_point,
     format_float,
     sweep_to_csv,
@@ -293,21 +294,12 @@ def _cmd_optimize(args) -> int:
             f"objective {objective!r} not available for this model/solver"
         )
 
-    evals = 0
-
-    def measure(x: np.ndarray) -> float | None:
-        nonlocal evals
-        evals += 1
-        row = evaluate_point(config, dict(zip(names, (float(v) for v in x))))
-        if not row.stable:
-            return None
-        return row.values[objective]
-
+    grid = [tuple(float(v) for v in point) for point in product(*axes)]
+    evals = len(grid)
     best_x, best_val = None, -math.inf
-    for point in product(*axes):
-        val = measure(np.asarray(point))
-        if val is not None and val > best_val:
-            best_x, best_val = np.asarray(point, dtype=float), val
+    for row in evaluate_grid(config, names, grid):
+        if row.stable and row.values[objective] > best_val:
+            best_x, best_val = np.array(row.axis_values), row.values[objective]
     if best_x is None:
         raise UnstableRegime("no stable point inside the optimize bounds")
 
@@ -317,10 +309,12 @@ def _cmd_optimize(args) -> int:
                       for i, axis in enumerate(axes)])
 
     def neg(x: np.ndarray) -> float:
+        nonlocal evals
         if np.any(x < lo_arr) or np.any(x > hi_arr):
             return 1e6
-        val = measure(x)
-        return 1e6 if val is None else -val
+        evals += 1
+        row = evaluate_point(config, dict(zip(names, (float(v) for v in x))))
+        return -row.values[objective] if row.stable else 1e6
 
     simplex = [best_x]
     for i in range(len(names)):

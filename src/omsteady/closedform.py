@@ -282,8 +282,12 @@ def bare_occupation(cov: Cov1D, omega: float, mass: float = 1.0) -> float:
     when the state is thermal in that reference basis.
     """
     if omega <= 0 or mass <= 0:
-        raise InvalidRegime("reference oscillator needs omega > 0 and mass > 0")
+        raise _reference_error()
     return _bare_occupation(cov.xx, cov.pp, cov.hbar, omega, mass)
+
+
+def _reference_error() -> InvalidRegime:
+    return InvalidRegime("reference oscillator needs omega > 0 and mass > 0")
 
 
 def bare_occupation_batch(xx, pp, hbar, omega, mass):
@@ -292,12 +296,15 @@ def bare_occupation_batch(xx, pp, hbar, omega, mass):
     Returns the occupations and a mask of the items that settle; an
     item whose omega or mass is not positive does not (the scalar call
     raises InvalidRegime for it) and its occupation means nothing.
+    Overflow gives inf without a warning, as in the scalar call on
+    Python floats.
     """
     xx, pp, hbar, omega, mass = (np.asarray(a, dtype=float)
                                  for a in (xx, pp, hbar, omega, mass))
     settled = (omega > 0) & (mass > 0)
-    return _bare_occupation(xx, pp, hbar, np.where(settled, omega, 1.0),
-                            np.where(settled, mass, 1.0)), settled
+    with np.errstate(all="ignore"):
+        return _bare_occupation(xx, pp, hbar, np.where(settled, omega, 1.0),
+                                np.where(settled, mass, 1.0)), settled
 
 
 def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
@@ -387,10 +394,13 @@ def rwa_optimum(params: SystemParamsRWA) -> tuple[float, float]:
     overstates the purity by 0.8% (1/1.2 against 1/1.21).
 
     Emits UserWarning when called outside the validity conditions
-    (C_o >> 1 and G_o^2 >> G_m^2 gamma_tot/kappa at the optimum).
+    (C_o >> 1 and G_o^2 >> G_m^2 gamma_tot/kappa at the optimum), and
+    raises InvalidRegime when C_o is zero (G_o^2 is 0 or underflows).
     """
     gamma_tot = params.gamma_b + params.gamma_d
     c_o = cooperativity(params)
+    if c_o == 0.0:
+        raise InvalidRegime("cooperativity is zero; the optimum needs G_o^2 > 0")
     if c_o < 100.0:
         _warnings.warn("cooperativity not large; optimum formula is approximate",
                        stacklevel=2)

@@ -26,12 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .closedform import strong_coupling, weak_coupling
-from .errors import InvalidParams, OmsteadyError, OracleMismatch
+from .errors import InvalidParams, OracleMismatch
 from .models import SystemParams1D, SystemParamsRWA, resonant_2d_design
-from .sweep import _EVALUATORS, _write_atomic, evaluate_records, format_float, write_csv
+from .sweep import _write_atomic, format_float, record_values, write_csv
 
-__all__ = ["FIGURES", "FigureCheck", "FigureOutput", "fig3_params", "fig3_values",
-           "make_figure"]
+__all__ = ["FIGURES", "FigureCheck", "FigureOutput", "fig3_params", "make_figure"]
 
 FIGURES = ("fig2", "fig3", "fig4")
 
@@ -85,18 +84,15 @@ def _rel_err(value: float, exact: float) -> float:
 
 def _fig2(out_dir: Path, tolerance: float | None) -> FigureOutput:
     tol = _EXACT_PAIR_RTOL if tolerance is None else tolerance
-    closed_form = _EVALUATORS[("oneD", "closed_form")][0]
-    lyapunov = _EVALUATORS[("oneD", "lyapunov")][0]
+    records = [SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=_FIG2_KAPPA,
+                              delta=1.0, G_o=float(g)) for g in _FIG2_G]
     rows = []
     worst_exact = 0.0
     worst_bare = 0.0
     worst_strong = 0.0
     worst_strong_bare = 0.0
-    for g in _FIG2_G:
-        p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=_FIG2_KAPPA,
-                           delta=1.0, G_o=float(g))
-        cf, _ = closed_form(p)
-        ly, _ = lyapunov(p)
+    for g, p, cf, ly in zip(_FIG2_G, records, record_values("oneD", "closed_form", records),
+                            record_values("oneD", "lyapunov", records)):
         sc = strong_coupling(p)
         worst_exact = max(worst_exact, _rel_err(ly["n_bar"], cf["n_bar"]))
         worst_bare = max(worst_bare, _rel_err(ly["n_bar_0"], cf["n_bar_0"]))
@@ -113,7 +109,7 @@ def _fig2(out_dir: Path, tolerance: float | None) -> FigureOutput:
     # its own limit (evaluated once; the column is drive-independent).
     p_weak = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=_FIG2_KAPPA,
                             delta=1.0, G_o=1e-4)
-    ref = closed_form(p_weak)[0]["n_min_weak"]
+    ref = record_values("oneD", "closed_form", [p_weak])[0]["n_min_weak"]
     worst_weak = _rel_err(weak_coupling(p_weak).n_bar, ref)
 
     checks = (
@@ -163,24 +159,11 @@ def fig3_params(g_o: float, g_m: float) -> SystemParamsRWA:
     )
 
 
-def fig3_values(couplings) -> list[dict]:
-    """Rotating-wave Lyapunov values on the fig3 bath at each (G_o, G_m).
-
-    Evaluated as stacked solves; a point that does not settle raises
-    its error.
-    """
-    outcomes = evaluate_records("rwa", "lyapunov", [fig3_params(g_o, g_m)
-                                                    for g_o, g_m in couplings])
-    for out in outcomes:
-        if isinstance(out, OmsteadyError):
-            raise out
-    return [values for values, _ in outcomes]
-
-
 def _fig3(out_dir: Path, tolerance: float | None) -> FigureOutput:
     tol_routes = _PURITY_ROUTE_RTOL if tolerance is None else tolerance
-    values = iter(fig3_values([(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA)
-                               for ro in _FIG3_RATIO for rm in _FIG3_RATIO]))
+    values = iter(record_values("rwa", "lyapunov", [
+        fig3_params(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA)
+        for ro in _FIG3_RATIO for rm in _FIG3_RATIO]))
     rows = []
     worst_route = 0.0
     best_by_column: dict[int, tuple[float, float]] = {}
@@ -242,18 +225,13 @@ _FIG4_G = np.linspace(0.01, 0.35, 69)
 
 def _fig4(out_dir: Path, tolerance: float | None) -> FigureOutput:
     tol = _EXACT_PAIR_RTOL if tolerance is None else tolerance
-    closed_form = _EVALUATORS[("twoD", "closed_form")][0]
-    lyapunov = _EVALUATORS[("twoD", "lyapunov")][0]
+    records = [resonant_2d_design(omega=1.0, G_o=float(g), G_m=float(g) / math.sqrt(2.0),
+                                  kappa=_FIG4_KAPPA) for g in _FIG4_G]
     rows = []
     worst_joint = 0.0
     worst_product = 0.0
-    for g in _FIG4_G:
-        p = resonant_2d_design(
-            omega=1.0, G_o=float(g), G_m=float(g) / math.sqrt(2.0),
-            kappa=_FIG4_KAPPA,
-        )
-        cf, _ = closed_form(p)
-        ly, _ = lyapunov(p)
+    for g, cf, ly in zip(_FIG4_G, record_values("twoD", "closed_form", records),
+                         record_values("twoD", "lyapunov", records)):
         mu, mu_prod = cf["purity_2d"], cf["purity_product"]
         worst_joint = max(worst_joint, _rel_err(ly["purity_2d"], mu))
         worst_product = max(worst_product, _rel_err(ly["purity_product"], mu_prod))

@@ -87,6 +87,8 @@ class Cov2D:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise DegenerateState("Cov2D expects a 4x4 matrix")
+        if not np.isfinite(m).all():
+            raise DegenerateState("covariance matrix has a non-finite entry")
         scale = np.abs(m).max() or 1.0
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise DegenerateState("covariance matrix must be symmetric")

@@ -1,11 +1,14 @@
 """Grid evaluation engine and deterministic CSV output.
 
 A sweep is a RunConfig (model, solver, base parameters, requested
-quantities) plus a SweepSpec (one or two named axes). Lyapunov grids
-are evaluated as stacked solves over chunks of grid points in this
-process; the other solvers evaluate point by point, optionally in
-parallel. Rows come out in grid order, and output never depends on
-worker count, chunking or completion order.
+quantities) plus a SweepSpec (one or two named axes). Each (model,
+solver) pair has one evaluator, which takes a list of params records
+and returns one outcome per record; the Lyapunov evaluators solve the
+list as one stack. Sweeps, figures, validation and optimize all
+evaluate through it, a grid in chunks of grid points in this process.
+Spectral and closed-form grids can instead be spread point by point
+over worker processes. Rows come out in grid order, and output never
+depends on worker count, chunking or completion order.
 
 Unstable or invalid grid points (errors with exit code 2 or 3, see
 :mod:`omsteady.errors`) are kept as rows with an explicit stable=0
@@ -29,15 +32,19 @@ from warnings import catch_warnings
 
 import numpy as np
 
-from .closedform import (backaction_1d, backaction_2d, bare_occupation,
+from .closedform import (_reference_error, backaction_1d, backaction_2d,
                          bare_occupation_batch, rwa_optimum)
-from .errors import InvalidParams, OmsteadyError
-from .gaussian import (Cov1D, occupation_and_purity_1d, occupation_and_purity_1d_batch,
-                       purity_2d_general, summary_2d_batch)
-from .langevin import (NoiseMode, build_1d, build_2d, build_rwa, steady_covariance,
-                       steady_covariance_batch)
+from .errors import InvalidParams, OmsteadyError, UncertaintyViolation, flag_first
+from .gaussian import occupation_and_purity_1d_batch, summary_2d_batch
+from .langevin import NoiseMode, build_1d, build_2d, build_rwa, steady_covariance_batch
 from .models import SystemParams1D, SystemParams2D, SystemParamsRWA, bright_dark
 from .spectral import integrate_moments
+
+# Not called here, since every route evaluates lists of records, but
+# perfbench/spans.py wraps these names of this module for its traces.
+from .closedform import bare_occupation  # noqa: F401
+from .gaussian import occupation_and_purity_1d, purity_2d_general  # noqa: F401
+from .langevin import steady_covariance  # noqa: F401
 
 __all__ = [
     "RunConfig",
@@ -56,6 +63,8 @@ __all__ = [
     "check_param_names",
     "evaluate_config",
     "evaluate_records",
+    "record_values",
+    "evaluate_grid",
     "format_float",
     "UNITS",
     "MAX_GRID_POINTS",
@@ -121,56 +130,78 @@ UNITS = {
 }
 
 
-def _oneD_values(cov: Cov1D, p: SystemParams1D) -> dict:
-    n, mu = occupation_and_purity_1d(cov)
-    return {
-        "xx": cov.xx, "pp": cov.pp, "xp": cov.xp,
-        "n_bar": n, "purity": mu,
-        "n_bar_0": bare_occupation(cov, p.omega_b, p.mass),
-    }
+def _each(evaluate, records) -> list:
+    """evaluate(p) per record, or the OmsteadyError it raised.
+
+    An error is kept without its traceback. The traceback holds this
+    frame and its callers, which hold the list the error is kept in: a
+    reference cycle that would keep each chunk alive until the garbage
+    collector runs.
+    """
+    out = []
+    for p in records:
+        try:
+            out.append(evaluate(p))
+        except OmsteadyError as exc:
+            out.append(exc.with_traceback(None))
+    return out
 
 
-def _eval_oneD_lyapunov(p: SystemParams1D) -> tuple[dict, tuple[str, ...]]:
-    sys = build_1d(p, NoiseMode.MarkovianThermal)
-    return _oneD_values(steady_covariance(sys).mechanical_1d(), p), sys.warnings
+def _solved(records, solve):
+    """solve(p) per record, the errors, and the indices of the records it settled."""
+    out = _each(solve, records)
+    errors = [o if isinstance(o, OmsteadyError) else None for o in out]
+    return out, errors, [k for k, e in enumerate(errors) if e is None]
 
 
-def _eval_oneD_spectral(p: SystemParams1D) -> tuple[dict, tuple[str, ...]]:
-    return _oneD_values(integrate_moments(p), p), ()
+def _rows(errors: list, warns, idx, cols: dict, later: list) -> list:
+    """Per record its error, or (values, warnings) from the columns over the records idx."""
+    out = list(errors)
+    names = list(cols)
+    for k, e, vals in zip(idx, later, zip(*(c.tolist() for c in cols.values()))):
+        out[k] = e if e is not None else (dict(zip(names, vals)), warns[k])
+    return out
 
 
-def _eval_oneD_closed_form(p: SystemParams1D) -> tuple[dict, tuple[str, ...]]:
-    r = backaction_1d(p)
-    cov = Cov1D(xx=r.xx, pp=r.pp, xp=0.0, hbar=p.hbar)
-    out = {
-        "xx": r.xx, "pp": r.pp, "xp": 0.0,
-        "n_bar": r.n_bar, "purity": r.purity,
-        "n_bar_0": bare_occupation(cov, p.omega_b, p.mass),
-        "M_Omega": r.M_Omega, "n_min_weak": r.n_min_weak,
-    }
-    return out, ()
+def _oneD_rows(records, errors, warns, idx, xx, pp, xp, n_mu=None, extra=None) -> list:
+    """Rows of a 1D route from the second moments of the records idx.
+
+    The checks follow the scalar chain: Cov1D's nonnegative variances,
+    occupation_and_purity_1d (skipped where the route gives n_mu), and
+    bare_occupation at the record's oscillator.
+    """
+    later: list = [None] * len(idx)
+    flag_first(later, (xx < 0) | (pp < 0),
+               lambda j: UncertaintyViolation("diagonal variances must be nonnegative"))
+    hbar = np.array([records[k].hbar for k in idx], dtype=float)
+    if n_mu is None:
+        n, mu, occupation_errors = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
+        later = [e if e is not None else f for e, f in zip(later, occupation_errors)]
+    else:
+        n, mu = n_mu
+    n_0, settled = bare_occupation_batch(xx, pp, hbar, [records[k].omega_b for k in idx],
+                                         [records[k].mass for k in idx])
+    flag_first(later, ~settled, lambda j: _reference_error())
+    cols = {**dict(zip(_ONE_D, (xx, pp, xp, n, mu, n_0))), **(extra or {})}
+    return _rows(errors, warns, idx, cols, later)
 
 
-def _summary_2d(cov) -> dict:
-    s = purity_2d_general(cov)
-    return {
-        "purity_2d": s.purity_2d,
-        "purity_product": s.purity_product_1d,
-        "N_plus": s.N_plus,
-        "N_minus": s.N_minus,
-    }
+def _batch_oneD_spectral(records) -> list:
+    covs, errors, idx = _solved(records, integrate_moments)
+    xx, pp, xp = (np.array([getattr(covs[k], f) for k in idx], dtype=float)
+                  for f in ("xx", "pp", "xp"))
+    return _oneD_rows(records, errors, [()] * len(records), idx, xx, pp, xp)
 
 
-def _eval_twoD_lyapunov(p: SystemParams2D) -> tuple[dict, tuple[str, ...]]:
-    sys = build_2d(p, NoiseMode.MarkovianThermal)
-    cov = steady_covariance(sys).mechanical_2d()
-    V = cov.matrix
-    out = {
-        "xx_b": V[0, 0], "pp_b": V[1, 1], "xx_d": V[2, 2], "pp_d": V[3, 3],
-        "x_b_x_d": V[0, 2], "p_b_p_d": V[1, 3],
-    }
-    out.update(_summary_2d(cov))
-    return out, sys.warnings
+def _batch_oneD_closed_form(records) -> list:
+    results, errors, idx = _solved(records, backaction_1d)
+
+    def col(name):
+        return np.array([getattr(results[k], name) for k in idx], dtype=float)
+
+    return _oneD_rows(records, errors, [()] * len(records), idx, col("xx"), col("pp"),
+                      np.zeros(len(idx)), n_mu=(col("n_bar"), col("purity")),
+                      extra={"M_Omega": col("M_Omega"), "n_min_weak": col("n_min_weak")})
 
 
 def _eval_twoD_closed_form(p: SystemParams2D) -> tuple[dict, tuple[str, ...]]:
@@ -183,19 +214,6 @@ def _eval_twoD_closed_form(p: SystemParams2D) -> tuple[dict, tuple[str, ...]]:
     return out, ()
 
 
-def _eval_rwa_lyapunov(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
-    sys = build_rwa(p)
-    full = steady_covariance(sys)
-    cov = full.mechanical_2d()
-    V = full.matrix
-    out = {
-        "n_b": 0.5 * (V[2, 2] + V[3, 3] - 1.0),
-        "n_d": 0.5 * (V[4, 4] + V[5, 5] - 1.0),
-    }
-    out.update(_summary_2d(cov))
-    return out, sys.warnings
-
-
 def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
     with catch_warnings(record=True) as caught:
         g_m_opt, mu = rwa_optimum(p)
@@ -204,79 +222,53 @@ def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
     )
 
 
-def _settled_covariances(records, build):
+def _settled_covariances(records, build, n: int):
     """Build every record's system and solve them as one stack.
 
-    Returns the systems (None where the build raised), the indices of
-    the records whose solve settled, and their covariances (None when
-    no system was built).
+    Returns per record the error its build or solve raised (None where
+    it settled) and its system's warnings, then the indices of the
+    settled records with their covariances V[len(idx), n, n] and hbar.
     """
-    systems = []
-    for p in records:
-        try:
-            systems.append(build(p))
-        except OmsteadyError:
-            systems.append(None)
-    built = [k for k, sys in enumerate(systems) if sys is not None]
-    if not built:
-        return systems, [], None
-    batch = steady_covariance_batch(np.stack([systems[k].drift for k in built]),
-                                    np.stack([systems[k].diffusion for k in built]))
-    keep = [j for j, e in enumerate(batch.errors) if e is None]
-    return systems, [built[j] for j in keep], batch.matrix[keep]
+    systems, errors, built = _solved(records, build)
+    V = np.empty((0, n, n))
+    if built:
+        batch = steady_covariance_batch(np.stack([systems[k].drift for k in built]),
+                                        np.stack([systems[k].diffusion for k in built]))
+        for k, e in zip(built, batch.errors):
+            errors[k] = e
+        V = batch.matrix[[j for j, e in enumerate(batch.errors) if e is None]]
+    idx = [k for k in built if errors[k] is None]
+    warns = [() if isinstance(s, OmsteadyError) else s.warnings for s in systems]
+    return errors, warns, idx, V, np.array([systems[k].hbar for k in idx], dtype=float)
 
 
-def _rows(count, systems, idx, cols: dict, settled) -> list:
-    """(values, warnings) per record from stacked columns over idx, None elsewhere."""
-    out = [None] * count
-    names = list(cols)
-    for k, ok, vals in zip(idx, settled, zip(*(c.tolist() for c in cols.values()))):
-        if ok:
-            out[k] = dict(zip(names, vals)), systems[k].warnings
-    return out
-
-
-def _summary_rows(records, systems, idx, W, head: dict) -> list:
-    """Rows of a two-mode evaluator: its own columns, then the 2D summary of W."""
-    s, errors = summary_2d_batch(W, np.array([systems[k].hbar for k in idx]))
+def _summary_rows(errors, warns, idx, W, hbar, head: dict) -> list:
+    """Rows of a two-mode route: its own columns, then the 2D summary of W."""
+    s, later = summary_2d_batch(W, hbar)
     cols = {**head, "purity_2d": s.purity_2d, "purity_product": s.purity_product_1d,
             "N_plus": s.N_plus, "N_minus": s.N_minus}
-    return _rows(len(records), systems, idx, cols, [e is None for e in errors])
+    return _rows(errors, warns, idx, cols, later)
 
 
 def _batch_oneD_lyapunov(records) -> list:
-    systems, idx, V = _settled_covariances(
-        records, lambda p: build_1d(p, NoiseMode.MarkovianThermal))
-    if V is None:
-        return [None] * len(records)
-    xx, pp, xp = V[:, 0, 0], V[:, 1, 1], V[:, 0, 1]
-    hbar = np.array([systems[k].hbar for k in idx])
-    n, mu, errors = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
-    n_0, settled = bare_occupation_batch(xx, pp, hbar, [records[k].omega_b for k in idx],
-                                         [records[k].mass for k in idx])
-    # Cov1D rejects a negative variance (NaN passes).
-    settled &= ~((xx < 0) | (pp < 0)) & np.array([e is None for e in errors], dtype=bool)
-    cols = dict(zip(_ONE_D, (xx, pp, xp, n, mu, n_0)))
-    return _rows(len(records), systems, idx, cols, settled)
+    errors, warns, idx, V, _ = _settled_covariances(
+        records, lambda p: build_1d(p, NoiseMode.MarkovianThermal), 4)
+    return _oneD_rows(records, errors, warns, idx, V[:, 0, 0], V[:, 1, 1], V[:, 0, 1])
 
 
 def _batch_twoD_lyapunov(records) -> list:
-    systems, idx, V = _settled_covariances(
-        records, lambda p: build_2d(p, NoiseMode.MarkovianThermal))
-    if V is None:
-        return [None] * len(records)
+    errors, warns, idx, V, hbar = _settled_covariances(
+        records, lambda p: build_2d(p, NoiseMode.MarkovianThermal), 6)
     head = {"xx_b": V[:, 0, 0], "pp_b": V[:, 1, 1], "xx_d": V[:, 2, 2], "pp_d": V[:, 3, 3],
             "x_b_x_d": V[:, 0, 2], "p_b_p_d": V[:, 1, 3]}
-    return _summary_rows(records, systems, idx, V[:, :4, :4], head)
+    return _summary_rows(errors, warns, idx, V[:, :4, :4], hbar, head)
 
 
 def _batch_rwa_lyapunov(records) -> list:
-    systems, idx, V = _settled_covariances(records, build_rwa)
-    if V is None:
-        return [None] * len(records)
+    errors, warns, idx, V, hbar = _settled_covariances(records, build_rwa, 6)
     head = {"n_b": 0.5 * (V[:, 2, 2] + V[:, 3, 3] - 1.0),
             "n_d": 0.5 * (V[:, 4, 4] + V[:, 5, 5] - 1.0)}
-    return _summary_rows(records, systems, idx, V[:, 2:, 2:], head)
+    return _summary_rows(errors, warns, idx, V[:, 2:, 2:], hbar, head)
 
 
 _ONE_D = ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0")
@@ -284,25 +276,20 @@ _TWO_D = ("xx_b", "pp_b", "xx_d", "pp_d", "x_b_x_d", "p_b_p_d")
 _JOINT = ("purity_2d", "purity_product")
 _MODAL = ("N_plus", "N_minus")
 
-#: (model, solver) -> (evaluator, the quantities it returns, in CSV order).
+#: (model, solver) -> (evaluate_many, the quantities it returns, in CSV
+#: order). evaluate_many takes a list of params records and returns,
+#: per record, (values, warnings) or the OmsteadyError its evaluation
+#: raises.
 _EVALUATORS = {
-    ("oneD", "lyapunov"): (_eval_oneD_lyapunov, _ONE_D),
-    ("oneD", "spectral"): (_eval_oneD_spectral, _ONE_D),
-    ("oneD", "closed_form"): (_eval_oneD_closed_form, _ONE_D + ("M_Omega", "n_min_weak")),
-    ("twoD", "lyapunov"): (_eval_twoD_lyapunov, _TWO_D + _JOINT + _MODAL),
-    ("twoD", "closed_form"): (_eval_twoD_closed_form, _TWO_D + _JOINT),
-    ("rwa", "lyapunov"): (_eval_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL),
-    ("rwa", "closed_form"): (_eval_rwa_closed_form, ("G_m_opt", "purity_opt")),
-}
-
-#: (model, solver) -> batch form of the evaluator, for the pairs that
-#: have one. A batch form takes a list of params records and returns,
-#: per record, what the evaluator returns for it, or None where it
-#: does not settle the record.
-_BATCH_FORMS = {
-    ("oneD", "lyapunov"): _batch_oneD_lyapunov,
-    ("twoD", "lyapunov"): _batch_twoD_lyapunov,
-    ("rwa", "lyapunov"): _batch_rwa_lyapunov,
+    ("oneD", "lyapunov"): (_batch_oneD_lyapunov, _ONE_D),
+    ("oneD", "spectral"): (_batch_oneD_spectral, _ONE_D),
+    ("oneD", "closed_form"): (_batch_oneD_closed_form, _ONE_D + ("M_Omega", "n_min_weak")),
+    ("twoD", "lyapunov"): (_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL),
+    ("twoD", "closed_form"): (lambda records: _each(_eval_twoD_closed_form, records),
+                              _TWO_D + _JOINT),
+    ("rwa", "lyapunov"): (_batch_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL),
+    ("rwa", "closed_form"): (lambda records: _each(_eval_rwa_closed_form, records),
+                             ("G_m_opt", "purity_opt")),
 }
 
 
@@ -380,6 +367,8 @@ class Axis:
             raise InvalidParams("axis scale must be 'linear' or 'log'")
         if self.scale == "log" and self.lo <= 0:
             raise InvalidParams("log axis needs lo > 0")
+        if self.scale == "linear" and not math.isfinite(self.hi - self.lo):
+            raise InvalidParams(f"linear axis {self.name!r} needs a finite hi - lo")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -509,10 +498,13 @@ def _record(params, overrides: dict):
     return p
 
 
-def _run(evaluator, p) -> tuple[dict, tuple[str, ...]]:
-    """An evaluator's values and warnings, with the Python warnings it raised."""
+def _run(evaluate_many, p):
+    """evaluate_many on the list [p]: p's outcome, with the Python warnings it raised."""
     with catch_warnings(record=True) as caught:
-        values, warn = evaluator(p)
+        (res,) = evaluate_many([p])
+    if isinstance(res, OmsteadyError):
+        return res
+    values, warn = res
     return values, warn + tuple(str(w.message) for w in caught)
 
 
@@ -526,7 +518,10 @@ def evaluate_config(config: RunConfig,
     final frequencies and scales.
     """
     p = _record(config.params, overrides or {})
-    values, warn = _run(_EVALUATORS[(config.model, config.solver)][0], p)
+    res = _run(_EVALUATORS[(config.model, config.solver)][0], p)
+    if isinstance(res, OmsteadyError):
+        raise res
+    values, warn = res
     return {q: values[q] for q in config.outputs}, warn
 
 
@@ -561,49 +556,47 @@ def evaluate_records(model: str, solver: str, records: list) -> list:
     """Evaluate params records; per record what evaluate_config returns.
 
     Each item is (values, warnings) with every quantity of the pair, or
-    the OmsteadyError the record's evaluation raised. A pair with a
-    batch form runs it on chunks of _CHUNK records, and evaluates alone
-    each record the batch form does not settle, so its error is the
-    scalar one. A chunk in which any Python warning is raised is
-    evaluated record by record, so each record carries exactly the
-    warnings its own evaluation raises.
+    the OmsteadyError the record's evaluation raised. The pair's
+    evaluator runs on chunks of _CHUNK records. A chunk in which any
+    Python warning is raised is evaluated again as lists of one record,
+    so each record carries exactly the warnings its own evaluation
+    raises.
     """
-    evaluator = _EVALUATORS[(model, solver)][0]
-    batch = _BATCH_FORMS.get((model, solver))
+    evaluate_many = _EVALUATORS[(model, solver)][0]
     out = []
     for start in range(0, len(records), _CHUNK):
         chunk = records[start:start + _CHUNK]
-        results = [None] * len(chunk)
-        if batch is not None:
-            with catch_warnings(record=True) as caught:
-                results = batch(chunk)
-            if caught:
-                results = [None] * len(chunk)
-        for p, res in zip(chunk, results):
-            if res is None:
-                try:
-                    res = _run(evaluator, p)
-                except OmsteadyError as exc:
-                    res = exc
-            out.append(res)
+        with catch_warnings(record=True) as caught:
+            results = evaluate_many(chunk)
+        if caught:
+            results = [_run(evaluate_many, p) for p in chunk]
+        out.extend(results)
     return out
 
 
-def _batch_sweep_rows(config: RunConfig, names: list[str], grid) -> list[SweepRow]:
-    """The rows of a grid whose evaluator has a batch form, in grid order.
+def record_values(model: str, solver: str, records: list) -> list[dict]:
+    """The values of each record, evaluated as in evaluate_records.
 
-    Records are built one chunk of grid points at a time, so a large
+    Raises the error of the first record that does not settle.
+    """
+    outcomes = evaluate_records(model, solver, records)
+    for out in outcomes:
+        if isinstance(out, OmsteadyError):
+            raise out
+    return [values for values, _ in outcomes]
+
+
+def evaluate_grid(config: RunConfig, names: list[str], grid) -> list[SweepRow]:
+    """The rows of the grid points (values of the named parameters), in order.
+
+    Each row is what evaluate_point returns for its point. Records are
+    built and evaluated one chunk of grid points at a time, so a large
     grid never holds more than one chunk of them.
     """
     rows = []
     for start in range(0, len(grid), _CHUNK):
         points = [tuple(pt) for pt in grid[start:start + _CHUNK]]
-        outcomes: list = []
-        for point in points:
-            try:
-                outcomes.append(_record(config.params, dict(zip(names, point))))
-            except OmsteadyError as exc:
-                outcomes.append(exc)
+        outcomes = _each(lambda pt: _record(config.params, dict(zip(names, pt))), points)
         built = [k for k, o in enumerate(outcomes) if not isinstance(o, OmsteadyError)]
         results = evaluate_records(config.model, config.solver, [outcomes[k] for k in built])
         for k, res in zip(built, results):
@@ -632,29 +625,28 @@ def _usable_cpus() -> int:
 def run_sweep(config: RunConfig, spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the grid; row order is grid order regardless of jobs.
 
-    A grid whose evaluator has a batch form (the Lyapunov solver) runs
-    as stacked solves in this process, whatever ``jobs`` is. Other
-    grids start at most one worker process per grid point and per
-    usable CPU, whatever ``jobs`` asks for; one worker means no pool.
-    An axis that with_param cannot set raises InvalidParams before any
-    point is evaluated.
+    The grid runs in chunks in this process (see evaluate_grid) when
+    ``jobs`` is 1 and, whatever ``jobs`` is, for the Lyapunov solver.
+    Other grids start at most one worker process per grid point and
+    per usable CPU, whatever ``jobs`` asks for; one worker means no
+    pool. An axis that with_param cannot set raises InvalidParams
+    before any point is evaluated.
     """
     if jobs < 1:
         raise InvalidParams("jobs must be at least 1")
     names = [a.name for a in spec.axes]
     check_param_names(config.params, names)
     grid = spec.grid()
-    if (config.model, config.solver) in _BATCH_FORMS:
-        rows = _batch_sweep_rows(config, names, grid)
-        return SweepResult(config=config, spec=spec, rows=tuple(rows))
-    tasks = [(config, names, pt) for pt in grid]
-    if jobs > 1:
-        jobs = min(jobs, len(tasks), _usable_cpus())
+    if jobs > 1 and config.solver != "lyapunov":
+        jobs = min(jobs, len(grid), _usable_cpus())
+    else:
+        jobs = 1
     if jobs == 1:
-        rows = [_worker(t) for t in tasks]
+        rows = evaluate_grid(config, names, grid)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_worker, tasks, chunksize=16))
+            rows = list(pool.map(_worker, [(config, names, pt) for pt in grid],
+                                 chunksize=16))
     return SweepResult(config=config, spec=spec, rows=tuple(rows))
 
 

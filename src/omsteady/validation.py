@@ -11,9 +11,9 @@ The checks are deliberately kept as separate named entries rather than
 one big assertion, so a regression report points at the physics that
 broke, not at a generic "validation failed".
 
-Checks that compare solvers on model quantities evaluate each route
-through the sweep evaluator registry, so they test the same numeric
-path that sweeps and figures use.
+Checks that compare solvers on model quantities evaluate each route's
+grid as one list through the sweep evaluator registry, so they test
+the same numeric path that sweeps and figures use.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import backaction_1d, strong_coupling
-from .figures import _FIG3_KAPPA, fig3_params, fig3_values
+from .figures import _FIG3_KAPPA, fig3_params
 from .gaussian import Cov1D, decompose_1d
 from .langevin import (
     LYAPUNOV_RESIDUAL_RTOL,
@@ -45,7 +45,7 @@ from .spectral import (
     position_psd,
     moment_integrals,
 )
-from .sweep import _EVALUATORS
+from .sweep import record_values
 
 __all__ = ["CheckResult", "run_validation", "CHECK_NAMES"]
 
@@ -99,12 +99,10 @@ def _grid_1d():
 def _check_lyapunov_vs_closed_form_1d() -> CheckResult:
     """Five steady-state quantities, exact formulas vs Lyapunov solve."""
     tol = 1e-10
-    closed_form = _EVALUATORS[("oneD", "closed_form")][0]
-    lyapunov = _EVALUATORS[("oneD", "lyapunov")][0]
+    grid = list(_grid_1d())
     worst, where = 0.0, ""
-    for p in _grid_1d():
-        cf, _ = closed_form(p)
-        ly, _ = lyapunov(p)
+    for p, cf, ly in zip(grid, record_values("oneD", "closed_form", grid),
+                         record_values("oneD", "lyapunov", grid)):
         cov = Cov1D(xx=ly["xx"], pp=ly["pp"], xp=ly["xp"], hbar=p.hbar)
         errs = (
             abs(cov.xx - cf["xx"]) / cf["xx"],
@@ -122,10 +120,10 @@ def _check_lyapunov_vs_closed_form_1d() -> CheckResult:
 def _check_oracle_chain_1d() -> CheckResult:
     """Closed form, Lyapunov and spectral quadrature, pairwise on xx/pp."""
     tol = 1e-6
-    routes = [_EVALUATORS[("oneD", s)][0] for s in ("closed_form", "lyapunov", "spectral")]
+    grid = list(_grid_1d())
+    routes = [record_values("oneD", s, grid) for s in ("closed_form", "lyapunov", "spectral")]
     worst, where = 0.0, ""
-    for p in _grid_1d():
-        cf, ly, sp = (route(p)[0] for route in routes)
+    for p, cf, ly, sp in zip(grid, *routes):
         for name in ("xx", "pp"):
             a, b, c = cf[name], ly[name], sp[name]
             e = max(abs(a - b), abs(b - c), abs(a - c)) / abs(a)
@@ -146,12 +144,10 @@ def _grid_2d():
 def _check_oracle_chain_2d() -> CheckResult:
     """Six exact two-mode moments vs the 6x6 Lyapunov solve."""
     tol = 1e-8
-    closed_form = _EVALUATORS[("twoD", "closed_form")][0]
-    lyapunov = _EVALUATORS[("twoD", "lyapunov")][0]
+    grid = list(_grid_2d())
     worst, where = 0.0, ""
-    for p in _grid_2d():
-        cf, _ = closed_form(p)
-        ly, _ = lyapunov(p)
+    for p, cf, ly in zip(grid, record_values("twoD", "closed_form", grid),
+                         record_values("twoD", "lyapunov", grid)):
         for name in ("xx_b", "pp_b", "xx_d", "pp_d", "x_b_x_d", "p_b_p_d"):
             e = abs(ly[name] - cf[name]) / max(abs(cf[name]), 1e-6)
             if e > worst:
@@ -186,13 +182,13 @@ def _check_rwa_vs_full_model() -> CheckResult:
         omega=1.0, G_o=g_o, G_m=g_o / math.sqrt(2.0), kappa=kappa,
         gamma=gamma, temperature=temp,
     )
-    mu_full = _EVALUATORS[("twoD", "lyapunov")][0](p2)[0]["purity_2d"]
+    mu_full = record_values("twoD", "lyapunov", [p2])[0]["purity_2d"]
     pr = SystemParamsRWA(
         omega_b=1.0, omega_d=1.0, gamma_b=gamma, gamma_d=gamma,
         kappa=kappa, delta=1.0, G_o=g_o, G_m=g_o / math.sqrt(2.0),
         n_B_b=n_b, n_B_d=n_b,
     )
-    mu_rwa = _EVALUATORS[("rwa", "lyapunov")][0](pr)[0]["purity_2d"]
+    mu_rwa = record_values("rwa", "lyapunov", [pr])[0]["purity_2d"]
     worst = abs(mu_full - mu_rwa) / mu_full
     return CheckResult(
         "rwa-vs-full-model", worst <= tol, worst, tol,
@@ -207,12 +203,11 @@ def _check_bare_occupation_dominates() -> CheckResult:
     and open up at strong drive (the two occupations are genuinely
     different quantities there, not one curve with rounding noise).
     """
-    closed_form = _EVALUATORS[("oneD", "closed_form")][0]
-    lyapunov = _EVALUATORS[("oneD", "lyapunov")][0]
-    gaps = []
-    for g in np.linspace(0.005, 0.45, 90):
-        p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=float(g))
-        gaps.append(lyapunov(p)[0]["n_bar_0"] - closed_form(p)[0]["n_bar"])
+    grid = [SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=float(g))
+            for g in np.linspace(0.005, 0.45, 90)]
+    gaps = [ly["n_bar_0"] - cf["n_bar"]
+            for ly, cf in zip(record_values("oneD", "lyapunov", grid),
+                              record_values("oneD", "closed_form", grid))]
     worst = -min(gaps)  # positive iff the ordering is violated somewhere
     passed = worst <= 0.0 and gaps[0] < 1e-4 and gaps[-1] > 1e-2
     return CheckResult(
@@ -249,12 +244,13 @@ def _check_rwa_optimum_location() -> CheckResult:
         g_o = g_o_ratio * kappa
         target = g_o / math.sqrt(2.0)
         grid = np.linspace(0.3 * target, 2.0 * target, 120)
-        purities = [s["purity_2d"] for s in fig3_values([(g_o, float(g)) for g in grid])]
+        purities = [s["purity_2d"] for s in record_values(
+            "rwa", "lyapunov", [fig3_params(g_o, float(g)) for g in grid])]
         g_best = float(grid[int(np.argmax(purities))])
         e = abs(g_best - target) / target
         if e > worst:
             worst, where = e, f"G_o={g_o:.3g}: grid opt {g_best:.4g} vs {target:.4g}"
-    optimum, _ = _EVALUATORS[("rwa", "closed_form")][0](fig3_params(2.0 * kappa, kappa))
+    (optimum,) = record_values("rwa", "closed_form", [fig3_params(2.0 * kappa, kappa)])
     formula_opt = optimum["G_m_opt"]
     assert abs(formula_opt - 2.0 * kappa / math.sqrt(2.0)) < 1e-15
     return CheckResult("rwa-optimum-location", worst <= tol, worst, tol, where)

@@ -110,6 +110,21 @@ class TestPoint:
         assert err == ("config error: response polynomial has a non-finite coefficient "
                        "relative to its leading one\n")
 
+    @pytest.mark.parametrize("g_o", ["0", "1e-200"])
+    def test_rwa_closed_form_zero_cooperativity_is_out_of_regime(self, g_o, capsys):
+        # G_o^2 is 0 or underflows, so 1/C_o in the optimum formula divides by zero
+        assert run_cli("point", "--param", "model=rwa", "--solver", "closed_form",
+                       "--param", f"G_o={g_o}") == 3
+        assert capsys.readouterr().err == ("unstable or out of regime: cooperativity is "
+                                           "zero; the optimum needs G_o^2 > 0\n")
+
+    def test_twoD_closed_form_non_finite_covariance_is_out_of_regime(self, capsys):
+        # 1/delta overflows, so the backaction moments are not finite
+        assert run_cli("point", "--param", "model=twoD", "--solver", "closed_form",
+                       "--param", "delta=1e-310") == 3
+        assert capsys.readouterr().err == ("unstable or out of regime: covariance matrix "
+                                           "has a non-finite entry\n")
+
     def test_missing_config_file(self, capsys):
         assert run_cli("point", "--config", "/nonexistent/x.ini") == 2
 
@@ -232,6 +247,22 @@ axis1 = G_o, 0.1, 0.4, 5
         err = capsys.readouterr().err
         assert err == "config error: axis 'G_o' needs finite lo and hi\n"
         assert not out.exists()
+
+    def test_linear_axis_wider_than_a_float_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--axis", "delta,-1e308,1e308,3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("config error: linear axis 'delta' needs a "
+                                           "finite hi - lo\n")
+        assert not out.exists()
+
+    def test_rwa_closed_form_flags_zero_cooperativity_row(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--param", "model=rwa", "--solver", "closed_form",
+                       "--axis", "G_o,0,2e-3,3", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[2:]]
+        assert rows[0] == ["0", "", "", "0", "InvalidRegime: cooperativity is zero; "
+                                              "the optimum needs G_o^2 > 0"]
+        assert [r[3] for r in rows[1:]] == ["1", "1"]
 
     def test_huge_axis_count_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sweep.Axis, "values", lambda self: pytest.fail("grid was built"))

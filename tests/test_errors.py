@@ -23,10 +23,10 @@ ROUTE = ("oneD", "closed_form")
 
 @pytest.fixture
 def failing_route(monkeypatch):
-    """Make the oneD closed-form evaluator raise a given error type."""
+    """Make the oneD closed-form evaluator give every record a given error type."""
     def install(exc_type):
-        def fail(p):
-            raise exc_type("injected")
+        def fail(records):
+            return [exc_type("injected") for _ in records]
         monkeypatch.setitem(sweep._EVALUATORS, ROUTE,
                             (fail, sweep._EVALUATORS[ROUTE][1]))
     return install

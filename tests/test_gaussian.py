@@ -263,6 +263,13 @@ class TestTwoModePurity:
         with pytest.raises(DegenerateState):
             Cov2D(bad)
 
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    def test_non_finite_rejected(self, entry):
+        bad = 0.5 * np.eye(4)
+        bad[1, 1] = entry
+        with pytest.raises(DegenerateState, match="non-finite entry"):
+            Cov2D(bad)
+
 
 class TestReducedPurityFormula:
     @given(nu_1=two_mode_nus, nu_2=two_mode_nus, alpha=angles, beta=angles)

@@ -27,3 +27,15 @@ def test_spectral_diagnostics_prints_the_gated_sum_rule_deviation(capsys):
         deviation = abs(comm - p.hbar / 2.0) / (p.hbar / 2.0)
         assert line.split()[-1] == f"{deviation:.1e}"
         assert float(line.split()[-1]) < 1e-6
+
+
+def test_perfbench_trace_sites_resolve():
+    # perfbench/spans.py wraps these names where omsteady looks them up
+    path = SCRIPTS.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans._SITES
+    missing = [(owner.__name__, attr) for owner, attr, _ in spans._SITES
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from omsteady import sweep
-from omsteady.closedform import backaction_1d
-from omsteady.errors import InvalidParams
+from omsteady.closedform import backaction_1d, bare_occupation
+from omsteady.errors import InvalidParams, OmsteadyError
+from omsteady.gaussian import Cov1D, Cov2D, occupation_and_purity_1d, purity_2d_general
+from omsteady.langevin import (CovarianceBatch, NoiseMode, build_1d, build_2d, build_rwa,
+                               steady_covariance)
 from omsteady.models import SystemParams1D, SystemParams2D, SystemParamsRWA, resonant_2d_design
 from omsteady.sweep import (
     Axis,
@@ -49,6 +52,7 @@ class TestAxis:
         dict(lo=0.0, hi=1.0, count=5, scale="log"),
         dict(lo=0.1, hi=math.inf, count=3),
         dict(lo=-math.inf, hi=0.2, count=3),
+        dict(lo=-1e308, hi=1e308, count=3),
         dict(lo=0.1, hi=0.2, count=sweep.MAX_GRID_POINTS + 1),
         dict(lo=0.1, hi=0.2, count=100_000_000_000),
     ])
@@ -254,7 +258,8 @@ class TestRunSweep:
         route = ("oneD", "closed_form")
         evaluator, quantities = sweep._EVALUATORS[route]
         monkeypatch.setitem(sweep._EVALUATORS, route,
-                            (lambda p: calls.append(p) or evaluator(p), quantities))
+                            (lambda records: calls.extend(records) or evaluator(records),
+                             quantities))
         spec = SweepSpec(axes=(Axis("G_o", 0.1, 0.2, 2), Axis("foo", 0.1, 0.2, 2)))
         with pytest.raises(InvalidParams, match="has no parameter 'foo'"):
             run_sweep(config_1d(), spec)
@@ -283,9 +288,58 @@ STACKED_GRIDS = {
 }
 
 
-def _pointwise_rows(config, spec):
-    names = [a.name for a in spec.axes]
-    return tuple(evaluate_point(config, dict(zip(names, pt))) for pt in spec.grid())
+# The default points of `omsteady point`, swept over one field on a log
+# axis across the whole float range. Some stable rows carry numpy's
+# overflow warnings: mass near 1e-228 ... 3e-156, n_B_b from 1.2e81.
+RWA_DEFAULT = SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-6, gamma_d=1e-6,
+                              kappa=1e-3, delta=1.0, G_o=2e-3, G_m=2e-3 / math.sqrt(2.0),
+                              n_B_b=25.0, n_B_d=25.0)
+PROBE_GRIDS = {
+    "oneD-mass": (config_1d("lyapunov"),
+                  SweepSpec(axes=(Axis("mass", 1e-310, 1e308, 129, "log"),))),
+    "rwa-n_B_b": (RunConfig("rwa", "lyapunov", RWA_DEFAULT),
+                  SweepSpec(axes=(Axis("n_B_b", 1e-310, 1e308, 129, "log"),))),
+}
+
+
+def _scalar_values(model, p):
+    """A Lyapunov record's quantities and regime warnings through the public scalar chain."""
+    if model == "oneD":
+        system = build_1d(p, NoiseMode.MarkovianThermal)
+        cov = steady_covariance(system).mechanical_1d()
+        n, mu = occupation_and_purity_1d(cov)
+        values = {"xx": cov.xx, "pp": cov.pp, "xp": cov.xp, "n_bar": n, "purity": mu,
+                  "n_bar_0": bare_occupation(cov, p.omega_b, p.mass)}
+        return values, system.warnings
+    system = build_2d(p, NoiseMode.MarkovianThermal) if model == "twoD" else build_rwa(p)
+    full = steady_covariance(system)
+    V = full.matrix
+    s = purity_2d_general(full.mechanical_2d())
+    values = {"purity_2d": s.purity_2d, "purity_product": s.purity_product_1d,
+              "N_plus": s.N_plus, "N_minus": s.N_minus}
+    if model == "twoD":
+        values.update(xx_b=V[0, 0], pp_b=V[1, 1], xx_d=V[2, 2], pp_d=V[3, 3],
+                      x_b_x_d=V[0, 2], p_b_p_d=V[1, 3])
+    else:
+        values.update(n_b=0.5 * (V[2, 2] + V[3, 3] - 1.0), n_d=0.5 * (V[4, 4] + V[5, 5] - 1.0))
+    return values, system.warnings
+
+
+def _scalar_rows(config, spec):
+    """CSV cells of a one-axis Lyapunov grid evaluated point by point through the scalar chain."""
+    (axis,) = spec.axes
+    rows = []
+    for point in spec.grid():
+        try:
+            p = with_param(config.params, axis.name, point[0])
+            with warnings.catch_warnings(record=True) as caught:
+                values, warn = _scalar_values(config.model, p)
+            rows.append(SweepRow(point, values, True,
+                                 warn + tuple(str(w.message) for w in caught)))
+        except OmsteadyError as exc:
+            assert exc.exit_code != 4
+            rows.append(SweepRow(point, None, False, (f"{type(exc).__name__}: {exc}",)))
+    return SweepResult(config, spec, tuple(rows)).csv_rows()
 
 
 class TestStackedSweep:
@@ -295,7 +349,9 @@ class TestStackedSweep:
     def test_rows_equal_pointwise_rows(self, grid):
         config, spec = STACKED_GRIDS[grid]
         result = run_sweep(config, spec)
-        assert result.rows == _pointwise_rows(config, spec)
+        assert result.csv_rows() == _scalar_rows(config, spec)
+        assert result.rows == tuple(evaluate_point(config, {spec.axes[0].name: pt[0]})
+                                    for pt in spec.grid())
         assert any(r.stable for r in result.rows)
         assert any(not r.stable for r in result.rows) or grid == "rwa"
         if grid == "rwa":
@@ -321,17 +377,70 @@ class TestStackedSweep:
                 warnings.warn(f"injected at G_o={p.G_o!r}", RuntimeWarning)
             return build(p)
 
+        # the sweep and the scalar reference both build through it
         monkeypatch.setattr(sweep, "build_rwa", warning_build)
+        monkeypatch.setitem(globals(), "build_rwa", warning_build)
         calls = []
         run = sweep._run
         monkeypatch.setattr(sweep, "_run", lambda ev, p: calls.append(p) or run(ev, p))
         rows = run_sweep(config, spec).rows
         # points 0-63 and 64-127 are evaluated one by one, point 128 stacked
         assert len(calls) == 128
-        assert rows == _pointwise_rows(config, spec)
+        assert SweepResult(config, spec, rows).csv_rows() == _scalar_rows(config, spec)
         for g, row in zip(grid, rows):
             injected = [w for w in row.warnings if w.startswith("injected")]
             assert injected == ([f"injected at G_o={g!r}"] if g in warned else [])
+
+    @pytest.mark.parametrize("grid", PROBE_GRIDS)
+    def test_probe_rows_with_numpy_warnings_equal_scalar_rows(self, grid):
+        config, spec = PROBE_GRIDS[grid]
+        cells = run_sweep(config, spec).csv_rows()
+        assert cells == _scalar_rows(config, spec)
+        overflow = {"oneD-mass": "overflow encountered in multiply",
+                    "rwa-n_B_b": "overflow encountered in det"}[grid]
+        assert sum(row[-2] == "1" and overflow in row[-1] for row in cells) >= 10
+
+    def test_bare_occupation_overflow_adds_no_warning(self):
+        # xx is inf at a subnormal mass; bare_occupation on Python floats
+        # gives nan there without a numpy warning, and the stack keeps that
+        row = evaluate_point(config_1d("closed_form"), {"mass": 1e-310})
+        assert row.stable and row.warnings == ()
+        assert math.isinf(row.values["xx"]) and math.isnan(row.values["n_bar_0"])
+
+    def test_later_checks_give_the_scalar_errors_in_scalar_order(self, monkeypatch):
+        # covariances no real solve returns: a negative variance with a
+        # determinant below the bound (Cov1D's check comes first), a
+        # determinant below the bound, two modes below the bound, and
+        # settled states
+        blocks = {"oneD": [np.array([[-0.5, 0.0], [0.0, 0.4]]), np.diag([0.5, 0.4]),
+                           np.array([[0.6, 0.1], [0.1, 0.6]])],
+                  "rwa": [0.4 * np.eye(4), 0.6 * np.eye(4)]}
+
+        def solved(A, D):
+            n = A.shape[-1]
+            V = np.zeros((len(A), n, n))
+            lo = 0 if n == 4 else 2  # where x_b, p_b sit
+            for k, block in enumerate(blocks["oneD" if n == 4 else "rwa"]):
+                V[k, lo:lo + len(block), lo:lo + len(block)] = block
+            return CovarianceBatch(V, np.zeros(len(A)), np.ones(len(A)), (None,) * len(A))
+
+        monkeypatch.setattr(sweep, "steady_covariance_batch", solved)
+        for model, params in (("oneD", P_1D), ("rwa", RWA_BATH)):
+            results = sweep.evaluate_records(model, "lyapunov", [params] * len(blocks[model]))
+            for block, res in zip(blocks[model], results):
+                try:
+                    if model == "oneD":
+                        expect = occupation_and_purity_1d(Cov1D(*block[[0, 1, 0], [0, 1, 1]]))
+                        got = (res[0]["n_bar"], res[0]["purity"])
+                    else:
+                        expect = purity_2d_general(Cov2D(block)).purity_2d
+                        got = res[0]["purity_2d"]
+                except OmsteadyError as exc:
+                    assert isinstance(res, OmsteadyError)
+                    assert (type(res), str(res)) == (type(exc), str(exc))
+                else:
+                    assert got == expect
+            assert sum(isinstance(r, OmsteadyError) for r in results) == len(results) - 1
 
     def test_lyapunov_grid_starts_no_pool_whatever_jobs(self, monkeypatch, tmp_path):
         class NoPool:
