@@ -243,7 +243,7 @@ def _cmd_sweep(args) -> int:
     if args.out is None:
         raise InvalidParams("sweep needs --out for the CSV path")
     spec = SweepSpec(axes=tuple(_parse_axis(t) for t in axis_texts))
-    path = sweep_to_csv(config, spec, args.out, jobs=args.jobs)
+    path = sweep_to_csv(config, spec, args.out)
     print(f"wrote {path} ({math.prod(a.count for a in spec.axes)} rows)")
     return 0
 
@@ -403,10 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", metavar="SPEC", action="append",
                          help="axis as 'name, lo, hi, count[, scale]' "
                               "(repeatable, max twice; overrides [sweep])")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="parallel workers for the spectral and closed-form "
-                              "solvers; Lyapunov grids run as stacked solves in "
-                              "one process (output is identical for any N)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="reproduce a reference figure")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FixedPointDivergence, InvalidRegime, UndampedDarkMode, UnstableRegime
+from .errors import (FixedPointDivergence, InvalidParams, InvalidRegime, UndampedDarkMode,
+                     UnstableRegime)
 from .gaussian import Cov1D, Cov2D, purity_2d_general
 from .models import (
     SystemParams1D,
@@ -255,6 +256,9 @@ def backaction_1d(params: SystemParams1D) -> Backaction1DResult:
     n_min_weak = ((params.kappa / 2.0) ** 2 + (delta - params.omega_b) ** 2) / (
         4.0 * params.omega_b * delta
     )
+    if not (math.isfinite(xx) and math.isfinite(pp) and math.isfinite(n_bar)
+            and math.isfinite(M_Omega) and math.isfinite(n_min_weak)):
+        raise InvalidParams("backaction moments are not finite at this record's scales")
     return Backaction1DResult(
         xx=xx,
         pp=pp,
@@ -339,7 +343,10 @@ def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
             "dark mode is not damped: needs delta_m != 0 and a driven cavity"
         )
     K = (kappa / 2.0) ** 2 + delta**2
-    cross2 = (bd.omega_bar_m * bd.delta_m) ** 2
+    try:
+        cross2 = (bd.omega_bar_m * bd.delta_m) ** 2
+    except OverflowError:
+        raise InvalidParams("(omega_bar_m delta_m)^2 overflows at these frequencies") from None
     margin = bd.omega_b**2 - 2.0 * g2
     denom = margin * bd.omega_d**2 - cross2
     if denom <= 0 or margin <= 0:

@@ -4,11 +4,10 @@ A sweep is a RunConfig (model, solver, base parameters, requested
 quantities) plus a SweepSpec (one or two named axes). Each (model,
 solver) pair has one evaluator, which takes a list of params records
 and returns one outcome per record; the Lyapunov evaluators solve the
-list as one stack. Sweeps, figures, validation and optimize all
-evaluate through it, a grid in chunks of grid points in this process.
-Spectral and closed-form grids can instead be spread point by point
-over worker processes. Rows come out in grid order, and output never
-depends on worker count, chunking or completion order.
+list as one stack and the spectral evaluator shares each round of its
+panel rule across the list. Sweeps, figures, validation and optimize
+all evaluate through it, a grid in chunks of grid points. Rows come out
+in grid order, and a row never depends on the chunk its point falls in.
 
 Unstable or invalid grid points (errors with exit code 2 or 3, see
 :mod:`omsteady.errors`) are kept as rows with an explicit stable=0
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from warnings import catch_warnings
@@ -38,13 +36,14 @@ from .errors import InvalidParams, OmsteadyError, UncertaintyViolation, flag_fir
 from .gaussian import occupation_and_purity_1d_batch, summary_2d_batch
 from .langevin import NoiseMode, build_1d, build_2d, build_rwa, steady_covariance_batch
 from .models import SystemParams1D, SystemParams2D, SystemParamsRWA, bright_dark
-from .spectral import integrate_moments
+from .spectral import moment_integrals_batch, stationary_moments
 
 # Not called here, since every route evaluates lists of records, but
 # perfbench/spans.py wraps these names of this module for its traces.
 from .closedform import bare_occupation  # noqa: F401
 from .gaussian import occupation_and_purity_1d, purity_2d_general  # noqa: F401
 from .langevin import steady_covariance  # noqa: F401
+from .spectral import integrate_moments  # noqa: F401
 
 __all__ = [
     "RunConfig",
@@ -187,7 +186,9 @@ def _oneD_rows(records, errors, warns, idx, xx, pp, xp, n_mu=None, extra=None) -
 
 
 def _batch_oneD_spectral(records) -> list:
-    covs, errors, idx = _solved(records, integrate_moments)
+    covs, errors, idx = _solved(
+        list(zip(records, moment_integrals_batch(records))),
+        lambda pv: pv[1] if isinstance(pv[1], OmsteadyError) else stationary_moments(*pv))
     xx, pp, xp = (np.array([getattr(covs[k], f) for k in idx], dtype=float)
                   for f in ("xx", "pp", "xp"))
     return _oneD_rows(records, errors, [()] * len(records), idx, xx, pp, xp)
@@ -610,43 +611,13 @@ def evaluate_grid(config: RunConfig, names: list[str], grid) -> list[SweepRow]:
     return rows
 
 
-def _worker(task) -> SweepRow:
-    config, names, point = task
-    return evaluate_point(config, dict(zip(names, point)))
+def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
+    """Evaluate the grid in chunks (see evaluate_grid); rows in grid order.
 
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where that is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def run_sweep(config: RunConfig, spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the grid; row order is grid order regardless of jobs.
-
-    The grid runs in chunks in this process (see evaluate_grid) when
-    ``jobs`` is 1 and, whatever ``jobs`` is, for the Lyapunov solver.
-    Other grids start at most one worker process per grid point and
-    per usable CPU, whatever ``jobs`` asks for; one worker means no
-    pool. An axis that with_param cannot set raises InvalidParams
-    before any point is evaluated.
-    """
-    if jobs < 1:
-        raise InvalidParams("jobs must be at least 1")
+    An axis that with_param cannot set raises InvalidParams first."""
     names = [a.name for a in spec.axes]
     check_param_names(config.params, names)
-    grid = spec.grid()
-    if jobs > 1 and config.solver != "lyapunov":
-        jobs = min(jobs, len(grid), _usable_cpus())
-    else:
-        jobs = 1
-    if jobs == 1:
-        rows = evaluate_grid(config, names, grid)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_worker, [(config, names, pt) for pt in grid],
-                                 chunksize=16))
+    rows = evaluate_grid(config, names, spec.grid())
     return SweepResult(config=config, spec=spec, rows=tuple(rows))
 
 
@@ -672,9 +643,8 @@ def write_csv(path: str | Path, names: list[str], units: list[str],
     return _write_atomic(path, (",".join(r) + "\n" for r in (names, units, *rows)))
 
 
-def sweep_to_csv(config: RunConfig, spec: SweepSpec, path: str | Path,
-                 jobs: int = 1) -> Path:
+def sweep_to_csv(config: RunConfig, spec: SweepSpec, path: str | Path) -> Path:
     """Run a sweep and write its CSV; returns the final path."""
-    result = run_sweep(config, spec, jobs=jobs)
+    result = run_sweep(config, spec)
     names, units = result.header()
     return write_csv(path, names, units, result.csv_rows())

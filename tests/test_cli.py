@@ -110,6 +110,21 @@ class TestPoint:
         assert err == ("config error: response polynomial has a non-finite coefficient "
                        "relative to its leading one\n")
 
+    @pytest.mark.parametrize("solver, mass, reason", [
+        ("spectral", "1e-300", "spectral xx integral is not finite at this record's scales"),
+        ("closed_form", "1e-310", "backaction moments are not finite at this record's scales"),
+    ])
+    def test_non_finite_oneD_moments_are_config_errors(self, solver, mass, reason, capsys):
+        assert run_cli("point", "--solver", solver, "--param", f"mass={mass}") == 2
+        assert capsys.readouterr().err == f"config error: {reason}\n"
+
+    def test_twoD_closed_form_overflowing_mixing_is_config_error(self, capsys):
+        # (omega_bar_m delta_m)^2 overflows in Python's float power
+        assert run_cli("point", "--param", "model=twoD", "--solver", "closed_form",
+                       "--param", "omega_x=1e100") == 2
+        assert capsys.readouterr().err == ("config error: (omega_bar_m delta_m)^2 overflows "
+                                           "at these frequencies\n")
+
     @pytest.mark.parametrize("g_o", ["0", "1e-200"])
     def test_rwa_closed_form_zero_cooperativity_is_out_of_regime(self, g_o, capsys):
         # G_o^2 is 0 or underflows, so 1/C_o in the optimum formula divides by zero
@@ -459,7 +474,7 @@ def test_subcommand_options_are_pinned():
     common = ["--config", "--help", "--out", "--param", "--solver", "-h"]
     assert options == {
         "point": common,
-        "sweep": sorted(common + ["--axis", "--jobs"]),
+        "sweep": sorted(common + ["--axis"]),
         "figure": ["--help", "--out", "--tolerance", "-h", "id"],
         "optimize": common,
         "validate": ["--help", "-h"],

@@ -277,3 +277,15 @@ def test_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code, str(src)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_stacked_poles_are_the_np_roots_poles(monkeypatch):
+    records = [with_param(P_REF, "G_o", g) for g in (0.01, 0.05, 0.2, 0.45)]
+    records.append(with_param(records[0], "temperature", 2.0))
+    for p, poles in zip(records, spectral._poles_batch(records)):
+        np.testing.assert_array_equal(poles, np.roots(spectral._response_poly_coeffs(p)))
+    # np.roots trims a zero constant coefficient into a root at 0, which
+    # is not in the lower half plane
+    coeffs = spectral._response_poly_coeffs
+    monkeypatch.setattr(spectral, "_response_poly_coeffs", lambda p: coeffs(p) * [1, 1, 1, 1, 0])
+    assert all(isinstance(out, UnstableSystem) for out in spectral._poles_batch(records[:2]))

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omsteady import sweep
+from omsteady import spectral, sweep
 from omsteady.closedform import backaction_1d, bare_occupation
-from omsteady.errors import InvalidParams, OmsteadyError
+from omsteady.errors import InvalidParams, OmsteadyError, QuadratureFailure
 from omsteady.gaussian import Cov1D, Cov2D, occupation_and_purity_1d, purity_2d_general
 from omsteady.langevin import (CovarianceBatch, NoiseMode, build_1d, build_2d, build_rwa,
                                steady_covariance)
@@ -208,50 +208,12 @@ class TestRunSweep:
         g_crit = math.sqrt(k / 4.0)
         assert res.rows[flip - 1].axis_values[0] < g_crit < res.rows[flip].axis_values[0]
 
-    def test_jobs_do_not_change_rows(self):
-        serial = run_sweep(config_1d(), self.SPEC, jobs=1)
-        parallel = run_sweep(config_1d(), self.SPEC, jobs=2)
-        assert serial.csv_rows() == parallel.csv_rows()
-
     def test_two_axis_sweep(self):
         spec = SweepSpec(axes=(Axis("kappa", 0.1, 0.3, 2), Axis("G_o", 0.1, 0.2, 3)))
         res = run_sweep(config_1d("lyapunov"), spec)
         assert len(res.rows) == 6
         assert res.rows[0].axis_values == (0.1, 0.1)
         assert res.rows[3].axis_values == (0.3, 0.1)
-
-    def test_bad_jobs(self):
-        with pytest.raises(InvalidParams):
-            run_sweep(config_1d(), self.SPEC, jobs=0)
-
-    def test_jobs_capped_at_points_and_cpus(self, monkeypatch):
-        asked = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
-        spec = SweepSpec(axes=(Axis("G_o", 0.1, 0.4, 4),))
-        serial = run_sweep(config_1d(), spec, jobs=1).csv_rows()
-        assert asked == []
-        cap = min(4, sweep._usable_cpus())
-        assert run_sweep(config_1d(), spec, jobs=10**6).csv_rows() == serial
-        assert asked == ([cap] if cap > 1 else [])
-        for cpus, expect in ((3, [3]), (64, [4]), (1, [])):
-            asked.clear()
-            monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
-            assert run_sweep(config_1d(), spec, jobs=10**6).csv_rows() == serial
-            assert asked == expect
 
     def test_unknown_axis_name_rejected_before_any_point(self, monkeypatch):
         calls = []
@@ -401,11 +363,13 @@ class TestStackedSweep:
         assert sum(row[-2] == "1" and overflow in row[-1] for row in cells) >= 10
 
     def test_bare_occupation_overflow_adds_no_warning(self):
-        # xx is inf at a subnormal mass; bare_occupation on Python floats
-        # gives nan there without a numpy warning, and the stack keeps that
+        # xx overflows to inf at a subnormal mass; backaction_1d rejects
+        # it before the stacked bare_occupation sees it, so the row
+        # carries the error alone and no numpy warning
         row = evaluate_point(config_1d("closed_form"), {"mass": 1e-310})
-        assert row.stable and row.warnings == ()
-        assert math.isinf(row.values["xx"]) and math.isnan(row.values["n_bar_0"])
+        assert not row.stable and row.values is None
+        assert row.warnings == ("InvalidParams: backaction moments are not finite at this "
+                                "record's scales",)
 
     def test_later_checks_give_the_scalar_errors_in_scalar_order(self, monkeypatch):
         # covariances no real solve returns: a negative variance with a
@@ -442,18 +406,63 @@ class TestStackedSweep:
                     assert got == expect
             assert sum(isinstance(r, OmsteadyError) for r in results) == len(results) - 1
 
-    def test_lyapunov_grid_starts_no_pool_whatever_jobs(self, monkeypatch, tmp_path):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a Lyapunov grid must not start a process pool")
+SPECTRAL_GRIDS = {
+    name: (RunConfig("oneD", "spectral", base), SweepSpec(axes=(Axis("G_o", 0.02, 0.6, 70),)))
+    for name, base in (("vacuum", P_1D),
+                       ("thermal", replace(P_1D, gamma_b=1e-4, temperature=2.0)))
+}
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", NoPool)
-        config = RunConfig("rwa", "lyapunov", RWA_BATH)
-        spec = SweepSpec(axes=(Axis("G_o", 5e-5, 5e-3, 12, "log"),
-                               Axis("G_m", 5e-5, 5e-3, 11, "log")))
-        one = sweep_to_csv(config, spec, tmp_path / "j1.csv", jobs=1)
-        two = sweep_to_csv(config, spec, tmp_path / "j2.csv", jobs=2)
-        assert one.read_bytes() == two.read_bytes()
+
+class TestSpectralChunks:
+    """A spectral record's outcome does not depend on the records it is evaluated with."""
+
+    @pytest.mark.parametrize("grid", SPECTRAL_GRIDS)
+    def test_rows_equal_pointwise_rows(self, grid):
+        config, spec = SPECTRAL_GRIDS[grid]
+        rows = run_sweep(config, spec).rows
+        assert rows == tuple(evaluate_point(config, {"G_o": pt[0]}) for pt in spec.grid())
+        # the grid crosses the stability edge near G_o = 0.5025
+        assert any(r.stable for r in rows)
+        assert {r.warnings[0].split(":")[0] for r in rows if not r.stable} == {"UnstableSystem"}
+
+    def test_shuffled_batch_equals_records_alone(self):
+        # vacuum, thermal and cold damped records in one list, so the
+        # T = 0 form and the pp tails differ from record to record
+        records = [with_param(config.params, "G_o", pt[0])
+                   for config, spec in SPECTRAL_GRIDS.values() for pt in spec.grid()]
+        records += [with_param(replace(P_1D, gamma_b=1e-4), "G_o", g) for g in (0.05, 0.3)]
+        np.random.default_rng(7).shuffle(records)
+        batch = spectral.moment_integrals_batch(records)
+        for p, got in zip(records, batch):
+            (alone,) = spectral.moment_integrals_batch([p])
+            if isinstance(alone, OmsteadyError):
+                assert (type(got), str(got)) == (type(alone), str(alone))
+            else:
+                assert got == alone
+
+    def test_panel_budget_fails_one_record_alone(self, monkeypatch):
+        records = [with_param(P_1D, "G_o", g) for g in (0.2, 0.001, 0.05, 0.45)]
+        settled = spectral.moment_integrals_batch(records)
+        # G_o = 0.001 needs more than 60 panels, the others fewer
+        monkeypatch.setattr(spectral, "_MAX_PANELS", 60)
+        capped = spectral.moment_integrals_batch(records)
+        assert isinstance(capped[1], QuadratureFailure)
+        assert "did not converge" in str(capped[1])
+        assert [capped[k] for k in (0, 2, 3)] == [settled[k] for k in (0, 2, 3)]
+        # an exit-4 error still aborts the sweep
+        with pytest.raises(QuadratureFailure):
+            run_sweep(config_1d("spectral"), SweepSpec(axes=(Axis("G_o", 0.001, 0.2, 3),)))
+
+    @pytest.mark.parametrize("solver", ["spectral", "closed_form"])
+    def test_non_finite_moments_flag_their_rows(self, solver, tmp_path):
+        spec = SweepSpec(axes=(Axis("mass", 1e-310, 1.0, 6, "log"),))
+        path = sweep_to_csv(config_1d(solver), spec, tmp_path / "s.csv")
+        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[2:]]
+        flagged = [r[-1] for r in rows if r[-2] == "0"]
+        assert len(rows) == 6 and 1 <= len(flagged) < 6
+        assert all(r[-1].startswith("InvalidParams") for r in rows if r[-2] == "0")
+        assert any("not finite" in reason for reason in flagged)
+        assert all(math.isfinite(float(c)) for r in rows if r[-2] == "1" for c in r[1:-2])
 
 
 class TestCsvOutput:
@@ -496,14 +505,6 @@ class TestCsvOutput:
             assert n_cell == ""
             assert flag == "0"
             assert "UnstableRegime" in reason
-
-    def test_byte_identical_across_jobs(self, tmp_path):
-        digests = []
-        for jobs in (1, 3):
-            path = sweep_to_csv(config_1d(), self.SPEC,
-                                tmp_path / f"s{jobs}.csv", jobs=jobs)
-            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-        assert digests[0] == digests[1]
 
     def test_rewrite_is_deterministic(self, tmp_path):
         a = sweep_to_csv(config_1d(), self.SPEC, tmp_path / "a.csv")
