@@ -249,7 +249,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    out = make_figure(args.id, args.out, tolerance=args.tolerance)
+    out = make_figure(args.id, args.out)
     for c in out.checks:
         print(f"check {c.name}: worst {c.worst:.3e} <= tol {c.tolerance:.1e}")
     print(f"wrote {out.csv_path}")
@@ -409,8 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("id", choices=FIGURES, help="which figure to build")
     p_fig.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (default: current)")
-    p_fig.add_argument("--tolerance", type=float, default=None, metavar="X",
-                       help="override the paired-check tolerance")
     p_fig.set_defaults(func=_cmd_figure)
 
     p_opt = sub.add_parser("optimize", help="maximize a quantity over 1-3 parameters")

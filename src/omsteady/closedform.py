@@ -14,7 +14,6 @@ iteration.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,8 +384,8 @@ def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
     )
 
 
-def rwa_optimum(params: SystemParamsRWA) -> tuple[float, float]:
-    """Purity-maximizing mechanical mixing rate and the purity there.
+def rwa_optimum(params: SystemParamsRWA) -> tuple[float, float, tuple[str, ...]]:
+    """Purity-maximizing mechanical mixing rate, the purity there, and warnings.
 
     In the rotating-wave model at large cooperativity the purity along
     the optimum satisfies
@@ -400,23 +399,21 @@ def rwa_optimum(params: SystemParamsRWA) -> tuple[float, float]:
     n_B gamma_tot/kappa. At 4 n_B gamma_tot/kappa = 0.2 the formula
     overstates the purity by 0.8% (1/1.2 against 1/1.21).
 
-    Emits UserWarning when called outside the validity conditions
-    (C_o >> 1 and G_o^2 >> G_m^2 gamma_tot/kappa at the optimum), and
-    raises InvalidRegime when C_o is zero (G_o^2 is 0 or underflows).
+    The warning strings name each validity condition the record misses
+    (C_o >> 1, gamma_tot << kappa, equal bath occupations). Raises
+    InvalidRegime when C_o is zero (G_o^2 is 0 or underflows).
     """
     gamma_tot = params.gamma_b + params.gamma_d
     c_o = cooperativity(params)
     if c_o == 0.0:
         raise InvalidRegime("cooperativity is zero; the optimum needs G_o^2 > 0")
+    warn = []
     if c_o < 100.0:
-        _warnings.warn("cooperativity not large; optimum formula is approximate",
-                       stacklevel=2)
+        warn.append("cooperativity not large; optimum formula is approximate")
     if gamma_tot > 0.2 * params.kappa:
-        _warnings.warn("gamma_tot not small against kappa; optimum formula is approximate",
-                       stacklevel=2)
+        warn.append("gamma_tot not small against kappa; optimum formula is approximate")
     if params.n_B_b != params.n_B_d:
-        _warnings.warn("unequal bath occupations; using the bright-mode value",
-                       stacklevel=2)
+        warn.append("unequal bath occupations; using the bright-mode value")
     g_m_opt = params.G_o / math.sqrt(2.0)
     inv_purity = 1.0 + 4.0 * params.n_B_b * (1.0 / c_o + gamma_tot / params.kappa)
-    return g_m_opt, 1.0 / inv_purity
+    return g_m_opt, 1.0 / inv_purity, tuple(warn)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .closedform import strong_coupling, weak_coupling
-from .errors import InvalidParams, OracleMismatch
+from .errors import OracleMismatch
 from .models import SystemParams1D, SystemParamsRWA, resonant_2d_design
 from .sweep import _write_atomic, format_float, record_values, write_csv
 
@@ -34,7 +34,7 @@ __all__ = ["FIGURES", "FigureCheck", "FigureOutput", "fig3_params", "make_figure
 
 FIGURES = ("fig2", "fig3", "fig4")
 
-#: Default relative tolerance for exact-vs-numeric paired columns.
+#: Relative tolerance for exact-vs-numeric paired columns.
 _EXACT_PAIR_RTOL = 1e-8
 #: Dual purity routes on the same covariance matrix.
 _PURITY_ROUTE_RTOL = 1e-10
@@ -82,8 +82,7 @@ def _rel_err(value: float, exact: float) -> float:
     return abs(value - exact) / exact
 
 
-def _fig2(out_dir: Path, tolerance: float | None) -> FigureOutput:
-    tol = _EXACT_PAIR_RTOL if tolerance is None else tolerance
+def _fig2(out_dir: Path) -> FigureOutput:
     records = [SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=_FIG2_KAPPA,
                               delta=1.0, G_o=float(g)) for g in _FIG2_G]
     rows = []
@@ -113,8 +112,8 @@ def _fig2(out_dir: Path, tolerance: float | None) -> FigureOutput:
     worst_weak = _rel_err(weak_coupling(p_weak).n_bar, ref)
 
     checks = (
-        _gate("n_bar closed form vs lyapunov", worst_exact, tol),
-        _gate("n_bar_0 closed form vs lyapunov", worst_bare, tol),
+        _gate("n_bar closed form vs lyapunov", worst_exact, _EXACT_PAIR_RTOL),
+        _gate("n_bar_0 closed form vs lyapunov", worst_bare, _EXACT_PAIR_RTOL),
         _gate("normal-mode curve within regime bound", worst_strong, 1.0),
         _gate("normal-mode bare curve within regime bound", worst_strong_bare, 1.0),
         _gate("weak limit reference column", worst_weak, 1e-4),
@@ -159,8 +158,7 @@ def fig3_params(g_o: float, g_m: float) -> SystemParamsRWA:
     )
 
 
-def _fig3(out_dir: Path, tolerance: float | None) -> FigureOutput:
-    tol_routes = _PURITY_ROUTE_RTOL if tolerance is None else tolerance
+def _fig3(out_dir: Path) -> FigureOutput:
     values = iter(record_values("rwa", "lyapunov", [
         fig3_params(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA)
         for ro in _FIG3_RATIO for rm in _FIG3_RATIO]))
@@ -196,7 +194,7 @@ def _fig3(out_dir: Path, tolerance: float | None) -> FigureOutput:
         worst_opt = max(worst_opt, steps)
 
     checks = (
-        _gate("purity determinant route vs modal route", worst_route, tol_routes),
+        _gate("purity determinant route vs modal route", worst_route, _PURITY_ROUTE_RTOL),
         _gate("ridge within one grid step of analytic optimum", worst_opt, 1.0),
     )
 
@@ -223,8 +221,7 @@ _FIG4_KAPPA = 0.2
 _FIG4_G = np.linspace(0.01, 0.35, 69)
 
 
-def _fig4(out_dir: Path, tolerance: float | None) -> FigureOutput:
-    tol = _EXACT_PAIR_RTOL if tolerance is None else tolerance
+def _fig4(out_dir: Path) -> FigureOutput:
     records = [resonant_2d_design(omega=1.0, G_o=float(g), G_m=float(g) / math.sqrt(2.0),
                                   kappa=_FIG4_KAPPA) for g in _FIG4_G]
     rows = []
@@ -238,8 +235,8 @@ def _fig4(out_dir: Path, tolerance: float | None) -> FigureOutput:
         rows.append([format_float(v) for v in (g, 1.0 - mu, 1.0 - mu_prod, mu, mu_prod)])
 
     checks = (
-        _gate("joint purity closed form vs lyapunov", worst_joint, tol),
-        _gate("purity product closed form vs lyapunov", worst_product, tol),
+        _gate("joint purity closed form vs lyapunov", worst_joint, _EXACT_PAIR_RTOL),
+        _gate("purity product closed form vs lyapunov", worst_product, _EXACT_PAIR_RTOL),
     )
 
     names = ["G_o", "one_minus_purity_2d", "one_minus_purity_product",
@@ -261,20 +258,14 @@ plot "fig4.csv" skip 2 using 1:2 with lines lw 2 title "1 - joint purity", \\
 _BUILDERS = {"fig2": _fig2, "fig3": _fig3, "fig4": _fig4}
 
 
-def make_figure(fig_id: str, out_dir: str | Path,
-                tolerance: float | None = None) -> FigureOutput:
+def make_figure(fig_id: str, out_dir: str | Path) -> FigureOutput:
     """Build one figure's CSV and plot script under ``out_dir``.
 
     All paired cross-checks run before any file is written; on
     mismatch OracleMismatch propagates and the directory is untouched.
-    ``tolerance`` overrides the per-figure default for the exact-pair
-    checks (fig2, fig4) or the dual-route check (fig3); it must be
-    finite and positive (InvalidParams otherwise).
     """
-    if tolerance is not None and not 0.0 < tolerance < math.inf:
-        raise InvalidParams(f"tolerance must be finite and positive, got {tolerance!r}")
     if fig_id not in _BUILDERS:
         raise ValueError(f"unknown figure {fig_id!r}; choose from {FIGURES}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _BUILDERS[fig_id](out, tolerance)
+    return _BUILDERS[fig_id](out)

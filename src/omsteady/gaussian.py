@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     DegenerateState,
+    InvalidParams,
     UncertaintyViolation,
     flag_first,
 )
@@ -318,14 +319,20 @@ def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
     nu_hi, nu_lo = _symplectic_batch(W, errors)
     N_plus = _clamped_modal_occupation(nu_hi, hbar, errors)
     N_minus = _clamped_modal_occupation(nu_lo, hbar, errors)
-    det_ratio = np.linalg.det(W) / _py_pow(hbar / 2.0, 4)
-    flag_first(errors, det_ratio < 1.0 - 4.0 * UNCERTAINTY_RTOL, lambda k: UncertaintyViolation(
-        f"4x4 covariance determinant ratio {det_ratio[k]:.6g} below 1"))
-    purity_2d = 1.0 / np.sqrt(np.where(det_ratio < 1.0, 1.0, det_ratio))
-    prod = np.ones(len(W))
-    for b in (W[:, :2, :2], W[:, 2:, 2:]):
-        det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-        prod = prod / np.sqrt(_clamped_det_ratio(det, hbar, errors))
+    # A determinant past the float range makes a ratio inf (a purity of
+    # 0) or nan; the item is flagged after the checks it passes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_ratio = np.linalg.det(W) / _py_pow(hbar / 2.0, 4)
+        flag_first(errors, det_ratio < 1.0 - 4.0 * UNCERTAINTY_RTOL,
+                   lambda k: UncertaintyViolation(
+                       f"4x4 covariance determinant ratio {det_ratio[k]:.6g} below 1"))
+        purity_2d = 1.0 / np.sqrt(np.where(det_ratio < 1.0, 1.0, det_ratio))
+        prod = np.ones(len(W))
+        for b in (W[:, :2, :2], W[:, 2:, 2:]):
+            det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+            prod = prod / np.sqrt(_clamped_det_ratio(det, hbar, errors))
+    flag_first(errors, ~(np.isfinite(det_ratio) & (prod > 0.0)), lambda k: InvalidParams(
+        "covariance determinant overflows at this record's scales"))
     return Summary2D(purity_2d=purity_2d, N_plus=N_plus, N_minus=N_minus,
                      purity_product_1d=prod), errors
 

@@ -326,13 +326,14 @@ class CovarianceBatch:
     ``errors[k]`` is None when item k settled, and otherwise the
     UnstableSystem or SolveFailure that ``steady_covariance`` raises
     for it; ``matrix[k]`` is its covariance, or zeros when it was not
-    solved. ``residual`` and ``scale`` are the residual gate's figures,
-    max |A V + V A^T + D| and the scale its bound is stated against.
+    solved. ``residual`` is max |A V + V A^T + D| and ``backward_error``
+    that residual over its scale, max(max |D|, max |A| max |V|), which
+    the residual gate holds to LYAPUNOV_RESIDUAL_RTOL.
     """
 
     matrix: np.ndarray
     residual: np.ndarray
-    scale: np.ndarray
+    backward_error: np.ndarray
     errors: tuple[OmsteadyError | None, ...]
 
 
@@ -379,13 +380,18 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     resid = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=(-2, -1))
     # Backward-error scale: when the covariance dwarfs the diffusion
     # (weakly damped hot modes), rounding in forming A V alone exceeds
-    # any bound stated against |D| only.
-    scale = np.fmax(np.abs(D).max(axis=(-2, -1)),
-                    np.abs(A).max(axis=(-2, -1)) * np.abs(V).max(axis=(-2, -1)))
-    flag_first(errors, ~np.isfinite(resid) | (resid > LYAPUNOV_RESIDUAL_RTOL * scale),
-               lambda k: SolveFailure(f"Lyapunov residual {resid[k]:.3e} exceeds "
-                                      f"{LYAPUNOV_RESIDUAL_RTOL:.1e} * {scale[k]:.3e}"))
-    return CovarianceBatch(matrix=V, residual=resid, scale=scale, errors=tuple(errors))
+    # any bound stated against |D| only. The product max|A| max|V| can
+    # overflow where neither factor does (1/m in A, hbar/(2 m omega) in V
+    # at a tiny mass), so the residual is divided by one, then the other.
+    d, a, v = (np.abs(M).max(axis=(-2, -1)) for M in (D, A, V))
+    # A zero factor makes its quotient inf, or nan at a zero residual;
+    # fmin then takes the other quotient.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        err = np.fmin(resid / d, resid / a / v)
+    flag_first(errors, ~np.isfinite(resid) | (err > LYAPUNOV_RESIDUAL_RTOL),
+               lambda k: SolveFailure(f"Lyapunov residual {resid[k]:.3e} is {err[k]:.3e} of "
+                                      f"its scale, above {LYAPUNOV_RESIDUAL_RTOL:.1e}"))
+    return CovarianceBatch(matrix=V, residual=resid, backward_error=err, errors=tuple(errors))
 
 
 def steady_covariance(sys: LinearSystem) -> CovarianceMatrix:

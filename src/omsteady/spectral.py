@@ -174,11 +174,14 @@ def brownian_psd(omega, gamma: float, temperature: float, m: float,
     out = np.where(w > 0, 2.0 * hbar * m * gamma * w, 0.0) if _any(cold) else None
     if _any(~cold):
         # cold nodes divide by a placeholder; the last where gives them out
-        y = w / (2.0 * np.where(cold, 1.0, temperature))
+        with np.errstate(over="ignore"):  # y = inf at a tiny T, where coth is 1
+            y = w / (2.0 * np.where(cold, 1.0, temperature))
         small = np.abs(y) < _COTH_SERIES_THRESHOLD
         ys = np.where(small, 1.0, y)  # placeholder to avoid 0/0 warnings
         warm = hbar * m * gamma * w * (1.0 / np.tanh(ys) + 1.0)
-        # omega*coth(omega/2T) -> 2T (1 + y^2/3 + ...) as omega -> 0
+        # omega*coth(omega/2T) -> 2T (1 + y^2/3 + ...) as omega -> 0,
+        # formed from y only where it is used
+        y = np.where(small, y, 0.0)
         series = hbar * m * gamma * (2.0 * temperature * (1.0 + y**2 / 3.0) + w)
         warm = np.where(small, series, warm)
         out = warm if out is None else np.where(cold, out, warm)
@@ -265,18 +268,21 @@ def _panel_sums(fields, pp_tails: np.ndarray, panels: np.ndarray, rec: np.ndarra
     omega = np.where(tail, side * anchor / t, x)
     node = (SimpleNamespace(**{name: col[rec, None] for name, col in fields.items()})
             if isinstance(fields, dict) else fields)
-    s = position_psd(omega, node, check_stability=False)
-    s *= np.where(tail, anchor / (t * t), 1.0) * half
-    m_omega = node.mass * omega
-    pp = m_omega**2 * s
-    if not pp_tails.all():
-        pp[tail[:, 0] & ~pp_tails[rec]] = 0.0
-    f = np.stack((s, pp, m_omega * s))
-    # einsum, unlike a BLAS matrix-vector product, sums a panel's nodes
-    # the same way wherever the panel sits in the table
-    value = np.einsum("kpn,n->kp", f[..., _GL_N:], _GL_WEIGHTS_2N)
-    raw = np.abs(value - np.einsum("kpn,n->kp", f[..., :_GL_N], _GL_WEIGHTS_N))
-    floor = _ROUNDOFF * np.einsum("kpn,n->kp", np.abs(f[..., _GL_N:]), _GL_WEIGHTS_2N)
+    # At extreme scales (mass=1e-300) the node values overflow; the
+    # record's total is then not finite, which _gate flags.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = position_psd(omega, node, check_stability=False)
+        s *= np.where(tail, anchor / (t * t), 1.0) * half
+        m_omega = node.mass * omega
+        pp = m_omega**2 * s
+        if not pp_tails.all():
+            pp[tail[:, 0] & ~pp_tails[rec]] = 0.0
+        f = np.stack((s, pp, m_omega * s))
+        # einsum, unlike a BLAS matrix-vector product, sums a panel's
+        # nodes the same way wherever the panel sits in the table
+        value = np.einsum("kpn,n->kp", f[..., _GL_N:], _GL_WEIGHTS_2N)
+        raw = np.abs(value - np.einsum("kpn,n->kp", f[..., :_GL_N], _GL_WEIGHTS_N))
+        floor = _ROUNDOFF * np.einsum("kpn,n->kp", np.abs(f[..., _GL_N:]), _GL_WEIGHTS_2N)
     return np.concatenate((value, np.maximum(raw, floor))), raw > floor
 
 

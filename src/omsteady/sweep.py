@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from warnings import catch_warnings
 
 import numpy as np
 
@@ -205,22 +204,9 @@ def _batch_oneD_closed_form(records) -> list:
                       extra={"M_Omega": col("M_Omega"), "n_min_weak": col("n_min_weak")})
 
 
-def _eval_twoD_closed_form(p: SystemParams2D) -> tuple[dict, tuple[str, ...]]:
-    r = backaction_2d(p)
-    out = {
-        "xx_b": r.xx_b, "pp_b": r.pp_b, "xx_d": r.xx_d, "pp_d": r.pp_d,
-        "x_b_x_d": r.x_b_x_d, "p_b_p_d": r.p_b_p_d,
-        "purity_2d": r.purity_2d, "purity_product": r.purity_product,
-    }
-    return out, ()
-
-
 def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
-    with catch_warnings(record=True) as caught:
-        g_m_opt, mu = rwa_optimum(p)
-    return {"G_m_opt": g_m_opt, "purity_opt": mu}, tuple(
-        str(w.message) for w in caught
-    )
+    g_m_opt, mu, warn = rwa_optimum(p)
+    return {"G_m_opt": g_m_opt, "purity_opt": mu}, warn
 
 
 def _settled_covariances(records, build, n: int):
@@ -286,8 +272,8 @@ _EVALUATORS = {
     ("oneD", "spectral"): (_batch_oneD_spectral, _ONE_D),
     ("oneD", "closed_form"): (_batch_oneD_closed_form, _ONE_D + ("M_Omega", "n_min_weak")),
     ("twoD", "lyapunov"): (_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL),
-    ("twoD", "closed_form"): (lambda records: _each(_eval_twoD_closed_form, records),
-                              _TWO_D + _JOINT),
+    ("twoD", "closed_form"): (lambda records: _each(lambda p: (asdict(backaction_2d(p)), ()),
+                                                    records), _TWO_D + _JOINT),
     ("rwa", "lyapunov"): (_batch_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL),
     ("rwa", "closed_form"): (lambda records: _each(_eval_rwa_closed_form, records),
                              ("G_m_opt", "purity_opt")),
@@ -431,7 +417,7 @@ class SweepResult:
                 else:
                     cells.append(format_float(row.values[q]))
             cells.append("1" if row.stable else "0")
-            cells.append(_sanitize_warning(";".join(row.warnings)))
+            cells.append(";".join(row.warnings).replace(",", ";").replace("\n", " "))
             out.append(cells)
         return out
 
@@ -439,10 +425,6 @@ class SweepResult:
 def format_float(x: float) -> str:
     """Fixed %.17g rendering: round-trips any double exactly."""
     return f"{float(x):.17g}"
-
-
-def _sanitize_warning(text: str) -> str:
-    return text.replace(",", ";").replace("\n", " ")
 
 
 #: SystemParams1D fields whose replacement clears a coupling field, so
@@ -499,16 +481,6 @@ def _record(params, overrides: dict):
     return p
 
 
-def _run(evaluate_many, p):
-    """evaluate_many on the list [p]: p's outcome, with the Python warnings it raised."""
-    with catch_warnings(record=True) as caught:
-        (res,) = evaluate_many([p])
-    if isinstance(res, OmsteadyError):
-        return res
-    values, warn = res
-    return values, warn + tuple(str(w.message) for w in caught)
-
-
 def evaluate_config(config: RunConfig,
                     overrides: dict | None = None) -> tuple[dict, tuple[str, ...]]:
     """Evaluate one parameter point; raises on instability or bad input.
@@ -516,21 +488,15 @@ def evaluate_config(config: RunConfig,
     Returns the requested quantities and any regime warnings the
     underlying solver attached. Coupling overrides (lambda_o, then G_o)
     are applied last, so the coupling they set holds at the point's
-    final frequencies and scales.
+    final frequencies and scales. The record is a list of one through
+    evaluate_records.
     """
     p = _record(config.params, overrides or {})
-    res = _run(_EVALUATORS[(config.model, config.solver)][0], p)
+    (res,) = evaluate_records(config.model, config.solver, [p])
     if isinstance(res, OmsteadyError):
         raise res
     values, warn = res
     return {q: values[q] for q in config.outputs}, warn
-
-
-def _flagged_row(axis_values: tuple[float, ...], exc: OmsteadyError) -> SweepRow:
-    """The stable=0 row of an error with exit code 2 or 3; code 4 propagates."""
-    if exc.exit_code == 4:
-        raise exc
-    return SweepRow(axis_values, None, False, (f"{type(exc).__name__}: {exc}",))
 
 
 def evaluate_point(config: RunConfig, overrides: dict | None = None) -> SweepRow:
@@ -538,14 +504,12 @@ def evaluate_point(config: RunConfig, overrides: dict | None = None) -> SweepRow
 
     Returns a flagged row instead of raising when the point is
     unstable, out of regime, or parametrically invalid (an error with
-    exit code 2 or 3); an error with exit code 4 propagates.
+    exit code 2 or 3); an error with exit code 4 propagates. A grid of
+    one point through evaluate_grid.
     """
-    axis_values = tuple(float(v) for v in (overrides or {}).values())
-    try:
-        values, warn = evaluate_config(config, overrides)
-        return SweepRow(axis_values, values, True, warn)
-    except OmsteadyError as exc:
-        return _flagged_row(axis_values, exc)
+    overrides = overrides or {}
+    (row,) = evaluate_grid(config, list(overrides), [tuple(float(v) for v in overrides.values())])
+    return row
 
 
 #: Records per stacked evaluation: large enough to amortize the Python
@@ -558,20 +522,15 @@ def evaluate_records(model: str, solver: str, records: list) -> list:
 
     Each item is (values, warnings) with every quantity of the pair, or
     the OmsteadyError the record's evaluation raised. The pair's
-    evaluator runs on chunks of _CHUNK records. A chunk in which any
-    Python warning is raised is evaluated again as lists of one record,
-    so each record carries exactly the warnings its own evaluation
-    raises.
+    evaluator runs on chunks of _CHUNK records. Warnings are the
+    strings the evaluation returns: a record's own regime warnings,
+    whatever chunk it falls in, and nothing the interpreter's warning
+    filters decide.
     """
     evaluate_many = _EVALUATORS[(model, solver)][0]
     out = []
     for start in range(0, len(records), _CHUNK):
-        chunk = records[start:start + _CHUNK]
-        with catch_warnings(record=True) as caught:
-            results = evaluate_many(chunk)
-        if caught:
-            results = [_run(evaluate_many, p) for p in chunk]
-        out.extend(results)
+        out.extend(evaluate_many(records[start:start + _CHUNK]))
     return out
 
 
@@ -590,9 +549,11 @@ def record_values(model: str, solver: str, records: list) -> list[dict]:
 def evaluate_grid(config: RunConfig, names: list[str], grid) -> list[SweepRow]:
     """The rows of the grid points (values of the named parameters), in order.
 
-    Each row is what evaluate_point returns for its point. Records are
-    built and evaluated one chunk of grid points at a time, so a large
-    grid never holds more than one chunk of them.
+    An unstable, out-of-regime or invalid point (an error with exit
+    code 2 or 3) is a stable=0 row with the error in its warnings; an
+    error with exit code 4 propagates. Records are built and evaluated
+    one chunk of grid points at a time, so a large grid never holds
+    more than one chunk of them.
     """
     rows = []
     for start in range(0, len(grid), _CHUNK):
@@ -603,11 +564,13 @@ def evaluate_grid(config: RunConfig, names: list[str], grid) -> list[SweepRow]:
         for k, res in zip(built, results):
             outcomes[k] = res
         for point, res in zip(points, outcomes):
-            if isinstance(res, OmsteadyError):
-                rows.append(_flagged_row(point, res))
-            else:
+            if not isinstance(res, OmsteadyError):
                 values, warn = res
                 rows.append(SweepRow(point, {q: values[q] for q in config.outputs}, True, warn))
+            elif res.exit_code == 4:
+                raise res
+            else:
+                rows.append(SweepRow(point, None, False, (f"{type(res).__name__}: {res}",)))
     return rows
 
 

@@ -19,7 +19,6 @@ thermal modes at h and 1/mu = (1 + 2h)^2. The familiar 1/(1 + 4h)
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -151,10 +150,7 @@ _RWA_NB = 0.05 * _RWA_KAPPA / _RWA_GAMMA_TOT
 
 
 def _rwa_summary(g_o: float, g_m: float) -> Summary2D:
-    p = fig3_params(g_o, g_m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cov = steady_covariance(build_rwa(p)).mechanical_2d()
+    cov = steady_covariance(build_rwa(fig3_params(g_o, g_m))).mechanical_2d()
     return purity_2d_general(cov)
 
 

@@ -221,11 +221,12 @@ class TestRwaOptimum:
                         G_m=2e-3 / math.sqrt(2.0), n_B_b=5e7, n_B_d=5e7)
 
     def test_optimum_location(self):
-        g_m, _ = rwa_optimum(self.P)
+        g_m, _, warn = rwa_optimum(self.P)
         assert g_m == self.P.G_o / math.sqrt(2.0)
+        assert warn == ()
 
     def test_inverse_purity_decomposition(self):
-        _, mu = rwa_optimum(self.P)
+        _, mu, _ = rwa_optimum(self.P)
         # 4 n_B gamma_tot/kappa = 0.2 and 4 n_B/C_o = 0.0125 here
         assert 1.0 / mu == pytest.approx(1.2125, rel=1e-12)
 
@@ -234,25 +235,24 @@ class TestRwaOptimum:
         # C_o grows with G_o^2, so the 1/C_o term dies and the purity
         # settles at 1/(1 + 4 n_B gamma_tot/kappa)
         p = dataclasses.replace(self.P, G_o=0.2, G_m=0.2 / math.sqrt(2.0))
-        _, mu = rwa_optimum(p)
+        _, mu, _ = rwa_optimum(p)
         assert mu == pytest.approx(1.0 / 1.2, rel=2e-6)
 
     def test_low_cooperativity_warns(self):
         import dataclasses
         p = dataclasses.replace(self.P, gamma_b=1e-4, gamma_d=1e-4,
                                 n_B_b=10.0, n_B_d=10.0)
-        with pytest.warns(UserWarning, match="cooperativity"):
-            rwa_optimum(p)
+        assert rwa_optimum(p)[2] == (
+            "cooperativity not large; optimum formula is approximate",)
 
     def test_heavy_mechanical_damping_warns(self):
         import dataclasses
         p = dataclasses.replace(self.P, gamma_b=2e-4, gamma_d=2e-4, G_o=0.1,
                                 n_B_b=1.0, n_B_d=1.0)
-        with pytest.warns(UserWarning, match="gamma_tot"):
-            rwa_optimum(p)
+        assert rwa_optimum(p)[2] == (
+            "gamma_tot not small against kappa; optimum formula is approximate",)
 
     def test_unequal_baths_warn(self):
         import dataclasses
         p = dataclasses.replace(self.P, n_B_d=1e7)
-        with pytest.warns(UserWarning, match="unequal"):
-            rwa_optimum(p)
+        assert rwa_optimum(p)[2] == ("unequal bath occupations; using the bright-mode value",)

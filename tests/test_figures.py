@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from omsteady import figures
 from omsteady.errors import OracleMismatch
 from omsteady.figures import FIGURES, make_figure
 
@@ -126,9 +127,16 @@ class TestFig4:
 
 
 class TestGating:
-    def test_unattainable_tolerance_blocks_output(self, tmp_path):
+    def test_unattainable_tolerance_blocks_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(figures, "_EXACT_PAIR_RTOL", 1e-18)
         with pytest.raises(OracleMismatch, match="no output written"):
-            make_figure("fig2", tmp_path, tolerance=1e-18)
+            make_figure("fig2", tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unattainable_route_tolerance_blocks_fig3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(figures, "_PURITY_ROUTE_RTOL", 1e-18)
+        with pytest.raises(OracleMismatch, match="purity determinant route"):
+            make_figure("fig3", tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_figure(self, tmp_path):

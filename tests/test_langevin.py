@@ -266,7 +266,7 @@ class TestStackedSolve:
             group = [s for s in systems if s.dim == n]
             batch = _stack(group)
             assert batch.errors == (None,) * len(group)
-            assert np.all(batch.residual <= LYAPUNOV_RESIDUAL_RTOL * batch.scale)
+            assert np.all(batch.backward_error <= LYAPUNOV_RESIDUAL_RTOL)
             for sys, V in zip(group, batch.matrix):
                 assert np.array_equal(V, steady_covariance(sys).matrix)
                 assert np.array_equal(V, _loop_reference(sys))
@@ -303,6 +303,37 @@ class TestStackedSolve:
         with pytest.raises(UnstableSystem, match="non-decaying eigenvalue") as exc:
             steady_covariance(sys)
         assert str(exc.value) == str(batch.errors[0])
+
+
+class TestResidualGateScale:
+    """The gate's scale max(max|D|, max|A| max|V|) is never formed as a product."""
+
+    def test_tiny_mass_has_a_finite_backward_error(self):
+        # max|A| = 1/m = 1e200 and max|V| = hbar/(2 m omega) ~ 5e199:
+        # their product overflows, which made the old scale inf
+        sys = build_1d(with_param(P_1D, "mass", 1e-200), NoiseMode.MarkovianThermal)
+        batch = _stack([sys])
+        a, v = float(np.abs(sys.drift).max()), float(np.abs(batch.matrix).max())
+        assert a * v == math.inf
+        assert batch.errors == (None,)
+        err = batch.backward_error[0]
+        assert 0.0 < err <= LYAPUNOV_RESIDUAL_RTOL
+        assert err == batch.residual[0] / a / v
+
+    def test_perturbed_V_fails_where_the_product_overflows(self, monkeypatch):
+        # max|A| = 1e200 and max|V| = 2e108, so max|A| max|V| overflows,
+        # while the bound 1e-10 * 2e308 is still a float: a residual of
+        # 2e305 from the perturbed V must fail the gate
+        sys = LinearSystem(drift=np.diag([-1e200, -1e190]),
+                           diffusion=np.diag([2e200, 4e298]), labels=("x", "p"))
+        assert _stack([sys]).errors == (None,)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda M, b: solve(M, b) + np.array([[1e105], [0.0], [0.0]]))
+        (err,) = _stack([sys]).errors
+        assert isinstance(err, SolveFailure)
+        assert str(err) == ("Lyapunov residual 2.000e+305 is 1.000e-03 of its scale, "
+                            "above 1.0e-10")
 
 
 class TestBuild2D:
