@@ -35,9 +35,8 @@ import numpy as np
 
 from .errors import InvalidParams, OmsteadyError, UnstableRegime
 from .figures import FIGURES, make_figure
-from .models import bright_dark, temperature_for_occupation
+from .models import _FIELD_NAMES, bright_dark, temperature_for_occupation
 from .sweep import (
-    _FIELDS,
     _PARAM_TYPES,
     MODELS,
     SOLVERS,
@@ -146,7 +145,7 @@ def _to_float(key: str, raw: str) -> float:
 def _build_params(model: str, raw: dict[str, str]):
     """Construct the params record for ``model`` from string overrides."""
     cls = _PARAM_TYPES[model]
-    known = _FIELDS[cls]
+    known = _FIELD_NAMES[cls]
     merged = dict(_DEFAULT_PARAMS[model])
     n_b_override: float | None = None
     for key, value in raw.items():

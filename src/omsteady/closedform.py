@@ -14,17 +14,20 @@ iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (FixedPointDivergence, InvalidParams, InvalidRegime, UndampedDarkMode,
-                     UnstableRegime)
+                     UnstableRegime, flag_first)
 from .gaussian import Cov1D, Cov2D, purity_2d_general
 from .models import (
+    ParamsGrid,
     SystemParams1D,
     SystemParams2D,
     SystemParamsRWA,
+    _py_pow,
+    _sqrt,
     bright_dark,
     cooperativity,
     g_o_squared,
@@ -40,6 +43,7 @@ __all__ = [
     "weak_coupling",
     "strong_coupling",
     "backaction_1d",
+    "backaction_1d_batch",
     "backaction_2d",
     "bare_occupation",
     "bare_occupation_batch",
@@ -222,6 +226,45 @@ def strong_coupling(params: SystemParams1D) -> StrongCouplingResult:
     )
 
 
+def _backaction_margin(p):
+    """(omega_b^2 - 2 g_o^2, K, omega_b^2) of a 1D record, or of a grid's columns."""
+    k2 = _py_pow(p.kappa / 2.0, 2)
+    K = k2 + _py_pow(p.delta, 2)
+    g2 = 2.0 * _py_pow(p.G_o, 2) * p.delta * p.omega_b / K
+    wb2 = _py_pow(p.omega_b, 2)
+    return wb2 - 2.0 * g2, K, wb2
+
+
+def _backaction_moments(p, margin, K, wb2) -> Backaction1DResult:
+    """The backaction_1d moments of a record whose margin is positive, or of columns."""
+    m, hbar, delta = p.mass, p.hbar, p.delta
+    two_n_plus_1 = _sqrt((K + margin) * (K + wb2)) / (2.0 * delta * _sqrt(margin))
+    return Backaction1DResult(
+        xx=hbar / (4.0 * m * delta) * (1.0 + K / margin),
+        pp=hbar * m * (K + wb2) / (4.0 * delta),
+        n_bar=0.5 * (two_n_plus_1 - 1.0),
+        purity=1.0 / two_n_plus_1,
+        M_Omega=m * _sqrt((K + wb2) * margin / (K + margin)),
+        n_min_weak=(_py_pow(p.kappa / 2.0, 2) + _py_pow(delta - p.omega_b, 2))
+        / (4.0 * p.omega_b * delta),
+    )
+
+
+def _detuning_error() -> UnstableRegime:
+    return UnstableRegime("backaction steady state requires delta > 0")
+
+
+def _margin_error(margin: float) -> UnstableRegime:
+    return UnstableRegime(f"unstable: omega_b^2 - 2 g_o^2 = {margin:.6g} is not positive")
+
+
+def _scale_error() -> InvalidParams:
+    return InvalidParams("backaction moments are not finite at this record's scales")
+
+
+_BACKACTION_1D = tuple(f.name for f in fields(Backaction1DResult))
+
+
 def backaction_1d(params: SystemParams1D) -> Backaction1DResult:
     """Exact single-mode steady state when vacuum noise dominates.
 
@@ -234,38 +277,43 @@ def backaction_1d(params: SystemParams1D) -> Backaction1DResult:
     with zero cross correlation. The occupation, purity and the
     oscillator-shape parameter M_Omega follow, together with the
     small-coupling limit n_min_weak that sets the familiar sideband
-    cooling floor.
+    cooling floor. backaction_1d_batch runs the same formulas on the
+    columns of a grid.
     """
     if params.delta <= 0:
-        raise UnstableRegime("backaction steady state requires delta > 0")
-    g2 = g_o_squared(params)
-    wb2 = params.omega_b**2
-    margin = wb2 - 2.0 * g2
+        raise _detuning_error()
+    margin, K, wb2 = _backaction_margin(params)
     if margin <= 0:
-        raise UnstableRegime(
-            f"unstable: omega_b^2 - 2 g_o^2 = {margin:.6g} is not positive"
-        )
-    K = (params.kappa / 2.0) ** 2 + params.delta**2
-    m, hbar, delta = params.mass, params.hbar, params.delta
-    xx = hbar / (4.0 * m * delta) * (1.0 + K / margin)
-    pp = hbar * m * (K + wb2) / (4.0 * delta)
-    two_n_plus_1 = math.sqrt((K + margin) * (K + wb2)) / (2.0 * delta * math.sqrt(margin))
-    n_bar = 0.5 * (two_n_plus_1 - 1.0)
-    M_Omega = m * math.sqrt((K + wb2) * margin / (K + margin))
-    n_min_weak = ((params.kappa / 2.0) ** 2 + (delta - params.omega_b) ** 2) / (
-        4.0 * params.omega_b * delta
-    )
-    if not (math.isfinite(xx) and math.isfinite(pp) and math.isfinite(n_bar)
-            and math.isfinite(M_Omega) and math.isfinite(n_min_weak)):
-        raise InvalidParams("backaction moments are not finite at this record's scales")
-    return Backaction1DResult(
-        xx=xx,
-        pp=pp,
-        n_bar=n_bar,
-        purity=1.0 / two_n_plus_1,
-        M_Omega=M_Omega,
-        n_min_weak=n_min_weak,
-    )
+        raise _margin_error(margin)
+    result = _backaction_moments(params, margin, K, wb2)
+    if not all(math.isfinite(getattr(result, name)) for name in _BACKACTION_1D):
+        raise _scale_error()
+    return result
+
+
+def backaction_1d_batch(grid: ParamsGrid) -> tuple[Backaction1DResult, list]:
+    """backaction_1d of every record of a 1D grid.
+
+    Returns a Backaction1DResult whose fields are arrays over the grid
+    and, per item, the error backaction_1d raises for it (None where it
+    settles); the fields of an item with an error mean nothing.
+    """
+    errors: list = [None] * len(grid)
+    cooled = grid.delta > 0
+    flag_first(errors, ~cooled, lambda k: _detuning_error())
+    # Python's float power may overflow on the items with delta <= 0.
+    part = grid if cooled.all() else grid.take(np.flatnonzero(cooled))
+    with np.errstate(all="ignore"):
+        margin, K, wb2 = _backaction_margin(part)
+        result = _backaction_moments(part, margin, K, wb2)
+    if part is not grid:
+        full = np.ones((1 + len(_BACKACTION_1D), len(grid)))
+        full[:, cooled] = [margin, *(getattr(result, name) for name in _BACKACTION_1D)]
+        margin, result = full[0], Backaction1DResult(*full[1:])
+    flag_first(errors, margin <= 0, lambda k: _margin_error(margin[k]))
+    finite = np.isfinite([getattr(result, name) for name in _BACKACTION_1D]).all(axis=0)
+    flag_first(errors, ~finite, lambda k: _scale_error())
+    return result, errors
 
 
 def _bare_occupation(xx, pp, hbar, omega, mass):
@@ -371,7 +419,13 @@ def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
         hbar=hbar,
     )
     purity_2d = purity_2d_general(cov).purity_2d
-    purity_product = hbar**2 / (4.0 * math.sqrt(xx_b * pp_b * xx_d * pp_d))
+    product = xx_b * pp_b * xx_d * pp_d
+    if math.isfinite(product):
+        purity_product = hbar**2 / (4.0 * math.sqrt(product))
+    else:
+        purity_product = hbar**2 / 4.0 / math.sqrt(xx_b * pp_b) / math.sqrt(xx_d * pp_d)
+    if not purity_product > 0.0:
+        raise InvalidParams("covariance determinant overflows at this record's scales")
     return Backaction2DResult(
         xx_b=xx_b,
         xx_d=xx_d,

@@ -34,6 +34,7 @@ from .errors import (
     UncertaintyViolation,
     flag_first,
 )
+from .models import _py_pow
 
 __all__ = [
     "Cov1D",
@@ -132,17 +133,6 @@ class Summary2D:
     N_plus: float
     N_minus: float
     purity_product_1d: float
-
-
-def _py_pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k item by item with Python's float power.
-
-    numpy rounds x**2 (as x*x) and x**4 differently from the C pow
-    behind Python's float power in about 1 case in 1,000 and 1 in 40
-    on random inputs. Cov1D.det and the CSV files written so far use
-    Python's, so this keeps their bits.
-    """
-    return np.array([v ** k for v in x.tolist()], dtype=float)
 
 
 def _clamped_det_ratio(det: np.ndarray, hbar: np.ndarray, errors: list) -> np.ndarray:
@@ -311,7 +301,10 @@ def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
 
     Returns a Summary2D whose fields are arrays over the stack and, per
     item, the error the scalar call raises for it (None when the item
-    settles); the fields of a flagged item mean nothing.
+    settles); the fields of a flagged item mean nothing. Where det V
+    over (hbar/2)^4 is not a finite float, purity_2d comes from the
+    log-determinant; an item whose purity_2d or product of reduced
+    purities is still not a positive float is flagged.
     """
     W = np.ascontiguousarray(W, dtype=float)
     hbar = np.asarray(hbar, dtype=float)
@@ -319,19 +312,25 @@ def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
     nu_hi, nu_lo = _symplectic_batch(W, errors)
     N_plus = _clamped_modal_occupation(nu_hi, hbar, errors)
     N_minus = _clamped_modal_occupation(nu_lo, hbar, errors)
-    # A determinant past the float range makes a ratio inf (a purity of
-    # 0) or nan; the item is flagged after the checks it passes.
     with np.errstate(over="ignore", invalid="ignore"):
         det_ratio = np.linalg.det(W) / _py_pow(hbar / 2.0, 4)
         flag_first(errors, det_ratio < 1.0 - 4.0 * UNCERTAINTY_RTOL,
                    lambda k: UncertaintyViolation(
                        f"4x4 covariance determinant ratio {det_ratio[k]:.6g} below 1"))
         purity_2d = 1.0 / np.sqrt(np.where(det_ratio < 1.0, 1.0, det_ratio))
+        # A determinant past the float range makes the ratio inf or nan;
+        # there the purity comes from the log-determinant instead.
+        over = np.flatnonzero(~np.isfinite(det_ratio))
+        if over.size:
+            sign, logdet = np.linalg.slogdet(W[over])
+            log_ratio = np.where(sign > 0, logdet, np.nan) - 4.0 * np.log(hbar[over] / 2.0)
+            purity_2d[over] = np.exp(-0.5 * np.maximum(log_ratio, 0.0))
         prod = np.ones(len(W))
         for b in (W[:, :2, :2], W[:, 2:, 2:]):
             det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
             prod = prod / np.sqrt(_clamped_det_ratio(det, hbar, errors))
-    flag_first(errors, ~(np.isfinite(det_ratio) & (prod > 0.0)), lambda k: InvalidParams(
+    # The item is flagged after the checks it passes.
+    flag_first(errors, ~((purity_2d > 0.0) & (prod > 0.0)), lambda k: InvalidParams(
         "covariance determinant overflows at this record's scales"))
     return Summary2D(purity_2d=purity_2d, N_plus=N_plus, N_minus=N_minus,
                      purity_product_1d=prod), errors

@@ -10,6 +10,10 @@ mechanical mode plus cavity (4x4), the two-mode trap in the
 bright/dark basis plus cavity (6x6), and the resonant three-mode
 model with counter-rotating terms dropped (6x6 quadratures of the
 rotating-frame amplitudes; hbar is effectively 1 in that frame).
+Each builder takes a ParamsGrid and writes the drift and diffusion
+stacks A[B, n, n] and D[B, n, n] by index, with per-item errors and
+regime warnings (build_1d_batch, build_2d_batch, build_rwa_batch);
+the scalar build_1d, build_2d and build_rwa are grids of one.
 
 Quadrature convention: X = (a + a^dagger)/sqrt(2), P = i(a^dagger -
 a)/sqrt(2), so a vacuum input of rate kappa produces diffusion
@@ -43,9 +47,11 @@ from .errors import (CorrelatedBathUnsupported, InvalidParams, OmsteadyError, So
                      UnstableSystem, flag_first)
 from .gaussian import Cov1D, Cov2D
 from .models import (
+    ParamsGrid,
     SystemParams1D,
     SystemParams2D,
     SystemParamsRWA,
+    _py_pow,
     bright_dark,
     planck,
 )
@@ -53,11 +59,15 @@ from .models import (
 __all__ = [
     "NoiseMode",
     "LinearSystem",
+    "SystemBatch",
     "CovarianceMatrix",
     "CovarianceBatch",
     "build_1d",
     "build_2d",
     "build_rwa",
+    "build_1d_batch",
+    "build_2d_batch",
+    "build_rwa_batch",
     "stability",
     "steady_covariance",
     "steady_covariance_batch",
@@ -98,17 +108,64 @@ class LinearSystem:
             raise InvalidParams("drift and diffusion must be square and same size")
         if n != len(self.labels) or n % 2:
             raise InvalidParams("labels must match an even dimension")
-        for name, mat in (("drift", a), ("diffusion", d)):
-            if not np.isfinite(mat).all():
-                raise InvalidParams(f"{name} matrix has a non-finite entry")
-        if np.abs(d - d.T).max() > 1e-14 * max(np.abs(d).max(), 1.0):
-            raise InvalidParams("diffusion matrix must be symmetric")
+        errors = [None]
+        d = _checked_diffusion(a[None], d[None], errors)[0]
+        if errors[0] is not None:
+            raise errors[0]
         object.__setattr__(self, "drift", a)
-        object.__setattr__(self, "diffusion", 0.5 * (d + d.T))
+        object.__setattr__(self, "diffusion", d)
 
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
+
+
+def _checked_diffusion(A: np.ndarray, D: np.ndarray, errors: list) -> np.ndarray:
+    """LinearSystem's checks on stacked drift A[B, n, n] and diffusion D[B, n, n].
+
+    Flags each item that has no error yet with the error of the first
+    check it fails, and returns the symmetrized diffusion 0.5 (D + D^T),
+    which must stay finite too.
+    """
+    def non_finite(name, M):
+        flag_first(errors, ~np.isfinite(M).all(axis=(-2, -1)),
+                   lambda k: InvalidParams(f"{name} matrix has a non-finite entry"))
+
+    non_finite("drift", A)
+    non_finite("diffusion", D)
+    with np.errstate(all="ignore"):
+        asymmetry = np.abs(D - D.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+        scale = np.maximum(np.abs(D).max(axis=(-2, -1), initial=0.0), 1.0)
+        flag_first(errors, asymmetry > 1e-14 * scale,
+                   lambda k: InvalidParams("diffusion matrix must be symmetric"))
+        D = 0.5 * (D + D.swapaxes(-1, -2))
+    non_finite("diffusion", D)
+    return D
+
+
+@dataclass(frozen=True, eq=False)
+class SystemBatch:
+    """The Langevin systems of a ParamsGrid, stacked, with one outcome per item.
+
+    ``errors[k]`` is None when item k's system is valid, and otherwise
+    the error its scalar builder raises; ``warnings[k]`` are its regime
+    warnings. The matrices of an item with an error mean nothing.
+    """
+
+    drift: np.ndarray
+    diffusion: np.ndarray
+    labels: tuple[str, ...]
+    hbar: np.ndarray
+    warnings: tuple[tuple[str, ...], ...]
+    errors: tuple[OmsteadyError | None, ...]
+
+    def system(self, k: int) -> LinearSystem:
+        """Item k as a LinearSystem; raises its error if it has one."""
+        if self.errors[k] is not None:
+            raise self.errors[k]
+        return LinearSystem(drift=self.drift[k], diffusion=self.diffusion[k],
+                            labels=self.labels, hbar=float(self.hbar[k]),
+                            warnings=self.warnings[k])
 
 
 @dataclass(frozen=True)
@@ -135,40 +192,65 @@ class CovarianceMatrix:
         return Cov2D(matrix=self.block(names), hbar=self.hbar)
 
 
-def build_1d(params: SystemParams1D, noise: NoiseMode) -> LinearSystem:
-    """One mechanical mode and one cavity mode, ordering (x_b, p_b, X_c, P_c).
+def _thermal_force(mass, gamma, hbar, omega, temperature, errors: list) -> np.ndarray:
+    """2 m gamma hbar omega (n_B + 1/2) for each item with gamma > 0, else 0.
+
+    The white-noise force of a damped mode at its frequency, with
+    n_B = planck(omega, temperature) item by item in Python's float
+    math. An item that has an error is skipped, and one for which
+    planck raises gets that error.
+    """
+    out = np.zeros(len(gamma))
+    cols = [c.tolist() for c in (mass, gamma, hbar, omega, temperature)]
+    for k in np.flatnonzero(gamma > 0).tolist():
+        if errors[k] is None:
+            m, g, h, w, T = (c[k] for c in cols)
+            try:
+                out[k] = 2.0 * m * g * h * w * (planck(w, T) + 0.5)
+            except OmsteadyError as exc:
+                errors[k] = exc
+    return out
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
+    """One mechanical mode and one cavity mode per item of a 1D grid,
+    ordering (x_b, p_b, X_c, P_c).
 
     The optomechanical force enters the momentum equation as
     -sqrt(2) hbar lambda_o X_c and reciprocally drives the cavity
     phase quadrature with -sqrt(2) lambda_o x_b.
     """
-    if params.kappa <= 0 or params.omega_b <= 0:
-        raise InvalidParams("build_1d needs kappa > 0 and omega_b > 0")
-    m, hbar = params.mass, params.hbar
-    lam = params.lambda_o
-    A = np.array(
-        [
-            [0.0, 1.0 / m, 0.0, 0.0],
-            [-m * params.omega_b**2, -params.gamma_b, -math.sqrt(2.0) * hbar * lam, 0.0],
-            [0.0, 0.0, -params.kappa / 2.0, params.delta],
-            [-math.sqrt(2.0) * lam, 0.0, -params.delta, -params.kappa / 2.0],
-        ]
-    )
-    D = np.zeros((4, 4))
-    D[2, 2] = D[3, 3] = params.kappa / 2.0
-    if noise is NoiseMode.MarkovianThermal and params.gamma_b > 0:
-        n_B = planck(params.omega_b, params.temperature)
-        D[1, 1] = 2.0 * m * params.gamma_b * hbar * params.omega_b * (n_B + 0.5)
-    return LinearSystem(
-        drift=A,
-        diffusion=D,
-        labels=("x_b", "p_b", "X_c", "P_c"),
-        hbar=hbar,
-    )
+    B, m, hbar, lam = len(grid), grid.mass, grid.hbar, grid.lambda_o
+    errors: list = [None] * B
+    A = np.zeros((B, 4, 4))
+    D = np.zeros((B, 4, 4))
+    with np.errstate(all="ignore"):
+        A[:, 0, 1] = 1.0 / m
+        A[:, 1, 0] = -m * _py_pow(grid.omega_b, 2)
+        A[:, 1, 1] = -grid.gamma_b
+        A[:, 1, 2] = -_SQRT2 * hbar * lam
+        A[:, 2, 2] = A[:, 3, 3] = -grid.kappa / 2.0
+        A[:, 2, 3] = grid.delta
+        A[:, 3, 0] = -_SQRT2 * lam
+        A[:, 3, 2] = -grid.delta
+        D[:, 2, 2] = D[:, 3, 3] = grid.kappa / 2.0
+        if noise is NoiseMode.MarkovianThermal:
+            D[:, 1, 1] = _thermal_force(m, grid.gamma_b, hbar, grid.omega_b, grid.temperature,
+                                        errors)
+    D = _checked_diffusion(A, D, errors)
+    return SystemBatch(A, D, ("x_b", "p_b", "X_c", "P_c"), hbar, ((),) * B, tuple(errors))
 
 
-def build_2d(params: SystemParams2D, noise: NoiseMode) -> LinearSystem:
-    """Bright and dark mechanical modes plus cavity, 6x6.
+def build_1d(params: SystemParams1D, noise: NoiseMode) -> LinearSystem:
+    """build_1d_batch of one record, as a LinearSystem."""
+    return build_1d_batch(ParamsGrid.from_records([params]), noise).system(0)
+
+
+def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
+    """Bright and dark mechanical modes plus cavity per item of a 2D grid, 6x6.
 
     Ordering (x_b, p_b, x_d, p_d, X_c, P_c). The bright/dark rotation
     produces an elastic cross coupling m*omega_bar_m*delta_m and, for
@@ -180,101 +262,93 @@ def build_2d(params: SystemParams2D, noise: NoiseMode) -> LinearSystem:
     rates differ and the modes actually mix (eta_m != 0), the rotated
     baths are correlated and no white-noise surrogate is attempted.
     """
-    bd = bright_dark(params)
-    m, hbar = params.mass, params.hbar
-    lam = params.lambda_o
-    cross = m * bd.omega_bar_m * bd.delta_m
-    A = np.zeros((6, 6))
-    A[0, 1] = 1.0 / m
-    A[1, 0] = -m * bd.omega_b**2
-    A[1, 1] = -bd.gamma_b
-    A[1, 2] = -cross
-    A[1, 3] = -bd.eta_m
-    A[1, 4] = -math.sqrt(2.0) * hbar * lam
-    A[2, 3] = 1.0 / m
-    A[3, 2] = -m * bd.omega_d**2
-    A[3, 3] = -bd.gamma_d
-    A[3, 0] = -cross
-    A[3, 1] = -bd.eta_m
-    A[4, 4] = -params.kappa / 2.0
-    A[4, 5] = params.delta
-    A[5, 0] = -math.sqrt(2.0) * lam
-    A[5, 4] = -params.delta
-    A[5, 5] = -params.kappa / 2.0
-    D = np.zeros((6, 6))
-    D[4, 4] = D[5, 5] = params.kappa / 2.0
-    if noise is NoiseMode.MarkovianThermal:
-        if params.gamma_x != params.gamma_y and bd.eta_m != 0.0:
-            raise CorrelatedBathUnsupported(
-                "unequal axis damping with mode mixing correlates the "
-                "bright and dark baths; no white-noise surrogate exists"
-            )
-        for row, (w, g) in ((1, (bd.omega_b, bd.gamma_b)), (3, (bd.omega_d, bd.gamma_d))):
-            if g > 0:
-                n_B = planck(w, params.temperature)
-                D[row, row] = 2.0 * m * g * hbar * w * (n_B + 0.5)
-    return LinearSystem(
-        drift=A,
-        diffusion=D,
-        labels=("x_b", "p_b", "x_d", "p_d", "X_c", "P_c"),
-        hbar=hbar,
-    )
+    B, m, hbar, lam = len(grid), grid.mass, grid.hbar, grid.lambda_o
+    errors: list = [None] * B
+    A = np.zeros((B, 6, 6))
+    D = np.zeros((B, 6, 6))
+    with np.errstate(all="ignore"):
+        bd = bright_dark(grid)
+        cross = m * bd.omega_bar_m * bd.delta_m
+        A[:, 0, 1] = 1.0 / m
+        A[:, 1, 0] = -m * _py_pow(bd.omega_b, 2)
+        A[:, 1, 1] = -bd.gamma_b
+        A[:, 1, 2] = -cross
+        A[:, 1, 3] = -bd.eta_m
+        A[:, 1, 4] = -_SQRT2 * hbar * lam
+        A[:, 2, 3] = 1.0 / m
+        A[:, 3, 2] = -m * _py_pow(bd.omega_d, 2)
+        A[:, 3, 3] = -bd.gamma_d
+        A[:, 3, 0] = -cross
+        A[:, 3, 1] = -bd.eta_m
+        A[:, 4, 4] = -grid.kappa / 2.0
+        A[:, 4, 5] = grid.delta
+        A[:, 5, 0] = -_SQRT2 * lam
+        A[:, 5, 4] = -grid.delta
+        A[:, 5, 5] = -grid.kappa / 2.0
+        D[:, 4, 4] = D[:, 5, 5] = grid.kappa / 2.0
+        if noise is NoiseMode.MarkovianThermal:
+            flag_first(errors, (grid.gamma_x != grid.gamma_y) & (bd.eta_m != 0.0),
+                       lambda k: CorrelatedBathUnsupported(
+                           "unequal axis damping with mode mixing correlates the "
+                           "bright and dark baths; no white-noise surrogate exists"))
+            for row, w, g in ((1, bd.omega_b, bd.gamma_b), (3, bd.omega_d, bd.gamma_d)):
+                D[:, row, row] = _thermal_force(m, g, hbar, w, grid.temperature, errors)
+    D = _checked_diffusion(A, D, errors)
+    return SystemBatch(A, D, ("x_b", "p_b", "x_d", "p_d", "X_c", "P_c"), hbar, ((),) * B,
+                       tuple(errors))
 
 
-def build_rwa(params: SystemParamsRWA) -> LinearSystem:
+def build_2d(params: SystemParams2D, noise: NoiseMode) -> LinearSystem:
+    """build_2d_batch of one record, as a LinearSystem."""
+    return build_2d_batch(ParamsGrid.from_records([params]), noise).system(0)
+
+
+_RWA_REGIME = ("rotating-wave build outside its regime: kappa, G_o, G_m "
+               "should be well below the mode frequencies",)
+
+
+def build_rwa_batch(grid: ParamsGrid) -> SystemBatch:
     """Resonantly coupled cavity, bright and dark modes without
-    counter-rotating terms, 6x6 over (X_a, P_a, X_b, P_b, X_d, P_d).
+    counter-rotating terms, per item of a rotating-wave grid, 6x6 over
+    (X_a, P_a, X_b, P_b, X_d, P_d).
 
     Quadratures here are of the mode amplitudes themselves (not mass-
     weighted positions), so hbar is 1 in this frame and a vacuum mode
     has variance 1/2 per quadrature. Thermal inputs of occupation n_B
-    give diffusion gamma*(n_B + 1/2) per quadrature.
+    give diffusion gamma*(n_B + 1/2) per quadrature. An item whose
+    kappa, G_o or G_m is not well below its mode frequencies carries a
+    regime warning.
     """
-    warn: list[str] = []
-    wmin = min(params.omega_b, params.omega_d)
-    if max(params.kappa, params.G_o, params.G_m) > 0.1 * wmin:
-        warn.append(
-            "rotating-wave build outside its regime: kappa, G_o, G_m "
-            "should be well below the mode frequencies"
-        )
-    A = np.zeros((6, 6))
-
-    def rotor(i: int, rate: float, freq: float) -> None:
-        A[i, i] = A[i + 1, i + 1] = -rate
-        A[i, i + 1] = freq
-        A[i + 1, i] = -freq
-
-    rotor(0, params.kappa / 2.0, params.delta)
-    rotor(2, params.gamma_b / 2.0, params.omega_b)
-    rotor(4, params.gamma_d / 2.0, params.omega_d)
-
-    def beamsplit(i: int, j: int, g: float) -> None:
+    B = len(grid)
+    errors: list = [None] * B
+    A = np.zeros((B, 6, 6))
+    D = np.zeros((B, 6, 6))
+    with np.errstate(all="ignore"):
+        outside = (np.maximum(np.maximum(grid.kappa, grid.G_o), grid.G_m)
+                   > 0.1 * np.minimum(grid.omega_b, grid.omega_d))
+        for i, rate, freq in ((0, grid.kappa / 2.0, grid.delta),
+                              (2, grid.gamma_b / 2.0, grid.omega_b),
+                              (4, grid.gamma_d / 2.0, grid.omega_d)):
+            A[:, i, i] = A[:, i + 1, i + 1] = -rate
+            A[:, i, i + 1] = freq
+            A[:, i + 1, i] = -freq
         # -i g exchange coupling between complex amplitudes i and j
-        A[i, j + 1] += g
-        A[i + 1, j] += -g
-        A[j, i + 1] += g
-        A[j + 1, i] += -g
+        for i, j, g in ((0, 2, grid.G_o), (2, 4, grid.G_m)):
+            A[:, i, j + 1] += g
+            A[:, i + 1, j] += -g
+            A[:, j, i + 1] += g
+            A[:, j + 1, i] += -g
+        for i, d in ((0, grid.kappa / 2.0), (2, grid.gamma_b * (grid.n_B_b + 0.5)),
+                     (4, grid.gamma_d * (grid.n_B_d + 0.5))):
+            D[:, i, i] = D[:, i + 1, i + 1] = d
+    D = _checked_diffusion(A, D, errors)
+    return SystemBatch(A, D, ("X_a", "P_a", "X_b", "P_b", "X_d", "P_d"), np.ones(B),
+                       tuple(_RWA_REGIME if w else () for w in outside.tolist()), tuple(errors))
 
-    beamsplit(0, 2, params.G_o)
-    beamsplit(2, 4, params.G_m)
 
-    D = np.diag(
-        [
-            params.kappa / 2.0,
-            params.kappa / 2.0,
-            params.gamma_b * (params.n_B_b + 0.5),
-            params.gamma_b * (params.n_B_b + 0.5),
-            params.gamma_d * (params.n_B_d + 0.5),
-            params.gamma_d * (params.n_B_d + 0.5),
-        ]
-    )
-    return LinearSystem(
-        drift=A,
-        diffusion=D,
-        labels=("X_a", "P_a", "X_b", "P_b", "X_d", "P_d"),
-        hbar=1.0,
-        warnings=tuple(warn),
-    )
+def build_rwa(params: SystemParamsRWA) -> LinearSystem:
+    """build_rwa_batch of one record, as a LinearSystem."""
+    return build_rwa_batch(ParamsGrid.from_records([params])).system(0)
 
 
 def _decaying(A: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Parameter records and derived model coefficients.
+"""Parameter records, their columnar grids, and derived model coefficients.
 
 All quantities live in a single dimensionless frame unless stated
 otherwise: frequencies and rates in units of a reference angular
@@ -13,36 +13,47 @@ The drive-enhanced optomechanical coupling can be specified either as
 a rate ``G_o`` or as the force-gradient form ``lambda_o``; the two are
 related by G_o = lambda_o * sqrt(hbar / (2 m omega_b)) and consistency
 is enforced when both are supplied.
+
+Each record class validates with one ordered table of rules. A rule
+reads a record's floats or a ParamsGrid's columns alike, so a record
+raises the InvalidParams of the first rule it breaks, and a grid gives
+each item the error its record would raise, with the same text. A
+ParamsGrid holds many records as one float64 column per field; sweeps
+build one per chunk of grid points with ParamsGrid.from_axes, which
+applies overrides as with_param does, and every evaluator of
+omsteady.sweep takes one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
-from .errors import InvalidParams
+import numpy as np
+
+from .errors import InvalidParams, flag_first
 
 __all__ = [
     "SystemParams1D",
     "SystemParams2D",
     "BrightDark",
     "SystemParamsRWA",
+    "ParamsGrid",
     "bright_dark",
     "planck",
     "cooperativity",
     "g_o_squared",
     "temperature_for_occupation",
     "resonant_2d_design",
+    "with_param",
+    "check_param_names",
 ]
 
 _COUPLING_CONSISTENCY_RTOL = 1e-9
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidParams(msg)
-
 
 #: Smallest hbar whose (hbar/2)^4, the scale of a two-mode covariance
 #: determinant, is a normal float (about 2.443e-77; SI's 1.05e-34 passes).
@@ -50,27 +61,145 @@ def _require(cond: bool, msg: str) -> None:
 _HBAR_MIN = 2.0 * sys.float_info.min ** 0.25
 
 
-def _reject_tiny_hbar(hbar: float) -> None:
-    raise InvalidParams(f"hbar must be at least {_HBAR_MIN:.4g} so that (hbar/2)^4 is a "
-                        f"normal float, got {hbar!r}")
+# Float-or-array helpers: one formula serves a record's floats and a
+# grid's columns. Powers and transcendentals go item by item through
+# Python's float math, since numpy rounds x**2 (as x*x) and x**4
+# differently from the C pow behind Python's float power in about 1
+# case in 1,000 and 1 in 40 on random inputs; +, -, *, / and sqrt are
+# correctly rounded in both.
 
 
-def _reject_non_finite(record) -> None:
-    """Raise InvalidParams naming the first field that is not finite or
-    whose square overflows, if any.
+def _items(fn, x):
+    """fn(x) for a float; fn of each item, as a float, for an array."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.tolist()], dtype=float)
+    return fn(x)
 
-    Called when the sum of the squares of a record's fields is not
-    finite, which is as cheap to test on every construction as a plain
-    sum and also catches fields so large that the squares the models
-    are built from overflow. A sum of finite squares that merely
-    overflows passes.
+
+def _py_pow(x, k: int):
+    """x**k with Python's float power (item by item for an array)."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** k for v in x.tolist()], dtype=float)
+    return x ** k
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _nonfinite(x):
+    return ~np.isfinite(x) if isinstance(x, np.ndarray) else not math.isfinite(x)
+
+
+def _maximum(a, b):
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+
+
+# A rule is (reads, bad, message): bad(r) is true where r breaks the
+# rule, for a record (a bool) or for columns (a bool per item); reads
+# names the fields bad reads, and message is the InvalidParams text, or
+# a function of the failing record that makes it.
+
+
+class _Finite(tuple):
+    """Rule group: the named fields and their squares must be finite.
+
+    The models are built from the squares, so a field whose square
+    overflows is rejected too. The sum of the squares is finite exactly
+    when no field breaks the group, so it gates the per-field rules,
+    which name the first field that does. A sum of finite squares that
+    merely overflows passes. Fields not given (``unset``) are skipped.
     """
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if value is not None and not math.isfinite(value):
-            raise InvalidParams(f"{f.name} must be finite, got {value!r}")
-        if value is not None and not math.isfinite(value * value):
-            raise InvalidParams(f"{f.name} must be below 1.3e154 in magnitude, got {value!r}")
+
+    @functools.cache
+    def names(self, unset: tuple) -> tuple:
+        return tuple(n for n in self if n not in unset)
+
+
+def _finite_rules(names) -> list:
+    return [rule for name in names for rule in (
+        ((name,), lambda r, n=name: _nonfinite(getattr(r, n)),
+         lambda r, n=name: f"{n} must be finite, got {getattr(r, n)!r}"),
+        ((name,), lambda r, n=name: _nonfinite(getattr(r, n) * getattr(r, n)),
+         lambda r, n=name: f"{n} must be below 1.3e154 in magnitude, got {getattr(r, n)!r}"),
+    )]
+
+
+def _text(message, r) -> str:
+    return message if isinstance(message, str) else message(r)
+
+
+def _check(r, table, unset=()) -> None:
+    """Raise the InvalidParams of the first rule of table the record r breaks."""
+    for entry in table:
+        if type(entry) is not _Finite:
+            if entry[1](r):
+                raise InvalidParams(_text(entry[2], r))
+            continue
+        values = [getattr(r, n) for n in entry.names(unset)]
+        if not math.isfinite(sum(map(operator.mul, values, values))):
+            _check(r, _finite_rules(entry.names(unset)))
+
+
+def _item(r, k: int) -> SimpleNamespace:
+    """Item k of the columns r, as floats."""
+    return SimpleNamespace(**{name: float(col[k]) for name, col in vars(r).items()})
+
+
+@functools.cache
+def _rules_reading(table: tuple, changed: frozenset | None, unset: tuple) -> tuple:
+    """The entries of table that read a field in changed (all if None);
+    a _Finite group keeps the names it checks that are in changed."""
+    out = []
+    for entry in table:
+        if type(entry) is _Finite:
+            names = _Finite(n for n in entry.names(unset) if changed is None or n in changed)
+            if names:
+                out.append(names)
+        elif changed is None or not changed.isdisjoint(entry[0]):
+            out.append(entry)
+    return tuple(out)
+
+
+def _flag(r, table, errors: list, unset=(), changed=None) -> None:
+    """Give each item of the columns r that has no error yet the error
+    _check raises for its record: the first rule of table it breaks.
+
+    With ``changed``, r holds valid records apart from the fields named
+    there, and only the rules that read one of them can fail; the
+    others are skipped.
+    """
+    for entry in _rules_reading(table, changed, unset):
+        if type(entry) is _Finite:
+            if np.isfinite(sum(getattr(r, n) * getattr(r, n) for n in entry)).all():
+                continue
+            rules = _finite_rules(entry)
+        else:
+            rules = (entry,)
+        for _, bad, message in rules:
+            flag_first(errors, bad(r), lambda k: InvalidParams(_text(message, _item(r, k))))
+
+
+_TINY_HBAR = (("hbar",), lambda r: r.hbar < _HBAR_MIN,
+              lambda r: f"hbar must be at least {_HBAR_MIN:.4g} so that (hbar/2)^4 is a "
+                        f"normal float, got {r.hbar!r}")
+#: hbar / (2 m omega_b), the zero-point position variance that converts
+#: between the two forms of the coupling, must be a positive float: a
+#: quotient by 0 (Python raises) or of 0 would make one form 0 or inf.
+_ZERO_POINT = (
+    (("mass", "omega_b"), lambda r: 2.0 * r.mass * r.omega_b <= 0.0,
+     "2 mass omega_b underflows to 0 at these scales"),
+    (("hbar", "mass", "omega_b"), lambda r: r.hbar / (2.0 * r.mass * r.omega_b) <= 0.0,
+     "hbar / (2 mass omega_b) underflows to 0 at these scales"),
+)
+
+
+def _positive(name: str):
+    return ((name,), lambda r: getattr(r, name) <= 0, f"{name} must be positive")
+
+
+def _nonnegative(name: str):
+    return ((name,), lambda r: getattr(r, name) < 0, f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -100,39 +229,7 @@ class SystemParams1D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        # NaN and infinities first: they slip through the sign checks below.
-        lam, rate = self.lambda_o or 0.0, self.G_o or 0.0
-        if not math.isfinite(self.omega_b * self.omega_b + self.gamma_b * self.gamma_b
-                             + self.kappa * self.kappa + self.delta * self.delta
-                             + lam * lam + rate * rate + self.mass * self.mass
-                             + self.temperature * self.temperature + self.hbar * self.hbar):
-            _reject_non_finite(self)
-        _require(self.omega_b > 0, "omega_b must be positive")
-        _require(self.gamma_b >= 0, "gamma_b must be nonnegative")
-        _require(self.kappa > 0, "kappa must be positive")
-        _require(self.mass > 0, "mass must be positive")
-        _require(self.hbar > 0, "hbar must be positive")
-        if self.hbar < _HBAR_MIN:
-            _reject_tiny_hbar(self.hbar)
-        _require(self.temperature >= 0, "temperature must be nonnegative")
-        conv = math.sqrt(self.hbar / (2.0 * self.mass * self.omega_b))
-        if self.lambda_o is None and self.G_o is None:
-            raise InvalidParams("specify lambda_o or G_o")
-        if self.lambda_o is None:
-            object.__setattr__(self, "lambda_o", self.G_o / conv)
-        elif self.G_o is None:
-            object.__setattr__(self, "G_o", self.lambda_o * conv)
-        else:
-            expect = self.lambda_o * conv
-            scale = max(abs(expect), abs(self.G_o), 1e-300)
-            if abs(expect - self.G_o) > _COUPLING_CONSISTENCY_RTOL * scale:
-                raise InvalidParams(
-                    "lambda_o and G_o are inconsistent: "
-                    f"G_o={self.G_o} but lambda_o implies {expect}"
-                )
-        # the derived form of the coupling can overflow where the given one did not
-        if not math.isfinite(self.lambda_o * self.lambda_o + self.G_o * self.G_o):
-            _reject_non_finite(self)
+        _settle_1d(self, tuple(n for n in _COUPLINGS if getattr(self, n) is None), _check)
 
 
 @dataclass(frozen=True)
@@ -159,24 +256,7 @@ class SystemParams2D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.omega_x * self.omega_x + self.omega_y * self.omega_y
-                             + self.gamma_x * self.gamma_x + self.gamma_y * self.gamma_y
-                             + self.phi * self.phi + self.kappa * self.kappa
-                             + self.delta * self.delta + self.lambda_o * self.lambda_o
-                             + self.mass * self.mass + self.temperature * self.temperature
-                             + self.hbar * self.hbar):
-            _reject_non_finite(self)
-        _require(self.omega_x > 0, "omega_x must be positive")
-        _require(self.omega_y > 0, "omega_y must be positive")
-        _require(self.gamma_x >= 0, "gamma_x must be nonnegative")
-        _require(self.gamma_y >= 0, "gamma_y must be nonnegative")
-        _require(0.0 <= self.phi <= math.pi / 2, "phi must lie in [0, pi/2]")
-        _require(self.kappa > 0, "kappa must be positive")
-        _require(self.mass > 0, "mass must be positive")
-        _require(self.hbar > 0, "hbar must be positive")
-        if self.hbar < _HBAR_MIN:
-            _reject_tiny_hbar(self.hbar)
-        _require(self.temperature >= 0, "temperature must be nonnegative")
+        _check(self, _RULES[SystemParams2D])
 
     @property
     def G_o(self) -> float:
@@ -228,42 +308,263 @@ class SystemParamsRWA:
     n_B_d: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.omega_b * self.omega_b + self.omega_d * self.omega_d
-                             + self.gamma_b * self.gamma_b + self.gamma_d * self.gamma_d
-                             + self.kappa * self.kappa + self.delta * self.delta
-                             + self.G_o * self.G_o + self.G_m * self.G_m
-                             + self.n_B_b * self.n_B_b + self.n_B_d * self.n_B_d):
-            _reject_non_finite(self)
-        _require(self.omega_b > 0, "omega_b must be positive")
-        _require(self.omega_d > 0, "omega_d must be positive")
-        _require(self.gamma_b >= 0, "gamma_b must be nonnegative")
-        _require(self.gamma_d >= 0, "gamma_d must be nonnegative")
-        _require(self.kappa > 0, "kappa must be positive")
-        _require(self.n_B_b >= 0, "n_B_b must be nonnegative")
-        _require(self.n_B_d >= 0, "n_B_d must be nonnegative")
+        _check(self, _RULES[SystemParamsRWA])
 
 
-def bright_dark(params: SystemParams2D) -> BrightDark:
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
+                for cls in (SystemParams1D, SystemParams2D, SystemParamsRWA)}
+
+#: Each record class's rules, in the order they are checked. The 1D
+#: record then settles its coupling pair (_settle_1d).
+_RULES = {
+    SystemParams1D: (
+        _Finite(_FIELD_NAMES[SystemParams1D]),
+        _positive("omega_b"), _nonnegative("gamma_b"), _positive("kappa"), _positive("mass"),
+        _positive("hbar"), _TINY_HBAR, _nonnegative("temperature"), *_ZERO_POINT,
+    ),
+    SystemParams2D: (
+        _Finite(_FIELD_NAMES[SystemParams2D]),
+        _positive("omega_x"), _positive("omega_y"), _nonnegative("gamma_x"),
+        _nonnegative("gamma_y"),
+        (("phi",), lambda r: (r.phi < 0.0) | (r.phi > math.pi / 2),
+         "phi must lie in [0, pi/2]"),
+        _positive("kappa"), _positive("mass"), _positive("hbar"), _TINY_HBAR,
+        _nonnegative("temperature"),
+    ),
+    SystemParamsRWA: (
+        _Finite(_FIELD_NAMES[SystemParamsRWA]),
+        _positive("omega_b"), _positive("omega_d"), _nonnegative("gamma_b"),
+        _nonnegative("gamma_d"), _positive("kappa"), _nonnegative("n_B_b"),
+        _nonnegative("n_B_d"),
+    ),
+}
+
+_COUPLINGS = ("lambda_o", "G_o")
+
+
+def _rate_per_gradient(r):
+    """sqrt(hbar / (2 m omega_b)), the factor G_o / lambda_o."""
+    return _sqrt(r.hbar / (2.0 * r.mass * r.omega_b))
+
+
+def _implied_rate(r):
+    return r.lambda_o * _rate_per_gradient(r)
+
+
+_CONSISTENT = (
+    ("lambda_o", "G_o", "hbar", "mass", "omega_b"),
+    lambda r: abs(_implied_rate(r) - r.G_o) > _COUPLING_CONSISTENCY_RTOL * _maximum(
+        _maximum(abs(_implied_rate(r)), abs(r.G_o)), 1e-300),
+    lambda r: "lambda_o and G_o are inconsistent: "
+              f"G_o={r.G_o} but lambda_o implies {_implied_rate(r)}",
+)
+#: The rules on the settled coupling pair: a derived form of the coupling
+#: can overflow where the given one did not, and a given pair must agree.
+_DERIVED_COUPLING = (_Finite(_COUPLINGS),)
+_GIVEN_COUPLING = (_CONSISTENT, *_DERIVED_COUPLING)
+
+
+def _settle_1d(r, unset: tuple, check) -> None:
+    """Validate a 1D record, or its columns, and set the coupling fields
+    named in unset (those not given) from the other one.
+
+    check(r, table, unset) applies a rule table: _check for a record,
+    _flag for columns.
+    """
+    check(r, _RULES[SystemParams1D], unset)
+    if len(unset) == 2:
+        raise InvalidParams("specify lambda_o or G_o")
+    if unset == ("lambda_o",):
+        object.__setattr__(r, "lambda_o", r.G_o / _rate_per_gradient(r))
+    elif unset == ("G_o",):
+        object.__setattr__(r, "G_o", r.lambda_o * _rate_per_gradient(r))
+    check(r, _DERIVED_COUPLING if unset else _GIVEN_COUPLING, ())
+
+
+#: SystemParams1D fields whose replacement clears a coupling field, so
+#: the record rebuilds it: the other form of the coupling, or lambda_o
+#: where the factor sqrt(hbar / (2 m omega_b)) between the two changes.
+_CLEARS_1D = {"G_o": "lambda_o", "lambda_o": "G_o",
+              "omega_b": "lambda_o", "mass": "lambda_o", "hbar": "lambda_o"}
+#: Names with_param can set: the record's fields, and G_o on a 2D record.
+_SETTABLE = {cls: frozenset(names) | ({"G_o"} if cls is SystemParams2D else frozenset())
+             for cls, names in _FIELD_NAMES.items()}
+
+
+def _no_parameter(cls, name: str) -> InvalidParams:
+    return InvalidParams(f"{cls.__name__} has no parameter {name!r}")
+
+
+def check_param_names(params, names) -> None:
+    """Raise InvalidParams for the first name with_param cannot set on params."""
+    for name in names:
+        if name not in _SETTABLE[type(params)]:
+            raise _no_parameter(type(params), name)
+
+
+def _bright_scales(p) -> SimpleNamespace:
+    """hbar, mass and the bright-mode frequency omega_b (as bright_dark has
+    it, without the mixing terms) of a 2D record or columns."""
+    c2 = _py_pow(_items(math.cos, p.phi), 2)
+    s2 = _py_pow(_items(math.sin, p.phi), 2)
+    omega_b = _sqrt(c2 * _py_pow(p.omega_x, 2) + s2 * _py_pow(p.omega_y, 2))
+    return SimpleNamespace(hbar=p.hbar, mass=p.mass, omega_b=omega_b)
+
+
+def with_param(params, name: str, value: float):
+    """Copy of a params record with one named parameter replaced.
+
+    The 1D coupling is stored in both rate (G_o) and gradient
+    (lambda_o) form; overriding either clears the other so the pair is
+    rebuilt consistently. Overriding omega_b, mass or hbar, which enter
+    the conversion between the two, clears lambda_o, so the coupling
+    rate G_o holds. The 2D record stores only lambda_o; a G_o there is
+    converted at the bright-mode frequency of the record, as in
+    resonant_2d_design.
+    """
+    check_param_names(params, (name,))
+    if isinstance(params, SystemParams1D) and name in _CLEARS_1D:
+        return replace(params, **{name: value, _CLEARS_1D[name]: None})
+    if name == "G_o" and isinstance(params, SystemParams2D):
+        scales = _bright_scales(params)
+        _check(scales, _ZERO_POINT)
+        return replace(params, lambda_o=value / _rate_per_gradient(scales))
+    return replace(params, **{name: value})
+
+
+@dataclass(frozen=True, eq=False)
+class ParamsGrid:
+    """Params records as columns: the record class, one float64 array per
+    field, and per item the InvalidParams its record raises (None where
+    the record is valid).
+
+    A grid reads like a record, ``grid.kappa`` being the kappa column,
+    so the rules and the formulas written for a record's floats run on
+    its columns too. The columns of an item with an error hold the base
+    record's values and mean nothing.
+    """
+
+    cls: type
+    columns: dict
+    errors: tuple
+
+    def __getattr__(self, name: str):
+        columns = self.__dict__.get("columns", {})
+        if name in columns:
+            return columns[name]
+        raise AttributeError(f"{type(self).__name__} has no column {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __iter__(self):
+        return iter(self.records())
+
+    @classmethod
+    def from_records(cls, records) -> ParamsGrid:
+        """The grid of a nonempty list of valid records of one class."""
+        record_cls = type(records[0])
+        columns = {name: np.array([getattr(r, name) for r in records], dtype=float)
+                   for name in _FIELD_NAMES[record_cls]}
+        return cls(record_cls, columns, (None,) * len(records))
+
+    @classmethod
+    def from_axes(cls, base, names, points) -> ParamsGrid:
+        """base with the named parameters set to each point's values.
+
+        Applies the overrides as a chain of with_param calls would:
+        names that are not couplings in order, then lambda_o, then G_o,
+        so the coupling they set holds at the point's final frequencies
+        and scales. Each step is validated as the record it makes, so an
+        item gets the error of the first invalid record of its chain; a
+        name with_param cannot set is that error at its step.
+        """
+        record_cls, n, names = type(base), len(points), list(names)
+        fields_ = _FIELD_NAMES[record_cls]
+        values = np.array(points, dtype=float).reshape(n, len(names))
+        start = np.array([getattr(base, name) for name in fields_], dtype=float)
+        r = SimpleNamespace(**dict(zip(fields_, np.repeat(start[:, None], n, axis=1))))
+        errors: list = [None] * n
+        changed = frozenset()
+
+        def check(r, table, unset=()):
+            _flag(r, table, errors, unset, changed)
+
+        order = [j for j, name in enumerate(names) if name not in _COUPLINGS]
+        order += [names.index(name) for name in _COUPLINGS if name in names]
+        with np.errstate(all="ignore"):
+            for j in order:
+                name, column = names[j], values[:, j].copy()
+                if name not in _SETTABLE[record_cls]:
+                    flag_first(errors, np.ones(n, dtype=bool),
+                               lambda k: _no_parameter(record_cls, name))
+                    continue
+                if record_cls is SystemParams2D and name == "G_o":
+                    scales = _bright_scales(r)
+                    _flag(scales, _ZERO_POINT, errors)
+                    name, column = "lambda_o", column / _rate_per_gradient(scales)
+                setattr(r, name, column)
+                # Every item holds a valid record before the step, so only
+                # the rules reading the fields it changes can fail, and the
+                # agreement of a coupling pair, which a record that derived
+                # one form of the coupling has not been checked for.
+                if record_cls is SystemParams1D:
+                    unset = (_CLEARS_1D[name],) if name in _CLEARS_1D else ()
+                    changed = frozenset((name, *(unset or _COUPLINGS)))
+                    _settle_1d(r, unset, check)
+                else:
+                    changed = frozenset((name,))
+                    check(r, _RULES[record_cls])
+                # Later steps run Python's float math on every item, so a
+                # failed item goes back to the base record's values.
+                failed = [k for k, e in enumerate(errors) if e is not None]
+                if failed:
+                    for field, col in vars(r).items():
+                        col[failed] = getattr(base, field)
+        return cls(record_cls, vars(r), tuple(errors))
+
+    def take(self, idx) -> ParamsGrid:
+        """The items idx (a list of indices) as a grid of their own, without errors."""
+        return ParamsGrid(self.cls, {name: col[idx] for name, col in self.columns.items()},
+                          (None,) * len(idx))
+
+    def records(self) -> list:
+        """The params record of each item; every item must be valid.
+
+        The records are not validated again: their values passed the
+        class's rules when the grid was made, and the fields are set as
+        they are.
+        """
+        names = list(self.columns)
+        out = []
+        for row in zip(*(col.tolist() for col in self.columns.values())):
+            record = object.__new__(self.cls)
+            record.__dict__.update(zip(names, row))
+            out.append(record)
+        return out
+
+
+def bright_dark(params) -> BrightDark:
     """Rotate the (x, y) trap modes into the bright/dark basis.
 
     Returns the effective resonance frequencies and damping rates of
     the two rotated modes together with the mixing coefficients. The
     rotation preserves omega_b^2 + omega_d^2 = omega_x^2 + omega_y^2
-    and gamma_b + gamma_d = gamma_x + gamma_y.
+    and gamma_b + gamma_d = gamma_x + gamma_y. Takes a SystemParams2D,
+    or a grid of them, whose columns give columns.
     """
-    c2 = math.cos(params.phi) ** 2
-    s2 = math.sin(params.phi) ** 2
-    s2phi = math.sin(2.0 * params.phi)
-    wb2 = c2 * params.omega_x**2 + s2 * params.omega_y**2
-    wd2 = s2 * params.omega_x**2 + c2 * params.omega_y**2
-    omega_b = math.sqrt(wb2)
-    omega_d = math.sqrt(wd2)
+    c2 = _py_pow(_items(math.cos, params.phi), 2)
+    s2 = _py_pow(_items(math.sin, params.phi), 2)
+    s2phi = _items(math.sin, 2.0 * params.phi)
+    wx2, wy2 = _py_pow(params.omega_x, 2), _py_pow(params.omega_y, 2)
+    omega_b = _sqrt(c2 * wx2 + s2 * wy2)
+    omega_d = _sqrt(s2 * wx2 + c2 * wy2)
     gamma_b = c2 * params.gamma_x + s2 * params.gamma_y
     gamma_d = s2 * params.gamma_x + c2 * params.gamma_y
     omega_bar_m = 0.5 * (params.omega_x + params.omega_y)
     delta_m = (params.omega_x - params.omega_y) * s2phi
     eta_m = 0.5 * (params.gamma_x - params.gamma_y) * s2phi
-    G_m = omega_bar_m * delta_m / (2.0 * math.sqrt(omega_b * omega_d))
+    G_m = omega_bar_m * delta_m / (2.0 * _sqrt(omega_b * omega_d))
     return BrightDark(
         omega_b=omega_b,
         omega_d=omega_d,
@@ -280,12 +581,16 @@ def planck(omega: float, temperature: float) -> float:
     """Bose occupation 1/(exp(omega/T) - 1) at frequency omega > 0.
 
     ``temperature`` is k_B*T/hbar in frequency units; T=0 gives 0.
+    Past omega/T of about 709.8, where exp overflows, this is exp(-omega/T).
     """
     if omega <= 0:
         raise InvalidParams("planck requires omega > 0")
     if temperature <= 0:
         return 0.0
-    return 1.0 / math.expm1(omega / temperature)
+    try:
+        return 1.0 / math.expm1(omega / temperature)
+    except OverflowError:
+        return math.exp(-omega / temperature)
 
 
 def temperature_for_occupation(n_B: float, omega_ref: float) -> float:

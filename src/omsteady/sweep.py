@@ -2,12 +2,17 @@
 
 A sweep is a RunConfig (model, solver, base parameters, requested
 quantities) plus a SweepSpec (one or two named axes). Each (model,
-solver) pair has one evaluator, which takes a list of params records
-and returns one outcome per record; the Lyapunov evaluators solve the
-list as one stack and the spectral evaluator shares each round of its
-panel rule across the list. Sweeps, figures, validation and optimize
-all evaluate through it, a grid in chunks of grid points. Rows come out
-in grid order, and a row never depends on the chunk its point falls in.
+solver) pair has one evaluator, which takes a ParamsGrid (the records
+of a chunk as one float64 column per field, see omsteady.models) and
+returns one outcome per item. The Lyapunov evaluators build the drift
+and diffusion stacks from the columns and solve them as one stack, the
+1D closed form evaluates its formulas on the columns, and the spectral
+evaluator shares each round of its panel rule across the chunk.
+Sweeps, figures, validation and optimize all evaluate through it, a
+grid in chunks of grid points whose ParamsGrid comes from the axis
+values directly (ParamsGrid.from_axes), a list of records in chunks of
+records (ParamsGrid.from_records). Rows come out in grid order, and a
+row never depends on the chunk its point falls in.
 
 Unstable or invalid grid points (errors with exit code 2 or 3, see
 :mod:`omsteady.errors`) are kept as rows with an explicit stable=0
@@ -24,24 +29,26 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .closedform import (_reference_error, backaction_1d, backaction_2d,
+from .closedform import (_reference_error, backaction_1d_batch, backaction_2d,
                          bare_occupation_batch, rwa_optimum)
 from .errors import InvalidParams, OmsteadyError, UncertaintyViolation, flag_first
 from .gaussian import occupation_and_purity_1d_batch, summary_2d_batch
-from .langevin import NoiseMode, build_1d, build_2d, build_rwa, steady_covariance_batch
-from .models import SystemParams1D, SystemParams2D, SystemParamsRWA, bright_dark
+from .langevin import (NoiseMode, build_1d_batch, build_2d_batch, build_rwa_batch,
+                       steady_covariance_batch)
+from .models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA,
+                     check_param_names, with_param)
 from .spectral import moment_integrals_batch, stationary_moments
 
-# Not called here, since every route evaluates lists of records, but
+# Not called here, since every route evaluates a ParamsGrid, but
 # perfbench/spans.py wraps these names of this module for its traces.
-from .closedform import bare_occupation  # noqa: F401
+from .closedform import backaction_1d, bare_occupation  # noqa: F401
 from .gaussian import occupation_and_purity_1d, purity_2d_general  # noqa: F401
-from .langevin import steady_covariance  # noqa: F401
+from .langevin import build_1d, build_2d, build_rwa, steady_covariance  # noqa: F401
 from .spectral import integrate_moments  # noqa: F401
 
 __all__ = [
@@ -77,7 +84,6 @@ _PARAM_TYPES = {
     "twoD": SystemParams2D,
     "rwa": SystemParamsRWA,
 }
-_FIELDS = {cls: frozenset(f.name for f in fields(cls)) for cls in _PARAM_TYPES.values()}
 
 #: Unit strings for every quantity and parameter the CSV can contain,
 #: in the hbar = m = 1 frame with frequencies in units of omega_ref.
@@ -145,13 +151,6 @@ def _each(evaluate, records) -> list:
     return out
 
 
-def _solved(records, solve):
-    """solve(p) per record, the errors, and the indices of the records it settled."""
-    out = _each(solve, records)
-    errors = [o if isinstance(o, OmsteadyError) else None for o in out]
-    return out, errors, [k for k, e in enumerate(errors) if e is None]
-
-
 def _rows(errors: list, warns, idx, cols: dict, later: list) -> list:
     """Per record its error, or (values, warnings) from the columns over the records idx."""
     out = list(errors)
@@ -161,8 +160,12 @@ def _rows(errors: list, warns, idx, cols: dict, later: list) -> list:
     return out
 
 
-def _oneD_rows(records, errors, warns, idx, xx, pp, xp, n_mu=None, extra=None) -> list:
-    """Rows of a 1D route from the second moments of the records idx.
+def _settled(errors: list) -> list:
+    return [k for k, e in enumerate(errors) if e is None]
+
+
+def _oneD_rows(grid, errors, warns, idx, xx, pp, xp, n_mu=None, extra=None) -> list:
+    """Rows of a 1D route from the second moments of the items idx of the grid.
 
     The checks follow the scalar chain: Cov1D's nonnegative variances,
     occupation_and_purity_1d (skipped where the route gives n_mu), and
@@ -171,37 +174,38 @@ def _oneD_rows(records, errors, warns, idx, xx, pp, xp, n_mu=None, extra=None) -
     later: list = [None] * len(idx)
     flag_first(later, (xx < 0) | (pp < 0),
                lambda j: UncertaintyViolation("diagonal variances must be nonnegative"))
-    hbar = np.array([records[k].hbar for k in idx], dtype=float)
+    hbar = grid.hbar[idx]
     if n_mu is None:
         n, mu, occupation_errors = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
         later = [e if e is not None else f for e, f in zip(later, occupation_errors)]
     else:
         n, mu = n_mu
-    n_0, settled = bare_occupation_batch(xx, pp, hbar, [records[k].omega_b for k in idx],
-                                         [records[k].mass for k in idx])
+    n_0, settled = bare_occupation_batch(xx, pp, hbar, grid.omega_b[idx], grid.mass[idx])
     flag_first(later, ~settled, lambda j: _reference_error())
     cols = {**dict(zip(_ONE_D, (xx, pp, xp, n, mu, n_0))), **(extra or {})}
     return _rows(errors, warns, idx, cols, later)
 
 
-def _batch_oneD_spectral(records) -> list:
-    covs, errors, idx = _solved(
-        list(zip(records, moment_integrals_batch(records))),
-        lambda pv: pv[1] if isinstance(pv[1], OmsteadyError) else stationary_moments(*pv))
+def _batch_oneD_spectral(grid) -> list:
+    records = grid.records()
+    covs = _each(lambda pv: pv[1] if isinstance(pv[1], OmsteadyError)
+                 else stationary_moments(*pv),
+                 list(zip(records, moment_integrals_batch(records))))
+    errors = [c if isinstance(c, OmsteadyError) else None for c in covs]
+    idx = _settled(errors)
     xx, pp, xp = (np.array([getattr(covs[k], f) for k in idx], dtype=float)
                   for f in ("xx", "pp", "xp"))
-    return _oneD_rows(records, errors, [()] * len(records), idx, xx, pp, xp)
+    return _oneD_rows(grid, errors, [()] * len(grid), idx, xx, pp, xp)
 
 
-def _batch_oneD_closed_form(records) -> list:
-    results, errors, idx = _solved(records, backaction_1d)
-
-    def col(name):
-        return np.array([getattr(results[k], name) for k in idx], dtype=float)
-
-    return _oneD_rows(records, errors, [()] * len(records), idx, col("xx"), col("pp"),
-                      np.zeros(len(idx)), n_mu=(col("n_bar"), col("purity")),
-                      extra={"M_Omega": col("M_Omega"), "n_min_weak": col("n_min_weak")})
+def _batch_oneD_closed_form(grid) -> list:
+    results, errors = backaction_1d_batch(grid)
+    idx = _settled(errors)
+    col = {name: getattr(results, name)[idx] for name in ("xx", "pp", "n_bar", "purity",
+                                                          "M_Omega", "n_min_weak")}
+    return _oneD_rows(grid, errors, [()] * len(grid), idx, col["xx"], col["pp"],
+                      np.zeros(len(idx)), n_mu=(col["n_bar"], col["purity"]),
+                      extra={"M_Omega": col["M_Omega"], "n_min_weak": col["n_min_weak"]})
 
 
 def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
@@ -209,24 +213,24 @@ def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
     return {"G_m_opt": g_m_opt, "purity_opt": mu}, warn
 
 
-def _settled_covariances(records, build, n: int):
-    """Build every record's system and solve them as one stack.
+def _settled_covariances(grid, build, n: int):
+    """Build the grid's systems as one stack and solve the valid ones as one stack.
 
-    Returns per record the error its build or solve raised (None where
-    it settled) and its system's warnings, then the indices of the
-    settled records with their covariances V[len(idx), n, n] and hbar.
+    Returns per item the error its build or solve raised (None where it
+    settled) and its system's warnings, then the indices of the settled
+    items with their covariances V[len(idx), n, n] and hbar.
     """
-    systems, errors, built = _solved(records, build)
+    systems = build(grid)
+    errors = list(systems.errors)
+    built = _settled(errors)
     V = np.empty((0, n, n))
     if built:
-        batch = steady_covariance_batch(np.stack([systems[k].drift for k in built]),
-                                        np.stack([systems[k].diffusion for k in built]))
+        batch = steady_covariance_batch(systems.drift[built], systems.diffusion[built])
         for k, e in zip(built, batch.errors):
             errors[k] = e
-        V = batch.matrix[[j for j, e in enumerate(batch.errors) if e is None]]
-    idx = [k for k in built if errors[k] is None]
-    warns = [() if isinstance(s, OmsteadyError) else s.warnings for s in systems]
-    return errors, warns, idx, V, np.array([systems[k].hbar for k in idx], dtype=float)
+        V = batch.matrix[_settled(batch.errors)]
+    idx = _settled(errors)
+    return errors, systems.warnings, idx, V, systems.hbar[idx]
 
 
 def _summary_rows(errors, warns, idx, W, hbar, head: dict) -> list:
@@ -237,22 +241,22 @@ def _summary_rows(errors, warns, idx, W, hbar, head: dict) -> list:
     return _rows(errors, warns, idx, cols, later)
 
 
-def _batch_oneD_lyapunov(records) -> list:
+def _batch_oneD_lyapunov(grid) -> list:
     errors, warns, idx, V, _ = _settled_covariances(
-        records, lambda p: build_1d(p, NoiseMode.MarkovianThermal), 4)
-    return _oneD_rows(records, errors, warns, idx, V[:, 0, 0], V[:, 1, 1], V[:, 0, 1])
+        grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal), 4)
+    return _oneD_rows(grid, errors, warns, idx, V[:, 0, 0], V[:, 1, 1], V[:, 0, 1])
 
 
-def _batch_twoD_lyapunov(records) -> list:
+def _batch_twoD_lyapunov(grid) -> list:
     errors, warns, idx, V, hbar = _settled_covariances(
-        records, lambda p: build_2d(p, NoiseMode.MarkovianThermal), 6)
+        grid, lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal), 6)
     head = {"xx_b": V[:, 0, 0], "pp_b": V[:, 1, 1], "xx_d": V[:, 2, 2], "pp_d": V[:, 3, 3],
             "x_b_x_d": V[:, 0, 2], "p_b_p_d": V[:, 1, 3]}
     return _summary_rows(errors, warns, idx, V[:, :4, :4], hbar, head)
 
 
-def _batch_rwa_lyapunov(records) -> list:
-    errors, warns, idx, V, hbar = _settled_covariances(records, build_rwa, 6)
+def _batch_rwa_lyapunov(grid) -> list:
+    errors, warns, idx, V, hbar = _settled_covariances(grid, build_rwa_batch, 6)
     head = {"n_b": 0.5 * (V[:, 2, 2] + V[:, 3, 3] - 1.0),
             "n_d": 0.5 * (V[:, 4, 4] + V[:, 5, 5] - 1.0)}
     return _summary_rows(errors, warns, idx, V[:, 2:, 2:], hbar, head)
@@ -264,18 +268,18 @@ _JOINT = ("purity_2d", "purity_product")
 _MODAL = ("N_plus", "N_minus")
 
 #: (model, solver) -> (evaluate_many, the quantities it returns, in CSV
-#: order). evaluate_many takes a list of params records and returns,
-#: per record, (values, warnings) or the OmsteadyError its evaluation
-#: raises.
+#: order). evaluate_many takes a ParamsGrid of valid records and
+#: returns, per item, (values, warnings) or the OmsteadyError its
+#: evaluation raises.
 _EVALUATORS = {
     ("oneD", "lyapunov"): (_batch_oneD_lyapunov, _ONE_D),
     ("oneD", "spectral"): (_batch_oneD_spectral, _ONE_D),
     ("oneD", "closed_form"): (_batch_oneD_closed_form, _ONE_D + ("M_Omega", "n_min_weak")),
     ("twoD", "lyapunov"): (_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL),
-    ("twoD", "closed_form"): (lambda records: _each(lambda p: (asdict(backaction_2d(p)), ()),
-                                                    records), _TWO_D + _JOINT),
+    ("twoD", "closed_form"): (lambda grid: _each(lambda p: (asdict(backaction_2d(p)), ()),
+                                                 grid.records()), _TWO_D + _JOINT),
     ("rwa", "lyapunov"): (_batch_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL),
-    ("rwa", "closed_form"): (lambda records: _each(_eval_rwa_closed_form, records),
+    ("rwa", "closed_form"): (lambda grid: _each(_eval_rwa_closed_form, grid.records()),
                              ("G_m_opt", "purity_opt")),
 }
 
@@ -408,14 +412,18 @@ class SweepResult:
         return names, units
 
     def csv_rows(self) -> list[list[str]]:
+        outputs = self.config.outputs
+        empty = [""] * len(outputs)
         out = []
         for row in self.rows:
-            cells = [format_float(v) for v in row.axis_values]
-            for q in self.config.outputs:
-                if row.values is None:
-                    cells.append("")
-                else:
-                    cells.append(format_float(row.values[q]))
+            # The rows hold Python floats, so %.17g renders each exactly
+            # as format_float does.
+            cells = [f"{v:.17g}" for v in row.axis_values]
+            if row.values is None:
+                cells += empty
+            else:
+                values = row.values
+                cells += [f"{values[q]:.17g}" for q in outputs]
             cells.append("1" if row.stable else "0")
             cells.append(";".join(row.warnings).replace(",", ";").replace("\n", " "))
             out.append(cells)
@@ -427,58 +435,15 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-#: SystemParams1D fields whose replacement clears a coupling field, so
-#: the record rebuilds it: the other form of the coupling, or lambda_o
-#: where the factor sqrt(hbar / (2 m omega_b)) between the two changes.
-_CLEARS_1D = {"G_o": "lambda_o", "lambda_o": "G_o",
-              "omega_b": "lambda_o", "mass": "lambda_o", "hbar": "lambda_o"}
-#: Overrides that evaluate_config applies after all others.
-_COUPLINGS = ("lambda_o", "G_o")
-#: Names with_param can set: the record's fields, and G_o on a 2D record.
-_SETTABLE = {cls: names | {"G_o"} if cls is SystemParams2D else names
-             for cls, names in _FIELDS.items()}
-
-
-def check_param_names(params, names) -> None:
-    """Raise InvalidParams for the first name with_param cannot set on params."""
-    for name in names:
-        if name not in _SETTABLE[type(params)]:
-            raise InvalidParams(f"{type(params).__name__} has no parameter {name!r}")
-
-
-def with_param(params, name: str, value: float):
-    """Copy of a params record with one named parameter replaced.
-
-    The 1D coupling is stored in both rate (G_o) and gradient
-    (lambda_o) form; overriding either clears the other so the pair is
-    rebuilt consistently. Overriding omega_b, mass or hbar, which enter
-    the conversion between the two, clears lambda_o, so the coupling
-    rate G_o holds. The 2D record stores only lambda_o; a G_o there is
-    converted at the bright-mode frequency of the record, as in
-    resonant_2d_design.
-    """
-    check_param_names(params, (name,))
-    if isinstance(params, SystemParams1D) and name in _CLEARS_1D:
-        return replace(params, **{name: value, _CLEARS_1D[name]: None})
-    if name == "G_o" and isinstance(params, SystemParams2D):
-        omega = bright_dark(params).omega_b
-        lambda_o = value / math.sqrt(params.hbar / (2.0 * params.mass * omega))
-        return replace(params, lambda_o=lambda_o)
-    return replace(params, **{name: value})
-
-
-def _record(params, overrides: dict):
-    """The params record with overrides applied, coupling overrides
-    (lambda_o, then G_o) last, so the coupling they set holds at the
-    point's final frequencies and scales."""
-    p = params
-    for name, value in overrides.items():
-        if name not in _COUPLINGS:
-            p = with_param(p, name, value)
-    for name in _COUPLINGS:
-        if name in overrides:
-            p = with_param(p, name, overrides[name])
-    return p
+def _outcomes(model: str, solver: str, grid: ParamsGrid) -> list:
+    """Per item of the grid, its record's error or what its evaluation returns."""
+    out = list(grid.errors)
+    idx = [k for k, e in enumerate(out) if e is None]
+    if idx:
+        evaluate_many = _EVALUATORS[(model, solver)][0]
+        for k, res in zip(idx, evaluate_many(grid if len(idx) == len(out) else grid.take(idx))):
+            out[k] = res
+    return out
 
 
 def evaluate_config(config: RunConfig,
@@ -488,11 +453,11 @@ def evaluate_config(config: RunConfig,
     Returns the requested quantities and any regime warnings the
     underlying solver attached. Coupling overrides (lambda_o, then G_o)
     are applied last, so the coupling they set holds at the point's
-    final frequencies and scales. The record is a list of one through
-    evaluate_records.
+    final frequencies and scales. The point is a grid of one.
     """
-    p = _record(config.params, overrides or {})
-    (res,) = evaluate_records(config.model, config.solver, [p])
+    overrides = overrides or {}
+    grid = ParamsGrid.from_axes(config.params, list(overrides), [tuple(overrides.values())])
+    (res,) = _outcomes(config.model, config.solver, grid)
     if isinstance(res, OmsteadyError):
         raise res
     values, warn = res
@@ -522,15 +487,15 @@ def evaluate_records(model: str, solver: str, records: list) -> list:
 
     Each item is (values, warnings) with every quantity of the pair, or
     the OmsteadyError the record's evaluation raised. The pair's
-    evaluator runs on chunks of _CHUNK records. Warnings are the
-    strings the evaluation returns: a record's own regime warnings,
-    whatever chunk it falls in, and nothing the interpreter's warning
-    filters decide.
+    evaluator runs on a ParamsGrid of each chunk of _CHUNK records.
+    Warnings are the strings the evaluation returns: a record's own
+    regime warnings, whatever chunk it falls in, and nothing the
+    interpreter's warning filters decide.
     """
-    evaluate_many = _EVALUATORS[(model, solver)][0]
     out = []
     for start in range(0, len(records), _CHUNK):
-        out.extend(evaluate_many(records[start:start + _CHUNK]))
+        out.extend(_outcomes(model, solver,
+                             ParamsGrid.from_records(records[start:start + _CHUNK])))
     return out
 
 
@@ -551,22 +516,23 @@ def evaluate_grid(config: RunConfig, names: list[str], grid) -> list[SweepRow]:
 
     An unstable, out-of-regime or invalid point (an error with exit
     code 2 or 3) is a stable=0 row with the error in its warnings; an
-    error with exit code 4 propagates. Records are built and evaluated
-    one chunk of grid points at a time, so a large grid never holds
-    more than one chunk of them.
+    error with exit code 4 propagates. Each chunk of grid points is one
+    ParamsGrid, with the overrides applied as with_param applies them,
+    so a large grid never holds more than one chunk of parameters.
     """
     rows = []
+    outputs = config.outputs
+    # An evaluation returns a fresh dict of every quantity of the pair.
+    every = set(outputs) == set(available_quantities(config.model, config.solver))
     for start in range(0, len(grid), _CHUNK):
         points = [tuple(pt) for pt in grid[start:start + _CHUNK]]
-        outcomes = _each(lambda pt: _record(config.params, dict(zip(names, pt))), points)
-        built = [k for k, o in enumerate(outcomes) if not isinstance(o, OmsteadyError)]
-        results = evaluate_records(config.model, config.solver, [outcomes[k] for k in built])
-        for k, res in zip(built, results):
-            outcomes[k] = res
-        for point, res in zip(points, outcomes):
+        params = ParamsGrid.from_axes(config.params, names, points)
+        for point, res in zip(points, _outcomes(config.model, config.solver, params)):
             if not isinstance(res, OmsteadyError):
                 values, warn = res
-                rows.append(SweepRow(point, {q: values[q] for q in config.outputs}, True, warn))
+                if not every:
+                    values = {q: values[q] for q in outputs}
+                rows.append(SweepRow(point, values, True, warn))
             elif res.exit_code == 4:
                 raise res
             else:

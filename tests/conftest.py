@@ -8,10 +8,10 @@ from omsteady import sweep
 @pytest.fixture
 def perturbed_diffusion(monkeypatch):
     """Scale the diffusion of every registry 1D Lyapunov build by 1 + 1e-6."""
-    build = sweep.build_1d
+    build = sweep.build_1d_batch
 
-    def perturbed(p, noise):
-        sys = build(p, noise)
-        return replace(sys, diffusion=sys.diffusion * (1.0 + 1e-6))
+    def perturbed(grid, noise):
+        systems = build(grid, noise)
+        return replace(systems, diffusion=systems.diffusion * (1.0 + 1e-6))
 
-    monkeypatch.setattr(sweep, "build_1d", perturbed)
+    monkeypatch.setattr(sweep, "build_1d_batch", perturbed)

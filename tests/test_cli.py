@@ -121,16 +121,26 @@ class TestPoint:
         assert capsys.readouterr().err == f"config error: {reason}\n"
 
     @pytest.mark.parametrize("args", [
-        ("model=rwa", "n_B_b=1e100"),
         ("model=twoD", "delta=1e-200"),
         ("model=twoD", "kappa=1e100"),
     ])
     def test_overflowing_determinant_is_config_error(self, args, capsys):
-        # det V overflows; its purity_2d would read 0
-        solver = "closed_form" if args[0] == "model=twoD" else "lyapunov"
-        assert run_cli("point", "--solver", solver, "--param", args[0], "--param", args[1]) == 2
+        # det V overflows, and so does a reduced 2x2 determinant; the
+        # product of the reduced purities would read 0
+        assert run_cli("point", "--solver", "closed_form", "--param", args[0],
+                       "--param", args[1]) == 2
         assert capsys.readouterr().err == ("config error: covariance determinant overflows "
                                            "at this record's scales\n")
+
+    def test_overflowing_determinant_takes_the_log_determinant(self, capsys):
+        # det V overflows at n_B_b = 1e100, but its log-determinant does not
+        assert run_cli("point", "--param", "model=rwa", "--param", "n_B_b=1e100") == 0
+        values = {line.split()[0]: float(line.split()[2])
+                  for line in capsys.readouterr().out.splitlines() if line.endswith("]")}
+        mu = values["purity_2d"]
+        assert 2.8e-195 < mu < 2.9e-195
+        modes = (2.0 * values["N_plus"] + 1.0) * (2.0 * values["N_minus"] + 1.0)
+        assert mu == pytest.approx(1.0 / modes, rel=1e-12)
 
     def test_twoD_closed_form_overflowing_mixing_is_config_error(self, capsys):
         # (omega_bar_m delta_m)^2 overflows in Python's float power

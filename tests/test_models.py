@@ -2,11 +2,14 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from omsteady.errors import InvalidParams
 from omsteady.models import (
+    _HBAR_MIN,
+    _SETTABLE,
     BrightDark,
+    ParamsGrid,
     SystemParams1D,
     SystemParams2D,
     SystemParamsRWA,
@@ -16,6 +19,7 @@ from omsteady.models import (
     planck,
     resonant_2d_design,
     temperature_for_occupation,
+    with_param,
 )
 
 
@@ -219,3 +223,117 @@ def test_finite_fields_whose_sum_overflows_accepted():
 def test_derived_coupling_that_overflows_rejected(given, derived):
     with pytest.raises(InvalidParams, match=f"{derived} must be below 1.3e154"):
         SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, **given)
+
+
+def test_zero_point_variance_that_underflows_rejected():
+    # hbar / (2 mass omega_b) converts between G_o and lambda_o; a
+    # quotient by 0 raised ZeroDivisionError, one of 0 made a coupling 0
+    with pytest.raises(InvalidParams, match="2 mass omega_b underflows to 0"):
+        SystemParams1D(omega_b=1e-200, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.1,
+                       mass=1e-200)
+    with pytest.raises(InvalidParams, match=r"hbar / \(2 mass omega_b\) underflows to 0"):
+        SystemParams1D(omega_b=1e154, gamma_b=0.0, kappa=0.2, delta=1.0, lambda_o=0.1,
+                       mass=1e154)
+
+
+# Values an axis or a base record may hold: the edges of the float range,
+# the record's own limits, and ordinary numbers.
+_EDGES = (0.0, -0.0, -1.0, 1.0, 0.2, math.nan, math.inf, -math.inf, 1e308, -1e308,
+          1e-308, 1e-310, 5e-324, 1e154, 1.3e154, 1.35e154, 1e-200, 1e150, math.pi / 2,
+          math.nextafter(math.pi / 2, 4.0), _HBAR_MIN, math.nextafter(_HBAR_MIN, 0.0),
+          2.5e-77)
+_AXIS_VALUES = st.one_of(st.sampled_from(_EDGES), st.floats(),
+                         st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+_BASE_VALUES = st.one_of(st.sampled_from([v for v in _EDGES if v > 0 and v < 1e154]),
+                         st.floats(-300.0, 150.0).map(lambda e: 10.0 ** e))
+_MODELS = {
+    SystemParams1D: ("omega_b", "gamma_b", "kappa", "delta", "mass", "temperature", "hbar"),
+    SystemParams2D: ("omega_x", "omega_y", "gamma_x", "gamma_y", "kappa", "delta",
+                     "lambda_o", "mass", "temperature", "hbar"),
+    SystemParamsRWA: ("omega_b", "omega_d", "gamma_b", "gamma_d", "kappa", "delta", "G_o",
+                      "G_m", "n_B_b", "n_B_d"),
+}
+
+
+def _chain(base, overrides):
+    """The record of the scalar chain: with_param per override, couplings last."""
+    p = base
+    for name in [n for n in overrides if n not in ("lambda_o", "G_o")] + [
+            n for n in ("lambda_o", "G_o") if n in overrides]:
+        p = with_param(p, name, overrides[name])
+    return p
+
+
+@st.composite
+def _grid_case(draw, cls):
+    kwargs = {name: draw(_BASE_VALUES) for name in _MODELS[cls]}
+    if "hbar" in kwargs:  # most of _BASE_VALUES lies below _HBAR_MIN
+        kwargs["hbar"] = draw(st.one_of(st.sampled_from([_HBAR_MIN, 2.5e-77, 1.0]),
+                                        st.floats(-76.0, 150.0).map(lambda e: 10.0 ** e)))
+    if cls is SystemParams1D:
+        kwargs[draw(st.sampled_from(["G_o", "lambda_o"]))] = draw(_BASE_VALUES)
+    if cls is SystemParams2D:
+        kwargs["phi"] = draw(st.floats(0.0, math.pi / 2))
+    try:
+        base = cls(**kwargs)
+    except InvalidParams:
+        assume(False)
+    settable = sorted(_SETTABLE[cls]) + ["wavelength"]
+    names = draw(st.lists(st.sampled_from(settable), min_size=0, max_size=3, unique=True))
+    points = draw(st.lists(st.tuples(*[_AXIS_VALUES] * len(names)), min_size=1, max_size=4))
+    return base, names, points
+
+
+@pytest.mark.parametrize("cls", list(_MODELS), ids=lambda c: c.__name__)
+@given(data=st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_grid_from_axes_equals_the_scalar_chain(cls, data):
+    # Each item of the grid is the record the chain of with_param calls
+    # makes, bit for bit, or carries the error the chain raises, with the
+    # same text. The grid validates every intermediate record, as the
+    # chain does, so an item that fails only at an intermediate record
+    # (a tiny hbar with a lambda_o axis, whose intermediate lambda_o
+    # comes from the base G_o) gets that record's error too.
+    base, names, points = data.draw(_grid_case(cls))
+    grid = ParamsGrid.from_axes(base, names, points)
+    assert len(grid) == len(points) and grid.cls is cls
+    for k, point in enumerate(points):
+        try:
+            expect = _chain(base, dict(zip(names, point)))
+        except InvalidParams as exc:
+            assert (type(grid.errors[k]), str(grid.errors[k])) == (type(exc), str(exc))
+        else:
+            assert grid.errors[k] is None
+            for f in dataclasses.fields(expect):
+                assert float(getattr(expect, f.name)).hex() == grid.columns[f.name][k].hex()
+
+
+def test_grid_checks_the_pair_a_derived_coupling_made():
+    # lambda_o = G_o / 1.1e115 underflows to 0 in the base record; the
+    # record the delta override makes gives both forms, which disagree
+    base = SystemParams1D(omega_b=1.0, gamma_b=1.0, kappa=1.0, delta=1.0, G_o=1e-308,
+                          mass=1e-308, temperature=1.0, hbar=_HBAR_MIN)
+    with pytest.raises(InvalidParams) as exc:
+        with_param(base, "delta", 0.5)
+    (error,) = ParamsGrid.from_axes(base, ["delta"], [(0.5,)]).errors
+    assert str(error) == str(exc.value) == ("lambda_o and G_o are inconsistent: G_o=1e-308 "
+                                             "but lambda_o implies 0.0")
+
+
+def test_grid_fails_where_only_an_intermediate_record_of_the_chain_fails():
+    # the hbar override comes first and rebuilds lambda_o from the base
+    # G_o, which overflows at this hbar; the lambda_o axis value would not
+    base = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=1e130)
+    with pytest.raises(InvalidParams, match="lambda_o must be below 1.3e154") as exc:
+        _chain(base, {"hbar": 2.5e-77, "lambda_o": 1.0})
+    (error,) = ParamsGrid.from_axes(base, ["hbar", "lambda_o"], [(2.5e-77, 1.0)]).errors
+    assert str(error) == str(exc.value)
+
+
+def test_grid_records_round_trip():
+    base = SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=0.1)
+    records = [with_param(base, "G_o", g) for g in (0.05, 0.2)] + [base]
+    grid = ParamsGrid.from_records(records)
+    assert grid.records() == records
+    assert list(grid.take([2, 0])) == [base, records[0]]
+    assert grid.G_o.tolist() == [0.05, 0.2, 0.1]

@@ -1,10 +1,12 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 from omsteady.models import SystemParams1D
 from omsteady.spectral import moment_integrals
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def load_script(name):
@@ -31,7 +33,7 @@ def test_spectral_diagnostics_prints_the_gated_sum_rule_deviation(capsys):
 
 def test_perfbench_trace_sites_resolve():
     # perfbench/spans.py wraps these names where omsteady looks them up
-    path = SCRIPTS.parent / "perfbench" / "spans.py"
+    path = PERFBENCH / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -39,3 +41,18 @@ def test_perfbench_trace_sites_resolve():
     missing = [(owner.__name__, attr) for owner, attr, _ in spans._SITES
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_perfbench_workloads_pass_their_checks(tmp_path, monkeypatch):
+    # one round of every benchmark workload at seed 1, judged by the
+    # benchmark's own checks of the CSV files it writes
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        wl = workloads.build(name, 1, tmp_path / name)
+        assert [wl.run_job(job) for job in wl.jobs] == [0] * len(wl.jobs), name
+        assert wl.check() == [], name

@@ -13,7 +13,8 @@ from omsteady.errors import InvalidParams, OmsteadyError, QuadratureFailure
 from omsteady.gaussian import Cov1D, Cov2D, occupation_and_purity_1d, purity_2d_general
 from omsteady.langevin import (CovarianceBatch, NoiseMode, build_1d, build_2d, build_rwa,
                                steady_covariance)
-from omsteady.models import SystemParams1D, SystemParams2D, SystemParamsRWA, resonant_2d_design
+from omsteady.models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA,
+                             resonant_2d_design)
 from omsteady.sweep import (
     Axis,
     RunConfig,
@@ -338,9 +339,12 @@ class TestStackedSweep:
             # the gate no longer forms max|A| max|V|, which overflowed there
             assert all(row[-2:] == ["1", ""] for row in band)
         else:
-            # det V overflows: a flag, not a purity_2d of 0
-            assert all(row[-2:] == ["0", "InvalidParams: covariance determinant overflows at "
-                                         "this record's scales"] for row in band)
+            # det V overflows: purity_2d comes from its log-determinant
+            assert all(row[-2:] == ["1", ""] for row in band)
+            for row in band:
+                n_plus, n_minus = float(row[5]), float(row[6])
+                assert float(row[3]) == pytest.approx(
+                    1.0 / ((2.0 * n_plus + 1.0) * (2.0 * n_minus + 1.0)), rel=1e-12)
 
     def test_bare_occupation_overflow_adds_no_warning(self):
         # xx overflows to inf at a subnormal mass; backaction_1d rejects
@@ -397,13 +401,9 @@ class TestExtremeValueProbe:
             for (model, solver), (_, quantities) in sweep._EVALUATORS.items():
                 base = _build_params(model, {})
                 for field in fields(base):
-                    records = []
-                    for v in axis:
-                        try:
-                            records.append(sweep._record(base, {field.name: float(v)}))
-                        except InvalidParams:
-                            pass
-                    for res in sweep.evaluate_records(model, solver, records):
+                    grid = ParamsGrid.from_axes(base, [field.name], [(v,) for v in axis])
+                    valid = grid.take([k for k, e in enumerate(grid.errors) if e is None])
+                    for res in sweep.evaluate_records(model, solver, valid.records()):
                         if isinstance(res, OmsteadyError):
                             continue
                         values, _ = res
