@@ -28,7 +28,7 @@ import math
 import sys
 import time
 from dataclasses import fields
-from itertools import product
+from itertools import compress, product
 from pathlib import Path
 
 import numpy as np
@@ -296,9 +296,10 @@ def _cmd_optimize(args) -> int:
     grid = [tuple(float(v) for v in point) for point in product(*axes)]
     evals = len(grid)
     best_x, best_val = None, -math.inf
-    for row in evaluate_grid(config, names, grid):
-        if row.stable and row.values[objective] > best_val:
-            best_x, best_val = np.array(row.axis_values), row.values[objective]
+    columns, stable, _ = evaluate_grid(config, names, grid)
+    for x, value in zip(compress(grid, stable), columns[objective].tolist()):
+        if value > best_val:
+            best_x, best_val = np.array(x), value
     if best_x is None:
         raise UnstableRegime("no stable point inside the optimize bounds")
 

@@ -296,6 +296,12 @@ def _clamped_modal_occupation(nu: np.ndarray, hbar: np.ndarray, errors: list) ->
     return np.where(nu < half, half, nu) / hbar - 0.5
 
 
+def _log_det_ratio(W: np.ndarray, hbar: np.ndarray) -> np.ndarray:
+    """log(det W / (hbar/2)^4) per item; nan where det W is not positive."""
+    sign, logdet = np.linalg.slogdet(W)
+    return np.where(sign > 0, logdet, np.nan) - 4.0 * np.log(hbar / 2.0)
+
+
 def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
     """Stacked purity_2d_general over covariances W[B, 4, 4] with hbar[B].
 
@@ -313,7 +319,13 @@ def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
     N_plus = _clamped_modal_occupation(nu_hi, hbar, errors)
     N_minus = _clamped_modal_occupation(nu_lo, hbar, errors)
     with np.errstate(over="ignore", invalid="ignore"):
-        det_ratio = np.linalg.det(W) / _py_pow(hbar / 2.0, 4)
+        bound = _py_pow(hbar / 2.0, 4)
+        det_ratio = np.linalg.det(W) / bound
+        # Where the bound overflows the ratio is one of two numbers past
+        # the float range, so it comes from the log-determinant.
+        huge = np.flatnonzero(np.isinf(bound))
+        if huge.size:
+            det_ratio[huge] = np.exp(_log_det_ratio(W[huge], hbar[huge]))
         flag_first(errors, det_ratio < 1.0 - 4.0 * UNCERTAINTY_RTOL,
                    lambda k: UncertaintyViolation(
                        f"4x4 covariance determinant ratio {det_ratio[k]:.6g} below 1"))
@@ -322,8 +334,7 @@ def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
         # there the purity comes from the log-determinant instead.
         over = np.flatnonzero(~np.isfinite(det_ratio))
         if over.size:
-            sign, logdet = np.linalg.slogdet(W[over])
-            log_ratio = np.where(sign > 0, logdet, np.nan) - 4.0 * np.log(hbar[over] / 2.0)
+            log_ratio = _log_det_ratio(W[over], hbar[over])
             purity_2d[over] = np.exp(-0.5 * np.maximum(log_ratio, 0.0))
         prod = np.ones(len(W))
         for b in (W[:, :2, :2], W[:, 2:, 2:]):

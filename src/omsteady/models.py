@@ -70,17 +70,39 @@ _HBAR_MIN = 2.0 * sys.float_info.min ** 0.25
 
 
 def _items(fn, x):
-    """fn(x) for a float; fn of each item, as a float, for an array."""
-    if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.tolist()], dtype=float)
-    return fn(x)
+    """fn(x) for a float; fn of each item, as a float, for an array.
+
+    An item fn raises on gets what numpy gives: inf past the float
+    range, nan outside fn's domain. Column rules see such items, though
+    an earlier rule rejects them.
+    """
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    values = x.tolist()
+    try:
+        return np.array([fn(v) for v in values], dtype=float)
+    except (OverflowError, ValueError):
+        return np.array([_item_or_numpy(fn, v) for v in values], dtype=float)
+
+
+def _item_or_numpy(fn, v: float) -> float:
+    try:
+        return fn(v)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
 
 
 def _py_pow(x, k: int):
-    """x**k with Python's float power (item by item for an array)."""
-    if isinstance(x, np.ndarray):
+    """x**k, for an even k, with Python's float power (item by item for an
+    array, as _items does)."""
+    if not isinstance(x, np.ndarray):
+        return x ** k
+    try:
         return np.array([v ** k for v in x.tolist()], dtype=float)
-    return x ** k
+    except OverflowError:
+        return _items(lambda v: v ** k, x)
 
 
 def _sqrt(x):
@@ -330,6 +352,10 @@ _RULES = {
          "phi must lie in [0, pi/2]"),
         _positive("kappa"), _positive("mass"), _positive("hbar"), _TINY_HBAR,
         _nonnegative("temperature"),
+        # bright_dark divides by sqrt(omega_b omega_d)
+        (("omega_x", "omega_y", "phi"),
+         lambda r: operator.mul(*_rotated_frequencies(r)[2:]) <= 0.0,
+         "omega_b omega_d of the bright and dark modes underflows to 0 at these scales"),
     ),
     SystemParamsRWA: (
         _Finite(_FIELD_NAMES[SystemParamsRWA]),
@@ -405,10 +431,7 @@ def check_param_names(params, names) -> None:
 def _bright_scales(p) -> SimpleNamespace:
     """hbar, mass and the bright-mode frequency omega_b (as bright_dark has
     it, without the mixing terms) of a 2D record or columns."""
-    c2 = _py_pow(_items(math.cos, p.phi), 2)
-    s2 = _py_pow(_items(math.sin, p.phi), 2)
-    omega_b = _sqrt(c2 * _py_pow(p.omega_x, 2) + s2 * _py_pow(p.omega_y, 2))
-    return SimpleNamespace(hbar=p.hbar, mass=p.mass, omega_b=omega_b)
+    return SimpleNamespace(hbar=p.hbar, mass=p.mass, omega_b=_rotated_frequencies(p)[2])
 
 
 def with_param(params, name: str, value: float):
@@ -544,6 +567,15 @@ class ParamsGrid:
         return out
 
 
+def _rotated_frequencies(p) -> tuple:
+    """cos^2 phi, sin^2 phi and the bright and dark mode frequencies of a
+    2D record or columns."""
+    c2 = _py_pow(_items(math.cos, p.phi), 2)
+    s2 = _py_pow(_items(math.sin, p.phi), 2)
+    wx2, wy2 = _py_pow(p.omega_x, 2), _py_pow(p.omega_y, 2)
+    return c2, s2, _sqrt(c2 * wx2 + s2 * wy2), _sqrt(s2 * wx2 + c2 * wy2)
+
+
 def bright_dark(params) -> BrightDark:
     """Rotate the (x, y) trap modes into the bright/dark basis.
 
@@ -553,12 +585,8 @@ def bright_dark(params) -> BrightDark:
     and gamma_b + gamma_d = gamma_x + gamma_y. Takes a SystemParams2D,
     or a grid of them, whose columns give columns.
     """
-    c2 = _py_pow(_items(math.cos, params.phi), 2)
-    s2 = _py_pow(_items(math.sin, params.phi), 2)
+    c2, s2, omega_b, omega_d = _rotated_frequencies(params)
     s2phi = _items(math.sin, 2.0 * params.phi)
-    wx2, wy2 = _py_pow(params.omega_x, 2), _py_pow(params.omega_y, 2)
-    omega_b = _sqrt(c2 * wx2 + s2 * wy2)
-    omega_d = _sqrt(s2 * wx2 + c2 * wy2)
     gamma_b = c2 * params.gamma_x + s2 * params.gamma_y
     gamma_d = s2 * params.gamma_x + c2 * params.gamma_y
     omega_bar_m = 0.5 * (params.omega_x + params.omega_y)

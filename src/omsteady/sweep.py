@@ -2,17 +2,32 @@
 
 A sweep is a RunConfig (model, solver, base parameters, requested
 quantities) plus a SweepSpec (one or two named axes). Each (model,
-solver) pair has one evaluator, which takes a ParamsGrid (the records
-of a chunk as one float64 column per field, see omsteady.models) and
-returns one outcome per item. The Lyapunov evaluators build the drift
-and diffusion stacks from the columns and solve them as one stack, the
-1D closed form evaluates its formulas on the columns, and the spectral
-evaluator shares each round of its panel rule across the chunk.
-Sweeps, figures, validation and optimize all evaluate through it, a
-grid in chunks of grid points whose ParamsGrid comes from the axis
-values directly (ParamsGrid.from_axes), a list of records in chunks of
-records (ParamsGrid.from_records). Rows come out in grid order, and a
-row never depends on the chunk its point falls in.
+solver) pair has one route in the registry: an evaluator, the
+quantities it gives and its chunk. The evaluator takes a ParamsGrid
+(the records of a chunk as one float64 column per field, see
+omsteady.models) and returns a block: per item its error or None and
+its warnings tuple, and per quantity one float64 column over the items
+that settled. The Lyapunov evaluators build the drift and diffusion
+stacks from the columns and solve them as one stack, the 1D closed
+form evaluates its formulas on the columns, the spectral evaluator
+shares each round of its panel rule across the chunk, and the twoD and
+rwa closed forms evaluate record by record into one block.
+
+Stacked routes (Lyapunov, spectral) take 64 items per call, since their
+memory grows with the chunk (the 21x21 vech operators, the panel
+table); the others take 1,024, where only the Python work per call is
+to amortize. Sweeps, figures, validation and optimize all evaluate
+through the registry, a grid in chunks of grid points whose ParamsGrid
+comes from the axis values directly (ParamsGrid.from_axes), a list of
+records in chunks of records (ParamsGrid.from_records). Rows come out
+in grid order, and a row never depends on the chunk its point falls
+in.
+
+A SweepResult keeps the rows as columns: each requested quantity over
+the stable rows, a stable mask, and each row's warnings. Its CSV cells
+are formatted from the columns, and SweepRow objects (SweepResult.rows,
+evaluate_point) and values dicts (evaluate_config, evaluate_records)
+are made only at those boundaries.
 
 Unstable or invalid grid points (errors with exit code 2 or 3, see
 :mod:`omsteady.errors`) are kept as rows with an explicit stable=0
@@ -29,8 +44,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,83 +152,120 @@ UNITS = {
 }
 
 
-def _each(evaluate, records) -> list:
-    """evaluate(p) per record, or the OmsteadyError it raised.
+class _Block(NamedTuple):
+    """What an evaluator returns for n items, as columns.
 
-    An error is kept without its traceback. The traceback holds this
-    frame and its callers, which hold the list the error is kept in: a
-    reference cycle that would keep each chunk alive until the garbage
-    collector runs.
+    errors[k] is item k's OmsteadyError, or None where it settled;
+    warnings[k] is its regime warnings; columns maps each quantity to a
+    float64 array over the settled items, in item order.
     """
-    out = []
-    for p in records:
-        try:
-            out.append(evaluate(p))
-        except OmsteadyError as exc:
-            out.append(exc.with_traceback(None))
-    return out
 
-
-def _rows(errors: list, warns, idx, cols: dict, later: list) -> list:
-    """Per record its error, or (values, warnings) from the columns over the records idx."""
-    out = list(errors)
-    names = list(cols)
-    for k, e, vals in zip(idx, later, zip(*(c.tolist() for c in cols.values()))):
-        out[k] = e if e is not None else (dict(zip(names, vals)), warns[k])
-    return out
+    errors: list
+    warnings: list
+    columns: dict
 
 
 def _settled(errors: list) -> list:
     return [k for k, e in enumerate(errors) if e is None]
 
 
-def _oneD_rows(grid, errors, warns, idx, xx, pp, xp, n_mu=None, extra=None) -> list:
-    """Rows of a 1D route from the second moments of the items idx of the grid.
+def _block(errors: list, warns: list, idx: list, cols: dict, later: list) -> _Block:
+    """The block of the items idx, settled so far with the columns cols
+    over them, after later checks gave each its error or None."""
+    errors = list(errors)
+    keep = []
+    for j, (k, e) in enumerate(zip(idx, later)):
+        if e is None:
+            keep.append(j)
+        else:
+            errors[k] = e
+    if len(keep) < len(idx):
+        cols = {q: c[keep] for q, c in cols.items()}
+    return _Block(errors, warns, cols)
+
+
+def _each(evaluate, items, names: tuple) -> _Block:
+    """The block of evaluate(item) per item: (its values in the order of
+    names, its warnings), or the OmsteadyError it raised.
+
+    An error is kept without its traceback. The traceback holds this
+    frame and its callers, which hold the list the error is kept in: a
+    reference cycle that would keep each chunk alive until the garbage
+    collector runs.
+    """
+    errors, warns, rows = [], [], []
+    for item in items:
+        try:
+            values, warn = evaluate(item)
+        except OmsteadyError as exc:
+            errors.append(exc.with_traceback(None))
+            warns.append(())
+        else:
+            errors.append(None)
+            warns.append(warn)
+            rows.append(values)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return _Block(errors, warns, dict(zip(names, table.T)))
+
+
+def _oneD_block(grid, block: _Block) -> _Block:
+    """A 1D route's block from the second moments xx, pp, xp (and, where
+    the route gives them, n_bar and purity) of block's settled items.
 
     The checks follow the scalar chain: Cov1D's nonnegative variances,
-    occupation_and_purity_1d (skipped where the route gives n_mu), and
+    occupation_and_purity_1d (skipped where the route gives n_bar), and
     bare_occupation at the record's oscillator.
     """
+    idx = _settled(block.errors)
+    given = block.columns
+    xx, pp, xp = given["xx"], given["pp"], given["xp"]
     later: list = [None] * len(idx)
     flag_first(later, (xx < 0) | (pp < 0),
                lambda j: UncertaintyViolation("diagonal variances must be nonnegative"))
     hbar = grid.hbar[idx]
-    if n_mu is None:
+    if "n_bar" in given:
+        n, mu = given["n_bar"], given["purity"]
+    else:
         n, mu, occupation_errors = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
         later = [e if e is not None else f for e, f in zip(later, occupation_errors)]
-    else:
-        n, mu = n_mu
     n_0, settled = bare_occupation_batch(xx, pp, hbar, grid.omega_b[idx], grid.mass[idx])
     flag_first(later, ~settled, lambda j: _reference_error())
-    cols = {**dict(zip(_ONE_D, (xx, pp, xp, n, mu, n_0))), **(extra or {})}
-    return _rows(errors, warns, idx, cols, later)
+    cols = dict(zip(_ONE_D, (xx, pp, xp, n, mu, n_0)))
+    cols.update((q, c) for q, c in given.items() if q not in cols)
+    return _block(block.errors, block.warnings, idx, cols, later)
 
 
-def _batch_oneD_spectral(grid) -> list:
+def _moments(item) -> tuple:
+    p, integrals = item
+    if isinstance(integrals, OmsteadyError):
+        raise integrals
+    cov = stationary_moments(p, integrals)
+    return (cov.xx, cov.pp, cov.xp), ()
+
+
+def _batch_oneD_spectral(grid) -> _Block:
     records = grid.records()
-    covs = _each(lambda pv: pv[1] if isinstance(pv[1], OmsteadyError)
-                 else stationary_moments(*pv),
-                 list(zip(records, moment_integrals_batch(records))))
-    errors = [c if isinstance(c, OmsteadyError) else None for c in covs]
-    idx = _settled(errors)
-    xx, pp, xp = (np.array([getattr(covs[k], f) for k in idx], dtype=float)
-                  for f in ("xx", "pp", "xp"))
-    return _oneD_rows(grid, errors, [()] * len(grid), idx, xx, pp, xp)
+    return _oneD_block(grid, _each(_moments, zip(records, moment_integrals_batch(records)),
+                                   ("xx", "pp", "xp")))
 
 
-def _batch_oneD_closed_form(grid) -> list:
+def _batch_oneD_closed_form(grid) -> _Block:
     results, errors = backaction_1d_batch(grid)
     idx = _settled(errors)
-    col = {name: getattr(results, name)[idx] for name in ("xx", "pp", "n_bar", "purity",
-                                                          "M_Omega", "n_min_weak")}
-    return _oneD_rows(grid, errors, [()] * len(grid), idx, col["xx"], col["pp"],
-                      np.zeros(len(idx)), n_mu=(col["n_bar"], col["purity"]),
-                      extra={"M_Omega": col["M_Omega"], "n_min_weak": col["n_min_weak"]})
+    cols = {q: getattr(results, q)[idx]
+            for q in ("xx", "pp", "n_bar", "purity", "M_Omega", "n_min_weak")}
+    cols["xp"] = np.zeros(len(idx))
+    return _oneD_block(grid, _Block(errors, [()] * len(grid), cols))
 
 
-def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple[dict, tuple[str, ...]]:
+def _eval_twoD_closed_form(p: SystemParams2D) -> tuple:
+    result = backaction_2d(p)
+    return tuple(getattr(result, q) for q in _TWO_D + _JOINT), ()
+
+
+def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple:
     g_m_opt, mu, warn = rwa_optimum(p)
-    return {"G_m_opt": g_m_opt, "purity_opt": mu}, warn
+    return (g_m_opt, mu), warn
 
 
 def _settled_covariances(grid, build, n: int):
@@ -233,33 +288,34 @@ def _settled_covariances(grid, build, n: int):
     return errors, systems.warnings, idx, V, systems.hbar[idx]
 
 
-def _summary_rows(errors, warns, idx, W, hbar, head: dict) -> list:
-    """Rows of a two-mode route: its own columns, then the 2D summary of W."""
+def _summary_block(errors, warns, idx, W, hbar, head: dict) -> _Block:
+    """The block of a two-mode route: its own columns, then the 2D summary of W."""
     s, later = summary_2d_batch(W, hbar)
     cols = {**head, "purity_2d": s.purity_2d, "purity_product": s.purity_product_1d,
             "N_plus": s.N_plus, "N_minus": s.N_minus}
-    return _rows(errors, warns, idx, cols, later)
+    return _block(errors, warns, idx, cols, later)
 
 
-def _batch_oneD_lyapunov(grid) -> list:
-    errors, warns, idx, V, _ = _settled_covariances(
+def _batch_oneD_lyapunov(grid) -> _Block:
+    errors, warns, _, V, _ = _settled_covariances(
         grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal), 4)
-    return _oneD_rows(grid, errors, warns, idx, V[:, 0, 0], V[:, 1, 1], V[:, 0, 1])
+    return _oneD_block(grid, _Block(errors, warns,
+                                    {"xx": V[:, 0, 0], "pp": V[:, 1, 1], "xp": V[:, 0, 1]}))
 
 
-def _batch_twoD_lyapunov(grid) -> list:
+def _batch_twoD_lyapunov(grid) -> _Block:
     errors, warns, idx, V, hbar = _settled_covariances(
         grid, lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal), 6)
     head = {"xx_b": V[:, 0, 0], "pp_b": V[:, 1, 1], "xx_d": V[:, 2, 2], "pp_d": V[:, 3, 3],
             "x_b_x_d": V[:, 0, 2], "p_b_p_d": V[:, 1, 3]}
-    return _summary_rows(errors, warns, idx, V[:, :4, :4], hbar, head)
+    return _summary_block(errors, warns, idx, V[:, :4, :4], hbar, head)
 
 
-def _batch_rwa_lyapunov(grid) -> list:
+def _batch_rwa_lyapunov(grid) -> _Block:
     errors, warns, idx, V, hbar = _settled_covariances(grid, build_rwa_batch, 6)
     head = {"n_b": 0.5 * (V[:, 2, 2] + V[:, 3, 3] - 1.0),
             "n_d": 0.5 * (V[:, 4, 4] + V[:, 5, 5] - 1.0)}
-    return _summary_rows(errors, warns, idx, V[:, 2:, 2:], hbar, head)
+    return _summary_block(errors, warns, idx, V[:, 2:, 2:], hbar, head)
 
 
 _ONE_D = ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0")
@@ -267,27 +323,46 @@ _TWO_D = ("xx_b", "pp_b", "xx_d", "pp_d", "x_b_x_d", "p_b_p_d")
 _JOINT = ("purity_2d", "purity_product")
 _MODAL = ("N_plus", "N_minus")
 
-#: (model, solver) -> (evaluate_many, the quantities it returns, in CSV
-#: order). evaluate_many takes a ParamsGrid of valid records and
-#: returns, per item, (values, warnings) or the OmsteadyError its
-#: evaluation raises.
+
+class _Route(NamedTuple):
+    """An evaluator, the quantities its block holds (in CSV order), and
+    the items it takes per call."""
+
+    evaluate: Callable[[ParamsGrid], _Block]
+    quantities: tuple
+    chunk: int
+
+
+#: Items per call of a stacked route. Its memory grows with the chunk:
+#: the Lyapunov solve's 21x21 vech operators, the spectral panel table.
+_STACKED = 64
+#: Items per call of a route that works item by item or elementwise,
+#: where only the Python work per call is to amortize.
+_ELEMENTWISE = 1024
+
+#: (model, solver) -> its _Route. The evaluator takes a ParamsGrid of
+#: valid records and returns their _Block.
 _EVALUATORS = {
-    ("oneD", "lyapunov"): (_batch_oneD_lyapunov, _ONE_D),
-    ("oneD", "spectral"): (_batch_oneD_spectral, _ONE_D),
-    ("oneD", "closed_form"): (_batch_oneD_closed_form, _ONE_D + ("M_Omega", "n_min_weak")),
-    ("twoD", "lyapunov"): (_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL),
-    ("twoD", "closed_form"): (lambda grid: _each(lambda p: (asdict(backaction_2d(p)), ()),
-                                                 grid.records()), _TWO_D + _JOINT),
-    ("rwa", "lyapunov"): (_batch_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL),
-    ("rwa", "closed_form"): (lambda grid: _each(_eval_rwa_closed_form, grid.records()),
-                             ("G_m_opt", "purity_opt")),
+    ("oneD", "lyapunov"): _Route(_batch_oneD_lyapunov, _ONE_D, _STACKED),
+    ("oneD", "spectral"): _Route(_batch_oneD_spectral, _ONE_D, _STACKED),
+    ("oneD", "closed_form"): _Route(_batch_oneD_closed_form,
+                                    _ONE_D + ("M_Omega", "n_min_weak"), _ELEMENTWISE),
+    ("twoD", "lyapunov"): _Route(_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL, _STACKED),
+    ("twoD", "closed_form"): _Route(
+        lambda grid: _each(_eval_twoD_closed_form, grid.records(), _TWO_D + _JOINT),
+        _TWO_D + _JOINT, _ELEMENTWISE),
+    ("rwa", "lyapunov"): _Route(_batch_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL,
+                                _STACKED),
+    ("rwa", "closed_form"): _Route(
+        lambda grid: _each(_eval_rwa_closed_form, grid.records(), ("G_m_opt", "purity_opt")),
+        ("G_m_opt", "purity_opt"), _ELEMENTWISE),
 }
 
 
 def available_quantities(model: str, solver: str) -> tuple[str, ...]:
     """Quantity names a (model, solver) pair can produce."""
     try:
-        return _EVALUATORS[(model, solver)][1]
+        return _EVALUATORS[(model, solver)].quantities
     except KeyError:
         raise InvalidParams(
             f"no evaluator for model={model!r} solver={solver!r}"
@@ -397,13 +472,34 @@ class SweepRow:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+def _sweep_rows(points, columns: dict, stable: np.ndarray, warnings) -> list[SweepRow]:
+    """A SweepRow per point from the columns evaluate_grid returns."""
+    names = list(columns)
+    values = zip(*(c.tolist() for c in columns.values()))
+    return [SweepRow(tuple(point), dict(zip(names, next(values))) if ok else None, ok, warn)
+            for point, ok, warn in zip(points, stable.tolist(), warnings)]
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """All rows of a sweep in grid order, plus labeling metadata."""
+    """All rows of a sweep in grid order, as columns, plus labeling metadata.
+
+    ``columns`` maps each requested quantity to a float64 array over the
+    stable rows, ``stable`` flags each row, and ``warnings`` holds each
+    row's regime warnings, or a flagged row's error as its one string.
+    """
 
     config: RunConfig
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+    columns: dict
+    stable: np.ndarray
+    warnings: list
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """A SweepRow per grid point, built on each call."""
+        columns = {q: self.columns[q] for q in self.config.outputs}
+        return tuple(_sweep_rows(self.spec.grid(), columns, self.stable, self.warnings))
 
     def header(self) -> tuple[list[str], list[str]]:
         names = [a.name for a in self.spec.axes]
@@ -413,20 +509,21 @@ class SweepResult:
 
     def csv_rows(self) -> list[list[str]]:
         outputs = self.config.outputs
-        empty = [""] * len(outputs)
-        out = []
-        for row in self.rows:
-            # The rows hold Python floats, so %.17g renders each exactly
-            # as format_float does.
-            cells = [f"{v:.17g}" for v in row.axis_values]
-            if row.values is None:
-                cells += empty
-            else:
-                values = row.values
-                cells += [f"{values[q]:.17g}" for q in outputs]
-            cells.append("1" if row.stable else "0")
-            cells.append(";".join(row.warnings).replace(",", ";").replace("\n", " "))
-            out.append(cells)
+        # Python floats, so %.17g renders each cell exactly as format_float
+        # does. No cell holds a comma, so each row is formatted as one
+        # line and split; each axis value is formatted once.
+        axes = [[f"{v:.17g}" for v in a.values().tolist()] for a in self.spec.axes]
+        heads = axes[0] if len(axes) == 1 else [f"{u},{v}" for u in axes[0] for v in axes[1]]
+        stable = self.stable.tolist()
+        template = ",".join(["%s", *["%.17g"] * len(outputs), "1", ""])
+        filled = (template % row for row in zip(
+            compress(heads, stable), *(self.columns[q].tolist() for q in outputs)))
+        flagged = "," * len(outputs) + ",0,"
+        out = [(next(filled) if ok else head + flagged).split(",")
+               for head, ok in zip(heads, stable)]
+        for cells, warn in zip(out, self.warnings):
+            if warn:
+                cells[-1] = ";".join(warn).replace(",", ";").replace("\n", " ")
         return out
 
 
@@ -435,15 +532,28 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _outcomes(model: str, solver: str, grid: ParamsGrid) -> list:
-    """Per item of the grid, its record's error or what its evaluation returns."""
-    out = list(grid.errors)
-    idx = [k for k, e in enumerate(out) if e is None]
-    if idx:
-        evaluate_many = _EVALUATORS[(model, solver)][0]
-        for k, res in zip(idx, evaluate_many(grid if len(idx) == len(out) else grid.take(idx))):
-            out[k] = res
-    return out
+def _evaluate(route: _Route, grid: ParamsGrid) -> _Block:
+    """The block of every item of the grid: its record's error, or what
+    the route's evaluator gives it."""
+    n = len(grid)
+    idx = _settled(grid.errors)
+    if len(idx) == n:
+        return route.evaluate(grid)
+    errors, warns = list(grid.errors), [()] * n
+    if not idx:
+        return _Block(errors, warns, {q: np.empty(0) for q in route.quantities})
+    block = route.evaluate(grid.take(idx))
+    for k, e, w in zip(idx, block.errors, block.warnings):
+        errors[k], warns[k] = e, w
+    return _Block(errors, warns, block.columns)
+
+
+def _outcomes(block: _Block) -> list:
+    """Per item of the block, its error or (its values dict, its warnings)."""
+    names = list(block.columns)
+    values = zip(*(c.tolist() for c in block.columns.values()))
+    return [e if e is not None else (dict(zip(names, next(values))), w)
+            for e, w in zip(block.errors, block.warnings)]
 
 
 def evaluate_config(config: RunConfig,
@@ -457,7 +567,7 @@ def evaluate_config(config: RunConfig,
     """
     overrides = overrides or {}
     grid = ParamsGrid.from_axes(config.params, list(overrides), [tuple(overrides.values())])
-    (res,) = _outcomes(config.model, config.solver, grid)
+    (res,) = _outcomes(_evaluate(_EVALUATORS[(config.model, config.solver)], grid))
     if isinstance(res, OmsteadyError):
         raise res
     values, warn = res
@@ -473,13 +583,9 @@ def evaluate_point(config: RunConfig, overrides: dict | None = None) -> SweepRow
     one point through evaluate_grid.
     """
     overrides = overrides or {}
-    (row,) = evaluate_grid(config, list(overrides), [tuple(float(v) for v in overrides.values())])
+    point = tuple(float(v) for v in overrides.values())
+    (row,) = _sweep_rows([point], *evaluate_grid(config, list(overrides), [point]))
     return row
-
-
-#: Records per stacked evaluation: large enough to amortize the Python
-#: work per call, small enough to keep the stacks' memory flat.
-_CHUNK = 64
 
 
 def evaluate_records(model: str, solver: str, records: list) -> list:
@@ -487,15 +593,16 @@ def evaluate_records(model: str, solver: str, records: list) -> list:
 
     Each item is (values, warnings) with every quantity of the pair, or
     the OmsteadyError the record's evaluation raised. The pair's
-    evaluator runs on a ParamsGrid of each chunk of _CHUNK records.
+    evaluator runs on a ParamsGrid of each chunk of records.
     Warnings are the strings the evaluation returns: a record's own
     regime warnings, whatever chunk it falls in, and nothing the
     interpreter's warning filters decide.
     """
+    route = _EVALUATORS[(model, solver)]
     out = []
-    for start in range(0, len(records), _CHUNK):
-        out.extend(_outcomes(model, solver,
-                             ParamsGrid.from_records(records[start:start + _CHUNK])))
+    for start in range(0, len(records), route.chunk):
+        grid = ParamsGrid.from_records(records[start:start + route.chunk])
+        out.extend(_outcomes(_evaluate(route, grid)))
     return out
 
 
@@ -511,33 +618,35 @@ def record_values(model: str, solver: str, records: list) -> list[dict]:
     return [values for values, _ in outcomes]
 
 
-def evaluate_grid(config: RunConfig, names: list[str], grid) -> list[SweepRow]:
-    """The rows of the grid points (values of the named parameters), in order.
+def evaluate_grid(config: RunConfig, names: list[str], grid) -> tuple[dict, np.ndarray, list]:
+    """The rows of the grid points (values of the named parameters) as columns.
 
-    An unstable, out-of-regime or invalid point (an error with exit
-    code 2 or 3) is a stable=0 row with the error in its warnings; an
-    error with exit code 4 propagates. Each chunk of grid points is one
+    Returns each requested quantity as a float64 array over the stable
+    rows, the stable flag of each row, and each row's warnings. An
+    unstable, out-of-regime or invalid point (an error with exit code 2
+    or 3) is a stable=0 row with the error in its warnings; an error
+    with exit code 4 propagates. Each chunk of grid points is one
     ParamsGrid, with the overrides applied as with_param applies them,
     so a large grid never holds more than one chunk of parameters.
     """
-    rows = []
-    outputs = config.outputs
-    # An evaluation returns a fresh dict of every quantity of the pair.
-    every = set(outputs) == set(available_quantities(config.model, config.solver))
-    for start in range(0, len(grid), _CHUNK):
-        points = [tuple(pt) for pt in grid[start:start + _CHUNK]]
-        params = ParamsGrid.from_axes(config.params, names, points)
-        for point, res in zip(points, _outcomes(config.model, config.solver, params)):
-            if not isinstance(res, OmsteadyError):
-                values, warn = res
-                if not every:
-                    values = {q: values[q] for q in outputs}
-                rows.append(SweepRow(point, values, True, warn))
-            elif res.exit_code == 4:
-                raise res
-            else:
-                rows.append(SweepRow(point, None, False, (f"{type(res).__name__}: {res}",)))
-    return rows
+    route = _EVALUATORS[(config.model, config.solver)]
+    points = np.asarray(grid, dtype=float).reshape(len(grid), len(names))
+    parts: dict = {q: [] for q in config.outputs}
+    stable: list = []
+    warns: list = []
+    for start in range(0, len(points), route.chunk):
+        block = _evaluate(route, ParamsGrid.from_axes(config.params, names,
+                                                      points[start:start + route.chunk]))
+        for e in block.errors:
+            if e is not None and e.exit_code == 4:
+                raise e
+        for q, part in parts.items():
+            part.append(block.columns[q])
+        stable += [e is None for e in block.errors]
+        warns += [w if e is None else (f"{type(e).__name__}: {e}",)
+                  for e, w in zip(block.errors, block.warnings)]
+    columns = {q: np.concatenate(part) if part else np.empty(0) for q, part in parts.items()}
+    return columns, np.array(stable, dtype=bool), warns
 
 
 def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
@@ -546,8 +655,9 @@ def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
     An axis that with_param cannot set raises InvalidParams first."""
     names = [a.name for a in spec.axes]
     check_param_names(config.params, names)
-    rows = evaluate_grid(config, names, spec.grid())
-    return SweepResult(config=config, spec=spec, rows=tuple(rows))
+    values = np.meshgrid(*(a.values() for a in spec.axes), indexing="ij")
+    points = np.stack([v.ravel() for v in values], axis=1)
+    return SweepResult(config, spec, *evaluate_grid(config, names, points))
 
 
 def _write_atomic(path: str | Path, lines) -> Path:

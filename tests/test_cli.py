@@ -142,6 +142,30 @@ class TestPoint:
         modes = (2.0 * values["N_plus"] + 1.0) * (2.0 * values["N_minus"] + 1.0)
         assert mu == pytest.approx(1.0 / modes, rel=1e-12)
 
+    @pytest.mark.parametrize("solver", ["lyapunov", "closed_form"])
+    def test_overflowing_determinant_bound_takes_the_log_determinant(self, solver, capsys):
+        # (hbar/2)^4 overflows at hbar = 1e100; the state is the one at
+        # hbar = 1 with the same coupling rate, lambda_o sqrt(hbar) = 0.28
+        def report(*params):
+            assert run_cli("point", "--param", "model=twoD", "--solver", solver,
+                           *params) == 0
+            return {line.split()[0]: float(line.split()[2])
+                    for line in capsys.readouterr().out.splitlines() if line.endswith("]")}
+
+        big = report("--param", "hbar=1e100", "--param", "lambda_o=2.8e-51")
+        ref = report("--param", "lambda_o=0.28")
+        for q in ("purity_2d", "purity_product"):
+            assert big[q] == pytest.approx(ref[q], rel=1e-9)
+        assert big["xx_b"] == pytest.approx(1e100 * ref["xx_b"], rel=1e-9)
+
+    @pytest.mark.parametrize("solver", ["lyapunov", "closed_form"])
+    def test_underflowing_bright_dark_frequencies_are_config_errors(self, solver, capsys):
+        # omega_b omega_d underflows to 0, and bright_dark divides by its root
+        assert run_cli("point", "--param", "model=twoD", "--solver", solver,
+                       "--param", "omega_x=1e-200", "--param", "omega_y=1e-200") == 2
+        assert capsys.readouterr().err == ("config error: omega_b omega_d of the bright and "
+                                           "dark modes underflows to 0 at these scales\n")
+
     def test_twoD_closed_form_overflowing_mixing_is_config_error(self, capsys):
         # (omega_bar_m delta_m)^2 overflows in Python's float power
         assert run_cli("point", "--param", "model=twoD", "--solver", "closed_form",

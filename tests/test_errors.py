@@ -4,6 +4,7 @@ A sweep flags the point for codes 2 and 3 and aborts on code 4; the
 CLI prints the prefix of the code and returns it.
 """
 
+import numpy as np
 import pytest
 
 from omsteady import errors, sweep
@@ -25,10 +26,12 @@ ROUTE = ("oneD", "closed_form")
 def failing_route(monkeypatch):
     """Make the oneD closed-form evaluator give every record a given error type."""
     def install(exc_type):
-        def fail(records):
-            return [exc_type("injected") for _ in records]
-        monkeypatch.setitem(sweep._EVALUATORS, ROUTE,
-                            (fail, sweep._EVALUATORS[ROUTE][1]))
+        route = sweep._EVALUATORS[ROUTE]
+
+        def fail(grid):
+            return sweep._Block([exc_type("injected") for _ in range(len(grid))],
+                                [()] * len(grid), {q: np.empty(0) for q in route.quantities})
+        monkeypatch.setitem(sweep._EVALUATORS, ROUTE, route._replace(evaluate=fail))
     return install
 
 

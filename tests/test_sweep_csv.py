@@ -18,7 +18,6 @@ from omsteady.models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemP
 from omsteady.sweep import (
     Axis,
     RunConfig,
-    SweepRow,
     SweepSpec,
     SweepResult,
     available_quantities,
@@ -219,11 +218,9 @@ class TestRunSweep:
 
     def test_unknown_axis_name_rejected_before_any_point(self, monkeypatch):
         calls = []
-        route = ("oneD", "closed_form")
-        evaluator, quantities = sweep._EVALUATORS[route]
-        monkeypatch.setitem(sweep._EVALUATORS, route,
-                            (lambda records: calls.extend(records) or evaluator(records),
-                             quantities))
+        route = sweep._EVALUATORS[("oneD", "closed_form")]
+        monkeypatch.setitem(sweep._EVALUATORS, ("oneD", "closed_form"), route._replace(
+            evaluate=lambda grid: calls.extend(grid) or route.evaluate(grid)))
         spec = SweepSpec(axes=(Axis("G_o", 0.1, 0.2, 2), Axis("foo", 0.1, 0.2, 2)))
         with pytest.raises(InvalidParams, match="has no parameter 'foo'"):
             run_sweep(config_1d(), spec)
@@ -291,18 +288,22 @@ def _scalar_values(model, p):
 
 
 def _scalar_rows(config, spec):
-    """CSV cells of a one-axis Lyapunov grid evaluated point by point through the scalar chain."""
+    """CSV cells of a one-axis Lyapunov grid evaluated point by point
+    through the scalar chain, each cell rendered on its own."""
     (axis,) = spec.axes
     rows = []
     for point in spec.grid():
         try:
             values, warn = _scalar_values(config.model,
                                           with_param(config.params, axis.name, point[0]))
-            rows.append(SweepRow(point, values, True, warn))
+            cells = [format_float(values[q]) for q in config.outputs] + ["1"]
         except OmsteadyError as exc:
             assert exc.exit_code != 4
-            rows.append(SweepRow(point, None, False, (f"{type(exc).__name__}: {exc}",)))
-    return SweepResult(config, spec, tuple(rows)).csv_rows()
+            cells = [""] * len(config.outputs) + ["0"]
+            warn = (f"{type(exc).__name__}: {exc}",)
+        warning_cell = ";".join(warn).replace(",", ";").replace("\n", " ")
+        rows.append([format_float(point[0]), *cells, warning_cell])
+    return rows
 
 
 class TestStackedSweep:
@@ -390,6 +391,38 @@ class TestStackedSweep:
                     assert got == expect
             assert sum(isinstance(r, OmsteadyError) for r in results) == len(results) - 1
 
+
+# A 2-axis grid of each pair with stable and flagged rows.
+CHUNK_GRIDS = {
+    ("oneD", "lyapunov"): (replace(P_1D, temperature=2.0),
+                           (Axis("G_o", 0.02, 0.7, 6), Axis("gamma_b", -0.005, 0.005, 5))),
+    ("oneD", "spectral"): (P_1D, (Axis("G_o", 0.05, 0.6, 5), Axis("kappa", 0.15, 0.25, 3))),
+    ("oneD", "closed_form"): (P_1D, (Axis("G_o", 0.01, 0.7, 9), Axis("delta", -0.5, 3.0, 8))),
+    ("twoD", "lyapunov"): (P_2D, (Axis("gamma_x", 0.0, 1e-3, 5), Axis("lambda_o", 0.05, 1.5, 5))),
+    ("twoD", "closed_form"): (_build_params("twoD", {}),
+                              (Axis("lambda_o", 0.01, 2.0, 6), Axis("phi", 0.0, 1.5, 5))),
+    ("rwa", "lyapunov"): (RWA_BATH, (Axis("G_o", 1e-3, 0.3, 6, "log"),
+                                     Axis("gamma_b", -1e-12, 1e-12, 5))),
+    ("rwa", "closed_form"): (_build_params("rwa", {}),
+                             (Axis("G_o", 0.0, 0.01, 6), Axis("G_m", 0.0, 0.01, 5))),
+}
+
+
+class TestChunkSize:
+    """A row does not depend on the chunk its point falls in."""
+
+    @pytest.mark.parametrize("pair", CHUNK_GRIDS, ids="-".join)
+    def test_rows_do_not_depend_on_chunk_size(self, pair, monkeypatch):
+        base, axes = CHUNK_GRIDS[pair]
+        config, spec = RunConfig(*pair, base), SweepSpec(axes)
+        default = sweep._EVALUATORS[pair]
+        cells = run_sweep(config, spec).csv_rows()
+        assert {row[-2] for row in cells} == {"0", "1"}
+        for chunk in (1, 7):
+            monkeypatch.setitem(sweep._EVALUATORS, pair, default._replace(chunk=chunk))
+            assert run_sweep(config, spec).csv_rows() == cells
+
+
 class TestExtremeValueProbe:
     """Every field of every pair across the float range raises no Python warning."""
 
@@ -398,7 +431,7 @@ class TestExtremeValueProbe:
         stable = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for (model, solver), (_, quantities) in sweep._EVALUATORS.items():
+            for (model, solver), route in sweep._EVALUATORS.items():
                 base = _build_params(model, {})
                 for field in fields(base):
                     grid = ParamsGrid.from_axes(base, [field.name], [(v,) for v in axis])
@@ -409,7 +442,7 @@ class TestExtremeValueProbe:
                         values, _ = res
                         stable += 1
                         where = (model, solver, field.name, values)
-                        assert all(math.isfinite(values[q]) for q in quantities), where
+                        assert all(math.isfinite(values[q]) for q in route.quantities), where
                         assert all(values.get(q) != 0.0
                                    for q in ("purity_2d", "purity_product")), where
         assert stable > 500  # 860 of the probe's rows settle
@@ -529,10 +562,31 @@ class TestCsvOutput:
         res = SweepResult(
             config=cfg,
             spec=SweepSpec(axes=(Axis("G_o", 0.0, 1.0, 2),)),
-            rows=(SweepRow((0.1,), None, False, ("bad, very bad",)),),
+            columns={"n_bar": np.array([0.25])},
+            stable=np.array([False, True]),
+            warnings=[("bad, very bad",), ("first, note", "second\nnote")],
         )
-        cells = res.csv_rows()[0]
-        assert cells[-1] == "bad; very bad"
+        assert res.csv_rows() == [["0", "", "0", "bad; very bad"],
+                                  ["1", "0.25", "1", "first; note;second note"]]
+
+    def test_cells_render_as_format_float(self):
+        # signed zero, subnormals, the float range's ends and non-finite values
+        values = [-0.0, 5e-324, 1e308, 1e-310, -1.7976931348623157e308, math.inf, -math.inf,
+                  math.nan, 0.1, 1.0 / 3.0]
+        cfg = config_1d(outputs=("n_bar", "purity"))
+        spec = SweepSpec(axes=(Axis("G_o", -1e-310, 1e308, 5), Axis("delta", 0.0, 1.0, 3)))
+        res = SweepResult(cfg, spec, {"n_bar": np.array(values),
+                                      "purity": np.array(values[::-1])},
+                          np.arange(15) % 3 != 1, [()] * 15)
+        stable = iter(zip(values, values[::-1]))
+        expect = []
+        for g, d in spec.grid():
+            if len(expect) % 3 != 1:
+                cells = [format_float(v) for v in next(stable)] + ["1"]
+            else:
+                cells = ["", "", "0"]
+            expect.append([format_float(g), format_float(d), *cells, ""])
+        assert res.csv_rows() == expect
 
     def test_write_csv_validates_shape(self, tmp_path):
         with pytest.raises(InvalidParams):
