@@ -27,7 +27,7 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import compress, product
 from pathlib import Path
 
@@ -292,6 +292,8 @@ def _cmd_optimize(args) -> int:
         raise InvalidParams(
             f"objective {objective!r} not available for this model/solver"
         )
+    # The search reads only the objective, whatever [run] outputs asks for.
+    config = replace(config, outputs=(objective,))
 
     grid = [tuple(float(v) for v in point) for point in product(*axes)]
     evals = len(grid)

@@ -8,28 +8,30 @@ arbitrary coupling. For the two-mode system the exact backaction
 moment set and both purity measures are provided, plus the optimum of
 the rotating-wave model. Everything here is closed-form arithmetic
 except the optical-spring fixed point, which is a damped scalar
-iteration.
+iteration. The backaction limits and the rotating-wave optimum are
+evaluated on a ParamsGrid's columns (the *_batch functions), and their
+record functions are grids of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import compress
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (FixedPointDivergence, InvalidParams, InvalidRegime, UndampedDarkMode,
-                     UnstableRegime, flag_first)
-from .gaussian import Cov1D, Cov2D, purity_2d_general
+from .errors import (DegenerateState, FixedPointDivergence, InvalidParams, InvalidRegime,
+                     UndampedDarkMode, UnstableRegime, flag_first)
+from .gaussian import Cov1D, summary_2d_batch
 from .models import (
     ParamsGrid,
     SystemParams1D,
     SystemParams2D,
     SystemParamsRWA,
-    _py_pow,
-    _sqrt,
+    _settle_1d_columns,
     bright_dark,
-    cooperativity,
     g_o_squared,
     planck,
 )
@@ -45,9 +47,11 @@ __all__ = [
     "backaction_1d",
     "backaction_1d_batch",
     "backaction_2d",
+    "backaction_2d_batch",
     "bare_occupation",
     "bare_occupation_batch",
     "rwa_optimum",
+    "rwa_optimum_batch",
 ]
 
 
@@ -226,43 +230,15 @@ def strong_coupling(params: SystemParams1D) -> StrongCouplingResult:
     )
 
 
-def _backaction_margin(p):
-    """(omega_b^2 - 2 g_o^2, K, omega_b^2) of a 1D record, or of a grid's columns."""
-    k2 = _py_pow(p.kappa / 2.0, 2)
-    K = k2 + _py_pow(p.delta, 2)
-    g2 = 2.0 * _py_pow(p.G_o, 2) * p.delta * p.omega_b / K
-    wb2 = _py_pow(p.omega_b, 2)
-    return wb2 - 2.0 * g2, K, wb2
-
-
-def _backaction_moments(p, margin, K, wb2) -> Backaction1DResult:
-    """The backaction_1d moments of a record whose margin is positive, or of columns."""
-    m, hbar, delta = p.mass, p.hbar, p.delta
-    two_n_plus_1 = _sqrt((K + margin) * (K + wb2)) / (2.0 * delta * _sqrt(margin))
-    return Backaction1DResult(
-        xx=hbar / (4.0 * m * delta) * (1.0 + K / margin),
-        pp=hbar * m * (K + wb2) / (4.0 * delta),
-        n_bar=0.5 * (two_n_plus_1 - 1.0),
-        purity=1.0 / two_n_plus_1,
-        M_Omega=m * _sqrt((K + wb2) * margin / (K + margin)),
-        n_min_weak=(_py_pow(p.kappa / 2.0, 2) + _py_pow(delta - p.omega_b, 2))
-        / (4.0 * p.omega_b * delta),
-    )
-
-
 def _detuning_error() -> UnstableRegime:
     return UnstableRegime("backaction steady state requires delta > 0")
 
 
-def _margin_error(margin: float) -> UnstableRegime:
-    return UnstableRegime(f"unstable: omega_b^2 - 2 g_o^2 = {margin:.6g} is not positive")
-
-
-def _scale_error() -> InvalidParams:
-    return InvalidParams("backaction moments are not finite at this record's scales")
-
-
-_BACKACTION_1D = tuple(f.name for f in fields(Backaction1DResult))
+def _only(result, errors: list):
+    """The one item of a batch result, as floats, or the error it has."""
+    if errors[0] is not None:
+        raise errors[0]
+    return type(result)(*(float(getattr(result, f.name)[0]) for f in fields(result)))
 
 
 def backaction_1d(params: SystemParams1D) -> Backaction1DResult:
@@ -277,18 +253,9 @@ def backaction_1d(params: SystemParams1D) -> Backaction1DResult:
     with zero cross correlation. The occupation, purity and the
     oscillator-shape parameter M_Omega follow, together with the
     small-coupling limit n_min_weak that sets the familiar sideband
-    cooling floor. backaction_1d_batch runs the same formulas on the
-    columns of a grid.
+    cooling floor. A grid of one through backaction_1d_batch.
     """
-    if params.delta <= 0:
-        raise _detuning_error()
-    margin, K, wb2 = _backaction_margin(params)
-    if margin <= 0:
-        raise _margin_error(margin)
-    result = _backaction_moments(params, margin, K, wb2)
-    if not all(math.isfinite(getattr(result, name)) for name in _BACKACTION_1D):
-        raise _scale_error()
-    return result
+    return _only(*backaction_1d_batch(ParamsGrid.from_records([params])))
 
 
 def backaction_1d_batch(grid: ParamsGrid) -> tuple[Backaction1DResult, list]:
@@ -299,20 +266,27 @@ def backaction_1d_batch(grid: ParamsGrid) -> tuple[Backaction1DResult, list]:
     settles); the fields of an item with an error mean nothing.
     """
     errors: list = [None] * len(grid)
-    cooled = grid.delta > 0
-    flag_first(errors, ~cooled, lambda k: _detuning_error())
-    # Python's float power may overflow on the items with delta <= 0.
-    part = grid if cooled.all() else grid.take(np.flatnonzero(cooled))
+    m, hbar, delta, omega_b = grid.mass, grid.hbar, grid.delta, grid.omega_b
+    flag_first(errors, delta <= 0, lambda k: _detuning_error())
     with np.errstate(all="ignore"):
-        margin, K, wb2 = _backaction_margin(part)
-        result = _backaction_moments(part, margin, K, wb2)
-    if part is not grid:
-        full = np.ones((1 + len(_BACKACTION_1D), len(grid)))
-        full[:, cooled] = [margin, *(getattr(result, name) for name in _BACKACTION_1D)]
-        margin, result = full[0], Backaction1DResult(*full[1:])
-    flag_first(errors, margin <= 0, lambda k: _margin_error(margin[k]))
-    finite = np.isfinite([getattr(result, name) for name in _BACKACTION_1D]).all(axis=0)
-    flag_first(errors, ~finite, lambda k: _scale_error())
+        half_kappa, detuning = grid.kappa / 2.0, delta - omega_b
+        K = half_kappa * half_kappa + delta * delta
+        wb2 = omega_b * omega_b
+        margin = wb2 - 2.0 * g_o_squared(grid)
+        two_n_plus_1 = np.sqrt((K + margin) * (K + wb2)) / (2.0 * delta * np.sqrt(margin))
+        result = Backaction1DResult(
+            xx=hbar / (4.0 * m * delta) * (1.0 + K / margin),
+            pp=hbar * m * (K + wb2) / (4.0 * delta),
+            n_bar=0.5 * (two_n_plus_1 - 1.0),
+            purity=1.0 / two_n_plus_1,
+            M_Omega=m * np.sqrt((K + wb2) * margin / (K + margin)),
+            n_min_weak=(half_kappa * half_kappa + detuning * detuning) / (4.0 * omega_b * delta),
+        )
+    flag_first(errors, margin <= 0, lambda k: UnstableRegime(
+        f"unstable: omega_b^2 - 2 g_o^2 = {margin[k]:.6g} is not positive"))
+    finite = np.isfinite([getattr(result, f.name) for f in fields(result)]).all(axis=0)
+    flag_first(errors, ~finite, lambda k: InvalidParams(
+        "backaction moments are not finite at this record's scales"))
     return result, errors
 
 
@@ -366,76 +340,79 @@ def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
     no direct optical damping, so it needs both nonzero mixing with
     the bright mode (delta_m != 0) and a driven cavity (g_o != 0).
     Stability requires (omega_b^2 - 2 g_o^2) omega_d^2 to exceed
-    (omega_bar_m delta_m)^2.
+    (omega_bar_m delta_m)^2. A grid of one through backaction_2d_batch.
     """
-    if params.gamma_x != 0.0 or params.gamma_y != 0.0:
-        raise InvalidRegime("backaction_2d assumes gamma_x = gamma_y = 0")
-    bd = bright_dark(params)
-    kappa, delta, lambda_o = params.kappa, params.delta, params.lambda_o
-    m, hbar = params.mass, params.hbar
-    if delta <= 0:
-        raise UnstableRegime("backaction steady state requires delta > 0")
-    p1 = SystemParams1D(
-        omega_b=bd.omega_b,
-        gamma_b=0.0,
-        kappa=kappa,
-        delta=delta,
-        lambda_o=lambda_o,
-        mass=m,
-        hbar=hbar,
-    )
-    g2 = g_o_squared(p1)
-    if bd.delta_m == 0.0 or g2 == 0.0:
-        raise UndampedDarkMode(
-            "dark mode is not damped: needs delta_m != 0 and a driven cavity"
-        )
-    K = (kappa / 2.0) ** 2 + delta**2
-    try:
-        cross2 = (bd.omega_bar_m * bd.delta_m) ** 2
-    except OverflowError:
-        raise InvalidParams("(omega_bar_m delta_m)^2 overflows at these frequencies") from None
-    margin = bd.omega_b**2 - 2.0 * g2
-    denom = margin * bd.omega_d**2 - cross2
-    if denom <= 0 or margin <= 0:
-        raise UnstableRegime(
-            "unstable: (omega_b^2 - 2 g_o^2) omega_d^2 - (omega_bar_m delta_m)^2 "
-            f"= {denom:.6g} is not positive"
-        )
-    pref = hbar / (4.0 * m * delta)
-    xx_b = pref * (1.0 + K * bd.omega_d**2 / denom)
-    xx_d = pref * (1.0 + K * margin / denom)
-    pp_b = hbar * m * (K + bd.omega_b**2) / (4.0 * delta)
-    pp_d = hbar * m * (K + bd.omega_d**2) / (4.0 * delta)
-    x_b_x_d = -pref * K * bd.omega_bar_m * bd.delta_m / denom
-    p_b_p_d = hbar * m * bd.omega_bar_m * bd.delta_m / (4.0 * delta)
+    return _only(*backaction_2d_batch(ParamsGrid.from_records([params])))
 
-    cov = Cov2D(
-        matrix=[
-            [xx_b, 0.0, x_b_x_d, 0.0],
-            [0.0, pp_b, 0.0, p_b_p_d],
-            [x_b_x_d, 0.0, xx_d, 0.0],
-            [0.0, p_b_p_d, 0.0, pp_d],
-        ],
-        hbar=hbar,
-    )
-    purity_2d = purity_2d_general(cov).purity_2d
-    product = xx_b * pp_b * xx_d * pp_d
-    if math.isfinite(product):
-        purity_product = hbar**2 / (4.0 * math.sqrt(product))
-    else:
-        purity_product = hbar**2 / 4.0 / math.sqrt(xx_b * pp_b) / math.sqrt(xx_d * pp_d)
-    if not purity_product > 0.0:
-        raise InvalidParams("covariance determinant overflows at this record's scales")
-    return Backaction2DResult(
-        xx_b=xx_b,
-        xx_d=xx_d,
-        pp_b=pp_b,
-        pp_d=pp_d,
-        x_b_x_d=x_b_x_d,
-        p_b_p_d=p_b_p_d,
-        purity_2d=purity_2d,
-        purity_product=purity_product,
-    )
+
+def backaction_2d_batch(grid: ParamsGrid) -> tuple[Backaction2DResult, list]:
+    """backaction_2d of every record of a 2D grid.
+
+    Returns a Backaction2DResult whose fields are arrays over the grid
+    and, per item, the first error of backaction_2d's conditions in the
+    order they are checked (None where it settles): undamped mechanics,
+    delta > 0, a valid bright-mode SystemParams1D, a damped dark mode,
+    a finite (omega_bar_m delta_m)^2, stability, a finite covariance,
+    its 2D summary and a positive purity product. The fields of an item
+    with an error mean nothing.
+    """
+    n, kappa, delta, m, hbar = len(grid), grid.kappa, grid.delta, grid.mass, grid.hbar
+    errors: list = [None] * n
+    flag_first(errors, (grid.gamma_x != 0.0) | (grid.gamma_y != 0.0),
+               lambda k: InvalidRegime("backaction_2d assumes gamma_x = gamma_y = 0"))
+    flag_first(errors, delta <= 0, lambda k: _detuning_error())
+    with np.errstate(all="ignore"):
+        bd = bright_dark(grid)
+        # The bright mode as the undamped 1D record that gives its g_o^2.
+        bright = SimpleNamespace(omega_b=bd.omega_b, gamma_b=np.zeros(n), kappa=kappa,
+                                 delta=delta, lambda_o=grid.lambda_o, G_o=np.zeros(n),
+                                 mass=m, temperature=np.zeros(n), hbar=hbar)
+        _settle_1d_columns(bright, errors)
+        g2 = g_o_squared(bright)
+        flag_first(errors, (bd.delta_m == 0.0) | (g2 == 0.0), lambda k: UndampedDarkMode(
+            "dark mode is not damped: needs delta_m != 0 and a driven cavity"))
+        cross = bd.omega_bar_m * bd.delta_m
+        flag_first(errors, ~np.isfinite(cross * cross), lambda k: InvalidParams(
+            "(omega_bar_m delta_m)^2 overflows at these frequencies"))
+        wb2, wd2 = bd.omega_b * bd.omega_b, bd.omega_d * bd.omega_d
+        margin = wb2 - 2.0 * g2
+        denom = margin * wd2 - cross * cross
+        flag_first(errors, (denom <= 0) | (margin <= 0), lambda k: UnstableRegime(
+            "unstable: (omega_b^2 - 2 g_o^2) omega_d^2 - (omega_bar_m delta_m)^2 "
+            f"= {denom[k]:.6g} is not positive"))
+        half_kappa = kappa / 2.0
+        K = half_kappa * half_kappa + delta * delta
+        pref = hbar / (4.0 * m * delta)
+        W = np.zeros((n, 4, 4))
+        W[:, 0, 0] = pref * (1.0 + K * wd2 / denom)
+        W[:, 2, 2] = pref * (1.0 + K * margin / denom)
+        W[:, 1, 1] = hbar * m * (K + wb2) / (4.0 * delta)
+        W[:, 3, 3] = hbar * m * (K + wd2) / (4.0 * delta)
+        W[:, 0, 2] = W[:, 2, 0] = -pref * K * bd.omega_bar_m * bd.delta_m / denom
+        W[:, 1, 3] = W[:, 3, 1] = hbar * m * bd.omega_bar_m * bd.delta_m / (4.0 * delta)
+    flag_first(errors, ~np.isfinite(W).all(axis=(1, 2)),
+               lambda k: DegenerateState("covariance matrix has a non-finite entry"))
+    idx = [k for k, e in enumerate(errors) if e is None]
+    summary, later = summary_2d_batch(W[idx], hbar[idx])
+    for k, e in zip(idx, later):
+        errors[k] = e
+    purity_2d = np.ones(n)
+    purity_2d[idx] = summary.purity_2d
+    xx_b, pp_b, xx_d, pp_d = (W[:, i, i] for i in range(4))
+    with np.errstate(all="ignore"):
+        product, h2 = xx_b * pp_b * xx_d * pp_d, hbar * hbar
+        purity_product = np.where(np.isfinite(product), h2 / (4.0 * np.sqrt(product)),
+                                  h2 / 4.0 / np.sqrt(xx_b * pp_b) / np.sqrt(xx_d * pp_d))
+    flag_first(errors, ~(purity_product > 0.0), lambda k: InvalidParams(
+        "covariance determinant overflows at this record's scales"))
+    return Backaction2DResult(xx_b=xx_b, xx_d=xx_d, pp_b=pp_b, pp_d=pp_d,
+                              x_b_x_d=W[:, 0, 2], p_b_p_d=W[:, 1, 3], purity_2d=purity_2d,
+                              purity_product=purity_product), errors
+
+
+_RWA_WARNINGS = ("cooperativity not large; optimum formula is approximate",
+                 "gamma_tot not small against kappa; optimum formula is approximate",
+                 "unequal bath occupations; using the bright-mode value")
 
 
 def rwa_optimum(params: SystemParamsRWA) -> tuple[float, float, tuple[str, ...]]:
@@ -455,19 +432,33 @@ def rwa_optimum(params: SystemParamsRWA) -> tuple[float, float, tuple[str, ...]]
 
     The warning strings name each validity condition the record misses
     (C_o >> 1, gamma_tot << kappa, equal bath occupations). Raises
-    InvalidRegime when C_o is zero (G_o^2 is 0 or underflows).
+    InvalidRegime when C_o is zero (G_o^2 is 0 or underflows). A grid
+    of one through rwa_optimum_batch.
     """
-    gamma_tot = params.gamma_b + params.gamma_d
-    c_o = cooperativity(params)
-    if c_o == 0.0:
-        raise InvalidRegime("cooperativity is zero; the optimum needs G_o^2 > 0")
-    warn = []
-    if c_o < 100.0:
-        warn.append("cooperativity not large; optimum formula is approximate")
-    if gamma_tot > 0.2 * params.kappa:
-        warn.append("gamma_tot not small against kappa; optimum formula is approximate")
-    if params.n_B_b != params.n_B_d:
-        warn.append("unequal bath occupations; using the bright-mode value")
-    g_m_opt = params.G_o / math.sqrt(2.0)
-    inv_purity = 1.0 + 4.0 * params.n_B_b * (1.0 / c_o + gamma_tot / params.kappa)
-    return g_m_opt, 1.0 / inv_purity, tuple(warn)
+    g_m_opt, purity, warnings, errors = rwa_optimum_batch(ParamsGrid.from_records([params]))
+    if errors[0] is not None:
+        raise errors[0]
+    return float(g_m_opt[0]), float(purity[0]), warnings[0]
+
+
+def rwa_optimum_batch(grid: ParamsGrid) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """rwa_optimum of every record of a rotating-wave grid.
+
+    Returns the columns G_m_opt and purity, each item's warnings and
+    the error rwa_optimum raises for it (None where it settles): the
+    cooperativity's InvalidParams, then the InvalidRegime of a zero one.
+    The values of an item with an error mean nothing.
+    """
+    errors: list = [None] * len(grid)
+    gamma_tot = grid.gamma_b + grid.gamma_d
+    flag_first(errors, (grid.kappa <= 0) | (gamma_tot <= 0), lambda k: InvalidParams(
+        "cooperativity requires kappa > 0 and gamma_tot > 0"))
+    with np.errstate(all="ignore"):
+        c_o = 4.0 * (grid.G_o * grid.G_o) / (grid.kappa * gamma_tot)
+        inv_purity = 1.0 + 4.0 * grid.n_B_b * (1.0 / c_o + gamma_tot / grid.kappa)
+    flag_first(errors, c_o == 0.0, lambda k: InvalidRegime(
+        "cooperativity is zero; the optimum needs G_o^2 > 0"))
+    missed = zip(*(c.tolist() for c in (c_o < 100.0, gamma_tot > 0.2 * grid.kappa,
+                                        grid.n_B_b != grid.n_B_d)))
+    warnings = [tuple(compress(_RWA_WARNINGS, flags)) for flags in missed]
+    return grid.G_o / math.sqrt(2.0), 1.0 / inv_purity, warnings, errors

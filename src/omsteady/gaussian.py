@@ -34,7 +34,6 @@ from .errors import (
     UncertaintyViolation,
     flag_first,
 )
-from .models import _py_pow
 
 __all__ = [
     "Cov1D",
@@ -141,7 +140,8 @@ def _clamped_det_ratio(det: np.ndarray, hbar: np.ndarray, errors: list) -> np.nd
     An item below the bound by more than the tolerance gets an
     UncertaintyViolation in ``errors``.
     """
-    bound = _py_pow(hbar / 2.0, 2)
+    half = hbar / 2.0
+    bound = half * half
     ratio = det / bound
     flag_first(errors, ratio < 1.0 - UNCERTAINTY_RTOL, lambda k: UncertaintyViolation(
         f"covariance determinant {det[k]:.6g} below (hbar/2)^2 = {bound[k]:.6g}"))
@@ -160,7 +160,7 @@ def occupation_and_purity_1d_batch(xx, pp, xp, hbar):
     """
     xx, pp, xp, hbar = (np.asarray(a, dtype=float) for a in (xx, pp, xp, hbar))
     errors: list = [None] * len(xx)
-    two_n_plus_1 = np.sqrt(_clamped_det_ratio(xx * pp - _py_pow(xp, 2), hbar, errors))
+    two_n_plus_1 = np.sqrt(_clamped_det_ratio(xx * pp - xp * xp, hbar, errors))
     return 0.5 * (two_n_plus_1 - 1.0), 1.0 / two_n_plus_1, errors
 
 
@@ -319,7 +319,8 @@ def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
     N_plus = _clamped_modal_occupation(nu_hi, hbar, errors)
     N_minus = _clamped_modal_occupation(nu_lo, hbar, errors)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = _py_pow(hbar / 2.0, 4)
+        half_squared = hbar / 2.0 * (hbar / 2.0)
+        bound = half_squared * half_squared
         det_ratio = np.linalg.det(W) / bound
         # Where the bound overflows the ratio is one of two numbers past
         # the float range, so it comes from the log-determinant.

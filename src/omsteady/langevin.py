@@ -51,7 +51,6 @@ from .models import (
     SystemParams1D,
     SystemParams2D,
     SystemParamsRWA,
-    _py_pow,
     bright_dark,
     planck,
 )
@@ -192,24 +191,14 @@ class CovarianceMatrix:
         return Cov2D(matrix=self.block(names), hbar=self.hbar)
 
 
-def _thermal_force(mass, gamma, hbar, omega, temperature, errors: list) -> np.ndarray:
+def _thermal_force(mass, gamma, hbar, omega, temperature) -> np.ndarray:
     """2 m gamma hbar omega (n_B + 1/2) for each item with gamma > 0, else 0.
 
-    The white-noise force of a damped mode at its frequency, with
-    n_B = planck(omega, temperature) item by item in Python's float
-    math. An item that has an error is skipped, and one for which
-    planck raises gets that error.
+    The white-noise force of a damped mode at its frequency omega > 0,
+    with n_B = planck(omega, temperature) over the columns.
     """
-    out = np.zeros(len(gamma))
-    cols = [c.tolist() for c in (mass, gamma, hbar, omega, temperature)]
-    for k in np.flatnonzero(gamma > 0).tolist():
-        if errors[k] is None:
-            m, g, h, w, T = (c[k] for c in cols)
-            try:
-                out[k] = 2.0 * m * g * h * w * (planck(w, T) + 0.5)
-            except OmsteadyError as exc:
-                errors[k] = exc
-    return out
+    return np.where(gamma > 0, 2.0 * mass * gamma * hbar * omega
+                    * (planck(omega, temperature) + 0.5), 0.0)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -229,7 +218,7 @@ def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
     D = np.zeros((B, 4, 4))
     with np.errstate(all="ignore"):
         A[:, 0, 1] = 1.0 / m
-        A[:, 1, 0] = -m * _py_pow(grid.omega_b, 2)
+        A[:, 1, 0] = -m * (grid.omega_b * grid.omega_b)
         A[:, 1, 1] = -grid.gamma_b
         A[:, 1, 2] = -_SQRT2 * hbar * lam
         A[:, 2, 2] = A[:, 3, 3] = -grid.kappa / 2.0
@@ -238,8 +227,7 @@ def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
         A[:, 3, 2] = -grid.delta
         D[:, 2, 2] = D[:, 3, 3] = grid.kappa / 2.0
         if noise is NoiseMode.MarkovianThermal:
-            D[:, 1, 1] = _thermal_force(m, grid.gamma_b, hbar, grid.omega_b, grid.temperature,
-                                        errors)
+            D[:, 1, 1] = _thermal_force(m, grid.gamma_b, hbar, grid.omega_b, grid.temperature)
     D = _checked_diffusion(A, D, errors)
     return SystemBatch(A, D, ("x_b", "p_b", "X_c", "P_c"), hbar, ((),) * B, tuple(errors))
 
@@ -270,13 +258,13 @@ def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
         bd = bright_dark(grid)
         cross = m * bd.omega_bar_m * bd.delta_m
         A[:, 0, 1] = 1.0 / m
-        A[:, 1, 0] = -m * _py_pow(bd.omega_b, 2)
+        A[:, 1, 0] = -m * (bd.omega_b * bd.omega_b)
         A[:, 1, 1] = -bd.gamma_b
         A[:, 1, 2] = -cross
         A[:, 1, 3] = -bd.eta_m
         A[:, 1, 4] = -_SQRT2 * hbar * lam
         A[:, 2, 3] = 1.0 / m
-        A[:, 3, 2] = -m * _py_pow(bd.omega_d, 2)
+        A[:, 3, 2] = -m * (bd.omega_d * bd.omega_d)
         A[:, 3, 3] = -bd.gamma_d
         A[:, 3, 0] = -cross
         A[:, 3, 1] = -bd.eta_m
@@ -292,7 +280,7 @@ def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
                            "unequal axis damping with mode mixing correlates the "
                            "bright and dark baths; no white-noise surrogate exists"))
             for row, w, g in ((1, bd.omega_b, bd.gamma_b), (3, bd.omega_d, bd.gamma_d)):
-                D[:, row, row] = _thermal_force(m, g, hbar, w, grid.temperature, errors)
+                D[:, row, row] = _thermal_force(m, g, hbar, w, grid.temperature)
     D = _checked_diffusion(A, D, errors)
     return SystemBatch(A, D, ("x_b", "p_b", "x_d", "p_d", "X_c", "P_c"), hbar, ((),) * B,
                        tuple(errors))

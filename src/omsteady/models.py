@@ -14,14 +14,16 @@ a rate ``G_o`` or as the force-gradient form ``lambda_o``; the two are
 related by G_o = lambda_o * sqrt(hbar / (2 m omega_b)) and consistency
 is enforced when both are supplied.
 
-Each record class validates with one ordered table of rules. A rule
-reads a record's floats or a ParamsGrid's columns alike, so a record
+Each record class validates with one ordered table of rules. The rules
+and the formulas here use numpy's elementwise ufuncs, with squares
+written as products, so they read a record's floats or a ParamsGrid's
+columns alike and give an item the same bits either way: a record
 raises the InvalidParams of the first rule it breaks, and a grid gives
 each item the error its record would raise, with the same text. A
-ParamsGrid holds many records as one float64 column per field; sweeps
-build one per chunk of grid points with ParamsGrid.from_axes, which
-applies overrides as with_param does, and every evaluator of
-omsteady.sweep takes one.
+record's fields stay Python floats. A ParamsGrid holds many records as
+one float64 column per field; sweeps build one per chunk of grid
+points with ParamsGrid.from_axes, which applies overrides as
+with_param does, and every evaluator of omsteady.sweep takes one.
 """
 
 from __future__ import annotations
@@ -61,62 +63,6 @@ _COUPLING_CONSISTENCY_RTOL = 1e-9
 _HBAR_MIN = 2.0 * sys.float_info.min ** 0.25
 
 
-# Float-or-array helpers: one formula serves a record's floats and a
-# grid's columns. Powers and transcendentals go item by item through
-# Python's float math, since numpy rounds x**2 (as x*x) and x**4
-# differently from the C pow behind Python's float power in about 1
-# case in 1,000 and 1 in 40 on random inputs; +, -, *, / and sqrt are
-# correctly rounded in both.
-
-
-def _items(fn, x):
-    """fn(x) for a float; fn of each item, as a float, for an array.
-
-    An item fn raises on gets what numpy gives: inf past the float
-    range, nan outside fn's domain. Column rules see such items, though
-    an earlier rule rejects them.
-    """
-    if not isinstance(x, np.ndarray):
-        return fn(x)
-    values = x.tolist()
-    try:
-        return np.array([fn(v) for v in values], dtype=float)
-    except (OverflowError, ValueError):
-        return np.array([_item_or_numpy(fn, v) for v in values], dtype=float)
-
-
-def _item_or_numpy(fn, v: float) -> float:
-    try:
-        return fn(v)
-    except OverflowError:
-        return math.inf
-    except ValueError:
-        return math.nan
-
-
-def _py_pow(x, k: int):
-    """x**k, for an even k, with Python's float power (item by item for an
-    array, as _items does)."""
-    if not isinstance(x, np.ndarray):
-        return x ** k
-    try:
-        return np.array([v ** k for v in x.tolist()], dtype=float)
-    except OverflowError:
-        return _items(lambda v: v ** k, x)
-
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _nonfinite(x):
-    return ~np.isfinite(x) if isinstance(x, np.ndarray) else not math.isfinite(x)
-
-
-def _maximum(a, b):
-    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
-
-
 # A rule is (reads, bad, message): bad(r) is true where r breaks the
 # rule, for a record (a bool) or for columns (a bool per item); reads
 # names the fields bad reads, and message is the InvalidParams text, or
@@ -140,9 +86,9 @@ class _Finite(tuple):
 
 def _finite_rules(names) -> list:
     return [rule for name in names for rule in (
-        ((name,), lambda r, n=name: _nonfinite(getattr(r, n)),
+        ((name,), lambda r, n=name: ~np.isfinite(getattr(r, n)),
          lambda r, n=name: f"{n} must be finite, got {getattr(r, n)!r}"),
-        ((name,), lambda r, n=name: _nonfinite(getattr(r, n) * getattr(r, n)),
+        ((name,), lambda r, n=name: ~np.isfinite(getattr(r, n) * getattr(r, n)),
          lambda r, n=name: f"{n} must be below 1.3e154 in magnitude, got {getattr(r, n)!r}"),
     )]
 
@@ -152,15 +98,19 @@ def _text(message, r) -> str:
 
 
 def _check(r, table, unset=()) -> None:
-    """Raise the InvalidParams of the first rule of table the record r breaks."""
-    for entry in table:
-        if type(entry) is not _Finite:
-            if entry[1](r):
-                raise InvalidParams(_text(entry[2], r))
-            continue
-        values = [getattr(r, n) for n in entry.names(unset)]
-        if not math.isfinite(sum(map(operator.mul, values, values))):
-            _check(r, _finite_rules(entry.names(unset)))
+    """Raise the InvalidParams of the first rule of table the record r breaks.
+
+    A past-range result is inf or nan here, as in a column, not a warning.
+    """
+    with np.errstate(all="ignore"):
+        for entry in table:
+            if type(entry) is not _Finite:
+                if entry[1](r):
+                    raise InvalidParams(_text(entry[2], r))
+                continue
+            values = [getattr(r, n) for n in entry.names(unset)]
+            if not math.isfinite(sum(map(operator.mul, values, values))):
+                _check(r, _finite_rules(entry.names(unset)))
 
 
 def _item(r, k: int) -> SimpleNamespace:
@@ -283,8 +233,7 @@ class SystemParams2D:
     @property
     def G_o(self) -> float:
         """Coupling rate of the bright mode, lambda_o in rate form."""
-        wb = bright_dark(self).omega_b
-        return self.lambda_o * math.sqrt(self.hbar / (2.0 * self.mass * wb))
+        return self.lambda_o * float(_rate_per_gradient(_bright_scales(self)))
 
 
 @dataclass(frozen=True)
@@ -370,7 +319,7 @@ _COUPLINGS = ("lambda_o", "G_o")
 
 def _rate_per_gradient(r):
     """sqrt(hbar / (2 m omega_b)), the factor G_o / lambda_o."""
-    return _sqrt(r.hbar / (2.0 * r.mass * r.omega_b))
+    return np.sqrt(r.hbar / (2.0 * r.mass * r.omega_b))
 
 
 def _implied_rate(r):
@@ -379,10 +328,10 @@ def _implied_rate(r):
 
 _CONSISTENT = (
     ("lambda_o", "G_o", "hbar", "mass", "omega_b"),
-    lambda r: abs(_implied_rate(r) - r.G_o) > _COUPLING_CONSISTENCY_RTOL * _maximum(
-        _maximum(abs(_implied_rate(r)), abs(r.G_o)), 1e-300),
+    lambda r: abs(_implied_rate(r) - r.G_o) > _COUPLING_CONSISTENCY_RTOL * np.maximum(
+        np.maximum(abs(_implied_rate(r)), abs(r.G_o)), 1e-300),
     lambda r: "lambda_o and G_o are inconsistent: "
-              f"G_o={r.G_o} but lambda_o implies {_implied_rate(r)}",
+              f"G_o={r.G_o} but lambda_o implies {float(_implied_rate(r))}",
 )
 #: The rules on the settled coupling pair: a derived form of the coupling
 #: can overflow where the given one did not, and a given pair must agree.
@@ -390,21 +339,30 @@ _DERIVED_COUPLING = (_Finite(_COUPLINGS),)
 _GIVEN_COUPLING = (_CONSISTENT, *_DERIVED_COUPLING)
 
 
-def _settle_1d(r, unset: tuple, check) -> None:
+def _settle_1d(r, unset: tuple, check, field=float) -> None:
     """Validate a 1D record, or its columns, and set the coupling fields
     named in unset (those not given) from the other one.
 
-    check(r, table, unset) applies a rule table: _check for a record,
-    _flag for columns.
+    check(r, table, unset) applies a rule table and field makes the
+    derived value a field: _check and float for a record, _flag and
+    np.asarray for columns.
     """
     check(r, _RULES[SystemParams1D], unset)
     if len(unset) == 2:
         raise InvalidParams("specify lambda_o or G_o")
-    if unset == ("lambda_o",):
-        object.__setattr__(r, "lambda_o", r.G_o / _rate_per_gradient(r))
-    elif unset == ("G_o",):
-        object.__setattr__(r, "G_o", r.lambda_o * _rate_per_gradient(r))
+    with np.errstate(all="ignore"):
+        if unset == ("lambda_o",):
+            object.__setattr__(r, "lambda_o", field(r.G_o / _rate_per_gradient(r)))
+        elif unset == ("G_o",):
+            object.__setattr__(r, "G_o", field(r.lambda_o * _rate_per_gradient(r)))
     check(r, _DERIVED_COUPLING if unset else _GIVEN_COUPLING, ())
+
+
+def _settle_1d_columns(r, errors: list) -> None:
+    """Validate the 1D columns r, whose lambda_o is given, as SystemParams1D
+    does: give each item with no error yet the error its record raises,
+    and set r.G_o from lambda_o."""
+    _settle_1d(r, ("G_o",), lambda r, table, unset: _flag(r, table, errors, unset), np.asarray)
 
 
 #: SystemParams1D fields whose replacement clears a coupling field, so
@@ -446,12 +404,13 @@ def with_param(params, name: str, value: float):
     resonant_2d_design.
     """
     check_param_names(params, (name,))
+    value = float(value)
     if isinstance(params, SystemParams1D) and name in _CLEARS_1D:
         return replace(params, **{name: value, _CLEARS_1D[name]: None})
     if name == "G_o" and isinstance(params, SystemParams2D):
         scales = _bright_scales(params)
         _check(scales, _ZERO_POINT)
-        return replace(params, lambda_o=value / _rate_per_gradient(scales))
+        return replace(params, lambda_o=value / float(_rate_per_gradient(scales)))
     return replace(params, **{name: value})
 
 
@@ -463,8 +422,7 @@ class ParamsGrid:
 
     A grid reads like a record, ``grid.kappa`` being the kappa column,
     so the rules and the formulas written for a record's floats run on
-    its columns too. The columns of an item with an error hold the base
-    record's values and mean nothing.
+    its columns too. The columns of an item with an error mean nothing.
     """
 
     cls: type
@@ -534,16 +492,10 @@ class ParamsGrid:
                 if record_cls is SystemParams1D:
                     unset = (_CLEARS_1D[name],) if name in _CLEARS_1D else ()
                     changed = frozenset((name, *(unset or _COUPLINGS)))
-                    _settle_1d(r, unset, check)
+                    _settle_1d(r, unset, check, np.asarray)
                 else:
                     changed = frozenset((name,))
                     check(r, _RULES[record_cls])
-                # Later steps run Python's float math on every item, so a
-                # failed item goes back to the base record's values.
-                failed = [k for k, e in enumerate(errors) if e is not None]
-                if failed:
-                    for field, col in vars(r).items():
-                        col[failed] = getattr(base, field)
         return cls(record_cls, vars(r), tuple(errors))
 
     def take(self, idx) -> ParamsGrid:
@@ -570,10 +522,10 @@ class ParamsGrid:
 def _rotated_frequencies(p) -> tuple:
     """cos^2 phi, sin^2 phi and the bright and dark mode frequencies of a
     2D record or columns."""
-    c2 = _py_pow(_items(math.cos, p.phi), 2)
-    s2 = _py_pow(_items(math.sin, p.phi), 2)
-    wx2, wy2 = _py_pow(p.omega_x, 2), _py_pow(p.omega_y, 2)
-    return c2, s2, _sqrt(c2 * wx2 + s2 * wy2), _sqrt(s2 * wx2 + c2 * wy2)
+    c, s = np.cos(p.phi), np.sin(p.phi)
+    c2, s2 = c * c, s * s
+    wx2, wy2 = p.omega_x * p.omega_x, p.omega_y * p.omega_y
+    return c2, s2, np.sqrt(c2 * wx2 + s2 * wy2), np.sqrt(s2 * wx2 + c2 * wy2)
 
 
 def bright_dark(params) -> BrightDark:
@@ -586,13 +538,13 @@ def bright_dark(params) -> BrightDark:
     or a grid of them, whose columns give columns.
     """
     c2, s2, omega_b, omega_d = _rotated_frequencies(params)
-    s2phi = _items(math.sin, 2.0 * params.phi)
+    s2phi = np.sin(2.0 * params.phi)
     gamma_b = c2 * params.gamma_x + s2 * params.gamma_y
     gamma_d = s2 * params.gamma_x + c2 * params.gamma_y
     omega_bar_m = 0.5 * (params.omega_x + params.omega_y)
     delta_m = (params.omega_x - params.omega_y) * s2phi
     eta_m = 0.5 * (params.gamma_x - params.gamma_y) * s2phi
-    G_m = omega_bar_m * delta_m / (2.0 * _sqrt(omega_b * omega_d))
+    G_m = omega_bar_m * delta_m / (2.0 * np.sqrt(omega_b * omega_d))
     return BrightDark(
         omega_b=omega_b,
         omega_d=omega_d,
@@ -605,20 +557,21 @@ def bright_dark(params) -> BrightDark:
     )
 
 
-def planck(omega: float, temperature: float) -> float:
+def planck(omega, temperature):
     """Bose occupation 1/(exp(omega/T) - 1) at frequency omega > 0.
 
-    ``temperature`` is k_B*T/hbar in frequency units; T=0 gives 0.
-    Past omega/T of about 709.8, where exp overflows, this is exp(-omega/T).
+    ``temperature`` is k_B*T/hbar in frequency units; T <= 0 gives 0.
+    Past omega/T of about 709.8, where expm1 overflows, this is
+    exp(-omega/T). Takes floats, which give a float, or columns, which
+    give a column.
     """
-    if omega <= 0:
+    if np.any(omega <= 0):
         raise InvalidParams("planck requires omega > 0")
-    if temperature <= 0:
-        return 0.0
-    try:
-        return 1.0 / math.expm1(omega / temperature)
-    except OverflowError:
-        return math.exp(-omega / temperature)
+    with np.errstate(all="ignore"):
+        x = np.divide(omega, temperature)
+        grown = np.expm1(x)
+        n = np.where(np.isinf(grown), np.exp(-x), 1.0 / grown)
+    return np.where(temperature > 0, n, 0.0)[()]
 
 
 def temperature_for_occupation(n_B: float, omega_ref: float) -> float:
@@ -641,23 +594,20 @@ def cooperativity(params: SystemParamsRWA) -> float:
     gamma_tot = params.gamma_b + params.gamma_d
     if params.kappa <= 0 or gamma_tot <= 0:
         raise InvalidParams("cooperativity requires kappa > 0 and gamma_tot > 0")
-    return 4.0 * params.G_o**2 / (params.kappa * gamma_tot)
+    return 4.0 * (params.G_o * params.G_o) / (params.kappa * gamma_tot)
 
 
 def g_o_squared(params: SystemParams1D) -> float:
-    """Squared backaction coupling scale 2 G_o^2 delta omega_b / ((kappa/2)^2 + delta^2).
+    """Squared backaction coupling scale 2 G_o^2 delta omega_b / ((kappa/2)^2 + delta^2)
+    of a 1D record, or of columns.
 
     This combination controls the softening of the mechanical spring
     by the cavity; the steady state loses stability at
     omega_b^2 = 2 * g_o_squared.
     """
-    return (
-        2.0
-        * params.G_o**2
-        * params.delta
-        * params.omega_b
-        / ((params.kappa / 2.0) ** 2 + params.delta**2)
-    )
+    half_kappa = params.kappa / 2.0
+    return (2.0 * (params.G_o * params.G_o) * params.delta * params.omega_b
+            / (half_kappa * half_kappa + params.delta * params.delta))
 
 
 def resonant_2d_design(

@@ -78,13 +78,9 @@ _MAX_PANELS = 20_000
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
-def _any(flags) -> bool:  # one flag or an array of them
-    return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
-
-
 def cavity_susceptibility(omega, kappa: float, delta: float):
     """Bare cavity response 1/(kappa/2 - i(omega - delta))."""
-    if _any(kappa <= 0):
+    if (np.asarray(kappa) <= 0).any():
         raise InvalidParams("cavity_susceptibility needs kappa > 0")
     return 1.0 / (kappa / 2.0 - 1j * (np.asarray(omega, dtype=float) - delta))
 
@@ -165,14 +161,14 @@ def brownian_psd(omega, gamma: float, temperature: float, m: float,
     by its Laurent series, giving the analytic limit 2 m gamma k_B T.
     Array arguments broadcast against omega; the T = 0 form is per node.
     """
-    if _any(gamma < 0):
+    if (np.asarray(gamma) < 0).any():
         raise InvalidParams("gamma must be nonnegative")
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
     cold = np.asarray(temperature) <= 0
-    out = np.where(w > 0, 2.0 * hbar * m * gamma * w, 0.0) if _any(cold) else None
-    if _any(~cold):
+    out = np.where(w > 0, 2.0 * hbar * m * gamma * w, 0.0) if cold.any() else None
+    if not cold.all():
         # cold nodes divide by a placeholder; the last where gives them out
         with np.errstate(over="ignore"):  # y = inf at a tiny T, where coth is 1
             y = w / (2.0 * np.where(cold, 1.0, temperature))

@@ -8,10 +8,10 @@ quantities it gives and its chunk. The evaluator takes a ParamsGrid
 omsteady.models) and returns a block: per item its error or None and
 its warnings tuple, and per quantity one float64 column over the items
 that settled. The Lyapunov evaluators build the drift and diffusion
-stacks from the columns and solve them as one stack, the 1D closed
-form evaluates its formulas on the columns, the spectral evaluator
-shares each round of its panel rule across the chunk, and the twoD and
-rwa closed forms evaluate record by record into one block.
+stacks from the columns and solve them as one stack, the closed forms
+evaluate their formulas on the columns, and the spectral evaluator
+shares each round of its panel rule across the chunk, then takes each
+record's moments from its integrals one by one.
 
 Stacked routes (Lyapunov, spectral) take 64 items per call, since their
 memory grows with the chunk (the 21x21 vech operators, the panel
@@ -21,7 +21,8 @@ through the registry, a grid in chunks of grid points whose ParamsGrid
 comes from the axis values directly (ParamsGrid.from_axes), a list of
 records in chunks of records (ParamsGrid.from_records). Rows come out
 in grid order, and a row never depends on the chunk its point falls
-in.
+in: numpy's elementwise ufuncs and gufuncs give an item the same bits
+alone or in a column.
 
 A SweepResult keeps the rows as columns: each requested quantity over
 the stable rows, a stable mask, and each row's warnings. Its CSV cells
@@ -52,8 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import (_reference_error, backaction_1d_batch, backaction_2d,
-                         bare_occupation_batch, rwa_optimum)
+from .closedform import (_reference_error, backaction_1d_batch, backaction_2d_batch,
+                         bare_occupation_batch, rwa_optimum_batch)
 from .errors import InvalidParams, OmsteadyError, UncertaintyViolation, flag_first
 from .gaussian import occupation_and_purity_1d_batch, summary_2d_batch
 from .langevin import (NoiseMode, build_1d_batch, build_2d_batch, build_rwa_batch,
@@ -249,23 +250,29 @@ def _batch_oneD_spectral(grid) -> _Block:
                                    ("xx", "pp", "xp")))
 
 
+def _settled_block(errors: list, warns: list, columns: dict) -> _Block:
+    """The block of columns over every item, kept over the settled ones."""
+    idx = _settled(errors)
+    return _Block(errors, warns, {q: c[idx] for q, c in columns.items()})
+
+
 def _batch_oneD_closed_form(grid) -> _Block:
     results, errors = backaction_1d_batch(grid)
-    idx = _settled(errors)
-    cols = {q: getattr(results, q)[idx]
-            for q in ("xx", "pp", "n_bar", "purity", "M_Omega", "n_min_weak")}
-    cols["xp"] = np.zeros(len(idx))
-    return _oneD_block(grid, _Block(errors, [()] * len(grid), cols))
+    cols = {q: getattr(results, q) for q in ("xx", "pp", "n_bar", "purity", "M_Omega",
+                                             "n_min_weak")}
+    cols["xp"] = np.zeros(len(grid))
+    return _oneD_block(grid, _settled_block(errors, [()] * len(grid), cols))
 
 
-def _eval_twoD_closed_form(p: SystemParams2D) -> tuple:
-    result = backaction_2d(p)
-    return tuple(getattr(result, q) for q in _TWO_D + _JOINT), ()
+def _batch_twoD_closed_form(grid) -> _Block:
+    results, errors = backaction_2d_batch(grid)
+    return _settled_block(errors, [()] * len(grid),
+                          {q: getattr(results, q) for q in _TWO_D + _JOINT})
 
 
-def _eval_rwa_closed_form(p: SystemParamsRWA) -> tuple:
-    g_m_opt, mu, warn = rwa_optimum(p)
-    return (g_m_opt, mu), warn
+def _batch_rwa_closed_form(grid) -> _Block:
+    g_m_opt, purity, warns, errors = rwa_optimum_batch(grid)
+    return _settled_block(errors, warns, {"G_m_opt": g_m_opt, "purity_opt": purity})
 
 
 def _settled_covariances(grid, build, n: int):
@@ -336,8 +343,8 @@ class _Route(NamedTuple):
 #: Items per call of a stacked route. Its memory grows with the chunk:
 #: the Lyapunov solve's 21x21 vech operators, the spectral panel table.
 _STACKED = 64
-#: Items per call of a route that works item by item or elementwise,
-#: where only the Python work per call is to amortize.
+#: Items per call of an elementwise route (the closed forms), where
+#: only the Python work per call is to amortize.
 _ELEMENTWISE = 1024
 
 #: (model, solver) -> its _Route. The evaluator takes a ParamsGrid of
@@ -348,14 +355,11 @@ _EVALUATORS = {
     ("oneD", "closed_form"): _Route(_batch_oneD_closed_form,
                                     _ONE_D + ("M_Omega", "n_min_weak"), _ELEMENTWISE),
     ("twoD", "lyapunov"): _Route(_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL, _STACKED),
-    ("twoD", "closed_form"): _Route(
-        lambda grid: _each(_eval_twoD_closed_form, grid.records(), _TWO_D + _JOINT),
-        _TWO_D + _JOINT, _ELEMENTWISE),
+    ("twoD", "closed_form"): _Route(_batch_twoD_closed_form, _TWO_D + _JOINT, _ELEMENTWISE),
     ("rwa", "lyapunov"): _Route(_batch_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL,
                                 _STACKED),
-    ("rwa", "closed_form"): _Route(
-        lambda grid: _each(_eval_rwa_closed_form, grid.records(), ("G_m_opt", "purity_opt")),
-        ("G_m_opt", "purity_opt"), _ELEMENTWISE),
+    ("rwa", "closed_form"): _Route(_batch_rwa_closed_form, ("G_m_opt", "purity_opt"),
+                                   _ELEMENTWISE),
 }
 
 

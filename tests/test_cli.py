@@ -120,6 +120,29 @@ class TestPoint:
         assert run_cli("point", "--solver", solver, "--param", f"mass={mass}") == 2
         assert capsys.readouterr().err == f"config error: {reason}\n"
 
+    @pytest.mark.parametrize("model, head", [
+        ("oneD", "unstable: omega_b^2 - 2 g_o^2"),
+        ("twoD", "unstable: (omega_b^2 - 2 g_o^2) omega_d^2 - (omega_bar_m delta_m)^2"),
+    ])
+    def test_underflowing_cavity_scale_is_unstable(self, model, head, capsys):
+        # (kappa/2)^2 + delta^2 underflows to 0, so g_o^2 is inf: a float
+        # division by zero used to end the twoD closed form in a traceback
+        assert run_cli("point", "--solver", "closed_form", "--param", f"model={model}",
+                       "--param", "kappa=1e-200", "--param", "delta=1e-200") == 3
+        assert capsys.readouterr().err == (
+            f"unstable or out of regime: {head} = -inf is not positive\n")
+
+    def test_underflowing_rwa_rate_product_settles(self, capsys):
+        # kappa gamma_tot underflows to 0, so C_o is inf: a float division
+        # by zero used to end this in a traceback
+        assert run_cli("point", "--solver", "closed_form", "--param", "model=rwa",
+                       "--param", "kappa=1e-200", "--param", "gamma_b=1e-200",
+                       "--param", "gamma_d=1e-200") == 0
+        out = capsys.readouterr().out
+        # 1/mu = 1 + 4 n_B gamma_tot/kappa = 1 + 4 * 25 * 2 at C_o = inf
+        assert f"purity_opt = {sweep.format_float(1.0 / 201.0)}  " in out
+        assert "warning: gamma_tot not small against kappa" in out
+
     @pytest.mark.parametrize("args", [
         ("model=twoD", "delta=1e-200"),
         ("model=twoD", "kappa=1e100"),
@@ -409,6 +432,31 @@ grid = 15
         # at vanishing drive the purity peaks at sqrt(omega_b^2 + (kappa/2)^2)
         assert best == pytest.approx(1.0049875621120890, abs=1e-4)
         assert "evaluations" in out
+
+    def test_objective_outside_the_outputs(self, tmp_path, capsys):
+        # [run] outputs does not limit what the search reads
+        best = []
+        for outputs in ("", "outputs = n_bar\n"):
+            cfg = tmp_path / "opt.ini"
+            cfg.write_text(f"""\
+[run]
+model = oneD
+solver = closed_form
+{outputs}
+[params]
+G_o = 0.001
+
+[optimize]
+free = delta
+lo = 0.1
+hi = 3.0
+objective = purity
+grid = 15
+""", encoding="utf-8")
+            assert run_cli("optimize", "--config", str(cfg)) == 0
+            best.append([line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith(("best:", "purity ="))])
+        assert len(best[0]) == 2 and best[1] == best[0]
 
     def test_rwa_mixing_optimum(self, tmp_path, capsys):
         cfg = tmp_path / "opt.ini"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -22,6 +23,7 @@ from omsteady.models import (
     SystemParamsRWA,
     resonant_2d_design,
 )
+from omsteady.sweep import evaluate_records
 
 
 def params_1d(G_o, kappa=0.2, delta=1.0, gamma_b=0.0, **kw):
@@ -256,3 +258,64 @@ class TestRwaOptimum:
         import dataclasses
         p = dataclasses.replace(self.P, n_B_d=1e7)
         assert rwa_optimum(p)[2] == ("unequal bath occupations; using the bright-mode value",)
+
+
+class TestColumnErrorOrder:
+    """A sweep of records that each break several conditions gives each
+    row the first error of the scalar checks' order, with its text."""
+
+    def test_two_mode_rows(self):
+        P = TestBackaction2D.P
+        cases = [
+            (dataclasses.replace(P, gamma_x=1e-3, delta=-1.0),
+             "InvalidRegime: backaction_2d assumes gamma_x = gamma_y = 0"),
+            (dataclasses.replace(P, omega_y=P.omega_x, delta=-1.0),
+             "UnstableRegime: backaction steady state requires delta > 0"),
+            # the bright mode's 1D record is invalid, and delta_m = 0
+            (dataclasses.replace(P, omega_x=1e-30, omega_y=1e-30, mass=1e-300),
+             "InvalidParams: 2 mass omega_b underflows to 0 at these scales"),
+            # delta_m = 0 and overdriven
+            (dataclasses.replace(P, omega_y=P.omega_x, lambda_o=3.0),
+             "UndampedDarkMode: dark mode is not damped: needs delta_m != 0 and a "
+             "driven cavity"),
+            # (omega_bar_m delta_m)^2 overflows, which makes it unstable too
+            (dataclasses.replace(P, omega_x=1e154, omega_y=1.0),
+             "InvalidParams: (omega_bar_m delta_m)^2 overflows at these frequencies"),
+            (resonant_2d_design(omega=1.0, G_o=0.45, G_m=0.3, kappa=0.2),
+             "UnstableRegime: unstable: (omega_b^2 - 2 g_o^2) omega_d^2 - "
+             "(omega_bar_m delta_m)^2 = -0.16198 is not positive"),
+            (P, None),
+        ]
+        rows = evaluate_records("twoD", "closed_form", [p for p, _ in cases])
+        for (p, expect), row in zip(cases, rows):
+            if expect is None:
+                values, warn = row
+                assert values == {f.name: getattr(TestBackaction2D.R, f.name)
+                                  for f in dataclasses.fields(TestBackaction2D.R)}
+                assert warn == ()
+            else:
+                assert f"{type(row).__name__}: {row}" == expect
+
+    def test_rotating_wave_rows(self):
+        R = TestRwaOptimum.P
+        zero = "InvalidRegime: cooperativity is zero; the optimum needs G_o^2 > 0"
+        cases = [
+            # gamma_tot = 0 and G_o = 0
+            (dataclasses.replace(R, gamma_b=0.0, gamma_d=0.0, G_o=0.0),
+             "InvalidParams: cooperativity requires kappa > 0 and gamma_tot > 0"),
+            # C_o = 0, with the warnings of a low C_o and unequal baths
+            (dataclasses.replace(R, G_o=0.0, n_B_d=1.0), zero),
+            (dataclasses.replace(R, G_o=1e-200), zero),  # G_o^2 underflows
+            (dataclasses.replace(R, gamma_b=2e-4, gamma_d=2e-4, n_B_d=1.0), (
+                "cooperativity not large; optimum formula is approximate",
+                "gamma_tot not small against kappa; optimum formula is approximate",
+                "unequal bath occupations; using the bright-mode value")),
+            (R, ()),
+        ]
+        rows = evaluate_records("rwa", "closed_form", [p for p, _ in cases])
+        for (p, expect), row in zip(cases, rows):
+            if isinstance(expect, str):
+                assert f"{type(row).__name__}: {row}" == expect
+            else:
+                g_m_opt, mu, warn = rwa_optimum(p)
+                assert row == ({"G_m_opt": g_m_opt, "purity_opt": mu}, expect)

@@ -291,8 +291,10 @@ class TestReducedPurityFormula:
 
 
 def _python_float_1d(xx, pp, xp, hbar):
-    """Occupation and purity in Python floats, as the scalar formula reads."""
-    ratio = max((xx * pp - xp**2) / (hbar / 2.0) ** 2, 1.0)
+    """Occupation and purity in Python floats, as the scalar formula reads
+    (squares as products)."""
+    half = hbar / 2.0
+    ratio = max((xx * pp - xp * xp) / (half * half), 1.0)
     two_n_plus_1 = math.sqrt(ratio)
     return 0.5 * (two_n_plus_1 - 1.0), 1.0 / two_n_plus_1
 

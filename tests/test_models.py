@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -143,6 +144,16 @@ class TestPlanck:
     def test_temperature_for_zero_occupation(self):
         assert temperature_for_occupation(0.0, 1.0) == 0.0
 
+    def test_column_equals_items(self):
+        # one formula for a record's floats and a grid's columns, past the
+        # overflow of expm1 (omega/T > 709.8) and at T <= 0 too
+        omega = np.array([1.0, 2.0, 800.0, 1e-3, 5.0, 1.0])
+        temperature = np.array([1.0, 0.0, 1.0, 1e-3, -0.0, 1e300])
+        column = planck(omega, temperature)
+        assert column[2] == math.exp(-800.0) and column[1] == column[4] == 0.0
+        for w, t, n in zip(omega.tolist(), temperature.tolist(), column.tolist()):
+            assert float(planck(w, t)).hex() == n.hex()
+
 
 class TestDerivedScales:
     def test_g_o_squared_reference_value(self):
@@ -221,8 +232,27 @@ def test_finite_fields_whose_sum_overflows_accepted():
     (dict(G_o=1e150, mass=1e20), "lambda_o"),
 ])
 def test_derived_coupling_that_overflows_rejected(given, derived):
-    with pytest.raises(InvalidParams, match=f"{derived} must be below 1.3e154"):
+    with pytest.raises(InvalidParams, match=f"{derived} must be below 1.3e154") as exc:
         SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, **given)
+    assert "np." not in str(exc.value)
+
+
+@pytest.mark.parametrize("given", ["G_o", "lambda_o"])
+def test_records_hold_python_floats(given):
+    # The formulas run on numpy's ufuncs; a numpy float leaking into a
+    # field would print as np.float64(...) in an InvalidParams text.
+    p = SystemParams1D(omega_b=1.3, gamma_b=1e-3, kappa=0.2, delta=1.0, mass=0.7, hbar=1.1,
+                       temperature=0.5, **{given: 0.1})
+    records = [p, with_param(p, "mass", 0.3), with_param(p, "lambda_o", 0.2)]
+    p2d = resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2, mass=0.7, hbar=1.1)
+    records += [with_param(p2d, "G_o", 0.05), with_param(p2d, "phi", 0.3),
+                # as the CLI sets a bath occupation: at the bright-mode frequency
+                with_param(p2d, "temperature",
+                           temperature_for_occupation(5.0, bright_dark(p2d).omega_b))]
+    for record in records:
+        assert [type(getattr(record, f.name)) for f in dataclasses.fields(record)] == [
+            float] * len(dataclasses.fields(record)), record
+    assert type(records[-3].G_o) is float
 
 
 def test_zero_point_variance_that_underflows_rejected():
