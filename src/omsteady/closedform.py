@@ -110,6 +110,9 @@ _FIXED_POINT_RTOL = 1e-12
 _FIXED_POINT_MAX_ITER = 10_000
 _FIXED_POINT_DAMPING = 0.5
 
+#: Bound on the relative rounding of a difference of two float products.
+_ROUNDING = 4.0 * np.finfo(float).eps
+
 
 def weak_coupling(params: SystemParams1D) -> WeakCouplingResult:
     """Effective frequency, linewidth and occupation at weak coupling.
@@ -340,7 +343,9 @@ def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
     no direct optical damping, so it needs both nonzero mixing with
     the bright mode (delta_m != 0) and a driven cavity (g_o != 0).
     Stability requires (omega_b^2 - 2 g_o^2) omega_d^2 to exceed
-    (omega_bar_m delta_m)^2. A grid of one through backaction_2d_batch.
+    (omega_bar_m delta_m)^2; a record where the two are equal to within
+    their rounding raises UnstableRegime as undecided. A grid of one
+    through backaction_2d_batch.
     """
     return _only(*backaction_2d_batch(ParamsGrid.from_records([params])))
 
@@ -352,7 +357,8 @@ def backaction_2d_batch(grid: ParamsGrid) -> tuple[Backaction2DResult, list]:
     and, per item, the first error of backaction_2d's conditions in the
     order they are checked (None where it settles): undamped mechanics,
     delta > 0, a valid bright-mode SystemParams1D, a damped dark mode,
-    a finite (omega_bar_m delta_m)^2, stability, a finite covariance,
+    a finite (omega_bar_m delta_m)^2, a stability term whose sign is not
+    lost to cancellation, stability, a finite covariance,
     its 2D summary and a positive purity product. The fields of an item
     with an error mean nothing.
     """
@@ -377,6 +383,12 @@ def backaction_2d_batch(grid: ParamsGrid) -> tuple[Backaction2DResult, list]:
         wb2, wd2 = bd.omega_b * bd.omega_b, bd.omega_d * bd.omega_d
         margin = wb2 - 2.0 * g2
         denom = margin * wd2 - cross * cross
+        # With margin > 0 the two terms have one sign; where their
+        # difference is inside the rounding of the terms, so is its sign.
+        flag_first(errors, (margin > 0) & (np.abs(denom) <= _ROUNDING * (
+            np.abs(margin * wd2) + cross * cross)), lambda k: UnstableRegime(
+            "stability undecided: (omega_b^2 - 2 g_o^2) omega_d^2 - (omega_bar_m delta_m)^2 "
+            f"= {denom[k]:.6g} cancels below the rounding of its two terms"))
         flag_first(errors, (denom <= 0) | (margin <= 0), lambda k: UnstableRegime(
             "unstable: (omega_b^2 - 2 g_o^2) omega_d^2 - (omega_bar_m delta_m)^2 "
             f"= {denom[k]:.6g} is not positive"))

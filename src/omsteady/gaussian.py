@@ -53,10 +53,6 @@ __all__ = [
 #: Relative slack on the Heisenberg bound before inputs are rejected.
 UNCERTAINTY_RTOL = 1e-9
 
-#: Relative tolerance used when pairing symplectic eigenvalues.
-_PAIRING_RTOL = 1e-9
-
-
 @dataclass(frozen=True)
 class Cov1D:
     """Second moments of a single mode: xx, pp and symmetrized xp."""
@@ -252,35 +248,51 @@ def wavefunction(n: int, dec: Decomposition1D, x0: float, x) -> complex:
     return norm * envelope * herm.reshape(np.shape(y))
 
 
-_OMEGA_4 = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-
-
 def _symplectic_batch(W: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """(nu_hi, nu_lo) of stacked 4x4 covariances; unpaired items get a DegenerateState."""
-    ev = np.linalg.eigvals(1j * (_OMEGA_4 @ W))
-    mods = np.sort(np.abs(ev), axis=-1)
-    # eigenvalues come in +-nu pairs, so the sorted moduli repeat:
-    # (nu_lo, nu_lo, nu_hi, nu_hi)
-    tol = _PAIRING_RTOL * np.maximum(mods[:, 3], 1e-300)
-    flag_first(errors, ((mods[:, 1] - mods[:, 0]) > tol) | ((mods[:, 3] - mods[:, 2]) > tol),
-               lambda k: DegenerateState(
-                   f"symplectic eigenvalues did not pair up: moduli {mods[k]}"))
-    return 0.5 * (mods[:, 2] + mods[:, 3]), 0.5 * (mods[:, 0] + mods[:, 1])
+    """(nu_hi, nu_lo) of stacked 4x4 covariances W[B, 4, 4], by column arithmetic.
+
+    Each item is scaled by an exact power of two near its largest
+    variance and factored V = L diag(d) L^T column by column; an item
+    with a pivot that is not positive is not positive definite and gets
+    a DegenerateState. With G = L diag(d)^(1/2), Omega V is similar to
+    the antisymmetric K = G^T Omega G, whose eigenvalues are +-i nu.
+    K splits into its self-dual and anti-self-dual parts, the vectors
+    a = (k01 + k23, k02 - k13, k03 + k12) and
+    b = (k01 - k23, k02 + k13, k03 - k12), and nu_hi, nu_lo =
+    (|a| +- |b|) / 2.
+    """
+    _, e = np.frexp(W.diagonal(axis1=1, axis2=2).max(axis=1))
+    V = np.ldexp(W, -e[:, None, None])
+    d, L = [], {}
+    # The numbers of an item that is not positive definite mean nothing.
+    with np.errstate(all="ignore"):
+        for j in range(4):
+            d.append(V[:, j, j] - sum(L[j, k] * L[j, k] * d[k] for k in range(j)))
+            for i in range(j + 1, 4):
+                L[i, j] = (V[:, i, j] - sum(L[i, k] * L[j, k] * d[k] for k in range(j))) / d[j]
+        flag_first(errors, ~((d[0] > 0) & (d[1] > 0) & (d[2] > 0) & (d[3] > 0)),
+                   lambda k: DegenerateState("covariance matrix is not positive definite"))
+        # k_ij = sqrt(d_i d_j) (L^T Omega L)_ij over the ordering (x1, p1, x2, p2)
+        k01 = np.sqrt(d[0] * d[1]) * (1.0 + L[2, 0] * L[3, 1] - L[3, 0] * L[2, 1])
+        k02 = np.sqrt(d[0] * d[2]) * (L[2, 0] * L[3, 2] - L[3, 0])
+        k03 = np.sqrt(d[0] * d[3]) * L[2, 0]
+        k12 = np.sqrt(d[1] * d[2]) * (L[2, 1] * L[3, 2] - L[3, 1])
+        k13 = np.sqrt(d[1] * d[3]) * L[2, 1]
+        k23 = np.sqrt(d[2] * d[3])
+        norm_a, norm_b = (np.sqrt(x * x + y * y + z * z) for x, y, z in (
+            (k01 + k23, k02 - k13, k03 + k12), (k01 - k23, k02 + k13, k03 - k12)))
+        return np.ldexp(0.5 * (norm_a + norm_b), e), np.ldexp(0.5 * (norm_a - norm_b), e)
 
 
 def symplectic_eigenvalues(cov: Cov2D) -> tuple[float, float]:
-    """The two symplectic eigenvalues of a 4x4 covariance matrix.
+    """The two symplectic eigenvalues of a 4x4 covariance matrix, descending.
 
-    Computed as the moduli of the eigenvalues of i*Omega*V, which come
-    in pairs (+nu, -nu); the pairs are matched to relative tolerance
-    1e-9 and the two distinct moduli returned in descending order.
+    The moduli nu of the eigenvalues +-i nu of Omega V (Williamson's
+    theorem), found without an eigensolver: from the LDL^T factor of V,
+    the antisymmetric matrix similar to Omega V splits into two
+    3-vectors whose norms are nu_hi + nu_lo and nu_hi - nu_lo. Raises
+    DegenerateState when V is not positive definite. A batch of one
+    through _symplectic_batch.
     """
     errors: list = [None]
     nu_hi, nu_lo = _symplectic_batch(cov.matrix[None], errors)

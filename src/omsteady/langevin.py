@@ -20,8 +20,10 @@ a)/sqrt(2), so a vacuum input of rate kappa produces diffusion
 kappa/2 per cavity quadrature. This fixes every factor of two below.
 
 The Lyapunov solve is a dense linear solve over the n(n+1)/2
-independent entries of the symmetric unknown. Its operator is filled
-from a cached index map, built once per dimension n. At these sizes
+independent entries of the symmetric unknown. Every entry of its
+operator is the sum of at most two drift entries, so the operators of
+a stack are filled by two gathers from the flat drifts, through index
+arrays built once per dimension n, and one add. At these sizes
 (n <= 6) that is faster and more predictable than iterative or
 Schur-based methods, and it is exactly deterministic.
 
@@ -360,10 +362,12 @@ def stability(sys: LinearSystem) -> bool:
 def _vech_map(n: int) -> tuple[np.ndarray, ...]:
     """Index map of the vech operator for dimension n, built once.
 
-    Holds the upper-triangle rows and columns of the vech ordering and,
-    for every drift term of every vech equation, the flat entry of M it
-    lands on and the flat entry of A it reads. The arrays are shared by
-    every call, so they are read-only.
+    Holds the upper-triangle rows and columns of the vech ordering and
+    two gather indices into the flat drift padded with one zero entry
+    (index n*n): every entry of the flat operator M is the sum of at
+    most two drift entries, the first term at ``first`` and the second
+    at ``second``, with the zero standing in for a missing term. The
+    arrays are shared by every call, so they are read-only.
     """
     iu, ju = np.triu_indices(n)
     nn = iu.size
@@ -375,10 +379,28 @@ def _vech_map(n: int) -> tuple[np.ndarray, ...]:
     # (A V)_ij = sum_k A_ik V_kj ; (V A^T)_ij = sum_k V_ik A_jk
     target = np.concatenate([(row + pos[k, j]).ravel(), (row + pos[i, k]).ravel()])
     source = np.concatenate([(i * n + k).ravel(), (j * n + k).ravel()])
-    vmap = (iu, ju, target, source)
+    first, second = np.full(nn * nn, n * n), np.full(nn * nn, n * n)
+    for t, s in zip(target.tolist(), source.tolist()):
+        (first if first[t] == n * n else second)[t] = s
+    vmap = (iu, ju, first, second)
     for arr in vmap:
         arr.flags.writeable = False
     return vmap
+
+
+def _vech_operator(A: np.ndarray) -> np.ndarray:
+    """The vech operators M[B, nn, nn] of stacked drifts A[B, n, n], nn = n(n+1)/2.
+
+    Each entry of M is (+0.0 + a1) + a2 for its drift terms a1, a2 (the
+    padded zero where it has fewer), so -0.0 terms leave +0.0 and the
+    sum does not depend on the order of the terms.
+    """
+    B, n = A.shape[0], A.shape[-1]
+    iu, _, first, second = _vech_map(n)
+    flat = np.zeros((B, n * n + 1))
+    flat[:, :-1] = A.reshape(B, n * n)
+    nn = iu.size
+    return ((flat[:, first] + 0.0) + flat[:, second]).reshape(B, nn, nn)
 
 
 @dataclass(frozen=True)
@@ -410,17 +432,13 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
     B, n = A.shape[0], A.shape[-1]
-    iu, ju, target, source = _vech_map(n)
+    iu, ju = _vech_map(n)[:2]
     nn = iu.size
     errors: list[OmsteadyError | None] = [None] * B
     stable = _decaying(A)
     flag_first(errors, ~stable,
                lambda k: UnstableSystem("drift matrix has a non-decaying eigenvalue"))
-    # Each entry of M takes at most two terms, added onto +0.0, so the
-    # sum does not depend on their order.
-    M = np.zeros((B, nn * nn))
-    np.add.at(M, (slice(None), target), A.reshape(B, n * n)[:, source])
-    M = M.reshape(B, nn, nn)
+    M = _vech_operator(A)
     # An unstable item is not solved; the identity keeps it from making
     # the stack singular.
     M[~stable] = np.eye(nn)

@@ -590,11 +590,19 @@ def temperature_for_occupation(n_B: float, omega_ref: float) -> float:
 
 
 def cooperativity(params: SystemParamsRWA) -> float:
-    """Optomechanical cooperativity 4 G_o^2 / (kappa * gamma_tot)."""
+    """Optomechanical cooperativity 4 G_o^2 / (kappa * gamma_tot).
+
+    Raises InvalidParams when kappa or gamma_tot is not positive, or
+    when their product underflows to 0.
+    """
     gamma_tot = params.gamma_b + params.gamma_d
     if params.kappa <= 0 or gamma_tot <= 0:
         raise InvalidParams("cooperativity requires kappa > 0 and gamma_tot > 0")
-    return 4.0 * (params.G_o * params.G_o) / (params.kappa * gamma_tot)
+    try:
+        return 4.0 * (params.G_o * params.G_o) / (params.kappa * gamma_tot)
+    except ZeroDivisionError:
+        raise InvalidParams("cooperativity: kappa gamma_tot underflows to 0 "
+                            "at this record's scales") from None
 
 
 def g_o_squared(params: SystemParams1D) -> float:
@@ -603,11 +611,16 @@ def g_o_squared(params: SystemParams1D) -> float:
 
     This combination controls the softening of the mechanical spring
     by the cavity; the steady state loses stability at
-    omega_b^2 = 2 * g_o_squared.
+    omega_b^2 = 2 * g_o_squared. A record whose (kappa/2)^2 + delta^2
+    underflows to 0 raises InvalidParams; columns give inf or nan there.
     """
     half_kappa = params.kappa / 2.0
-    return (2.0 * (params.G_o * params.G_o) * params.delta * params.omega_b
-            / (half_kappa * half_kappa + params.delta * params.delta))
+    try:
+        return (2.0 * (params.G_o * params.G_o) * params.delta * params.omega_b
+                / (half_kappa * half_kappa + params.delta * params.delta))
+    except ZeroDivisionError:
+        raise InvalidParams("g_o_squared: (kappa/2)^2 + delta^2 underflows to 0 "
+                            "at this record's scales") from None
 
 
 def resonant_2d_design(

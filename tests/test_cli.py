@@ -299,6 +299,21 @@ axis1 = G_o, 0.1, 0.4, 5
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 7
 
+    def test_two_mode_stability_lost_to_cancellation_is_flagged(self, tmp_path):
+        # At strong trap asymmetry (omega_b^2 - 2 g_o^2) omega_d^2 and
+        # (omega_bar_m delta_m)^2 are both about 7.9e149 and differ by
+        # about 2e75, far below their rounding.
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--param", "model=twoD", "--solver", "closed_form",
+                       "--axis", "omega_y, 1e-310, 1e308, 33, log", "--out", str(out)) == 0
+        rows = {line.split(",")[0]: line.split(",")
+                for line in out.read_text(encoding="utf-8").splitlines()[2:]}
+        row = rows["4.2169650342858226e+37"]
+        assert row[1:10] == [""] * 8 + ["0"]
+        assert row[10].startswith("UnstableRegime: stability undecided: (omega_b^2 - 2 g_o^2) "
+                                  "omega_d^2 - (omega_bar_m delta_m)^2 = ")
+        assert row[10].endswith(" cancels below the rounding of its two terms")
+
     def test_missing_out(self, capsys):
         assert run_cli("sweep", "--axis", "G_o, 0.1, 0.4, 4") == 2
         assert "--out" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omsteady.closedform import bare_occupation, bare_occupation_batch
 from omsteady.errors import (
@@ -11,6 +12,7 @@ from omsteady.errors import (
     InvalidRegime,
     UncertaintyViolation,
 )
+from omsteady.figures import fig3_params
 from omsteady.gaussian import (
     Cov1D,
     Cov2D,
@@ -24,6 +26,7 @@ from omsteady.gaussian import (
     symplectic_eigenvalues,
     wavefunction,
 )
+from omsteady.langevin import build_rwa, steady_covariance
 
 # Strategy: build states from decomposition parameters, which guarantees
 # validity, then check the analysis code recovers them. theta stays away
@@ -192,6 +195,8 @@ squeezes = st.floats(-1.5, 1.5)
 class TestTwoModePurity:
     @given(nu_1=two_mode_nus, nu_2=two_mode_nus, alpha=angles,
            r1=squeezes, r2=squeezes, beta=angles)
+    @example(nu_1=0.5, nu_2=0.5, alpha=0.7, r1=1.2, r2=-0.8, beta=0.3)
+    @example(nu_1=7.3, nu_2=7.3, alpha=-1.1, r1=-1.4, r2=0.9, beta=2.2)
     @settings(max_examples=300, deadline=None)
     def test_williamson_eigenvalues_recovered(self, nu_1, nu_2, alpha, r1, r2, beta):
         s = _mix(alpha) @ _local_squeeze(r1, r2) @ _mix(beta)
@@ -240,6 +245,43 @@ class TestTwoModePurity:
         summary = purity_2d_general(cov)
         assert summary.purity_product_1d <= summary.purity_2d * (1 + 1e-12)
 
+    @given(nu_1=two_mode_nus, nu_2=two_mode_nus, alpha=angles, r1=squeezes, r2=squeezes,
+           hbar=st.sampled_from([1.054571817e-34, 1e100]))
+    @settings(max_examples=100, deadline=None)
+    def test_williamson_eigenvalues_at_physical_and_huge_hbar(
+            self, nu_1, nu_2, alpha, r1, r2, hbar):
+        cov = williamson_cov(nu_1, nu_2, _mix(alpha) @ _local_squeeze(r1, r2), hbar=hbar)
+        nu_hi, nu_lo = symplectic_eigenvalues(cov)
+        assert nu_hi == pytest.approx(max(nu_1, nu_2) * hbar, rel=1e-9)
+        assert nu_lo == pytest.approx(min(nu_1, nu_2) * hbar, rel=1e-9)
+        summary = purity_2d_general(cov)
+        assert summary.N_plus == pytest.approx(max(nu_1, nu_2) - 0.5, rel=1e-9, abs=1e-9)
+        assert summary.N_minus == pytest.approx(min(nu_1, nu_2) - 0.5, rel=1e-9, abs=1e-9)
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            s = _mix(rng.uniform(-3, 3)) @ _local_squeeze(*rng.uniform(-1.5, 1.5, 2))
+            m = williamson_cov(*rng.uniform(0.5, 40.0, 2), s).matrix
+            nus = symplectic_eigenvalues(Cov2D(m))
+            for k in (-900, -113, 7, 900):
+                assert symplectic_eigenvalues(Cov2D(np.ldexp(m, k))) == tuple(
+                    math.ldexp(nu, k) for nu in nus)
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1.0, 1.0, 1.0, -1.0]),
+        np.diag([1.0, 1.0, 0.0, 1.0]),
+        np.array([[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    ], ids=["negative", "singular", "indefinite"])
+    def test_not_positive_definite_flagged(self, matrix):
+        with pytest.raises(DegenerateState, match="^covariance matrix is not positive definite$"):
+            symplectic_eigenvalues(Cov2D(matrix))
+        summary, errors = summary_2d_batch(np.stack([0.5 * np.eye(4), matrix]), [1.0, 1.0])
+        assert errors[0] is None and summary.N_plus[0] == summary.N_minus[0] == 0.0
+        assert isinstance(errors[1], DegenerateState)
+        assert str(errors[1]) == "covariance matrix is not positive definite"
+
     def test_vacuum_is_pure(self):
         summary = purity_2d_general(Cov2D(0.5 * np.eye(4)))
         assert summary.purity_2d == 1.0
@@ -269,6 +311,24 @@ class TestTwoModePurity:
         bad[1, 1] = entry
         with pytest.raises(DegenerateState, match="non-finite entry"):
             Cov2D(bad)
+
+
+class TestSymplecticAgainstMpmath:
+    """N+- of rotating-wave steady states against a 40-digit eigensolver."""
+
+    def test_rwa_occupations(self):
+        mp = pytest.importorskip("mpmath")
+        omega = mp.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        # the fig3 bath over the rwa_map couplings, 0.05 to 5 kappa
+        for g_o, g_m in product(np.geomspace(5e-5, 5e-3, 5), repeat=2):
+            cov = steady_covariance(build_rwa(fig3_params(g_o, g_m))).mechanical_2d()
+            summary = purity_2d_general(cov)
+            with mp.workdps(40):
+                moduli = sorted(abs(ev) for ev in mp.eig(
+                    omega * mp.matrix(cov.matrix.tolist()), left=False, right=False))
+                want = [float(nu / cov.hbar - mp.mpf(1) / 2) for nu in (moduli[3], moduli[0])]
+            assert summary.N_plus == pytest.approx(want[0], rel=1e-12)
+            assert summary.N_minus == pytest.approx(want[1], rel=1e-12)
 
 
 class TestReducedPurityFormula:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,48 @@ class TestVechAssemblyMatchesLoop:
             with pytest.raises(SolveFailure):
                 solve(sys)
 
+
+
+def _add_at_operator(A):
+    """The vech operators filled by np.add.at from the (target, source) term list."""
+    B, n = A.shape[0], A.shape[-1]
+    iu, ju = np.triu_indices(n)
+    nn = iu.size
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(nn)
+    k, row = np.arange(n), np.arange(nn)[:, None] * nn
+    i, j = iu[:, None], ju[:, None]
+    target = np.concatenate([(row + pos[k, j]).ravel(), (row + pos[i, k]).ravel()])
+    source = np.concatenate([(i * n + k).ravel(), (j * n + k).ravel()])
+    M = np.zeros((B, nn * nn))
+    np.add.at(M, (slice(None), target), A.reshape(B, n * n)[:, source])
+    return M.reshape(B, nn, nn)
+
+
+class TestGatheredVechFill:
+    """The two-gather operator fill equals np.add.at's, bit for bit and signed zeros too."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_random_drifts_with_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((300, n, n))
+        A[rng.random(A.shape) < 0.3] = -0.0
+        A[rng.random(A.shape) < 0.2] = 0.0
+        M = langevin._vech_operator(A)
+        assert M.tobytes() == _add_at_operator(A).tobytes()
+        assert np.signbit(M).any() and (M == 0.0).any()
+
+    def test_model_drifts_with_zero_detuning_and_damping(self):
+        # delta = 0 and gamma = 0 write -0.0 into the drifts
+        drifts = [
+            build_1d(replace(P_1D, delta=0.0), NoiseMode.VacuumOnly).drift,
+            build_rwa(SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=0.0, gamma_d=0.0,
+                                      kappa=1e-3, delta=0.0, G_o=2e-3, G_m=1e-3)).drift,
+        ]
+        for A in drifts:
+            assert np.signbit(A[A == 0.0]).any()
+            assert langevin._vech_operator(A[None]).tobytes() == \
+                _add_at_operator(A[None]).tobytes()
 
 
 def _stack(systems):

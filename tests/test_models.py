@@ -165,6 +165,21 @@ class TestDerivedScales:
                             kappa=1e-3, delta=1.0, G_o=2e-3, G_m=1e-3)
         assert cooperativity(p) == pytest.approx(4 * 4e-6 / (1e-3 * 2e-6), rel=1e-12)
 
+    def test_g_o_squared_underflowing_denominator_rejected(self):
+        # (kappa/2)^2 + delta^2 underflows to 0
+        p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=1e-200, delta=1e-200, G_o=0.1)
+        with pytest.raises(InvalidParams, match=r"^g_o_squared: \(kappa/2\)\^2 \+ delta\^2 "
+                                                r"underflows to 0 at this record's scales$"):
+            g_o_squared(p)
+
+    def test_cooperativity_underflowing_denominator_rejected(self):
+        # kappa gamma_tot underflows to 0
+        p = SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-200, gamma_d=1e-200,
+                            kappa=1e-200, delta=1.0, G_o=2e-3, G_m=1e-3)
+        with pytest.raises(InvalidParams, match="^cooperativity: kappa gamma_tot underflows "
+                                                "to 0 at this record's scales$"):
+            cooperativity(p)
+
     def test_resonant_design_hits_target(self):
         p = resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2)
         bd = bright_dark(p)
