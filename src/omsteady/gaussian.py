@@ -34,6 +34,7 @@ from .errors import (
     UncertaintyViolation,
     flag_first,
 )
+from .models import _TINY_HBAR, _check
 
 __all__ = [
     "Cov1D",
@@ -65,6 +66,7 @@ class Cov1D:
     def __post_init__(self):
         if self.hbar <= 0:
             raise UncertaintyViolation("hbar must be positive")
+        _check(self, (_TINY_HBAR,))
         if self.xx < 0 or self.pp < 0:
             raise UncertaintyViolation("diagonal variances must be nonnegative")
 
@@ -92,6 +94,7 @@ class Cov2D:
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
         if self.hbar <= 0:
             raise UncertaintyViolation("hbar must be positive")
+        _check(self, (_TINY_HBAR,))
 
 
 @dataclass(frozen=True)

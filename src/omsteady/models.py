@@ -438,9 +438,6 @@ class ParamsGrid:
     def __len__(self) -> int:
         return len(self.errors)
 
-    def __iter__(self):
-        return iter(self.records())
-
     @classmethod
     def from_records(cls, records) -> ParamsGrid:
         """The grid of a nonempty list of valid records of one class."""
@@ -502,21 +499,6 @@ class ParamsGrid:
         """The items idx (a list of indices) as a grid of their own, without errors."""
         return ParamsGrid(self.cls, {name: col[idx] for name, col in self.columns.items()},
                           (None,) * len(idx))
-
-    def records(self) -> list:
-        """The params record of each item; every item must be valid.
-
-        The records are not validated again: their values passed the
-        class's rules when the grid was made, and the fields are set as
-        they are.
-        """
-        names = list(self.columns)
-        out = []
-        for row in zip(*(col.tolist() for col in self.columns.values())):
-            record = object.__new__(self.cls)
-            record.__dict__.update(zip(names, row))
-            out.append(record)
-        return out
 
 
 def _rotated_frequencies(p) -> tuple:
@@ -580,6 +562,8 @@ def temperature_for_occupation(n_B: float, omega_ref: float) -> float:
     Inverse of :func:`planck`; the CLI uses this so sweeps can be
     parameterized by a bath occupation instead of a temperature.
     """
+    if not math.isfinite(n_B):
+        raise InvalidParams(f"n_B must be finite, got {n_B!r}")
     if n_B < 0:
         raise InvalidParams("n_B must be nonnegative")
     if omega_ref <= 0:

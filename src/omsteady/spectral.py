@@ -17,7 +17,8 @@ against the Lyapunov solver meaningful at 1e-6 and below.
 
 The integrals come from one adaptive panel rule, the globally adaptive
 bisection strategy of QUADPACK (Piessens et al., 1983) run on one table
-that holds the panels of a whole list of records. The window starts out
+that holds the panels of every record of a ParamsGrid, read from its
+columns. The window starts out
 split at a geometric ladder of breakpoints around every response pole;
 each infinite tail is one more panel in t on (0, 1] with omega =
 +-w_max / t. Every panel carries a Gauss-Legendre pair with n and 2n
@@ -27,7 +28,8 @@ at the nodes of the new panels of every record still open, forms the
 xx, pp and commutator integrands S, m^2 w^2 S and m w S from that one
 evaluation, and bisects at once every panel whose error exceeds its
 equal share of its record's tolerance. A record whose rule runs out of
-rounds or panels gets a QuadratureFailure instead of a value.
+rounds or panels gets a QuadratureFailure instead of a value. The
+scalar functions are grids of one.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (AssumptionViolated, InvalidParams, OmsteadyError, QuadratureFailure,
-                     UnstableSystem)
+from .errors import (AssumptionViolated, InvalidParams, QuadratureFailure, UnstableSystem,
+                     flag_first)
 from .gaussian import Cov1D
-from .models import SystemParams1D
+from .models import ParamsGrid, SystemParams1D
 
 __all__ = [
     "cavity_susceptibility",
@@ -54,7 +56,7 @@ __all__ = [
     "integrate_moments",
     "moment_integrals",
     "moment_integrals_batch",
-    "stationary_moments",
+    "integrate_moments_batch",
     "integrate_moments_residue",
 ]
 
@@ -108,26 +110,26 @@ def mechanical_response(omega, params: SystemParams1D, chi=None):
     return 1.0 / inv
 
 
-def _response_poly_coeffs(params: SystemParams1D) -> np.ndarray:
+def _response_poly_coeffs(params) -> np.ndarray:
     """Coefficients (descending) of the quartic P(omega) = q(omega)/R_b(omega).
 
     q(omega) = (kappa/2 - i omega)^2 + delta^2 clears the self-energy
     denominator, leaving a polynomial whose roots are the poles of the
-    dressed response.
+    dressed response. Takes a 1D record, which gives shape (5,), or a
+    grid, which gives (B, 5); squares are products, so both agree. A
+    coefficient past the float range is inf or nan, as for a record.
     """
-    m, g, k = params.mass, params.gamma_b, params.kappa
-    c = (k / 2.0) ** 2 + params.delta**2
-    wb2 = params.omega_b**2
-    return np.array(
-        [
-            m,
-            1j * m * (k + g),
-            -m * (c + g * k + wb2),
-            -1j * m * (g * c + k * wb2),
-            m * wb2 * c - 2.0 * params.hbar * params.lambda_o**2 * params.delta,
-        ],
-        dtype=complex,
-    )
+    m, g, k, delta, lam = params.mass, params.gamma_b, params.kappa, params.delta, params.lambda_o
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = k / 2.0 * (k / 2.0) + delta * delta
+        wb2 = params.omega_b * params.omega_b
+        return np.stack([m, 1j * m * (k + g), -m * (c + g * k + wb2), -1j * m * (g * c + k * wb2),
+                         m * wb2 * c - 2.0 * params.hbar * (lam * lam) * delta], axis=-1)
+
+
+_NON_FINITE_COEFFICIENT = ("response polynomial has a non-finite coefficient "
+                           "relative to its leading one")
+_UNSTABLE = "response poles not confined to the lower half plane"
 
 
 def response_poles(params: SystemParams1D) -> np.ndarray:
@@ -141,8 +143,7 @@ def response_poles(params: SystemParams1D) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         monic = coeffs / coeffs[0]
     if not np.isfinite(monic).all():
-        raise InvalidParams("response polynomial has a non-finite coefficient "
-                            "relative to its leading one")
+        raise InvalidParams(_NON_FINITE_COEFFICIENT)
     return np.roots(coeffs)
 
 
@@ -193,7 +194,7 @@ def position_psd(omega, params: SystemParams1D, check_stability: bool = True):
     With check_stability False, params may hold arrays broadcast per node.
     """
     if check_stability and not spectral_stability(params):
-        raise UnstableSystem("response poles not confined to the lower half plane")
+        raise UnstableSystem(_UNSTABLE)
     chi = cavity_susceptibility(omega, params.kappa, params.delta)
     r = mechanical_response(omega, params, chi)
     s_brown = brownian_psd(omega, params.gamma_b, params.temperature,
@@ -240,21 +241,19 @@ def _panels(w_max: float, points) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-#: Record fields position_psd reads, carried per node by the panel table.
-_PSD_FIELDS = ("mass", "gamma_b", "omega_b", "kappa", "delta", "lambda_o", "temperature", "hbar")
 _EXHAUSTED = (f"adaptive panel rule did not converge within {_MAX_ROUNDS} rounds "
               f"and {_MAX_PANELS} panels")
 
 
-def _panel_sums(fields, pp_tails: np.ndarray, panels: np.ndarray, rec: np.ndarray):
+def _panel_sums(columns: dict, pp_tails: np.ndarray, panels: np.ndarray, rec: np.ndarray):
     """Rule sums of the xx, pp and commutator integrands on each panel.
 
     One array call of position_psd at the nodes of every panel, with the
-    fields of each panel's record (rec indexes them) or one record's floats.
-    Returns the 2n-node values stacked on their error estimates (the larger
-    of the difference of the two rules and the roundoff floor), shape (6,
-    panels), and whether each estimate is above that floor, shape (3,
-    panels). pp is zero on the tail panels of a record without pp_tails.
+    columns of each panel's item (rec indexes them). Returns the 2n-node
+    values stacked on their error estimates (the larger of the difference
+    of the two rules and the roundoff floor), shape (6, panels), and
+    whether each estimate is above that floor, shape (3, panels). pp is
+    zero on the tail panels of an item without pp_tails.
     """
     lo, hi, side, anchor = (panels[:, k, None] for k in range(4))
     half = 0.5 * (hi - lo)
@@ -262,10 +261,9 @@ def _panel_sums(fields, pp_tails: np.ndarray, panels: np.ndarray, rec: np.ndarra
     tail = side != 0.0
     t = np.where(tail, x, 1.0)
     omega = np.where(tail, side * anchor / t, x)
-    node = (SimpleNamespace(**{name: col[rec, None] for name, col in fields.items()})
-            if isinstance(fields, dict) else fields)
+    node = SimpleNamespace(**{name: col[rec, None] for name, col in columns.items()})
     # At extreme scales (mass=1e-300) the node values overflow; the
-    # record's total is then not finite, which _gate flags.
+    # item's total is then not finite, which its gate flags.
     with np.errstate(over="ignore", invalid="ignore"):
         s = position_psd(omega, node, check_stability=False)
         s *= np.where(tail, anchor / (t * t), 1.0) * half
@@ -282,95 +280,76 @@ def _panel_sums(fields, pp_tails: np.ndarray, panels: np.ndarray, rec: np.ndarra
     return np.concatenate((value, np.maximum(raw, floor))), raw > floor
 
 
-def _poles_batch(records) -> list:
-    """Per record its response poles, or the InvalidParams or UnstableSystem they give.
+def _poles_batch(coeffs: np.ndarray, errors: list) -> np.ndarray:
+    """The poles[B, 4] np.roots finds for the quartics coeffs[B, 5].
 
     One stacked eigvals of companion matrices built as np.roots builds
-    them; a record with a non-finite coefficient over the leading one
-    or a zero constant one (np.roots trims it) goes through response_poles.
+    them. An item with a non-finite coefficient over its leading one gets
+    response_poles' InvalidParams in errors; one with a zero constant
+    coefficient (np.roots trims it into a root at 0) or a pole outside
+    the lower half plane gets an UnstableSystem. Its poles mean nothing.
     """
-    coeffs = np.array([_response_poly_coeffs(p) for p in records]).reshape(-1, 5)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         top = -coeffs[:, 1:] / coeffs[:, :1]
-    stacked = np.isfinite(top).all(axis=1) & (coeffs[:, -1] != 0)
-    companion = np.tile(np.eye(4, k=-1, dtype=complex), (stacked.sum(), 1, 1))
-    companion[:, 0] = top[stacked]
-    roots = iter(np.linalg.eigvals(companion))
-    out = []
-    for p, s in zip(records, stacked):
-        try:
-            poles = next(roots) if s else response_poles(p)
-            if not (poles.imag < 0).all():
-                raise UnstableSystem("response poles not confined to the lower half plane")
-        except (InvalidParams, UnstableSystem) as exc:
-            poles = exc.with_traceback(None)
-        out.append(poles)
-    return out
+    finite = np.isfinite(top).all(axis=1)
+    flag_first(errors, ~finite, lambda k: InvalidParams(_NON_FINITE_COEFFICIENT))
+    companion = np.tile(np.eye(4, k=-1, dtype=complex), (len(coeffs), 1, 1))
+    companion[:, 0] = np.where(finite[:, None], top, 0.0)
+    poles = np.linalg.eigvals(companion)
+    flag_first(errors, (coeffs[:, -1] == 0) | ~(poles.imag < 0).all(axis=1),
+               lambda k: UnstableSystem(_UNSTABLE))
+    return poles
 
 
-def _gate(totals, errs, rel_tol: float):
-    """moment_integrals' dict from a record's totals, or the error its gate gives."""
-    out: dict[str, float] = {}
-    for name, total, tot_err in zip(("xx", "pp", "commutator"), totals, errs):
-        value, err_val = float(total) / (2.0 * math.pi), float(tot_err) / (2.0 * math.pi)
-        tol = 10.0 * rel_tol * abs(value)
-        if not math.isfinite(value):
-            return InvalidParams(f"spectral {name} integral is not finite at this record's scales")
-        if err_val > tol and name != "commutator":
-            return QuadratureFailure(f"{name} integral error estimate {err_val:.3e} "
-                                     f"exceeds tolerance {tol:.3e}")
-        out[name], out["err_" + name] = value, err_val
-    return out
+def moment_integrals_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> tuple[dict, list]:
+    """moment_integrals of every record of a 1D grid.
 
-
-def moment_integrals_batch(records, rel_tol: float = 1e-10) -> list:
-    """moment_integrals of each record: its dict, or the OmsteadyError it raises.
-
-    The records share the rounds of one panel table (see the module docstring)
-    and nothing else: the rule, its limits and the gate apply to each record
-    alone, so its result is the same in any list. rel_tol must be positive.
+    Returns moment_integrals' quantities as columns over the grid and,
+    per item, the error moment_integrals raises for it (None where it
+    settles); the columns of an item with an error mean nothing. The
+    items share the rounds of one panel table (see the module docstring)
+    and nothing else: the rule, its limits and the gate apply to each
+    item alone, so its result is the same in any grid. rel_tol must be
+    positive.
     """
     if not rel_tol > 0:
         raise InvalidParams(f"rel_tol must be positive, got {rel_tol!r}")
-    out = _poles_batch(records)
-    idx = [k for k, o in enumerate(out) if not isinstance(o, OmsteadyError)]
-    tables = [_panels(*_integration_window(out[k], records[k].omega_b)) for k in idx]
+    errors: list = [None] * len(grid)
+    poles = _poles_batch(_response_poly_coeffs(grid), errors)
+    idx = np.flatnonzero([e is None for e in errors])
+    tables = [_panels(*_integration_window(poles[k], w))
+              for k, w in zip(idx, grid.omega_b[idx].tolist())]
     rec = np.repeat(np.arange(len(idx)), [len(t) for t in tables])
     panels = np.concatenate(tables) if tables else np.empty((0, 4))
-    fields = {name: np.array([getattr(records[k], name) for k in idx], dtype=float)
-              for name in _PSD_FIELDS}
+    columns = {name: col[idx] for name, col in grid.columns.items()}
     # The xx and commutator integrands decay at least as 1/w^2 and get
     # their infinite tails. The pp integrand is only 1/w for an Ohmic
     # bath (gamma_b > 0); there the 10x-pole window is the physical
     # cutoff and tails are deliberately omitted.
-    pp_tails = fields["gamma_b"] == 0.0
-    if len(idx) == 1:  # floats round as the arrays do, at less cost per call
-        fields = SimpleNamespace(**{name: float(col[0]) for name, col in fields.items()})
-    sums, refinable = _panel_sums(fields, pp_tails, panels, rec)
+    pp_tails = columns["gamma_b"] == 0.0
+    sums, refinable = _panel_sums(columns, pp_tails, panels, rec)
     n = len(idx)
     rows = n * np.arange(6)[:, None]
+    # per item its totals and error estimates once its rule settles
+    totals = np.full((6, len(grid)), np.nan)
+    settled = np.zeros(len(grid), dtype=bool)
     for _ in range(_MAX_ROUNDS):
-        # A record's sums run through its panels in table order, the same in
-        # any list: initial panels, then per round kept, left and right halves.
+        # An item's sums run through its panels in table order, the same in
+        # any grid: initial panels, then per round kept, left and right halves.
         count = np.bincount(rec, minlength=n)
-        total, total_err = np.bincount((rec + rows).ravel(), sums.ravel(),
-                                       6 * n).reshape(2, 3, n)
-        tol = rel_tol * np.abs(total)
+        total = np.bincount((rec + rows).ravel(), sums.ravel(), 6 * n).reshape(6, n)
+        tol = rel_tol * np.abs(total[:3])
         # bisect each panel whose error in an integral not yet within
-        # rel_tol exceeds that tolerance over its record's panel count
-        share = np.where(total_err > tol, tol / np.maximum(count, 1), np.inf)
+        # rel_tol exceeds that tolerance over its item's panel count
+        share = np.where(total[3:] > tol, tol / np.maximum(count, 1), np.inf)
         split = (refinable & (sums[3:] > share[:, rec])).any(axis=0)
         n_split = np.bincount(rec[split], minlength=n)
-        grows = []
-        for k, (c, s) in enumerate(zip(count.tolist(), n_split.tolist())):
-            if c and not s:
-                out[idx[k]] = _gate(total[:, k], total_err[:, k], rel_tol)
-            elif s and c + s > _MAX_PANELS:
-                out[idx[k]] = QuadratureFailure(_EXHAUSTED)
-            grows.append(s > 0 and c + s <= _MAX_PANELS)
-        alive = np.array(grows, dtype=bool)[rec]
+        done = (count > 0) & (n_split == 0)
+        totals[:, idx[done]] = total[:, done]
+        settled[idx[done]] = True
+        alive = ((n_split > 0) & (count + n_split <= _MAX_PANELS))[rec]
         if not alive.any():
-            return out
+            break
         split &= alive
         keep = alive & ~split
         parents = panels[split]
@@ -379,13 +358,31 @@ def moment_integrals_batch(records, rel_tol: float = 1e-10) -> list:
         children[: len(parents), 1] = mid
         children[len(parents):, 0] = mid
         c_rec = np.concatenate((rec[split], rec[split]))
-        c_sums, c_refinable = _panel_sums(fields, pp_tails, children, c_rec)
+        c_sums, c_refinable = _panel_sums(columns, pp_tails, children, c_rec)
         rec, panels = np.concatenate((rec[keep], c_rec)), np.concatenate((panels[keep], children))
         sums = np.concatenate((sums[:, keep], c_sums), axis=1)
         refinable = np.concatenate((refinable[:, keep], c_refinable), axis=1)
-    for k in np.unique(rec):
-        out[idx[k]] = QuadratureFailure(_EXHAUSTED)
-    return out
+    # an item that ran out of rounds or panels never settled
+    flag_first(errors, ~settled, lambda k: QuadratureFailure(_EXHAUSTED))
+    out = {}
+    scaled = totals / (2.0 * math.pi)
+    for name, value, err in zip(("xx", "pp", "commutator"), scaled[:3], scaled[3:]):
+        flag_first(errors, ~np.isfinite(value), lambda k: InvalidParams(
+            f"spectral {name} integral is not finite at this record's scales"))
+        if name != "commutator":
+            tol = 10.0 * rel_tol * np.abs(value)
+            flag_first(errors, err > tol, lambda k: QuadratureFailure(
+                f"{name} integral error estimate {err[k]:.3e} exceeds tolerance {tol[k]:.3e}"))
+        out[name], out["err_" + name] = value, err
+    return out, errors
+
+
+def _only(batch, params: SystemParams1D, rel_tol: float) -> dict:
+    """The columns batch gives a grid of params alone, as floats, or its error."""
+    columns, errors = batch(ParamsGrid.from_records([params]), rel_tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return {q: float(c[0]) for q, c in columns.items()}
 
 
 def moment_integrals(params: SystemParams1D, rel_tol: float = 1e-10) -> dict:
@@ -397,13 +394,10 @@ def moment_integrals(params: SystemParams1D, rel_tol: float = 1e-10) -> dict:
     state; integrate_moments uses it as a consistency gate. The rule
     refines until each error estimate is within rel_tol of its
     integral; xx and pp fail unless within 10 rel_tol. A non-finite
-    integral or rel_tol <= 0 is InvalidParams. moment_integrals_batch
-    of a list of one.
+    integral or rel_tol <= 0 is InvalidParams. A grid of one through
+    moment_integrals_batch.
     """
-    (out,) = moment_integrals_batch([params], rel_tol)
-    if isinstance(out, OmsteadyError):
-        raise out
-    return out
+    return _only(moment_integrals_batch, params, rel_tol)
 
 
 #: Relative mismatch allowed between m*int w S_xx dw/2pi and hbar/2.
@@ -413,25 +407,26 @@ _COMMUTATOR_RTOL = 1e-6
 _RESIDUE_RTOL = 1e-8
 
 
-def stationary_moments(params: SystemParams1D, vals: dict) -> Cov1D:
-    """The Cov1D of moment_integrals' values once they pass the sum rule.
+def integrate_moments_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> tuple[dict, list]:
+    """The columns xx, pp and xp of integrate_moments' Cov1D for every
+    record of a 1D grid, and per item the error it raises (None where
+    it settles) before that Cov1D checks the variances.
 
     The symmetrized cross moment of a stationary process vanishes; rather
     than assuming that, this checks the commutator sum rule m * int dw/2pi
     w S_xx = hbar/2 (the antisymmetric part of the same cross spectrum).
     """
-    comm_target = params.hbar / 2.0
-    if abs(vals["commutator"] - comm_target) > _COMMUTATOR_RTOL * comm_target:
-        raise QuadratureFailure(
-            "stationarity cross-check failed: m*int w S_xx dw/2pi = "
-            f"{vals['commutator']:.12g}, expected {comm_target:.12g}"
-        )
-    return Cov1D(xx=vals["xx"], pp=vals["pp"], xp=0.0, hbar=params.hbar)
+    vals, errors = moment_integrals_batch(grid, rel_tol)
+    comm, target = vals["commutator"], grid.hbar / 2.0
+    flag_first(errors, np.abs(comm - target) > _COMMUTATOR_RTOL * target,
+               lambda k: QuadratureFailure("stationarity cross-check failed: m*int w S_xx "
+                                           f"dw/2pi = {comm[k]:.12g}, expected {target[k]:.12g}"))
+    return {"xx": vals["xx"], "pp": vals["pp"], "xp": np.zeros(len(grid))}, errors
 
 
 def integrate_moments(params: SystemParams1D, rel_tol: float = 1e-10) -> Cov1D:
-    """Steady-state (xx, pp): moment_integrals, then stationary_moments."""
-    return stationary_moments(params, moment_integrals(params, rel_tol))
+    """Steady-state (xx, pp): a grid of one through integrate_moments_batch."""
+    return Cov1D(**_only(integrate_moments_batch, params, rel_tol), hbar=params.hbar)
 
 
 def integrate_moments_residue(params: SystemParams1D) -> Cov1D:
@@ -457,7 +452,7 @@ def integrate_moments_residue(params: SystemParams1D) -> Cov1D:
     if params.gamma_b != 0.0:
         raise InvalidParams("residue route requires gamma_b = 0")
     if not spectral_stability(params):
-        raise UnstableSystem("response poles not confined to the lower half plane")
+        raise UnstableSystem(_UNSTABLE)
     p_coeffs = _response_poly_coeffs(params)
     pbar_coeffs = np.conj(p_coeffs)
     pbar_roots = np.roots(pbar_coeffs)  # upper-half-plane mirror of the poles

@@ -10,8 +10,8 @@ its warnings tuple, and per quantity one float64 column over the items
 that settled. The Lyapunov evaluators build the drift and diffusion
 stacks from the columns and solve them as one stack, the closed forms
 evaluate their formulas on the columns, and the spectral evaluator
-shares each round of its panel rule across the chunk, then takes each
-record's moments from its integrals one by one.
+shares each round of its panel rule across the chunk and gates the
+integrals it settles as columns.
 
 Stacked routes (Lyapunov, spectral) take 64 items per call, since their
 memory grows with the chunk (the 21x21 vech operators, the panel
@@ -61,7 +61,7 @@ from .langevin import (NoiseMode, build_1d_batch, build_2d_batch, build_rwa_batc
                        steady_covariance_batch)
 from .models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA,
                      check_param_names, with_param)
-from .spectral import moment_integrals_batch, stationary_moments
+from .spectral import integrate_moments_batch
 
 # Not called here, since every route evaluates a ParamsGrid, but
 # perfbench/spans.py wraps these names of this module for its traces.
@@ -185,30 +185,6 @@ def _block(errors: list, warns: list, idx: list, cols: dict, later: list) -> _Bl
     return _Block(errors, warns, cols)
 
 
-def _each(evaluate, items, names: tuple) -> _Block:
-    """The block of evaluate(item) per item: (its values in the order of
-    names, its warnings), or the OmsteadyError it raised.
-
-    An error is kept without its traceback. The traceback holds this
-    frame and its callers, which hold the list the error is kept in: a
-    reference cycle that would keep each chunk alive until the garbage
-    collector runs.
-    """
-    errors, warns, rows = [], [], []
-    for item in items:
-        try:
-            values, warn = evaluate(item)
-        except OmsteadyError as exc:
-            errors.append(exc.with_traceback(None))
-            warns.append(())
-        else:
-            errors.append(None)
-            warns.append(warn)
-            rows.append(values)
-    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    return _Block(errors, warns, dict(zip(names, table.T)))
-
-
 def _oneD_block(grid, block: _Block) -> _Block:
     """A 1D route's block from the second moments xx, pp, xp (and, where
     the route gives them, n_bar and purity) of block's settled items.
@@ -236,24 +212,15 @@ def _oneD_block(grid, block: _Block) -> _Block:
     return _block(block.errors, block.warnings, idx, cols, later)
 
 
-def _moments(item) -> tuple:
-    p, integrals = item
-    if isinstance(integrals, OmsteadyError):
-        raise integrals
-    cov = stationary_moments(p, integrals)
-    return (cov.xx, cov.pp, cov.xp), ()
-
-
-def _batch_oneD_spectral(grid) -> _Block:
-    records = grid.records()
-    return _oneD_block(grid, _each(_moments, zip(records, moment_integrals_batch(records)),
-                                   ("xx", "pp", "xp")))
-
-
 def _settled_block(errors: list, warns: list, columns: dict) -> _Block:
     """The block of columns over every item, kept over the settled ones."""
     idx = _settled(errors)
     return _Block(errors, warns, {q: c[idx] for q, c in columns.items()})
+
+
+def _batch_oneD_spectral(grid) -> _Block:
+    columns, errors = integrate_moments_batch(grid)
+    return _oneD_block(grid, _settled_block(errors, [()] * len(grid), columns))
 
 
 def _batch_oneD_closed_form(grid) -> _Block:

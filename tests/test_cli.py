@@ -75,6 +75,13 @@ class TestPoint:
         assert "must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("model", ["oneD", "twoD"])
+    @pytest.mark.parametrize("n_b", ["inf", "nan"])
+    def test_non_finite_occupation_is_config_error(self, model, n_b, capsys):
+        assert run_cli("point", "--param", f"model={model}", "--param", f"n_B={n_b}") == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: n_B must be finite, got {n_b}\n"
+
     @pytest.mark.parametrize("solver", ["lyapunov", "spectral", "closed_form"])
     @pytest.mark.parametrize("param", ["G_o=1e308", "G_o=1e160", "omega_b=1e200",
                                        "delta=1e200", "kappa=1e200"])

@@ -9,6 +9,7 @@ from omsteady.closedform import bare_occupation, bare_occupation_batch
 from omsteady.errors import (
     AssumptionViolated,
     DegenerateState,
+    InvalidParams,
     InvalidRegime,
     UncertaintyViolation,
 )
@@ -44,6 +45,19 @@ def cov_from_parameters(n_bar, theta, x_zpf, hbar):
     pp = p_zpf**2 * two_n1
     xp = math.sin(theta) * x_zpf * p_zpf * two_n1
     return Cov1D(xx=xx, pp=pp, xp=xp, hbar=hbar)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: occupation_and_purity_1d(Cov1D(0.5e-300, 0.5e-300, 0.0, hbar=1e-300)),
+    lambda: decompose_1d(Cov1D(0.5e-300, 0.5e-300, 0.0, hbar=1e-300)),
+    lambda: purity_2d_general(Cov2D(0.5e-300 * np.eye(4), hbar=1e-300)),
+], ids=["occupation_and_purity_1d", "decompose_1d", "purity_2d_general"])
+def test_hbar_below_the_normal_range_is_rejected(call):
+    # (hbar/2)^2 and (hbar/2)^4 underflow; the records reject such an hbar too
+    with pytest.raises(InvalidParams) as exc:
+        call()
+    assert str(exc.value) == ("hbar must be at least 2.443e-77 so that (hbar/2)^4 is a normal "
+                              "float, got 1e-300")
 
 
 class TestDecomposition1D:

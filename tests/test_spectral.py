@@ -11,7 +11,7 @@ from omsteady.closedform import backaction_1d, weak_coupling
 from omsteady.errors import AssumptionViolated, InvalidParams, QuadratureFailure, UnstableSystem
 from omsteady.gaussian import occupation_and_purity_1d
 from omsteady.langevin import NoiseMode, build_1d, stability, steady_covariance
-from omsteady.models import SystemParams1D, temperature_for_occupation
+from omsteady.models import ParamsGrid, SystemParams1D, temperature_for_occupation
 from omsteady.spectral import (
     brownian_psd,
     cavity_susceptibility,
@@ -154,8 +154,13 @@ class TestMomentIntegration:
     def test_truncated_window_fails_sum_rule(self, monkeypatch):
         # a window that cuts off part of the spectrum leaves the
         # commutator integral short of hbar/2; 2e-6 is twice the gate
-        vals = dict(moment_integrals(P_REF), commutator=0.5 * (1.0 - 2e-6))
-        monkeypatch.setattr(spectral, "moment_integrals", lambda p, rel_tol: vals)
+        batch = spectral.moment_integrals_batch
+
+        def short(grid, rel_tol):
+            vals, errors = batch(grid, rel_tol)
+            return dict(vals, commutator=np.full(len(grid), 0.5 * (1.0 - 2e-6))), errors
+
+        monkeypatch.setattr(spectral, "moment_integrals_batch", short)
         with pytest.raises(QuadratureFailure, match="stationarity"):
             integrate_moments(P_REF)
 
@@ -279,13 +284,18 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_stacked_poles_are_the_np_roots_poles(monkeypatch):
+def test_stacked_poles_are_the_np_roots_poles():
     records = [with_param(P_REF, "G_o", g) for g in (0.01, 0.05, 0.2, 0.45)]
     records.append(with_param(records[0], "temperature", 2.0))
-    for p, poles in zip(records, spectral._poles_batch(records)):
-        np.testing.assert_array_equal(poles, np.roots(spectral._response_poly_coeffs(p)))
+    coeffs = spectral._response_poly_coeffs(ParamsGrid.from_records(records))
+    errors = [None] * len(records)
+    for p, c, poles in zip(records, coeffs, spectral._poles_batch(coeffs, errors)):
+        # a record's coefficients are its column's
+        np.testing.assert_array_equal(c, spectral._response_poly_coeffs(p))
+        np.testing.assert_array_equal(poles, np.roots(c))
+    assert errors == [None] * len(records)
     # np.roots trims a zero constant coefficient into a root at 0, which
     # is not in the lower half plane
-    coeffs = spectral._response_poly_coeffs
-    monkeypatch.setattr(spectral, "_response_poly_coeffs", lambda p: coeffs(p) * [1, 1, 1, 1, 0])
-    assert all(isinstance(out, UnstableSystem) for out in spectral._poles_batch(records[:2]))
+    errors = [None, None]
+    spectral._poles_batch(coeffs[:2] * [1, 1, 1, 1, 0], errors)
+    assert all(isinstance(e, UnstableSystem) for e in errors)

@@ -436,8 +436,7 @@ class TestExtremeValueProbe:
                 base = _build_params(model, {})
                 for field, axis in product(fields(base), axes):
                     grid = ParamsGrid.from_axes(base, [field.name], [(v,) for v in axis])
-                    valid = grid.take([k for k, e in enumerate(grid.errors) if e is None])
-                    for res in sweep.evaluate_records(model, solver, valid.records()):
+                    for res in sweep._outcomes(sweep._evaluate(route, grid)):
                         if isinstance(res, OmsteadyError):
                             continue
                         values, _ = res
@@ -469,29 +468,37 @@ class TestSpectralChunks:
         assert {r.warnings[0].split(":")[0] for r in rows if not r.stable} == {"UnstableSystem"}
 
     def test_shuffled_batch_equals_records_alone(self):
-        # vacuum, thermal and cold damped records in one list, so the
-        # T = 0 form and the pp tails differ from record to record
+        # vacuum, thermal and cold damped records in one grid, so the
+        # T = 0 form and the pp tails differ from record to record; a
+        # subnormal mass overflows the response polynomial, and mass =
+        # 1e-300 the xx integral
         records = [with_param(config.params, "G_o", pt[0])
                    for config, spec in SPECTRAL_GRIDS.values() for pt in spec.grid()]
         records += [with_param(replace(P_1D, gamma_b=1e-4), "G_o", g) for g in (0.05, 0.3)]
+        records += [with_param(P_1D, "mass", m) for m in (1e-310, 1e-300)]
         np.random.default_rng(7).shuffle(records)
-        batch = spectral.moment_integrals_batch(records)
-        for p, got in zip(records, batch):
-            (alone,) = spectral.moment_integrals_batch([p])
-            if isinstance(alone, OmsteadyError):
-                assert (type(got), str(got)) == (type(alone), str(alone))
-            else:
-                assert got == alone
+        columns, errors = spectral.moment_integrals_batch(ParamsGrid.from_records(records))
+        for k, p in enumerate(records):
+            alone, (error,) = spectral.moment_integrals_batch(ParamsGrid.from_records([p]))
+            assert (type(errors[k]), str(errors[k])) == (type(error), str(error))
+            if error is None:
+                assert {q: c[k] for q, c in columns.items()} == {q: c[0] for q, c in alone.items()}
+        assert {str(e) for e in errors if e is not None} == {
+            "response poles not confined to the lower half plane",
+            "response polynomial has a non-finite coefficient relative to its leading one",
+            "spectral xx integral is not finite at this record's scales"}
 
     def test_panel_budget_fails_one_record_alone(self, monkeypatch):
-        records = [with_param(P_1D, "G_o", g) for g in (0.2, 0.001, 0.05, 0.45)]
-        settled = spectral.moment_integrals_batch(records)
+        grid = ParamsGrid.from_records([with_param(P_1D, "G_o", g)
+                                        for g in (0.2, 0.001, 0.05, 0.45)])
+        settled, _ = spectral.moment_integrals_batch(grid)
         # G_o = 0.001 needs more than 60 panels, the others fewer
         monkeypatch.setattr(spectral, "_MAX_PANELS", 60)
-        capped = spectral.moment_integrals_batch(records)
-        assert isinstance(capped[1], QuadratureFailure)
-        assert "did not converge" in str(capped[1])
-        assert [capped[k] for k in (0, 2, 3)] == [settled[k] for k in (0, 2, 3)]
+        capped, errors = spectral.moment_integrals_batch(grid)
+        assert isinstance(errors[1], QuadratureFailure)
+        assert "did not converge" in str(errors[1])
+        assert [errors[k] for k in (0, 2, 3)] == [None] * 3
+        assert all((capped[q][[0, 2, 3]] == settled[q][[0, 2, 3]]).all() for q in settled)
         # an exit-4 error still aborts the sweep
         with pytest.raises(QuadratureFailure):
             run_sweep(config_1d("spectral"), SweepSpec(axes=(Axis("G_o", 0.001, 0.2, 3),)))
