@@ -28,12 +28,24 @@ arrays built once per dimension n, and one add. At these sizes
 Schur-based methods, and it is exactly deterministic.
 
 Solves are stacked: steady_covariance_batch takes B drift and
-diffusion matrices and runs one stacked eigenvalue check, one fill of
-the B operators and one stacked np.linalg.solve, then the residual
-gate, and returns one outcome per item. numpy's linalg routines are
-gufuncs that run the same LAPACK call on every matrix of a stack, so
-a stacked result equals the item solved alone, bit for bit. The
-scalar steady_covariance is a batch of one.
+diffusion matrices, fills the B operators and runs one stacked
+np.linalg.solve, then the residual gate, and returns one outcome per
+item. numpy's linalg routines are gufuncs that run the same LAPACK
+call on every matrix of a stack, so a stacked result equals the item
+solved alone, bit for bit. The scalar steady_covariance is a batch of
+one.
+
+Stability is certified from the solution where that is possible
+(Lyapunov's theorem): where the diffusion is positive definite by
+Gershgorin's discs and the solved covariance by its LDL^T pivots, the
+residual of the solve bounds every drift eigenvalue away from the
+imaginary axis. Only the items that bound does not certify go to the
+stacked eigenvalue check, which decides them as it would alone. That
+includes every item whose diffusion has a zero diagonal entry: the 1D
+and 2D builds put no noise on the position rows, and a rotating-wave
+build with zero damping none on that mode. The diffusion of every
+damped rotating-wave build is diagonal and positive, so those solves
+rarely need eigenvalues.
 """
 
 from __future__ import annotations
@@ -73,9 +85,27 @@ __all__ = [
     "steady_covariance",
     "steady_covariance_batch",
     "LYAPUNOV_RESIDUAL_RTOL",
+    "STABILITY_CERTIFICATE_RTOL",
 ]
 
 LYAPUNOV_RESIDUAL_RTOL = 1e-10
+
+#: Margin of the stability certificate: an item is certified stable when
+#: the bound from its solved covariance puts every drift eigenvalue below
+#: -STABILITY_CERTIFICATE_RTOL ||A||_inf. That is 1e4 times the margin of
+#: the eigenvalue check, 1e-12 rho(A) <= 1e-12 ||A||_inf, so where the
+#: certificate fires the two verdicts could differ only if eigvals moved
+#: an eigenvalue by 1e-8 ||A|| through rounding, which takes an
+#: eigenvalue conditioned near 1e8. The margin also dwarfs the
+#: certificate's own rounding:
+#: - a bound above it needs a Gershgorin margin of D above
+#:   2e-8 ||A||_inf tr V >= 1e-8 tr D / sqrt(n); n times the rounding of
+#:   the computed residual, (2n + 1) eps (2n max|A| max|V| + max|D|) per
+#:   entry (Higham, ch. 3), is at most 1e-5 of that for n <= 6;
+#: - under such a bound, the V of an unstable drift would have an
+#:   eigenvalue below -1e-8 ||V||, while the rounding of the LDL^T pivots
+#:   moves V by about n^2 eps ||V||.
+STABILITY_CERTIFICATE_RTOL = 1e-8
 
 
 class NoiseMode(enum.Enum):
@@ -128,20 +158,21 @@ def _checked_diffusion(A: np.ndarray, D: np.ndarray, errors: list) -> np.ndarray
     check it fails, and returns the symmetrized diffusion 0.5 (D + D^T),
     which must stay finite too.
     """
-    def non_finite(name, M):
-        flag_first(errors, ~np.isfinite(M).all(axis=(-2, -1)),
-                   lambda k: InvalidParams(f"{name} matrix has a non-finite entry"))
-
-    non_finite("drift", A)
-    non_finite("diffusion", D)
+    _flag_non_finite(errors, "drift", np.isfinite(A).all(axis=(-2, -1)))
+    _flag_non_finite(errors, "diffusion", np.isfinite(D).all(axis=(-2, -1)))
     with np.errstate(all="ignore"):
         asymmetry = np.abs(D - D.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
         scale = np.maximum(np.abs(D).max(axis=(-2, -1), initial=0.0), 1.0)
         flag_first(errors, asymmetry > 1e-14 * scale,
                    lambda k: InvalidParams("diffusion matrix must be symmetric"))
         D = 0.5 * (D + D.swapaxes(-1, -2))
-    non_finite("diffusion", D)
+    _flag_non_finite(errors, "diffusion", np.isfinite(D).all(axis=(-2, -1)))
     return D
+
+
+def _flag_non_finite(errors: list, name: str, finite: np.ndarray) -> None:
+    """Flag each item of a stack whose ``name`` matrix is not ``finite``."""
+    flag_first(errors, ~finite, lambda k: InvalidParams(f"{name} matrix has a non-finite entry"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,11 +380,13 @@ def _decaying(A: np.ndarray) -> np.ndarray:
 
 
 def stability(sys: LinearSystem) -> bool:
-    """True iff every drift eigenvalue decays.
+    """True iff every drift eigenvalue decays, by the eigenvalue check.
 
     The margin scales with the spectral radius (eps = 1e-12 * rho), so
     marginal rotations and zero matrices are classed unstable rather
-    than flapping on rounding noise.
+    than flapping on rounding noise. steady_covariance reaches the same
+    verdict, but asks this check only where its solution does not
+    certify stability.
     """
     return bool(_decaying(sys.drift[None])[0])
 
@@ -400,7 +433,14 @@ def _vech_operator(A: np.ndarray) -> np.ndarray:
     flat = np.zeros((B, n * n + 1))
     flat[:, :-1] = A.reshape(B, n * n)
     nn = iu.size
-    return ((flat[:, first] + 0.0) + flat[:, second]).reshape(B, nn, nn)
+    # Summed in place: for a chunk of 64 6x6 drifts that takes a third of
+    # the time of two new arrays. Drift entries near the float limit
+    # overflow here; the solve or the residual gate flags such an item.
+    M = flat[:, first]
+    with np.errstate(over="ignore", invalid="ignore"):
+        M += 0.0
+        M += flat[:, second]
+    return M.reshape(B, nn, nn)
 
 
 @dataclass(frozen=True)
@@ -408,26 +448,86 @@ class CovarianceBatch:
     """Stacked steady states with one outcome per item.
 
     ``errors[k]`` is None when item k settled, and otherwise the
-    UnstableSystem or SolveFailure that ``steady_covariance`` raises
-    for it; ``matrix[k]`` is its covariance, or zeros when it was not
-    solved. ``residual`` is max |A V + V A^T + D| and ``backward_error``
-    that residual over its scale, max(max |D|, max |A| max |V|), which
-    the residual gate holds to LYAPUNOV_RESIDUAL_RTOL.
+    InvalidParams, UnstableSystem or SolveFailure that
+    ``steady_covariance`` raises for it; ``matrix[k]`` is its
+    covariance, or zeros when a check before the residual gate flagged
+    it. ``residual`` is max |A V + V A^T + D| of that matrix and
+    ``backward_error`` that residual over its scale,
+    max(max |D|, max |A| max |V|), which the residual gate holds to
+    LYAPUNOV_RESIDUAL_RTOL.
+    ``decay_bound`` is the certified lower bound on -max Re lambda of
+    the drift where the solution certified stability, and nan where
+    the eigenvalue check decided.
     """
 
     matrix: np.ndarray
     residual: np.ndarray
     backward_error: np.ndarray
+    decay_bound: np.ndarray
     errors: tuple[OmsteadyError | None, ...]
+
+
+def _positive_definite(V: np.ndarray) -> np.ndarray:
+    """Per stacked symmetric V[B, n, n]: True iff every LDL^T pivot is positive.
+
+    Eliminating one column at a time leaves the Schur complement of
+    the columns eliminated so far, whose first diagonal entry is the
+    next pivot, in the lower right block; the diagonal ends up holding
+    the pivots.
+    """
+    S = V.copy()
+    # The numbers of an item after a pivot that is not positive mean nothing.
+    with np.errstate(all="ignore"):
+        for j in range(V.shape[-1] - 1):
+            S[:, j + 1:, j + 1:] -= (S[:, j + 1:, j, None] / S[:, j, j, None, None]
+                                     * S[:, None, j, j + 1:])
+        return (S.diagonal(axis1=-2, axis2=-1) > 0.0).all(axis=-1)
+
+
+def _decay_bound(A, D, V, residual) -> np.ndarray:
+    """Certified lower bounds on -max Re lambda of stacked drifts, from their solves.
+
+    For a left eigenvector w of A (w^H A = lambda w^H) and the residual
+    R = A V + V A^T + D of a computed V, 2 Re lambda w^H V w =
+    -w^H (D - R) w. So where V is positive definite, -Re lambda >=
+    (lambda_min(D) - ||R||_2) / (2 lambda_max(V)), with lambda_min(D) >=
+    min_i (D_ii - sum_{j != i} |D_ij|) by Gershgorin's discs, ||R||_2 <=
+    n ``residual`` (max |R|) and lambda_max(V) <= tr V. Returns that bound
+    where it exceeds STABILITY_CERTIFICATE_RTOL ||A||_inf (which is at
+    least rho(A)) and V is positive definite, and nan elsewhere.
+    """
+    n = V.shape[-1]
+    with np.errstate(all="ignore"):
+        gershgorin = (2.0 * D.diagonal(axis1=-2, axis2=-1) - np.abs(D).sum(axis=-1)).min(axis=-1)
+        bound = (gershgorin - n * residual) / (2.0 * np.trace(V, axis1=-2, axis2=-1))
+        norm_a = np.abs(A).sum(axis=-1).max(axis=-1)
+        certified = (bound > STABILITY_CERTIFICATE_RTOL * norm_a) & _positive_definite(V)
+    return np.where(certified, bound, np.nan)
+
+
+def _decide(stable: np.ndarray, A: np.ndarray, which: np.ndarray) -> None:
+    """Give the items ``which`` of the stack the eigenvalue check's verdict."""
+    if which.all():
+        stable[:] = _decaying(A)
+    elif which.any():
+        stable[which] = _decaying(A[which])
 
 
 def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     """Stationary covariances V[k] solving A[k] V + V A[k]^T + D[k] = 0.
 
-    One stacked stability check, one fill of every vech operator and
-    one stacked dense solve over the n(n+1)/2 distinct entries of each
-    V, then the residual gate. An item that fails a check gets the
-    error of the first check it fails and does not affect the others.
+    One fill of every vech operator and one stacked dense solve over
+    the n(n+1)/2 distinct entries of each V, then the residual gate.
+    Stability is certified from the solution where it can be
+    (_decay_bound); the other items get the stacked eigenvalue check.
+    Where a diagonal entry of the diffusion is not positive, no
+    certificate can fire, so the check runs before the solve and an
+    unstable item is not solved; for the solved items the certificate
+    does not reach, it runs after the solve.
+    An item that fails a check gets the error of the first check it
+    fails and does not affect the others: a non-finite drift or
+    diffusion (InvalidParams, never solved), an unstable drift, a
+    singular operator, then the residual gate.
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -435,14 +535,24 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     iu, ju = _vech_map(n)[:2]
     nn = iu.size
     errors: list[OmsteadyError | None] = [None] * B
-    stable = _decaying(A)
-    flag_first(errors, ~stable,
-               lambda k: UnstableSystem("drift matrix has a non-decaying eigenvalue"))
-    M = _vech_operator(A)
-    # An unstable item is not solved; the identity keeps it from making
-    # the stack singular.
-    M[~stable] = np.eye(nn)
+    d, a = np.abs(D).max(axis=(-2, -1)), np.abs(A).max(axis=(-2, -1))
     rhs = -D[:, iu, ju]
+    # max |.| is not finite exactly where an entry is not
+    stable = np.isfinite(a) & np.isfinite(d)
+    if not stable.all():
+        _flag_non_finite(errors, "drift", np.isfinite(a))
+        _flag_non_finite(errors, "diffusion", np.isfinite(d))
+        rhs[~stable] = 0.0
+    # A diffusion with a diagonal entry that is not positive is not
+    # positive definite, so no certificate can fire: the eigenvalue check
+    # comes first there, and an unstable item is not solved.
+    certifiable = stable & (D.diagonal(axis1=-2, axis2=-1) > 0.0).all(axis=-1)
+    _decide(stable, A, stable & ~certifiable)
+    M = _vech_operator(A)
+    # The identity keeps an item that is not solved from making the
+    # stack singular.
+    M[~stable] = np.eye(nn)
+    solved, singular = stable.copy(), {}
     try:
         v = np.linalg.solve(M, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -452,26 +562,42 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
             try:
                 v[k] = np.linalg.solve(M[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
             except np.linalg.LinAlgError as exc:
-                errors[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
-                errors[k].__cause__ = exc
-    v[[e is not None for e in errors]] = 0.0
+                singular[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
+                singular[k].__cause__ = exc
+                solved[k] = False
+    v[~solved] = 0.0
     V = np.empty((B, n, n))
     V[:, iu, ju] = V[:, ju, iu] = v
-    resid = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=(-2, -1))
+    with np.errstate(all="ignore"):
+        resid = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=(-2, -1))
+    decay_bound = np.full(B, np.nan)
+    if certifiable.any():
+        reached = certifiable & solved
+        decay_bound[reached] = _decay_bound(A, D, V, resid)[reached]
+        _decide(stable, A, certifiable & np.isnan(decay_bound))
+        # An item found unstable after its solve reports V = 0, whose
+        # residual is max |D|.
+        late = solved & ~stable
+        V[late], resid[late] = 0.0, d[late]
+    flag_first(errors, ~stable,
+               lambda k: UnstableSystem("drift matrix has a non-decaying eigenvalue"))
+    for k, exc in singular.items():
+        errors[k] = errors[k] or exc
     # Backward-error scale: when the covariance dwarfs the diffusion
     # (weakly damped hot modes), rounding in forming A V alone exceeds
     # any bound stated against |D| only. The product max|A| max|V| can
     # overflow where neither factor does (1/m in A, hbar/(2 m omega) in V
     # at a tiny mass), so the residual is divided by one, then the other.
-    d, a, v = (np.abs(M).max(axis=(-2, -1)) for M in (D, A, V))
+    vmax = np.abs(V).max(axis=(-2, -1))
     # A zero factor makes its quotient inf, or nan at a zero residual;
     # fmin then takes the other quotient.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        err = np.fmin(resid / d, resid / a / v)
+        err = np.fmin(resid / d, resid / a / vmax)
     flag_first(errors, ~np.isfinite(resid) | (err > LYAPUNOV_RESIDUAL_RTOL),
                lambda k: SolveFailure(f"Lyapunov residual {resid[k]:.3e} is {err[k]:.3e} of "
                                       f"its scale, above {LYAPUNOV_RESIDUAL_RTOL:.1e}"))
-    return CovarianceBatch(matrix=V, residual=resid, backward_error=err, errors=tuple(errors))
+    return CovarianceBatch(matrix=V, residual=resid, backward_error=err,
+                           decay_bound=decay_bound, errors=tuple(errors))
 
 
 def steady_covariance(sys: LinearSystem) -> CovarianceMatrix:

@@ -9,9 +9,11 @@ from omsteady import langevin
 from omsteady.errors import (
     CorrelatedBathUnsupported,
     InvalidParams,
+    OmsteadyError,
     SolveFailure,
     UnstableSystem,
 )
+from omsteady.figures import _FIG3_KAPPA, _FIG3_RATIO, fig3_params
 from omsteady.gaussian import occupation_and_purity_1d, purity_2d_general
 from omsteady.langevin import (
     LYAPUNOV_RESIDUAL_RTOL,
@@ -24,6 +26,7 @@ from omsteady.langevin import (
     steady_covariance,
 )
 from omsteady.models import (
+    ParamsGrid,
     SystemParams1D,
     SystemParams2D,
     SystemParamsRWA,
@@ -377,6 +380,209 @@ class TestResidualGateScale:
         assert isinstance(err, SolveFailure)
         assert str(err) == ("Lyapunov residual 2.000e+305 is 1.000e-03 of its scale, "
                             "above 1.0e-10")
+
+
+def _eigvals_reference(A, D):
+    """The stacked solve with the eigenvalue check deciding every item, before the solve.
+
+    Returns (matrix, residual, backward_error, errors) as the batch does.
+    """
+    B, n = A.shape[0], A.shape[-1]
+    iu, ju = np.triu_indices(n)
+    errors = [None] * B
+    stable = langevin._decaying(A)
+    for k in np.flatnonzero(~stable):
+        errors[k] = UnstableSystem("drift matrix has a non-decaying eigenvalue")
+    M = langevin._vech_operator(A)
+    M[~stable] = np.eye(iu.size)
+    rhs = -D[:, iu, ju]
+    try:
+        v = np.linalg.solve(M, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        v = np.zeros((B, iu.size))
+        for k in range(B):
+            try:
+                v[k] = np.linalg.solve(M[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError as exc:
+                if errors[k] is None:
+                    errors[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
+    v[[e is not None for e in errors]] = 0.0
+    V = np.empty((B, n, n))
+    V[:, iu, ju] = V[:, ju, iu] = v
+    resid = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=(-2, -1))
+    d, a, vmax = (np.abs(X).max(axis=(-2, -1)) for X in (D, A, V))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.fmin(resid / d, resid / a / vmax)
+    for k in range(B):
+        if errors[k] is None and not (np.isfinite(resid[k]) and err[k] <= LYAPUNOV_RESIDUAL_RTOL):
+            errors[k] = SolveFailure(f"Lyapunov residual {resid[k]:.3e} is {err[k]:.3e} of "
+                                     f"its scale, above {LYAPUNOV_RESIDUAL_RTOL:.1e}")
+    return V, resid, err, errors
+
+
+def _assert_batch_is_reference(A, D):
+    """The batch equals the eigenvalue-only reference item by item; returns the batch."""
+    batch = langevin.steady_covariance_batch(A, D)
+    V, resid, err, errors = _eigvals_reference(A, D)
+    assert [(type(e), str(e)) for e in batch.errors] == [(type(e), str(e)) for e in errors]
+    assert batch.matrix.tobytes() == V.tobytes()
+    assert batch.residual.tobytes() == resid.tobytes()
+    assert batch.backward_error.tobytes() == err.tobytes()
+    return batch
+
+
+def _seeded_diffusions(rng, n):
+    """A diagonally dominant diffusion, a positive definite one Gershgorin's discs
+    do not certify, and a singular one with no noise on the even rows."""
+    off = rng.uniform(-1.0, 1.0, (n, n))
+    dominant = np.diag(rng.uniform(1.0, 2.0, n)) + 0.5 / n * (off + off.T)
+    X = rng.standard_normal((n, n))
+    singular = np.diag(np.tile([0.0, 1.0], n // 2))
+    return dominant, X @ X.T + 1e-3 * np.eye(n), singular
+
+
+def _shifted_drift(rng, n, margin):
+    """A seeded drift shifted so that its max Re lambda is margin * rho."""
+    A = rng.standard_normal((n, n))
+    A -= np.linalg.eigvals(A).real.max() * np.eye(n)
+    return A + margin * np.abs(np.linalg.eigvals(A)).max() * np.eye(n)
+
+
+MARGINS = [s * m for s in (1.0, -1.0) for m in (1e-13, 1e-12, 1e-11, 1e-9)]
+
+
+class TestStabilityCertificate:
+    """Certified items settle as the eigenvalue check alone settles them, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_seeded_drifts_match_the_eigvals_reference(self, n):
+        rng = np.random.default_rng(1900 + n)
+        drifts, diffusions, shifted = [], [], []
+        for _ in range(20):
+            A = rng.standard_normal((n, n))
+            A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.05, 1.0)) * np.eye(n)
+            # a raw Gaussian drift mostly has eigenvalues on both sides
+            mixed = (rng.standard_normal((n, n)), "mixed")
+            for A, margin in [(A, None), mixed] + [(_shifted_drift(rng, n, m), m)
+                                                   for m in MARGINS]:
+                for D in _seeded_diffusions(rng, n):
+                    drifts.append(A)
+                    diffusions.append(D)
+                    shifted.append(isinstance(margin, float))
+        A, D = np.array(drifts), np.array(diffusions)
+        batch = _assert_batch_is_reference(A, D)
+        certified = np.isfinite(batch.decay_bound)
+        # the certificate never reaches a drift within 1e-9 rho of the
+        # imaginary axis, nor a D that is not definite by Gershgorin's discs
+        gershgorin = (2.0 * np.diagonal(D, axis1=1, axis2=2) - np.abs(D).sum(axis=2)).min(axis=1)
+        assert certified.sum() >= 20
+        assert not (certified & np.array(shifted)).any()
+        assert not (certified & (gershgorin <= 0.0)).any()
+        # the bound bounds: -max Re lambda is at least decay_bound
+        worst = np.linalg.eigvals(A[certified]).real.max(axis=-1)
+        assert np.all(-worst >= batch.decay_bound[certified])
+        assert {type(e).__name__ for e in batch.errors} == {"NoneType", "UnstableSystem"}
+
+    def test_model_builds_match_the_eigvals_reference(self):
+        undamped_rwa = build_rwa(SystemParamsRWA(
+            omega_b=1.0, omega_d=1.0, gamma_b=0.0, gamma_d=0.0, kappa=1e-3, delta=1.0,
+            G_o=2e-3, G_m=2e-3 / math.sqrt(2.0), n_B_b=25.0, n_B_d=25.0))
+        for group, certified in ((MODEL_BUILDS[:2], [False, False]),
+                                 (MODEL_BUILDS[2:] + [undamped_rwa], [False, True, False])):
+            batch = _assert_batch_is_reference(np.stack([s.drift for s in group]),
+                                               np.stack([s.diffusion for s in group]))
+            assert batch.errors == (None,) * len(group)
+            # only the damped rwa build has a certifiably definite diffusion
+            assert np.isfinite(batch.decay_bound).tolist() == certified
+
+    def test_bound_is_the_gershgorin_margin_over_twice_the_trace(self):
+        A, D, V = (np.stack([m] * 3) for m in (-np.eye(4), np.eye(4), 0.5 * np.eye(4)))
+        D[:, 0, 1] = D[:, 1, 0] = 0.25
+        bound = langevin._decay_bound(A, D, V, np.array([0.0, 0.0625, 0.1875]))
+        # (0.75 - 4 r) / (2 tr V); at r = 3/16 nothing is left to certify
+        assert bound[:2].tolist() == [0.1875, 0.125] and np.isnan(bound[2])
+        # a bound of 0.1875 is below the margin 1e-8 ||A||_inf at ||A||_inf = 2e7
+        assert np.isnan(langevin._decay_bound(2e7 * A, D, V, np.zeros(3))).all()
+
+    def test_positive_pivots_decide_definiteness(self):
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((500, 6, 6))
+        V = X @ X.swapaxes(1, 2) + rng.uniform(-4.0, 4.0, (500, 1, 1)) * np.eye(6)
+        lowest = np.linalg.eigvalsh(V)[:, 0]
+        clear = np.abs(lowest) > 1e-6
+        assert np.array_equal(langevin._positive_definite(V)[clear], (lowest > 0.0)[clear])
+        assert 100 < (lowest > 0.0).sum() < 400
+
+    def test_fig3_bath_needs_no_eigenvalues(self, monkeypatch):
+        # every point of the fig3 map with G_m <= 10 G_o, which holds the
+        # optimum line G_m = G_o / sqrt(2); only the corner G_o ~ 0.05 kappa,
+        # G_m ~ 5 kappa of the map is left to the eigenvalue check
+        seen, decaying = [], langevin._decaying
+
+        def counting(A):
+            seen.append(len(A))
+            return decaying(A)
+
+        monkeypatch.setattr(langevin, "_decaying", counting)
+        records = [fig3_params(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA)
+                   for ro in _FIG3_RATIO for rm in _FIG3_RATIO if rm <= 10.0 * ro]
+        systems = langevin.build_rwa_batch(ParamsGrid.from_records(records))
+        batch = langevin.steady_covariance_batch(systems.drift, systems.diffusion)
+        assert batch.errors == (None,) * len(records)
+        assert np.all(batch.decay_bound > 0.0)
+        assert sum(seen) == 0
+
+
+class TestNonFiniteAndHugeItems:
+    """Bad items are flagged one by one and leave the others' bits alone."""
+
+    @pytest.mark.parametrize("name", ["drift", "diffusion"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_item_is_flagged_alone(self, name, bad, monkeypatch):
+        A, D = np.array([-np.eye(2), np.diag([-1.0, -1.0])]), np.array([np.eye(2), np.eye(2)])
+        (A if name == "drift" else D)[1, 0, 0] = bad
+        batch = _stack([LinearSystem(drift=-np.eye(2), diffusion=np.eye(2), labels=("x", "p"))])
+        solves, solve = [], np.linalg.solve
+
+        def finite_solve(M, b):
+            solves.append(np.isfinite(M).all() and np.isfinite(b).all())
+            return solve(M, b)
+
+        monkeypatch.setattr(np.linalg, "solve", finite_solve)
+        both = langevin.steady_covariance_batch(A, D)
+        # one stacked solve, and the bad item's numbers never reach LAPACK
+        assert solves == [True]
+        assert isinstance(both.errors[1], InvalidParams)
+        assert str(both.errors[1]) == f"{name} matrix has a non-finite entry"
+        assert both.errors[0] is None
+        assert both.matrix[0].tobytes() == batch.matrix[0].tobytes()
+        assert both.residual[0] == batch.residual[0]
+        assert both.backward_error[0] == batch.backward_error[0]
+        assert not both.matrix[1].any()
+
+    def test_unstable_item_is_not_solved(self, monkeypatch):
+        # a marginal rotation has a singular vech operator; it is decided
+        # unstable before the solve and replaced by the identity there, so
+        # the stack is solved once
+        rotation = LinearSystem(drift=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                diffusion=np.zeros((2, 2)), labels=("x", "p"))
+        fine = LinearSystem(drift=-np.eye(2), diffusion=np.diag([0.0, 1.0]), labels=("x", "p"))
+        solves, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda M, b: solves.append(len(M)) or solve(M, b))
+        batch = _stack([fine, rotation])
+        assert solves == [2]
+        assert batch.errors[0] is None and isinstance(batch.errors[1], UnstableSystem)
+
+    def test_drift_near_the_float_limit_warns_nothing(self):
+        # the vech fill adds 1e308 + 1e308; the item must end in an error
+        sys = LinearSystem(drift=np.array([[1e308, 1e308], [-1e308, -1e308]]),
+                           diffusion=np.eye(2), labels=("x", "p"))
+        with pytest.raises(OmsteadyError):
+            steady_covariance(sys)
+        fine = LinearSystem(drift=-np.eye(2), diffusion=np.eye(2), labels=("x", "p"))
+        batch = _stack([sys, fine])
+        assert isinstance(batch.errors[0], OmsteadyError) and batch.errors[1] is None
+        assert batch.matrix[1].tobytes() == steady_covariance(fine).matrix.tobytes()
 
 
 class TestBuild2D:

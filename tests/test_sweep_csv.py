@@ -372,7 +372,8 @@ class TestStackedSweep:
             lo = 0 if n == 4 else 2  # where x_b, p_b sit
             for k, block in enumerate(blocks["oneD" if n == 4 else "rwa"]):
                 V[k, lo:lo + len(block), lo:lo + len(block)] = block
-            return CovarianceBatch(V, np.zeros(len(A)), np.ones(len(A)), (None,) * len(A))
+            return CovarianceBatch(V, np.zeros(len(A)), np.ones(len(A)), np.full(len(A), np.nan),
+                                   (None,) * len(A))
 
         monkeypatch.setattr(sweep, "steady_covariance_batch", solved)
         for model, params in (("oneD", P_1D), ("rwa", RWA_BATH)):
