@@ -18,18 +18,19 @@ against the Lyapunov solver meaningful at 1e-6 and below.
 The integrals come from one adaptive panel rule, the globally adaptive
 bisection strategy of QUADPACK (Piessens et al., 1983) run on one table
 that holds the panels of every record of a ParamsGrid, read from its
-columns. The window starts out
-split at a geometric ladder of breakpoints around every response pole;
-each infinite tail is one more panel in t on (0, 1] with omega =
-+-w_max / t. Every panel carries a Gauss-Legendre pair with n and 2n
-nodes; the 2n-node sum is its value and the difference of the two sums
-its error estimate. A round evaluates the spectrum once, as one array,
-at the nodes of the new panels of every record still open, forms the
-xx, pp and commutator integrands S, m^2 w^2 S and m w S from that one
-evaluation, and bisects at once every panel whose error exceeds its
-equal share of its record's tolerance. A record whose rule runs out of
-rounds or panels gets a QuadratureFailure instead of a value. The
-scalar functions are grids of one.
+columns. The window starts out split at a geometric ladder of
+breakpoints, ratio 3, around every response pole, built for the whole
+grid as arrays; each infinite tail is one more panel in t on (0, 1]
+with omega = +-w_max / t. Every panel carries QUADPACK's nested
+Gauss-Kronrod pair, 10 Gauss nodes inside 21 Kronrod nodes; the
+21-node sum is its value and the difference of the two sums its error
+estimate. A round evaluates the spectrum once, in real arithmetic and
+as one array, at the nodes of the new panels of every record still
+open, forms the xx, pp and commutator integrands S, m^2 w^2 S and
+m w S from that one evaluation, and bisects at once every panel whose
+error exceeds its equal share of its record's tolerance. A record
+whose rule runs out of rounds or panels gets a QuadratureFailure
+instead of a value. The scalar functions are grids of one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (AssumptionViolated, InvalidParams, QuadratureFailure, UnstableSystem,
                      flag_first)
@@ -64,15 +64,55 @@ __all__ = [
 #: Brownian correlator switches to its series form around omega = 0.
 _COTH_SERIES_THRESHOLD = 1e-6
 
-#: Nodes and weights of each panel's Gauss-Legendre pair on [-1, 1]:
-#: the n-node rule first, then the 2n-node rule.
-_GL_N = 10
-_GL_NODES_N, _GL_WEIGHTS_N = leggauss(_GL_N)
-_GL_NODES_2N, _GL_WEIGHTS_2N = leggauss(2 * _GL_N)
-_GL_NODES = np.concatenate((_GL_NODES_N, _GL_NODES_2N))
+#: QUADPACK's qk21 rule on [-1, 1]: the Kronrod abscissae from 1 down
+#: to 0 (every second one, _XGK[1::2], is a node of the 10-point
+#: Gauss-Legendre rule), their Kronrod weights, and the Gauss weights
+#: of _XGK[1::2].
+_XGK = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077600525728560,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+#: A panel's 21 nodes, the ten Gauss nodes first, with their K21 and
+#: G10 weights.
+_GK_NODES = np.concatenate((-_XGK[1::2], _XGK[1::2], -_XGK[:-1:2], _XGK[::2]))
+_K21_WEIGHTS = np.concatenate((_WGK[1::2], _WGK[1::2], _WGK[:-1:2], _WGK[::2]))
+_G10_WEIGHTS = np.concatenate((_WG, _WG))
+_G10 = len(_G10_WEIGHTS)
+#: Ratio of the geometric ladder of initial breakpoints around each pole.
+_LADDER_RATIO = 3.0
 #: Bisection rounds after the first evaluation before the rule gives up.
 _MAX_ROUNDS = 60
-#: Largest number of panels the rule may hold (bounds its memory).
+#: Largest number of panels an item's rule may hold (bounds its
+#: memory); an item whose initial partition or bisection needs more fails.
 _MAX_PANELS = 20_000
 #: A panel's error is never taken below this multiple of int |f| over
 #: it (the roundoff floor of QUADPACK's rules); a panel at that floor
@@ -191,54 +231,79 @@ def position_psd(omega, params: SystemParams1D, check_stability: bool = True):
     S_xx = |R_b|^2 [S_N + kappa hbar^2 lambda_o^2 |chi_c|^2], the sum
     of the colored Brownian force noise and the cavity backaction
     (radiation pressure shot noise) filtered by the dressed response.
-    With check_stability False, params may hold arrays broadcast per node.
+    It is evaluated as a real rational function: with a = kappa/2,
+    D-+ = a^2 + (omega -+ delta)^2 and g = hbar lambda_o^2 / (D- D+),
+
+        Re(1/R_b) = m (omega_b^2 - omega^2) + 2 delta g (omega^2 - delta^2 - a^2),
+        Im(1/R_b) = -(m gamma_b omega + 4 a delta g omega),
+        S_xx = (S_N + kappa hbar^2 lambda_o^2 / D-) / (Re^2 + Im^2),
+
+    so the self-energy difference 1/D- - 1/D+ = 4 omega delta / (D- D+)
+    is formed without cancellation. With check_stability False, params
+    may hold arrays broadcast per node.
     """
     if check_stability and not spectral_stability(params):
         raise UnstableSystem(_UNSTABLE)
-    chi = cavity_susceptibility(omega, params.kappa, params.delta)
-    r = mechanical_response(omega, params, chi)
-    s_brown = brownian_psd(omega, params.gamma_b, params.temperature,
-                           params.mass, params.hbar)
-    hbar, lam = params.hbar, params.lambda_o  # squared as products: floats and arrays agree
-    s_ba = params.kappa * (hbar * hbar) * (lam * lam) * np.abs(chi) ** 2
-    return np.abs(r) ** 2 * (s_brown + s_ba)
+    w = np.asarray(omega, dtype=float)
+    m, wb, delta = params.mass, params.omega_b, params.delta
+    a = params.kappa / 2.0
+    d_minus = a * a + (w - delta) * (w - delta)
+    d_plus = a * a + (w + delta) * (w + delta)
+    hbar_lam2 = params.hbar * (params.lambda_o * params.lambda_o)
+    g = hbar_lam2 / (d_minus * d_plus)
+    re = m * (wb * wb - w * w) + 2.0 * delta * g * (w * w - delta * delta - a * a)
+    im = (m * params.gamma_b + 4.0 * a * delta * g) * w
+    s_brown = brownian_psd(w, params.gamma_b, params.temperature, m, params.hbar)
+    return (s_brown + params.kappa * params.hbar * hbar_lam2 / d_minus) / (re * re + im * im)
 
 
-def _integration_window(poles: np.ndarray, omega_b: float) -> tuple[float, list[float]]:
-    """Window edge and quadrature breakpoints from the response poles.
+def _initial_panels(poles: np.ndarray, w_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Initial panels (lo, hi, side, anchor) of the items with poles[B, 4]
+    and window edges w_max[B], one per row, and the item of each row.
 
-    Weakly damped poles produce near-singular peaks many orders of
-    magnitude narrower than the window; a geometric ladder of
-    breakpoints around each pole center hands the adaptive rule an
-    initial partition that already resolves the peak scale.
+    An item's rows are its lower tail, then panels in omega (side 0)
+    from -w_max to w_max, then its upper tail; a tail panel is in t on
+    (0, 1] with omega = side * w_max / t. The window is split at each
+    pole's center and at a geometric ladder center +- scale around it,
+    scale running from the pole's width |Im p| up by _LADDER_RATIO
+    while it is below w_max (a zero width gives no ladder); breakpoints
+    not strictly inside the window are dropped. Weakly damped poles
+    produce near-singular peaks many orders of magnitude narrower than
+    the window, and the ladder hands the adaptive rule an initial
+    partition that already resolves the peak scale.
     """
-    biggest = float(np.abs(poles).max())
-    w_max = 10.0 * max(biggest, omega_b)
-    points: set[float] = set()
-    for p in poles:
-        center, width = float(p.real), abs(float(p.imag))
-        points.add(center)
-        scale = width
-        while 0.0 < scale < w_max:
-            for candidate in (center - scale, center + scale):
-                if abs(candidate) < w_max:
-                    points.add(candidate)
-            scale *= 30.0
-    return w_max, sorted(points)
-
-
-def _panels(w_max: float, points) -> np.ndarray:
-    """Initial panels (lo, hi, side, anchor), one per row.
-
-    The lower tail first, then panels in omega (side 0) from -w_max to
-    w_max split at ``points`` (all strictly inside), then the upper
-    tail. A tail panel is in t on (0, 1] with omega = side * w_max / t.
-    """
-    edges = [-w_max, *points, w_max]
-    rows = [(0.0, 1.0, -1.0, w_max)]
-    rows += [(a, b, 0.0, 0.0) for a, b in zip(edges[:-1], edges[1:])]
-    rows.append((0.0, 1.0, 1.0, w_max))
-    return np.array(rows, dtype=float)
+    center, width = poles.real[..., None], np.abs(poles.imag)
+    edge = w_max[:, None, None]
+    # enough rungs that the last one passes the window edge, or overflows
+    with np.errstate(divide="ignore"):
+        span = np.log(np.minimum(w_max, np.finfo(float).max))[:, None] - np.log(width)
+    rungs = int(np.ceil(np.max(span[width > 0], initial=0.0) / np.log(_LADDER_RATIO))) + 2
+    factors = np.full(poles.shape + (rungs,), _LADDER_RATIO)
+    factors[..., 0] = width
+    with np.errstate(over="ignore"):
+        scale = np.cumprod(factors, axis=-1)  # the floats of repeated scale *= ratio
+    rung = (0.0 < scale) & (scale < edge)
+    points = np.concatenate((center, center - scale, center + scale), axis=-1)
+    inside = np.concatenate((np.ones_like(center, dtype=bool), rung, rung), axis=-1)
+    points = np.where(inside & (np.abs(points) < edge), points, np.inf)
+    points = points.reshape(len(poles), points[0].size if len(poles) else 0)
+    # per item its distinct breakpoints in order, padded with inf
+    points.sort(axis=1)
+    points[:, 1:][points[:, 1:] == points[:, :-1]] = np.inf
+    points.sort(axis=1)
+    count = np.count_nonzero(points < np.inf, axis=1)
+    n = int(count.max(initial=0))
+    items = np.arange(len(poles))
+    edges = np.concatenate((-w_max[:, None], points[:, :n], np.full((len(poles), 1), np.inf)),
+                           axis=1)
+    edges[items, count + 1] = w_max
+    rows = np.zeros((len(poles), n + 3, 4))
+    rows[:, 1:-1, 0], rows[:, 1:-1, 1] = edges[:, :-1], edges[:, 1:]
+    rows[:, 0, 1:3], rows[:, 0, 3] = (1.0, -1.0), w_max
+    rows[items, count + 2] = rows[:, 0]
+    rows[items, count + 2, 2] = 1.0
+    keep = np.arange(n + 3) <= (count + 2)[:, None]
+    return rows[keep], np.repeat(items, count + 3)
 
 
 _EXHAUSTED = (f"adaptive panel rule did not converge within {_MAX_ROUNDS} rounds "
@@ -249,22 +314,23 @@ def _panel_sums(columns: dict, pp_tails: np.ndarray, panels: np.ndarray, rec: np
     """Rule sums of the xx, pp and commutator integrands on each panel.
 
     One array call of position_psd at the nodes of every panel, with the
-    columns of each panel's item (rec indexes them). Returns the 2n-node
-    values stacked on their error estimates (the larger of the difference
-    of the two rules and the roundoff floor), shape (6, panels), and
+    columns of each panel's item (rec indexes them). Returns the K21
+    values stacked on their error estimates (the larger of |K21 - G10|
+    and the roundoff floor), shape (6, panels), and
     whether each estimate is above that floor, shape (3, panels). pp is
     zero on the tail panels of an item without pp_tails.
     """
     lo, hi, side, anchor = (panels[:, k, None] for k in range(4))
     half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo) + half * _GL_NODES
+    x = 0.5 * (hi + lo) + half * _GK_NODES
     tail = side != 0.0
     t = np.where(tail, x, 1.0)
     omega = np.where(tail, side * anchor / t, x)
     node = SimpleNamespace(**{name: col[rec, None] for name, col in columns.items()})
-    # At extreme scales (mass=1e-300) the node values overflow; the
-    # item's total is then not finite, which its gate flags.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # At extreme scales (mass=1e-300) the node values overflow, or
+    # |1/R_b|^2 underflows to 0; the item's total is then not finite,
+    # which its gate flags.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = position_psd(omega, node, check_stability=False)
         s *= np.where(tail, anchor / (t * t), 1.0) * half
         m_omega = node.mass * omega
@@ -274,9 +340,9 @@ def _panel_sums(columns: dict, pp_tails: np.ndarray, panels: np.ndarray, rec: np
         f = np.stack((s, pp, m_omega * s))
         # einsum, unlike a BLAS matrix-vector product, sums a panel's
         # nodes the same way wherever the panel sits in the table
-        value = np.einsum("kpn,n->kp", f[..., _GL_N:], _GL_WEIGHTS_2N)
-        raw = np.abs(value - np.einsum("kpn,n->kp", f[..., :_GL_N], _GL_WEIGHTS_N))
-        floor = _ROUNDOFF * np.einsum("kpn,n->kp", np.abs(f[..., _GL_N:]), _GL_WEIGHTS_2N)
+        value = np.einsum("kpn,n->kp", f, _K21_WEIGHTS)
+        raw = np.abs(value - np.einsum("kpn,n->kp", f[..., :_G10], _G10_WEIGHTS))
+        floor = _ROUNDOFF * np.einsum("kpn,n->kp", np.abs(f), _K21_WEIGHTS)
     return np.concatenate((value, np.maximum(raw, floor))), raw > floor
 
 
@@ -317,10 +383,8 @@ def moment_integrals_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> tuple[di
     errors: list = [None] * len(grid)
     poles = _poles_batch(_response_poly_coeffs(grid), errors)
     idx = np.flatnonzero([e is None for e in errors])
-    tables = [_panels(*_integration_window(poles[k], w))
-              for k, w in zip(idx, grid.omega_b[idx].tolist())]
-    rec = np.repeat(np.arange(len(idx)), [len(t) for t in tables])
-    panels = np.concatenate(tables) if tables else np.empty((0, 4))
+    w_max = 10.0 * np.maximum(np.abs(poles[idx]).max(axis=1), grid.omega_b[idx])
+    panels, rec = _initial_panels(poles[idx], w_max)
     columns = {name: col[idx] for name, col in grid.columns.items()}
     # The xx and commutator integrands decay at least as 1/w^2 and get
     # their infinite tails. The pp integrand is only 1/w for an Ohmic
@@ -344,7 +408,7 @@ def moment_integrals_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> tuple[di
         share = np.where(total[3:] > tol, tol / np.maximum(count, 1), np.inf)
         split = (refinable & (sums[3:] > share[:, rec])).any(axis=0)
         n_split = np.bincount(rec[split], minlength=n)
-        done = (count > 0) & (n_split == 0)
+        done = (count > 0) & (count <= _MAX_PANELS) & (n_split == 0)
         totals[:, idx[done]] = total[:, done]
         settled[idx[done]] = True
         alive = ((n_split > 0) & (count + n_split <= _MAX_PANELS))[rec]

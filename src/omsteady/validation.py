@@ -299,8 +299,8 @@ def _check_quadrature_convergence() -> CheckResult:
         SystemParams1D(omega_b=1.0, gamma_b=1e-4, kappa=0.2, delta=1.0, G_o=0.05,
                        temperature=temperature_for_occupation(5.0, 1.0)),
     ):
-        coarse = moment_integrals(p, rel_tol=1e-9)
-        fine = moment_integrals(p, rel_tol=5e-10)
+        coarse = moment_integrals(p, rel_tol=1e-12)
+        fine = moment_integrals(p, rel_tol=5e-13)
         for name in ("xx", "pp"):
             shift = abs(coarse[name] - fine[name])
             budget = coarse["err_" + name] + fine["err_" + name]

@@ -109,6 +109,33 @@ class TestPositionPsd:
         assert s.shape == w.shape
         assert np.all(s >= 0)
 
+    @pytest.mark.parametrize("p", [
+        *(with_param(P_REF, "G_o", g) for g in (0.001, 0.05, 0.2, 0.45)),
+        SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=1e-8,
+                       temperature=temperature_for_occupation(2.0, 1.0)),
+        SystemParams1D(omega_b=1.0, gamma_b=1e-4, kappa=0.2, delta=1.0, G_o=0.05,
+                       temperature=temperature_for_occupation(5.0, 1.0)),
+        SystemParams1D(omega_b=1.0, gamma_b=1e-4, kappa=0.2, delta=1.0, G_o=0.3),
+        SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=1.0, delta=2.0, G_o=0.3),
+        *(with_param(P_REF, name, v) for name, v in
+          (("mass", 1e-150), ("mass", 1e150), ("hbar", 1e-60), ("hbar", 1e60))),
+    ])
+    def test_real_form_matches_complex_form(self, p):
+        # |R_b|^2 (S_N + kappa hbar^2 lambda^2 |chi_c|^2) from the complex
+        # responses, on a dense grid through every resonance
+        poles = response_poles(p)
+        w = np.concatenate([np.linspace(-30.0, 30.0, 6001) * np.abs(poles).max(),
+                            *(q.real + abs(q.imag) * np.linspace(-50.0, 50.0, 2001) for q in poles),
+                            [p.delta, -p.delta, 0.0]])
+        chi = cavity_susceptibility(w, p.kappa, p.delta)
+        noise = (brownian_psd(w, p.gamma_b, p.temperature, p.mass, p.hbar)
+                 + p.kappa * p.hbar**2 * p.lambda_o**2 * np.abs(chi) ** 2)
+        reference = np.abs(mechanical_response(w, p)) ** 2 * noise
+        s = position_psd(w, p)
+        finite = np.isfinite(reference) & (reference > 0)
+        assert finite.all() and np.isfinite(s).all()
+        assert np.max(np.abs(s - reference) / reference) <= 1e-13
+
 
 class TestMomentIntegration:
     def test_matches_lyapunov_backaction_limit(self):
@@ -203,14 +230,75 @@ class TestFreqGrid:
                 integrate_moments(P_REF, rel_tol=rel_tol)
 
     def test_panel_layout(self):
-        w_max, points = spectral._integration_window(response_poles(P_REF), P_REF.omega_b)
-        panels = spectral._panels(w_max, points)
+        w_max = _window(P_REF)
+        panels, rec = spectral._initial_panels(response_poles(P_REF)[None], np.array([w_max]))
+        assert (rec == 0).all()
         assert tuple(panels[0]) == (0.0, 1.0, -1.0, w_max)
         assert tuple(panels[-1]) == (0.0, 1.0, 1.0, w_max)
         window = panels[1:-1]
         assert np.all(window[:, 2:] == 0.0)
-        np.testing.assert_array_equal(window[:, 0], [-w_max, *points])
-        np.testing.assert_array_equal(window[:, 1], [*points, w_max])
+        assert window[0, 0] == -w_max and window[-1, 1] == w_max
+        np.testing.assert_array_equal(window[1:, 0], window[:-1, 1])
+        assert (np.diff(window[:, 0]) > 0).all()
+
+    def test_kronrod_pair_is_exact_to_its_degree(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(10)
+        g10 = spectral._GK_NODES[:spectral._G10]
+        np.testing.assert_array_equal(np.sort(g10), nodes)
+        np.testing.assert_allclose(spectral._G10_WEIGHTS[np.argsort(g10)], weights, rtol=4e-15)
+        assert len(spectral._GK_NODES) == 21 and len(set(spectral._GK_NODES)) == 21
+        for degree in range(32):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            k21 = spectral._K21_WEIGHTS @ spectral._GK_NODES**degree
+            assert k21 == pytest.approx(exact, abs=1e-15)
+            if degree < 20:
+                assert spectral._G10_WEIGHTS @ g10**degree == pytest.approx(exact, abs=1e-15)
+        # the next degrees are where each rule stops being exact
+        assert abs(spectral._K21_WEIGHTS @ spectral._GK_NODES**32 - 2.0 / 33) > 1e-13
+        assert abs(spectral._G10_WEIGHTS @ g10**20 - 2.0 / 21) > 1e-6
+
+    def test_partition_equals_scalar_ladder(self):
+        rng = np.random.default_rng(20)
+        items = 40
+        center = rng.normal(scale=3.0, size=(items, 4))
+        width = 10.0 ** rng.uniform(-6.0, 1.0, size=(items, 4))
+        width[0, 1] = 0.0
+        width[1] = (1e-300, 5e-324, 3e-310, 1e-301)
+        width[2, 0] = 0.0
+        center[3, 2] = 100.0  # a pole outside the window
+        center[4, 0] = -center[4, 1]
+        width[4, 0] = width[4, 1]  # a mirror pair, as the response has
+        poles = center - 1j * width
+        w_max = 10.0 * np.abs(poles).max(axis=1)
+        w_max[3] = 20.0
+        w_max[5] = 1e308
+        panels, rec = spectral._initial_panels(poles, w_max)
+        for k in range(items):
+            np.testing.assert_array_equal(panels[rec == k], _ladder_reference(poles[k], w_max[k]))
+        np.testing.assert_array_equal(rec, np.sort(rec))
+        empty, empty_rec = spectral._initial_panels(poles[:0], w_max[:0])
+        assert empty.shape == (0, 4) and empty_rec.shape == (0,)
+
+
+def _window(p):
+    """The edge of the finite window: ten times past the outermost pole."""
+    return 10.0 * max(float(np.abs(response_poles(p)).max()), p.omega_b)
+
+
+def _ladder_reference(poles, w_max):
+    """Initial panels of one item by a scalar loop over its poles."""
+    points = set()
+    for p in poles:
+        center, scale = float(p.real), abs(float(p.imag))
+        points.add(center)
+        while 0.0 < scale < w_max:
+            points.update((center - scale, center + scale))
+            scale *= spectral._LADDER_RATIO
+    edges = [-w_max, *sorted(x for x in points if abs(x) < w_max), w_max]
+    return np.array([(0.0, 1.0, -1.0, w_max), *((a, b, 0.0, 0.0) for a, b in zip(edges, edges[1:])),
+                     (0.0, 1.0, 1.0, w_max)])
 
 
 class TestExceptionalPoint:
@@ -246,7 +334,9 @@ def _quad_moments(p):
     """xx and pp by scipy's QUADPACK on the same window, a test-only oracle."""
     from scipy.integrate import quad
 
-    w_max, points = spectral._integration_window(response_poles(p), p.omega_b)
+    w_max = _window(p)
+    panels, _ = spectral._initial_panels(response_poles(p)[None], np.array([w_max]))
+    points = panels[2:-1, 0]
     out = []
     for power in (0, 2):
         def f(w):
@@ -282,6 +372,25 @@ def test_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code, str(src)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    src = Path(spectral.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import omsteady.cli; "
+            "print('numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_narrow_cavity_settles():
+    # kappa = 3e-8 at G_o = 0.1: resolved by the ratio-3 ladder, while
+    # kappa = 1e-8 still exhausts the panel rule
+    p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=3e-8, delta=1.0, G_o=0.1)
+    _, purity = occupation_and_purity_1d(integrate_moments(p))
+    _, expected = occupation_and_purity_1d(
+        steady_covariance(build_1d(p, NoiseMode.VacuumOnly)).mechanical_1d())
+    assert purity == pytest.approx(expected, rel=1e-6)
 
 
 def test_stacked_poles_are_the_np_roots_poles():

@@ -1,5 +1,6 @@
 import pytest
 
+from omsteady import spectral
 from omsteady.validation import CHECK_NAMES, run_validation
 
 
@@ -39,3 +40,27 @@ class TestRunValidation:
         assert status["lyapunov-vs-closed-form-1d"] is False
         assert status["oracle-chain-2d"] is True
         assert status["psd-nonnegative"] is True
+
+    def test_quadrature_convergence_refines(self, monkeypatch):
+        # the check compares two rel_tol values; where both end on the same
+        # partition the shift is exactly 0 and shows nothing
+        finals, batch, sums = [], spectral.moment_integrals_batch, spectral._panel_sums
+
+        def counted(grid, rel_tol):
+            calls = []
+
+            def panel_sums(columns, pp_tails, panels, rec):
+                calls.append(len(panels))
+                return sums(columns, pp_tails, panels, rec)
+
+            monkeypatch.setattr(spectral, "_panel_sums", panel_sums)
+            out = batch(grid, rel_tol)
+            # each round after the first evaluates two halves per bisected panel
+            finals.append(calls[0] + sum(calls[1:]) // 2)
+            return out
+
+        monkeypatch.setattr(spectral, "moment_integrals_batch", counted)
+        (result,) = run_validation(names=("quadrature-convergence",))
+        assert result.passed and result.worst > 0.0
+        assert len(finals) == 4
+        assert any(coarse != fine for coarse, fine in zip(finals[::2], finals[1::2]))
