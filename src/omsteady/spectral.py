@@ -247,11 +247,12 @@ def position_psd(omega, params: SystemParams1D, check_stability: bool = True):
     w = np.asarray(omega, dtype=float)
     m, wb, delta = params.mass, params.omega_b, params.delta
     a = params.kappa / 2.0
-    d_minus = a * a + (w - delta) * (w - delta)
-    d_plus = a * a + (w + delta) * (w + delta)
+    w2, a2 = w * w, a * a
+    d_minus = a2 + (w - delta) * (w - delta)
+    d_plus = a2 + (w + delta) * (w + delta)
     hbar_lam2 = params.hbar * (params.lambda_o * params.lambda_o)
     g = hbar_lam2 / (d_minus * d_plus)
-    re = m * (wb * wb - w * w) + 2.0 * delta * g * (w * w - delta * delta - a * a)
+    re = m * (wb * wb - w2) + 2.0 * delta * g * (w2 - (delta * delta + a2))
     im = (m * params.gamma_b + 4.0 * a * delta * g) * w
     s_brown = brownian_psd(w, params.gamma_b, params.temperature, m, params.hbar)
     return (s_brown + params.kappa * params.hbar * hbar_lam2 / d_minus) / (re * re + im * im)
@@ -286,7 +287,7 @@ def _initial_panels(poles: np.ndarray, w_max: np.ndarray) -> tuple[np.ndarray, n
     points = np.concatenate((center, center - scale, center + scale), axis=-1)
     inside = np.concatenate((np.ones_like(center, dtype=bool), rung, rung), axis=-1)
     points = np.where(inside & (np.abs(points) < edge), points, np.inf)
-    points = points.reshape(len(poles), points[0].size if len(poles) else 0)
+    points = points.reshape(len(poles), poles.shape[1] * (2 * rungs + 1))
     # per item its distinct breakpoints in order, padded with inf
     points.sort(axis=1)
     points[:, 1:][points[:, 1:] == points[:, :-1]] = np.inf
@@ -316,9 +317,9 @@ def _panel_sums(columns: dict, pp_tails: np.ndarray, panels: np.ndarray, rec: np
     One array call of position_psd at the nodes of every panel, with the
     columns of each panel's item (rec indexes them). Returns the K21
     values stacked on their error estimates (the larger of |K21 - G10|
-    and the roundoff floor), shape (6, panels), and
-    whether each estimate is above that floor, shape (3, panels). pp is
-    zero on the tail panels of an item without pp_tails.
+    and the roundoff floor), shape (6, panels), and whether each
+    estimate is above that floor, shape (3, panels). pp is zero on the
+    tail panels of an item without pp_tails.
     """
     lo, hi, side, anchor = (panels[:, k, None] for k in range(4))
     half = 0.5 * (hi - lo)
