@@ -87,17 +87,15 @@ from .sweep import (
     Axis,
     RunConfig,
     SweepResult,
-    SweepRow,
     SweepSpec,
     available_quantities,
-    evaluate_point,
     format_float,
     run_sweep,
     sweep_to_csv,
     with_param,
     write_csv,
 )
-from .figures import FIGURES, FigureCheck, FigureOutput, make_figure
+from .figures import FIGURES, FigureOutput, make_figure
 from .validation import CHECK_NAMES, CheckResult, run_validation
 
 __version__ = "0.1.0"

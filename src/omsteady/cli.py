@@ -28,7 +28,6 @@ import math
 import sys
 import time
 from dataclasses import fields, replace
-from itertools import compress, product
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +48,8 @@ from .sweep import (
     check_param_names,
     evaluate_config,
     evaluate_grid,
-    evaluate_point,
     format_float,
+    grid_points,
     sweep_to_csv,
     with_param,
 )
@@ -295,15 +294,15 @@ def _cmd_optimize(args) -> int:
     # The search reads only the objective, whatever [run] outputs asks for.
     config = replace(config, outputs=(objective,))
 
-    grid = [tuple(float(v) for v in point) for point in product(*axes)]
+    grid = grid_points(axes)
     evals = len(grid)
-    best_x, best_val = None, -math.inf
     columns, stable, _ = evaluate_grid(config, names, grid)
-    for x, value in zip(compress(grid, stable), columns[objective].tolist()):
-        if value > best_val:
-            best_x, best_val = np.array(x), value
-    if best_x is None:
+    # The first stable point with the largest value; nan is never larger.
+    values = np.where(np.isnan(columns[objective]), -math.inf, columns[objective])
+    if not np.any(values > -math.inf):
         raise UnstableRegime("no stable point inside the optimize bounds")
+    best = int(np.argmax(values))
+    best_x, best_val = grid[stable][best], float(values[best])
 
     lo_arr, hi_arr = np.asarray(los), np.asarray(his)
     steps = np.array([axis[1] - axis[0] if scale == "linear"
@@ -315,8 +314,8 @@ def _cmd_optimize(args) -> int:
         if np.any(x < lo_arr) or np.any(x > hi_arr):
             return 1e6
         evals += 1
-        row = evaluate_point(config, dict(zip(names, (float(v) for v in x))))
-        return -row.values[objective] if row.stable else 1e6
+        point, (ok,), _ = evaluate_grid(config, names, [x])
+        return -point[objective][0] if ok else 1e6
 
     simplex = [best_x]
     for i in range(len(names)):

@@ -27,10 +27,11 @@ import numpy as np
 
 from .closedform import strong_coupling, weak_coupling
 from .errors import OracleMismatch
-from .models import SystemParams1D, SystemParamsRWA, resonant_2d_design
-from .sweep import _write_atomic, format_float, record_values, write_csv
+from .models import SystemParams1D, resonant_2d_design
+from .sweep import _write_atomic, format_float, grid_points, write_csv
+from .validation import _FIG3_KAPPA, CheckResult, _columns, fig3_params
 
-__all__ = ["FIGURES", "FigureCheck", "FigureOutput", "fig3_params", "make_figure"]
+__all__ = ["FIGURES", "FigureOutput", "fig3_params", "make_figure"]
 
 FIGURES = ("fig2", "fig3", "fig4")
 
@@ -38,17 +39,6 @@ FIGURES = ("fig2", "fig3", "fig4")
 _EXACT_PAIR_RTOL = 1e-8
 #: Dual purity routes on the same covariance matrix.
 _PURITY_ROUTE_RTOL = 1e-10
-#: Grid optimum must sit this close (relative, in G_m) to the analytic one.
-_OPTIMUM_RTOL = 0.05
-
-
-@dataclass(frozen=True)
-class FigureCheck:
-    """One paired cross-check performed before the figure was written."""
-
-    name: str
-    worst: float
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -57,16 +47,18 @@ class FigureOutput:
 
     csv_path: Path
     plot_path: Path
-    checks: tuple[FigureCheck, ...]
+    checks: tuple[CheckResult, ...]
 
 
-def _gate(name: str, worst: float, tol: float) -> FigureCheck:
+def _gate(name: str, errors, tol: float) -> CheckResult:
+    """The passed check of the largest of the errors against tol; raises if it fails."""
+    worst = np.max(errors, initial=0.0)
     if not (worst <= tol):
         raise OracleMismatch(
             f"paired check {name!r} failed: worst error {worst:.3e} "
             f"exceeds tolerance {tol:.3e}; no output written"
         )
-    return FigureCheck(name=name, worst=worst, tolerance=tol)
+    return CheckResult(name, True, worst, tol)
 
 
 # fig2: occupation vs drive, single mode, resonant detuning ------------
@@ -78,46 +70,35 @@ _FIG2_KAPPA = 0.2
 _FIG2_G = np.linspace(0.2, 0.49, 59)
 
 
-def _rel_err(value: float, exact: float) -> float:
+def _rel_err(value, exact):
     return abs(value - exact) / exact
 
 
 def _fig2(out_dir: Path) -> FigureOutput:
     records = [SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=_FIG2_KAPPA,
                               delta=1.0, G_o=float(g)) for g in _FIG2_G]
-    rows = []
-    worst_exact = 0.0
-    worst_bare = 0.0
-    worst_strong = 0.0
-    worst_strong_bare = 0.0
-    for g, p, cf, ly in zip(_FIG2_G, records, record_values("oneD", "closed_form", records),
-                            record_values("oneD", "lyapunov", records)):
-        sc = strong_coupling(p)
-        worst_exact = max(worst_exact, _rel_err(ly["n_bar"], cf["n_bar"]))
-        worst_bare = max(worst_bare, _rel_err(ly["n_bar_0"], cf["n_bar_0"]))
-        bound = 10.0 * ((p.kappa / g) ** 2 + g**2)
-        worst_strong = max(worst_strong, _rel_err(sc.n_bar, cf["n_bar"]) / bound)
-        worst_strong_bare = max(
-            worst_strong_bare, _rel_err(sc.n_bar_0, cf["n_bar_0"]) / bound
-        )
-        rows.append([format_float(v) for v in (
-            g, cf["n_bar"], cf["n_bar_0"], sc.n_bar, sc.n_bar_0, cf["n_min_weak"],
-        )])
+    cf, ly = (_columns("oneD", s, records) for s in ("closed_form", "lyapunov"))
+    sc_n, sc_n_0 = np.array([(r.n_bar, r.n_bar_0) for r in map(strong_coupling, records)]).T
+    bound = np.array([10.0 * ((p.kappa / g) ** 2 + g**2) for p, g in zip(records, _FIG2_G)])
 
     # The reference column must agree with the weak-coupling route in
     # its own limit (evaluated once; the column is drive-independent).
     p_weak = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=_FIG2_KAPPA,
                             delta=1.0, G_o=1e-4)
-    ref = record_values("oneD", "closed_form", [p_weak])[0]["n_min_weak"]
-    worst_weak = _rel_err(weak_coupling(p_weak).n_bar, ref)
+    (ref,) = _columns("oneD", "closed_form", [p_weak])["n_min_weak"]
 
     checks = (
-        _gate("n_bar closed form vs lyapunov", worst_exact, _EXACT_PAIR_RTOL),
-        _gate("n_bar_0 closed form vs lyapunov", worst_bare, _EXACT_PAIR_RTOL),
-        _gate("normal-mode curve within regime bound", worst_strong, 1.0),
-        _gate("normal-mode bare curve within regime bound", worst_strong_bare, 1.0),
-        _gate("weak limit reference column", worst_weak, 1e-4),
+        _gate("n_bar closed form vs lyapunov", _rel_err(ly["n_bar"], cf["n_bar"]),
+              _EXACT_PAIR_RTOL),
+        _gate("n_bar_0 closed form vs lyapunov", _rel_err(ly["n_bar_0"], cf["n_bar_0"]),
+              _EXACT_PAIR_RTOL),
+        _gate("normal-mode curve within regime bound", _rel_err(sc_n, cf["n_bar"]) / bound, 1.0),
+        _gate("normal-mode bare curve within regime bound",
+              _rel_err(sc_n_0, cf["n_bar_0"]) / bound, 1.0),
+        _gate("weak limit reference column", _rel_err(weak_coupling(p_weak).n_bar, ref), 1e-4),
     )
+    rows = [[format_float(v) for v in row] for row in zip(
+        _FIG2_G, cf["n_bar"], cf["n_bar_0"], sc_n, sc_n_0, cf["n_min_weak"])]
 
     names = ["G_o", "n_bar", "n_bar_0", "n_bar_normal_mode",
              "n_bar_0_normal_mode", "n_min_weak"]
@@ -140,63 +121,40 @@ plot "fig2.csv" skip 2 using 1:2 with lines lw 2 title "thermal occupation (exac
 
 # fig3: purity map of the rotating-wave model --------------------------
 
-_FIG3_KAPPA = 1e-3
-_FIG3_GAMMA_TOT = 1e-9 * _FIG3_KAPPA
-_FIG3_NB = 0.05 * _FIG3_KAPPA / _FIG3_GAMMA_TOT
-# Axis ranges in units of kappa, logarithmic; chosen to straddle the
-# analytic optimum line G_m = G_o/sqrt(2) on both sides.
+# The bath is validation.fig3_params. Axis ranges in units of kappa,
+# logarithmic; chosen to straddle the analytic optimum line
+# G_m = G_o/sqrt(2) on both sides.
 _FIG3_RATIO = np.logspace(math.log10(0.05), math.log10(5.0), 50)
 
 
-def fig3_params(g_o: float, g_m: float) -> SystemParamsRWA:
-    """Rotating-wave record with the fig3 bath at coupling rates G_o, G_m."""
-    return SystemParamsRWA(
-        omega_b=1.0, omega_d=1.0,
-        gamma_b=_FIG3_GAMMA_TOT / 2.0, gamma_d=_FIG3_GAMMA_TOT / 2.0,
-        kappa=_FIG3_KAPPA, delta=1.0, G_o=g_o, G_m=g_m,
-        n_B_b=_FIG3_NB, n_B_d=_FIG3_NB,
-    )
-
-
 def _fig3(out_dir: Path) -> FigureOutput:
-    values = iter(record_values("rwa", "lyapunov", [
-        fig3_params(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA)
-        for ro in _FIG3_RATIO for rm in _FIG3_RATIO]))
-    rows = []
-    worst_route = 0.0
-    best_by_column: dict[int, tuple[float, float]] = {}
-    for i, ro in enumerate(_FIG3_RATIO):
-        for rm in _FIG3_RATIO:
-            s = next(values)
-            mu = s["purity_2d"]
-            # Same covariance, two purity routes: determinant vs the
-            # product over symplectic occupations.
-            mu_modes = 1.0 / ((2.0 * s["N_plus"] + 1.0) * (2.0 * s["N_minus"] + 1.0))
-            worst_route = max(worst_route, _rel_err(mu_modes, mu))
-            if i not in best_by_column or mu > best_by_column[i][1]:
-                best_by_column[i] = (float(rm), mu)
-            rows.append([format_float(v) for v in (ro, rm, mu, s["N_plus"], s["N_minus"])])
+    points = grid_points([_FIG3_RATIO, _FIG3_RATIO])
+    s = _columns("rwa", "lyapunov", [fig3_params(ro * _FIG3_KAPPA, rm * _FIG3_KAPPA)
+                                     for ro, rm in points.tolist()])
+    mu = s["purity_2d"]
+    # Same covariance, two purity routes: determinant vs the product
+    # over symplectic occupations.
+    mu_modes = 1.0 / ((2.0 * s["N_plus"] + 1.0) * (2.0 * s["N_minus"] + 1.0))
+    # G_m/kappa at the first best purity of each G_o column.
+    ridge = _FIG3_RATIO[mu.reshape(len(_FIG3_RATIO), -1).argmax(axis=1)]
 
     # The ridge of the map must track the analytic optimum. Checked on
     # the strong-coupling half of the axis where the optimum formula
     # applies (grid resolution itself is ~9.9% per step, so compare
     # against the nearest achievable grid value).
-    worst_opt = 0.0
-    log_step = _FIG3_RATIO[1] / _FIG3_RATIO[0]
-    for i, ro in enumerate(_FIG3_RATIO):
-        if ro < 1.0:
-            continue
-        target = ro / math.sqrt(2.0)
-        nearest = min(_FIG3_RATIO, key=lambda v: abs(math.log(v / target)))
-        found = best_by_column[i][0]
-        # distance in grid steps between found ridge and snapped optimum
-        steps = abs(math.log(found / nearest) / math.log(log_step))
-        worst_opt = max(worst_opt, steps)
+    strong = _FIG3_RATIO >= 1.0
+    target = _FIG3_RATIO[strong] / math.sqrt(2.0)
+    nearest = _FIG3_RATIO[abs(np.log(_FIG3_RATIO / target[:, None])).argmin(axis=1)]
+    # distance in grid steps between found ridge and snapped optimum
+    steps = abs(np.log(ridge[strong] / nearest) / math.log(_FIG3_RATIO[1] / _FIG3_RATIO[0]))
 
     checks = (
-        _gate("purity determinant route vs modal route", worst_route, _PURITY_ROUTE_RTOL),
-        _gate("ridge within one grid step of analytic optimum", worst_opt, 1.0),
+        _gate("purity determinant route vs modal route", _rel_err(mu_modes, mu),
+              _PURITY_ROUTE_RTOL),
+        _gate("ridge within one grid step of analytic optimum", steps, 1.0),
     )
+    rows = [[format_float(v) for v in row]
+            for row in zip(*points.T, mu, s["N_plus"], s["N_minus"])]
 
     names = ["G_o_over_kappa", "G_m_over_kappa", "purity_2d", "N_plus", "N_minus"]
     units = ["dimensionless"] * 5
@@ -224,20 +182,16 @@ _FIG4_G = np.linspace(0.01, 0.35, 69)
 def _fig4(out_dir: Path) -> FigureOutput:
     records = [resonant_2d_design(omega=1.0, G_o=float(g), G_m=float(g) / math.sqrt(2.0),
                                   kappa=_FIG4_KAPPA) for g in _FIG4_G]
-    rows = []
-    worst_joint = 0.0
-    worst_product = 0.0
-    for g, cf, ly in zip(_FIG4_G, record_values("twoD", "closed_form", records),
-                         record_values("twoD", "lyapunov", records)):
-        mu, mu_prod = cf["purity_2d"], cf["purity_product"]
-        worst_joint = max(worst_joint, _rel_err(ly["purity_2d"], mu))
-        worst_product = max(worst_product, _rel_err(ly["purity_product"], mu_prod))
-        rows.append([format_float(v) for v in (g, 1.0 - mu, 1.0 - mu_prod, mu, mu_prod)])
-
+    cf, ly = (_columns("twoD", s, records) for s in ("closed_form", "lyapunov"))
+    mu, mu_prod = cf["purity_2d"], cf["purity_product"]
     checks = (
-        _gate("joint purity closed form vs lyapunov", worst_joint, _EXACT_PAIR_RTOL),
-        _gate("purity product closed form vs lyapunov", worst_product, _EXACT_PAIR_RTOL),
+        _gate("joint purity closed form vs lyapunov", _rel_err(ly["purity_2d"], mu),
+              _EXACT_PAIR_RTOL),
+        _gate("purity product closed form vs lyapunov", _rel_err(ly["purity_product"], mu_prod),
+              _EXACT_PAIR_RTOL),
     )
+    rows = [[format_float(v) for v in row]
+            for row in zip(_FIG4_G, 1.0 - mu, 1.0 - mu_prod, mu, mu_prod)]
 
     names = ["G_o", "one_minus_purity_2d", "one_minus_purity_product",
              "purity_2d", "purity_product"]

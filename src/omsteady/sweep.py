@@ -16,19 +16,22 @@ integrals it settles as columns.
 Stacked routes (Lyapunov, spectral) take 64 items per call, since their
 memory grows with the chunk (the 21x21 vech operators, the panel
 table); the others take 1,024, where only the Python work per call is
-to amortize. Sweeps, figures, validation and optimize all evaluate
-through the registry, a grid in chunks of grid points whose ParamsGrid
-comes from the axis values directly (ParamsGrid.from_axes), a list of
-records in chunks of records (ParamsGrid.from_records). Rows come out
-in grid order, and a row never depends on the chunk its point falls
+to amortize. One chunk loop turns the chunks of a request into one
+block, and two functions sit on it: evaluate_grid takes grid points
+(values of named parameters; each chunk is a ParamsGrid.from_axes) and
+returns each quantity as a column, a stable flag and the warnings of
+each row; evaluate_records takes params records (each chunk a
+ParamsGrid.from_records) and returns the block, with each record's
+error in place. Sweeps and optimize evaluate grid points, figures and
+validation evaluate records, and evaluate_config (the point command)
+and evaluate_point are grids of one. Rows come out in grid order (see
+grid_points), and a row never depends on the chunk its point falls
 in: numpy's elementwise ufuncs and gufuncs give an item the same bits
 alone or in a column.
 
 A SweepResult keeps the rows as columns: each requested quantity over
 the stable rows, a stable mask, and each row's warnings. Its CSV cells
-are formatted from the columns, and SweepRow objects (SweepResult.rows,
-evaluate_point) and values dicts (evaluate_config, evaluate_records)
-are made only at those boundaries.
+are formatted from the columns.
 
 Unstable or invalid grid points (errors with exit code 2 or 3, see
 :mod:`omsteady.errors`) are kept as rows with an explicit stable=0
@@ -55,7 +58,7 @@ import numpy as np
 
 from .closedform import (_reference_error, backaction_1d_batch, backaction_2d_batch,
                          bare_occupation_batch, rwa_optimum_batch)
-from .errors import InvalidParams, OmsteadyError, UncertaintyViolation, flag_first
+from .errors import InvalidParams, UncertaintyViolation, flag_first
 from .gaussian import occupation_and_purity_1d_batch, summary_2d_batch
 from .langevin import (NoiseMode, build_1d_batch, build_2d_batch, build_rwa_batch,
                        steady_covariance_batch)
@@ -74,7 +77,6 @@ __all__ = [
     "RunConfig",
     "Axis",
     "SweepSpec",
-    "SweepRow",
     "SweepResult",
     "MODELS",
     "SOLVERS",
@@ -87,8 +89,8 @@ __all__ = [
     "check_param_names",
     "evaluate_config",
     "evaluate_records",
-    "record_values",
     "evaluate_grid",
+    "grid_points",
     "format_float",
     "UNITS",
     "MAX_GRID_POINTS",
@@ -415,7 +417,7 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One or two axes; grid order is row-major, first axis outermost."""
+    """One or two axes; the grid is grid_points of their values."""
 
     axes: tuple[Axis, ...]
 
@@ -426,29 +428,14 @@ class SweepSpec:
             raise InvalidParams(f"duplicate axis name {self.axes[0].name!r}")
         check_grid_size(math.prod(a.count for a in self.axes))
 
-    def grid(self) -> list[tuple[float, ...]]:
-        vals = [a.values() for a in self.axes]
-        if len(vals) == 1:
-            return [(float(v),) for v in vals[0]]
-        return [(float(u), float(v)) for u in vals[0] for v in vals[1]]
+    def grid(self) -> np.ndarray:
+        return grid_points([a.values() for a in self.axes])
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated grid point."""
-
-    axis_values: tuple[float, ...]
-    values: dict | None
-    stable: bool
-    warnings: tuple[str, ...]
-
-
-def _sweep_rows(points, columns: dict, stable: np.ndarray, warnings) -> list[SweepRow]:
-    """A SweepRow per point from the columns evaluate_grid returns."""
-    names = list(columns)
-    values = zip(*(c.tolist() for c in columns.values()))
-    return [SweepRow(tuple(point), dict(zip(names, next(values))) if ok else None, ok, warn)
-            for point, ok, warn in zip(points, stable.tolist(), warnings)]
+def grid_points(values: list) -> np.ndarray:
+    """The points of the grid over each axis's values, one row per point,
+    in grid order: row-major, first axis outermost."""
+    return np.stack([v.ravel() for v in np.meshgrid(*values, indexing="ij")], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,12 +452,6 @@ class SweepResult:
     columns: dict
     stable: np.ndarray
     warnings: list
-
-    @property
-    def rows(self) -> tuple[SweepRow, ...]:
-        """A SweepRow per grid point, built on each call."""
-        columns = {q: self.columns[q] for q in self.config.outputs}
-        return tuple(_sweep_rows(self.spec.grid(), columns, self.stable, self.warnings))
 
     def header(self) -> tuple[list[str], list[str]]:
         names = [a.name for a in self.spec.axes]
@@ -503,28 +484,35 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _evaluate(route: _Route, grid: ParamsGrid) -> _Block:
-    """The block of every item of the grid: its record's error, or what
-    the route's evaluator gives it."""
-    n = len(grid)
-    idx = _settled(grid.errors)
-    if len(idx) == n:
-        return route.evaluate(grid)
-    errors, warns = list(grid.errors), [()] * n
-    if not idx:
-        return _Block(errors, warns, {q: np.empty(0) for q in route.quantities})
-    block = route.evaluate(grid.take(idx))
-    for k, e, w in zip(idx, block.errors, block.warnings):
-        errors[k], warns[k] = e, w
-    return _Block(errors, warns, block.columns)
+def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) -> _Block:
+    """The block of n items, evaluated chunk by chunk in item order.
 
-
-def _outcomes(block: _Block) -> list:
-    """Per item of the block, its error or (its values dict, its warnings)."""
-    names = list(block.columns)
-    values = zip(*(c.tolist() for c in block.columns.values()))
-    return [e if e is not None else (dict(zip(names, next(values))), w)
-            for e, w in zip(block.errors, block.warnings)]
+    chunk_grid(s) is the ParamsGrid of the items in the slice s, at most
+    route.chunk of them, so a request never holds more than one chunk of
+    parameters. An item's error is its record's, or what the route's
+    evaluator gives it.
+    """
+    errors: list = []
+    warns: list = []
+    parts: dict = {q: [] for q in route.quantities}
+    for start in range(0, n, route.chunk):
+        grid = chunk_grid(slice(start, start + route.chunk))
+        idx = _settled(grid.errors)
+        if len(idx) == len(grid):
+            block = route.evaluate(grid)
+        else:
+            block = (route.evaluate(grid.take(idx)) if idx
+                     else _Block([], [], {q: np.empty(0) for q in route.quantities}))
+            chunk_errors, chunk_warns = list(grid.errors), [()] * len(grid)
+            for k, e, w in zip(idx, block.errors, block.warnings):
+                chunk_errors[k], chunk_warns[k] = e, w
+            block = _Block(chunk_errors, chunk_warns, block.columns)
+        errors += block.errors
+        warns += block.warnings
+        for q, part in parts.items():
+            part.append(block.columns[q])
+    return _Block(errors, warns, {q: np.concatenate(part) if part else np.empty(0)
+                                  for q, part in parts.items()})
 
 
 def evaluate_config(config: RunConfig,
@@ -537,59 +525,36 @@ def evaluate_config(config: RunConfig,
     final frequencies and scales. The point is a grid of one.
     """
     overrides = overrides or {}
-    grid = ParamsGrid.from_axes(config.params, list(overrides), [tuple(overrides.values())])
-    (res,) = _outcomes(_evaluate(_EVALUATORS[(config.model, config.solver)], grid))
-    if isinstance(res, OmsteadyError):
-        raise res
-    values, warn = res
-    return {q: values[q] for q in config.outputs}, warn
+    (error,), (warn,), columns = _evaluate(
+        _EVALUATORS[(config.model, config.solver)], 1,
+        lambda s: ParamsGrid.from_axes(config.params, list(overrides), [tuple(overrides.values())]))
+    if error is not None:
+        raise error
+    return {q: float(columns[q][0]) for q in config.outputs}, warn
 
 
-def evaluate_point(config: RunConfig, overrides: dict | None = None) -> SweepRow:
-    """Evaluate one parameter point, folding in optional overrides.
-
-    Returns a flagged row instead of raising when the point is
-    unstable, out of regime, or parametrically invalid (an error with
-    exit code 2 or 3); an error with exit code 4 propagates. A grid of
-    one point through evaluate_grid.
-    """
+def evaluate_point(config: RunConfig,
+                   overrides: dict | None = None) -> tuple[dict, np.ndarray, list]:
+    """Evaluate one parameter point, folding in optional overrides: a grid
+    of one point through evaluate_grid, with what it returns."""
     overrides = overrides or {}
-    point = tuple(float(v) for v in overrides.values())
-    (row,) = _sweep_rows([point], *evaluate_grid(config, list(overrides), [point]))
-    return row
+    return evaluate_grid(config, list(overrides), [tuple(overrides.values())])
 
 
-def evaluate_records(model: str, solver: str, records: list) -> list:
-    """Evaluate params records; per record what evaluate_config returns.
+def evaluate_records(model: str, solver: str, records: list) -> _Block:
+    """Evaluate params records of one class with the (model, solver) route.
 
-    Each item is (values, warnings) with every quantity of the pair, or
-    the OmsteadyError the record's evaluation raised. The pair's
-    evaluator runs on a ParamsGrid of each chunk of records.
-    Warnings are the strings the evaluation returns: a record's own
-    regime warnings, whatever chunk it falls in, and nothing the
-    interpreter's warning filters decide.
+    Returns the block: per record its OmsteadyError or None and its
+    regime warnings, and per quantity of the pair one float64 column
+    over the records that settled, in record order. Warnings are the
+    strings the evaluation returns, whatever chunk a record falls in,
+    and nothing the interpreter's warning filters decide.
     """
-    route = _EVALUATORS[(model, solver)]
-    out = []
-    for start in range(0, len(records), route.chunk):
-        grid = ParamsGrid.from_records(records[start:start + route.chunk])
-        out.extend(_outcomes(_evaluate(route, grid)))
-    return out
+    return _evaluate(_EVALUATORS[(model, solver)], len(records),
+                     lambda s: ParamsGrid.from_records(records[s]))
 
 
-def record_values(model: str, solver: str, records: list) -> list[dict]:
-    """The values of each record, evaluated as in evaluate_records.
-
-    Raises the error of the first record that does not settle.
-    """
-    outcomes = evaluate_records(model, solver, records)
-    for out in outcomes:
-        if isinstance(out, OmsteadyError):
-            raise out
-    return [values for values, _ in outcomes]
-
-
-def evaluate_grid(config: RunConfig, names: list[str], grid) -> tuple[dict, np.ndarray, list]:
+def evaluate_grid(config: RunConfig, names: list[str], points) -> tuple[dict, np.ndarray, list]:
     """The rows of the grid points (values of the named parameters) as columns.
 
     Returns each requested quantity as a float64 array over the stable
@@ -597,27 +562,18 @@ def evaluate_grid(config: RunConfig, names: list[str], grid) -> tuple[dict, np.n
     unstable, out-of-regime or invalid point (an error with exit code 2
     or 3) is a stable=0 row with the error in its warnings; an error
     with exit code 4 propagates. Each chunk of grid points is one
-    ParamsGrid, with the overrides applied as with_param applies them,
-    so a large grid never holds more than one chunk of parameters.
+    ParamsGrid, with the overrides applied as with_param applies them.
     """
-    route = _EVALUATORS[(config.model, config.solver)]
-    points = np.asarray(grid, dtype=float).reshape(len(grid), len(names))
-    parts: dict = {q: [] for q in config.outputs}
-    stable: list = []
-    warns: list = []
-    for start in range(0, len(points), route.chunk):
-        block = _evaluate(route, ParamsGrid.from_axes(config.params, names,
-                                                      points[start:start + route.chunk]))
-        for e in block.errors:
-            if e is not None and e.exit_code == 4:
-                raise e
-        for q, part in parts.items():
-            part.append(block.columns[q])
-        stable += [e is None for e in block.errors]
-        warns += [w if e is None else (f"{type(e).__name__}: {e}",)
-                  for e, w in zip(block.errors, block.warnings)]
-    columns = {q: np.concatenate(part) if part else np.empty(0) for q, part in parts.items()}
-    return columns, np.array(stable, dtype=bool), warns
+    points = np.asarray(points, dtype=float).reshape(len(points), len(names))
+    errors, warns, columns = _evaluate(
+        _EVALUATORS[(config.model, config.solver)], len(points),
+        lambda s: ParamsGrid.from_axes(config.params, names, points[s]))
+    for e in errors:
+        if e is not None and e.exit_code == 4:
+            raise e
+    warns = [w if e is None else (f"{type(e).__name__}: {e}",) for e, w in zip(errors, warns)]
+    return ({q: columns[q] for q in config.outputs},
+            np.array([e is None for e in errors], dtype=bool), warns)
 
 
 def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
@@ -626,9 +582,7 @@ def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
     An axis that with_param cannot set raises InvalidParams first."""
     names = [a.name for a in spec.axes]
     check_param_names(config.params, names)
-    values = np.meshgrid(*(a.values() for a in spec.axes), indexing="ij")
-    points = np.stack([v.ravel() for v in values], axis=1)
-    return SweepResult(config, spec, *evaluate_grid(config, names, points))
+    return SweepResult(config, spec, *evaluate_grid(config, names, spec.grid()))
 
 
 def _write_atomic(path: str | Path, lines) -> Path:

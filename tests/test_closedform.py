@@ -286,15 +286,17 @@ class TestColumnErrorOrder:
              "(omega_bar_m delta_m)^2 = -0.16198 is not positive"),
             (P, None),
         ]
-        rows = evaluate_records("twoD", "closed_form", [p for p, _ in cases])
-        for (p, expect), row in zip(cases, rows):
+        errors, warns, columns = evaluate_records("twoD", "closed_form", [p for p, _ in cases])
+        assert all(len(c) == 1 for c in columns.values())
+        for (p, expect), error, warn in zip(cases, errors, warns):
             if expect is None:
-                values, warn = row
-                assert values == {f.name: getattr(TestBackaction2D.R, f.name)
-                                  for f in dataclasses.fields(TestBackaction2D.R)}
+                assert error is None
+                assert {q: c[0] for q, c in columns.items()} == {
+                    f.name: getattr(TestBackaction2D.R, f.name)
+                    for f in dataclasses.fields(TestBackaction2D.R)}
                 assert warn == ()
             else:
-                assert f"{type(row).__name__}: {row}" == expect
+                assert f"{type(error).__name__}: {error}" == expect
 
     def test_rotating_wave_rows(self):
         R = TestRwaOptimum.P
@@ -312,10 +314,12 @@ class TestColumnErrorOrder:
                 "unequal bath occupations; using the bright-mode value")),
             (R, ()),
         ]
-        rows = evaluate_records("rwa", "closed_form", [p for p, _ in cases])
-        for (p, expect), row in zip(cases, rows):
+        errors, warns, columns = evaluate_records("rwa", "closed_form", [p for p, _ in cases])
+        settled = zip(columns["G_m_opt"].tolist(), columns["purity_opt"].tolist())
+        for (p, expect), error, warn in zip(cases, errors, warns):
             if isinstance(expect, str):
-                assert f"{type(row).__name__}: {row}" == expect
+                assert f"{type(error).__name__}: {error}" == expect
             else:
-                g_m_opt, mu, warn = rwa_optimum(p)
-                assert row == ({"G_m_opt": g_m_opt, "purity_opt": mu}, expect)
+                g_m_opt, mu, _ = rwa_optimum(p)
+                assert (error, next(settled), warn) == (None, (g_m_opt, mu), expect)
+        assert next(settled, None) is None

@@ -50,10 +50,10 @@ def test_sweep_flags_codes_2_and_3_and_aborts_on_4(exc_type, failing_route):
         with pytest.raises(exc_type, match="injected"):
             evaluate_point(config, {"G_o": 0.2})
     else:
-        row = evaluate_point(config, {"G_o": 0.2})
-        assert not row.stable
-        assert row.values is None
-        assert row.warnings == (f"{exc_type.__name__}: injected",)
+        columns, stable, warnings = evaluate_point(config, {"G_o": 0.2})
+        assert stable.tolist() == [False]
+        assert all(c.size == 0 for c in columns.values())
+        assert warnings == [(f"{exc_type.__name__}: injected",)]
 
 
 @pytest.mark.parametrize("exc_type", ERROR_TYPES, ids=lambda c: c.__name__)

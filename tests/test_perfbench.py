@@ -1,0 +1,48 @@
+"""The package keeps every name the benchmark harness uses.
+
+perfbench/ is imported from the checkout as it is: the span tracer looks
+up each function it wraps, and each workload runs one round through the
+same calls as perfbench/run.py, then checks its CSV files.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans"), importlib.import_module("workloads")
+
+
+def test_tracer_finds_every_site(harness):
+    spans, _ = harness
+    tracer = spans.Tracer()
+    originals = [getattr(owner, attr) for owner, attr, _ in spans._SITES]
+    tracer.install()
+    try:
+        assert all(getattr(owner, attr) is not fn
+                   for (owner, attr, _), fn in zip(spans._SITES, originals))
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr, _ in spans._SITES] == originals
+
+
+WORKLOADS = ("rwa_map", "spectral_ladder", "closed_form_scan")
+
+
+def test_every_workload_is_run_here(harness):
+    assert harness[1].NAMES == WORKLOADS
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_round_passes_its_checks(harness, name, tmp_path):
+    _, workloads = harness
+    wl = workloads.build(name, 1, tmp_path)
+    wl.warm_up()
+    assert [wl.run_job(job) for job in wl.jobs] == [0] * len(wl.jobs)
+    assert wl.check() == []

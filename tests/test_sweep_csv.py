@@ -66,9 +66,9 @@ class TestAxis:
 class TestSweepSpec:
     def test_grid_is_row_major(self):
         spec = SweepSpec(axes=(Axis("a", 0.0, 1.0, 2), Axis("b", 10.0, 20.0, 3)))
-        assert spec.grid() == [
-            (0.0, 10.0), (0.0, 15.0), (0.0, 20.0),
-            (1.0, 10.0), (1.0, 15.0), (1.0, 20.0),
+        assert spec.grid().tolist() == [
+            [0.0, 10.0], [0.0, 15.0], [0.0, 20.0],
+            [1.0, 10.0], [1.0, 15.0], [1.0, 20.0],
         ]
 
     def test_axis_count_limits(self):
@@ -146,14 +146,14 @@ class TestWithParam:
     def test_oneD_scale_sweep_keeps_the_coupling_rate(self, name):
         # these fields enter the G_o <-> lambda_o conversion; the rate holds
         result = run_sweep(config_1d("lyapunov"), SweepSpec((Axis(name, 0.8, 1.2, 3),)))
-        for (value,), row in zip(result.spec.grid(), result.rows):
-            assert row.stable, row.warnings
+        assert result.stable.all(), result.warnings
+        for k, (value,) in enumerate(result.spec.grid().tolist()):
             assert with_param(P_1D, name, value).G_o == P_1D.G_o
             fresh = RunConfig(model="oneD", solver="lyapunov",
                               params=SystemParams1D(**{
                                   "omega_b": 1.0, "gamma_b": 0.0, "kappa": 0.2,
                                   "delta": 1.0, "G_o": P_1D.G_o, name: value}))
-            assert row.values == evaluate_config(fresh)[0]
+            assert {q: c[k] for q, c in result.columns.items()} == evaluate_config(fresh)[0]
 
     def test_oneD_coupling_gradient_holds_whatever_the_axis_order(self):
         config = config_1d()
@@ -169,27 +169,26 @@ class TestWithParam:
 
 class TestEvaluatePoint:
     def test_stable_point_values(self):
-        row = evaluate_point(config_1d(), {"G_o": 0.4})
-        assert row.stable
-        assert row.axis_values == (0.4,)
+        columns, stable, warns = evaluate_point(config_1d(), {"G_o": 0.4})
+        assert stable.tolist() == [True] and warns == [()]
         ref = backaction_1d(with_param(P_1D, "G_o", 0.4))
-        assert row.values["n_bar"] == ref.n_bar
-        assert row.values["purity"] == ref.purity
+        assert columns["n_bar"].tolist() == [ref.n_bar]
+        assert columns["purity"].tolist() == [ref.purity]
 
     def test_unstable_point_flagged_not_raised(self):
-        row = evaluate_point(config_1d(), {"G_o": 0.55})
-        assert not row.stable
-        assert row.values is None
-        assert "UnstableRegime" in row.warnings[0]
+        columns, stable, (warning,) = evaluate_point(config_1d(), {"G_o": 0.55})
+        assert stable.tolist() == [False]
+        assert all(c.size == 0 for c in columns.values())
+        assert "UnstableRegime" in warning[0]
 
     def test_rwa_occupations(self):
         p = SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-6,
                             gamma_d=1e-6, kappa=1e-3, delta=1.0, G_o=0.0,
                             G_m=0.0, n_B_b=25.0, n_B_d=25.0)
         cfg = RunConfig(model="rwa", solver="lyapunov", params=p)
-        row = evaluate_point(cfg)
-        assert row.values["n_b"] == pytest.approx(25.0, rel=1e-9)
-        assert row.values["n_d"] == pytest.approx(25.0, rel=1e-9)
+        columns, _, _ = evaluate_point(cfg)
+        assert columns["n_b"][0] == pytest.approx(25.0, rel=1e-9)
+        assert columns["n_d"][0] == pytest.approx(25.0, rel=1e-9)
 
 
 class TestRunSweep:
@@ -197,25 +196,31 @@ class TestRunSweep:
 
     def test_row_count_and_order(self):
         res = run_sweep(config_1d(), self.SPEC)
-        assert len(res.rows) == 16
-        g_values = [r.axis_values[0] for r in res.rows]
-        assert g_values == sorted(g_values)
+        assert len(res.stable) == len(res.warnings) == 16
+        g_values = [float(cells[0]) for cells in res.csv_rows()]
+        assert g_values == sorted(g_values) == self.SPEC.axes[0].values().tolist()
 
     def test_stability_flips_once_at_threshold(self):
         res = run_sweep(config_1d(), self.SPEC)
-        flags = [r.stable for r in res.rows]
+        flags = res.stable.tolist()
         flip = flags.index(False)
         assert all(flags[:flip]) and not any(flags[flip:])
+        assert all(len(c) == flip for c in res.columns.values())
         k = (0.2 / 2.0) ** 2 + 1.0
         g_crit = math.sqrt(k / 4.0)
-        assert res.rows[flip - 1].axis_values[0] < g_crit < res.rows[flip].axis_values[0]
+        g_values = res.spec.grid()[:, 0]
+        assert g_values[flip - 1] < g_crit < g_values[flip]
 
     def test_two_axis_sweep(self):
         spec = SweepSpec(axes=(Axis("kappa", 0.1, 0.3, 2), Axis("G_o", 0.1, 0.2, 3)))
         res = run_sweep(config_1d("lyapunov"), spec)
-        assert len(res.rows) == 6
-        assert res.rows[0].axis_values == (0.1, 0.1)
-        assert res.rows[3].axis_values == (0.3, 0.1)
+        assert len(res.stable) == 6
+        cells = res.csv_rows()
+        assert [float(c) for c in cells[0][:2]] == [0.1, 0.1]
+        assert [float(c) for c in cells[3][:2]] == [0.3, 0.1]
+        # each row is the point evaluated alone
+        _assert_same_rows((res.columns, res.stable, res.warnings),
+                          _pointwise(res.config, ["kappa", "G_o"], spec.grid()))
 
     def test_unknown_axis_name_rejected_before_any_point(self, monkeypatch):
         calls = []
@@ -263,6 +268,22 @@ PROBE_GRIDS = {
     "rwa-n_B_b": (RunConfig("rwa", "lyapunov", RWA_DEFAULT),
                   SweepSpec(axes=(Axis("n_B_b", 1e-310, 1e308, 129, "log"),))),
 }
+
+
+def _pointwise(config, names, points):
+    """evaluate_point at each point, joined as evaluate_grid returns the rows."""
+    rows = [evaluate_point(config, dict(zip(names, point))) for point in points.tolist()]
+    columns = {q: np.concatenate([c[q] for c, _, _ in rows]) for q in config.outputs}
+    return columns, np.concatenate([stable for _, stable, _ in rows]), [w for *_, (w,) in rows]
+
+
+def _assert_same_rows(got, expect):
+    """Equal stable flags and warnings, and every column the same bits."""
+    (columns, stable, warns), (columns_e, stable_e, warns_e) = got, expect
+    assert stable.tolist() == stable_e.tolist()
+    assert warns == warns_e
+    assert {q: c.tobytes() for q, c in columns.items()} == {
+        q: c.tobytes() for q, c in columns_e.items()}
 
 
 def _scalar_values(model, p):
@@ -315,17 +336,18 @@ class TestStackedSweep:
         config, spec = STACKED_GRIDS[grid]
         result = run_sweep(config, spec)
         assert result.csv_rows() == _scalar_rows(config, spec)
-        assert result.rows == tuple(evaluate_point(config, {spec.axes[0].name: pt[0]})
-                                    for pt in spec.grid())
-        assert any(r.stable for r in result.rows)
-        assert any(not r.stable for r in result.rows) or grid == "rwa"
+        _assert_same_rows((result.columns, result.stable, result.warnings),
+                          _pointwise(config, [spec.axes[0].name], spec.grid()))
+        assert result.stable.any()
+        assert not result.stable.all() or grid == "rwa"
         if grid == "rwa":
-            assert any(r.warnings for r in result.rows)
+            assert any(result.warnings)
 
     def test_flag_text_per_grid(self):
-        reasons = {grid: {r.warnings[0].split(":")[0] for r in run_sweep(*STACKED_GRIDS[grid]).rows
-                          if not r.stable}
+        results = {grid: run_sweep(*STACKED_GRIDS[grid])
                    for grid in ("oneD-edge", "oneD-gamma_b", "twoD-gamma_x")}
+        reasons = {grid: {w[0].split(":")[0] for w, ok in zip(r.warnings, r.stable) if not ok}
+                   for grid, r in results.items()}
         assert reasons == {"oneD-edge": {"UnstableSystem"}, "oneD-gamma_b": {"InvalidParams"},
                            "twoD-gamma_x": {"CorrelatedBathUnsupported"}}
 
@@ -352,10 +374,10 @@ class TestStackedSweep:
         # xx overflows to inf at a subnormal mass; backaction_1d rejects
         # it before the stacked bare_occupation sees it, so the row
         # carries the error alone and no numpy warning
-        row = evaluate_point(config_1d("closed_form"), {"mass": 1e-310})
-        assert not row.stable and row.values is None
-        assert row.warnings == ("InvalidParams: backaction moments are not finite at this "
-                                "record's scales",)
+        columns, stable, (warning,) = evaluate_point(config_1d("closed_form"), {"mass": 1e-310})
+        assert stable.tolist() == [False] and all(c.size == 0 for c in columns.values())
+        assert warning == ("InvalidParams: backaction moments are not finite at this "
+                           "record's scales",)
 
     def test_later_checks_give_the_scalar_errors_in_scalar_order(self, monkeypatch):
         # covariances no real solve returns: a negative variance with a
@@ -377,21 +399,24 @@ class TestStackedSweep:
 
         monkeypatch.setattr(sweep, "steady_covariance_batch", solved)
         for model, params in (("oneD", P_1D), ("rwa", RWA_BATH)):
-            results = sweep.evaluate_records(model, "lyapunov", [params] * len(blocks[model]))
-            for block, res in zip(blocks[model], results):
+            errors, _, columns = sweep.evaluate_records(model, "lyapunov",
+                                                        [params] * len(blocks[model]))
+            settled = 0
+            for block, error in zip(blocks[model], errors):
                 try:
                     if model == "oneD":
                         expect = occupation_and_purity_1d(Cov1D(*block[[0, 1, 0], [0, 1, 1]]))
-                        got = (res[0]["n_bar"], res[0]["purity"])
                     else:
                         expect = purity_2d_general(Cov2D(block)).purity_2d
-                        got = res[0]["purity_2d"]
                 except OmsteadyError as exc:
-                    assert isinstance(res, OmsteadyError)
-                    assert (type(res), str(res)) == (type(exc), str(exc))
+                    assert (type(error), str(error)) == (type(exc), str(exc))
                 else:
+                    assert error is None
+                    got = ((columns["n_bar"][settled], columns["purity"][settled])
+                           if model == "oneD" else columns["purity_2d"][settled])
                     assert got == expect
-            assert sum(isinstance(r, OmsteadyError) for r in results) == len(results) - 1
+                    settled += 1
+            assert settled == 1 and sum(e is not None for e in errors) == len(errors) - 1
 
 
 # A 2-axis grid of each pair with stable and flagged rows.
@@ -425,6 +450,45 @@ class TestChunkSize:
             assert run_sweep(config, spec).csv_rows() == cells
 
 
+def _chain(base, names, point):
+    """The record with_param calls make for the point, in the order
+    ParamsGrid.from_axes applies the overrides: names that are not
+    couplings in order, then lambda_o, then G_o."""
+    overrides = dict(zip(names, point))
+    p = base
+    for name in [n for n in names if n not in ("lambda_o", "G_o")] + [
+            n for n in ("lambda_o", "G_o") if n in overrides]:
+        p = with_param(p, name, overrides[name])
+    return p
+
+
+class TestRecordsPath:
+    """evaluate_records on with_param-built records gives evaluate_grid's rows."""
+
+    @pytest.mark.parametrize("pair", CHUNK_GRIDS, ids="-".join)
+    def test_records_equal_grid_rows(self, pair):
+        base, axes = CHUNK_GRIDS[pair]
+        config, names = RunConfig(*pair, base), [a.name for a in axes]
+        points = SweepSpec(axes).grid()
+        grid_rows = sweep.evaluate_grid(config, names, points)
+        records, rejected = [], {}
+        for k, point in enumerate(points.tolist()):
+            try:
+                records.append(_chain(base, names, point))
+            except InvalidParams as exc:
+                rejected[k] = (f"{type(exc).__name__}: {exc}",)
+        errors, warns, columns = sweep.evaluate_records(*pair, records)
+        assert len(errors) == len(warns) == len(records)
+        outcomes = iter(zip(errors, warns))
+        stable, warns = [], []
+        for k in range(len(points)):
+            e, w = (InvalidParams, rejected[k]) if k in rejected else next(outcomes)
+            stable.append(e is None)
+            warns.append(w if e is None or k in rejected else (f"{type(e).__name__}: {e}",))
+        _assert_same_rows(grid_rows, (columns, np.array(stable), warns))
+        assert set(stable) == {True, False}
+
+
 class TestExtremeValueProbe:
     """Every field of every pair across the float range raises no Python warning."""
 
@@ -436,16 +500,14 @@ class TestExtremeValueProbe:
             for (model, solver), route in sweep._EVALUATORS.items():
                 base = _build_params(model, {})
                 for field, axis in product(fields(base), axes):
-                    grid = ParamsGrid.from_axes(base, [field.name], [(v,) for v in axis])
-                    for res in sweep._outcomes(sweep._evaluate(route, grid)):
-                        if isinstance(res, OmsteadyError):
-                            continue
-                        values, _ = res
-                        stable += 1
-                        where = (model, solver, field.name, values)
-                        assert all(math.isfinite(values[q]) for q in route.quantities), where
-                        assert all(values.get(q) != 0.0
-                                   for q in ("purity_2d", "purity_product")), where
+                    errors, _, columns = sweep._evaluate(route, len(axis), lambda s: (
+                        ParamsGrid.from_axes(base, [field.name], axis[s, None])))
+                    stable += errors.count(None)
+                    where = (model, solver, field.name)
+                    assert all(len(columns[q]) == errors.count(None) for q in route.quantities)
+                    assert all(np.isfinite(columns[q]).all() for q in route.quantities), where
+                    assert all((columns[q] != 0.0).all() for q in ("purity_2d", "purity_product")
+                               if q in columns), where
         assert stable > 500  # 886 of the probe's rows settle, 7 on the negative axis
 
 
@@ -462,11 +524,13 @@ class TestSpectralChunks:
     @pytest.mark.parametrize("grid", SPECTRAL_GRIDS)
     def test_rows_equal_pointwise_rows(self, grid):
         config, spec = SPECTRAL_GRIDS[grid]
-        rows = run_sweep(config, spec).rows
-        assert rows == tuple(evaluate_point(config, {"G_o": pt[0]}) for pt in spec.grid())
+        res = run_sweep(config, spec)
+        _assert_same_rows((res.columns, res.stable, res.warnings),
+                          _pointwise(config, ["G_o"], spec.grid()))
         # the grid crosses the stability edge near G_o = 0.5025
-        assert any(r.stable for r in rows)
-        assert {r.warnings[0].split(":")[0] for r in rows if not r.stable} == {"UnstableSystem"}
+        assert res.stable.any()
+        assert {w[0].split(":")[0] for w, ok in zip(res.warnings, res.stable) if not ok} == {
+            "UnstableSystem"}
 
     def test_shuffled_batch_equals_records_alone(self):
         # vacuum, thermal and cold damped records in one grid, so the
@@ -536,14 +600,16 @@ class TestCsvOutput:
         cfg = config_1d(outputs=("n_bar", "xx"))
         path = sweep_to_csv(cfg, self.SPEC, tmp_path / "s.csv")
         lines = path.read_text(encoding="utf-8").splitlines()[2:]
-        rows = run_sweep(cfg, self.SPEC).rows
-        for line, row in zip(lines, rows):
+        res = run_sweep(cfg, self.SPEC)
+        values = zip(res.columns["n_bar"].tolist(), res.columns["xx"].tolist())
+        assert len(lines) == len(res.stable)
+        for line, (point,), ok in zip(lines, self.SPEC.grid().tolist(), res.stable.tolist()):
             g, n, xx, stable, _ = line.split(",")
-            assert float(g) == row.axis_values[0]
-            if row.stable:
-                assert stable == "1"
-                assert float(n) == row.values["n_bar"]
-                assert float(xx) == row.values["xx"]
+            assert float(g) == point
+            assert stable == ("1" if ok else "0")
+            if ok:
+                assert (float(n), float(xx)) == next(values)
+        assert next(values, None) is None
 
     def test_unstable_rows_have_empty_cells(self, tmp_path):
         path = sweep_to_csv(config_1d(outputs=("n_bar",)),
