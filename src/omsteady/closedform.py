@@ -404,12 +404,10 @@ def backaction_2d_batch(grid: ParamsGrid) -> tuple[Backaction2DResult, list]:
         W[:, 1, 3] = W[:, 3, 1] = hbar * m * bd.omega_bar_m * bd.delta_m / (4.0 * delta)
     flag_first(errors, ~np.isfinite(W).all(axis=(1, 2)),
                lambda k: DegenerateState("covariance matrix has a non-finite entry"))
-    idx = [k for k, e in enumerate(errors) if e is None]
-    summary, later = summary_2d_batch(W[idx], hbar[idx])
-    for k, e in zip(idx, later):
-        errors[k] = e
-    purity_2d = np.ones(n)
-    purity_2d[idx] = summary.purity_2d
+    # A flagged item's W means nothing; zeros keep it finite for LAPACK.
+    W[[e is not None for e in errors]] = 0.0
+    summary, later = summary_2d_batch(W, hbar)
+    errors = [e if e is not None else f for e, f in zip(errors, later)]
     xx_b, pp_b, xx_d, pp_d = (W[:, i, i] for i in range(4))
     with np.errstate(all="ignore"):
         product, h2 = xx_b * pp_b * xx_d * pp_d, hbar * hbar
@@ -418,7 +416,7 @@ def backaction_2d_batch(grid: ParamsGrid) -> tuple[Backaction2DResult, list]:
     flag_first(errors, ~(purity_product > 0.0), lambda k: InvalidParams(
         "covariance determinant overflows at this record's scales"))
     return Backaction2DResult(xx_b=xx_b, xx_d=xx_d, pp_b=pp_b, pp_d=pp_d,
-                              x_b_x_d=W[:, 0, 2], p_b_p_d=W[:, 1, 3], purity_2d=purity_2d,
+                              x_b_x_d=W[:, 0, 2], p_b_p_d=W[:, 1, 3], purity_2d=summary.purity_2d,
                               purity_product=purity_product), errors
 
 

@@ -127,14 +127,14 @@ def cavity_susceptibility(omega, kappa: float, delta: float):
     return 1.0 / (kappa / 2.0 - 1j * (np.asarray(omega, dtype=float) - delta))
 
 
-def cavity_self_energy(omega, params: SystemParams1D, chi=None):
+def cavity_self_energy(omega, params: SystemParams1D):
     """chi_c(omega) - chi_c*(-omega), the cavity-induced self energy factor."""
-    chi = cavity_susceptibility(omega, params.kappa, params.delta) if chi is None else chi
+    chi = cavity_susceptibility(omega, params.kappa, params.delta)
     chi_neg = cavity_susceptibility(-np.asarray(omega, dtype=float), params.kappa, params.delta)
     return chi - np.conj(chi_neg)
 
 
-def mechanical_response(omega, params: SystemParams1D, chi=None):
+def mechanical_response(omega, params: SystemParams1D):
     """Dressed mechanical response R_b(omega).
 
     1/R_b = -i m omega gamma_b + m(omega_b^2 - omega^2)
@@ -145,7 +145,7 @@ def mechanical_response(omega, params: SystemParams1D, chi=None):
     inv = (
         -1j * m * w * params.gamma_b
         + m * (wb * wb - w**2)
-        - 1j * params.hbar * (lam * lam) * cavity_self_energy(w, params, chi)
+        - 1j * params.hbar * (lam * lam) * cavity_self_energy(w, params)
     )
     return 1.0 / inv
 
@@ -175,16 +175,16 @@ _UNSTABLE = "response poles not confined to the lower half plane"
 def response_poles(params: SystemParams1D) -> np.ndarray:
     """The four poles of R_b(omega), via companion-matrix roots.
 
-    Raises InvalidParams, before LAPACK sees the companion matrix, when
-    a coefficient over the leading one is not finite: extreme records
-    (a subnormal mass, say) overflow it.
+    A grid of one through _poles_batch. Raises InvalidParams, before
+    LAPACK sees the companion matrix, when a coefficient over the
+    leading one is not finite: extreme records (a subnormal mass, say)
+    overflow it.
     """
-    coeffs = _response_poly_coeffs(params)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        monic = coeffs / coeffs[0]
-    if not np.isfinite(monic).all():
-        raise InvalidParams(_NON_FINITE_COEFFICIENT)
-    return np.roots(coeffs)
+    errors: list = [None]
+    poles = _poles_batch(_response_poly_coeffs(params)[None], errors)
+    if isinstance(errors[0], InvalidParams):
+        raise errors[0]
+    return poles[0]
 
 
 def spectral_stability(params: SystemParams1D) -> bool:
@@ -528,20 +528,12 @@ def integrate_moments_residue(params: SystemParams1D) -> Cov1D:
             f"residue route needs simple roots; the nearest pair is {gap:.3e} apart "
             f"relative to the largest root, so it would lose eps/gap^2 > {_RESIDUE_RTOL:g}"
         )
-    dpbar = np.polyder(pbar_coeffs)
-    k2 = (params.kappa / 2.0) ** 2
+    if (pbar_roots.imag <= 0).any():
+        raise UnstableSystem("conjugate-polynomial root not in upper half plane")
+    r, m = pbar_roots, params.mass
     pref = params.kappa * params.hbar**2 * params.lambda_o**2
-    m = params.mass
-
-    def numerator(w, weight_power):
-        return pref * (k2 + (w + params.delta) ** 2) * m**weight_power * w**weight_power
-
-    out = {}
-    for name, power in (("xx", 0), ("pp", 2)):
-        total = 0.0 + 0.0j
-        for r in pbar_roots:
-            if r.imag <= 0:
-                raise UnstableSystem("conjugate-polynomial root not in upper half plane")
-            total += numerator(r, power) / (np.polyval(p_coeffs, r) * np.polyval(dpbar, r))
-        out[name] = float((1j * total).real)
-    return Cov1D(xx=out["xx"], pp=out["pp"], xp=0.0, hbar=params.hbar)
+    numerator = pref * ((params.kappa / 2.0) ** 2 + (r + params.delta) ** 2)
+    denominator = np.polyval(p_coeffs, r) * np.polyval(np.polyder(pbar_coeffs), r)
+    # each weight's residues summed in root order
+    xx, pp = (float((1j * sum(numerator * m**k * r**k / denominator)).real) for k in (0, 2))
+    return Cov1D(xx=xx, pp=pp, xp=0.0, hbar=params.hbar)

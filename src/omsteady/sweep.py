@@ -6,28 +6,31 @@ solver) pair has one route in the registry: an evaluator, the
 quantities it gives and its chunk. The evaluator takes a ParamsGrid
 (the records of a chunk as one float64 column per field, see
 omsteady.models) and returns a block: per item its error or None and
-its warnings tuple, and per quantity one float64 column over the items
-that settled. The Lyapunov evaluators build the drift and diffusion
-stacks from the columns and solve them as one stack, the closed forms
-evaluate their formulas on the columns, and the spectral evaluator
-shares each round of its panel rule across the chunk and gates the
-integrals it settles as columns.
+its warnings tuple, and per quantity one float64 column over all its
+items, as the batch functions it calls return them. A later check
+merges its per-item errors into the list, each item keeping its first
+error, and the entries of a flagged item mean nothing. The Lyapunov
+evaluators build the drift and diffusion stacks from the columns and
+solve them as one stack, the closed forms evaluate their formulas on
+the columns, and the spectral evaluator shares each round of its panel
+rule across the chunk and gates the integrals it settles as columns.
 
 Stacked routes (Lyapunov, spectral) take 64 items per call, since their
 memory grows with the chunk (the 21x21 vech operators, the panel
 table); the others take 1,024, where only the Python work per call is
 to amortize. One chunk loop turns the chunks of a request into one
-block, and two functions sit on it: evaluate_grid takes grid points
-(values of named parameters; each chunk is a ParamsGrid.from_axes) and
-returns each quantity as a column, a stable flag and the warnings of
-each row; evaluate_records takes params records (each chunk a
-ParamsGrid.from_records) and returns the block, with each record's
-error in place. Sweeps and optimize evaluate grid points, figures and
-validation evaluate records, and evaluate_config (the point command)
-and evaluate_point are grids of one. Rows come out in grid order (see
-grid_points), and a row never depends on the chunk its point falls
-in: numpy's elementwise ufuncs and gufuncs give an item the same bits
-alone or in a column.
+block; it alone keeps invalid records from the evaluators and cuts
+each column down to the settled items. Two functions sit on it:
+evaluate_grid takes grid points (values of named parameters; each
+chunk is a ParamsGrid.from_axes) and returns each quantity as a
+column, a stable flag and the warnings of each row; evaluate_records
+takes params records (each chunk a ParamsGrid.from_records) and
+returns the block, with each record's error in place. Sweeps and
+optimize evaluate grid points, figures and validation evaluate
+records, and evaluate_config (the point command) and evaluate_point
+are grids of one. Rows come out in grid order (see grid_points), and a
+row never depends on the chunk its point falls in: numpy's elementwise
+ufuncs and gufuncs give an item the same bits alone or in a column.
 
 A SweepResult keeps the rows as columns: each requested quantity over
 the stable rows, a stable mask, and each row's warnings. Its CSV cells
@@ -160,7 +163,9 @@ class _Block(NamedTuple):
 
     errors[k] is item k's OmsteadyError, or None where it settled;
     warnings[k] is its regime warnings; columns maps each quantity to a
-    float64 array over the settled items, in item order.
+    float64 array over the n items, in item order. The entries of an
+    item with an error mean nothing: only _evaluate cuts the columns
+    down to the settled items.
     """
 
     errors: list
@@ -168,61 +173,34 @@ class _Block(NamedTuple):
     columns: dict
 
 
-def _settled(errors: list) -> list:
-    return [k for k, e in enumerate(errors) if e is None]
-
-
-def _block(errors: list, warns: list, idx: list, cols: dict, later: list) -> _Block:
-    """The block of the items idx, settled so far with the columns cols
-    over them, after later checks gave each its error or None."""
-    errors = list(errors)
-    keep = []
-    for j, (k, e) in enumerate(zip(idx, later)):
-        if e is None:
-            keep.append(j)
-        else:
-            errors[k] = e
-    if len(keep) < len(idx):
-        cols = {q: c[keep] for q, c in cols.items()}
-    return _Block(errors, warns, cols)
-
-
 def _oneD_block(grid, block: _Block) -> _Block:
     """A 1D route's block from the second moments xx, pp, xp (and, where
-    the route gives them, n_bar and purity) of block's settled items.
+    the route gives them, n_bar and purity) of block's items.
 
     The checks follow the scalar chain: Cov1D's nonnegative variances,
     occupation_and_purity_1d (skipped where the route gives n_bar), and
-    bare_occupation at the record's oscillator.
+    bare_occupation at the record's oscillator. Each item keeps its
+    first error.
     """
-    idx = _settled(block.errors)
-    given = block.columns
+    given, errors = block.columns, list(block.errors)
     xx, pp, xp = given["xx"], given["pp"], given["xp"]
-    later: list = [None] * len(idx)
-    flag_first(later, (xx < 0) | (pp < 0),
-               lambda j: UncertaintyViolation("diagonal variances must be nonnegative"))
-    hbar = grid.hbar[idx]
+    flag_first(errors, (xx < 0) | (pp < 0),
+               lambda k: UncertaintyViolation("diagonal variances must be nonnegative"))
     if "n_bar" in given:
         n, mu = given["n_bar"], given["purity"]
     else:
-        n, mu, occupation_errors = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
-        later = [e if e is not None else f for e, f in zip(later, occupation_errors)]
-    n_0, settled = bare_occupation_batch(xx, pp, hbar, grid.omega_b[idx], grid.mass[idx])
-    flag_first(later, ~settled, lambda j: _reference_error())
+        n, mu, occupation_errors = occupation_and_purity_1d_batch(xx, pp, xp, grid.hbar)
+        errors = [e if e is not None else f for e, f in zip(errors, occupation_errors)]
+    n_0, settled = bare_occupation_batch(xx, pp, grid.hbar, grid.omega_b, grid.mass)
+    flag_first(errors, ~settled, lambda k: _reference_error())
     cols = dict(zip(_ONE_D, (xx, pp, xp, n, mu, n_0)))
     cols.update((q, c) for q, c in given.items() if q not in cols)
-    return _block(block.errors, block.warnings, idx, cols, later)
-
-
-def _settled_block(errors: list, warns: list, columns: dict) -> _Block:
-    """The block of columns over every item, kept over the settled ones."""
-    idx = _settled(errors)
-    return _Block(errors, warns, {q: c[idx] for q, c in columns.items()})
+    return _Block(errors, block.warnings, cols)
 
 
 def _batch_oneD_spectral(grid) -> _Block:
     columns, errors = integrate_moments_batch(grid)
-    return _oneD_block(grid, _settled_block(errors, [()] * len(grid), columns))
+    return _oneD_block(grid, _Block(errors, [()] * len(grid), columns))
 
 
 def _batch_oneD_closed_form(grid) -> _Block:
@@ -230,68 +208,64 @@ def _batch_oneD_closed_form(grid) -> _Block:
     cols = {q: getattr(results, q) for q in ("xx", "pp", "n_bar", "purity", "M_Omega",
                                              "n_min_weak")}
     cols["xp"] = np.zeros(len(grid))
-    return _oneD_block(grid, _settled_block(errors, [()] * len(grid), cols))
+    return _oneD_block(grid, _Block(errors, [()] * len(grid), cols))
 
 
 def _batch_twoD_closed_form(grid) -> _Block:
     results, errors = backaction_2d_batch(grid)
-    return _settled_block(errors, [()] * len(grid),
-                          {q: getattr(results, q) for q in _TWO_D + _JOINT})
+    return _Block(errors, [()] * len(grid), {q: getattr(results, q) for q in _TWO_D + _JOINT})
 
 
 def _batch_rwa_closed_form(grid) -> _Block:
     g_m_opt, purity, warns, errors = rwa_optimum_batch(grid)
-    return _settled_block(errors, warns, {"G_m_opt": g_m_opt, "purity_opt": purity})
+    return _Block(errors, warns, {"G_m_opt": g_m_opt, "purity_opt": purity})
 
 
-def _settled_covariances(grid, build, n: int):
-    """Build the grid's systems as one stack and solve the valid ones as one stack.
+def _covariances(grid, build):
+    """Build the grid's systems as one stack and solve them as one stack.
 
-    Returns per item the error its build or solve raised (None where it
-    settled) and its system's warnings, then the indices of the settled
-    items with their covariances V[len(idx), n, n] and hbar.
+    Returns per item the first error its build or solve raised (None
+    where it settled) and its system's warnings, then the covariances
+    V[B, n, n], zero where an item did not settle, and hbar.
     """
     systems = build(grid)
-    errors = list(systems.errors)
-    built = _settled(errors)
-    V = np.empty((0, n, n))
-    if built:
-        batch = steady_covariance_batch(systems.drift[built], systems.diffusion[built])
-        for k, e in zip(built, batch.errors):
-            errors[k] = e
-        V = batch.matrix[_settled(batch.errors)]
-    idx = _settled(errors)
-    return errors, systems.warnings, idx, V, systems.hbar[idx]
+    # A NaN drift keeps a system its build flagged out of the stacked solve.
+    systems.drift[[e is not None for e in systems.errors]] = np.nan
+    batch = steady_covariance_batch(systems.drift, systems.diffusion)
+    errors = [e if e is not None else f for e, f in zip(systems.errors, batch.errors)]
+    V = batch.matrix
+    V[[e is not None for e in errors]] = 0.0
+    return errors, systems.warnings, V, systems.hbar
 
 
-def _summary_block(errors, warns, idx, W, hbar, head: dict) -> _Block:
+def _summary_block(errors, warns, W, hbar, head: dict) -> _Block:
     """The block of a two-mode route: its own columns, then the 2D summary of W."""
     s, later = summary_2d_batch(W, hbar)
     cols = {**head, "purity_2d": s.purity_2d, "purity_product": s.purity_product_1d,
             "N_plus": s.N_plus, "N_minus": s.N_minus}
-    return _block(errors, warns, idx, cols, later)
+    return _Block([e if e is not None else f for e, f in zip(errors, later)], warns, cols)
 
 
 def _batch_oneD_lyapunov(grid) -> _Block:
-    errors, warns, _, V, _ = _settled_covariances(
-        grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal), 4)
+    errors, warns, V, _ = _covariances(
+        grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal))
     return _oneD_block(grid, _Block(errors, warns,
                                     {"xx": V[:, 0, 0], "pp": V[:, 1, 1], "xp": V[:, 0, 1]}))
 
 
 def _batch_twoD_lyapunov(grid) -> _Block:
-    errors, warns, idx, V, hbar = _settled_covariances(
-        grid, lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal), 6)
+    errors, warns, V, hbar = _covariances(
+        grid, lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal))
     head = {"xx_b": V[:, 0, 0], "pp_b": V[:, 1, 1], "xx_d": V[:, 2, 2], "pp_d": V[:, 3, 3],
             "x_b_x_d": V[:, 0, 2], "p_b_p_d": V[:, 1, 3]}
-    return _summary_block(errors, warns, idx, V[:, :4, :4], hbar, head)
+    return _summary_block(errors, warns, V[:, :4, :4], hbar, head)
 
 
 def _batch_rwa_lyapunov(grid) -> _Block:
-    errors, warns, idx, V, hbar = _settled_covariances(grid, build_rwa_batch, 6)
+    errors, warns, V, hbar = _covariances(grid, build_rwa_batch)
     head = {"n_b": 0.5 * (V[:, 2, 2] + V[:, 3, 3] - 1.0),
             "n_d": 0.5 * (V[:, 4, 4] + V[:, 5, 5] - 1.0)}
-    return _summary_block(errors, warns, idx, V[:, 2:, 2:], hbar, head)
+    return _summary_block(errors, warns, V[:, 2:, 2:], hbar, head)
 
 
 _ONE_D = ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0")
@@ -485,32 +459,32 @@ def format_float(x: float) -> str:
 
 
 def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) -> _Block:
-    """The block of n items, evaluated chunk by chunk in item order.
+    """The block of n items, evaluated chunk by chunk in item order, with
+    each column cut down to the settled items.
 
     chunk_grid(s) is the ParamsGrid of the items in the slice s, at most
     route.chunk of them, so a request never holds more than one chunk of
     parameters. An item's error is its record's, or what the route's
-    evaluator gives it.
+    evaluator gives it; the evaluator sees only the valid records.
     """
     errors: list = []
     warns: list = []
     parts: dict = {q: [] for q in route.quantities}
     for start in range(0, n, route.chunk):
         grid = chunk_grid(slice(start, start + route.chunk))
-        idx = _settled(grid.errors)
-        if len(idx) == len(grid):
-            block = route.evaluate(grid)
-        else:
-            block = (route.evaluate(grid.take(idx)) if idx
-                     else _Block([], [], {q: np.empty(0) for q in route.quantities}))
+        valid = [k for k, e in enumerate(grid.errors) if e is None]
+        block = (route.evaluate(grid if len(valid) == len(grid) else grid.take(valid)) if valid
+                 else _Block([], [], {q: np.empty(0) for q in route.quantities}))
+        settled = [k for k, e in enumerate(block.errors) if e is None]
+        for q, part in parts.items():
+            part.append(block.columns[q][settled])
+        if len(valid) < len(grid):
             chunk_errors, chunk_warns = list(grid.errors), [()] * len(grid)
-            for k, e, w in zip(idx, block.errors, block.warnings):
+            for k, e, w in zip(valid, block.errors, block.warnings):
                 chunk_errors[k], chunk_warns[k] = e, w
-            block = _Block(chunk_errors, chunk_warns, block.columns)
+            block = _Block(chunk_errors, chunk_warns, {})
         errors += block.errors
         warns += block.warnings
-        for q, part in parts.items():
-            part.append(block.columns[q])
     return _Block(errors, warns, {q: np.concatenate(part) if part else np.empty(0)
                                   for q, part in parts.items()})
 

@@ -29,8 +29,9 @@ def failing_route(monkeypatch):
         route = sweep._EVALUATORS[ROUTE]
 
         def fail(grid):
-            return sweep._Block([exc_type("injected") for _ in range(len(grid))],
-                                [()] * len(grid), {q: np.empty(0) for q in route.quantities})
+            # full-length columns, whose entries at a flagged item mean nothing
+            return sweep._Block([exc_type("injected") for _ in range(len(grid))], [()] * len(grid),
+                                {q: np.zeros(len(grid)) for q in route.quantities})
         monkeypatch.setitem(sweep._EVALUATORS, ROUTE, route._replace(evaluate=fail))
     return install
 

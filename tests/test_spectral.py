@@ -151,6 +151,22 @@ class TestMomentIntegration:
         assert cov_r.xx == pytest.approx(cov_q.xx, rel=1e-8)
         assert cov_r.pp == pytest.approx(cov_q.pp, rel=1e-8)
 
+    @pytest.mark.parametrize("g_o", [0.01, 0.1, 0.3, 0.45])
+    def test_residue_sum_is_the_per_root_loop(self, g_o):
+        # the reference is a scalar loop over the roots; its complex x**2
+        # and the array square may differ by an ulp
+        p = with_param(P_REF, "G_o", g_o)
+        coeffs = spectral._response_poly_coeffs(p)
+        dpbar = np.polyder(np.conj(coeffs))
+        pref = p.kappa * p.hbar**2 * p.lambda_o**2
+        cov = integrate_moments_residue(p)
+        for value, power in ((cov.xx, 0), (cov.pp, 2)):
+            total = 0.0 + 0.0j
+            for r in np.roots(np.conj(coeffs)):
+                total += (pref * ((p.kappa / 2.0) ** 2 + (r + p.delta) ** 2) * p.mass**power
+                          * r**power / (np.polyval(coeffs, r) * np.polyval(dpbar, r)))
+            assert value == pytest.approx((1j * total).real, rel=8 * np.finfo(float).eps)
+
     def test_residue_route_needs_zero_damping(self):
         p = SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0,
                            G_o=0.1)
@@ -402,9 +418,14 @@ def test_stacked_poles_are_the_np_roots_poles():
         # a record's coefficients are its column's
         np.testing.assert_array_equal(c, spectral._response_poly_coeffs(p))
         np.testing.assert_array_equal(poles, np.roots(c))
+        np.testing.assert_array_equal(response_poles(p), poles)
     assert errors == [None] * len(records)
     # np.roots trims a zero constant coefficient into a root at 0, which
     # is not in the lower half plane
     errors = [None, None]
     spectral._poles_batch(coeffs[:2] * [1, 1, 1, 1, 0], errors)
     assert all(isinstance(e, UnstableSystem) for e in errors)
+    # a record's zero constant coefficient gives a companion root at 0
+    p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=2.0, delta=1.0, lambda_o=1.0)
+    assert spectral._response_poly_coeffs(p)[-1] == 0
+    assert not spectral_stability(p)

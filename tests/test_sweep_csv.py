@@ -450,6 +450,36 @@ class TestChunkSize:
             assert run_sweep(config, spec).csv_rows() == cells
 
 
+# Grids whose valid records the evaluator flags too. At G_m = 0 the
+# undamped dark mode decouples, so the rotating-wave drift is unstable.
+EVALUATOR_FLAGS = {**CHUNK_GRIDS, ("rwa", "lyapunov"): (
+    replace(RWA_BATH, gamma_d=0.0), (Axis("G_o", 1e-3, 0.3, 6, "log"), Axis("G_m", 0.0, 1e-3, 5)))}
+
+
+class TestFullLengthColumns:
+    """An evaluator's columns span all its items; only the chunk loop cuts them."""
+
+    @pytest.mark.parametrize("pair", EVALUATOR_FLAGS, ids="-".join)
+    def test_block_spans_the_chunk_and_settled_rows_are_pointwise(self, pair):
+        base, axes = EVALUATOR_FLAGS[pair]
+        route = sweep._EVALUATORS[pair]
+        full = ParamsGrid.from_axes(base, [a.name for a in axes], SweepSpec(axes).grid())
+        grid = full.take([k for k, e in enumerate(full.errors) if e is None])
+        block = route.evaluate(grid)
+        assert len(block.errors) == len(block.warnings) == len(grid)
+        assert {e is None for e in block.errors} == {True, False}
+        assert all(len(block.columns[q]) == len(grid) for q in route.quantities)
+        items = list(range(len(grid)))
+        errors, warns, columns = sweep._evaluate(route, len(grid), lambda s: grid.take(items[s]))
+        alone = [route.evaluate(grid.take([k])) for k in items]
+        assert [(type(e), str(e)) for e in errors] == [
+            (type(a.errors[0]), str(a.errors[0])) for a in alone]
+        assert warns == [a.warnings[0] for a in alone]
+        for q in route.quantities:
+            pointwise = np.array([a.columns[q][0] for a in alone if a.errors[0] is None])
+            assert columns[q].tobytes() == pointwise.tobytes(), q
+
+
 def _chain(base, names, point):
     """The record with_param calls make for the point, in the order
     ParamsGrid.from_axes applies the overrides: names that are not
