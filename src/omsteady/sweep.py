@@ -15,11 +15,14 @@ solve them as one stack, the closed forms evaluate their formulas on
 the columns, and the spectral evaluator shares each round of its panel
 rule across the chunk and gates the integrals it settles as columns.
 
-Stacked routes (Lyapunov, spectral) take 64 items per call, since their
-memory grows with the chunk (the 21x21 vech operators, the panel
-table); the others take 1,024, where only the Python work per call is
-to amortize. One chunk loop turns the chunks of a request into one
-block; it alone keeps invalid records from the evaluators and cuts
+The Lyapunov routes take 256 items per call, which amortizes the numpy
+calls on their 4x4 and 6x6 stacks (the builds, the stability and
+residual checks, the 2D summary), while steady_covariance_batch fills and
+solves the 21x21 vech operators in blocks of 64 so that they stay in
+cache. The spectral route takes 64, since its panel table grows with
+the chunk; the closed forms take 1,024, where only the Python work per
+call is to amortize. One chunk loop turns the chunks of a request into
+one block; it alone keeps invalid records from the evaluators and cuts
 each column down to the settled items. Two functions sit on it:
 evaluate_grid takes grid points (values of named parameters; each
 chunk is a ParamsGrid.from_axes) and returns each quantity as a
@@ -283,9 +286,13 @@ class _Route(NamedTuple):
     chunk: int
 
 
-#: Items per call of a stacked route. Its memory grows with the chunk:
-#: the Lyapunov solve's 21x21 vech operators, the spectral panel table.
+#: Items per call of the spectral route, whose panel table grows with
+#: the chunk.
 _STACKED = 64
+#: Items per call of a Lyapunov route. Its vech operators are filled and
+#: solved in blocks of 64 (langevin._LU_BLOCK), so a larger chunk only
+#: amortizes the numpy calls on its columns.
+_LYAPUNOV = 256
 #: Items per call of an elementwise route (the closed forms), where
 #: only the Python work per call is to amortize.
 _ELEMENTWISE = 1024
@@ -293,14 +300,14 @@ _ELEMENTWISE = 1024
 #: (model, solver) -> its _Route. The evaluator takes a ParamsGrid of
 #: valid records and returns their _Block.
 _EVALUATORS = {
-    ("oneD", "lyapunov"): _Route(_batch_oneD_lyapunov, _ONE_D, _STACKED),
+    ("oneD", "lyapunov"): _Route(_batch_oneD_lyapunov, _ONE_D, _LYAPUNOV),
     ("oneD", "spectral"): _Route(_batch_oneD_spectral, _ONE_D, _STACKED),
     ("oneD", "closed_form"): _Route(_batch_oneD_closed_form,
                                     _ONE_D + ("M_Omega", "n_min_weak"), _ELEMENTWISE),
-    ("twoD", "lyapunov"): _Route(_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL, _STACKED),
+    ("twoD", "lyapunov"): _Route(_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL, _LYAPUNOV),
     ("twoD", "closed_form"): _Route(_batch_twoD_closed_form, _TWO_D + _JOINT, _ELEMENTWISE),
     ("rwa", "lyapunov"): _Route(_batch_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL,
-                                _STACKED),
+                                _LYAPUNOV),
     ("rwa", "closed_form"): _Route(_batch_rwa_closed_form, ("G_m_opt", "purity_opt"),
                                    _ELEMENTWISE),
 }

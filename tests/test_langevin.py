@@ -343,6 +343,54 @@ class TestStackedSolve:
             "SolveFailure", "NoneType"]
         assert str(batch.errors[1]) == "Lyapunov linear system is singular: Singular matrix"
 
+    def test_flags_across_lu_blocks_match_the_scalar_solve(self, monkeypatch):
+        # 150 items make three LU blocks. Singular items (let past the
+        # stability check) fall back to per-item solves in every block,
+        # at stack positions 63, 64 and 128 among others; unstable items
+        # with a positive diffusion are solved and then decided, those
+        # with a zero diffusion entry are decided before the solve and
+        # leave it, which shifts the later blocks.
+        rng = np.random.default_rng(23)
+        singular = LinearSystem(drift=np.diag([1.0, -1.0]), diffusion=np.eye(2),
+                                labels=("x", "p"))
+        unstable_solved = LinearSystem(drift=np.diag([0.5, -1.0]), diffusion=np.eye(2),
+                                       labels=("x", "p"))
+        unstable_unsolved = LinearSystem(drift=np.diag([0.5, -1.0]),
+                                         diffusion=np.diag([0.0, 1.0]), labels=("x", "p"))
+        decaying = langevin._decaying
+        monkeypatch.setattr(langevin, "_decaying", lambda A: decaying(A) | np.array(
+            [np.array_equal(a, singular.drift) for a in A]))
+        systems = [_random_stable_system(rng, 2) for _ in range(150)]
+        for k in (5, 63, 64, 65, 128, 145):
+            systems[k] = singular
+        for k in (20, 70, 129):
+            systems[k] = unstable_solved
+        for k in (10, 100, 140):
+            systems[k] = unstable_unsolved
+        expected = [_scalar_outcome(sys) for sys in systems]
+        sizes, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda M, b: sizes.append(len(M)) or solve(M, b))
+        batch = _stack(systems)
+        # 147 items reach the solve: items 0-64, 65-129 and 130-149, less
+        # the three unstable_unsolved, in blocks of 64, 64 and 19. Each
+        # block holds a singular item, so each falls back to one solve per
+        # item.
+        assert sizes == [64] + [1] * 64 + [64] + [1] * 64 + [19] + [1] * 19
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        for sys, V, err, expect in zip(systems, batch.matrix, batch.errors, expected):
+            if isinstance(expect, Exception):
+                assert type(err) is type(expect) and str(err) == str(expect)
+                with pytest.raises(type(expect)):
+                    _loop_reference(sys)
+                assert not V.any()
+            else:
+                assert err is None
+                assert V.tobytes() == expect.tobytes() == _loop_reference(sys).tobytes()
+        assert [k for k, e in enumerate(batch.errors) if isinstance(e, SolveFailure)] == [
+            5, 63, 64, 65, 128, 145]
+        assert [k for k, e in enumerate(batch.errors) if isinstance(e, UnstableSystem)] == [
+            10, 20, 70, 100, 129, 140]
+
     def test_scalar_errors_come_from_the_batch_outcome(self):
         sys = build_1d(with_param(P_1D, "G_o", 0.55), NoiseMode.VacuumOnly)
         batch = _stack([sys])
@@ -562,15 +610,15 @@ class TestNonFiniteAndHugeItems:
 
     def test_unstable_item_is_not_solved(self, monkeypatch):
         # a marginal rotation has a singular vech operator; it is decided
-        # unstable before the solve and replaced by the identity there, so
-        # the stack is solved once
+        # unstable before the solve and left out of it, so one solve sees
+        # the one stable item
         rotation = LinearSystem(drift=np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                 diffusion=np.zeros((2, 2)), labels=("x", "p"))
         fine = LinearSystem(drift=-np.eye(2), diffusion=np.diag([0.0, 1.0]), labels=("x", "p"))
         solves, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda M, b: solves.append(len(M)) or solve(M, b))
         batch = _stack([fine, rotation])
-        assert solves == [2]
+        assert solves == [1]
         assert batch.errors[0] is None and isinstance(batch.errors[1], UnstableSystem)
 
     def test_drift_near_the_float_limit_warns_nothing(self):

@@ -10,10 +10,11 @@ import pytest
 from omsteady import spectral, sweep
 from omsteady.cli import _build_params
 from omsteady.closedform import backaction_1d, bare_occupation
-from omsteady.errors import InvalidParams, OmsteadyError, QuadratureFailure
+from omsteady.errors import (CorrelatedBathUnsupported, InvalidParams, OmsteadyError,
+                             QuadratureFailure)
 from omsteady.gaussian import Cov1D, Cov2D, occupation_and_purity_1d, purity_2d_general
 from omsteady.langevin import (CovarianceBatch, NoiseMode, build_1d, build_2d, build_rwa,
-                               steady_covariance)
+                               stability, steady_covariance)
 from omsteady.models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA,
                              resonant_2d_design)
 from omsteady.sweep import (
@@ -239,7 +240,8 @@ RWA_BATH = SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=5e-13, gamma_d=5e-1
 P_2D = SystemParams2D(omega_x=1.0, omega_y=1.2, gamma_x=5e-4, gamma_y=5e-4, phi=0.5,
                       kappa=0.2, delta=1.0, lambda_o=0.3, temperature=2.0)
 
-# Grids of 65 and 129 points put chunk boundaries mid-grid.
+# Grids of 65 and 129 points put LU-block boundaries (64 items, see
+# langevin._LU_BLOCK) mid-grid; each fits in one 256-point Lyapunov chunk.
 STACKED_GRIDS = {
     # the upper G_o values leave the rotating-wave regime and carry a warning
     "rwa": (RunConfig("rwa", "lyapunov", RWA_BATH),
@@ -342,6 +344,43 @@ class TestStackedSweep:
         assert not result.stable.all() or grid == "rwa"
         if grid == "rwa":
             assert any(result.warnings)
+
+    def test_rows_across_a_route_chunk_equal_pointwise_rows(self):
+        # 17 x 17 = 289 points: a 256-point chunk and one of 33. At G_m = 0
+        # the undamped dark mode decouples and the row is unstable; the
+        # upper G_o values carry the regime warning.
+        config = RunConfig("rwa", "lyapunov", replace(RWA_BATH, gamma_d=0.0))
+        spec = SweepSpec((Axis("G_o", 1e-3, 0.3, 17, "log"), Axis("G_m", 0.0, 1e-3, 17)))
+        chunk = sweep._EVALUATORS[("rwa", "lyapunov")].chunk
+        assert chunk < len(spec.grid()) < 2 * chunk
+        result = run_sweep(config, spec)
+        _assert_same_rows((result.columns, result.stable, result.warnings),
+                          _pointwise(config, ["G_o", "G_m"], spec.grid()))
+        assert result.stable.sum() == 17 * 16 and any(result.warnings)
+
+    def test_only_items_that_reach_the_solve_are_solved(self, monkeypatch):
+        # Unequal axis damping with mode mixing flags every phi > 0 row at
+        # the build (CorrelatedBathUnsupported), and the upper lambda_o
+        # values are unstable, decided before the solve since the 2D
+        # positions carry no noise. Only the built, decaying items reach
+        # np.linalg.solve.
+        base = replace(P_2D, gamma_y=1e-3)
+        names, spec = ["phi", "lambda_o"], SweepSpec((Axis("phi", 0.0, 1.5, 20),
+                                                      Axis("lambda_o", 0.05, 1.5, 20)))
+        reach = 0
+        for point in spec.grid().tolist():
+            try:
+                system = build_2d(_chain(base, names, point), NoiseMode.MarkovianThermal)
+            except CorrelatedBathUnsupported:
+                continue
+            reach += stability(system)
+        solved, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda M, b: solved.append(len(M)) or solve(M, b))
+        result = run_sweep(RunConfig("twoD", "lyapunov", base), spec)
+        assert sum(solved) == reach == result.stable.sum()
+        assert 0 < reach < 20
+        assert {w[0].split(":")[0] for w, ok in zip(result.warnings, result.stable)
+                if not ok} == {"CorrelatedBathUnsupported", "UnstableSystem"}
 
     def test_flag_text_per_grid(self):
         results = {grid: run_sweep(*STACKED_GRIDS[grid])
