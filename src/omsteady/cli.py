@@ -28,7 +28,6 @@ import math
 import sys
 import time
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .sweep import (
     Axis,
     RunConfig,
     SweepSpec,
+    _write_atomic,
     available_quantities,
     check_grid_size,
     check_param_names,
@@ -371,8 +371,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
+        _write_atomic(out, [text])
 
 
 def _build_parser() -> argparse.ArgumentParser:

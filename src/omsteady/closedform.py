@@ -9,21 +9,22 @@ moment set and both purity measures are provided, plus the optimum of
 the rotating-wave model. Everything here is closed-form arithmetic
 except the optical-spring fixed point, which is a damped scalar
 iteration. The backaction limits and the rotating-wave optimum are
-evaluated on a ParamsGrid's columns (the *_batch functions), and their
-record functions are grids of one.
+evaluated on a ParamsGrid's columns (the *_batch functions, each
+returning an errors.Batch), and their record functions are grids of
+one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (DegenerateState, FixedPointDivergence, InvalidParams, InvalidRegime,
-                     UndampedDarkMode, UnstableRegime, flag_first)
+from .errors import (Batch, DegenerateState, FixedPointDivergence, InvalidParams,
+                     InvalidRegime, UndampedDarkMode, UnstableRegime, flag_first)
 from .gaussian import Cov1D, summary_2d_batch
 from .models import (
     ParamsGrid,
@@ -237,13 +238,6 @@ def _detuning_error() -> UnstableRegime:
     return UnstableRegime("backaction steady state requires delta > 0")
 
 
-def _only(result, errors: list):
-    """The one item of a batch result, as floats, or the error it has."""
-    if errors[0] is not None:
-        raise errors[0]
-    return type(result)(*(float(getattr(result, f.name)[0]) for f in fields(result)))
-
-
 def backaction_1d(params: SystemParams1D) -> Backaction1DResult:
     """Exact single-mode steady state when vacuum noise dominates.
 
@@ -258,15 +252,15 @@ def backaction_1d(params: SystemParams1D) -> Backaction1DResult:
     small-coupling limit n_min_weak that sets the familiar sideband
     cooling floor. A grid of one through backaction_1d_batch.
     """
-    return _only(*backaction_1d_batch(ParamsGrid.from_records([params])))
+    return Backaction1DResult(**backaction_1d_batch(ParamsGrid.from_records([params])).only())
 
 
-def backaction_1d_batch(grid: ParamsGrid) -> tuple[Backaction1DResult, list]:
+def backaction_1d_batch(grid: ParamsGrid) -> Batch:
     """backaction_1d of every record of a 1D grid.
 
-    Returns a Backaction1DResult whose fields are arrays over the grid
-    and, per item, the error backaction_1d raises for it (None where it
-    settles); the fields of an item with an error mean nothing.
+    Returns a Batch with a column per field of Backaction1DResult and,
+    per item, the error backaction_1d raises for it (None where it
+    settles).
     """
     errors: list = [None] * len(grid)
     m, hbar, delta, omega_b = grid.mass, grid.hbar, grid.delta, grid.omega_b
@@ -277,7 +271,7 @@ def backaction_1d_batch(grid: ParamsGrid) -> tuple[Backaction1DResult, list]:
         wb2 = omega_b * omega_b
         margin = wb2 - 2.0 * g_o_squared(grid)
         two_n_plus_1 = np.sqrt((K + margin) * (K + wb2)) / (2.0 * delta * np.sqrt(margin))
-        result = Backaction1DResult(
+        columns = dict(
             xx=hbar / (4.0 * m * delta) * (1.0 + K / margin),
             pp=hbar * m * (K + wb2) / (4.0 * delta),
             n_bar=0.5 * (two_n_plus_1 - 1.0),
@@ -287,17 +281,10 @@ def backaction_1d_batch(grid: ParamsGrid) -> tuple[Backaction1DResult, list]:
         )
     flag_first(errors, margin <= 0, lambda k: UnstableRegime(
         f"unstable: omega_b^2 - 2 g_o^2 = {margin[k]:.6g} is not positive"))
-    finite = np.isfinite([getattr(result, f.name) for f in fields(result)]).all(axis=0)
+    finite = np.isfinite(list(columns.values())).all(axis=0)
     flag_first(errors, ~finite, lambda k: InvalidParams(
         "backaction moments are not finite at this record's scales"))
-    return result, errors
-
-
-def _bare_occupation(xx, pp, hbar, omega, mass):
-    # One formula for floats and for arrays.
-    x_zpf2 = hbar / (2.0 * mass * omega)
-    p_zpf2 = hbar * mass * omega / 2.0
-    return 0.25 * (xx / x_zpf2 + pp / p_zpf2) - 0.5
+    return Batch(errors, [()] * len(grid), columns)
 
 
 def bare_occupation(cov: Cov1D, omega: float, mass: float = 1.0) -> float:
@@ -307,32 +294,32 @@ def bare_occupation(cov: Cov1D, omega: float, mass: float = 1.0) -> float:
     zero-point variances of an oscillator at frequency ``omega``. This
     is the conventional phonon number; it upper-bounds the thermal
     occupation of the diagonalizing basis and coincides with it only
-    when the state is thermal in that reference basis.
+    when the state is thermal in that reference basis. A grid of one
+    through bare_occupation_batch.
     """
-    if omega <= 0 or mass <= 0:
-        raise _reference_error()
-    return _bare_occupation(cov.xx, cov.pp, cov.hbar, omega, mass)
+    one = bare_occupation_batch(*([v] for v in (cov.xx, cov.pp, cov.hbar, omega, mass)))
+    return one.only()["n_bar_0"]
 
 
-def _reference_error() -> InvalidRegime:
-    return InvalidRegime("reference oscillator needs omega > 0 and mass > 0")
-
-
-def bare_occupation_batch(xx, pp, hbar, omega, mass):
+def bare_occupation_batch(xx, pp, hbar, omega, mass) -> Batch:
     """Stacked bare_occupation over arrays of moments and reference oscillators.
 
-    Returns the occupations and a mask of the items that settle; an
-    item whose omega or mass is not positive does not (the scalar call
-    raises InvalidRegime for it) and its occupation means nothing.
-    Overflow gives inf without a warning, as in the scalar call on
-    Python floats.
+    Returns a Batch with the occupations as its column n_bar_0 and, per
+    item whose omega or mass is not positive, an InvalidRegime.
+    Overflow gives inf without a warning.
     """
     xx, pp, hbar, omega, mass = (np.asarray(a, dtype=float)
                                  for a in (xx, pp, hbar, omega, mass))
     settled = (omega > 0) & (mass > 0)
+    errors: list = [None] * len(xx)
+    flag_first(errors, ~settled, lambda k: InvalidRegime(
+        "reference oscillator needs omega > 0 and mass > 0"))
+    omega, mass = np.where(settled, omega, 1.0), np.where(settled, mass, 1.0)
     with np.errstate(all="ignore"):
-        return _bare_occupation(xx, pp, hbar, np.where(settled, omega, 1.0),
-                                np.where(settled, mass, 1.0)), settled
+        x_zpf2 = hbar / (2.0 * mass * omega)
+        p_zpf2 = hbar * mass * omega / 2.0
+        n_bar_0 = 0.25 * (xx / x_zpf2 + pp / p_zpf2) - 0.5
+    return Batch(errors, [()] * len(xx), {"n_bar_0": n_bar_0})
 
 
 def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
@@ -347,20 +334,19 @@ def backaction_2d(params: SystemParams2D) -> Backaction2DResult:
     their rounding raises UnstableRegime as undecided. A grid of one
     through backaction_2d_batch.
     """
-    return _only(*backaction_2d_batch(ParamsGrid.from_records([params])))
+    return Backaction2DResult(**backaction_2d_batch(ParamsGrid.from_records([params])).only())
 
 
-def backaction_2d_batch(grid: ParamsGrid) -> tuple[Backaction2DResult, list]:
+def backaction_2d_batch(grid: ParamsGrid) -> Batch:
     """backaction_2d of every record of a 2D grid.
 
-    Returns a Backaction2DResult whose fields are arrays over the grid
-    and, per item, the first error of backaction_2d's conditions in the
+    Returns a Batch with a column per field of Backaction2DResult and,
+    per item, the first error of backaction_2d's conditions in the
     order they are checked (None where it settles): undamped mechanics,
     delta > 0, a valid bright-mode SystemParams1D, a damped dark mode,
     a finite (omega_bar_m delta_m)^2, a stability term whose sign is not
     lost to cancellation, stability, a finite covariance,
-    its 2D summary and a positive purity product. The fields of an item
-    with an error mean nothing.
+    its 2D summary and a positive purity product.
     """
     n, kappa, delta, m, hbar = len(grid), grid.kappa, grid.delta, grid.mass, grid.hbar
     errors: list = [None] * n
@@ -406,18 +392,17 @@ def backaction_2d_batch(grid: ParamsGrid) -> tuple[Backaction2DResult, list]:
                lambda k: DegenerateState("covariance matrix has a non-finite entry"))
     # A flagged item's W means nothing; zeros keep it finite for LAPACK.
     W[[e is not None for e in errors]] = 0.0
-    summary, later = summary_2d_batch(W, hbar)
-    errors = [e if e is not None else f for e, f in zip(errors, later)]
+    summary = Batch(errors, [()] * n, {}).then(summary_2d_batch(W, hbar))
     xx_b, pp_b, xx_d, pp_d = (W[:, i, i] for i in range(4))
     with np.errstate(all="ignore"):
         product, h2 = xx_b * pp_b * xx_d * pp_d, hbar * hbar
         purity_product = np.where(np.isfinite(product), h2 / (4.0 * np.sqrt(product)),
                                   h2 / 4.0 / np.sqrt(xx_b * pp_b) / np.sqrt(xx_d * pp_d))
-    flag_first(errors, ~(purity_product > 0.0), lambda k: InvalidParams(
+    flag_first(summary.errors, ~(purity_product > 0.0), lambda k: InvalidParams(
         "covariance determinant overflows at this record's scales"))
-    return Backaction2DResult(xx_b=xx_b, xx_d=xx_d, pp_b=pp_b, pp_d=pp_d,
-                              x_b_x_d=W[:, 0, 2], p_b_p_d=W[:, 1, 3], purity_2d=summary.purity_2d,
-                              purity_product=purity_product), errors
+    return summary._replace(columns=dict(
+        xx_b=xx_b, xx_d=xx_d, pp_b=pp_b, pp_d=pp_d, x_b_x_d=W[:, 0, 2], p_b_p_d=W[:, 1, 3],
+        purity_2d=summary.columns["purity_2d"], purity_product=purity_product))
 
 
 _RWA_WARNINGS = ("cooperativity not large; optimum formula is approximate",
@@ -445,19 +430,18 @@ def rwa_optimum(params: SystemParamsRWA) -> tuple[float, float, tuple[str, ...]]
     InvalidRegime when C_o is zero (G_o^2 is 0 or underflows). A grid
     of one through rwa_optimum_batch.
     """
-    g_m_opt, purity, warnings, errors = rwa_optimum_batch(ParamsGrid.from_records([params]))
-    if errors[0] is not None:
-        raise errors[0]
-    return float(g_m_opt[0]), float(purity[0]), warnings[0]
+    batch = rwa_optimum_batch(ParamsGrid.from_records([params]))
+    optimum = batch.only()
+    return optimum["G_m_opt"], optimum["purity_opt"], batch.warnings[0]
 
 
-def rwa_optimum_batch(grid: ParamsGrid) -> tuple[np.ndarray, np.ndarray, list, list]:
+def rwa_optimum_batch(grid: ParamsGrid) -> Batch:
     """rwa_optimum of every record of a rotating-wave grid.
 
-    Returns the columns G_m_opt and purity, each item's warnings and
-    the error rwa_optimum raises for it (None where it settles): the
-    cooperativity's InvalidParams, then the InvalidRegime of a zero one.
-    The values of an item with an error mean nothing.
+    Returns a Batch with the columns G_m_opt and purity_opt, each
+    item's warnings and the error rwa_optimum raises for it (None where
+    it settles): the cooperativity's InvalidParams, then the
+    InvalidRegime of a zero one.
     """
     errors: list = [None] * len(grid)
     gamma_tot = grid.gamma_b + grid.gamma_d
@@ -471,4 +455,5 @@ def rwa_optimum_batch(grid: ParamsGrid) -> tuple[np.ndarray, np.ndarray, list, l
     missed = zip(*(c.tolist() for c in (c_o < 100.0, gamma_tot > 0.2 * grid.kappa,
                                         grid.n_B_b != grid.n_B_d)))
     warnings = [tuple(compress(_RWA_WARNINGS, flags)) for flags in missed]
-    return grid.G_o / math.sqrt(2.0), 1.0 / inv_purity, warnings, errors
+    return Batch(errors, warnings, {"G_m_opt": grid.G_o / math.sqrt(2.0),
+                                    "purity_opt": 1.0 / inv_purity})

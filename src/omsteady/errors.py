@@ -16,6 +16,8 @@ sweep goes on; code 4 aborts it.
    OracleMismatch, and OmsteadyError itself
 """
 
+from typing import NamedTuple
+
 
 class OmsteadyError(Exception):
     """Base class for all omsteady errors."""
@@ -110,3 +112,36 @@ def flag_first(errors: list, bad, make) -> None:
     for k in bad.nonzero()[0]:
         if errors[k] is None:
             errors[k] = make(int(k))
+
+
+class Batch(NamedTuple):
+    """What a stacked routine returns for n items, as columns.
+
+    errors[k] is item k's OmsteadyError, or None where it settled;
+    warnings[k] is its tuple of warning strings; columns maps each
+    quantity to a float64 array over the n items, in item order. The
+    entries of an item with an error mean nothing.
+    """
+
+    errors: list
+    warnings: list
+    columns: dict
+
+    def then(self, later: "Batch") -> "Batch":
+        """This batch, then a later step over the same items: each item keeps
+        its first error and adds later's warnings to its own, and later's
+        columns join these, replacing any of the same name."""
+        # Most later steps add no error and no warning; their items then
+        # cost no Python loop.
+        errors, warnings = self.errors, self.warnings
+        if later.errors.count(None) < len(errors):
+            errors = [e if e is not None else f for e, f in zip(errors, later.errors)]
+        if any(later.warnings):
+            warnings = [w + v for w, v in zip(warnings, later.warnings)]
+        return Batch(list(errors), warnings, {**self.columns, **later.columns})
+
+    def only(self) -> dict:
+        """The columns of a batch of one as floats, or raise its error."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return {q: float(c[0]) for q, c in self.columns.items()}

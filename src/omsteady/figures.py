@@ -217,9 +217,8 @@ def make_figure(fig_id: str, out_dir: str | Path) -> FigureOutput:
 
     All paired cross-checks run before any file is written; on
     mismatch OracleMismatch propagates and the directory is untouched.
+    The first write makes the directory (see sweep._write_atomic).
     """
     if fig_id not in _BUILDERS:
         raise ValueError(f"unknown figure {fig_id!r}; choose from {FIGURES}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _BUILDERS[fig_id](out)
+    return _BUILDERS[fig_id](Path(out_dir))

@@ -23,12 +23,13 @@ tiny complex numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     AssumptionViolated,
+    Batch,
     DegenerateState,
     InvalidParams,
     UncertaintyViolation,
@@ -151,16 +152,17 @@ def _one(x) -> np.ndarray:
     return np.array([x], dtype=float)
 
 
-def occupation_and_purity_1d_batch(xx, pp, xp, hbar):
+def occupation_and_purity_1d_batch(xx, pp, xp, hbar) -> Batch:
     """Stacked occupation_and_purity_1d over arrays of second moments.
 
-    Returns the arrays n_bar and purity and, per item, the error the
-    scalar call raises for it (None when the item settles).
+    Returns a Batch with the columns n_bar and purity and, per item,
+    the error the scalar call raises for it (None when the item settles).
     """
     xx, pp, xp, hbar = (np.asarray(a, dtype=float) for a in (xx, pp, xp, hbar))
     errors: list = [None] * len(xx)
     two_n_plus_1 = np.sqrt(_clamped_det_ratio(xx * pp - xp * xp, hbar, errors))
-    return 0.5 * (two_n_plus_1 - 1.0), 1.0 / two_n_plus_1, errors
+    return Batch(errors, [()] * len(xx),
+                 {"n_bar": 0.5 * (two_n_plus_1 - 1.0), "purity": 1.0 / two_n_plus_1})
 
 
 def occupation_and_purity_1d(cov: Cov1D) -> tuple[float, float]:
@@ -169,11 +171,8 @@ def occupation_and_purity_1d(cov: Cov1D) -> tuple[float, float]:
     2*n_bar + 1 = sqrt(4*xx*pp - (2*xp)^2) / hbar, purity = 1/(2*n_bar+1).
     A batch of one through occupation_and_purity_1d_batch.
     """
-    n_bar, purity, errors = occupation_and_purity_1d_batch(
-        *(_one(v) for v in (cov.xx, cov.pp, cov.xp, cov.hbar)))
-    if errors[0] is not None:
-        raise errors[0]
-    return float(n_bar[0]), float(purity[0])
+    one = occupation_and_purity_1d_batch(*(_one(v) for v in (cov.xx, cov.pp, cov.xp, cov.hbar)))
+    return tuple(one.only().values())
 
 
 def decompose_1d(cov: Cov1D) -> Decomposition1D:
@@ -251,8 +250,9 @@ def wavefunction(n: int, dec: Decomposition1D, x0: float, x) -> complex:
     return norm * envelope * herm.reshape(np.shape(y))
 
 
-def _symplectic_batch(W: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """(nu_hi, nu_lo) of stacked 4x4 covariances W[B, 4, 4], by column arithmetic.
+def _symplectic_batch(W: np.ndarray) -> Batch:
+    """The columns nu_hi, nu_lo of stacked 4x4 covariances W[B, 4, 4], by
+    column arithmetic.
 
     Each item is scaled by an exact power of two near its largest
     variance and factored V = L diag(d) L^T column by column; an item
@@ -266,6 +266,7 @@ def _symplectic_batch(W: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarr
     """
     _, e = np.frexp(W.diagonal(axis1=1, axis2=2).max(axis=1))
     V = np.ldexp(W, -e[:, None, None])
+    errors: list = [None] * len(W)
     d, L = [], {}
     # The numbers of an item that is not positive definite mean nothing.
     with np.errstate(all="ignore"):
@@ -284,7 +285,8 @@ def _symplectic_batch(W: np.ndarray, errors: list) -> tuple[np.ndarray, np.ndarr
         k23 = np.sqrt(d[2] * d[3])
         norm_a, norm_b = (np.sqrt(x * x + y * y + z * z) for x, y, z in (
             (k01 + k23, k02 - k13, k03 + k12), (k01 - k23, k02 + k13, k03 - k12)))
-        return np.ldexp(0.5 * (norm_a + norm_b), e), np.ldexp(0.5 * (norm_a - norm_b), e)
+        return Batch(errors, [()] * len(W), {"nu_hi": np.ldexp(0.5 * (norm_a + norm_b), e),
+                                             "nu_lo": np.ldexp(0.5 * (norm_a - norm_b), e)})
 
 
 def symplectic_eigenvalues(cov: Cov2D) -> tuple[float, float]:
@@ -297,11 +299,7 @@ def symplectic_eigenvalues(cov: Cov2D) -> tuple[float, float]:
     DegenerateState when V is not positive definite. A batch of one
     through _symplectic_batch.
     """
-    errors: list = [None]
-    nu_hi, nu_lo = _symplectic_batch(cov.matrix[None], errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(nu_hi[0]), float(nu_lo[0])
+    return tuple(_symplectic_batch(cov.matrix[None]).only().values())
 
 
 def _clamped_modal_occupation(nu: np.ndarray, hbar: np.ndarray, errors: list) -> np.ndarray:
@@ -317,22 +315,21 @@ def _log_det_ratio(W: np.ndarray, hbar: np.ndarray) -> np.ndarray:
     return np.where(sign > 0, logdet, np.nan) - 4.0 * np.log(hbar / 2.0)
 
 
-def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
+def summary_2d_batch(W, hbar) -> Batch:
     """Stacked purity_2d_general over covariances W[B, 4, 4] with hbar[B].
 
-    Returns a Summary2D whose fields are arrays over the stack and, per
-    item, the error the scalar call raises for it (None when the item
-    settles); the fields of a flagged item mean nothing. Where det V
+    Returns a Batch with a column per field of Summary2D and, per item,
+    the error the scalar call raises for it (None when the item
+    settles). Where det V
     over (hbar/2)^4 is not a finite float, purity_2d comes from the
     log-determinant; an item whose purity_2d or product of reduced
     purities is still not a positive float is flagged.
     """
     W = np.ascontiguousarray(W, dtype=float)
     hbar = np.asarray(hbar, dtype=float)
-    errors: list = [None] * len(W)
-    nu_hi, nu_lo = _symplectic_batch(W, errors)
-    N_plus = _clamped_modal_occupation(nu_hi, hbar, errors)
-    N_minus = _clamped_modal_occupation(nu_lo, hbar, errors)
+    errors, _, nu = _symplectic_batch(W)
+    N_plus = _clamped_modal_occupation(nu["nu_hi"], hbar, errors)
+    N_minus = _clamped_modal_occupation(nu["nu_lo"], hbar, errors)
     with np.errstate(over="ignore", invalid="ignore"):
         half_squared = hbar / 2.0 * (hbar / 2.0)
         bound = half_squared * half_squared
@@ -359,8 +356,8 @@ def summary_2d_batch(W, hbar) -> tuple[Summary2D, list]:
     # The item is flagged after the checks it passes.
     flag_first(errors, ~((purity_2d > 0.0) & (prod > 0.0)), lambda k: InvalidParams(
         "covariance determinant overflows at this record's scales"))
-    return Summary2D(purity_2d=purity_2d, N_plus=N_plus, N_minus=N_minus,
-                     purity_product_1d=prod), errors
+    return Batch(errors, [()] * len(W), {"purity_2d": purity_2d, "N_plus": N_plus,
+                                         "N_minus": N_minus, "purity_product_1d": prod})
 
 
 def purity_2d_general(cov: Cov2D) -> Summary2D:
@@ -372,10 +369,7 @@ def purity_2d_general(cov: Cov2D) -> Summary2D:
     two reduced single-mode purities is computed from the diagonal
     2x2 blocks for comparison. A batch of one through summary_2d_batch.
     """
-    s, errors = summary_2d_batch(cov.matrix[None], _one(cov.hbar))
-    if errors[0] is not None:
-        raise errors[0]
-    return Summary2D(*(float(getattr(s, f.name)[0]) for f in fields(Summary2D)))
+    return Summary2D(**summary_2d_batch(cov.matrix[None], _one(cov.hbar)).only())
 
 
 def purity_2d_reduced(cov: Cov2D) -> float:

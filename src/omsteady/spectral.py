@@ -30,7 +30,8 @@ open, forms the xx, pp and commutator integrands S, m^2 w^2 S and
 m w S from that one evaluation, and bisects at once every panel whose
 error exceeds its equal share of its record's tolerance. A record
 whose rule runs out of rounds or panels gets a QuadratureFailure
-instead of a value. The scalar functions are grids of one.
+instead of a value. The *_batch functions return an errors.Batch, and
+the scalar functions are grids of one.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (AssumptionViolated, InvalidParams, QuadratureFailure, UnstableSystem,
-                     flag_first)
+from .errors import (AssumptionViolated, Batch, InvalidParams, QuadratureFailure,
+                     UnstableSystem, flag_first)
 from .gaussian import Cov1D
 from .models import ParamsGrid, SystemParams1D
 
@@ -368,16 +369,15 @@ def _poles_batch(coeffs: np.ndarray, errors: list) -> np.ndarray:
     return poles
 
 
-def moment_integrals_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> tuple[dict, list]:
+def moment_integrals_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> Batch:
     """moment_integrals of every record of a 1D grid.
 
-    Returns moment_integrals' quantities as columns over the grid and,
-    per item, the error moment_integrals raises for it (None where it
-    settles); the columns of an item with an error mean nothing. The
-    items share the rounds of one panel table (see the module docstring)
-    and nothing else: the rule, its limits and the gate apply to each
-    item alone, so its result is the same in any grid. rel_tol must be
-    positive.
+    Returns a Batch with moment_integrals' quantities as its columns
+    and, per item, the error moment_integrals raises for it (None where
+    it settles). The items share the rounds of one panel table (see the
+    module docstring) and nothing else: the rule, its limits and the
+    gate apply to each item alone, so its result is the same in any
+    grid. rel_tol must be positive.
     """
     if not rel_tol > 0:
         raise InvalidParams(f"rel_tol must be positive, got {rel_tol!r}")
@@ -439,15 +439,7 @@ def moment_integrals_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> tuple[di
             flag_first(errors, err > tol, lambda k: QuadratureFailure(
                 f"{name} integral error estimate {err[k]:.3e} exceeds tolerance {tol[k]:.3e}"))
         out[name], out["err_" + name] = value, err
-    return out, errors
-
-
-def _only(batch, params: SystemParams1D, rel_tol: float) -> dict:
-    """The columns batch gives a grid of params alone, as floats, or its error."""
-    columns, errors = batch(ParamsGrid.from_records([params]), rel_tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return {q: float(c[0]) for q, c in columns.items()}
+    return Batch(errors, [()] * len(grid), out)
 
 
 def moment_integrals(params: SystemParams1D, rel_tol: float = 1e-10) -> dict:
@@ -462,7 +454,7 @@ def moment_integrals(params: SystemParams1D, rel_tol: float = 1e-10) -> dict:
     integral or rel_tol <= 0 is InvalidParams. A grid of one through
     moment_integrals_batch.
     """
-    return _only(moment_integrals_batch, params, rel_tol)
+    return moment_integrals_batch(ParamsGrid.from_records([params]), rel_tol).only()
 
 
 #: Relative mismatch allowed between m*int w S_xx dw/2pi and hbar/2.
@@ -472,26 +464,27 @@ _COMMUTATOR_RTOL = 1e-6
 _RESIDUE_RTOL = 1e-8
 
 
-def integrate_moments_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> tuple[dict, list]:
-    """The columns xx, pp and xp of integrate_moments' Cov1D for every
-    record of a 1D grid, and per item the error it raises (None where
-    it settles) before that Cov1D checks the variances.
+def integrate_moments_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> Batch:
+    """A Batch with the columns xx, pp and xp of integrate_moments' Cov1D
+    for every record of a 1D grid, and per item the error it raises
+    (None where it settles) before that Cov1D checks the variances.
 
     The symmetrized cross moment of a stationary process vanishes; rather
     than assuming that, this checks the commutator sum rule m * int dw/2pi
     w S_xx = hbar/2 (the antisymmetric part of the same cross spectrum).
     """
-    vals, errors = moment_integrals_batch(grid, rel_tol)
+    errors, warnings, vals = moment_integrals_batch(grid, rel_tol)
     comm, target = vals["commutator"], grid.hbar / 2.0
     flag_first(errors, np.abs(comm - target) > _COMMUTATOR_RTOL * target,
                lambda k: QuadratureFailure("stationarity cross-check failed: m*int w S_xx "
                                            f"dw/2pi = {comm[k]:.12g}, expected {target[k]:.12g}"))
-    return {"xx": vals["xx"], "pp": vals["pp"], "xp": np.zeros(len(grid))}, errors
+    return Batch(errors, warnings, {"xx": vals["xx"], "pp": vals["pp"], "xp": np.zeros(len(grid))})
 
 
 def integrate_moments(params: SystemParams1D, rel_tol: float = 1e-10) -> Cov1D:
     """Steady-state (xx, pp): a grid of one through integrate_moments_batch."""
-    return Cov1D(**_only(integrate_moments_batch, params, rel_tol), hbar=params.hbar)
+    return Cov1D(**integrate_moments_batch(ParamsGrid.from_records([params]), rel_tol).only(),
+                 hbar=params.hbar)
 
 
 def integrate_moments_residue(params: SystemParams1D) -> Cov1D:

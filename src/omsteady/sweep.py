@@ -5,11 +5,12 @@ quantities) plus a SweepSpec (one or two named axes). Each (model,
 solver) pair has one route in the registry: an evaluator, the
 quantities it gives and its chunk. The evaluator takes a ParamsGrid
 (the records of a chunk as one float64 column per field, see
-omsteady.models) and returns a block: per item its error or None and
-its warnings tuple, and per quantity one float64 column over all its
-items, as the batch functions it calls return them. A later check
-merges its per-item errors into the list, each item keeping its first
-error, and the entries of a flagged item mean nothing. The Lyapunov
+omsteady.models) and returns an errors.Batch: per item its error or
+None and its warnings tuple, and per quantity one float64 column over
+all its items. Every batch routine it calls returns an errors.Batch
+too, and each public scalar function is the grid of one of its batch
+routine. Batch.then joins a later check, each item keeping its first
+error; the entries of a flagged item mean nothing. The Lyapunov
 evaluators build the drift and diffusion stacks from the columns and
 solve them as one stack, the closed forms evaluate their formulas on
 the columns, and the spectral evaluator shares each round of its panel
@@ -22,13 +23,13 @@ solves the 21x21 vech operators in blocks of 64 so that they stay in
 cache. The spectral route takes 64, since its panel table grows with
 the chunk; the closed forms take 1,024, where only the Python work per
 call is to amortize. One chunk loop turns the chunks of a request into
-one block; it alone keeps invalid records from the evaluators and cuts
+one Batch; it alone keeps invalid records from the evaluators and cuts
 each column down to the settled items. Two functions sit on it:
 evaluate_grid takes grid points (values of named parameters; each
 chunk is a ParamsGrid.from_axes) and returns each quantity as a
 column, a stable flag and the warnings of each row; evaluate_records
 takes params records (each chunk a ParamsGrid.from_records) and
-returns the block, with each record's error in place. Sweeps and
+returns the Batch, with each record's error in place. Sweeps and
 optimize evaluate grid points, figures and validation evaluate
 records, and evaluate_config (the point command) and evaluate_point
 are grids of one. Rows come out in grid order (see grid_points), and a
@@ -55,6 +56,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -62,9 +64,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import (_reference_error, backaction_1d_batch, backaction_2d_batch,
-                         bare_occupation_batch, rwa_optimum_batch)
-from .errors import InvalidParams, UncertaintyViolation, flag_first
+from .closedform import (backaction_1d_batch, backaction_2d_batch, bare_occupation_batch,
+                         rwa_optimum_batch)
+from .errors import Batch, InvalidParams, UncertaintyViolation, flag_first
 from .gaussian import occupation_and_purity_1d_batch, summary_2d_batch
 from .langevin import (NoiseMode, build_1d_batch, build_2d_batch, build_rwa_batch,
                        steady_covariance_batch)
@@ -161,114 +163,71 @@ UNITS = {
 }
 
 
-class _Block(NamedTuple):
-    """What an evaluator returns for n items, as columns.
-
-    errors[k] is item k's OmsteadyError, or None where it settled;
-    warnings[k] is its regime warnings; columns maps each quantity to a
-    float64 array over the n items, in item order. The entries of an
-    item with an error mean nothing: only _evaluate cuts the columns
-    down to the settled items.
-    """
-
-    errors: list
-    warnings: list
-    columns: dict
-
-
-def _oneD_block(grid, block: _Block) -> _Block:
-    """A 1D route's block from the second moments xx, pp, xp (and, where
-    the route gives them, n_bar and purity) of block's items.
+def _oneD(moments: Callable[[ParamsGrid], Batch]) -> Callable[[ParamsGrid], Batch]:
+    """The evaluator of a 1D route whose moments(grid) is the Batch of
+    the second moments xx, pp and, where it is not zero, xp (and, where
+    the route gives them, n_bar and purity) of the grid's items.
 
     The checks follow the scalar chain: Cov1D's nonnegative variances,
     occupation_and_purity_1d (skipped where the route gives n_bar), and
-    bare_occupation at the record's oscillator. Each item keeps its
-    first error.
+    bare_occupation at the record's oscillator.
     """
-    given, errors = block.columns, list(block.errors)
-    xx, pp, xp = given["xx"], given["pp"], given["xp"]
-    flag_first(errors, (xx < 0) | (pp < 0),
-               lambda k: UncertaintyViolation("diagonal variances must be nonnegative"))
-    if "n_bar" in given:
-        n, mu = given["n_bar"], given["purity"]
-    else:
-        n, mu, occupation_errors = occupation_and_purity_1d_batch(xx, pp, xp, grid.hbar)
-        errors = [e if e is not None else f for e, f in zip(errors, occupation_errors)]
-    n_0, settled = bare_occupation_batch(xx, pp, grid.hbar, grid.omega_b, grid.mass)
-    flag_first(errors, ~settled, lambda k: _reference_error())
-    cols = dict(zip(_ONE_D, (xx, pp, xp, n, mu, n_0)))
-    cols.update((q, c) for q, c in given.items() if q not in cols)
-    return _Block(errors, block.warnings, cols)
+    def evaluate(grid: ParamsGrid) -> Batch:
+        block = moments(grid)
+        if "xp" not in block.columns:
+            block.columns["xp"] = np.zeros(len(grid))
+        xx, pp, xp = (block.columns[q] for q in ("xx", "pp", "xp"))
+        flag_first(block.errors, (xx < 0) | (pp < 0),
+                   lambda k: UncertaintyViolation("diagonal variances must be nonnegative"))
+        if "n_bar" not in block.columns:
+            block = block.then(occupation_and_purity_1d_batch(xx, pp, xp, grid.hbar))
+        return block.then(bare_occupation_batch(xx, pp, grid.hbar, grid.omega_b, grid.mass))
+    return evaluate
 
 
-def _batch_oneD_spectral(grid) -> _Block:
-    columns, errors = integrate_moments_batch(grid)
-    return _oneD_block(grid, _Block(errors, [()] * len(grid), columns))
-
-
-def _batch_oneD_closed_form(grid) -> _Block:
-    results, errors = backaction_1d_batch(grid)
-    cols = {q: getattr(results, q) for q in ("xx", "pp", "n_bar", "purity", "M_Omega",
-                                             "n_min_weak")}
-    cols["xp"] = np.zeros(len(grid))
-    return _oneD_block(grid, _Block(errors, [()] * len(grid), cols))
-
-
-def _batch_twoD_closed_form(grid) -> _Block:
-    results, errors = backaction_2d_batch(grid)
-    return _Block(errors, [()] * len(grid), {q: getattr(results, q) for q in _TWO_D + _JOINT})
-
-
-def _batch_rwa_closed_form(grid) -> _Block:
-    g_m_opt, purity, warns, errors = rwa_optimum_batch(grid)
-    return _Block(errors, warns, {"G_m_opt": g_m_opt, "purity_opt": purity})
-
-
-def _covariances(grid, build):
+def _covariances(grid, build) -> tuple[Batch, np.ndarray, np.ndarray]:
     """Build the grid's systems as one stack and solve them as one stack.
 
-    Returns per item the first error its build or solve raised (None
-    where it settled) and its system's warnings, then the covariances
-    V[B, n, n], zero where an item did not settle, and hbar.
+    Returns the Batch of the build and the solve (per item the first
+    error they raised and its system's warnings, and no columns), the
+    covariances V[B, n, n], zero where an item did not settle, and hbar.
     """
     systems = build(grid)
     # A NaN drift keeps a system its build flagged out of the stacked solve.
     systems.drift[[e is not None for e in systems.errors]] = np.nan
-    batch = steady_covariance_batch(systems.drift, systems.diffusion)
-    errors = [e if e is not None else f for e, f in zip(systems.errors, batch.errors)]
-    V = batch.matrix
-    V[[e is not None for e in errors]] = 0.0
-    return errors, systems.warnings, V, systems.hbar
+    solved = steady_covariance_batch(systems.drift, systems.diffusion)
+    block = Batch(systems.errors, systems.warnings, {}).then(
+        Batch(solved.errors, [()] * len(grid), {}))
+    V = solved.matrix
+    V[[e is not None for e in block.errors]] = 0.0
+    return block, V, systems.hbar
 
 
-def _summary_block(errors, warns, W, hbar, head: dict) -> _Block:
-    """The block of a two-mode route: its own columns, then the 2D summary of W."""
-    s, later = summary_2d_batch(W, hbar)
-    cols = {**head, "purity_2d": s.purity_2d, "purity_product": s.purity_product_1d,
-            "N_plus": s.N_plus, "N_minus": s.N_minus}
-    return _Block([e if e is not None else f for e, f in zip(errors, later)], warns, cols)
+def _summary_block(block: Batch, W, hbar, head: dict) -> Batch:
+    """The Batch of a two-mode route: its own columns, then the 2D summary of W."""
+    summary = summary_2d_batch(W, hbar)
+    summary.columns["purity_product"] = summary.columns.pop("purity_product_1d")
+    return block._replace(columns=head).then(summary)
 
 
-def _batch_oneD_lyapunov(grid) -> _Block:
-    errors, warns, V, _ = _covariances(
-        grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal))
-    return _oneD_block(grid, _Block(errors, warns,
-                                    {"xx": V[:, 0, 0], "pp": V[:, 1, 1], "xp": V[:, 0, 1]}))
+def _batch_oneD_lyapunov(grid) -> Batch:
+    block, V, _ = _covariances(grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal))
+    return block._replace(columns={"xx": V[:, 0, 0], "pp": V[:, 1, 1], "xp": V[:, 0, 1]})
 
 
-def _batch_twoD_lyapunov(grid) -> _Block:
-    errors, warns, V, hbar = _covariances(
+def _batch_twoD_lyapunov(grid) -> Batch:
+    block, V, hbar = _covariances(
         grid, lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal))
     head = {"xx_b": V[:, 0, 0], "pp_b": V[:, 1, 1], "xx_d": V[:, 2, 2], "pp_d": V[:, 3, 3],
             "x_b_x_d": V[:, 0, 2], "p_b_p_d": V[:, 1, 3]}
-    return _summary_block(errors, warns, V[:, :4, :4], hbar, head)
+    return _summary_block(block, V[:, :4, :4], hbar, head)
 
 
-def _batch_rwa_lyapunov(grid) -> _Block:
-    errors, warns, V, hbar = _covariances(grid, build_rwa_batch)
+def _batch_rwa_lyapunov(grid) -> Batch:
+    block, V, hbar = _covariances(grid, build_rwa_batch)
     head = {"n_b": 0.5 * (V[:, 2, 2] + V[:, 3, 3] - 1.0),
             "n_d": 0.5 * (V[:, 4, 4] + V[:, 5, 5] - 1.0)}
-    return _summary_block(errors, warns, V[:, 2:, 2:], hbar, head)
+    return _summary_block(block, V[:, 2:, 2:], hbar, head)
 
 
 _ONE_D = ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0")
@@ -278,10 +237,10 @@ _MODAL = ("N_plus", "N_minus")
 
 
 class _Route(NamedTuple):
-    """An evaluator, the quantities its block holds (in CSV order), and
+    """An evaluator, the quantities its Batch holds (in CSV order), and
     the items it takes per call."""
 
-    evaluate: Callable[[ParamsGrid], _Block]
+    evaluate: Callable[[ParamsGrid], Batch]
     quantities: tuple
     chunk: int
 
@@ -298,17 +257,17 @@ _LYAPUNOV = 256
 _ELEMENTWISE = 1024
 
 #: (model, solver) -> its _Route. The evaluator takes a ParamsGrid of
-#: valid records and returns their _Block.
+#: valid records and returns their Batch.
 _EVALUATORS = {
-    ("oneD", "lyapunov"): _Route(_batch_oneD_lyapunov, _ONE_D, _LYAPUNOV),
-    ("oneD", "spectral"): _Route(_batch_oneD_spectral, _ONE_D, _STACKED),
-    ("oneD", "closed_form"): _Route(_batch_oneD_closed_form,
+    ("oneD", "lyapunov"): _Route(_oneD(_batch_oneD_lyapunov), _ONE_D, _LYAPUNOV),
+    ("oneD", "spectral"): _Route(_oneD(integrate_moments_batch), _ONE_D, _STACKED),
+    ("oneD", "closed_form"): _Route(_oneD(backaction_1d_batch),
                                     _ONE_D + ("M_Omega", "n_min_weak"), _ELEMENTWISE),
     ("twoD", "lyapunov"): _Route(_batch_twoD_lyapunov, _TWO_D + _JOINT + _MODAL, _LYAPUNOV),
-    ("twoD", "closed_form"): _Route(_batch_twoD_closed_form, _TWO_D + _JOINT, _ELEMENTWISE),
+    ("twoD", "closed_form"): _Route(backaction_2d_batch, _TWO_D + _JOINT, _ELEMENTWISE),
     ("rwa", "lyapunov"): _Route(_batch_rwa_lyapunov, ("n_b", "n_d") + _JOINT + _MODAL,
                                 _LYAPUNOV),
-    ("rwa", "closed_form"): _Route(_batch_rwa_closed_form, ("G_m_opt", "purity_opt"),
+    ("rwa", "closed_form"): _Route(rwa_optimum_batch, ("G_m_opt", "purity_opt"),
                                    _ELEMENTWISE),
 }
 
@@ -465,8 +424,8 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) -> _Block:
-    """The block of n items, evaluated chunk by chunk in item order, with
+def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) -> Batch:
+    """The Batch of n items, evaluated chunk by chunk in item order, with
     each column cut down to the settled items.
 
     chunk_grid(s) is the ParamsGrid of the items in the slice s, at most
@@ -481,7 +440,7 @@ def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) 
         grid = chunk_grid(slice(start, start + route.chunk))
         valid = [k for k, e in enumerate(grid.errors) if e is None]
         block = (route.evaluate(grid if len(valid) == len(grid) else grid.take(valid)) if valid
-                 else _Block([], [], {q: np.empty(0) for q in route.quantities}))
+                 else Batch([], [], {q: np.empty(0) for q in route.quantities}))
         settled = [k for k, e in enumerate(block.errors) if e is None]
         for q, part in parts.items():
             part.append(block.columns[q][settled])
@@ -489,11 +448,11 @@ def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) 
             chunk_errors, chunk_warns = list(grid.errors), [()] * len(grid)
             for k, e, w in zip(valid, block.errors, block.warnings):
                 chunk_errors[k], chunk_warns[k] = e, w
-            block = _Block(chunk_errors, chunk_warns, {})
+            block = Batch(chunk_errors, chunk_warns, {})
         errors += block.errors
         warns += block.warnings
-    return _Block(errors, warns, {q: np.concatenate(part) if part else np.empty(0)
-                                  for q, part in parts.items()})
+    return Batch(errors, warns, {q: np.concatenate(part) if part else np.empty(0)
+                                 for q, part in parts.items()})
 
 
 def evaluate_config(config: RunConfig,
@@ -506,12 +465,11 @@ def evaluate_config(config: RunConfig,
     final frequencies and scales. The point is a grid of one.
     """
     overrides = overrides or {}
-    (error,), (warn,), columns = _evaluate(
+    point = _evaluate(
         _EVALUATORS[(config.model, config.solver)], 1,
         lambda s: ParamsGrid.from_axes(config.params, list(overrides), [tuple(overrides.values())]))
-    if error is not None:
-        raise error
-    return {q: float(columns[q][0]) for q in config.outputs}, warn
+    values = point.only()
+    return {q: values[q] for q in config.outputs}, point.warnings[0]
 
 
 def evaluate_point(config: RunConfig,
@@ -522,10 +480,10 @@ def evaluate_point(config: RunConfig,
     return evaluate_grid(config, list(overrides), [tuple(overrides.values())])
 
 
-def evaluate_records(model: str, solver: str, records: list) -> _Block:
+def evaluate_records(model: str, solver: str, records: list) -> Batch:
     """Evaluate params records of one class with the (model, solver) route.
 
-    Returns the block: per record its OmsteadyError or None and its
+    Returns the Batch: per record its OmsteadyError or None and its
     regime warnings, and per quantity of the pair one float64 column
     over the records that settled, in record order. Warnings are the
     strings the evaluation returns, whatever chunk a record falls in,
@@ -567,13 +525,22 @@ def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
 
 
 def _write_atomic(path: str | Path, lines) -> Path:
-    """Write text lines to a temporary sibling, then rename it onto path."""
+    """Write text lines to a temporary sibling, then rename it onto path.
+
+    An OSError (path is a directory, say) removes the sibling and is
+    raised as InvalidParams.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(lines)
-    os.replace(tmp, path)
+    tmp = path.parent / (path.name + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(lines)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        raise InvalidParams(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 

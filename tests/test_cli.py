@@ -49,6 +49,21 @@ class TestPoint:
         assert capsys.readouterr().out == ""
         assert "n_bar" in target.read_text(encoding="utf-8")
 
+    def test_out_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert run_cli("point", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any(out.iterdir())
+
+    def test_empty_out_path_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("point", "--out", "") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write .: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     def test_unstable_exit_code(self, capsys):
         assert run_cli("point", "--param", "G_o=0.55",
                        "--solver", "closed_form") == 3
@@ -321,6 +336,14 @@ axis1 = G_o, 0.1, 0.4, 5
                                   "omega_d^2 - (omega_bar_m delta_m)^2 = ")
         assert row[10].endswith(" cancels below the rounding of its two terms")
 
+    def test_out_directory_is_config_error_and_leaves_no_temporary(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert run_cli("sweep", "--axis", "G_o,0.1,0.2,3", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any(out.iterdir())
+
     def test_missing_out(self, capsys):
         assert run_cli("sweep", "--axis", "G_o, 0.1, 0.4, 4") == 2
         assert "--out" in capsys.readouterr().err
@@ -423,6 +446,16 @@ class TestFigure:
         assert code == 4
         assert "oracle mismatch" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        out.write_text("kept\n", encoding="utf-8")
+        assert run_cli("figure", "fig2", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / 'fig2.csv'}: ")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
     def test_unknown_figure_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

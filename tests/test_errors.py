@@ -30,7 +30,7 @@ def failing_route(monkeypatch):
 
         def fail(grid):
             # full-length columns, whose entries at a flagged item mean nothing
-            return sweep._Block([exc_type("injected") for _ in range(len(grid))], [()] * len(grid),
+            return errors.Batch([exc_type("injected") for _ in range(len(grid))], [()] * len(grid),
                                 {q: np.zeros(len(grid)) for q in route.quantities})
         monkeypatch.setitem(sweep._EVALUATORS, ROUTE, route._replace(evaluate=fail))
     return install

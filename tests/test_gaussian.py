@@ -291,8 +291,8 @@ class TestTwoModePurity:
     def test_not_positive_definite_flagged(self, matrix):
         with pytest.raises(DegenerateState, match="^covariance matrix is not positive definite$"):
             symplectic_eigenvalues(Cov2D(matrix))
-        summary, errors = summary_2d_batch(np.stack([0.5 * np.eye(4), matrix]), [1.0, 1.0])
-        assert errors[0] is None and summary.N_plus[0] == summary.N_minus[0] == 0.0
+        errors, _, summary = summary_2d_batch(np.stack([0.5 * np.eye(4), matrix]), [1.0, 1.0])
+        assert errors[0] is None and summary["N_plus"][0] == summary["N_minus"][0] == 0.0
         assert isinstance(errors[1], DegenerateState)
         assert str(errors[1]) == "covariance matrix is not positive definite"
 
@@ -387,7 +387,8 @@ class TestStackedCharacterization:
         xx = root_det * 10.0 ** rng.uniform(-3, 3, size)
         xp = root_det * rng.uniform(-0.9, 0.9, size)
         pp = (root_det**2 + xp**2) / xx
-        n_bar, purity, errors = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
+        errors, _, columns = occupation_and_purity_1d_batch(xx, pp, xp, hbar)
+        n_bar, purity = columns["n_bar"], columns["purity"]
         for k in range(size):
             cov = Cov1D(xx=float(xx[k]), pp=float(pp[k]), xp=float(xp[k]), hbar=float(hbar[k]))
             if errors[k] is None:
@@ -407,13 +408,13 @@ class TestStackedCharacterization:
                  @ _mix(rng.uniform(-3, 3)))
             covs.append(williamson_cov(*rng.uniform(0.5, 40.0, 2), s, hbar=0.37))
         covs.append(Cov2D(np.diag([0.1, 0.1, 1.0, 1.0])))  # below the bound
-        summary, errors = summary_2d_batch(np.stack([c.matrix for c in covs]),
-                                           [c.hbar for c in covs])
+        errors, _, summary = summary_2d_batch(np.stack([c.matrix for c in covs]),
+                                              [c.hbar for c in covs])
         for k, cov in enumerate(covs):
             if errors[k] is None:
                 one = purity_2d_general(cov)
-                assert one == Summary2D(summary.purity_2d[k], summary.N_plus[k],
-                                        summary.N_minus[k], summary.purity_product_1d[k])
+                assert one == Summary2D(summary["purity_2d"][k], summary["N_plus"][k],
+                                        summary["N_minus"][k], summary["purity_product_1d"][k])
                 assert one.purity_2d == 1.0 / math.sqrt(
                     float(np.linalg.det(cov.matrix)) / (cov.hbar / 2.0) ** 4)
             else:
@@ -428,12 +429,14 @@ class TestStackedCharacterization:
         xx, pp = rng.uniform(0.5, 5.0, (2, 200))
         hbar, omega, mass = rng.uniform(0.1, 3.0, (3, 200))
         omega[::7] = 0.0
-        n_0, settled = bare_occupation_batch(xx, pp, hbar, omega, mass)
+        errors, _, columns = bare_occupation_batch(xx, pp, hbar, omega, mass)
+        n_0, settled = columns["n_bar_0"], np.array([e is None for e in errors])
         for k in range(200):
             cov = Cov1D(xx=float(xx[k]), pp=float(pp[k]), hbar=float(hbar[k]))
             if settled[k]:
                 assert n_0[k] == bare_occupation(cov, float(omega[k]), float(mass[k]))
             else:
-                with pytest.raises(InvalidRegime):
+                with pytest.raises(InvalidRegime) as exc:
                     bare_occupation(cov, float(omega[k]), float(mass[k]))
+                assert (type(errors[k]), str(errors[k])) == (InvalidRegime, str(exc.value))
         assert not settled[::7].any() and settled.sum() == 200 - len(omega[::7])

@@ -200,8 +200,8 @@ class TestMomentIntegration:
         batch = spectral.moment_integrals_batch
 
         def short(grid, rel_tol):
-            vals, errors = batch(grid, rel_tol)
-            return dict(vals, commutator=np.full(len(grid), 0.5 * (1.0 - 2e-6))), errors
+            errors, warnings, vals = batch(grid, rel_tol)
+            return errors, warnings, dict(vals, commutator=np.full(len(grid), 0.5 * (1.0 - 2e-6)))
 
         monkeypatch.setattr(spectral, "moment_integrals_batch", short)
         with pytest.raises(QuadratureFailure, match="stationarity"):

@@ -611,9 +611,9 @@ class TestSpectralChunks:
         records += [with_param(replace(P_1D, gamma_b=1e-4), "G_o", g) for g in (0.05, 0.3)]
         records += [with_param(P_1D, "mass", m) for m in (1e-310, 1e-300)]
         np.random.default_rng(7).shuffle(records)
-        columns, errors = spectral.moment_integrals_batch(ParamsGrid.from_records(records))
+        errors, _, columns = spectral.moment_integrals_batch(ParamsGrid.from_records(records))
         for k, p in enumerate(records):
-            alone, (error,) = spectral.moment_integrals_batch(ParamsGrid.from_records([p]))
+            (error,), _, alone = spectral.moment_integrals_batch(ParamsGrid.from_records([p]))
             assert (type(errors[k]), str(errors[k])) == (type(error), str(error))
             if error is None:
                 assert {q: c[k] for q, c in columns.items()} == {q: c[0] for q, c in alone.items()}
@@ -625,10 +625,10 @@ class TestSpectralChunks:
     def test_panel_budget_fails_one_record_alone(self, monkeypatch):
         grid = ParamsGrid.from_records([with_param(P_1D, "G_o", g)
                                         for g in (0.2, 0.001, 0.05, 0.45)])
-        settled, _ = spectral.moment_integrals_batch(grid)
+        _, _, settled = spectral.moment_integrals_batch(grid)
         # G_o = 0.001 needs 79 panels, the others 47, 55 and 47
         monkeypatch.setattr(spectral, "_MAX_PANELS", 64)
-        capped, errors = spectral.moment_integrals_batch(grid)
+        errors, _, capped = spectral.moment_integrals_batch(grid)
         assert isinstance(errors[1], QuadratureFailure)
         assert "did not converge" in str(errors[1])
         assert [errors[k] for k in (0, 2, 3)] == [None] * 3
