@@ -112,9 +112,14 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # parameter names are case sensitive (G_o, n_B_b)
     if path is not None:
-        read = cp.read(path)
-        if not read:
-            raise InvalidParams(f"config file not found: {path}")
+        try:
+            with open(path, encoding="utf-8") as f:
+                cp.read_file(f)
+        except FileNotFoundError:
+            raise InvalidParams(f"config file not found: {path}") from None
+        except (OSError, UnicodeError, configparser.Error) as exc:
+            why = getattr(exc, "strerror", None) or " ".join(str(exc).split())
+            raise InvalidParams(f"cannot read config file {path}: {why}") from None
     return cp
 
 
@@ -125,12 +130,8 @@ def _split_params(pairs: list[str]) -> tuple[dict, dict]:
     for item in pairs:
         if "=" not in item:
             raise InvalidParams(f"--param needs KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key in ("model", "solver", "outputs"):
-            run[key] = value.strip()
-        else:
-            par[key] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        (run if key in ("model", "solver", "outputs") else par)[key] = value
     return run, par
 
 
@@ -182,9 +183,7 @@ def _build_run_config(args, cp: configparser.ConfigParser) -> RunConfig:
         raise InvalidParams(f"unknown model {model!r}; choose from {MODELS}")
     if solver not in SOLVERS:
         raise InvalidParams(f"unknown solver {solver!r}; choose from {SOLVERS}")
-    raw_params: dict[str, str] = {}
-    if cp.has_section("params"):
-        raw_params.update({k: v for k, v in cp.items("params")})
+    raw_params = dict(cp.items("params")) if cp.has_section("params") else {}
     raw_params.update(par_over)
     params = _build_params(model, raw_params)
     outputs_text = run_over.get("outputs") or cp.get("run", "outputs", fallback="")
@@ -231,11 +230,8 @@ def _parse_axis(text: str) -> Axis:
 def _cmd_sweep(args) -> int:
     cp = _read_config(args.config)
     config = _build_run_config(args, cp)
-    axis_texts = [t for t in (args.axis or []) if t]
-    if not axis_texts and cp.has_section("sweep"):
-        for key in ("axis1", "axis2"):
-            if cp.has_option("sweep", key):
-                axis_texts.append(cp.get("sweep", key))
+    axis_texts = [t for t in (args.axis or []) if t] or [
+        cp.get("sweep", key) for key in ("axis1", "axis2") if cp.has_option("sweep", key)]
     if not axis_texts:
         raise InvalidParams("sweep needs [sweep] axis1 in the config or --axis")
     if args.out is None:
@@ -371,7 +367,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        _write_atomic(out, [text])
+        _write_atomic(out, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,7 @@ import numpy as np
 from .closedform import strong_coupling, weak_coupling
 from .errors import OracleMismatch
 from .models import SystemParams1D, resonant_2d_design
-from .sweep import _write_atomic, format_float, grid_points, write_csv
+from .sweep import _csv_lines, _write_atomic, grid_points, write_csv
 from .validation import _FIG3_KAPPA, CheckResult, _columns, fig3_params
 
 __all__ = ["FIGURES", "FigureOutput", "fig3_params", "make_figure"]
@@ -97,8 +97,7 @@ def _fig2(out_dir: Path) -> FigureOutput:
               _rel_err(sc_n_0, cf["n_bar_0"]) / bound, 1.0),
         _gate("weak limit reference column", _rel_err(weak_coupling(p_weak).n_bar, ref), 1e-4),
     )
-    rows = [[format_float(v) for v in row] for row in zip(
-        _FIG2_G, cf["n_bar"], cf["n_bar_0"], sc_n, sc_n_0, cf["n_min_weak"])]
+    rows = _csv_lines(_FIG2_G, cf["n_bar"], cf["n_bar_0"], sc_n, sc_n_0, cf["n_min_weak"])
 
     names = ["G_o", "n_bar", "n_bar_0", "n_bar_normal_mode",
              "n_bar_0_normal_mode", "n_min_weak"]
@@ -115,7 +114,7 @@ plot "fig2.csv" skip 2 using 1:2 with lines lw 2 title "thermal occupation (exac
      "fig2.csv" skip 2 using 1:5 with lines dt 2 title "bare-basis, normal-mode approx", \\
      "fig2.csv" skip 2 using 1:6 with lines dt 3 title "weak-drive limit"
 """
-    plot_path = _write_atomic(out_dir / "fig2.gp", [plot])
+    plot_path = _write_atomic(out_dir / "fig2.gp", plot)
     return FigureOutput(csv_path, plot_path, checks)
 
 
@@ -153,8 +152,7 @@ def _fig3(out_dir: Path) -> FigureOutput:
               _PURITY_ROUTE_RTOL),
         _gate("ridge within one grid step of analytic optimum", steps, 1.0),
     )
-    rows = [[format_float(v) for v in row]
-            for row in zip(*points.T, mu, s["N_plus"], s["N_minus"])]
+    rows = _csv_lines(*points.T, mu, s["N_plus"], s["N_minus"])
 
     names = ["G_o_over_kappa", "G_m_over_kappa", "purity_2d", "N_plus", "N_minus"]
     units = ["dimensionless"] * 5
@@ -169,7 +167,7 @@ set key top left
 plot "fig3.csv" skip 2 using 1:2:3 with points pt 5 ps 1.2 palette notitle, \\
      [x=0.05:5] x/sqrt(2) with lines lw 2 lc rgb "white" title "G_m = G_o/sqrt(2)"
 """
-    plot_path = _write_atomic(out_dir / "fig3.gp", [plot])
+    plot_path = _write_atomic(out_dir / "fig3.gp", plot)
     return FigureOutput(csv_path, plot_path, checks)
 
 
@@ -190,8 +188,7 @@ def _fig4(out_dir: Path) -> FigureOutput:
         _gate("purity product closed form vs lyapunov", _rel_err(ly["purity_product"], mu_prod),
               _EXACT_PAIR_RTOL),
     )
-    rows = [[format_float(v) for v in row]
-            for row in zip(_FIG4_G, 1.0 - mu, 1.0 - mu_prod, mu, mu_prod)]
+    rows = _csv_lines(_FIG4_G, 1.0 - mu, 1.0 - mu_prod, mu, mu_prod)
 
     names = ["G_o", "one_minus_purity_2d", "one_minus_purity_product",
              "purity_2d", "purity_product"]
@@ -205,7 +202,7 @@ set key top left
 plot "fig4.csv" skip 2 using 1:2 with lines lw 2 title "1 - joint purity", \\
      "fig4.csv" skip 2 using 1:3 with lines lw 2 title "1 - product of reduced purities"
 """
-    plot_path = _write_atomic(out_dir / "fig4.gp", [plot])
+    plot_path = _write_atomic(out_dir / "fig4.gp", plot)
     return FigureOutput(csv_path, plot_path, checks)
 
 

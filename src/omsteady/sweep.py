@@ -37,8 +37,8 @@ row never depends on the chunk its point falls in: numpy's elementwise
 ufuncs and gufuncs give an item the same bits alone or in a column.
 
 A SweepResult keeps the rows as columns: each requested quantity over
-the stable rows, a stable mask, and each row's warnings. Its CSV cells
-are formatted from the columns.
+the stable rows, a stable mask, and each row's warnings. csv_rows
+formats each row from the columns as one CSV line, as written.
 
 Unstable or invalid grid points (errors with exit code 2 or 3, see
 :mod:`omsteady.errors`) are kept as rows with an explicit stable=0
@@ -394,34 +394,39 @@ class SweepResult:
     warnings: list
 
     def header(self) -> tuple[list[str], list[str]]:
-        names = [a.name for a in self.spec.axes]
-        names += list(self.config.outputs) + ["stable", "warnings"]
-        units = [UNITS.get(n, "unknown") for n in names]
-        return names, units
+        names = [*(a.name for a in self.spec.axes), *self.config.outputs, "stable", "warnings"]
+        return names, [UNITS.get(n, "unknown") for n in names]
 
-    def csv_rows(self) -> list[list[str]]:
+    def csv_rows(self) -> list[str]:
+        """Each row's CSV line, no LF, in grid order: axis cells, then the
+        quantities (%.17g) and 1, or empty cells and 0 if flagged, then
+        the warnings joined by ';' with ',' made ';' and newlines spaces."""
         outputs = self.config.outputs
-        # Python floats, so %.17g renders each cell exactly as format_float
-        # does. No cell holds a comma, so each row is formatted as one
-        # line and split; each axis value is formatted once.
-        axes = [[f"{v:.17g}" for v in a.values().tolist()] for a in self.spec.axes]
+        axes = [_csv_lines(a.values()) for a in self.spec.axes]
         heads = axes[0] if len(axes) == 1 else [f"{u},{v}" for u in axes[0] for v in axes[1]]
+        notes = [";".join(w).replace(",", ";").replace("\n", " ") if w else ""
+                 for w in self.warnings]
         stable = self.stable.tolist()
-        template = ",".join(["%s", *["%.17g"] * len(outputs), "1", ""])
-        filled = (template % row for row in zip(
-            compress(heads, stable), *(self.columns[q].tolist() for q in outputs)))
+        filled = iter(_csv_lines(
+            compress(heads, stable), *(self.columns[q] for q in outputs), compress(notes, stable),
+            template=",".join(["%s", *["%.17g"] * len(outputs), "1", "%s"])))
         flagged = "," * len(outputs) + ",0,"
-        out = [(next(filled) if ok else head + flagged).split(",")
-               for head, ok in zip(heads, stable)]
-        for cells, warn in zip(out, self.warnings):
-            if warn:
-                cells[-1] = ";".join(warn).replace(",", ";").replace("\n", " ")
-        return out
+        return [next(filled) if ok else head + flagged + note
+                for head, ok, note in zip(heads, stable, notes)]
 
 
 def format_float(x: float) -> str:
     """Fixed %.17g rendering: round-trips any double exactly."""
     return f"{float(x):.17g}"
+
+
+def _csv_lines(*columns, template: str = "") -> list[str]:
+    """template % row for each row of the columns, by default one %.17g
+    cell per column; arrays are read as Python floats, so a %.17g cell
+    is format_float's rendering."""
+    template = template or ",".join(["%.17g"] * len(columns))
+    return [template % row for row in
+            zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))]
 
 
 def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) -> Batch:
@@ -441,7 +446,7 @@ def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) 
         valid = [k for k, e in enumerate(grid.errors) if e is None]
         block = (route.evaluate(grid if len(valid) == len(grid) else grid.take(valid)) if valid
                  else Batch([], [], {q: np.empty(0) for q in route.quantities}))
-        settled = [k for k, e in enumerate(block.errors) if e is None]
+        settled = np.flatnonzero([e is None for e in block.errors])
         for q, part in parts.items():
             part.append(block.columns[q][settled])
         if len(valid) < len(grid):
@@ -524,8 +529,8 @@ def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
     return SweepResult(config, spec, *evaluate_grid(config, names, spec.grid()))
 
 
-def _write_atomic(path: str | Path, lines) -> Path:
-    """Write text lines to a temporary sibling, then rename it onto path.
+def _write_atomic(path: str | Path, text: str) -> Path:
+    """Write the text to a temporary sibling, then rename it onto path.
 
     An OSError (path is a directory, say) removes the sibling and is
     raised as InvalidParams.
@@ -535,7 +540,7 @@ def _write_atomic(path: str | Path, lines) -> Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(lines)
+            f.write(text)
         os.replace(tmp, path)
     except OSError as exc:
         with suppress(OSError):
@@ -544,15 +549,17 @@ def _write_atomic(path: str | Path, lines) -> Path:
     return path
 
 
-def write_csv(path: str | Path, names: list[str], units: list[str],
-              rows: list[list[str]]) -> Path:
-    """Write a two-header-line CSV atomically (write then rename)."""
+def write_csv(path: str | Path, names: list[str], units: list[str], rows: list[str]) -> Path:
+    """Write the names and units lines and the row lines (as csv_rows
+    gives them, without LF), LF-terminated, atomically (write then
+    rename). Each row must have len(names) - 1 commas."""
     if len(names) != len(units):
         raise InvalidParams("names and units rows must have equal length")
-    for r in rows:
-        if len(r) != len(names):
+    commas = len(names) - 1
+    for row in rows:
+        if row.count(",") != commas:
             raise InvalidParams("row length does not match header")
-    return _write_atomic(path, (",".join(r) + "\n" for r in (names, units, *rows)))
+    return _write_atomic(path, "\n".join([",".join(names), ",".join(units), *rows]) + "\n")
 
 
 def sweep_to_csv(config: RunConfig, spec: SweepSpec, path: str | Path) -> Path:

@@ -235,6 +235,7 @@ class TestPoint:
 
     def test_missing_config_file(self, capsys):
         assert run_cli("point", "--config", "/nonexistent/x.ini") == 2
+        assert capsys.readouterr().err == "config error: config file not found: /nonexistent/x.ini\n"
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -287,6 +288,31 @@ n_B = 2.0
         cfg = self.write(tmp_path, "[params]\ng_o = 0.4\n")
         assert run_cli("point", "--config", cfg) == 2
         assert "g_o" in capsys.readouterr().err
+
+    def one_line_config_error(self, capsys, path) -> str:
+        """Run point on the config path; it must exit 2 with one stderr line."""
+        assert run_cli("point", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+        return err
+
+    def test_directory_is_unreadable_not_missing(self, tmp_path, capsys):
+        err = self.one_line_config_error(capsys, tmp_path)
+        assert err.startswith(f"config error: cannot read config file {tmp_path}: ")
+        assert "not found" not in err
+
+    def test_non_utf8_byte_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[params]\nG_o = 0.4 # \xff\n")
+        err = self.one_line_config_error(capsys, path)
+        assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert "utf-8" in err
+
+    def test_missing_section_header_is_one_line(self, tmp_path, capsys):
+        path = self.write(tmp_path, "G_o = 0.4\nkappa = 0.2\n")
+        err = self.one_line_config_error(capsys, path)
+        assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert "no section headers" in err
 
 
 class TestSweep:

@@ -198,7 +198,7 @@ class TestRunSweep:
     def test_row_count_and_order(self):
         res = run_sweep(config_1d(), self.SPEC)
         assert len(res.stable) == len(res.warnings) == 16
-        g_values = [float(cells[0]) for cells in res.csv_rows()]
+        g_values = [float(line.split(",")[0]) for line in res.csv_rows()]
         assert g_values == sorted(g_values) == self.SPEC.axes[0].values().tolist()
 
     def test_stability_flips_once_at_threshold(self):
@@ -216,9 +216,9 @@ class TestRunSweep:
         spec = SweepSpec(axes=(Axis("kappa", 0.1, 0.3, 2), Axis("G_o", 0.1, 0.2, 3)))
         res = run_sweep(config_1d("lyapunov"), spec)
         assert len(res.stable) == 6
-        cells = res.csv_rows()
-        assert [float(c) for c in cells[0][:2]] == [0.1, 0.1]
-        assert [float(c) for c in cells[3][:2]] == [0.3, 0.1]
+        lines = res.csv_rows()
+        assert [float(c) for c in lines[0].split(",")[:2]] == [0.1, 0.1]
+        assert [float(c) for c in lines[3].split(",")[:2]] == [0.3, 0.1]
         # each row is the point evaluated alone
         _assert_same_rows((res.columns, res.stable, res.warnings),
                           _pointwise(res.config, ["kappa", "G_o"], spec.grid()))
@@ -312,7 +312,7 @@ def _scalar_values(model, p):
 
 
 def _scalar_rows(config, spec):
-    """CSV cells of a one-axis Lyapunov grid evaluated point by point
+    """CSV lines of a one-axis Lyapunov grid evaluated point by point
     through the scalar chain, each cell rendered on its own."""
     (axis,) = spec.axes
     rows = []
@@ -326,7 +326,7 @@ def _scalar_rows(config, spec):
             cells = [""] * len(config.outputs) + ["0"]
             warn = (f"{type(exc).__name__}: {exc}",)
         warning_cell = ";".join(warn).replace(",", ";").replace("\n", " ")
-        rows.append([format_float(point[0]), *cells, warning_cell])
+        rows.append(",".join([format_float(point[0]), *cells, warning_cell]))
     return rows
 
 
@@ -393,10 +393,11 @@ class TestStackedSweep:
     @pytest.mark.parametrize("grid", PROBE_GRIDS)
     def test_probe_rows_with_numpy_warnings_equal_scalar_rows(self, grid):
         config, spec = PROBE_GRIDS[grid]
-        cells = run_sweep(config, spec).csv_rows()
-        assert cells == _scalar_rows(config, spec)
-        band = [row for row in cells if {"oneD-mass": 1e-228 <= float(row[0]) <= 3.2e-156,
-                                         "rwa-n_B_b": 1.2e81 <= float(row[0]) < 1.3e154}[grid]]
+        lines = run_sweep(config, spec).csv_rows()
+        assert lines == _scalar_rows(config, spec)
+        rows = [line.split(",") for line in lines]
+        band = [row for row in rows if {"oneD-mass": 1e-228 <= float(row[0]) <= 3.2e-156,
+                                        "rwa-n_B_b": 1.2e81 <= float(row[0]) < 1.3e154}[grid]]
         assert len(band) >= 10
         if grid == "oneD-mass":
             # the gate no longer forms max|A| max|V|, which overflowed there
@@ -482,11 +483,11 @@ class TestChunkSize:
         base, axes = CHUNK_GRIDS[pair]
         config, spec = RunConfig(*pair, base), SweepSpec(axes)
         default = sweep._EVALUATORS[pair]
-        cells = run_sweep(config, spec).csv_rows()
-        assert {row[-2] for row in cells} == {"0", "1"}
+        lines = run_sweep(config, spec).csv_rows()
+        assert {line.split(",")[-2] for line in lines} == {"0", "1"}
         for chunk in (1, 7):
             monkeypatch.setitem(sweep._EVALUATORS, pair, default._replace(chunk=chunk))
-            assert run_sweep(config, spec).csv_rows() == cells
+            assert run_sweep(config, spec).csv_rows() == lines
 
 
 # Grids whose valid records the evaluator flags too. At G_m = 0 the
@@ -710,8 +711,7 @@ class TestCsvOutput:
             stable=np.array([False, True]),
             warnings=[("bad, very bad",), ("first, note", "second\nnote")],
         )
-        assert res.csv_rows() == [["0", "", "0", "bad; very bad"],
-                                  ["1", "0.25", "1", "first; note;second note"]]
+        assert res.csv_rows() == ["0,,0,bad; very bad", "1,0.25,1,first; note;second note"]
 
     def test_cells_render_as_format_float(self):
         # signed zero, subnormals, the float range's ends and non-finite values
@@ -729,14 +729,65 @@ class TestCsvOutput:
                 cells = [format_float(v) for v in next(stable)] + ["1"]
             else:
                 cells = ["", "", "0"]
-            expect.append([format_float(g), format_float(d), *cells, ""])
+            expect.append(",".join([format_float(g), format_float(d), *cells, ""]))
         assert res.csv_rows() == expect
 
     def test_write_csv_validates_shape(self, tmp_path):
         with pytest.raises(InvalidParams):
             write_csv(tmp_path / "x.csv", ["a", "b"], ["u"], [])
-        with pytest.raises(InvalidParams):
-            write_csv(tmp_path / "x.csv", ["a"], ["u"], [["1", "2"]])
+        for line in ("1,2,3", "1"):  # a comma too many, one too few
+            with pytest.raises(InvalidParams, match="row length does not match header"):
+                write_csv(tmp_path / "x.csv", ["a", "b"], ["u", "v"], ["1,2", line])
+        assert not any(tmp_path.iterdir())
+
+
+def _cell_writer_bytes(result):
+    """A SweepResult's CSV as a per-cell writer renders it: format_float
+    for each float cell, ",".join for each row and "\n" after each line."""
+    names, units = result.header()
+    outputs = result.config.outputs
+    values = zip(*(result.columns[q].tolist() for q in outputs))
+    rows = []
+    for point, ok, warn in zip(result.spec.grid().tolist(), result.stable.tolist(),
+                               result.warnings):
+        cells = ([format_float(v) for v in next(values)] + ["1"] if ok
+                 else [""] * len(outputs) + ["0"])
+        rows.append([*map(format_float, point), *cells,
+                     ";".join(warn).replace(",", ";").replace("\n", " ")])
+    assert next(values, None) is None
+    return "".join(",".join(r) + "\n" for r in (names, units, *rows)).encode("utf-8")
+
+
+class TestCsvBytes:
+    """The line writer gives the bytes of the per-cell writer."""
+
+    @pytest.mark.parametrize("config, spec", [
+        # crosses the stability edge, which runs from G_o = 0.25 at
+        # delta = 0.2 to 0.87 at delta = 3
+        (config_1d(), SweepSpec(axes=(Axis("G_o", 0.01, 0.7, 23), Axis("delta", 0.15, 3.0, 17)))),
+        STACKED_GRIDS["rwa"],
+    ], ids=["oneD-closed_form-2axis", "rwa-lyapunov"])
+    def test_sweep_bytes_equal_cell_writer(self, config, spec, tmp_path):
+        result = run_sweep(config, spec)
+        flags = set(result.stable.tolist())
+        assert flags == ({True, False} if config.model == "oneD" else {True})
+        assert any(result.warnings)
+        path = sweep_to_csv(config, spec, tmp_path / "s.csv")
+        assert path.read_bytes() == _cell_writer_bytes(result)
+
+    def test_hand_made_warnings_bytes_equal_cell_writer(self, tmp_path):
+        values = [0.25, -0.0, 1.0 / 3.0, math.inf]
+        res = SweepResult(
+            config_1d(outputs=("n_bar", "purity")),
+            SweepSpec(axes=(Axis("G_o", 0.0, 1.0, 3), Axis("delta", 0.5, 2.0, 2))),
+            {"n_bar": np.array(values), "purity": np.array(values[::-1])},
+            np.array([True, False, True, True, False, True]),
+            [("a, b", "c\nd"), ("UnstableRegime: x, y\nz",), (), ("one,two,,three",),
+             ("e\n,f",), ("plain",)],
+        )
+        path = write_csv(tmp_path / "s.csv", *res.header(), res.csv_rows())
+        assert path.read_bytes() == _cell_writer_bytes(res)
+        assert path.read_bytes().count(b"\n") == 2 + 6
 
 
 class TestFormatFloat:
