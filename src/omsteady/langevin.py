@@ -19,21 +19,37 @@ Quadrature convention: X = (a + a^dagger)/sqrt(2), P = i(a^dagger -
 a)/sqrt(2), so a vacuum input of rate kappa produces diffusion
 kappa/2 per cavity quadrature. This fixes every factor of two below.
 
-The Lyapunov solve is a dense linear solve over the n(n+1)/2
-independent entries of the symmetric unknown. Every entry of its
-operator is the sum of at most two drift entries, so the operators of
-a stack are filled by two gathers from the flat drifts, through index
-arrays built once per dimension n, and one add. At these sizes
-(n <= 6) that is faster and more predictable than iterative or
-Schur-based methods, and it is exactly deterministic.
+The Lyapunov solve is a dense linear solve over the independent
+entries of the symmetric unknown: its n(n+1)/2 upper-triangle entries
+(the vech basis), or n^2/4 of them where the drift and the diffusion
+are both phase-insensitive, every 2x2 block being [[r, i], [-i, r]].
+The beam-splitter chain of the rotating-wave build is: A = Ar (x) I_2
++ Ai (x) J and D likewise, J = [[0, 1], [-1, 0]]. Such A and D commute
+with one rotation of every mode's quadratures, so the unique V does
+too, which makes it P (x) I_2 + Q (x) J with P symmetric and Q
+antisymmetric: 9 unknowns instead of 21 at n = 6. This is the real
+form of the moment equation for complex amplitudes (Genes, Vitali,
+Tombesi, Gigan & Aspelmeyer, PRA 77, 033804, 2008). The reduced system
+is exact, not an approximation: its solution solves the full equation,
+and the two bases agree up to rounding. An item takes the reduced
+basis when exact comparison of its blocks finds that structure, and
+the vech basis otherwise; no option selects it. Every entry of either
+operator is the sum of at most two signed drift entries, so the
+operators of a stack are filled by two gathers from the flat drifts
+and their negation, through index arrays built once per dimension n
+and basis, and one add whose result does not depend on the order of
+its terms. At these sizes (n <= 6) that is faster and more
+predictable than iterative or Schur-based methods, and it is exactly
+deterministic.
 
 Solves are stacked: steady_covariance_batch takes B drift and
 diffusion matrices, fills the operators of the items that reach the
-solve and runs np.linalg.solve on them in blocks of _LU_BLOCK (64),
-then runs the residual gate once over the stack and returns one
-outcome per item. The block keeps the operators (3.5 KB each at
-n = 6) in cache however large the stack. numpy's linalg routines are
-gufuncs that run the same LAPACK call on every matrix of a stack, so a
+solve and runs np.linalg.solve on them in blocks of _LU_BLOCK (64)
+items of one basis, then runs the residual gate once over the stack
+and returns one outcome per item. The block keeps the operators
+(3.5 KB each in the vech basis at n = 6, 648 B in the reduced one) in
+cache however large the stack. numpy's linalg routines are gufuncs
+that run the same LAPACK call on every matrix of a stack, so a
 stacked result equals the item solved alone, bit for bit. The scalar
 steady_covariance is a batch of one.
 
@@ -47,7 +63,9 @@ includes every item whose diffusion has a zero diagonal entry: the 1D
 and 2D builds put no noise on the position rows, and a rotating-wave
 build with zero damping none on that mode. The diffusion of every
 damped rotating-wave build is diagonal and positive, so those solves
-rarely need eigenvalues.
+rarely need eigenvalues. The order of the checks does not depend on
+the basis: the certificate, the eigenvalue check and the residual gate
+all run on the full n x n V, which the reduced basis expands once.
 """
 
 from __future__ import annotations
@@ -92,9 +110,10 @@ __all__ = [
 
 LYAPUNOV_RESIDUAL_RTOL = 1e-10
 
-#: Items per stacked vech fill and LU solve. The 21x21 operators of 64
-#: 6x6 drifts take 226 KB; at 256 (903 KB) they fall out of cache and
-#: the fill costs about four times as much per item.
+#: Items per stacked operator fill and LU solve. The 21x21 vech operators
+#: of 64 6x6 drifts take 226 KB; at 256 (903 KB) they fall out of cache
+#: and the fill costs about four times as much per item. The 9x9
+#: operators of 64 phase-insensitive 6x6 drifts take 41 KB.
 _LU_BLOCK = 64
 
 #: Margin of the stability certificate: an item is certified stable when
@@ -398,48 +417,86 @@ def stability(sys: LinearSystem) -> bool:
     return bool(_decaying(sys.drift[None])[0])
 
 
-@functools.cache
-def _vech_map(n: int) -> tuple[np.ndarray, ...]:
-    """Index map of the vech operator for dimension n, built once.
+def _phase_insensitive(X: np.ndarray) -> np.ndarray:
+    """Per stacked X[B, n, n]: True iff X = Xr (x) I_2 + Xi (x) J exactly, J = [[0, 1], [-1, 0]].
 
-    Holds the upper-triangle rows and columns of the vech ordering and
-    two gather indices into the flat drift padded with one zero entry
-    (index n*n): every entry of the flat operator M is the sum of at
-    most two drift entries, the first term at ``first`` and the second
-    at ``second``, with the zero standing in for a missing term. The
-    arrays are shared by every call, so they are read-only.
+    That is, every 2x2 block of X is [[r, i], [-i, r]], compared
+    exactly; an odd n has no such blocks.
     """
-    iu, ju = np.triu_indices(n)
-    nn = iu.size
-    pos = np.empty((n, n), dtype=np.intp)
-    pos[iu, ju] = pos[ju, iu] = np.arange(nn)
-    k = np.arange(n)
-    row = np.arange(nn)[:, None] * nn
-    i, j = iu[:, None], ju[:, None]
-    # (A V)_ij = sum_k A_ik V_kj ; (V A^T)_ij = sum_k V_ik A_jk
-    target = np.concatenate([(row + pos[k, j]).ravel(), (row + pos[i, k]).ravel()])
-    source = np.concatenate([(i * n + k).ravel(), (j * n + k).ravel()])
-    first, second = np.full(nn * nn, n * n), np.full(nn * nn, n * n)
-    for t, s in zip(target.tolist(), source.tolist()):
-        (first if first[t] == n * n else second)[t] = s
-    vmap = (iu, ju, first, second)
-    for arr in vmap:
+    if X.shape[-1] % 2:
+        return np.zeros(X.shape[0], dtype=bool)
+    return ((X[:, 0::2, 0::2] == X[:, 1::2, 1::2]).all(axis=(-2, -1))
+            & (X[:, 0::2, 1::2] == -X[:, 1::2, 0::2]).all(axis=(-2, -1)))
+
+
+@functools.cache
+def _solve_map(n: int, phase_insensitive: bool) -> tuple[np.ndarray, ...]:
+    """Index maps of the Lyapunov solve for dimension n over its m unknowns, built once.
+
+    V is written as sum_u x_u E_u over basis matrices E_u with entries
+    +-1, and M x = -D[rows] keeps m equations of A V + V A^T + D = 0.
+    The vech basis has one symmetric E_u per upper-triangle entry of V,
+    and its equations are the upper-triangle entries. The phase-insensitive
+    basis spans V = P (x) I_2 + Q (x) J with P symmetric (its upper
+    triangle, n/2 (n/2 + 1)/2 unknowns) and Q antisymmetric (its strict
+    upper triangle, n/2 (n/2 - 1)/2 unknowns). The I_2 and J parts of
+    the equation, which are symmetric and antisymmetric in the same
+    way, are read at the even-even entries (2i, 2j), i <= j, and the
+    even-odd entries (2i, 2j + 1), i < j.
+
+    Returns ``rows``, the flat indices of those equations in D;
+    ``first`` and ``second``, gather indices of the flat operator M into
+    the flat drift, its negation and one zero (index 2 n n): every entry
+    of M is the sum of at most two drift terms of sign +-1, with the
+    zero standing in for a missing term; and ``expand``, gather indices
+    of the flat V into x, -x and one zero (index 2 m). The arrays are
+    shared by every call, so they are read-only.
+    """
+    if phase_insensitive:
+        ps, qs = (list(zip(*np.triu_indices(n // 2, k))) for k in (0, 1))
+        # E_u of P_ij = P_ji, and of Q_ij = -Q_ji, i < j; a dict keeps a
+        # diagonal P_ii's entries once
+        basis = [{(2 * i, 2 * j): 1, (2 * i + 1, 2 * j + 1): 1, (2 * j, 2 * i): 1,
+                  (2 * j + 1, 2 * i + 1): 1} for i, j in ps]
+        basis += [{(2 * i, 2 * j + 1): 1, (2 * i + 1, 2 * j): -1, (2 * j, 2 * i + 1): -1,
+                   (2 * j + 1, 2 * i): 1} for i, j in qs]
+        eqs = [(2 * i, 2 * j) for i, j in ps] + [(2 * i, 2 * j + 1) for i, j in qs]
+    else:
+        eqs = list(zip(*np.triu_indices(n)))
+        basis = [{(i, j): 1, (j, i): 1} for i, j in eqs]
+    m, pad = len(eqs), 2 * n * n
+    first, second = np.full(m * m, pad), np.full(m * m, pad)
+    expand = np.full(n * n, 2 * m)
+    for u, E in enumerate(basis):
+        for (k, l), s in E.items():
+            expand[k * n + l] = u if s > 0 else m + u
+        for r, (a, b) in enumerate(eqs):
+            # (A E)_ab = sum_k A_ak E_kb ; (E A^T)_ab = sum_l E_al A_bl
+            terms = ([(a * n + k, s) for (k, l), s in E.items() if l == b]
+                     + [(b * n + l, s) for (k, l), s in E.items() if k == a])
+            t = r * m + u
+            for src, s in terms:
+                (first if first[t] == pad else second)[t] = src if s > 0 else n * n + src
+    smap = (np.array([a * n + b for a, b in eqs]), first, second, expand)
+    for arr in smap:
         arr.flags.writeable = False
-    return vmap
+    return smap
 
 
-def _vech_operator(A: np.ndarray) -> np.ndarray:
-    """The vech operators M[B, nn, nn] of stacked drifts A[B, n, n], nn = n(n+1)/2.
+def _operator(A: np.ndarray, phase_insensitive: bool) -> np.ndarray:
+    """The operators M[B, m, m] of _solve_map(n, phase_insensitive) for stacked drifts A[B, n, n].
 
-    Each entry of M is (+0.0 + a1) + a2 for its drift terms a1, a2 (the
-    padded zero where it has fewer), so -0.0 terms leave +0.0 and the
-    sum does not depend on the order of the terms.
+    Each entry of M is (+0.0 + a1) + a2 for its signed drift terms a1,
+    a2 (the padded zero where it has fewer), so -0.0 terms leave +0.0
+    and the sum does not depend on the order of the terms. Negation is
+    exact, so for a phase-insensitive drift each term equals the entry
+    of its real or imaginary block, up to the sign of a zero.
     """
     B, n = A.shape[0], A.shape[-1]
-    iu, _, first, second = _vech_map(n)
-    flat = np.zeros((B, n * n + 1))
-    flat[:, :-1] = A.reshape(B, n * n)
-    nn = iu.size
+    rows, first, second, _ = _solve_map(n, phase_insensitive)
+    flat = np.zeros((B, 2 * n * n + 1))
+    flat[:, :n * n] = A.reshape(B, n * n)
+    np.negative(flat[:, :n * n], out=flat[:, n * n:-1])
     # Summed in place: for a chunk of 64 6x6 drifts that takes a third of
     # the time of two new arrays. Drift entries near the float limit
     # overflow here; the solve or the residual gate flags such an item.
@@ -447,7 +504,7 @@ def _vech_operator(A: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         M += 0.0
         M += flat[:, second]
-    return M.reshape(B, nn, nn)
+    return M.reshape(B, rows.size, rows.size)
 
 
 @dataclass(frozen=True)
@@ -523,11 +580,15 @@ def _decide(stable: np.ndarray, A: np.ndarray, which: np.ndarray) -> None:
 def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     """Stationary covariances V[k] solving A[k] V + V A[k]^T + D[k] = 0.
 
-    The vech operators over the n(n+1)/2 distinct entries of each V are
-    filled and solved in blocks of _LU_BLOCK items, and only for the
-    items that reach the solve; then the residual gate runs over the
-    whole stack. Stability is certified from the solution where it can
-    be (_decay_bound); the other items get the stacked eigenvalue check.
+    The operators over the distinct entries of each V are filled and
+    solved in blocks of _LU_BLOCK items, and only for the items that
+    reach the solve: in the phase-insensitive basis for the items whose
+    drift and diffusion both have that structure exactly, and in the
+    vech basis for the others (_solve_map). The diffusion is taken as
+    symmetric, as the build_*_batch functions give it. Then the
+    residual gate runs over the whole stack. Stability is certified
+    from the solution where it can be (_decay_bound); the other items
+    get the stacked eigenvalue check.
     Where a diagonal entry of the diffusion is not positive, no
     certificate can fire, so the check runs before the solve and an
     unstable item is not solved; for the solved items the certificate
@@ -540,7 +601,6 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
     B, n = A.shape[0], A.shape[-1]
-    iu, ju = _vech_map(n)[:2]
     errors: list[OmsteadyError | None] = [None] * B
     d, a = np.abs(D).max(axis=(-2, -1)), np.abs(A).max(axis=(-2, -1))
     # max |.| is not finite exactly where an entry is not
@@ -554,28 +614,36 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     certifiable = stable & (D.diagonal(axis1=-2, axis2=-1) > 0.0).all(axis=-1)
     _decide(stable, A, stable & ~certifiable)
     solved, singular = stable.copy(), {}
-    v = np.zeros((B, iu.size))
-    rhs = -D[:, iu, ju, None]
-    todo = np.flatnonzero(stable)
-    for start in range(0, todo.size, _LU_BLOCK):
-        idx = todo[start:start + _LU_BLOCK]
-        # No name holds a block's operators: they are freed as the solve
-        # returns, and the next block's reuse that memory. Made while the
-        # last block's were still alive, they took fresh pages, about 40
-        # page faults per block.
-        try:
-            v[idx] = np.linalg.solve(_vech_operator(A[idx]), rhs[idx])[..., 0]
-        except np.linalg.LinAlgError:
-            # A stacked solve fails as a whole; solve each item alone.
-            for k in idx.tolist():
-                try:
-                    v[k] = np.linalg.solve(_vech_operator(A[k:k + 1]), rhs[k:k + 1])[0, :, 0]
-                except np.linalg.LinAlgError as exc:
-                    singular[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
-                    singular[k].__cause__ = exc
-                    solved[k] = False
-    V = np.empty((B, n, n))
-    V[:, iu, ju] = V[:, ju, iu] = v
+    V = np.zeros((B, n, n))
+    reduced = _phase_insensitive(A) & _phase_insensitive(D)
+    for structure in (False, True):
+        todo = np.flatnonzero(stable & (reduced == structure))
+        if not todo.size:
+            continue
+        rows, _, _, expand = _solve_map(n, structure)
+        x = np.zeros((B, rows.size))
+        rhs = -D.reshape(B, n * n)[:, rows, None]
+        for start in range(0, todo.size, _LU_BLOCK):
+            idx = todo[start:start + _LU_BLOCK]
+            # No name holds a block's operators: they are freed as the solve
+            # returns, and the next block's reuse that memory. Made while the
+            # last block's were still alive, they took fresh pages, about 40
+            # page faults per block.
+            try:
+                x[idx] = np.linalg.solve(_operator(A[idx], structure), rhs[idx])[..., 0]
+            except np.linalg.LinAlgError:
+                # A stacked solve fails as a whole; solve each item alone.
+                for k in idx.tolist():
+                    try:
+                        x[k] = np.linalg.solve(_operator(A[k:k + 1], structure),
+                                               rhs[k:k + 1])[0, :, 0]
+                    except np.linalg.LinAlgError as exc:
+                        singular[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
+                        singular[k].__cause__ = exc
+                        solved[k] = False
+        x = x[todo]
+        V[todo] = np.concatenate([x, -x, np.zeros((todo.size, 1))], axis=1)[:, expand].reshape(
+            todo.size, n, n)
     with np.errstate(all="ignore"):
         resid = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=(-2, -1))
     decay_bound = np.full(B, np.nan)

@@ -157,12 +157,9 @@ class TestSteadyCovariance:
         assert c1.xp == cov.matrix[0, 1]
 
 
-def _loop_reference(sys):
+def _vech_loop(A, D):
     """The vech solve assembled entry by entry in a double loop."""
-    if not langevin.stability(sys):
-        raise UnstableSystem("drift matrix has a non-decaying eigenvalue")
-    A, D = sys.drift, sys.diffusion
-    n = sys.dim
+    n = A.shape[0]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     pos = {p: k for k, p in enumerate(pairs)}
     M = np.zeros((len(pairs), len(pairs)))
@@ -172,18 +169,93 @@ def _loop_reference(sys):
         for k in range(n):
             M[row, pos[(min(k, j), max(k, j))]] += A[i, k]
             M[row, pos[(min(i, k), max(i, k))]] += A[j, k]
-    try:
-        v = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(str(exc)) from exc
+    v = np.linalg.solve(M, rhs)
     V = np.empty((n, n))
     for k, (i, j) in enumerate(pairs):
         V[i, j] = V[j, i] = v[k]
+    return V
+
+
+def _reduced_system(A, D):
+    """The phase-insensitive system M x = rhs over (triu P, strict-triu Q), entry by entry.
+
+    With A = Ar (x) I_2 + Ai (x) J, D likewise and V = P (x) I_2 + Q (x) J,
+    the I_2 and J parts of A V + V A^T + D = 0 are
+    Ar P - Ai Q + P Ar^T + Q Ai^T + Dr = 0 (rows i <= j) and
+    Ar Q + Ai P + Q Ar^T - P Ai^T + Di = 0 (rows i < j).
+    """
+    h = A.shape[0] // 2
+    Ar, Ai, Dr, Di = A[0::2, 0::2], A[0::2, 1::2], D[0::2, 0::2], D[0::2, 1::2]
+    ps = [(i, j) for i in range(h) for j in range(i, h)]
+    qs = [(i, j) for i in range(h) for j in range(i + 1, h)]
+    M = np.zeros((len(ps) + len(qs),) * 2)
+    rhs = np.empty(len(M))
+
+    def add(row, part, i, j, a):
+        # P_ij = P_ji; Q_ij = -Q_ji and Q_ii = 0
+        if part == "P":
+            M[row, ps.index((min(i, j), max(i, j)))] += a
+        elif i != j:
+            M[row, len(ps) + qs.index((min(i, j), max(i, j)))] += a if i < j else -a
+
+    for row, (i, j) in enumerate(ps):
+        rhs[row] = -Dr[i, j]
+        for k in range(h):
+            add(row, "P", k, j, Ar[i, k])
+            add(row, "P", i, k, Ar[j, k])
+            add(row, "Q", k, j, -Ai[i, k])
+            add(row, "Q", i, k, Ai[j, k])
+    for row, (i, j) in enumerate(qs, len(ps)):
+        rhs[row] = -Di[i, j]
+        for k in range(h):
+            add(row, "Q", k, j, Ar[i, k])
+            add(row, "P", k, j, Ai[i, k])
+            add(row, "Q", i, k, Ar[j, k])
+            add(row, "P", i, k, -Ai[j, k])
+    return M, rhs, ps, qs
+
+
+def _reduced_loop(A, D):
+    """_reduced_system solved, and V = P (x) I_2 + Q (x) J written entry by entry."""
+    M, rhs, ps, qs = _reduced_system(A, D)
+    x = np.linalg.solve(M, rhs)
+    h = A.shape[0] // 2
+    P, Q = np.empty((h, h)), np.zeros((h, h))
+    for k, (i, j) in enumerate(ps):
+        P[i, j] = P[j, i] = x[k]
+    for k, (i, j) in enumerate(qs, len(ps)):
+        Q[i, j], Q[j, i] = x[k], -x[k]
+    V = np.empty(A.shape)
+    V[0::2, 0::2] = V[1::2, 1::2] = P
+    V[0::2, 1::2], V[1::2, 0::2] = Q, Q.T
+    return V
+
+
+def _loop_reference(sys, solve=_vech_loop):
+    """The stability check, a loop-assembled solve and the residual gate, item alone."""
+    if not langevin.stability(sys):
+        raise UnstableSystem("drift matrix has a non-decaying eigenvalue")
+    A, D = sys.drift, sys.diffusion
+    try:
+        V = solve(A, D)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(str(exc)) from exc
     resid = np.abs(A @ V + V @ A.T + D).max()
     scale = max(np.abs(D).max(), np.abs(A).max() * np.abs(V).max())
     if not np.isfinite(resid) or resid > LYAPUNOV_RESIDUAL_RTOL * scale:
         raise SolveFailure("residual")
     return V
+
+
+def _assert_loop_solution(sys, V):
+    """V is the loop reference's bit for bit. A rotating-wave build takes the
+    reduced system, whose V agrees with the vech loop's to 1e-12 max|V|."""
+    if sys.labels[0] == "X_a":
+        assert V.tobytes() == _loop_reference(sys, _reduced_loop).tobytes()
+        vech = _loop_reference(sys)
+        assert np.abs(V - vech).max() <= 1e-12 * np.abs(vech).max()
+    else:
+        assert V.tobytes() == _loop_reference(sys).tobytes()
 
 
 def _random_stable_system(rng, n):
@@ -213,7 +285,7 @@ class TestVechAssemblyMatchesLoop:
 
     @pytest.mark.parametrize("sys", MODEL_BUILDS, ids=MODEL_IDS)
     def test_model_builds(self, sys):
-        assert np.array_equal(steady_covariance(sys).matrix, _loop_reference(sys))
+        _assert_loop_solution(sys, steady_covariance(sys).matrix)
 
     def test_random_stable_drifts_in_mixed_sizes(self):
         rng = np.random.default_rng(20221018)
@@ -255,6 +327,21 @@ def _add_at_operator(A):
     return M.reshape(B, nn, nn)
 
 
+def _random_phase_insensitive(rng, B, h):
+    """B drifts Ar (x) I_2 + Ai (x) J with about a third of Ar and Ai zero, each
+    zero's sign drawn apart from its partner's (the block comparison is exact,
+    and 0.0 == -0.0)."""
+    Ar, Ai = rng.standard_normal((2, B, h, h))
+    Ar[rng.random(Ar.shape) < 0.3] = 0.0
+    Ai[rng.random(Ai.shape) < 0.3] = 0.0
+    A = np.empty((B, 2 * h, 2 * h))
+    A[:, 0::2, 0::2] = A[:, 1::2, 1::2] = Ar
+    A[:, 0::2, 1::2], A[:, 1::2, 0::2] = Ai, -Ai
+    zero = A == 0.0
+    A[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    return A
+
+
 class TestGatheredVechFill:
     """The two-gather operator fill equals np.add.at's, bit for bit and signed zeros too."""
 
@@ -264,9 +351,19 @@ class TestGatheredVechFill:
         A = rng.standard_normal((300, n, n))
         A[rng.random(A.shape) < 0.3] = -0.0
         A[rng.random(A.shape) < 0.2] = 0.0
-        M = langevin._vech_operator(A)
+        M = langevin._operator(A, False)
         assert M.tobytes() == _add_at_operator(A).tobytes()
         assert np.signbit(M).any() and (M == 0.0).any()
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_reduced_operator_of_random_phase_insensitive_drifts(self, h):
+        rng = np.random.default_rng(260 + h)
+        A = _random_phase_insensitive(rng, 300, h)
+        assert langevin._phase_insensitive(A).all()
+        assert np.signbit(A[A == 0.0]).any() and not np.signbit(A[A == 0.0]).all()
+        M = langevin._operator(A, True)
+        assert M.shape == (300, h * h, h * h)
+        assert M.tobytes() == np.array([_reduced_system(a, a)[0] for a in A]).tobytes()
 
     def test_model_drifts_with_zero_detuning_and_damping(self):
         # delta = 0 and gamma = 0 write -0.0 into the drifts
@@ -277,8 +374,62 @@ class TestGatheredVechFill:
         ]
         for A in drifts:
             assert np.signbit(A[A == 0.0]).any()
-            assert langevin._vech_operator(A[None]).tobytes() == \
+            assert langevin._operator(A[None], False).tobytes() == \
                 _add_at_operator(A[None]).tobytes()
+        assert langevin._operator(drifts[1][None], True).tobytes() == \
+            _reduced_system(drifts[1], drifts[1])[0][None].tobytes()
+
+
+def _random_phase_insensitive_system(rng, h):
+    """A stable drift and a positive definite diffusion, both phase-insensitive."""
+    A = _random_phase_insensitive(rng, 1, h)[0]
+    A -= (np.linalg.eigvals(A).real.max() + rng.uniform(0.05, 1.0)) * np.eye(2 * h)
+    C = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    H = C @ C.conj().T + 1e-3 * np.eye(h)
+    D = np.kron(H.real, np.eye(2)) + np.kron(H.imag, [[0.0, 1.0], [-1.0, 0.0]])
+    return LinearSystem(drift=A, diffusion=D, labels=tuple(f"q{k}" for k in range(2 * h)))
+
+
+class TestReducedSolve:
+    """Phase-insensitive items, and only they, are solved over (triu P, strict-triu Q)."""
+
+    def test_agrees_with_the_vech_solve(self):
+        rng = np.random.default_rng(2608)
+        B = 100
+        u = lambda lo, hi: rng.uniform(lo, hi, B).tolist()
+        logu = lambda lo, hi: (10.0 ** rng.uniform(lo, hi, B)).tolist()
+        # detuned modes, unequal damping and bath occupations
+        records = [SystemParamsRWA(*p) for p in zip(
+            u(0.8, 1.2), u(0.8, 1.2), logu(-5, -2), logu(-5, -2), logu(-3, -1), u(0.8, 1.2),
+            logu(-3, -1), logu(-3, -1), logu(0, 4), logu(0, 4))]
+        rwa = langevin.build_rwa_batch(ParamsGrid.from_records(records))
+        groups = [[rwa.system(k) for k in range(B)]]
+        groups += [[_random_phase_insensitive_system(rng, h) for _ in range(50)] for h in (1, 2, 3)]
+        for group in groups:
+            batch = _stack(group)
+            assert batch.errors == (None,) * len(group)
+            assert np.all(batch.backward_error <= LYAPUNOV_RESIDUAL_RTOL)
+            assert langevin._phase_insensitive(batch.matrix).all()
+            for sys, V in zip(group, batch.matrix):
+                vech = _loop_reference(sys)
+                assert np.abs(V - vech).max() <= 1e-12 * np.abs(vech).max()
+                assert V.tobytes() == _loop_reference(sys, _reduced_loop).tobytes()
+
+    @pytest.mark.parametrize("name, entry", [
+        (None, None), ("drift", (1, 1)), ("drift", (3, 0)), ("diffusion", (3, 3))])
+    def test_a_nudged_entry_takes_the_vech_path(self, name, entry, monkeypatch):
+        rwa = MODEL_BUILDS[3]
+        mats = {"drift": rwa.drift.copy(), "diffusion": rwa.diffusion.copy()}
+        if name:
+            mats[name][entry] = np.nextafter(mats[name][entry], math.inf)
+        sys = LinearSystem(labels=rwa.labels, **mats)
+        seen, operator = [], langevin._operator
+        monkeypatch.setattr(langevin, "_operator",
+                            lambda A, reduced: seen.append(reduced) or operator(A, reduced))
+        V = steady_covariance(sys).matrix
+        assert seen == [name is None]
+        solve = _reduced_loop if name is None else _vech_loop
+        assert V.tobytes() == _loop_reference(sys, solve).tobytes()
 
 
 def _stack(systems):
@@ -302,8 +453,8 @@ class TestStackedSolve:
             batch = _stack(group + group[::-1])
             assert batch.errors == (None,) * 4
             for sys, V in zip(group + group[::-1], batch.matrix):
-                assert np.array_equal(V, steady_covariance(sys).matrix)
-                assert np.array_equal(V, _loop_reference(sys))
+                assert V.tobytes() == steady_covariance(sys).matrix.tobytes()
+                _assert_loop_solution(sys, V)
 
     def test_random_stable_drifts_stacked_by_size(self):
         rng = np.random.default_rng(20221018)
@@ -323,10 +474,13 @@ class TestStackedSolve:
                                 labels=("x", "p"))
         unstable = LinearSystem(drift=np.diag([0.5, -1.0]), diffusion=np.eye(2),
                                 labels=("x", "p"))
-        # Let the singular drift past the stability check, as if it were stable.
+        # Phase-insensitive, so it is solved over the reduced system, where
+        # the equation of P_01 vanishes: Ar = diag(1, -1, -1) and Ai = 0.
+        singular_rwa = np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+        # Let the singular drifts past the stability check, as if they were stable.
         decaying = langevin._decaying
         monkeypatch.setattr(langevin, "_decaying", lambda A: decaying(A) | np.array(
-            [np.array_equal(a, singular.drift) for a in A]))
+            [any(np.array_equal(a, s) for s in (singular.drift, singular_rwa)) for a in A]))
         stable = [_random_stable_system(rng, 2) for _ in range(4)]
         systems = [stable[0], singular, stable[1], unstable, stable[2], singular, stable[3]]
         batch = _stack(systems)
@@ -342,6 +496,34 @@ class TestStackedSolve:
             "NoneType", "SolveFailure", "NoneType", "UnstableSystem", "NoneType",
             "SolveFailure", "NoneType"]
         assert str(batch.errors[1]) == "Lyapunov linear system is singular: Singular matrix"
+        # 6x6: rotating-wave items (reduced path; undamped ones decided by
+        # eigenvalues first) beside twoD items (vech path), non-finite items
+        # and singular ones, each as its batch of one
+        rwa, twod = MODEL_BUILDS[3], MODEL_BUILDS[2]
+        undamped = build_rwa(SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=0.0, gamma_d=0.0,
+                                             kappa=1e-3, delta=1.0, G_o=2e-3, G_m=1e-3))
+        nan_drift, inf_diffusion = rwa.drift.copy(), rwa.diffusion.copy()
+        nan_drift[0, 0], inf_diffusion[2, 2] = math.nan, math.inf
+        items = [(rwa.drift, rwa.diffusion), (singular_rwa, np.eye(6)),
+                 (twod.drift, twod.diffusion), (undamped.drift, undamped.diffusion),
+                 (nan_drift, rwa.diffusion), (rwa.drift, inf_diffusion),
+                 (twod.drift, twod.diffusion), (singular_rwa, np.eye(6)),
+                 (rwa.drift, rwa.diffusion)]
+        A, D = (np.stack(m) for m in zip(*items))
+        batch = langevin.steady_covariance_batch(A, D)
+        for k in range(len(items)):
+            alone = langevin.steady_covariance_batch(A[k:k + 1], D[k:k + 1])
+            assert type(batch.errors[k]) is type(alone.errors[0])
+            assert str(batch.errors[k]) == str(alone.errors[0])
+            for field in ("matrix", "residual", "backward_error", "decay_bound"):
+                assert getattr(batch, field)[k].tobytes() == getattr(alone, field)[0].tobytes()
+        assert [type(e).__name__ for e in batch.errors] == [
+            "NoneType", "SolveFailure", "NoneType", "NoneType", "InvalidParams", "InvalidParams",
+            "NoneType", "SolveFailure", "NoneType"]
+        for k in (0, 3, 8):
+            assert batch.matrix[k].tobytes() == _reduced_loop(A[k], D[k]).tobytes()
+        for k in (2, 6):
+            assert batch.matrix[k].tobytes() == _vech_loop(A[k], D[k]).tobytes()
 
     def test_flags_across_lu_blocks_match_the_scalar_solve(self, monkeypatch):
         # 150 items make three LU blocks. Singular items (let past the
@@ -433,6 +615,7 @@ class TestResidualGateScale:
 def _eigvals_reference(A, D):
     """The stacked solve with the eigenvalue check deciding every item, before the solve.
 
+    Phase-insensitive items are solved one by one over the reduced system.
     Returns (matrix, residual, backward_error, errors) as the batch does.
     """
     B, n = A.shape[0], A.shape[-1]
@@ -441,8 +624,9 @@ def _eigvals_reference(A, D):
     stable = langevin._decaying(A)
     for k in np.flatnonzero(~stable):
         errors[k] = UnstableSystem("drift matrix has a non-decaying eigenvalue")
-    M = langevin._vech_operator(A)
-    M[~stable] = np.eye(iu.size)
+    reduced = langevin._phase_insensitive(A) & langevin._phase_insensitive(D)
+    M = langevin._operator(A, False)
+    M[~stable | reduced] = np.eye(iu.size)
     rhs = -D[:, iu, ju]
     try:
         v = np.linalg.solve(M, rhs[..., None])[..., 0]
@@ -454,9 +638,14 @@ def _eigvals_reference(A, D):
             except np.linalg.LinAlgError as exc:
                 if errors[k] is None:
                     errors[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
-    v[[e is not None for e in errors]] = 0.0
+    v[reduced | np.array([e is not None for e in errors])] = 0.0
     V = np.empty((B, n, n))
     V[:, iu, ju] = V[:, ju, iu] = v
+    for k in np.flatnonzero(reduced & stable):
+        try:
+            V[k] = _reduced_loop(A[k], D[k])
+        except np.linalg.LinAlgError as exc:
+            errors[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
     resid = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=(-2, -1))
     d, a, vmax = (np.abs(X).max(axis=(-2, -1)) for X in (D, A, V))
     with np.errstate(divide="ignore", invalid="ignore"):
