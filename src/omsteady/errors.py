@@ -64,7 +64,7 @@ class UnstableSystem(OmsteadyError):
 
 
 class SolveFailure(OmsteadyError):
-    """A linear solve failed (singular or badly conditioned system)."""
+    """A linear solve failed its residual check (a badly conditioned system)."""
 
 
 class QuadratureFailure(OmsteadyError):
@@ -119,8 +119,10 @@ class Batch(NamedTuple):
 
     errors[k] is item k's OmsteadyError, or None where it settled;
     warnings[k] is its tuple of warning strings; columns maps each
-    quantity to a float64 array over the n items, in item order. The
-    entries of an item with an error mean nothing.
+    quantity to an array over the n items, in item order, whose entry k
+    is item k's: an [n] float64 array for a number, an [n, d, d] array
+    for a d x d matrix (a drift, say), an [n, 4] one for four poles.
+    The entries of an item with an error mean nothing.
     """
 
     errors: list
@@ -141,7 +143,8 @@ class Batch(NamedTuple):
         return Batch(list(errors), warnings, {**self.columns, **later.columns})
 
     def only(self) -> dict:
-        """The columns of a batch of one as floats, or raise its error."""
+        """The columns of a batch of one, or raise its error: item 0 of each
+        column, as a float for a column of numbers and as an array else."""
         if self.errors[0] is not None:
             raise self.errors[0]
-        return {q: float(c[0]) for q, c in self.columns.items()}
+        return {q: c[0] if c.ndim > 1 else float(c[0]) for q, c in self.columns.items()}

@@ -192,9 +192,7 @@ def decompose_1d(cov: Cov1D) -> Decomposition1D:
         raise DegenerateState("decompose_1d needs nonzero xx and pp")
     errors: list = [None]
     ratio = _clamped_det_ratio(_one(cov.det), _one(cov.hbar), errors)
-    if errors[0] is not None:
-        raise errors[0]
-    two_n_plus_1 = math.sqrt(ratio[0])
+    two_n_plus_1 = math.sqrt(Batch(errors, [()], {"ratio": ratio}).only()["ratio"])
     n_bar = 0.5 * (two_n_plus_1 - 1.0)
     root_det = two_n_plus_1 * cov.hbar / 2.0  # sqrt(xx*pp - xp^2), clamped
     sin_theta = cov.xp / math.sqrt(cov.xx * cov.pp)

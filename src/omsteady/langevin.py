@@ -10,10 +10,12 @@ mechanical mode plus cavity (4x4), the two-mode trap in the
 bright/dark basis plus cavity (6x6), and the resonant three-mode
 model with counter-rotating terms dropped (6x6 quadratures of the
 rotating-frame amplitudes; hbar is effectively 1 in that frame).
-Each builder takes a ParamsGrid and writes the drift and diffusion
-stacks A[B, n, n] and D[B, n, n] by index, with per-item errors and
-regime warnings (build_1d_batch, build_2d_batch, build_rwa_batch);
-the scalar build_1d, build_2d and build_rwa are grids of one.
+Each builder (build_1d_batch, build_2d_batch, build_rwa_batch) takes
+a ParamsGrid, writes the drift and diffusion stacks A[B, n, n] and
+D[B, n, n] by index and returns an errors.Batch: per item its error
+and regime warnings, and the columns drift, diffusion and hbar. The
+scalar build_1d, build_2d and build_rwa are grids of one, labeled by
+the build's module constant.
 
 Quadrature convention: X = (a + a^dagger)/sqrt(2), P = i(a^dagger -
 a)/sqrt(2), so a vacuum input of rate kappa produces diffusion
@@ -45,13 +47,16 @@ deterministic.
 Solves are stacked: steady_covariance_batch takes B drift and
 diffusion matrices, fills the operators of the items that reach the
 solve and runs np.linalg.solve on them in blocks of _LU_BLOCK (64)
-items of one basis, then runs the residual gate once over the stack
-and returns one outcome per item. The block keeps the operators
-(3.5 KB each in the vech basis at n = 6, 648 B in the reduced one) in
-cache however large the stack. numpy's linalg routines are gufuncs
+items of one basis, then runs the residual gate once over the stack.
+It returns an errors.Batch whose columns are the covariances (matrix)
+and the gate's figures (residual, backward_error, decay_bound). The
+block keeps the operators (3.5 KB each in the vech basis at n = 6,
+648 B in the reduced one) in cache however large the stack. numpy's linalg routines are gufuncs
 that run the same LAPACK call on every matrix of a stack, so a
 stacked result equals the item solved alone, bit for bit. The scalar
-steady_covariance is a batch of one.
+steady_covariance is a batch of one. Either operator's eigenvalues
+are sums lambda_i + lambda_j of drift eigenvalues, so a singular one
+means that the drift is not stable: such an item gets UnstableSystem.
 
 Stability is certified from the solution where that is possible
 (Lyapunov's theorem): where the diffusion is positive definite by
@@ -77,8 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CorrelatedBathUnsupported, InvalidParams, OmsteadyError, SolveFailure,
-                     UnstableSystem, flag_first)
+from .errors import (Batch, CorrelatedBathUnsupported, InvalidParams, OmsteadyError,
+                     SolveFailure, UnstableSystem, flag_first)
 from .gaussian import Cov1D, Cov2D
 from .models import (
     ParamsGrid,
@@ -92,9 +97,7 @@ from .models import (
 __all__ = [
     "NoiseMode",
     "LinearSystem",
-    "SystemBatch",
     "CovarianceMatrix",
-    "CovarianceBatch",
     "build_1d",
     "build_2d",
     "build_rwa",
@@ -165,10 +168,7 @@ class LinearSystem:
             raise InvalidParams("drift and diffusion must be square and same size")
         if n != len(self.labels) or n % 2:
             raise InvalidParams("labels must match an even dimension")
-        errors = [None]
-        d = _checked_diffusion(a[None], d[None], errors)[0]
-        if errors[0] is not None:
-            raise errors[0]
+        d = _checked_diffusion(a[None], d[None]).only()["diffusion"]
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "diffusion", d)
 
@@ -177,13 +177,14 @@ class LinearSystem:
         return self.drift.shape[0]
 
 
-def _checked_diffusion(A: np.ndarray, D: np.ndarray, errors: list) -> np.ndarray:
+def _checked_diffusion(A: np.ndarray, D: np.ndarray) -> Batch:
     """LinearSystem's checks on stacked drift A[B, n, n] and diffusion D[B, n, n].
 
-    Flags each item that has no error yet with the error of the first
-    check it fails, and returns the symmetrized diffusion 0.5 (D + D^T),
-    which must stay finite too.
+    Returns the Batch of the error of the first check each item fails
+    and the column diffusion, the symmetrized 0.5 (D + D^T), which must
+    stay finite too.
     """
+    errors: list = [None] * len(A)
     _flag_non_finite(errors, "drift", np.isfinite(A).all(axis=(-2, -1)))
     _flag_non_finite(errors, "diffusion", np.isfinite(D).all(axis=(-2, -1)))
     with np.errstate(all="ignore"):
@@ -193,37 +194,12 @@ def _checked_diffusion(A: np.ndarray, D: np.ndarray, errors: list) -> np.ndarray
                    lambda k: InvalidParams("diffusion matrix must be symmetric"))
         D = 0.5 * (D + D.swapaxes(-1, -2))
     _flag_non_finite(errors, "diffusion", np.isfinite(D).all(axis=(-2, -1)))
-    return D
+    return Batch(errors, [()] * len(A), {"diffusion": D})
 
 
 def _flag_non_finite(errors: list, name: str, finite: np.ndarray) -> None:
     """Flag each item of a stack whose ``name`` matrix is not ``finite``."""
     flag_first(errors, ~finite, lambda k: InvalidParams(f"{name} matrix has a non-finite entry"))
-
-
-@dataclass(frozen=True, eq=False)
-class SystemBatch:
-    """The Langevin systems of a ParamsGrid, stacked, with one outcome per item.
-
-    ``errors[k]`` is None when item k's system is valid, and otherwise
-    the error its scalar builder raises; ``warnings[k]`` are its regime
-    warnings. The matrices of an item with an error mean nothing.
-    """
-
-    drift: np.ndarray
-    diffusion: np.ndarray
-    labels: tuple[str, ...]
-    hbar: np.ndarray
-    warnings: tuple[tuple[str, ...], ...]
-    errors: tuple[OmsteadyError | None, ...]
-
-    def system(self, k: int) -> LinearSystem:
-        """Item k as a LinearSystem; raises its error if it has one."""
-        if self.errors[k] is not None:
-            raise self.errors[k]
-        return LinearSystem(drift=self.drift[k], diffusion=self.diffusion[k],
-                            labels=self.labels, hbar=float(self.hbar[k]),
-                            warnings=self.warnings[k])
 
 
 @dataclass(frozen=True)
@@ -262,8 +238,18 @@ def _thermal_force(mass, gamma, hbar, omega, temperature) -> np.ndarray:
 
 _SQRT2 = math.sqrt(2.0)
 
+#: The variables of each build, in the order of its rows.
+_LABELS_1D = ("x_b", "p_b", "X_c", "P_c")
+_LABELS_2D = ("x_b", "p_b", "x_d", "p_d", "X_c", "P_c")
+_LABELS_RWA = ("X_a", "P_a", "X_b", "P_b", "X_d", "P_d")
 
-def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
+
+def _system(batch: Batch, labels: tuple[str, ...]) -> LinearSystem:
+    """The LinearSystem of a build's batch of one; raises its error."""
+    return LinearSystem(labels=labels, warnings=batch.warnings[0], **batch.only())
+
+
+def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> Batch:
     """One mechanical mode and one cavity mode per item of a 1D grid,
     ordering (x_b, p_b, X_c, P_c).
 
@@ -272,7 +258,6 @@ def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
     phase quadrature with -sqrt(2) lambda_o x_b.
     """
     B, m, hbar, lam = len(grid), grid.mass, grid.hbar, grid.lambda_o
-    errors: list = [None] * B
     A = np.zeros((B, 4, 4))
     D = np.zeros((B, 4, 4))
     with np.errstate(all="ignore"):
@@ -287,16 +272,15 @@ def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
         D[:, 2, 2] = D[:, 3, 3] = grid.kappa / 2.0
         if noise is NoiseMode.MarkovianThermal:
             D[:, 1, 1] = _thermal_force(m, grid.gamma_b, hbar, grid.omega_b, grid.temperature)
-    D = _checked_diffusion(A, D, errors)
-    return SystemBatch(A, D, ("x_b", "p_b", "X_c", "P_c"), hbar, ((),) * B, tuple(errors))
+    return Batch([None] * B, [()] * B, {"drift": A, "hbar": hbar}).then(_checked_diffusion(A, D))
 
 
 def build_1d(params: SystemParams1D, noise: NoiseMode) -> LinearSystem:
     """build_1d_batch of one record, as a LinearSystem."""
-    return build_1d_batch(ParamsGrid.from_records([params]), noise).system(0)
+    return _system(build_1d_batch(ParamsGrid.from_records([params]), noise), _LABELS_1D)
 
 
-def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
+def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> Batch:
     """Bright and dark mechanical modes plus cavity per item of a 2D grid, 6x6.
 
     Ordering (x_b, p_b, x_d, p_d, X_c, P_c). The bright/dark rotation
@@ -340,21 +324,19 @@ def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> SystemBatch:
                            "bright and dark baths; no white-noise surrogate exists"))
             for row, w, g in ((1, bd.omega_b, bd.gamma_b), (3, bd.omega_d, bd.gamma_d)):
                 D[:, row, row] = _thermal_force(m, g, hbar, w, grid.temperature)
-    D = _checked_diffusion(A, D, errors)
-    return SystemBatch(A, D, ("x_b", "p_b", "x_d", "p_d", "X_c", "P_c"), hbar, ((),) * B,
-                       tuple(errors))
+    return Batch(errors, [()] * B, {"drift": A, "hbar": hbar}).then(_checked_diffusion(A, D))
 
 
 def build_2d(params: SystemParams2D, noise: NoiseMode) -> LinearSystem:
     """build_2d_batch of one record, as a LinearSystem."""
-    return build_2d_batch(ParamsGrid.from_records([params]), noise).system(0)
+    return _system(build_2d_batch(ParamsGrid.from_records([params]), noise), _LABELS_2D)
 
 
 _RWA_REGIME = ("rotating-wave build outside its regime: kappa, G_o, G_m "
                "should be well below the mode frequencies",)
 
 
-def build_rwa_batch(grid: ParamsGrid) -> SystemBatch:
+def build_rwa_batch(grid: ParamsGrid) -> Batch:
     """Resonantly coupled cavity, bright and dark modes without
     counter-rotating terms, per item of a rotating-wave grid, 6x6 over
     (X_a, P_a, X_b, P_b, X_d, P_d).
@@ -367,7 +349,6 @@ def build_rwa_batch(grid: ParamsGrid) -> SystemBatch:
     regime warning.
     """
     B = len(grid)
-    errors: list = [None] * B
     A = np.zeros((B, 6, 6))
     D = np.zeros((B, 6, 6))
     with np.errstate(all="ignore"):
@@ -388,14 +369,14 @@ def build_rwa_batch(grid: ParamsGrid) -> SystemBatch:
         for i, d in ((0, grid.kappa / 2.0), (2, grid.gamma_b * (grid.n_B_b + 0.5)),
                      (4, grid.gamma_d * (grid.n_B_d + 0.5))):
             D[:, i, i] = D[:, i + 1, i + 1] = d
-    D = _checked_diffusion(A, D, errors)
-    return SystemBatch(A, D, ("X_a", "P_a", "X_b", "P_b", "X_d", "P_d"), np.ones(B),
-                       tuple(_RWA_REGIME if w else () for w in outside.tolist()), tuple(errors))
+    warnings = [_RWA_REGIME if w else () for w in outside.tolist()]
+    return Batch([None] * B, warnings, {"drift": A, "hbar": np.ones(B)}).then(
+        _checked_diffusion(A, D))
 
 
 def build_rwa(params: SystemParamsRWA) -> LinearSystem:
     """build_rwa_batch of one record, as a LinearSystem."""
-    return build_rwa_batch(ParamsGrid.from_records([params])).system(0)
+    return _system(build_rwa_batch(ParamsGrid.from_records([params])), _LABELS_RWA)
 
 
 def _decaying(A: np.ndarray) -> np.ndarray:
@@ -507,30 +488,6 @@ def _operator(A: np.ndarray, phase_insensitive: bool) -> np.ndarray:
     return M.reshape(B, rows.size, rows.size)
 
 
-@dataclass(frozen=True)
-class CovarianceBatch:
-    """Stacked steady states with one outcome per item.
-
-    ``errors[k]`` is None when item k settled, and otherwise the
-    InvalidParams, UnstableSystem or SolveFailure that
-    ``steady_covariance`` raises for it; ``matrix[k]`` is its
-    covariance, or zeros when a check before the residual gate flagged
-    it. ``residual`` is max |A V + V A^T + D| of that matrix and
-    ``backward_error`` that residual over its scale,
-    max(max |D|, max |A| max |V|), which the residual gate holds to
-    LYAPUNOV_RESIDUAL_RTOL.
-    ``decay_bound`` is the certified lower bound on -max Re lambda of
-    the drift where the solution certified stability, and nan where
-    the eigenvalue check decided.
-    """
-
-    matrix: np.ndarray
-    residual: np.ndarray
-    backward_error: np.ndarray
-    decay_bound: np.ndarray
-    errors: tuple[OmsteadyError | None, ...]
-
-
 def _positive_definite(V: np.ndarray) -> np.ndarray:
     """Per stacked symmetric V[B, n, n]: True iff every LDL^T pivot is positive.
 
@@ -577,8 +534,21 @@ def _decide(stable: np.ndarray, A: np.ndarray, which: np.ndarray) -> None:
         stable[which] = _decaying(A[which])
 
 
-def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
+def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> Batch:
     """Stationary covariances V[k] solving A[k] V + V A[k]^T + D[k] = 0.
+
+    Returns a Batch with, per item, the InvalidParams, UnstableSystem
+    or SolveFailure that steady_covariance raises for it, and the
+    columns:
+    - matrix, its covariance, or zeros when a check before the
+      residual gate flagged it;
+    - residual, max |A V + V A^T + D| of that matrix;
+    - backward_error, the residual over its scale,
+      max(max |D|, max |A| max |V|), which the residual gate holds to
+      LYAPUNOV_RESIDUAL_RTOL;
+    - decay_bound, the certified lower bound on -max Re lambda of the
+      drift where the solution certified stability, and nan where the
+      eigenvalue check decided.
 
     The operators over the distinct entries of each V are filled and
     solved in blocks of _LU_BLOCK items, and only for the items that
@@ -596,7 +566,7 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     An item that fails a check gets the error of the first check it
     fails and does not affect the others: a non-finite drift or
     diffusion (InvalidParams, never solved), an unstable drift, a
-    singular operator, then the residual gate.
+    singular operator (UnstableSystem too), then the residual gate.
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -638,7 +608,8 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
                         x[k] = np.linalg.solve(_operator(A[k:k + 1], structure),
                                                rhs[k:k + 1])[0, :, 0]
                     except np.linalg.LinAlgError as exc:
-                        singular[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
+                        singular[k] = UnstableSystem(
+                            f"Lyapunov linear system is singular: {exc}")
                         singular[k].__cause__ = exc
                         solved[k] = False
         x = x[todo]
@@ -672,19 +643,17 @@ def steady_covariance_batch(A: np.ndarray, D: np.ndarray) -> CovarianceBatch:
     flag_first(errors, ~np.isfinite(resid) | (err > LYAPUNOV_RESIDUAL_RTOL),
                lambda k: SolveFailure(f"Lyapunov residual {resid[k]:.3e} is {err[k]:.3e} of "
                                       f"its scale, above {LYAPUNOV_RESIDUAL_RTOL:.1e}"))
-    return CovarianceBatch(matrix=V, residual=resid, backward_error=err,
-                           decay_bound=decay_bound, errors=tuple(errors))
+    return Batch(errors, [()] * B, {"matrix": V, "residual": resid, "backward_error": err,
+                                   "decay_bound": decay_bound})
 
 
 def steady_covariance(sys: LinearSystem) -> CovarianceMatrix:
     """Stationary covariance V solving A V + V A^T + D = 0.
 
     A batch of one through steady_covariance_batch. Raises
-    UnstableSystem when the drift is not strictly stable and
-    SolveFailure if the linear system is singular or the residual
-    check fails.
+    UnstableSystem when the drift is not strictly stable (or the linear
+    system is singular, which only such a drift makes it) and
+    SolveFailure if the residual check fails.
     """
-    batch = steady_covariance_batch(sys.drift[None], sys.diffusion[None])
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
-    return CovarianceMatrix(matrix=batch.matrix[0], labels=sys.labels, hbar=sys.hbar)
+    V = steady_covariance_batch(sys.drift[None], sys.diffusion[None]).only()["matrix"]
+    return CovarianceMatrix(matrix=V, labels=sys.labels, hbar=sys.hbar)

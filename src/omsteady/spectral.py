@@ -179,13 +179,9 @@ def response_poles(params: SystemParams1D) -> np.ndarray:
     A grid of one through _poles_batch. Raises InvalidParams, before
     LAPACK sees the companion matrix, when a coefficient over the
     leading one is not finite: extreme records (a subnormal mass, say)
-    overflow it.
+    overflow it. The poles of an unstable record are returned too.
     """
-    errors: list = [None]
-    poles = _poles_batch(_response_poly_coeffs(params)[None], errors)
-    if isinstance(errors[0], InvalidParams):
-        raise errors[0]
-    return poles[0]
+    return _poles_batch(_response_poly_coeffs(params)[None]).only()["poles"]
 
 
 def spectral_stability(params: SystemParams1D) -> bool:
@@ -348,25 +344,21 @@ def _panel_sums(columns: dict, pp_tails: np.ndarray, panels: np.ndarray, rec: np
     return np.concatenate((value, np.maximum(raw, floor))), raw > floor
 
 
-def _poles_batch(coeffs: np.ndarray, errors: list) -> np.ndarray:
-    """The poles[B, 4] np.roots finds for the quartics coeffs[B, 5].
+def _poles_batch(coeffs: np.ndarray) -> Batch:
+    """The column poles[B, 4] of the roots np.roots finds for the quartics coeffs[B, 5].
 
     One stacked eigvals of companion matrices built as np.roots builds
     them. An item with a non-finite coefficient over its leading one gets
-    response_poles' InvalidParams in errors; one with a zero constant
-    coefficient (np.roots trims it into a root at 0) or a pole outside
-    the lower half plane gets an UnstableSystem. Its poles mean nothing.
+    response_poles' InvalidParams, and its poles mean nothing.
     """
+    errors: list = [None] * len(coeffs)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         top = -coeffs[:, 1:] / coeffs[:, :1]
     finite = np.isfinite(top).all(axis=1)
     flag_first(errors, ~finite, lambda k: InvalidParams(_NON_FINITE_COEFFICIENT))
     companion = np.tile(np.eye(4, k=-1, dtype=complex), (len(coeffs), 1, 1))
     companion[:, 0] = np.where(finite[:, None], top, 0.0)
-    poles = np.linalg.eigvals(companion)
-    flag_first(errors, (coeffs[:, -1] == 0) | ~(poles.imag < 0).all(axis=1),
-               lambda k: UnstableSystem(_UNSTABLE))
-    return poles
+    return Batch(errors, [()] * len(coeffs), {"poles": np.linalg.eigvals(companion)})
 
 
 def moment_integrals_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> Batch:
@@ -381,8 +373,12 @@ def moment_integrals_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> Batch:
     """
     if not rel_tol > 0:
         raise InvalidParams(f"rel_tol must be positive, got {rel_tol!r}")
-    errors: list = [None] * len(grid)
-    poles = _poles_batch(_response_poly_coeffs(grid), errors)
+    coeffs = _response_poly_coeffs(grid)
+    roots = _poles_batch(coeffs)
+    errors, poles = roots.errors, roots.columns["poles"]
+    # A zero constant coefficient is trimmed by np.roots into a root at 0.
+    flag_first(errors, (coeffs[:, -1] == 0) | ~(poles.imag < 0).all(axis=1),
+               lambda k: UnstableSystem(_UNSTABLE))
     idx = np.flatnonzero([e is None for e in errors])
     w_max = 10.0 * np.maximum(np.abs(poles[idx]).max(axis=1), grid.omega_b[idx])
     panels, rec = _initial_panels(poles[idx], w_max)

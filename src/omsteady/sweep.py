@@ -19,10 +19,13 @@ rule across the chunk and gates the integrals it settles as columns.
 The Lyapunov routes take 256 items per call, which amortizes the numpy
 calls on their 4x4 and 6x6 stacks (the builds, the stability and
 residual checks, the 2D summary), while steady_covariance_batch fills and
-solves the 21x21 vech operators in blocks of 64 so that they stay in
-cache. The spectral route takes 64, since its panel table grows with
-the chunk; the closed forms take 1,024, where only the Python work per
-call is to amortize. One chunk loop turns the chunks of a request into
+solves the operators (10x10 and 21x21 vech ones, 9x9 ones for the
+rotating-wave items) in blocks of 64 so that they stay in cache. A
+Lyapunov route's Batch keeps the build's and the solve's columns
+(drift, matrix, residual and the rest) beside its quantities. The
+spectral route takes 64, since its panel table grows with the chunk;
+the closed forms take 1,024, where only the Python work per call is
+to amortize. One chunk loop turns the chunks of a request into
 one Batch; it alone keeps invalid records from the evaluators and cuts
 each column down to the settled items. Two functions sit on it:
 evaluate_grid takes grid points (values of named parameters; each
@@ -185,49 +188,52 @@ def _oneD(moments: Callable[[ParamsGrid], Batch]) -> Callable[[ParamsGrid], Batc
     return evaluate
 
 
-def _covariances(grid, build) -> tuple[Batch, np.ndarray, np.ndarray]:
+def _covariances(grid, build) -> tuple[Batch, np.ndarray]:
     """Build the grid's systems as one stack and solve them as one stack.
 
-    Returns the Batch of the build and the solve (per item the first
-    error they raised and its system's warnings, and no columns), the
-    covariances V[B, n, n], zero where an item did not settle, and hbar.
+    Returns the Batch of the build, then the solve: per item the first
+    error they raised and its system's warnings, and the columns of
+    both (drift, diffusion and hbar; matrix, residual, backward_error
+    and decay_bound). Also returns the matrix column, the covariances
+    V[B, n, n], zero where an item did not settle.
     """
     systems = build(grid)
+    A = systems.columns["drift"]
     # A NaN drift keeps a system its build flagged out of the stacked solve.
-    systems.drift[[e is not None for e in systems.errors]] = np.nan
-    solved = steady_covariance_batch(systems.drift, systems.diffusion)
-    block = Batch(systems.errors, systems.warnings, {}).then(
-        Batch(solved.errors, [()] * len(grid), {}))
-    V = solved.matrix
+    A[[e is not None for e in systems.errors]] = np.nan
+    block = systems.then(steady_covariance_batch(A, systems.columns["diffusion"]))
+    V = block.columns["matrix"]
     V[[e is not None for e in block.errors]] = 0.0
-    return block, V, systems.hbar
+    return block, V
 
 
-def _summary_block(block: Batch, W, hbar, head: dict) -> Batch:
-    """The Batch of a two-mode route: its own columns, then the 2D summary of W."""
-    summary = summary_2d_batch(W, hbar)
+def _summary_block(block: Batch, W, head: dict) -> Batch:
+    """The Batch of a two-mode route: its own columns joined by the head
+    columns, then the 2D summary of W."""
+    summary = summary_2d_batch(W, block.columns["hbar"])
     summary.columns["purity_product"] = summary.columns.pop("purity_product_1d")
-    return block._replace(columns=head).then(summary)
+    block.columns.update(head)
+    return block.then(summary)
 
 
 def _batch_oneD_lyapunov(grid) -> Batch:
-    block, V, _ = _covariances(grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal))
-    return block._replace(columns={"xx": V[:, 0, 0], "pp": V[:, 1, 1], "xp": V[:, 0, 1]})
+    block, V = _covariances(grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal))
+    block.columns.update(xx=V[:, 0, 0], pp=V[:, 1, 1], xp=V[:, 0, 1])
+    return block
 
 
 def _batch_twoD_lyapunov(grid) -> Batch:
-    block, V, hbar = _covariances(
-        grid, lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal))
+    block, V = _covariances(grid, lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal))
     head = {"xx_b": V[:, 0, 0], "pp_b": V[:, 1, 1], "xx_d": V[:, 2, 2], "pp_d": V[:, 3, 3],
             "x_b_x_d": V[:, 0, 2], "p_b_p_d": V[:, 1, 3]}
-    return _summary_block(block, V[:, :4, :4], hbar, head)
+    return _summary_block(block, V[:, :4, :4], head)
 
 
 def _batch_rwa_lyapunov(grid) -> Batch:
-    block, V, hbar = _covariances(grid, build_rwa_batch)
+    block, V = _covariances(grid, build_rwa_batch)
     head = {"n_b": 0.5 * (V[:, 2, 2] + V[:, 3, 3] - 1.0),
             "n_d": 0.5 * (V[:, 4, 4] + V[:, 5, 5] - 1.0)}
-    return _summary_block(block, V[:, 2:, 2:], hbar, head)
+    return _summary_block(block, V[:, 2:, 2:], head)
 
 
 _ONE_D = ("xx", "pp", "xp", "n_bar", "purity", "n_bar_0")
@@ -248,7 +254,7 @@ class _Route(NamedTuple):
 #: Items per call of the spectral route, whose panel table grows with
 #: the chunk.
 _STACKED = 64
-#: Items per call of a Lyapunov route. Its vech operators are filled and
+#: Items per call of a Lyapunov route. Its operators are filled and
 #: solved in blocks of 64 (langevin._LU_BLOCK), so a larger chunk only
 #: amortizes the numpy calls on its columns.
 _LYAPUNOV = 256

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from omsteady import sweep
@@ -12,6 +10,7 @@ def perturbed_diffusion(monkeypatch):
 
     def perturbed(grid, noise):
         systems = build(grid, noise)
-        return replace(systems, diffusion=systems.diffusion * (1.0 + 1e-6))
+        systems.columns["diffusion"] = systems.columns["diffusion"] * (1.0 + 1e-6)
+        return systems
 
     monkeypatch.setattr(sweep, "build_1d_batch", perturbed)

@@ -14,6 +14,9 @@ from omsteady.errors import Batch, DegenerateState, InvalidParams, UnstableRegim
 from omsteady.gaussian import (Cov1D, Cov2D, occupation_and_purity_1d,
                                occupation_and_purity_1d_batch, purity_2d_general,
                                summary_2d_batch)
+from omsteady.langevin import (LinearSystem, NoiseMode, build_1d, build_1d_batch, build_2d,
+                               build_2d_batch, build_rwa, build_rwa_batch, steady_covariance,
+                               steady_covariance_batch)
 from omsteady.models import (ParamsGrid, SystemParams1D, SystemParamsRWA, resonant_2d_design,
                              with_param)
 from omsteady.spectral import (integrate_moments, integrate_moments_batch, moment_integrals,
@@ -31,6 +34,27 @@ P_RWA = SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-6, gamma_d=1e-6, ka
                         delta=1.0, G_o=2e-3, G_m=2e-3 / math.sqrt(2.0), n_B_b=25.0, n_B_d=25.0)
 RECORDS_RWA = [P_RWA, with_param(P_RWA, "G_o", 0.0), with_param(P_RWA, "G_o", 1e-5),
                with_param(P_RWA, "n_B_d", 30.0)]
+
+# Records whose build flags them: a drift and two diffusions past the
+# float range, and an out-of-regime record that only warns.
+BUILD_1D = RECORDS_1D + [with_param(with_param(P_1D, "mass", 1e150), "omega_b", 1e100),
+                         with_param(with_param(with_param(RECORDS_1D[-1], "mass", 1e100),
+                                               "gamma_b", 1e150), "temperature", 1e150)]
+BUILD_RWA = RECORDS_RWA + [with_param(with_param(P_RWA, "gamma_b", 1.2e154), "n_B_b", 1.2e154),
+                           with_param(P_RWA, "G_o", 0.5)]
+# (drift, diffusion) pairs of dimension 4: a settled build, an unstable
+# one, a defective drift that the eigenvalue check calls decaying but
+# whose operator is singular (so it is unstable too), a non-finite
+# drift, that drift times 1e308, whose operator overflows (the
+# residual gate fails), and a settled thermal build.
+_DEFECTIVE = np.kron(np.eye(2), [[1.0, 1.0], [-1.0, -1.0]])
+_VACUUM, _UNSTABLE, _THERMAL = (build_1d(p, n) for p, n in (
+    (P_1D, NoiseMode.VacuumOnly), (with_param(P_1D, "G_o", 0.75), NoiseMode.VacuumOnly),
+    (RECORDS_1D[4], NoiseMode.MarkovianThermal)))
+SYSTEMS_4 = [(_VACUUM.drift, _VACUUM.diffusion), (_UNSTABLE.drift, _UNSTABLE.diffusion),
+             (_DEFECTIVE, np.eye(4)), (np.where(np.eye(4) > 0, math.nan, -np.eye(4)), np.eye(4)),
+             (1e308 * _DEFECTIVE, np.eye(4)),
+             (_THERMAL.drift, _THERMAL.diffusion)]
 
 # Second moments: settled, below the Heisenberg bound, hbar = 0.37.
 MOMENTS_1D = [(0.5, 0.5, 0.0, 1.0), (0.1, 0.1, 0.0, 1.0), (2.0, 0.7, 0.3, 0.37)]
@@ -51,6 +75,24 @@ def _columns(items):
 def _rwa_optimum(p):
     g_m_opt, purity_opt, warnings = rwa_optimum(p)
     return {"G_m_opt": g_m_opt, "purity_opt": purity_opt}, warnings
+
+
+def _system(sys):
+    return {"drift": sys.drift, "diffusion": sys.diffusion, "hbar": sys.hbar}, sys.warnings
+
+
+def _stacked_systems(idx):
+    A, D = zip(*(SYSTEMS_4[k] for k in idx))
+    return steady_covariance_batch(np.stack(A), np.stack(D))
+
+
+def _steady_covariance(item):
+    """steady_covariance's matrix, and the gate's figures of the item solved alone."""
+    A, D = item
+    alone = steady_covariance_batch(A[None], D[None])
+    values = {"matrix": steady_covariance(LinearSystem(A, D, ("x_b", "p_b", "X_c", "P_c"))).matrix}
+    values.update({q: alone.columns[q][0] for q in ("residual", "backward_error", "decay_bound")})
+    return values, ()
 
 
 def _grid_case(batch, scalar, records):
@@ -81,6 +123,12 @@ CASES = {
                                      [COVS_2D[k].hbar for k in idx]),
         lambda c: (asdict(purity_2d_general(c)), ()),
         COVS_2D),
+    "build_1d": _grid_case(lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal),
+                           lambda p: _system(build_1d(p, NoiseMode.MarkovianThermal)), BUILD_1D),
+    "build_2d": _grid_case(lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal),
+                           lambda p: _system(build_2d(p, NoiseMode.MarkovianThermal)), RECORDS_2D),
+    "build_rwa": _grid_case(build_rwa_batch, lambda p: _system(build_rwa(p)), BUILD_RWA),
+    "steady_covariance": (_stacked_systems, _steady_covariance, SYSTEMS_4),
     "bare_occupation": (
         lambda idx: bare_occupation_batch(*_columns([BARE[k] for k in idx])),
         lambda b: ({"n_bar_0": bare_occupation(Cov1D(b[0], b[1], hbar=b[2]), b[3], b[4])}, ()),
@@ -89,7 +137,8 @@ CASES = {
 
 
 def _bits(values: dict) -> dict:
-    return {q: float(v).hex() for q, v in values.items()}
+    """Each value's bits: a matrix's bytes, a number's hex."""
+    return {q: v.tobytes() if np.ndim(v) else float(v).hex() for q, v in values.items()}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -99,7 +148,8 @@ def test_batch_is_the_stack_of_its_scalar_function(name):
     batch = stack(range(n))
     assert isinstance(batch, Batch)
     assert len(batch.errors) == len(batch.warnings) == n
-    assert all(np.shape(c) == (n,) for c in batch.columns.values())
+    # a column of numbers, or of d x d matrices
+    assert all(c.shape in ((n,), (n, c.shape[-1], c.shape[-1])) for c in batch.columns.values())
     assert any(e is None for e in batch.errors) and any(e is not None for e in batch.errors)
     for k, item in enumerate(items):
         one, error = stack([k]), batch.errors[k]
@@ -131,6 +181,10 @@ def test_then_keeps_each_item_first_error_and_joins_the_rest():
 def test_only_gives_floats_or_raises_the_item_error():
     assert Batch([None], [()], {"x": np.array([0.25])}).only() == {"x": 0.25}
     assert type(Batch([None], [()], {"x": np.array([0.25])}).only()["x"]) is float
+    V = np.arange(4.0).reshape(1, 2, 2)
+    one = Batch([None], [()], {"x": np.array([0.25]), "V": V}).only()
+    assert type(one["x"]) is float and one["V"].shape == (2, 2)
+    assert one["V"].tobytes() == V[0].tobytes()
     error = UnstableRegime("item 0")
     with pytest.raises(UnstableRegime, match="^item 0$"):
-        Batch([error], [()], {"x": np.array([0.25])}).only()
+        Batch([error], [()], {"x": np.array([0.25]), "V": V}).only()

@@ -239,7 +239,7 @@ def _loop_reference(sys, solve=_vech_loop):
     try:
         V = solve(A, D)
     except np.linalg.LinAlgError as exc:
-        raise SolveFailure(str(exc)) from exc
+        raise UnstableSystem(str(exc)) from exc
     resid = np.abs(A @ V + V @ A.T + D).max()
     scale = max(np.abs(D).max(), np.abs(A).max() * np.abs(V).max())
     if not np.isfinite(resid) or resid > LYAPUNOV_RESIDUAL_RTOL * scale:
@@ -300,14 +300,24 @@ class TestVechAssemblyMatchesLoop:
                 solve(sys)
 
     def test_singular_operator_raises_like_loop(self, monkeypatch):
-        # Eigenvalues +1 and -1 sum to zero, so the vech operator is singular.
+        # Eigenvalues +1 and -1 sum to zero, so the vech operator is
+        # singular, which only a drift that is not stable makes it.
         monkeypatch.setattr(langevin, "stability", lambda sys: True)
         monkeypatch.setattr(langevin, "_decaying", lambda A: np.ones(len(A), dtype=bool))
         sys = LinearSystem(drift=np.diag([1.0, -1.0]), diffusion=np.eye(2),
                            labels=("x", "p"))
         for solve in (steady_covariance, _loop_reference):
-            with pytest.raises(SolveFailure):
+            with pytest.raises(UnstableSystem):
                 solve(sys)
+
+    @pytest.mark.parametrize("e", [-1074, -1000, -200, 0, 200, 1000])
+    def test_defective_drift_is_unstable(self, e):
+        # 2^e [[1, 1], [-1, -1]] is nilpotent, so its operator is singular;
+        # the eigenvalue check calls it decaying except at 2^-1074.
+        sys = LinearSystem(drift=math.ldexp(1.0, e) * np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                           diffusion=np.eye(2), labels=("x", "p"))
+        with pytest.raises(UnstableSystem):
+            steady_covariance(sys)
 
 
 
@@ -402,15 +412,14 @@ class TestReducedSolve:
         records = [SystemParamsRWA(*p) for p in zip(
             u(0.8, 1.2), u(0.8, 1.2), logu(-5, -2), logu(-5, -2), logu(-3, -1), u(0.8, 1.2),
             logu(-3, -1), logu(-3, -1), logu(0, 4), logu(0, 4))]
-        rwa = langevin.build_rwa_batch(ParamsGrid.from_records(records))
-        groups = [[rwa.system(k) for k in range(B)]]
+        groups = [[build_rwa(p) for p in records]]
         groups += [[_random_phase_insensitive_system(rng, h) for _ in range(50)] for h in (1, 2, 3)]
         for group in groups:
             batch = _stack(group)
-            assert batch.errors == (None,) * len(group)
-            assert np.all(batch.backward_error <= LYAPUNOV_RESIDUAL_RTOL)
-            assert langevin._phase_insensitive(batch.matrix).all()
-            for sys, V in zip(group, batch.matrix):
+            assert batch.errors == [None] * len(group)
+            assert np.all(batch.columns["backward_error"] <= LYAPUNOV_RESIDUAL_RTOL)
+            assert langevin._phase_insensitive(batch.columns["matrix"]).all()
+            for sys, V in zip(group, batch.columns["matrix"]):
                 vech = _loop_reference(sys)
                 assert np.abs(V - vech).max() <= 1e-12 * np.abs(vech).max()
                 assert V.tobytes() == _loop_reference(sys, _reduced_loop).tobytes()
@@ -451,8 +460,8 @@ class TestStackedSolve:
     def test_model_builds_stacked_by_size(self):
         for group in (MODEL_BUILDS[:2], MODEL_BUILDS[2:]):
             batch = _stack(group + group[::-1])
-            assert batch.errors == (None,) * 4
-            for sys, V in zip(group + group[::-1], batch.matrix):
+            assert batch.errors == [None] * 4
+            for sys, V in zip(group + group[::-1], batch.columns["matrix"]):
                 assert V.tobytes() == steady_covariance(sys).matrix.tobytes()
                 _assert_loop_solution(sys, V)
 
@@ -462,9 +471,9 @@ class TestStackedSolve:
         for n in (2, 4, 6):
             group = [s for s in systems if s.dim == n]
             batch = _stack(group)
-            assert batch.errors == (None,) * len(group)
-            assert np.all(batch.backward_error <= LYAPUNOV_RESIDUAL_RTOL)
-            for sys, V in zip(group, batch.matrix):
+            assert batch.errors == [None] * len(group)
+            assert np.all(batch.columns["backward_error"] <= LYAPUNOV_RESIDUAL_RTOL)
+            for sys, V in zip(group, batch.columns["matrix"]):
                 assert np.array_equal(V, steady_covariance(sys).matrix)
                 assert np.array_equal(V, _loop_reference(sys))
 
@@ -484,7 +493,7 @@ class TestStackedSolve:
         stable = [_random_stable_system(rng, 2) for _ in range(4)]
         systems = [stable[0], singular, stable[1], unstable, stable[2], singular, stable[3]]
         batch = _stack(systems)
-        for sys, V, err in zip(systems, batch.matrix, batch.errors):
+        for sys, V, err in zip(systems, batch.columns["matrix"], batch.errors):
             expect = _scalar_outcome(sys)
             if isinstance(expect, Exception):
                 assert type(err) is type(expect) and str(err) == str(expect)
@@ -493,8 +502,8 @@ class TestStackedSolve:
                 assert np.array_equal(V, expect)
                 assert np.array_equal(V, _loop_reference(sys))
         assert [type(e).__name__ for e in batch.errors] == [
-            "NoneType", "SolveFailure", "NoneType", "UnstableSystem", "NoneType",
-            "SolveFailure", "NoneType"]
+            "NoneType", "UnstableSystem", "NoneType", "UnstableSystem", "NoneType",
+            "UnstableSystem", "NoneType"]
         assert str(batch.errors[1]) == "Lyapunov linear system is singular: Singular matrix"
         # 6x6: rotating-wave items (reduced path; undamped ones decided by
         # eigenvalues first) beside twoD items (vech path), non-finite items
@@ -516,14 +525,14 @@ class TestStackedSolve:
             assert type(batch.errors[k]) is type(alone.errors[0])
             assert str(batch.errors[k]) == str(alone.errors[0])
             for field in ("matrix", "residual", "backward_error", "decay_bound"):
-                assert getattr(batch, field)[k].tobytes() == getattr(alone, field)[0].tobytes()
+                assert batch.columns[field][k].tobytes() == alone.columns[field][0].tobytes()
         assert [type(e).__name__ for e in batch.errors] == [
-            "NoneType", "SolveFailure", "NoneType", "NoneType", "InvalidParams", "InvalidParams",
-            "NoneType", "SolveFailure", "NoneType"]
+            "NoneType", "UnstableSystem", "NoneType", "NoneType", "InvalidParams",
+            "InvalidParams", "NoneType", "UnstableSystem", "NoneType"]
         for k in (0, 3, 8):
-            assert batch.matrix[k].tobytes() == _reduced_loop(A[k], D[k]).tobytes()
+            assert batch.columns["matrix"][k].tobytes() == _reduced_loop(A[k], D[k]).tobytes()
         for k in (2, 6):
-            assert batch.matrix[k].tobytes() == _vech_loop(A[k], D[k]).tobytes()
+            assert batch.columns["matrix"][k].tobytes() == _vech_loop(A[k], D[k]).tobytes()
 
     def test_flags_across_lu_blocks_match_the_scalar_solve(self, monkeypatch):
         # 150 items make three LU blocks. Singular items (let past the
@@ -559,7 +568,7 @@ class TestStackedSolve:
         # item.
         assert sizes == [64] + [1] * 64 + [64] + [1] * 64 + [19] + [1] * 19
         monkeypatch.setattr(np.linalg, "solve", solve)
-        for sys, V, err, expect in zip(systems, batch.matrix, batch.errors, expected):
+        for sys, V, err, expect in zip(systems, batch.columns["matrix"], batch.errors, expected):
             if isinstance(expect, Exception):
                 assert type(err) is type(expect) and str(err) == str(expect)
                 with pytest.raises(type(expect)):
@@ -568,10 +577,12 @@ class TestStackedSolve:
             else:
                 assert err is None
                 assert V.tobytes() == expect.tobytes() == _loop_reference(sys).tobytes()
-        assert [k for k, e in enumerate(batch.errors) if isinstance(e, SolveFailure)] == [
-            5, 63, 64, 65, 128, 145]
-        assert [k for k, e in enumerate(batch.errors) if isinstance(e, UnstableSystem)] == [
-            10, 20, 70, 100, 129, 140]
+        singular_items = [5, 63, 64, 65, 128, 145]
+        singular_message = "Lyapunov linear system is singular: Singular matrix"
+        assert [k for k, e in enumerate(batch.errors) if str(e) == singular_message] == (
+            singular_items)
+        assert [k for k, e in enumerate(batch.errors) if isinstance(e, UnstableSystem)] == sorted(
+            singular_items + [10, 20, 70, 100, 129, 140])
 
     def test_scalar_errors_come_from_the_batch_outcome(self):
         sys = build_1d(with_param(P_1D, "G_o", 0.55), NoiseMode.VacuumOnly)
@@ -589,12 +600,12 @@ class TestResidualGateScale:
         # their product overflows, which made the old scale inf
         sys = build_1d(with_param(P_1D, "mass", 1e-200), NoiseMode.MarkovianThermal)
         batch = _stack([sys])
-        a, v = float(np.abs(sys.drift).max()), float(np.abs(batch.matrix).max())
+        a, v = float(np.abs(sys.drift).max()), float(np.abs(batch.columns["matrix"]).max())
         assert a * v == math.inf
-        assert batch.errors == (None,)
-        err = batch.backward_error[0]
+        assert batch.errors == [None]
+        err = batch.columns["backward_error"][0]
         assert 0.0 < err <= LYAPUNOV_RESIDUAL_RTOL
-        assert err == batch.residual[0] / a / v
+        assert err == batch.columns["residual"][0] / a / v
 
     def test_perturbed_V_fails_where_the_product_overflows(self, monkeypatch):
         # max|A| = 1e200 and max|V| = 2e108, so max|A| max|V| overflows,
@@ -602,7 +613,7 @@ class TestResidualGateScale:
         # 2e305 from the perturbed V must fail the gate
         sys = LinearSystem(drift=np.diag([-1e200, -1e190]),
                            diffusion=np.diag([2e200, 4e298]), labels=("x", "p"))
-        assert _stack([sys]).errors == (None,)
+        assert _stack([sys]).errors == [None]
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda M, b: solve(M, b) + np.array([[1e105], [0.0], [0.0]]))
@@ -637,7 +648,7 @@ def _eigvals_reference(A, D):
                 v[k] = np.linalg.solve(M[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
             except np.linalg.LinAlgError as exc:
                 if errors[k] is None:
-                    errors[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
+                    errors[k] = UnstableSystem(f"Lyapunov linear system is singular: {exc}")
     v[reduced | np.array([e is not None for e in errors])] = 0.0
     V = np.empty((B, n, n))
     V[:, iu, ju] = V[:, ju, iu] = v
@@ -645,7 +656,7 @@ def _eigvals_reference(A, D):
         try:
             V[k] = _reduced_loop(A[k], D[k])
         except np.linalg.LinAlgError as exc:
-            errors[k] = SolveFailure(f"Lyapunov linear system is singular: {exc}")
+            errors[k] = UnstableSystem(f"Lyapunov linear system is singular: {exc}")
     resid = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=(-2, -1))
     d, a, vmax = (np.abs(X).max(axis=(-2, -1)) for X in (D, A, V))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -662,9 +673,9 @@ def _assert_batch_is_reference(A, D):
     batch = langevin.steady_covariance_batch(A, D)
     V, resid, err, errors = _eigvals_reference(A, D)
     assert [(type(e), str(e)) for e in batch.errors] == [(type(e), str(e)) for e in errors]
-    assert batch.matrix.tobytes() == V.tobytes()
-    assert batch.residual.tobytes() == resid.tobytes()
-    assert batch.backward_error.tobytes() == err.tobytes()
+    assert batch.columns["matrix"].tobytes() == V.tobytes()
+    assert batch.columns["residual"].tobytes() == resid.tobytes()
+    assert batch.columns["backward_error"].tobytes() == err.tobytes()
     return batch
 
 
@@ -708,7 +719,7 @@ class TestStabilityCertificate:
                     shifted.append(isinstance(margin, float))
         A, D = np.array(drifts), np.array(diffusions)
         batch = _assert_batch_is_reference(A, D)
-        certified = np.isfinite(batch.decay_bound)
+        certified = np.isfinite(batch.columns["decay_bound"])
         # the certificate never reaches a drift within 1e-9 rho of the
         # imaginary axis, nor a D that is not definite by Gershgorin's discs
         gershgorin = (2.0 * np.diagonal(D, axis1=1, axis2=2) - np.abs(D).sum(axis=2)).min(axis=1)
@@ -717,7 +728,7 @@ class TestStabilityCertificate:
         assert not (certified & (gershgorin <= 0.0)).any()
         # the bound bounds: -max Re lambda is at least decay_bound
         worst = np.linalg.eigvals(A[certified]).real.max(axis=-1)
-        assert np.all(-worst >= batch.decay_bound[certified])
+        assert np.all(-worst >= batch.columns["decay_bound"][certified])
         assert {type(e).__name__ for e in batch.errors} == {"NoneType", "UnstableSystem"}
 
     def test_model_builds_match_the_eigvals_reference(self):
@@ -728,9 +739,9 @@ class TestStabilityCertificate:
                                  (MODEL_BUILDS[2:] + [undamped_rwa], [False, True, False])):
             batch = _assert_batch_is_reference(np.stack([s.drift for s in group]),
                                                np.stack([s.diffusion for s in group]))
-            assert batch.errors == (None,) * len(group)
+            assert batch.errors == [None] * len(group)
             # only the damped rwa build has a certifiably definite diffusion
-            assert np.isfinite(batch.decay_bound).tolist() == certified
+            assert np.isfinite(batch.columns["decay_bound"]).tolist() == certified
 
     def test_bound_is_the_gershgorin_margin_over_twice_the_trace(self):
         A, D, V = (np.stack([m] * 3) for m in (-np.eye(4), np.eye(4), 0.5 * np.eye(4)))
@@ -763,10 +774,10 @@ class TestStabilityCertificate:
         monkeypatch.setattr(langevin, "_decaying", counting)
         records = [fig3_params(float(ro) * _FIG3_KAPPA, float(rm) * _FIG3_KAPPA)
                    for ro in _FIG3_RATIO for rm in _FIG3_RATIO if rm <= 10.0 * ro]
-        systems = langevin.build_rwa_batch(ParamsGrid.from_records(records))
-        batch = langevin.steady_covariance_batch(systems.drift, systems.diffusion)
-        assert batch.errors == (None,) * len(records)
-        assert np.all(batch.decay_bound > 0.0)
+        systems = langevin.build_rwa_batch(ParamsGrid.from_records(records)).columns
+        batch = langevin.steady_covariance_batch(systems["drift"], systems["diffusion"])
+        assert batch.errors == [None] * len(records)
+        assert np.all(batch.columns["decay_bound"] > 0.0)
         assert sum(seen) == 0
 
 
@@ -792,10 +803,10 @@ class TestNonFiniteAndHugeItems:
         assert isinstance(both.errors[1], InvalidParams)
         assert str(both.errors[1]) == f"{name} matrix has a non-finite entry"
         assert both.errors[0] is None
-        assert both.matrix[0].tobytes() == batch.matrix[0].tobytes()
-        assert both.residual[0] == batch.residual[0]
-        assert both.backward_error[0] == batch.backward_error[0]
-        assert not both.matrix[1].any()
+        assert both.columns["matrix"][0].tobytes() == batch.columns["matrix"][0].tobytes()
+        assert both.columns["residual"][0] == batch.columns["residual"][0]
+        assert both.columns["backward_error"][0] == batch.columns["backward_error"][0]
+        assert not both.columns["matrix"][1].any()
 
     def test_unstable_item_is_not_solved(self, monkeypatch):
         # a marginal rotation has a singular vech operator; it is decided
@@ -819,7 +830,7 @@ class TestNonFiniteAndHugeItems:
         fine = LinearSystem(drift=-np.eye(2), diffusion=np.eye(2), labels=("x", "p"))
         batch = _stack([sys, fine])
         assert isinstance(batch.errors[0], OmsteadyError) and batch.errors[1] is None
-        assert batch.matrix[1].tobytes() == steady_covariance(fine).matrix.tobytes()
+        assert batch.columns["matrix"][1].tobytes() == steady_covariance(fine).matrix.tobytes()
 
 
 class TestBuild2D:

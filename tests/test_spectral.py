@@ -413,19 +413,18 @@ def test_stacked_poles_are_the_np_roots_poles():
     records = [with_param(P_REF, "G_o", g) for g in (0.01, 0.05, 0.2, 0.45)]
     records.append(with_param(records[0], "temperature", 2.0))
     coeffs = spectral._response_poly_coeffs(ParamsGrid.from_records(records))
-    errors = [None] * len(records)
-    for p, c, poles in zip(records, coeffs, spectral._poles_batch(coeffs, errors)):
+    batch = spectral._poles_batch(coeffs)
+    for p, c, poles in zip(records, coeffs, batch.columns["poles"]):
         # a record's coefficients are its column's
         np.testing.assert_array_equal(c, spectral._response_poly_coeffs(p))
         np.testing.assert_array_equal(poles, np.roots(c))
         np.testing.assert_array_equal(response_poles(p), poles)
-    assert errors == [None] * len(records)
+    assert batch.errors == [None] * len(records)
     # np.roots trims a zero constant coefficient into a root at 0, which
-    # is not in the lower half plane
-    errors = [None, None]
-    spectral._poles_batch(coeffs[:2] * [1, 1, 1, 1, 0], errors)
-    assert all(isinstance(e, UnstableSystem) for e in errors)
-    # a record's zero constant coefficient gives a companion root at 0
+    # is not in the lower half plane; a record's zero constant coefficient
+    # gives a companion root at 0
     p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=2.0, delta=1.0, lambda_o=1.0)
     assert spectral._response_poly_coeffs(p)[-1] == 0
     assert not spectral_stability(p)
+    (error,) = spectral.moment_integrals_batch(ParamsGrid.from_records([p])).errors
+    assert isinstance(error, UnstableSystem) and str(error) == spectral._UNSTABLE

@@ -1,8 +1,7 @@
-import hashlib
 import math
 import warnings
 from dataclasses import fields, replace
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 import pytest
@@ -10,11 +9,12 @@ import pytest
 from omsteady import spectral, sweep
 from omsteady.cli import _build_params
 from omsteady.closedform import backaction_1d, bare_occupation
-from omsteady.errors import (CorrelatedBathUnsupported, InvalidParams, OmsteadyError,
+from omsteady.errors import (Batch, CorrelatedBathUnsupported, InvalidParams, OmsteadyError,
                              QuadratureFailure)
 from omsteady.gaussian import Cov1D, Cov2D, occupation_and_purity_1d, purity_2d_general
-from omsteady.langevin import (CovarianceBatch, NoiseMode, build_1d, build_2d, build_rwa,
-                               stability, steady_covariance)
+from omsteady.langevin import (NoiseMode, build_1d, build_1d_batch, build_2d, build_2d_batch,
+                               build_rwa, build_rwa_batch, stability, steady_covariance,
+                               steady_covariance_batch)
 from omsteady.models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA,
                              resonant_2d_design)
 from omsteady.sweep import (
@@ -434,8 +434,9 @@ class TestStackedSweep:
             lo = 0 if n == 4 else 2  # where x_b, p_b sit
             for k, block in enumerate(blocks["oneD" if n == 4 else "rwa"]):
                 V[k, lo:lo + len(block), lo:lo + len(block)] = block
-            return CovarianceBatch(V, np.zeros(len(A)), np.ones(len(A)), np.full(len(A), np.nan),
-                                   (None,) * len(A))
+            return Batch([None] * len(A), [()] * len(A), {
+                "matrix": V, "residual": np.zeros(len(A)), "backward_error": np.ones(len(A)),
+                "decay_bound": np.full(len(A), np.nan)})
 
         monkeypatch.setattr(sweep, "steady_covariance_batch", solved)
         for model, params in (("oneD", P_1D), ("rwa", RWA_BATH)):
@@ -518,6 +519,23 @@ class TestFullLengthColumns:
         for q in route.quantities:
             pointwise = np.array([a.columns[q][0] for a in alone if a.errors[0] is None])
             assert columns[q].tobytes() == pointwise.tobytes(), q
+
+
+    @pytest.mark.parametrize("model", ["oneD", "twoD", "rwa"])
+    def test_lyapunov_block_carries_the_solve_diagnostics(self, model):
+        base, axes = EVALUATOR_FLAGS[(model, "lyapunov")]
+        full = ParamsGrid.from_axes(base, [a.name for a in axes], SweepSpec(axes).grid())
+        grid = full.take([k for k, e in enumerate(full.errors) if e is None])
+        systems = {"oneD": lambda: build_1d_batch(grid, NoiseMode.MarkovianThermal),
+                   "twoD": lambda: build_2d_batch(grid, NoiseMode.MarkovianThermal),
+                   "rwa": lambda: build_rwa_batch(grid)}[model]()
+        solved = steady_covariance_batch(systems.columns["drift"], systems.columns["diffusion"])
+        block = sweep._EVALUATORS[(model, "lyapunov")].evaluate(grid)
+        # the solve of an item its build flagged sees a NaN drift instead
+        built = np.array([e is None for e in systems.errors])
+        assert any(e is not None for e in compress(solved.errors, built))
+        for q in ("residual", "backward_error", "decay_bound"):
+            assert block.columns[q][built].tobytes() == solved.columns[q][built].tobytes(), q
 
 
 def _chain(base, names, point):
