@@ -16,8 +16,8 @@ error's code is its ``exit_code`` (see :mod:`omsteady.errors`).
 Configuration files are plain-text INI: a [run] section for model,
 solver and outputs, a [params] section for the physical parameters,
 plus [sweep] / [optimize] sections for those subcommands. Every key is
-documented in --help. Command-line --param overrides win over file
-values.
+documented in --help. The [params] values apply first, then the
+--param ones, each source by the params layer's override rule.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParams, OmsteadyError, UnstableRegime
 from .figures import FIGURES, make_figure
-from .models import _FIELD_NAMES, bright_dark, temperature_for_occupation
+from .models import _with_values, bright_dark, temperature_for_occupation
 from .sweep import (
     _PARAM_TYPES,
     MODELS,
@@ -42,16 +42,15 @@ from .sweep import (
     Axis,
     RunConfig,
     SweepSpec,
+    _check_grid_names,
     _write_atomic,
     available_quantities,
     check_grid_size,
-    check_param_names,
     evaluate_config,
     evaluate_grid,
     format_float,
     grid_points,
     sweep_to_csv,
-    with_param,
 )
 from .validation import run_validation
 
@@ -81,11 +80,11 @@ configuration file keys (INI format):
 
   [params]   physical parameters; unknown keys are rejected
     oneD: omega_b gamma_b kappa delta G_o|lambda_o mass temperature hbar
-    twoD: omega_x omega_y gamma_x gamma_y phi kappa delta lambda_o
+    twoD: omega_x omega_y gamma_x gamma_y phi kappa delta G_o|lambda_o
           mass temperature hbar
     rwa:  omega_b omega_d gamma_b gamma_d kappa delta G_o G_m n_B_b n_B_d
-    n_B   = bath occupation at the mechanical frequency; converted to
-            the equivalent temperature (oneD and twoD only)
+    n_B   = bath occupation at the (bright) mechanical frequency, as a
+            temperature (oneD and twoD; not beside temperature)
 
   [sweep]
     axis1  = name, lo, hi, count[, linear|log]
@@ -99,9 +98,10 @@ configuration file keys (INI format):
                 1000000 points over all dimensions, as for a sweep)
     scale     = linear | log grid spacing (default linear)
 
---param KEY=VALUE overrides [params]; the keys model, solver and
-outputs override [run]. All frequencies are in units of omega_ref and
-hbar = m = 1 unless overridden.
+[params] applies over the model's defaults, then --param KEY=VALUE (the
+keys model, solver and outputs override [run]). In each, a coupling form
+given alone replaces the other, and two given must agree. Frequencies
+are in units of omega_ref and hbar = m = 1 unless overridden.
 """
 
 #: What main prints before the message of an error with each exit code.
@@ -142,32 +142,21 @@ def _to_float(key: str, raw: str) -> float:
         raise InvalidParams(f"parameter {key!r} is not a number: {raw!r}") from None
 
 
-def _build_params(model: str, raw: dict[str, str]):
-    """Construct the params record for ``model`` from string overrides."""
-    cls = _PARAM_TYPES[model]
-    known = _FIELD_NAMES[cls]
-    merged = dict(_DEFAULT_PARAMS[model])
-    n_b_override: float | None = None
-    for key, value in raw.items():
-        if key == "n_B" and model in ("oneD", "twoD"):
-            n_b_override = _to_float(key, value)
-            continue
-        if key not in known:
-            raise InvalidParams(
-                f"unknown parameter {key!r} for model {model!r}; "
-                f"known: {sorted(known)}"
-            )
-        merged[key] = _to_float(key, value)
-    if model == "oneD" and "lambda_o" in raw and "G_o" not in raw:
-        merged.pop("G_o", None)
-    if model == "oneD" and "G_o" in raw:
-        merged.pop("lambda_o", None)
-    params = cls(**merged)
-    if n_b_override is not None:
-        ref = params.omega_b if model == "oneD" else bright_dark(params).omega_b
-        params = with_param(
-            params, "temperature", temperature_for_occupation(n_b_override, ref)
-        )
+def _build_params(model: str, sources: list[dict[str, str]]):
+    """The model's default record with each source of values applied in
+    turn; a source's n_B is its temperature at the record's (bright)
+    mechanical frequency."""
+    params = _PARAM_TYPES[model](**_DEFAULT_PARAMS[model])
+    for raw in sources:
+        values = {key: _to_float(key, text) for key, text in raw.items()}
+        n_b = values.pop("n_B", None) if model != "rwa" else None
+        if n_b is not None and "temperature" in values:
+            raise InvalidParams("give n_B or temperature, not both")
+        params = _with_values(params, values)
+        if n_b is not None:
+            ref = params.omega_b if model == "oneD" else bright_dark(params).omega_b
+            params = _with_values(
+                params, {"temperature": temperature_for_occupation(n_b, ref)})
     return params
 
 
@@ -181,11 +170,8 @@ def _build_run_config(args, cp: configparser.ConfigParser) -> RunConfig:
     )
     if model not in MODELS:
         raise InvalidParams(f"unknown model {model!r}; choose from {MODELS}")
-    if solver not in SOLVERS:
-        raise InvalidParams(f"unknown solver {solver!r}; choose from {SOLVERS}")
-    raw_params = dict(cp.items("params")) if cp.has_section("params") else {}
-    raw_params.update(par_over)
-    params = _build_params(model, raw_params)
+    file_params = dict(cp.items("params")) if cp.has_section("params") else {}
+    params = _build_params(model, [file_params, par_over])
     outputs_text = run_over.get("outputs") or cp.get("run", "outputs", fallback="")
     outputs = tuple(q.strip() for q in outputs_text.split(",") if q.strip())
     return RunConfig(model=model, solver=solver, params=params, outputs=outputs)
@@ -272,7 +258,7 @@ def _cmd_optimize(args) -> int:
     for i, name in enumerate(names):
         if name in names[:i]:
             raise InvalidParams(f"duplicate free name {name!r}")
-    check_param_names(config.params, names)
+    _check_grid_names(config.params, names)
     grid_text = cp.get("optimize", "grid", fallback="12")
     try:
         grid_n = int(grid_text)

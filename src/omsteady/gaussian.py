@@ -65,8 +65,10 @@ class Cov1D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise UncertaintyViolation("hbar must be positive")
+        if not all(map(math.isfinite, (self.xx, self.pp, self.xp))):
+            raise DegenerateState("covariance has a non-finite entry")
+        if not 0 < self.hbar < math.inf:
+            raise UncertaintyViolation("hbar must be positive and finite")
         _check(self, (_TINY_HBAR,))
         if self.xx < 0 or self.pp < 0:
             raise UncertaintyViolation("diagonal variances must be nonnegative")
@@ -93,8 +95,8 @@ class Cov2D:
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise DegenerateState("covariance matrix must be symmetric")
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
-        if self.hbar <= 0:
-            raise UncertaintyViolation("hbar must be positive")
+        if not 0 < self.hbar < math.inf:
+            raise UncertaintyViolation("hbar must be positive and finite")
         _check(self, (_TINY_HBAR,))
 
 

@@ -376,7 +376,8 @@ _SETTABLE = {cls: frozenset(names) | ({"G_o"} if cls is SystemParams2D else froz
 
 
 def _no_parameter(cls, name: str) -> InvalidParams:
-    return InvalidParams(f"{cls.__name__} has no parameter {name!r}")
+    return InvalidParams(f"{cls.__name__} has no parameter {name!r}; "
+                         f"settable: {' '.join(sorted(_SETTABLE[cls]))}")
 
 
 def check_param_names(params, names) -> None:
@@ -403,15 +404,29 @@ def with_param(params, name: str, value: float):
     converted at the bright-mode frequency of the record, as in
     resonant_2d_design.
     """
-    check_param_names(params, (name,))
-    value = float(value)
-    if isinstance(params, SystemParams1D) and name in _CLEARS_1D:
-        return replace(params, **{name: value, _CLEARS_1D[name]: None})
-    if name == "G_o" and isinstance(params, SystemParams2D):
+    return _with_values(params, {name: value})
+
+
+def _with_values(params, values: dict):
+    """with_param for several names at once. A coupling field that a value
+    clears stays where it is given too, and then the two forms must agree;
+    a 2D G_o is converted at the record the other values make."""
+    check_param_names(params, values)
+    values = {name: float(value) for name, value in values.items()}
+    if isinstance(params, SystemParams1D):
+        cleared = {_CLEARS_1D[name]: None for name in values if name in _CLEARS_1D}
+        return replace(params, **{**cleared, **values})
+    if isinstance(params, SystemParams2D) and "G_o" in values:
+        rate = values.pop("G_o")
+        params = replace(params, **values)
         scales = _bright_scales(params)
         _check(scales, _ZERO_POINT)
-        return replace(params, lambda_o=value / float(_rate_per_gradient(scales)))
-    return replace(params, **{name: value})
+        if "lambda_o" in values:
+            _check(SimpleNamespace(**vars(scales), lambda_o=params.lambda_o, G_o=rate),
+                   (_CONSISTENT,))
+            return params
+        values = {"lambda_o": rate / float(_rate_per_gradient(scales))}
+    return replace(params, **values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,8 +581,8 @@ def temperature_for_occupation(n_B: float, omega_ref: float) -> float:
         raise InvalidParams(f"n_B must be finite, got {n_B!r}")
     if n_B < 0:
         raise InvalidParams("n_B must be nonnegative")
-    if omega_ref <= 0:
-        raise InvalidParams("omega_ref must be positive")
+    if not 0 < omega_ref < math.inf:
+        raise InvalidParams(f"omega_ref must be positive and finite, got {omega_ref!r}")
     if n_B == 0:
         return 0.0
     return omega_ref / math.log1p(1.0 / n_B)

@@ -318,6 +318,9 @@ class RunConfig:
                     f"model={self.model!r} solver={self.solver!r}; "
                     f"available: {list(allowed)}"
                 )
+            for i, q in enumerate(self.outputs):
+                if q in self.outputs[:i]:
+                    raise InvalidParams(f"duplicate output name {q!r}")
             object.__setattr__(self, "outputs", tuple(self.outputs))
 
 
@@ -466,19 +469,14 @@ def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) 
                                  for q, part in parts.items()})
 
 
-def evaluate_config(config: RunConfig,
-                    overrides: dict | None = None) -> tuple[dict, tuple[str, ...]]:
-    """Evaluate one parameter point; raises on instability or bad input.
+def evaluate_config(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
+    """Evaluate the config's params record; raises on instability or bad input.
 
     Returns the requested quantities and any regime warnings the
-    underlying solver attached. Coupling overrides (lambda_o, then G_o)
-    are applied last, so the coupling they set holds at the point's
-    final frequencies and scales. The point is a grid of one.
+    underlying solver attached. The point is a grid of one.
     """
-    overrides = overrides or {}
-    point = _evaluate(
-        _EVALUATORS[(config.model, config.solver)], 1,
-        lambda s: ParamsGrid.from_axes(config.params, list(overrides), [tuple(overrides.values())]))
+    point = _evaluate(_EVALUATORS[(config.model, config.solver)], 1,
+                      lambda s: ParamsGrid.from_records([config.params]))
     values = point.only()
     return {q: values[q] for q in config.outputs}, point.warnings[0]
 
@@ -526,12 +524,22 @@ def evaluate_grid(config: RunConfig, names: list[str], points) -> tuple[dict, np
             np.array([e is None for e in errors], dtype=bool), warns)
 
 
+def _check_grid_names(params, names) -> None:
+    """Raise InvalidParams for a grid over a name that with_param cannot
+    set on params, or over both forms of the coupling, of which the one
+    set last (G_o, see ParamsGrid.from_axes) would undo the other."""
+    check_param_names(params, names)
+    if {"G_o", "lambda_o"} <= set(names):
+        raise InvalidParams("G_o and lambda_o are two forms of one coupling; "
+                            "a grid may set only one of them")
+
+
 def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
     """Evaluate the grid in chunks (see evaluate_grid); rows in grid order.
 
-    An axis that with_param cannot set raises InvalidParams first."""
+    Axes that _check_grid_names rejects raise InvalidParams first."""
     names = [a.name for a in spec.axes]
-    check_param_names(config.params, names)
+    _check_grid_names(config.params, names)
     return SweepResult(config, spec, *evaluate_grid(config, names, spec.grid()))
 
 

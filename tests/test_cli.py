@@ -1,4 +1,5 @@
 import argparse
+import re
 import shutil
 import subprocess
 import sys
@@ -7,9 +8,12 @@ from pathlib import Path
 import pytest
 
 from omsteady import figures, sweep
-from omsteady.cli import _build_parser, main
+from omsteady.cli import _build_params, _build_parser, main
 from omsteady.closedform import backaction_1d
-from omsteady.models import SystemParams1D
+from omsteady.models import _SETTABLE, SystemParams1D
+
+#: What the unknown-parameter message lists for a SystemParams1D record.
+SETTABLE_1D = "G_o delta gamma_b hbar kappa lambda_o mass omega_b temperature"
 
 
 def run_cli(*argv):
@@ -76,6 +80,67 @@ class TestPoint:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "omega_b" in err  # the message names the known parameters
+
+    def test_both_coupling_forms_must_agree(self, capsys):
+        assert run_cli("point", "--param", "G_o=0.1", "--param", "lambda_o=0.5") == 2
+        assert capsys.readouterr().err == (
+            "config error: lambda_o and G_o are inconsistent: "
+            "G_o=0.1 but lambda_o implies 0.3535533905932738\n")
+
+    def test_occupation_beside_temperature_is_config_error(self, capsys):
+        assert run_cli("point", "--param", "n_B=2", "--param", "temperature=5") == 2
+        assert capsys.readouterr().err == "config error: give n_B or temperature, not both\n"
+
+    def test_twoD_coupling_rate_is_the_grid_row(self, capsys):
+        assert run_cli("point", "--param", "model=twoD", "--param", "G_o=0.2") == 0
+        printed = dict(re.findall(r"^(\w+) += (\S+)  \[", capsys.readouterr().out, re.M))
+        config = sweep.RunConfig("twoD", "lyapunov", _build_params("twoD", []))
+        columns, (stable,), _ = sweep.evaluate_point(config, {"G_o": 0.2})
+        assert stable and printed == {q: sweep.format_float(c[0]) for q, c in columns.items()}
+        assert printed["xx_b"] == "0.56127106133439331"
+
+    def test_twoD_coupling_forms_must_agree(self, capsys):
+        # the rate is converted at the bright-mode frequency of the record
+        # that the other values make, here at omega_x = 1.2
+        agree = sweep.with_param(sweep.with_param(
+            _build_params("twoD", []), "omega_x", 1.2), "G_o", 0.2).lambda_o
+        args = ["point", "--param", "model=twoD", "--param", "omega_x=1.2", "--param", "G_o=0.2"]
+        assert run_cli(*args, "--param", f"lambda_o={agree!r}") == 0
+        assert f"lambda_o={agree!r}" in capsys.readouterr().out
+        assert run_cli(*args, "--param", "lambda_o=0.3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lambda_o and G_o are inconsistent: G_o=0.2 but ")
+        assert err.count("\n") == 1
+
+    def test_unknown_name_has_one_message_on_every_path(self, tmp_path, capsys):
+        cfg = tmp_path / "opt.ini"
+        cfg.write_text("[optimize]\nfree = wom\nlo = 0.1\nhi = 0.2\n", encoding="utf-8")
+        runs = [("point", "--param", "wom=1"),
+                ("sweep", "--axis", "wom,0.1,0.2,2", "--out", str(tmp_path / "s.csv")),
+                ("optimize", "--config", str(cfg))]
+        errors = []
+        for argv in runs:
+            assert run_cli(*argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"config error: SystemParams1D has no parameter 'wom'; "
+                          f"settable: {SETTABLE_1D}\n"] * 3
+
+    @pytest.mark.parametrize("argv", [("point",),
+                                      ("sweep", "--axis", "G_o,0.1,0.2,2", "--out", "s.csv")])
+    def test_repeated_output_is_config_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--param", "outputs=purity,n_bar,purity") == 2
+        assert capsys.readouterr().err == "config error: duplicate output name 'purity'\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_help_names_every_settable_parameter(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("--help")
+        text = capsys.readouterr().out
+        params = text.split("[params]")[1].split("n_B   =")[0]
+        blocks = dict(re.findall(r"(oneD|twoD|rwa):\s+(.*?)(?=\n\s+\w+:|\Z)", params, re.S))
+        for model, cls in sweep._PARAM_TYPES.items():
+            assert set(re.split(r"[\s|]+", blocks[model].strip())) == _SETTABLE[cls], model
 
     def test_non_numeric_param(self, capsys):
         assert run_cli("point", "--param", "G_o=strong") == 2
@@ -268,6 +333,22 @@ G_o = 0.4
                        "--param", "G_o=0.4") == 0
         assert "0.18700547324622552" in capsys.readouterr().out
 
+    def test_flag_coupling_form_replaces_the_file_form(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "[params]\nG_o = 0.1\n")
+        assert run_cli("point", "--config", cfg, "--param", "lambda_o=0.5") == 0
+        assert " lambda_o=0.5 G_o=0.3535533905932738 " in capsys.readouterr().out
+
+    def test_file_coupling_forms_must_agree(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "[params]\nG_o = 0.1\nlambda_o = 0.5\n")
+        assert run_cli("point", "--config", cfg) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: lambda_o and G_o are inconsistent: G_o=0.1 ")
+
+    def test_flag_temperature_beats_file_occupation(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "[params]\nn_B = 2.0\n")
+        assert run_cli("point", "--config", cfg, "--param", "temperature=5") == 0
+        assert " temperature=5.0 " in capsys.readouterr().out
+
     def test_occupation_convenience_key(self, tmp_path, capsys):
         cfg = self.write(tmp_path, """\
 [params]
@@ -394,7 +475,8 @@ axis1 = G_o, 0.1, 0.4, 5
         assert run_cli("sweep", "--axis", axis, "--out", str(out)) == 2
         err = capsys.readouterr().err
         name = axis.split(",")[0]
-        assert err == f"config error: SystemParams1D has no parameter {name!r}\n"
+        assert err == (f"config error: SystemParams1D has no parameter {name!r}; "
+                       f"settable: {SETTABLE_1D}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["G_o,0.1,inf,3", "G_o,-inf,0.2,3"])
@@ -430,6 +512,18 @@ axis1 = G_o, 0.1, 0.4, 5
         assert err == ("config error: grid of 100000000000 points exceeds "
                        f"the limit of {sweep.MAX_GRID_POINTS}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["oneD", "twoD"])
+    def test_both_coupling_axes_are_config_error(self, model, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sweep, "evaluate_grid", lambda *a: pytest.fail("grid evaluated"))
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--param", f"model={model}", "--param", "outputs=purity_2d"
+                       if model == "twoD" else "outputs=purity", "--axis", "G_o,0.1,0.2,2",
+                       "--axis", "lambda_o,0.3,0.4,2", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "config error: G_o and lambda_o are two forms of one coupling; "
+            "a grid may set only one of them\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_twoD_coupling_axis(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -592,7 +686,17 @@ hi = 0.9
                        "free = G_0\nlo = 0.1\nhi = 0.4\n", encoding="utf-8")
         assert run_cli("optimize", "--config", str(cfg)) == 2
         assert capsys.readouterr().err == (
-            "config error: SystemParams1D has no parameter 'G_0'\n")
+            f"config error: SystemParams1D has no parameter 'G_0'; settable: {SETTABLE_1D}\n")
+
+    @pytest.mark.parametrize("model", ["oneD", "twoD"])
+    def test_both_coupling_forms_free_is_config_error(self, model, tmp_path, capsys):
+        cfg = tmp_path / "opt.ini"
+        cfg.write_text(f"[run]\nmodel = {model}\nsolver = closed_form\n\n[optimize]\n"
+                       "free = lambda_o, G_o\nlo = 0.1, 0.1\nhi = 0.4, 0.4\n", encoding="utf-8")
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            "config error: G_o and lambda_o are two forms of one coupling; "
+            "a grid may set only one of them\n")
 
     def test_duplicate_free_name_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "opt.ini"

@@ -60,6 +60,22 @@ def test_hbar_below_the_normal_range_is_rejected(call):
                               "float, got 1e-300")
 
 
+@pytest.mark.parametrize("moments", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
+                                     (1.0, -math.inf, 0.0), (1.0, 1.0, math.nan)])
+def test_non_finite_1d_moment_is_rejected(moments):
+    # nan and inf used to pass the sign checks, giving (nan, nan) or (inf, 0.0)
+    with pytest.raises(DegenerateState, match="non-finite entry"):
+        occupation_and_purity_1d(Cov1D(*moments))
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("record", [lambda h: Cov1D(1.0, 1.0, hbar=h),
+                                    lambda h: Cov2D(np.eye(4), hbar=h)], ids=["1d", "2d"])
+def test_hbar_that_is_not_a_positive_float_is_rejected(record, hbar):
+    with pytest.raises(UncertaintyViolation, match="^hbar must be positive and finite$"):
+        record(hbar)
+
+
 class TestDecomposition1D:
     @given(n_bar=n_bars, theta=thetas, x_zpf=zpfs, hbar=hbars)
     @settings(max_examples=300, deadline=None)

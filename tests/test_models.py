@@ -9,6 +9,7 @@ from omsteady.errors import InvalidParams
 from omsteady.models import (
     _HBAR_MIN,
     _SETTABLE,
+    _with_values,
     BrightDark,
     ParamsGrid,
     SystemParams1D,
@@ -144,6 +145,11 @@ class TestPlanck:
     def test_temperature_for_zero_occupation(self):
         assert temperature_for_occupation(0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("omega_ref", [math.nan, math.inf, 0.0, -1.0])
+    def test_temperature_needs_a_positive_finite_frequency(self, omega_ref):
+        with pytest.raises(InvalidParams, match="omega_ref must be positive and finite, got "):
+            temperature_for_occupation(1.0, omega_ref)
+
     def test_column_equals_items(self):
         # one formula for a record's floats and a grid's columns, past the
         # overflow of expm1 (omega/T > 709.8) and at T <= 0 too
@@ -268,6 +274,24 @@ def test_records_hold_python_floats(given):
         assert [type(getattr(record, f.name)) for f in dataclasses.fields(record)] == [
             float] * len(dataclasses.fields(record)), record
     assert type(records[-3].G_o) is float
+
+
+def test_several_values_keep_a_coupling_form_that_is_given():
+    p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.1)
+    # omega_b clears lambda_o only where lambda_o is not given beside it
+    chain = with_param(with_param(p, "omega_b", 1.2), "lambda_o", 0.3)
+    assert _with_values(p, {"lambda_o": 0.3, "omega_b": 1.2}) == chain
+    assert _with_values(p, {"omega_b": 1.2, "G_o": 0.2}).G_o == 0.2
+    assert _with_values(p, {"G_o": chain.G_o, "lambda_o": 0.3, "omega_b": 1.2}) == chain
+    with pytest.raises(InvalidParams, match="lambda_o and G_o are inconsistent"):
+        _with_values(p, {"G_o": 0.1, "lambda_o": 0.3, "omega_b": 1.2})
+    p2d = resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2)
+    # a 2D rate is converted at the record the other values make
+    moved = _with_values(p2d, {"G_o": 0.2, "omega_x": 1.3})
+    assert moved == with_param(with_param(p2d, "omega_x", 1.3), "G_o", 0.2)
+    assert _with_values(p2d, {"G_o": 0.2, "lambda_o": moved.lambda_o, "omega_x": 1.3}) == moved
+    with pytest.raises(InvalidParams, match="lambda_o and G_o are inconsistent: G_o=0.2 "):
+        _with_values(p2d, {"G_o": 0.2, "lambda_o": p2d.lambda_o, "omega_x": 1.3})
 
 
 def test_zero_point_variance_that_underflows_rejected():

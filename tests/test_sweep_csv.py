@@ -39,6 +39,11 @@ def config_1d(solver="closed_form", outputs=()):
     return RunConfig(model="oneD", solver=solver, params=P_1D, outputs=outputs)
 
 
+def _row(point) -> dict:
+    """The quantities of an evaluate_point result as floats."""
+    return {q: column.tolist() for q, column in point[0].items()}
+
+
 class TestAxis:
     def test_linear_values(self):
         np.testing.assert_allclose(Axis("G_o", 0.0, 1.0, 5).values(),
@@ -139,9 +144,9 @@ class TestWithParam:
     def test_twoD_coupling_rate_holds_whatever_the_axis_order(self):
         base = resonant_2d_design(omega=1.0, G_o=0.1, G_m=0.05, kappa=0.2)
         config = RunConfig(model="twoD", solver="closed_form", params=base)
-        first = evaluate_config(config, {"G_o": 0.2, "omega_x": 1.2})[0]
-        last = evaluate_config(config, {"omega_x": 1.2, "G_o": 0.2})[0]
-        assert first == last
+        first = evaluate_point(config, {"G_o": 0.2, "omega_x": 1.2})
+        last = evaluate_point(config, {"omega_x": 1.2, "G_o": 0.2})
+        assert first[1].all() and _row(first) == _row(last)
 
     @pytest.mark.parametrize("name", ["omega_b", "mass", "hbar"])
     def test_oneD_scale_sweep_keeps_the_coupling_rate(self, name):
@@ -158,9 +163,9 @@ class TestWithParam:
 
     def test_oneD_coupling_gradient_holds_whatever_the_axis_order(self):
         config = config_1d()
-        first = evaluate_config(config, {"lambda_o": 0.3, "omega_b": 1.2})[0]
-        last = evaluate_config(config, {"omega_b": 1.2, "lambda_o": 0.3})[0]
-        assert first == last
+        first = evaluate_point(config, {"lambda_o": 0.3, "omega_b": 1.2})
+        last = evaluate_point(config, {"omega_b": 1.2, "lambda_o": 0.3})
+        assert first[1].all() and _row(first) == _row(last)
 
     def test_derived_property_is_not_a_field(self):
         base = resonant_2d_design(omega=1.0, G_o=0.1, G_m=0.05, kappa=0.2)
