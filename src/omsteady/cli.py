@@ -179,7 +179,7 @@ def _build_run_config(args, cp: configparser.ConfigParser) -> RunConfig:
 
 def _cmd_point(args) -> int:
     config = _build_run_config(args, _read_config(args.config))
-    values, warn = evaluate_config(config)
+    values, warn, figures = evaluate_config(config)
     lines = [
         f"model={config.model} solver={config.solver}",
         "unit frame: hbar = m = 1, frequencies in omega_ref",
@@ -192,6 +192,7 @@ def _cmd_point(args) -> int:
     for q in config.outputs:
         unit = UNITS.get(q, "unknown")
         lines.append(f"{q:<{width}} = {format_float(values[q])}  [{unit}]")
+    lines += [f"diagnostic {d} = {format_float(v)}" for d, v in figures.items()]
     for w in warn:
         lines.append(f"warning: {w}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -269,11 +270,8 @@ def _cmd_optimize(args) -> int:
     axes = [Axis(nm, lo, hi, grid_n, scale).values() for nm, lo, hi in zip(names, los, his)]
     objective = cp.get("optimize", "objective", fallback="").strip() \
         or _default_objective(config)
-    if objective not in available_quantities(config.model, config.solver):
-        raise InvalidParams(
-            f"objective {objective!r} not available for this model/solver"
-        )
-    # The search reads only the objective, whatever [run] outputs asks for.
+    # The search reads only the objective, whatever [run] outputs asks for;
+    # RunConfig rejects an objective the route does not give.
     config = replace(config, outputs=(objective,))
 
     grid = grid_points(axes)

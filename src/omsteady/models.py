@@ -337,6 +337,8 @@ _CONSISTENT = (
 #: can overflow where the given one did not, and a given pair must agree.
 _DERIVED_COUPLING = (_Finite(_COUPLINGS),)
 _GIVEN_COUPLING = (_CONSISTENT, *_DERIVED_COUPLING)
+#: The rules on a 2D G_o, checked before it is converted to lambda_o.
+_GIVEN_RATE = (_Finite(("G_o",)),)
 
 
 def _settle_1d(r, unset: tuple, check, field=float) -> None:
@@ -419,6 +421,7 @@ def _with_values(params, values: dict):
     if isinstance(params, SystemParams2D) and "G_o" in values:
         rate = values.pop("G_o")
         params = replace(params, **values)
+        _check(SimpleNamespace(G_o=rate), _GIVEN_RATE)
         scales = _bright_scales(params)
         _check(scales, _ZERO_POINT)
         if "lambda_o" in values:
@@ -493,6 +496,7 @@ class ParamsGrid:
                                lambda k: _no_parameter(record_cls, name))
                     continue
                 if record_cls is SystemParams2D and name == "G_o":
+                    _flag(SimpleNamespace(G_o=column), _GIVEN_RATE, errors)
                     scales = _bright_scales(r)
                     _flag(scales, _ZERO_POINT, errors)
                     name, column = "lambda_o", column / _rate_per_gradient(scales)

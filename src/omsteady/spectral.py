@@ -462,8 +462,9 @@ _RESIDUE_RTOL = 1e-8
 
 def integrate_moments_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> Batch:
     """A Batch with the columns xx, pp and xp of integrate_moments' Cov1D
-    for every record of a 1D grid, and per item the error it raises
-    (None where it settles) before that Cov1D checks the variances.
+    for every record of a 1D grid, beside moment_integrals' err_xx,
+    err_pp and commutator, and per item the error it raises (None where
+    it settles) before that Cov1D checks the variances.
 
     The symmetrized cross moment of a stationary process vanishes; rather
     than assuming that, this checks the commutator sum rule m * int dw/2pi
@@ -474,13 +475,14 @@ def integrate_moments_batch(grid: ParamsGrid, rel_tol: float = 1e-10) -> Batch:
     flag_first(errors, np.abs(comm - target) > _COMMUTATOR_RTOL * target,
                lambda k: QuadratureFailure("stationarity cross-check failed: m*int w S_xx "
                                            f"dw/2pi = {comm[k]:.12g}, expected {target[k]:.12g}"))
-    return Batch(errors, warnings, {"xx": vals["xx"], "pp": vals["pp"], "xp": np.zeros(len(grid))})
+    del vals["err_commutator"]
+    return Batch(errors, warnings, {**vals, "xp": np.zeros(len(grid))})
 
 
 def integrate_moments(params: SystemParams1D, rel_tol: float = 1e-10) -> Cov1D:
     """Steady-state (xx, pp): a grid of one through integrate_moments_batch."""
-    return Cov1D(**integrate_moments_batch(ParamsGrid.from_records([params]), rel_tol).only(),
-                 hbar=params.hbar)
+    values = integrate_moments_batch(ParamsGrid.from_records([params]), rel_tol).only()
+    return Cov1D(values["xx"], values["pp"], values["xp"], hbar=params.hbar)
 
 
 def integrate_moments_residue(params: SystemParams1D) -> Cov1D:

@@ -34,10 +34,11 @@ column, a stable flag and the warnings of each row; evaluate_records
 takes params records (each chunk a ParamsGrid.from_records) and
 returns the Batch, with each record's error in place. Sweeps and
 optimize evaluate grid points, figures and validation evaluate
-records, and evaluate_config (the point command) and evaluate_point
-are grids of one. Rows come out in grid order (see grid_points), and a
-row never depends on the chunk its point falls in: numpy's elementwise
-ufuncs and gufuncs give an item the same bits alone or in a column.
+records, and evaluate_point is a grid of one. evaluate_config (the
+point command) runs the route's evaluator on its one valid record.
+Rows come out in grid order (see grid_points), and a row never
+depends on the chunk its point falls in: numpy's elementwise ufuncs
+and gufuncs give an item the same bits alone or in a column.
 
 A SweepResult keeps the rows as columns: each requested quantity over
 the stable rows, a stable mask, and each row's warnings. csv_rows
@@ -469,16 +470,23 @@ def _evaluate(route: _Route, n: int, chunk_grid: Callable[[slice], ParamsGrid]) 
                                  for q, part in parts.items()})
 
 
-def evaluate_config(config: RunConfig) -> tuple[dict, tuple[str, ...]]:
+#: The Batch columns the point command prints after the quantities: a Lyapunov
+#: solve's residual gate and decay bound, a spectral quadrature's error
+#: estimates and commutator integral (hbar/2 for a stationary state).
+_DIAGNOSTICS = ("residual", "backward_error", "decay_bound", "err_xx", "err_pp", "commutator")
+
+
+def evaluate_config(config: RunConfig) -> tuple[dict, tuple[str, ...], dict]:
     """Evaluate the config's params record; raises on instability or bad input.
 
-    Returns the requested quantities and any regime warnings the
-    underlying solver attached. The point is a grid of one.
+    Returns the requested quantities, the regime warnings of the solver
+    and the route's _DIAGNOSTICS, from its evaluator on the one record.
     """
-    point = _evaluate(_EVALUATORS[(config.model, config.solver)], 1,
-                      lambda s: ParamsGrid.from_records([config.params]))
+    point = _EVALUATORS[(config.model, config.solver)].evaluate(
+        ParamsGrid.from_records([config.params]))
     values = point.only()
-    return {q: values[q] for q in config.outputs}, point.warnings[0]
+    return ({q: values[q] for q in config.outputs}, point.warnings[0],
+            {d: values[d] for d in _DIAGNOSTICS if d in values})
 
 
 def evaluate_point(config: RunConfig,

@@ -112,7 +112,9 @@ CASES = {
                                    lambda p: (moment_integrals(p), ()), RECORDS_1D),
     "integrate_moments": _grid_case(
         integrate_moments_batch,
-        lambda p: ({q: getattr(integrate_moments(p), q) for q in ("xx", "pp", "xp")}, ()),
+        lambda p: ({**{q: getattr(integrate_moments(p), q) for q in ("xx", "pp", "xp")},
+                    **{q: moment_integrals(p)[q] for q in ("err_xx", "err_pp", "commutator")}},
+                   ()),
         RECORDS_1D),
     "occupation_and_purity_1d": (
         lambda idx: occupation_and_purity_1d_batch(*_columns([MOMENTS_1D[k] for k in idx])),

@@ -10,7 +10,9 @@ import pytest
 from omsteady import figures, sweep
 from omsteady.cli import _build_params, _build_parser, main
 from omsteady.closedform import backaction_1d
+from omsteady.langevin import build_rwa, steady_covariance_batch
 from omsteady.models import _SETTABLE, SystemParams1D
+from omsteady.spectral import moment_integrals
 
 #: What the unknown-parameter message lists for a SystemParams1D record.
 SETTABLE_1D = "G_o delta gamma_b hbar kappa lambda_o mass omega_b temperature"
@@ -18,6 +20,11 @@ SETTABLE_1D = "G_o delta gamma_b hbar kappa lambda_o mass omega_b temperature"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def diagnostics(out: str) -> dict:
+    """The {name: value} of a point report's diagnostic lines."""
+    return dict(re.findall(r"^diagnostic (\w+) = (\S+)$", out, re.M))
 
 
 class TestPoint:
@@ -46,6 +53,35 @@ class TestPoint:
         out = capsys.readouterr().out
         assert "model=rwa" in out
         assert "n_b" in out
+
+    @pytest.mark.parametrize("g_o", [0.05, 0.49])
+    def test_spectral_point_prints_the_quadrature_figures(self, g_o, capsys):
+        assert run_cli("point", "--solver", "spectral", "--param", f"G_o={g_o}") == 0
+        integrals = moment_integrals(_build_params("oneD", [{"G_o": str(g_o)}]))
+        assert diagnostics(capsys.readouterr().out) == {
+            q: sweep.format_float(integrals[q]) for q in ("err_xx", "err_pp", "commutator")}
+
+    def test_lyapunov_point_prints_the_solve_figures(self, capsys):
+        assert run_cli("point", "--param", "model=rwa") == 0
+        system = build_rwa(_build_params("rwa", []))
+        solve = steady_covariance_batch(system.drift[None], system.diffusion[None]).only()
+        assert diagnostics(capsys.readouterr().out) == {
+            q: sweep.format_float(solve[q]) for q in ("residual", "backward_error", "decay_bound")}
+
+    @pytest.mark.parametrize("model", ["oneD", "twoD", "rwa"])
+    def test_closed_form_point_prints_no_diagnostic(self, model, capsys):
+        assert run_cli("point", "--solver", "closed_form", "--param", f"model={model}") == 0
+        assert "diagnostic" not in capsys.readouterr().out
+
+    def test_diagnostics_sit_between_the_quantities_and_the_warnings(self, capsys):
+        assert run_cli("point", "--param", "model=rwa", "--param", "G_o=0.5",
+                       "--param", "outputs=n_d") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].startswith("n_d = ")
+        assert [line.split(" = ")[0] for line in lines[4:7]] == [
+            "diagnostic residual", "diagnostic backward_error", "diagnostic decay_bound"]
+        assert lines[7].startswith("warning: rotating-wave build outside its regime")
+        assert len(lines) == 8
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.txt"
@@ -679,6 +715,15 @@ hi = 0.9
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
+
+    def test_unavailable_objective_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "opt.ini"
+        cfg.write_text("[optimize]\nfree = delta\nlo = 0.3\nhi = 3.0\nobjective = wom\n",
+                       encoding="utf-8")
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            "config error: quantities ['wom'] not available for model='oneD' "
+            "solver='lyapunov'; available: ['xx', 'pp', 'xp', 'n_bar', 'purity', 'n_bar_0']\n")
 
     def test_misspelled_free_name_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "opt.ini"

@@ -399,6 +399,28 @@ def test_grid_fails_where_only_an_intermediate_record_of_the_chain_fails():
     assert str(error) == str(exc.value)
 
 
+_BASE_2D = SystemParams2D(omega_x=1.1, omega_y=0.9, gamma_x=0.0, gamma_y=0.0, phi=math.pi / 4,
+                          kappa=0.2, delta=1.0, lambda_o=0.2 * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("rate, message", [
+    (1e300, "G_o must be below 1.3e154 in magnitude, got 1e+300"),
+    (math.nan, "G_o must be finite, got nan"),
+    # a rate whose square is finite, but not that of its lambda_o
+    (1.2e154, "lambda_o must be below 1.3e154 in magnitude, got 1.7012830978067163e+154"),
+])
+def test_twoD_rate_is_checked_under_its_own_name(rate, message):
+    with pytest.raises(InvalidParams) as exc:
+        with_param(_BASE_2D, "G_o", rate)
+    (error,) = ParamsGrid.from_axes(_BASE_2D, ["G_o"], [(rate,)]).errors
+    assert str(error) == str(exc.value) == message
+
+
+def test_twoD_non_finite_rate_beside_its_gradient_is_rejected():
+    with pytest.raises(InvalidParams, match="^G_o must be finite, got nan$"):
+        _with_values(_BASE_2D, {"G_o": math.nan, "lambda_o": 0.3})
+
+
 def test_grid_records_round_trip():
     base = SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=0.1)
     records = [with_param(base, "G_o", g) for g in (0.05, 0.2)] + [base]
