@@ -259,7 +259,7 @@ def _cmd_optimize(args) -> int:
     for i, name in enumerate(names):
         if name in names[:i]:
             raise InvalidParams(f"duplicate free name {name!r}")
-    _check_grid_names(config.params, names)
+    _check_grid_names(names)
     grid_text = cp.get("optimize", "grid", fallback="12")
     try:
         grid_n = int(grid_text)

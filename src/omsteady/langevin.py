@@ -181,8 +181,9 @@ def _checked_diffusion(A: np.ndarray, D: np.ndarray) -> Batch:
     """LinearSystem's checks on stacked drift A[B, n, n] and diffusion D[B, n, n].
 
     Returns the Batch of the error of the first check each item fails
-    and the column diffusion, the symmetrized 0.5 (D + D^T), which must
-    stay finite too.
+    and the column diffusion, the symmetrized 0.5 D + 0.5 D^T, which must
+    stay finite too. An entry equal to its transpose is kept as it is, so
+    a finite symmetric D is returned exactly and never overflows.
     """
     errors: list = [None] * len(A)
     _flag_non_finite(errors, "drift", np.isfinite(A).all(axis=(-2, -1)))
@@ -192,7 +193,7 @@ def _checked_diffusion(A: np.ndarray, D: np.ndarray) -> Batch:
         scale = np.maximum(np.abs(D).max(axis=(-2, -1), initial=0.0), 1.0)
         flag_first(errors, asymmetry > 1e-14 * scale,
                    lambda k: InvalidParams("diffusion matrix must be symmetric"))
-        D = 0.5 * (D + D.swapaxes(-1, -2))
+        D = np.where(D == D.swapaxes(-1, -2), D, 0.5 * D + 0.5 * D.swapaxes(-1, -2))
     _flag_non_finite(errors, "diffusion", np.isfinite(D).all(axis=(-2, -1)))
     return Batch(errors, [()] * len(A), {"diffusion": D})
 

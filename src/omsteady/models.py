@@ -22,8 +22,9 @@ raises the InvalidParams of the first rule it breaks, and a grid gives
 each item the error its record would raise, with the same text. A
 record's fields stay Python floats. A ParamsGrid holds many records as
 one float64 column per field; sweeps build one per chunk of grid
-points with ParamsGrid.from_axes, which applies overrides as
-with_param does, and every evaluator of omsteady.sweep takes one.
+points with ParamsGrid.from_axes, which sets each point's values at
+once, and every evaluator of omsteady.sweep takes one. with_param is
+the record of a from_axes grid of one point.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,7 +53,6 @@ __all__ = [
     "temperature_for_occupation",
     "resonant_2d_design",
     "with_param",
-    "check_param_names",
 ]
 
 _COUPLING_CONSISTENCY_RTOL = 1e-9
@@ -360,11 +360,13 @@ def _settle_1d(r, unset: tuple, check, field=float) -> None:
     check(r, _DERIVED_COUPLING if unset else _GIVEN_COUPLING, ())
 
 
-def _settle_1d_columns(r, errors: list) -> None:
-    """Validate the 1D columns r, whose lambda_o is given, as SystemParams1D
-    does: give each item with no error yet the error its record raises,
-    and set r.G_o from lambda_o."""
-    _settle_1d(r, ("G_o",), lambda r, table, unset: _flag(r, table, errors, unset), np.asarray)
+def _settle_1d_columns(r, errors: list, unset=("G_o",), changed=None) -> None:
+    """Validate the 1D columns r as SystemParams1D does: give each item
+    with no error yet the error its record raises, and set the coupling
+    fields named in unset (G_o, by default) from the other form. With
+    changed, only the rules reading those fields are checked (see _flag)."""
+    _settle_1d(r, unset, lambda r, table, unset: _flag(r, table, errors, unset, changed),
+               np.asarray)
 
 
 #: SystemParams1D fields whose replacement clears a coupling field, so
@@ -382,11 +384,13 @@ def _no_parameter(cls, name: str) -> InvalidParams:
                          f"settable: {' '.join(sorted(_SETTABLE[cls]))}")
 
 
-def check_param_names(params, names) -> None:
-    """Raise InvalidParams for the first name with_param cannot set on params."""
-    for name in names:
-        if name not in _SETTABLE[type(params)]:
-            raise _no_parameter(type(params), name)
+def _rebuilt(cls, names) -> tuple:
+    """The coupling fields of a cls record that setting names clears and
+    does not give, so that the record rebuilds them from the other form."""
+    if cls is not SystemParams1D:
+        return ()
+    cleared = {_CLEARS_1D.get(name) for name in names}
+    return tuple(c for c in _COUPLINGS if c in cleared and c not in names)
 
 
 def _bright_scales(p) -> SimpleNamespace:
@@ -404,32 +408,22 @@ def with_param(params, name: str, value: float):
     the conversion between the two, clears lambda_o, so the coupling
     rate G_o holds. The 2D record stores only lambda_o; a G_o there is
     converted at the bright-mode frequency of the record, as in
-    resonant_2d_design.
+    resonant_2d_design. The record is item 0 of the one-point
+    ParamsGrid.from_axes grid, so a sweep row at the value is this record.
     """
     return _with_values(params, {name: value})
 
 
 def _with_values(params, values: dict):
-    """with_param for several names at once. A coupling field that a value
-    clears stays where it is given too, and then the two forms must agree;
-    a 2D G_o is converted at the record the other values make."""
-    check_param_names(params, values)
-    values = {name: float(value) for name, value in values.items()}
-    if isinstance(params, SystemParams1D):
-        cleared = {_CLEARS_1D[name]: None for name in values if name in _CLEARS_1D}
-        return replace(params, **{**cleared, **values})
-    if isinstance(params, SystemParams2D) and "G_o" in values:
-        rate = values.pop("G_o")
-        params = replace(params, **values)
-        _check(SimpleNamespace(G_o=rate), _GIVEN_RATE)
-        scales = _bright_scales(params)
-        _check(scales, _ZERO_POINT)
-        if "lambda_o" in values:
-            _check(SimpleNamespace(**vars(scales), lambda_o=params.lambda_o, G_o=rate),
-                   (_CONSISTENT,))
-            return params
-        values = {"lambda_o": rate / float(_rate_per_gradient(scales))}
-    return replace(params, **values)
+    """with_param for several names at once: the record of item 0 of the
+    ParamsGrid.from_axes grid of the one point, or its error."""
+    grid = ParamsGrid.from_axes(params, values, [tuple(values.values())])
+    (error,) = grid.errors
+    if error is not None:
+        raise error
+    rebuilt = _rebuilt(type(params), values)
+    return type(params)(**{name: None if name in rebuilt else float(column[0])
+                           for name, column in grid.columns.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,52 +460,50 @@ class ParamsGrid:
 
     @classmethod
     def from_axes(cls, base, names, points) -> ParamsGrid:
-        """base with the named parameters set to each point's values.
+        """base with the named parameters set to each point's values at once.
 
-        Applies the overrides as a chain of with_param calls would:
-        names that are not couplings in order, then lambda_o, then G_o,
-        so the coupling they set holds at the point's final frequencies
-        and scales. Each step is validated as the record it makes, so an
-        item gets the error of the first invalid record of its chain; a
-        name with_param cannot set is that error at its step.
+        Raises the InvalidParams of the first name that cannot be set on
+        base. On a 1D record, a coupling form, omega_b, mass or hbar
+        clears the coupling field named in _CLEARS_1D, which is rebuilt
+        from the other form unless the point gives it too; then the two
+        forms must agree. A 2D G_o is converted to lambda_o at the
+        bright-mode scales of the record that the other values make, or
+        must agree with a lambda_o the point gives. Each item is the
+        record the point makes, validated once, or carries the error
+        that record raises, with the same text.
         """
         record_cls, n, names = type(base), len(points), list(names)
+        for name in names:
+            if name not in _SETTABLE[record_cls]:
+                raise _no_parameter(record_cls, name)
         fields_ = _FIELD_NAMES[record_cls]
-        values = np.array(points, dtype=float).reshape(n, len(names))
+        values = np.array(points, dtype=float).reshape(n, len(names)).T.copy()
         start = np.array([getattr(base, name) for name in fields_], dtype=float)
         r = SimpleNamespace(**dict(zip(fields_, np.repeat(start[:, None], n, axis=1))))
         errors: list = [None] * n
-        changed = frozenset()
-
-        def check(r, table, unset=()):
-            _flag(r, table, errors, unset, changed)
-
-        order = [j for j, name in enumerate(names) if name not in _COUPLINGS]
-        order += [names.index(name) for name in _COUPLINGS if name in names]
+        given = dict(zip(names, values))
+        rate = given.pop("G_o") if record_cls is SystemParams2D and "G_o" in given else None
+        vars(r).update(given)
+        # The base is a valid record, so only the rules reading a field the
+        # point sets can fail, and on a 1D record the agreement of the
+        # coupling pair, which a base that derived one form of it has not
+        # been checked for.
         with np.errstate(all="ignore"):
-            for j in order:
-                name, column = names[j], values[:, j].copy()
-                if name not in _SETTABLE[record_cls]:
-                    flag_first(errors, np.ones(n, dtype=bool),
-                               lambda k: _no_parameter(record_cls, name))
-                    continue
-                if record_cls is SystemParams2D and name == "G_o":
-                    _flag(SimpleNamespace(G_o=column), _GIVEN_RATE, errors)
-                    scales = _bright_scales(r)
-                    _flag(scales, _ZERO_POINT, errors)
-                    name, column = "lambda_o", column / _rate_per_gradient(scales)
-                setattr(r, name, column)
-                # Every item holds a valid record before the step, so only
-                # the rules reading the fields it changes can fail, and the
-                # agreement of a coupling pair, which a record that derived
-                # one form of the coupling has not been checked for.
-                if record_cls is SystemParams1D:
-                    unset = (_CLEARS_1D[name],) if name in _CLEARS_1D else ()
-                    changed = frozenset((name, *(unset or _COUPLINGS)))
-                    _settle_1d(r, unset, check, np.asarray)
+            if record_cls is SystemParams1D:
+                unset = _rebuilt(record_cls, names)
+                _settle_1d_columns(r, errors, unset, frozenset((*given, *(unset or _COUPLINGS))))
+            else:
+                _flag(r, _RULES[record_cls], errors, (), frozenset(given))
+            if rate is not None:
+                _flag(SimpleNamespace(G_o=rate), _GIVEN_RATE, errors)
+                scales = _bright_scales(r)
+                _flag(scales, _ZERO_POINT, errors)
+                if "lambda_o" in given:
+                    _flag(SimpleNamespace(**vars(scales), lambda_o=r.lambda_o, G_o=rate),
+                          (_CONSISTENT,), errors)
                 else:
-                    changed = frozenset((name,))
-                    check(r, _RULES[record_cls])
+                    r.lambda_o = rate / _rate_per_gradient(scales)
+                    _flag(r, _RULES[record_cls], errors, (), frozenset(("lambda_o",)))
         return cls(record_cls, vars(r), tuple(errors))
 
     def take(self, idx) -> ParamsGrid:

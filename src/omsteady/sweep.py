@@ -74,8 +74,7 @@ from .errors import Batch, InvalidParams, UncertaintyViolation, flag_first
 from .gaussian import occupation_and_purity_1d_batch, summary_2d_batch
 from .langevin import (NoiseMode, build_1d_batch, build_2d_batch, build_rwa_batch,
                        steady_covariance_batch)
-from .models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA,
-                     check_param_names, with_param)
+from .models import ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA, with_param
 from .spectral import integrate_moments_batch
 
 # Not called here, since every route evaluates a ParamsGrid, but
@@ -98,7 +97,6 @@ __all__ = [
     "write_csv",
     "sweep_to_csv",
     "with_param",
-    "check_param_names",
     "evaluate_config",
     "evaluate_records",
     "evaluate_grid",
@@ -518,7 +516,9 @@ def evaluate_grid(config: RunConfig, names: list[str], points) -> tuple[dict, np
     unstable, out-of-regime or invalid point (an error with exit code 2
     or 3) is a stable=0 row with the error in its warnings; an error
     with exit code 4 propagates. Each chunk of grid points is one
-    ParamsGrid, with the overrides applied as with_param applies them.
+    ParamsGrid.from_axes, which sets a point's values at once, so a row
+    is the record with_param makes from the same values; a name that
+    cannot be set raises InvalidParams before any point is evaluated.
     """
     points = np.asarray(points, dtype=float).reshape(len(points), len(names))
     errors, warns, columns = _evaluate(
@@ -532,11 +532,9 @@ def evaluate_grid(config: RunConfig, names: list[str], points) -> tuple[dict, np
             np.array([e is None for e in errors], dtype=bool), warns)
 
 
-def _check_grid_names(params, names) -> None:
-    """Raise InvalidParams for a grid over a name that with_param cannot
-    set on params, or over both forms of the coupling, of which the one
-    set last (G_o, see ParamsGrid.from_axes) would undo the other."""
-    check_param_names(params, names)
+def _check_grid_names(names) -> None:
+    """Raise InvalidParams for a grid over both forms of the coupling,
+    whose points would disagree on it (see ParamsGrid.from_axes)."""
     if {"G_o", "lambda_o"} <= set(names):
         raise InvalidParams("G_o and lambda_o are two forms of one coupling; "
                             "a grid may set only one of them")
@@ -547,7 +545,7 @@ def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
 
     Axes that _check_grid_names rejects raise InvalidParams first."""
     names = [a.name for a in spec.axes]
-    _check_grid_names(config.params, names)
+    _check_grid_names(names)
     return SweepResult(config, spec, *evaluate_grid(config, names, spec.grid()))
 
 

@@ -1,6 +1,7 @@
 """Every stacked routine returns an errors.Batch, and each item's grid of
 one is its public scalar function, bit for bit and error for error."""
 
+import copy
 import math
 from dataclasses import asdict
 
@@ -35,13 +36,20 @@ P_RWA = SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-6, gamma_d=1e-6, ka
 RECORDS_RWA = [P_RWA, with_param(P_RWA, "G_o", 0.0), with_param(P_RWA, "G_o", 1e-5),
                with_param(P_RWA, "n_B_d", 30.0)]
 
-# Records whose build flags them: a drift and two diffusions past the
-# float range, and an out-of-regime record that only warns.
+# The rotating-wave record whose diffusion gamma_b (n_B_b + 1/2) is near
+# the top of the float range. Below 1.3e154 each field's square is finite,
+# so no valid rotating-wave record overflows its drift or diffusion.
+HOT_RWA = with_param(with_param(P_RWA, "gamma_b", 1.2e154), "n_B_b", 1.2e154)
+# A copy of P_RWA with an infinite n_B_b, set past the record's own checks,
+# whose diffusion the build's checks flag.
+UNCHECKED_RWA = copy.copy(P_RWA)
+object.__setattr__(UNCHECKED_RWA, "n_B_b", math.inf)
+# Records whose build flags them: a drift and a diffusion past the float
+# range, the unchecked copy, and an out-of-regime record that only warns.
 BUILD_1D = RECORDS_1D + [with_param(with_param(P_1D, "mass", 1e150), "omega_b", 1e100),
                          with_param(with_param(with_param(RECORDS_1D[-1], "mass", 1e100),
                                                "gamma_b", 1e150), "temperature", 1e150)]
-BUILD_RWA = RECORDS_RWA + [with_param(with_param(P_RWA, "gamma_b", 1.2e154), "n_B_b", 1.2e154),
-                           with_param(P_RWA, "G_o", 0.5)]
+BUILD_RWA = RECORDS_RWA + [HOT_RWA, UNCHECKED_RWA, with_param(P_RWA, "G_o", 0.5)]
 # (drift, diffusion) pairs of dimension 4: a settled build, an unstable
 # one, a defective drift that the eigenvalue check calls decaying but
 # whose operator is singular (so it is unstable too), a non-finite
@@ -167,6 +175,12 @@ def test_batch_is_the_stack_of_its_scalar_function(name):
             with pytest.raises(type(error)) as again:
                 one.only()
             assert str(again.value) == str(error)
+
+
+def test_rwa_diffusion_near_the_float_range_settles():
+    # 0.5 (D + D^T) overflowed this diagonal entry, which is finite
+    system = build_rwa(HOT_RWA)
+    assert system.diffusion[2, 2] == system.diffusion[3, 3] == 1.2e154 * (1.2e154 + 0.5)
 
 
 def test_then_keeps_each_item_first_error_and_joins_the_rest():

@@ -148,6 +148,31 @@ class TestPoint:
         assert err.startswith("config error: lambda_o and G_o are inconsistent: G_o=0.2 but ")
         assert err.count("\n") == 1
 
+    def test_twoD_rate_at_a_tiny_mass_is_one_config_error(self, capsys):
+        # the rate is converted under np.errstate, so no numpy warning
+        # reaches stderr before the error line
+        assert run_cli("point", "--param", "model=twoD", "--param", "mass=1e-310",
+                       "--param", "G_o=0.1") == 2
+        assert capsys.readouterr().err == "config error: drift matrix has a non-finite entry\n"
+
+    def test_point_is_the_sweep_row_of_its_values(self, tmp_path, capsys):
+        # setting hbar before lambda_o would rebuild lambda_o from the file's
+        # G_o at the new hbar, past the float range; both are set at once
+        cfg = tmp_path / "big.ini"
+        cfg.write_text("[params]\nG_o = 1e130\ngamma_b = 0.001\n", encoding="utf-8")
+        assert run_cli("point", "--config", str(cfg), "--param", "hbar=2.5e-77",
+                       "--param", "lambda_o=1.0") == 0
+        printed = dict(re.findall(r"^(\w+) += (\S+)  \[", capsys.readouterr().out, re.M))
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--axis", "hbar,2.5e-77,5e-77,2",
+                       "--axis", "lambda_o,1.0,2.0,2", "--out", str(out)) == 0
+        names, _, *lines = out.read_text(encoding="utf-8").splitlines()
+        rows = [dict(zip(names.split(","), line.split(","))) for line in lines]
+        assert [row["stable"] for row in rows] == ["1"] * 4
+        assert float(rows[0]["hbar"]) == 2.5e-77 and float(rows[0]["lambda_o"]) == 1.0
+        assert {q: rows[0][q] for q in printed} == printed
+        assert printed["purity"] == sweep.format_float(5.6390606275159595e-61)
+
     def test_unknown_name_has_one_message_on_every_path(self, tmp_path, capsys):
         cfg = tmp_path / "opt.ini"
         cfg.write_text("[optimize]\nfree = wom\nlo = 0.1\nhi = 0.2\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from omsteady.errors import InvalidParams
 from omsteady.models import (
+    _CLEARS_1D,
+    _CONSISTENT,
+    _GIVEN_RATE,
     _HBAR_MIN,
     _SETTABLE,
+    _ZERO_POINT,
+    _bright_scales,
+    _check,
+    _rate_per_gradient,
     _with_values,
     BrightDark,
     ParamsGrid,
@@ -324,13 +332,26 @@ _MODELS = {
 }
 
 
-def _chain(base, overrides):
-    """The record of the scalar chain: with_param per override, couplings last."""
-    p = base
-    for name in [n for n in overrides if n not in ("lambda_o", "G_o")] + [
-            n for n in ("lambda_o", "G_o") if n in overrides]:
-        p = with_param(p, name, overrides[name])
-    return p
+def _record_override(base, values):
+    """The record that sets the values on base at once, made through the
+    record classes alone: the reference for ParamsGrid.from_axes."""
+    values = {name: float(value) for name, value in values.items()}
+    with np.errstate(all="ignore"):
+        if isinstance(base, SystemParams1D):
+            cleared = {_CLEARS_1D[name]: None for name in values if name in _CLEARS_1D}
+            return dataclasses.replace(base, **{**cleared, **values})
+        if isinstance(base, SystemParams2D) and "G_o" in values:
+            rate = values.pop("G_o")
+            base = dataclasses.replace(base, **values)
+            _check(SimpleNamespace(G_o=rate), _GIVEN_RATE)
+            scales = _bright_scales(base)
+            _check(scales, _ZERO_POINT)
+            if "lambda_o" in values:
+                _check(SimpleNamespace(**vars(scales), lambda_o=base.lambda_o, G_o=rate),
+                       (_CONSISTENT,))
+                return base
+            values = {"lambda_o": rate / float(_rate_per_gradient(scales))}
+        return dataclasses.replace(base, **values)
 
 
 @st.composite
@@ -356,19 +377,20 @@ def _grid_case(draw, cls):
 @pytest.mark.parametrize("cls", list(_MODELS), ids=lambda c: c.__name__)
 @given(data=st.data())
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_grid_from_axes_equals_the_scalar_chain(cls, data):
-    # Each item of the grid is the record the chain of with_param calls
-    # makes, bit for bit, or carries the error the chain raises, with the
-    # same text. The grid validates every intermediate record, as the
-    # chain does, so an item that fails only at an intermediate record
-    # (a tiny hbar with a lambda_o axis, whose intermediate lambda_o
-    # comes from the base G_o) gets that record's error too.
+def test_grid_from_axes_equals_the_record_override(cls, data):
+    # Each item of the grid is the record that sets the point's values at
+    # once, bit for bit, or carries the error that record raises, with
+    # the same text. A name that cannot be set raises for the grid.
     base, names, points = data.draw(_grid_case(cls))
+    if "wavelength" in names:
+        with pytest.raises(InvalidParams, match="has no parameter 'wavelength'"):
+            ParamsGrid.from_axes(base, names, points)
+        return
     grid = ParamsGrid.from_axes(base, names, points)
     assert len(grid) == len(points) and grid.cls is cls
     for k, point in enumerate(points):
         try:
-            expect = _chain(base, dict(zip(names, point)))
+            expect = _record_override(base, dict(zip(names, point)))
         except InvalidParams as exc:
             assert (type(grid.errors[k]), str(grid.errors[k])) == (type(exc), str(exc))
         else:
@@ -389,14 +411,17 @@ def test_grid_checks_the_pair_a_derived_coupling_made():
                                              "but lambda_o implies 0.0")
 
 
-def test_grid_fails_where_only_an_intermediate_record_of_the_chain_fails():
-    # the hbar override comes first and rebuilds lambda_o from the base
-    # G_o, which overflows at this hbar; the lambda_o axis value would not
+def test_grid_sets_a_point_at_once():
+    # hbar alone would rebuild lambda_o from the base G_o, past the float
+    # range at this hbar; the point gives lambda_o, from which G_o is rebuilt
     base = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=1e130)
-    with pytest.raises(InvalidParams, match="lambda_o must be below 1.3e154") as exc:
-        _chain(base, {"hbar": 2.5e-77, "lambda_o": 1.0})
+    expect = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, lambda_o=1.0,
+                            hbar=2.5e-77)
     (error,) = ParamsGrid.from_axes(base, ["hbar", "lambda_o"], [(2.5e-77, 1.0)]).errors
-    assert str(error) == str(exc.value)
+    assert error is None
+    assert _with_values(base, {"hbar": 2.5e-77, "lambda_o": 1.0}) == expect
+    with pytest.raises(InvalidParams, match="lambda_o must be below 1.3e154"):
+        with_param(base, "hbar", 2.5e-77)
 
 
 _BASE_2D = SystemParams2D(omega_x=1.1, omega_y=0.9, gamma_x=0.0, gamma_y=0.0, phi=math.pi / 4,

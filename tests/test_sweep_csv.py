@@ -16,7 +16,7 @@ from omsteady.langevin import (NoiseMode, build_1d, build_1d_batch, build_2d, bu
                                build_rwa, build_rwa_batch, stability, steady_covariance,
                                steady_covariance_batch)
 from omsteady.models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA,
-                             resonant_2d_design)
+                             _with_values, resonant_2d_design)
 from omsteady.sweep import (
     Axis,
     RunConfig,
@@ -375,7 +375,8 @@ class TestStackedSweep:
         reach = 0
         for point in spec.grid().tolist():
             try:
-                system = build_2d(_chain(base, names, point), NoiseMode.MarkovianThermal)
+                record = _with_values(base, dict(zip(names, point)))
+                system = build_2d(record, NoiseMode.MarkovianThermal)
             except CorrelatedBathUnsupported:
                 continue
             reach += stability(system)
@@ -543,20 +544,8 @@ class TestFullLengthColumns:
             assert block.columns[q][built].tobytes() == solved.columns[q][built].tobytes(), q
 
 
-def _chain(base, names, point):
-    """The record with_param calls make for the point, in the order
-    ParamsGrid.from_axes applies the overrides: names that are not
-    couplings in order, then lambda_o, then G_o."""
-    overrides = dict(zip(names, point))
-    p = base
-    for name in [n for n in names if n not in ("lambda_o", "G_o")] + [
-            n for n in ("lambda_o", "G_o") if n in overrides]:
-        p = with_param(p, name, overrides[name])
-    return p
-
-
 class TestRecordsPath:
-    """evaluate_records on with_param-built records gives evaluate_grid's rows."""
+    """evaluate_records on the records the points make gives evaluate_grid's rows."""
 
     @pytest.mark.parametrize("pair", CHUNK_GRIDS, ids="-".join)
     def test_records_equal_grid_rows(self, pair):
@@ -567,7 +556,7 @@ class TestRecordsPath:
         records, rejected = [], {}
         for k, point in enumerate(points.tolist()):
             try:
-                records.append(_chain(base, names, point))
+                records.append(_with_values(base, dict(zip(names, point))))
             except InvalidParams as exc:
                 rejected[k] = (f"{type(exc).__name__}: {exc}",)
         errors, warns, columns = sweep.evaluate_records(*pair, records)
