@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParams, OmsteadyError, UnstableRegime
 from .figures import FIGURES, make_figure
-from .models import _with_values, bright_dark, temperature_for_occupation
+from .models import _with_values
 from .sweep import (
     _PARAM_TYPES,
     MODELS,
@@ -79,12 +79,12 @@ configuration file keys (INI format):
     outputs  = comma list of quantity names      (default: all available)
 
   [params]   physical parameters; unknown keys are rejected
-    oneD: omega_b gamma_b kappa delta G_o|lambda_o mass temperature hbar
+    oneD: omega_b gamma_b kappa delta G_o|lambda_o mass temperature|n_B hbar
     twoD: omega_x omega_y gamma_x gamma_y phi kappa delta G_o|lambda_o
-          mass temperature hbar
+          mass temperature|n_B hbar
     rwa:  omega_b omega_d gamma_b gamma_d kappa delta G_o G_m n_B_b n_B_d
-    n_B   = bath occupation at the (bright) mechanical frequency, as a
-            temperature (oneD and twoD; not beside temperature)
+    n_B   = bath occupation, converted to a temperature at each point's
+            (bright) mechanical frequency; also an axis or free name
 
   [sweep]
     axis1  = name, lo, hi, count[, linear|log]
@@ -143,20 +143,10 @@ def _to_float(key: str, raw: str) -> float:
 
 
 def _build_params(model: str, sources: list[dict[str, str]]):
-    """The model's default record with each source of values applied in
-    turn; a source's n_B is its temperature at the record's (bright)
-    mechanical frequency."""
+    """The model's default record with each source of values applied in turn."""
     params = _PARAM_TYPES[model](**_DEFAULT_PARAMS[model])
     for raw in sources:
-        values = {key: _to_float(key, text) for key, text in raw.items()}
-        n_b = values.pop("n_B", None) if model != "rwa" else None
-        if n_b is not None and "temperature" in values:
-            raise InvalidParams("give n_B or temperature, not both")
-        params = _with_values(params, values)
-        if n_b is not None:
-            ref = params.omega_b if model == "oneD" else bright_dark(params).omega_b
-            params = _with_values(
-                params, {"temperature": temperature_for_occupation(n_b, ref)})
+        params = _with_values(params, {key: _to_float(key, text) for key, text in raw.items()})
     return params
 
 
@@ -256,9 +246,6 @@ def _cmd_optimize(args) -> int:
     his = [_to_float("hi", x) for x in cp.get("optimize", "hi").split(",")]
     if not (1 <= len(names) <= 3) or len(los) != len(names) or len(his) != len(names):
         raise InvalidParams("optimize needs 1-3 free names with aligned lo/hi lists")
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise InvalidParams(f"duplicate free name {name!r}")
     _check_grid_names(names)
     grid_text = cp.get("optimize", "grid", fallback="12")
     try:

@@ -260,7 +260,7 @@ def backaction_1d_batch(grid: ParamsGrid) -> Batch:
 
     Returns a Batch with a column per field of Backaction1DResult and,
     per item, the error backaction_1d raises for it (None where it
-    settles).
+    settles) and a warning where its gamma_b > 0 is treated as zero.
     """
     errors: list = [None] * len(grid)
     m, hbar, delta, omega_b = grid.mass, grid.hbar, grid.delta, grid.omega_b
@@ -284,7 +284,10 @@ def backaction_1d_batch(grid: ParamsGrid) -> Batch:
     finite = np.isfinite(list(columns.values())).all(axis=0)
     flag_first(errors, ~finite, lambda k: InvalidParams(
         "backaction moments are not finite at this record's scales"))
-    return Batch(errors, [()] * len(grid), columns)
+    damped = grid.gamma_b > 0
+    warnings = [("gamma_b > 0 is treated as zero in the backaction limit",) if d else ()
+                for d in damped.tolist()] if damped.any() else [()] * len(grid)
+    return Batch(errors, warnings, columns)
 
 
 def bare_occupation(cov: Cov1D, omega: float, mass: float = 1.0) -> float:

@@ -374,22 +374,17 @@ def _settle_1d_columns(r, errors: list, unset=("G_o",), changed=None) -> None:
 #: where the factor sqrt(hbar / (2 m omega_b)) between the two changes.
 _CLEARS_1D = {"G_o": "lambda_o", "lambda_o": "G_o",
               "omega_b": "lambda_o", "mass": "lambda_o", "hbar": "lambda_o"}
-#: Names with_param can set: the record's fields, and G_o on a 2D record.
-_SETTABLE = {cls: frozenset(names) | ({"G_o"} if cls is SystemParams2D else frozenset())
-             for cls, names in _FIELD_NAMES.items()}
-
-
-def _no_parameter(cls, name: str) -> InvalidParams:
-    return InvalidParams(f"{cls.__name__} has no parameter {name!r}; "
-                         f"settable: {' '.join(sorted(_SETTABLE[cls]))}")
+#: Names with_param can set: the record's fields, G_o on a 2D record, and
+#: n_B, the bath occupation at the (bright) mode frequency, as a temperature.
+_SETTABLE = {SystemParams1D: frozenset((*_FIELD_NAMES[SystemParams1D], "n_B")),
+             SystemParams2D: frozenset((*_FIELD_NAMES[SystemParams2D], "G_o", "n_B")),
+             SystemParamsRWA: frozenset(_FIELD_NAMES[SystemParamsRWA])}
 
 
 def _rebuilt(cls, names) -> tuple:
     """The coupling fields of a cls record that setting names clears and
     does not give, so that the record rebuilds them from the other form."""
-    if cls is not SystemParams1D:
-        return ()
-    cleared = {_CLEARS_1D.get(name) for name in names}
+    cleared = {_CLEARS_1D.get(name) for name in names} if cls is SystemParams1D else ()
     return tuple(c for c in _COUPLINGS if c in cleared and c not in names)
 
 
@@ -402,14 +397,11 @@ def _bright_scales(p) -> SimpleNamespace:
 def with_param(params, name: str, value: float):
     """Copy of a params record with one named parameter replaced.
 
-    The 1D coupling is stored in both rate (G_o) and gradient
-    (lambda_o) form; overriding either clears the other so the pair is
-    rebuilt consistently. Overriding omega_b, mass or hbar, which enter
-    the conversion between the two, clears lambda_o, so the coupling
-    rate G_o holds. The 2D record stores only lambda_o; a G_o there is
-    converted at the bright-mode frequency of the record, as in
-    resonant_2d_design. The record is item 0 of the one-point
-    ParamsGrid.from_axes grid, so a sweep row at the value is this record.
+    The record is item 0 of the one-point ParamsGrid.from_axes grid, so
+    a sweep row at the value is this record: on a 1D record, setting one
+    coupling form rebuilds the other, and omega_b, mass or hbar rebuild
+    lambda_o, so G_o holds; a 2D G_o becomes lambda_o, and an n_B a
+    temperature, at the record's (bright) mode frequency.
     """
     return _with_values(params, {name: value})
 
@@ -462,20 +454,26 @@ class ParamsGrid:
     def from_axes(cls, base, names, points) -> ParamsGrid:
         """base with the named parameters set to each point's values at once.
 
-        Raises the InvalidParams of the first name that cannot be set on
-        base. On a 1D record, a coupling form, omega_b, mass or hbar
-        clears the coupling field named in _CLEARS_1D, which is rebuilt
-        from the other form unless the point gives it too; then the two
-        forms must agree. A 2D G_o is converted to lambda_o at the
-        bright-mode scales of the record that the other values make, or
-        must agree with a lambda_o the point gives. Each item is the
-        record the point makes, validated once, or carries the error
-        that record raises, with the same text.
+        Raises the InvalidParams of a name that cannot be set on base or
+        is given twice, or of n_B beside temperature. On a 1D record, a
+        coupling form, omega_b, mass or hbar clears the coupling field
+        named in _CLEARS_1D, which is rebuilt from the other form unless
+        the point gives it too; then the two forms must agree. A 2D G_o
+        is converted to lambda_o at the bright-mode scales of the record
+        that the other values make, or must agree with a lambda_o the
+        point gives. Last, n_B is converted to a temperature at that
+        record's (bright) mode frequency. Each item is the record the
+        point makes, validated once, or carries that record's error.
         """
         record_cls, n, names = type(base), len(points), list(names)
-        for name in names:
+        for i, name in enumerate(names):
             if name not in _SETTABLE[record_cls]:
-                raise _no_parameter(record_cls, name)
+                raise InvalidParams(f"{record_cls.__name__} has no parameter {name!r}; "
+                                    f"settable: {' '.join(sorted(_SETTABLE[record_cls]))}")
+            if name in names[:i]:
+                raise InvalidParams(f"duplicate parameter name {name!r}")
+        if "n_B" in names and "temperature" in names:
+            raise InvalidParams("give n_B or temperature, not both")
         fields_ = _FIELD_NAMES[record_cls]
         values = np.array(points, dtype=float).reshape(n, len(names)).T.copy()
         start = np.array([getattr(base, name) for name in fields_], dtype=float)
@@ -483,6 +481,7 @@ class ParamsGrid:
         errors: list = [None] * n
         given = dict(zip(names, values))
         rate = given.pop("G_o") if record_cls is SystemParams2D and "G_o" in given else None
+        occupation = given.pop("n_B", None)
         vars(r).update(given)
         # The base is a valid record, so only the rules reading a field the
         # point sets can fail, and on a 1D record the agreement of the
@@ -504,6 +503,15 @@ class ParamsGrid:
                 else:
                     r.lambda_o = rate / _rate_per_gradient(scales)
                     _flag(r, _RULES[record_cls], errors, (), frozenset(("lambda_o",)))
+            if occupation is not None:
+                omega = (r if record_cls is SystemParams1D else _bright_scales(r)).omega_b
+                for k in [k for k, e in enumerate(errors) if e is None]:
+                    try:
+                        r.temperature[k] = temperature_for_occupation(
+                            float(occupation[k]), float(omega[k]))
+                    except InvalidParams as exc:
+                        errors[k] = exc
+                _flag(r, _RULES[record_cls], errors, (), frozenset(("temperature",)))
         return cls(record_cls, vars(r), tuple(errors))
 
     def take(self, idx) -> ParamsGrid:
@@ -570,8 +578,8 @@ def planck(omega, temperature):
 def temperature_for_occupation(n_B: float, omega_ref: float) -> float:
     """Temperature (as k_B*T/hbar) giving occupation n_B at omega_ref.
 
-    Inverse of :func:`planck`; the CLI uses this so sweeps can be
-    parameterized by a bath occupation instead of a temperature.
+    Inverse of :func:`planck`; ParamsGrid.from_axes uses this to set a
+    point's bath occupation n_B instead of its temperature.
     """
     if not math.isfinite(n_B):
         raise InvalidParams(f"n_B must be finite, got {n_B!r}")

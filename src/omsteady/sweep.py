@@ -156,6 +156,7 @@ UNITS = {
     "lambda_o": "(m*omega_ref^3/hbar)^(1/2)",
     "phi": "rad",
     "temperature": "hbar*omega_ref/k_B",
+    "n_B": "dimensionless",
     "n_B_b": "dimensionless",
     "n_B_d": "dimensionless",
     "mass": "m",
@@ -365,7 +366,8 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One or two axes; the grid is grid_points of their values."""
+    """One or two axes, which _check_grid_names accepts; the grid is
+    grid_points of their values."""
 
     axes: tuple[Axis, ...]
 
@@ -375,6 +377,7 @@ class SweepSpec:
         if len({a.name for a in self.axes}) < len(self.axes):
             raise InvalidParams(f"duplicate axis name {self.axes[0].name!r}")
         check_grid_size(math.prod(a.count for a in self.axes))
+        _check_grid_names([a.name for a in self.axes])
 
     def grid(self) -> np.ndarray:
         return grid_points([a.values() for a in self.axes])
@@ -518,7 +521,7 @@ def evaluate_grid(config: RunConfig, names: list[str], points) -> tuple[dict, np
     with exit code 4 propagates. Each chunk of grid points is one
     ParamsGrid.from_axes, which sets a point's values at once, so a row
     is the record with_param makes from the same values; a name that
-    cannot be set raises InvalidParams before any point is evaluated.
+    cannot be set or is given twice raises InvalidParams before any point.
     """
     points = np.asarray(points, dtype=float).reshape(len(points), len(names))
     errors, warns, columns = _evaluate(
@@ -541,11 +544,8 @@ def _check_grid_names(names) -> None:
 
 
 def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid in chunks (see evaluate_grid); rows in grid order.
-
-    Axes that _check_grid_names rejects raise InvalidParams first."""
+    """Evaluate the grid in chunks (see evaluate_grid); rows in grid order."""
     names = [a.name for a in spec.axes]
-    _check_grid_names(names)
     return SweepResult(config, spec, *evaluate_grid(config, names, spec.grid()))
 
 

@@ -85,6 +85,13 @@ def _rwa_optimum(p):
     return {"G_m_opt": g_m_opt, "purity_opt": purity_opt}, warnings
 
 
+def _backaction_1d(p):
+    """backaction_1d's values, and the warning its batch gives a damped
+    record, which the record function's result has no field for."""
+    damped = ("gamma_b > 0 is treated as zero in the backaction limit",)
+    return asdict(backaction_1d(p)), damped if p.gamma_b > 0 else ()
+
+
 def _system(sys):
     return {"drift": sys.drift, "diffusion": sys.diffusion, "hbar": sys.hbar}, sys.warnings
 
@@ -111,8 +118,7 @@ def _grid_case(batch, scalar, records):
 # name -> (stack(idx), the Batch of the items idx; scalar(item), its
 # columns as a dict and its warnings; the items)
 CASES = {
-    "backaction_1d": _grid_case(backaction_1d_batch,
-                                lambda p: (asdict(backaction_1d(p)), ()), RECORDS_1D),
+    "backaction_1d": _grid_case(backaction_1d_batch, _backaction_1d, RECORDS_1D),
     "backaction_2d": _grid_case(backaction_2d_batch,
                                 lambda p: (asdict(backaction_2d(p)), ()), RECORDS_2D),
     "rwa_optimum": _grid_case(rwa_optimum_batch, _rwa_optimum, RECORDS_RWA),

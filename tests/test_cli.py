@@ -15,7 +15,7 @@ from omsteady.models import _SETTABLE, SystemParams1D
 from omsteady.spectral import moment_integrals
 
 #: What the unknown-parameter message lists for a SystemParams1D record.
-SETTABLE_1D = "G_o delta gamma_b hbar kappa lambda_o mass omega_b temperature"
+SETTABLE_1D = "G_o delta gamma_b hbar kappa lambda_o mass n_B omega_b temperature"
 
 
 def run_cli(*argv):
@@ -156,22 +156,49 @@ class TestPoint:
         assert capsys.readouterr().err == "config error: drift matrix has a non-finite entry\n"
 
     def test_point_is_the_sweep_row_of_its_values(self, tmp_path, capsys):
-        # setting hbar before lambda_o would rebuild lambda_o from the file's
-        # G_o at the new hbar, past the float range; both are set at once
-        cfg = tmp_path / "big.ini"
-        cfg.write_text("[params]\nG_o = 1e130\ngamma_b = 0.001\n", encoding="utf-8")
-        assert run_cli("point", "--config", str(cfg), "--param", "hbar=2.5e-77",
-                       "--param", "lambda_o=1.0") == 0
-        printed = dict(re.findall(r"^(\w+) += (\S+)  \[", capsys.readouterr().out, re.M))
-        out = tmp_path / "s.csv"
-        assert run_cli("sweep", "--config", str(cfg), "--axis", "hbar,2.5e-77,5e-77,2",
-                       "--axis", "lambda_o,1.0,2.0,2", "--out", str(out)) == 0
-        names, _, *lines = out.read_text(encoding="utf-8").splitlines()
-        rows = [dict(zip(names.split(","), line.split(","))) for line in lines]
-        assert [row["stable"] for row in rows] == ["1"] * 4
-        assert float(rows[0]["hbar"]) == 2.5e-77 and float(rows[0]["lambda_o"]) == 1.0
-        assert {q: rows[0][q] for q in printed} == printed
-        assert printed["purity"] == sweep.format_float(5.6390606275159595e-61)
+        cases = [
+            # setting hbar before lambda_o would rebuild lambda_o from the
+            # file's G_o at the new hbar, past the float range; both are set
+            # at once
+            ("G_o = 1e130\ngamma_b = 0.001\n", ["hbar=2.5e-77", "lambda_o=1.0"],
+             ["hbar,2.5e-77,5e-77,2", "lambda_o,1.0,2.0,2"], 0, "5.6390606275159595e-61"),
+            # n_B is converted at each point's own (bright) mode frequency
+            ("gamma_b = 1e-3\n", ["n_B=3"], ["n_B,0,3,4"], 3, "0.92956085762161389"),
+            ("omega_b = 1.3\ngamma_b = 1e-3\n", ["n_B=0.37"], ["n_B,0.37,1.37,2"], 0, None),
+            ("gamma_x = 1e-3\ngamma_y = 1e-3\nG_o = 0.15\n", ["n_B=7", "omega_x=1.2"],
+             ["n_B,1,7,4", "omega_x,1.0,1.2,2"], 7, None),
+        ]
+        cfg, out = tmp_path / "p.ini", tmp_path / "s.csv"
+        for params, point, axes, row, purity in cases:
+            model = "twoD" if "gamma_x" in params else "oneD"
+            cfg.write_text(f"[run]\nmodel = {model}\n\n[params]\n{params}", encoding="utf-8")
+            assert run_cli("point", "--config", str(cfg),
+                           *[arg for value in point for arg in ("--param", value)]) == 0
+            printed = dict(re.findall(r"^(\w+) += (\S+)  \[", capsys.readouterr().out, re.M))
+            assert run_cli("sweep", "--config", str(cfg),
+                           *[arg for axis in axes for arg in ("--axis", axis)],
+                           "--out", str(out)) == 0
+            names, units, *lines = (line.split(",") for line in
+                                    out.read_text(encoding="utf-8").splitlines())
+            assert "unknown" not in units and [line[-2] for line in lines] == ["1"] * len(lines)
+            cells = dict(zip(names, lines[row]))
+            assert [float(cells[value.split("=")[0]]) for value in point] == [
+                float(value.split("=")[1]) for value in point]
+            assert {q: cells[q] for q in printed} == printed
+            if purity is not None:
+                assert printed[next(q for q in ("purity", "purity_2d") if q in printed)] == purity
+
+    def test_closed_form_warns_that_it_drops_mechanical_damping(self, capsys):
+        # the oneD backaction limit treats gamma_b as zero; Lyapunov gives
+        # 0.70435 on this record, the closed form 0.72780
+        args = ["point", "--solver", "closed_form", "--param", "temperature=3",
+                "--param", "G_o=0.4"]
+        assert run_cli(*args) == 0
+        assert "warning:" not in capsys.readouterr().out
+        assert run_cli(*args, "--param", "gamma_b=1e-3") == 0
+        out = capsys.readouterr().out
+        assert "purity     = 0.72779623958075512  [dimensionless]" in out
+        assert out.endswith("warning: gamma_b > 0 is treated as zero in the backaction limit\n")
 
     def test_unknown_name_has_one_message_on_every_path(self, tmp_path, capsys):
         cfg = tmp_path / "opt.ini"
@@ -669,6 +696,19 @@ grid = 15
         assert best == pytest.approx(1.0049875621120890, abs=1e-4)
         assert "evaluations" in out
 
+    def test_free_occupation(self, tmp_path, capsys):
+        # a warmer bath only lowers the purity, so the best n_B is its lower
+        # bound, where the purity is point's at that n_B
+        cfg = tmp_path / "opt.ini"
+        cfg.write_text("[params]\ngamma_b = 1e-3\n\n[optimize]\nfree = n_B\nlo = 0.5\nhi = 3\n",
+                       encoding="utf-8")
+        assert run_cli("optimize", "--config", str(cfg)) == 0
+        out = capsys.readouterr().out
+        assert "best: n_B=0.5\n" in out
+        assert run_cli("point", "--config", str(cfg), "--param", "n_B=0.5") == 0
+        purity = re.search(r"^purity += (\S+)  \[", capsys.readouterr().out, re.M).group(1)
+        assert f"purity = {purity}\n" in out
+
     def test_objective_outside_the_outputs(self, tmp_path, capsys):
         # [run] outputs does not limit what the search reads
         best = []
@@ -774,7 +814,7 @@ hi = 0.9
                        "free = delta, delta\nlo = 0.3, 0.3\nhi = 3.0, 3.0\n",
                        encoding="utf-8")
         assert run_cli("optimize", "--config", str(cfg)) == 2
-        assert capsys.readouterr().err == "config error: duplicate free name 'delta'\n"
+        assert capsys.readouterr().err == "config error: duplicate parameter name 'delta'\n"
 
     def test_oversized_grid_is_config_error(self, tmp_path, capsys, monkeypatch):
         # each axis is within the limit, the product grid ** 2 is not

@@ -334,8 +334,25 @@ _MODELS = {
 
 def _record_override(base, values):
     """The record that sets the values on base at once, made through the
-    record classes alone: the reference for ParamsGrid.from_axes."""
+    record classes alone: the reference for ParamsGrid.from_axes.
+
+    An n_B is the temperature of that occupation at the (bright) mode
+    frequency of the record that the other values make, as the command
+    line converted it before from_axes took n_B; that temperature is
+    then set at once with the other values.
+    """
     values = {name: float(value) for name, value in values.items()}
+    n_b = values.pop("n_B", None)
+    record = _set_at_once(base, values)
+    if n_b is None:
+        return record
+    omega = record.omega_b if isinstance(record, SystemParams1D) else bright_dark(record).omega_b
+    return _set_at_once(base, {**values, "temperature": temperature_for_occupation(
+        n_b, float(omega))})
+
+
+def _set_at_once(base, values):
+    values = dict(values)
     with np.errstate(all="ignore"):
         if isinstance(base, SystemParams1D):
             cleared = {_CLEARS_1D[name]: None for name in values if name in _CLEARS_1D}
@@ -386,6 +403,10 @@ def test_grid_from_axes_equals_the_record_override(cls, data):
         with pytest.raises(InvalidParams, match="has no parameter 'wavelength'"):
             ParamsGrid.from_axes(base, names, points)
         return
+    if {"n_B", "temperature"} <= set(names):
+        with pytest.raises(InvalidParams, match="^give n_B or temperature, not both$"):
+            ParamsGrid.from_axes(base, names, points)
+        return
     grid = ParamsGrid.from_axes(base, names, points)
     assert len(grid) == len(points) and grid.cls is cls
     for k, point in enumerate(points):
@@ -397,6 +418,41 @@ def test_grid_from_axes_equals_the_record_override(cls, data):
             assert grid.errors[k] is None
             for f in dataclasses.fields(expect):
                 assert float(getattr(expect, f.name)).hex() == grid.columns[f.name][k].hex()
+
+
+@pytest.mark.parametrize("names", [["G_o", "G_o"], ["n_B", "delta", "n_B"]])
+def test_grid_rejects_a_repeated_name(names):
+    base = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.1)
+    with pytest.raises(InvalidParams, match=f"^duplicate parameter name {names[0]!r}$"):
+        ParamsGrid.from_axes(base, names, [[0.1, 0.3, 0.5][:len(names)]])
+
+
+def test_occupation_is_converted_at_the_record_the_other_values_make():
+    base = SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=0.1)
+    grid = ParamsGrid.from_axes(base, ["n_B", "omega_b"], [(2.0, 1.3), (-1.0, 1.3), (0.0, 0.7)])
+    assert grid.errors[0] is None and grid.errors[2] is None
+    assert str(grid.errors[1]) == "n_B must be nonnegative"
+    assert grid.temperature[[0, 2]].tolist() == [temperature_for_occupation(2.0, 1.3), 0.0]
+    # on a 2D record, at the bright-mode frequency of the moved trap
+    moved = with_param(_BASE_2D, "omega_x", 1.3)
+    assert with_param(moved, "n_B", 5.0) == _with_values(_BASE_2D, {
+        "omega_x": 1.3, "temperature": temperature_for_occupation(5.0, bright_dark(moved).omega_b)})
+    assert _with_values(_BASE_2D, {"n_B": 5.0, "omega_x": 1.3}) == with_param(moved, "n_B", 5.0)
+
+
+def test_record_derives_the_coupling_form_the_grid_derived():
+    # lambda_o = G_o / 1e28 is subnormal here, so lambda_o * 1e28 misses
+    # G_o past the agreement tolerance: with_param must derive lambda_o as
+    # the grid did rather than check the pair as if both forms were given
+    base = SystemParams1D(omega_b=0.5, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=1e-290,
+                          mass=1e-56)
+    for values in ({"G_o": 2e-290}, {"G_o": 2e-290, "n_B": 1.0}):
+        grid = ParamsGrid.from_axes(base, values, [tuple(values.values())])
+        record = _with_values(base, values)
+        assert grid.errors == (None,)
+        assert [getattr(record, name) for name in grid.columns] == [
+            float(column[0]) for column in grid.columns.values()]
+    assert record.lambda_o == 2e-318 and record.temperature == temperature_for_occupation(1.0, 0.5)
 
 
 def test_grid_checks_the_pair_a_derived_coupling_made():

@@ -15,8 +15,8 @@ from omsteady.gaussian import Cov1D, Cov2D, occupation_and_purity_1d, purity_2d_
 from omsteady.langevin import (NoiseMode, build_1d, build_1d_batch, build_2d, build_2d_batch,
                                build_rwa, build_rwa_batch, stability, steady_covariance,
                                steady_covariance_batch)
-from omsteady.models import (ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA,
-                             _with_values, resonant_2d_design)
+from omsteady.models import (_SETTABLE, ParamsGrid, SystemParams1D, SystemParams2D,
+                             SystemParamsRWA, _with_values, resonant_2d_design)
 from omsteady.sweep import (
     Axis,
     RunConfig,
@@ -93,6 +93,14 @@ class TestSweepSpec:
         SweepSpec(axes=(Axis("a", 0.0, 1.0, side), Axis("b", 0.0, 1.0, side)))
         with pytest.raises(InvalidParams, match="exceeds the limit"):
             SweepSpec(axes=(Axis("a", 0.0, 1.0, side + 1), Axis("b", 0.0, 1.0, side)))
+
+
+def test_every_csv_column_has_a_unit():
+    # a settable parameter (an axis) or a quantity without one would
+    # print "unknown" in the CSV units row
+    names = {name for settable in _SETTABLE.values() for name in settable}
+    names |= {q for model, solver in sweep._EVALUATORS for q in available_quantities(model, solver)}
+    assert sorted(names - set(sweep.UNITS)) == []
 
 
 class TestRunConfig:
