@@ -83,8 +83,9 @@ configuration file keys (INI format):
     twoD: omega_x omega_y gamma_x gamma_y phi kappa delta G_o|lambda_o
           mass temperature|n_B hbar
     rwa:  omega_b omega_d gamma_b gamma_d kappa delta G_o G_m n_B_b n_B_d
-    n_B   = bath occupation, converted to a temperature at each point's
-            (bright) mechanical frequency; also an axis or free name
+    n_B   = bath occupation, as a temperature at the (bright) mechanical
+            frequency of the record its source makes; an n_B axis or
+            free name is converted at each point's own frequency
 
   [sweep]
     axis1  = name, lo, hi, count[, linear|log]

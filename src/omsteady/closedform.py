@@ -284,9 +284,8 @@ def backaction_1d_batch(grid: ParamsGrid) -> Batch:
     finite = np.isfinite(list(columns.values())).all(axis=0)
     flag_first(errors, ~finite, lambda k: InvalidParams(
         "backaction moments are not finite at this record's scales"))
-    damped = grid.gamma_b > 0
     warnings = [("gamma_b > 0 is treated as zero in the backaction limit",) if d else ()
-                for d in damped.tolist()] if damped.any() else [()] * len(grid)
+                for d in (grid.gamma_b > 0).tolist()]
     return Batch(errors, warnings, columns)
 
 

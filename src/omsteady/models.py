@@ -374,8 +374,7 @@ def _settle_1d_columns(r, errors: list, unset=("G_o",), changed=None) -> None:
 #: where the factor sqrt(hbar / (2 m omega_b)) between the two changes.
 _CLEARS_1D = {"G_o": "lambda_o", "lambda_o": "G_o",
               "omega_b": "lambda_o", "mass": "lambda_o", "hbar": "lambda_o"}
-#: Names with_param can set: the record's fields, G_o on a 2D record, and
-#: n_B, the bath occupation at the (bright) mode frequency, as a temperature.
+#: Names with_param can set: the record's fields, G_o on 2D and n_B on 1D and 2D records.
 _SETTABLE = {SystemParams1D: frozenset((*_FIELD_NAMES[SystemParams1D], "n_B")),
              SystemParams2D: frozenset((*_FIELD_NAMES[SystemParams2D], "G_o", "n_B")),
              SystemParamsRWA: frozenset(_FIELD_NAMES[SystemParamsRWA])}
@@ -384,7 +383,9 @@ _SETTABLE = {SystemParams1D: frozenset((*_FIELD_NAMES[SystemParams1D], "n_B")),
 def _rebuilt(cls, names) -> tuple:
     """The coupling fields of a cls record that setting names clears and
     does not give, so that the record rebuilds them from the other form."""
-    cleared = {_CLEARS_1D.get(name) for name in names} if cls is SystemParams1D else ()
+    if cls is not SystemParams1D:
+        return ()
+    cleared = {_CLEARS_1D.get(name) for name in names}
     return tuple(c for c in _COUPLINGS if c in cleared and c not in names)
 
 

@@ -366,8 +366,7 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One or two axes, which _check_grid_names accepts; the grid is
-    grid_points of their values."""
+    """One or two axes; the grid is grid_points of their values."""
 
     axes: tuple[Axis, ...]
 
@@ -377,7 +376,6 @@ class SweepSpec:
         if len({a.name for a in self.axes}) < len(self.axes):
             raise InvalidParams(f"duplicate axis name {self.axes[0].name!r}")
         check_grid_size(math.prod(a.count for a in self.axes))
-        _check_grid_names([a.name for a in self.axes])
 
     def grid(self) -> np.ndarray:
         return grid_points([a.values() for a in self.axes])
@@ -544,8 +542,11 @@ def _check_grid_names(names) -> None:
 
 
 def run_sweep(config: RunConfig, spec: SweepSpec) -> SweepResult:
-    """Evaluate the grid in chunks (see evaluate_grid); rows in grid order."""
+    """Evaluate the grid in chunks (see evaluate_grid); rows in grid order.
+
+    Axes that _check_grid_names rejects raise InvalidParams first."""
     names = [a.name for a in spec.axes]
+    _check_grid_names(names)
     return SweepResult(config, spec, *evaluate_grid(config, names, spec.grid()))
 
 

@@ -161,15 +161,15 @@ class TestPoint:
             # file's G_o at the new hbar, past the float range; both are set
             # at once
             ("G_o = 1e130\ngamma_b = 0.001\n", ["hbar=2.5e-77", "lambda_o=1.0"],
-             ["hbar,2.5e-77,5e-77,2", "lambda_o,1.0,2.0,2"], 0, "5.6390606275159595e-61"),
+             ["hbar,2.5e-77,5e-77,2", "lambda_o,1.0,2.0,2"], 4, 0, "5.6390606275159595e-61"),
             # n_B is converted at each point's own (bright) mode frequency
-            ("gamma_b = 1e-3\n", ["n_B=3"], ["n_B,0,3,4"], 3, "0.92956085762161389"),
-            ("omega_b = 1.3\ngamma_b = 1e-3\n", ["n_B=0.37"], ["n_B,0.37,1.37,2"], 0, None),
+            ("gamma_b = 1e-3\n", ["n_B=3"], ["n_B,0,3,4"], 4, 3, "0.92956085762161389"),
+            ("omega_b = 1.3\ngamma_b = 1e-3\n", ["n_B=0.37"], ["n_B,0.37,1.37,2"], 2, 0, None),
             ("gamma_x = 1e-3\ngamma_y = 1e-3\nG_o = 0.15\n", ["n_B=7", "omega_x=1.2"],
-             ["n_B,1,7,4", "omega_x,1.0,1.2,2"], 7, None),
+             ["n_B,1,7,4", "omega_x,1.0,1.2,2"], 8, 7, None),
         ]
         cfg, out = tmp_path / "p.ini", tmp_path / "s.csv"
-        for params, point, axes, row, purity in cases:
+        for params, point, axes, count, row, purity in cases:
             model = "twoD" if "gamma_x" in params else "oneD"
             cfg.write_text(f"[run]\nmodel = {model}\n\n[params]\n{params}", encoding="utf-8")
             assert run_cli("point", "--config", str(cfg),
@@ -180,7 +180,8 @@ class TestPoint:
                            "--out", str(out)) == 0
             names, units, *lines = (line.split(",") for line in
                                     out.read_text(encoding="utf-8").splitlines())
-            assert "unknown" not in units and [line[-2] for line in lines] == ["1"] * len(lines)
+            assert len(lines) == count and "unknown" not in units
+            assert [line[names.index("stable")] for line in lines] == ["1"] * count
             cells = dict(zip(names, lines[row]))
             assert [float(cells[value.split("=")[0]]) for value in point] == [
                 float(value.split("=")[1]) for value in point]
