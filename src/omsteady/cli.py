@@ -144,9 +144,10 @@ def _to_float(key: str, raw: str) -> float:
 
 
 def _build_params(model: str, sources: list[dict[str, str]]):
-    """The model's default record with each source of values applied in turn."""
+    """The model's default record with each source of values applied in
+    turn; a source with no values sets nothing."""
     params = _PARAM_TYPES[model](**_DEFAULT_PARAMS[model])
-    for raw in sources:
+    for raw in filter(None, sources):
         params = _with_values(params, {key: _to_float(key, text) for key, text in raw.items()})
     return params
 

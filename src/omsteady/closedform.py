@@ -31,7 +31,7 @@ from .models import (
     SystemParams1D,
     SystemParams2D,
     SystemParamsRWA,
-    _settle_1d_columns,
+    _settle_1d,
     bright_dark,
     g_o_squared,
     planck,
@@ -361,7 +361,7 @@ def backaction_2d_batch(grid: ParamsGrid) -> Batch:
         bright = SimpleNamespace(omega_b=bd.omega_b, gamma_b=np.zeros(n), kappa=kappa,
                                  delta=delta, lambda_o=grid.lambda_o, G_o=np.zeros(n),
                                  mass=m, temperature=np.zeros(n), hbar=hbar)
-        _settle_1d_columns(bright, errors)
+        _settle_1d(bright, errors)
         g2 = g_o_squared(bright)
         flag_first(errors, (bd.delta_m == 0.0) | (g2 == 0.0), lambda k: UndampedDarkMode(
             "dark mode is not damped: needs delta_m != 0 and a driven cavity"))

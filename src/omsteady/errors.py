@@ -18,6 +18,8 @@ sweep goes on; code 4 aborts it.
 
 from typing import NamedTuple
 
+import numpy as np
+
 
 class OmsteadyError(Exception):
     """Base class for all omsteady errors."""
@@ -104,12 +106,13 @@ class OracleMismatch(OmsteadyError):
 def flag_first(errors: list, bad, make) -> None:
     """Give each flagged item of a stack that has no error yet the error make(k).
 
-    Stacked routines keep one outcome per item, None while it settles.
-    Called once per check, in the order the scalar routine runs its
-    checks, this leaves every item with the error the scalar call
-    raises for it.
+    bad is a bool per item, or one bool (a Python or numpy scalar), which
+    flags item 0: the item of a stack of one. Stacked routines keep one
+    outcome per item, None while it settles. Called once per check, in
+    the order the scalar routine runs its checks, this leaves every item
+    with the error the scalar call raises for it.
     """
-    for k in bad.nonzero()[0]:
+    for k in np.flatnonzero(bad):
         if errors[k] is None:
             errors[k] = make(int(k))
 

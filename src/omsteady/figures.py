@@ -29,7 +29,7 @@ from .closedform import strong_coupling, weak_coupling
 from .errors import OracleMismatch
 from .models import SystemParams1D, resonant_2d_design
 from .sweep import _csv_lines, _write_atomic, grid_points, write_csv
-from .validation import _FIG3_KAPPA, CheckResult, _columns, fig3_params
+from .validation import _FIG3_KAPPA, CheckResult, _columns, _grid_columns, fig3_params
 
 __all__ = ["FIGURES", "FigureOutput", "fig3_params", "make_figure"]
 
@@ -128,8 +128,8 @@ _FIG3_RATIO = np.logspace(math.log10(0.05), math.log10(5.0), 50)
 
 def _fig3(out_dir: Path) -> FigureOutput:
     points = grid_points([_FIG3_RATIO, _FIG3_RATIO])
-    s = _columns("rwa", "lyapunov", [fig3_params(ro * _FIG3_KAPPA, rm * _FIG3_KAPPA)
-                                     for ro, rm in points.tolist()])
+    s = _grid_columns("rwa", "lyapunov", fig3_params(_FIG3_KAPPA, _FIG3_KAPPA), ["G_o", "G_m"],
+                      points * _FIG3_KAPPA)
     mu = s["purity_2d"]
     # Same covariance, two purity routes: determinant vs the product
     # over symplectic occupations.

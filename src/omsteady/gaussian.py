@@ -35,7 +35,7 @@ from .errors import (
     UncertaintyViolation,
     flag_first,
 )
-from .models import _TINY_HBAR, _check
+from .models import _TINY_HBAR, _check, _flag
 
 __all__ = [
     "Cov1D",
@@ -69,7 +69,7 @@ class Cov1D:
             raise DegenerateState("covariance has a non-finite entry")
         if not 0 < self.hbar < math.inf:
             raise UncertaintyViolation("hbar must be positive and finite")
-        _check(self, (_TINY_HBAR,))
+        _check({"hbar": self.hbar}, _flag, (_TINY_HBAR,))
         if self.xx < 0 or self.pp < 0:
             raise UncertaintyViolation("diagonal variances must be nonnegative")
 
@@ -97,7 +97,7 @@ class Cov2D:
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
         if not 0 < self.hbar < math.inf:
             raise UncertaintyViolation("hbar must be positive and finite")
-        _check(self, (_TINY_HBAR,))
+        _check({"hbar": self.hbar}, _flag, (_TINY_HBAR,))
 
 
 @dataclass(frozen=True)

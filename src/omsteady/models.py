@@ -14,17 +14,21 @@ a rate ``G_o`` or as the force-gradient form ``lambda_o``; the two are
 related by G_o = lambda_o * sqrt(hbar / (2 m omega_b)) and consistency
 is enforced when both are supplied.
 
-Each record class validates with one ordered table of rules. The rules
-and the formulas here use numpy's elementwise ufuncs, with squares
-written as products, so they read a record's floats or a ParamsGrid's
-columns alike and give an item the same bits either way: a record
-raises the InvalidParams of the first rule it breaks, and a grid gives
-each item the error its record would raise, with the same text. A
-record's fields stay Python floats. A ParamsGrid holds many records as
-one float64 column per field; sweeps build one per chunk of grid
-points with ParamsGrid.from_axes, which sets each point's values at
-once, and every evaluator of omsteady.sweep takes one. with_param is
-the record of a from_axes grid of one point.
+Each record class has one ordered table of rules, and one interpreter,
+_flag, reads the tables: it gives each item of a grid's columns the
+InvalidParams of the first rule the item breaks. A record is validated
+as the one item of its columns (1-element float64 arrays) by that same
+interpreter, and raises that item's error, so a record and a grid item
+of the same values fail alike, with the same text. The rules and the
+formulas here use numpy's elementwise ufuncs, with squares written as
+products, so an item gets the same bits alone or in a column, and a
+past-range value is inf or nan, which the rules flag, never a Python
+exception. A record's fields stay Python floats. A ParamsGrid holds
+many records as one float64 column per field; sweeps build one per
+chunk of grid points with ParamsGrid.from_axes, which sets each
+point's values at once and checks every item against its class's
+whole table, and every evaluator of omsteady.sweep takes one.
+with_param is the record of a from_axes grid of one point.
 """
 
 from __future__ import annotations
@@ -63,10 +67,9 @@ _COUPLING_CONSISTENCY_RTOL = 1e-9
 _HBAR_MIN = 2.0 * sys.float_info.min ** 0.25
 
 
-# A rule is (reads, bad, message): bad(r) is true where r breaks the
-# rule, for a record (a bool) or for columns (a bool per item); reads
-# names the fields bad reads, and message is the InvalidParams text, or
-# a function of the failing record that makes it.
+# A rule is (bad, message): bad(r) is a bool per item of the columns r,
+# true where the item breaks the rule, and message is the InvalidParams
+# text, or a function of the failing item that makes it.
 
 
 class _Finite(tuple):
@@ -86,9 +89,9 @@ class _Finite(tuple):
 
 def _finite_rules(names) -> list:
     return [rule for name in names for rule in (
-        ((name,), lambda r, n=name: ~np.isfinite(getattr(r, n)),
+        (lambda r, n=name: ~np.isfinite(getattr(r, n)),
          lambda r, n=name: f"{n} must be finite, got {getattr(r, n)!r}"),
-        ((name,), lambda r, n=name: ~np.isfinite(getattr(r, n) * getattr(r, n)),
+        (lambda r, n=name: ~np.isfinite(getattr(r, n) * getattr(r, n)),
          lambda r, n=name: f"{n} must be below 1.3e154 in magnitude, got {getattr(r, n)!r}"),
     )]
 
@@ -97,81 +100,65 @@ def _text(message, r) -> str:
     return message if isinstance(message, str) else message(r)
 
 
-def _check(r, table, unset=()) -> None:
-    """Raise the InvalidParams of the first rule of table the record r breaks.
-
-    A past-range result is inf or nan here, as in a column, not a warning.
-    """
-    with np.errstate(all="ignore"):
-        for entry in table:
-            if type(entry) is not _Finite:
-                if entry[1](r):
-                    raise InvalidParams(_text(entry[2], r))
-                continue
-            values = [getattr(r, n) for n in entry.names(unset)]
-            if not math.isfinite(sum(map(operator.mul, values, values))):
-                _check(r, _finite_rules(entry.names(unset)))
-
-
 def _item(r, k: int) -> SimpleNamespace:
     """Item k of the columns r, as floats."""
     return SimpleNamespace(**{name: float(col[k]) for name, col in vars(r).items()})
 
 
-@functools.cache
-def _rules_reading(table: tuple, changed: frozenset | None, unset: tuple) -> tuple:
-    """The entries of table that read a field in changed (all if None);
-    a _Finite group keeps the names it checks that are in changed."""
-    out = []
+def _flag(r, errors: list, table, unset=()) -> None:
+    """Give each item of the columns r that has no error yet the error of
+    the first rule of table it breaks, with the fields named in unset
+    skipped. The one interpreter of the rule tables: a record is the one
+    item of its columns (_check)."""
     for entry in table:
         if type(entry) is _Finite:
-            names = _Finite(n for n in entry.names(unset) if changed is None or n in changed)
-            if names:
-                out.append(names)
-        elif changed is None or not changed.isdisjoint(entry[0]):
-            out.append(entry)
-    return tuple(out)
-
-
-def _flag(r, table, errors: list, unset=(), changed=None) -> None:
-    """Give each item of the columns r that has no error yet the error
-    _check raises for its record: the first rule of table it breaks.
-
-    With ``changed``, r holds valid records apart from the fields named
-    there, and only the rules that read one of them can fail; the
-    others are skipped.
-    """
-    for entry in _rules_reading(table, changed, unset):
-        if type(entry) is _Finite:
-            if np.isfinite(sum(getattr(r, n) * getattr(r, n) for n in entry)).all():
+            names = entry.names(unset)
+            if np.isfinite(sum(getattr(r, n) * getattr(r, n) for n in names)).all():
                 continue
-            rules = _finite_rules(entry)
+            rules = _finite_rules(names)
         else:
             rules = (entry,)
-        for _, bad, message in rules:
+        for bad, message in rules:
             flag_first(errors, bad(r), lambda k: InvalidParams(_text(message, _item(r, k))))
 
 
-_TINY_HBAR = (("hbar",), lambda r: r.hbar < _HBAR_MIN,
+def _check(values: dict, validate, *args) -> SimpleNamespace:
+    """Validate a record's values (None for a field not given) as the one
+    item of their columns, 1-element float64 arrays: validate(columns,
+    errors, *args) flags it as it flags a grid's items, and its error is
+    raised. Returns the columns.
+
+    A past-range result is inf or nan here, as in any column, and the
+    rules flag it.
+    """
+    r = SimpleNamespace(**{name: np.array([v], dtype=float) for name, v in values.items()})
+    errors = [None]
+    with np.errstate(all="ignore"):
+        validate(r, errors, *args)
+    if errors[0] is not None:
+        raise errors[0]
+    return r
+
+
+_TINY_HBAR = (lambda r: r.hbar < _HBAR_MIN,
               lambda r: f"hbar must be at least {_HBAR_MIN:.4g} so that (hbar/2)^4 is a "
                         f"normal float, got {r.hbar!r}")
 #: hbar / (2 m omega_b), the zero-point position variance that converts
 #: between the two forms of the coupling, must be a positive float: a
-#: quotient by 0 (Python raises) or of 0 would make one form 0 or inf.
+#: quotient by 0 (inf) or of 0 would make one form 0 or inf.
 _ZERO_POINT = (
-    (("mass", "omega_b"), lambda r: 2.0 * r.mass * r.omega_b <= 0.0,
-     "2 mass omega_b underflows to 0 at these scales"),
-    (("hbar", "mass", "omega_b"), lambda r: r.hbar / (2.0 * r.mass * r.omega_b) <= 0.0,
+    (lambda r: 2.0 * r.mass * r.omega_b <= 0.0, "2 mass omega_b underflows to 0 at these scales"),
+    (lambda r: r.hbar / (2.0 * r.mass * r.omega_b) <= 0.0,
      "hbar / (2 mass omega_b) underflows to 0 at these scales"),
 )
 
 
 def _positive(name: str):
-    return ((name,), lambda r: getattr(r, name) <= 0, f"{name} must be positive")
+    return (lambda r: getattr(r, name) <= 0, f"{name} must be positive")
 
 
 def _nonnegative(name: str):
-    return ((name,), lambda r: getattr(r, name) < 0, f"{name} must be nonnegative")
+    return (lambda r: getattr(r, name) < 0, f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -201,7 +188,10 @@ class SystemParams1D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        _settle_1d(self, tuple(n for n in _COUPLINGS if getattr(self, n) is None), _check)
+        unset = tuple(n for n in _COUPLINGS if getattr(self, n) is None)
+        r = _check(vars(self), _settle_1d, unset)
+        for name in unset:
+            object.__setattr__(self, name, float(getattr(r, name)[0]))
 
 
 @dataclass(frozen=True)
@@ -228,7 +218,7 @@ class SystemParams2D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        _check(self, _RULES[SystemParams2D])
+        _check(vars(self), _flag, _RULES[SystemParams2D])
 
     @property
     def G_o(self) -> float:
@@ -279,7 +269,7 @@ class SystemParamsRWA:
     n_B_d: float = 0.0
 
     def __post_init__(self):
-        _check(self, _RULES[SystemParamsRWA])
+        _check(vars(self), _flag, _RULES[SystemParamsRWA])
 
 
 _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls))
@@ -297,13 +287,11 @@ _RULES = {
         _Finite(_FIELD_NAMES[SystemParams2D]),
         _positive("omega_x"), _positive("omega_y"), _nonnegative("gamma_x"),
         _nonnegative("gamma_y"),
-        (("phi",), lambda r: (r.phi < 0.0) | (r.phi > math.pi / 2),
-         "phi must lie in [0, pi/2]"),
+        (lambda r: (r.phi < 0.0) | (r.phi > math.pi / 2), "phi must lie in [0, pi/2]"),
         _positive("kappa"), _positive("mass"), _positive("hbar"), _TINY_HBAR,
         _nonnegative("temperature"),
         # bright_dark divides by sqrt(omega_b omega_d)
-        (("omega_x", "omega_y", "phi"),
-         lambda r: operator.mul(*_rotated_frequencies(r)[2:]) <= 0.0,
+        (lambda r: operator.mul(*_rotated_frequencies(r)[2:]) <= 0.0,
          "omega_b omega_d of the bright and dark modes underflows to 0 at these scales"),
     ),
     SystemParamsRWA: (
@@ -327,7 +315,6 @@ def _implied_rate(r):
 
 
 _CONSISTENT = (
-    ("lambda_o", "G_o", "hbar", "mass", "omega_b"),
     lambda r: abs(_implied_rate(r) - r.G_o) > _COUPLING_CONSISTENCY_RTOL * np.maximum(
         np.maximum(abs(_implied_rate(r)), abs(r.G_o)), 1e-300),
     lambda r: "lambda_o and G_o are inconsistent: "
@@ -341,32 +328,18 @@ _GIVEN_COUPLING = (_CONSISTENT, *_DERIVED_COUPLING)
 _GIVEN_RATE = (_Finite(("G_o",)),)
 
 
-def _settle_1d(r, unset: tuple, check, field=float) -> None:
-    """Validate a 1D record, or its columns, and set the coupling fields
-    named in unset (those not given) from the other one.
-
-    check(r, table, unset) applies a rule table and field makes the
-    derived value a field: _check and float for a record, _flag and
-    np.asarray for columns.
-    """
-    check(r, _RULES[SystemParams1D], unset)
-    if len(unset) == 2:
-        raise InvalidParams("specify lambda_o or G_o")
-    with np.errstate(all="ignore"):
-        if unset == ("lambda_o",):
-            object.__setattr__(r, "lambda_o", field(r.G_o / _rate_per_gradient(r)))
-        elif unset == ("G_o",):
-            object.__setattr__(r, "G_o", field(r.lambda_o * _rate_per_gradient(r)))
-    check(r, _DERIVED_COUPLING if unset else _GIVEN_COUPLING, ())
-
-
-def _settle_1d_columns(r, errors: list, unset=("G_o",), changed=None) -> None:
+def _settle_1d(r, errors: list, unset=("G_o",)) -> None:
     """Validate the 1D columns r as SystemParams1D does: give each item
     with no error yet the error its record raises, and set the coupling
-    fields named in unset (G_o, by default) from the other form. With
-    changed, only the rules reading those fields are checked (see _flag)."""
-    _settle_1d(r, unset, lambda r, table, unset: _flag(r, table, errors, unset, changed),
-               np.asarray)
+    fields named in unset (those not given; G_o by default) from the
+    other form. Call it under np.errstate(all="ignore")."""
+    _flag(r, errors, _RULES[SystemParams1D], unset)
+    flag_first(errors, len(unset) == 2, lambda k: InvalidParams("specify lambda_o or G_o"))
+    if unset == ("lambda_o",):
+        r.lambda_o = r.G_o / _rate_per_gradient(r)
+    elif unset == ("G_o",):
+        r.G_o = r.lambda_o * _rate_per_gradient(r)
+    _flag(r, errors, _DERIVED_COUPLING if unset else _GIVEN_COUPLING)
 
 
 #: SystemParams1D fields whose replacement clears a coupling field, so
@@ -426,8 +399,8 @@ class ParamsGrid:
     the record is valid).
 
     A grid reads like a record, ``grid.kappa`` being the kappa column,
-    so the rules and the formulas written for a record's floats run on
-    its columns too. The columns of an item with an error mean nothing.
+    so the formulas written for a record's floats run on its columns
+    too. The columns of an item with an error mean nothing.
     """
 
     cls: type
@@ -464,7 +437,8 @@ class ParamsGrid:
         that the other values make, or must agree with a lambda_o the
         point gives. Last, n_B is converted to a temperature at that
         record's (bright) mode frequency. Each item is the record the
-        point makes, validated once, or carries that record's error.
+        point makes, checked against its class's whole table, or carries
+        that record's error.
         """
         record_cls, n, names = type(base), len(points), list(names)
         for i, name in enumerate(names):
@@ -484,26 +458,21 @@ class ParamsGrid:
         rate = given.pop("G_o") if record_cls is SystemParams2D and "G_o" in given else None
         occupation = given.pop("n_B", None)
         vars(r).update(given)
-        # The base is a valid record, so only the rules reading a field the
-        # point sets can fail, and on a 1D record the agreement of the
-        # coupling pair, which a base that derived one form of it has not
-        # been checked for.
         with np.errstate(all="ignore"):
             if record_cls is SystemParams1D:
-                unset = _rebuilt(record_cls, names)
-                _settle_1d_columns(r, errors, unset, frozenset((*given, *(unset or _COUPLINGS))))
+                _settle_1d(r, errors, _rebuilt(record_cls, names))
             else:
-                _flag(r, _RULES[record_cls], errors, (), frozenset(given))
+                _flag(r, errors, _RULES[record_cls])
             if rate is not None:
-                _flag(SimpleNamespace(G_o=rate), _GIVEN_RATE, errors)
+                _flag(SimpleNamespace(G_o=rate), errors, _GIVEN_RATE)
                 scales = _bright_scales(r)
-                _flag(scales, _ZERO_POINT, errors)
+                _flag(scales, errors, _ZERO_POINT)
                 if "lambda_o" in given:
                     _flag(SimpleNamespace(**vars(scales), lambda_o=r.lambda_o, G_o=rate),
-                          (_CONSISTENT,), errors)
+                          errors, (_CONSISTENT,))
                 else:
                     r.lambda_o = rate / _rate_per_gradient(scales)
-                    _flag(r, _RULES[record_cls], errors, (), frozenset(("lambda_o",)))
+                    _flag(r, errors, _RULES[record_cls])
             if occupation is not None:
                 omega = (r if record_cls is SystemParams1D else _bright_scales(r)).omega_b
                 for k in [k for k, e in enumerate(errors) if e is None]:
@@ -512,7 +481,7 @@ class ParamsGrid:
                             float(occupation[k]), float(omega[k]))
                     except InvalidParams as exc:
                         errors[k] = exc
-                _flag(r, _RULES[record_cls], errors, (), frozenset(("temperature",)))
+                _flag(r, errors, _RULES[record_cls])
         return cls(record_cls, vars(r), tuple(errors))
 
     def take(self, idx) -> ParamsGrid:
@@ -649,23 +618,22 @@ def resonant_2d_design(
     gives exactly omega_b = omega_d = omega and mixing rate G_m, since
     omega_bar_m * delta_m = (omega_x^2 - omega_y^2)/2 = 2 G_m omega.
     The detuning is set resonant (delta = omega) and the coupling rate
-    G_o is converted to lambda_o at the bright-mode frequency.
+    G_o is converted to lambda_o at the bright-mode frequency. Scales
+    that admit no conversion raise the record's InvalidParams.
     """
     if not (omega > 0 and omega**2 > 2.0 * abs(G_m) * omega):
         raise InvalidParams("need omega > 0 and |G_m| < omega/2 for real trap frequencies")
-    omega_x = math.sqrt(omega**2 + 2.0 * G_m * omega)
-    omega_y = math.sqrt(omega**2 - 2.0 * G_m * omega)
-    lambda_o = G_o / math.sqrt(hbar / (2.0 * mass * omega))
-    return SystemParams2D(
-        omega_x=omega_x,
-        omega_y=omega_y,
-        gamma_x=gamma,
-        gamma_y=gamma,
-        phi=math.pi / 4.0,
-        kappa=kappa,
-        delta=omega,
-        lambda_o=lambda_o,
-        mass=mass,
-        temperature=temperature,
-        hbar=hbar,
-    )
+    trap = dict(omega_x=math.sqrt(omega**2 + 2.0 * G_m * omega),
+                omega_y=math.sqrt(omega**2 - 2.0 * G_m * omega),
+                gamma_x=gamma, gamma_y=gamma, phi=math.pi / 4.0, kappa=kappa, delta=omega,
+                mass=mass, temperature=temperature, hbar=hbar)
+    # a numpy hbar, so that a quotient by 0 is inf rather than an exception
+    scales = SimpleNamespace(hbar=np.float64(hbar), mass=mass, omega_b=omega)
+    with np.errstate(all="ignore"):
+        rate = _rate_per_gradient(scales)
+        lambda_o = float(G_o / rate)
+    if not 0.0 < rate < math.inf:
+        # the record's error on its scales, or else the scales' own
+        SystemParams2D(lambda_o=0.0, **trap)
+        _check(vars(scales), _flag, _ZERO_POINT)
+    return SystemParams2D(lambda_o=lambda_o, **trap)

@@ -27,14 +27,16 @@ spectral route takes 64, since its panel table grows with the chunk;
 the closed forms take 1,024, where only the Python work per call is
 to amortize. One chunk loop turns the chunks of a request into
 one Batch; it alone keeps invalid records from the evaluators and cuts
-each column down to the settled items. Two functions sit on it:
-evaluate_grid takes grid points (values of named parameters; each
-chunk is a ParamsGrid.from_axes) and returns each quantity as a
-column, a stable flag and the warnings of each row; evaluate_records
-takes params records (each chunk a ParamsGrid.from_records) and
-returns the Batch, with each record's error in place. Sweeps and
-optimize evaluate grid points, figures and validation evaluate
-records, and evaluate_point is a grid of one. evaluate_config (the
+each column down to the settled items. Two functions sit on it and
+return the Batch, with each item's error in place: evaluate_records
+takes params records (each chunk a ParamsGrid.from_records), and
+evaluate_axes takes grid points, values of named parameters of one
+base record (each chunk a ParamsGrid.from_axes). evaluate_grid gives
+the latter as each quantity's column, a stable flag and the warnings
+of each row. Sweeps and optimize evaluate grid points through
+evaluate_grid, and fig3 and two validation checks through
+evaluate_axes; the other figures and checks evaluate records, and
+evaluate_point is a grid of one. evaluate_config (the
 point command) runs the route's evaluator on its one valid record.
 Rows come out in grid order (see grid_points), and a row never
 depends on the chunk its point falls in: numpy's elementwise ufuncs
@@ -99,6 +101,7 @@ __all__ = [
     "with_param",
     "evaluate_config",
     "evaluate_records",
+    "evaluate_axes",
     "evaluate_grid",
     "grid_points",
     "format_float",
@@ -509,6 +512,14 @@ def evaluate_records(model: str, solver: str, records: list) -> Batch:
                      lambda s: ParamsGrid.from_records(records[s]))
 
 
+def evaluate_axes(model: str, solver: str, base, names: list[str], points) -> Batch:
+    """evaluate_records over the records that set the named parameters of
+    base to each point's values: one ParamsGrid.from_axes per chunk."""
+    points = np.asarray(points, dtype=float).reshape(len(points), len(names))
+    return _evaluate(_EVALUATORS[(model, solver)], len(points),
+                     lambda s: ParamsGrid.from_axes(base, names, points[s]))
+
+
 def evaluate_grid(config: RunConfig, names: list[str], points) -> tuple[dict, np.ndarray, list]:
     """The rows of the grid points (values of the named parameters) as columns.
 
@@ -521,10 +532,8 @@ def evaluate_grid(config: RunConfig, names: list[str], points) -> tuple[dict, np
     is the record with_param makes from the same values; a name that
     cannot be set or is given twice raises InvalidParams before any point.
     """
-    points = np.asarray(points, dtype=float).reshape(len(points), len(names))
-    errors, warns, columns = _evaluate(
-        _EVALUATORS[(config.model, config.solver)], len(points),
-        lambda s: ParamsGrid.from_axes(config.params, names, points[s]))
+    errors, warns, columns = evaluate_axes(config.model, config.solver, config.params, names,
+                                           points)
     for e in errors:
         if e is not None and e.exit_code == 4:
             raise e

@@ -12,9 +12,10 @@ one big assertion, so a regression report points at the physics that
 broke, not at a generic "validation failed".
 
 Checks that compare solvers on model quantities evaluate each route's
-grid as one list of records through the sweep evaluator registry
-(sweep.evaluate_records), so they test the same numeric path that
-sweeps and figures use, and compare the routes as columns.
+grid through the sweep evaluator registry, as one list of records
+(sweep.evaluate_records) or as the points of one record
+(sweep.evaluate_axes), so they test the same numeric path that sweeps
+and figures use, and compare the routes as columns.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .spectral import (
     position_psd,
     moment_integrals,
 )
-from .sweep import evaluate_records, grid_points
+from .sweep import evaluate_axes, evaluate_records, grid_points
 
 __all__ = ["CheckResult", "run_validation", "CHECK_NAMES", "fig3_params"]
 
@@ -72,11 +73,20 @@ class CheckResult:
 def _columns(model: str, solver: str, records: list) -> dict:
     """The pair's columns over records that must all settle; raises the
     error of the first record that does not."""
-    errors, _, columns = evaluate_records(model, solver, records)
-    for e in errors:
+    return _settled(evaluate_records(model, solver, records))
+
+
+def _grid_columns(model: str, solver: str, base, names: list, points) -> dict:
+    """_columns over the points of base: the records that set its named
+    parameters to each point's values (see ParamsGrid.from_axes)."""
+    return _settled(evaluate_axes(model, solver, base, names, points))
+
+
+def _settled(batch) -> dict:
+    for e in batch.errors:
         if e is not None:
             raise e
-    return columns
+    return batch.columns
 
 
 def _worst(errors: np.ndarray, where) -> tuple[float, str]:
@@ -218,10 +228,10 @@ def _check_bare_occupation_dominates() -> CheckResult:
     and open up at strong drive (the two occupations are genuinely
     different quantities there, not one curve with rounding noise).
     """
-    grid = [SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=float(g))
-            for g in np.linspace(0.005, 0.45, 90)]
-    gaps = _columns("oneD", "lyapunov", grid)["n_bar_0"] - _columns(
-        "oneD", "closed_form", grid)["n_bar"]
+    g_o = np.linspace(0.005, 0.45, 90)
+    base = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.005)
+    gaps = _grid_columns("oneD", "lyapunov", base, ["G_o"], g_o)["n_bar_0"] - _grid_columns(
+        "oneD", "closed_form", base, ["G_o"], g_o)["n_bar"]
     worst = -gaps.min()  # positive iff the ordering is violated somewhere
     passed = worst <= 0.0 and gaps[0] < 1e-4 and gaps[-1] > 1e-2
     return CheckResult(
@@ -254,8 +264,9 @@ def _check_rwa_optimum_location() -> CheckResult:
     g_o = [2.0 * _FIG3_KAPPA, 5.0 * _FIG3_KAPPA]
     target = _columns("rwa", "closed_form", [fig3_params(g, _FIG3_KAPPA) for g in g_o])["G_m_opt"]
     grid = np.linspace(0.3 * target, 2.0 * target, 120, axis=1)
-    purity = _columns("rwa", "lyapunov", [fig3_params(g, g_m) for g, row in zip(g_o, grid)
-                                          for g_m in row.tolist()])["purity_2d"]
+    points = np.column_stack([np.repeat(g_o, grid.shape[1]), grid.ravel()])
+    purity = _grid_columns("rwa", "lyapunov", fig3_params(g_o[0], _FIG3_KAPPA), ["G_o", "G_m"],
+                           points)["purity_2d"]
     g_best = grid[np.arange(len(g_o)), purity.reshape(grid.shape).argmax(axis=1)]
     worst, where = _worst(abs(g_best - target) / target, lambda k: (
         f"G_o={g_o[k]:.3g}: grid opt {g_best[k]:.4g} vs {target[k]:.4g}"))

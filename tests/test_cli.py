@@ -433,6 +433,18 @@ G_o = 0.4
         assert capsys.readouterr().err.startswith(
             "config error: lambda_o and G_o are inconsistent: G_o=0.1 ")
 
+    def test_file_alone_keeps_the_coupling_form_it_derived(self, tmp_path, capsys):
+        # lambda_o = G_o / 1e28 is subnormal; the empty --param source sets
+        # nothing, so the pair the file's record derived is not checked as
+        # if both forms were given
+        params = ("omega_b=0.5", "mass=1e-56", "G_o=2e-290")
+        cfg = self.write(tmp_path, "[params]\n" + "\n".join(params) + "\n")
+        assert run_cli("point", "--config", cfg) == 3
+        from_file = capsys.readouterr().err
+        assert run_cli("point", *(a for p in params for a in ("--param", p))) == 3
+        assert from_file == capsys.readouterr().err == (
+            "unstable or out of regime: drift matrix has a non-decaying eigenvalue\n")
+
     def test_flag_temperature_beats_file_occupation(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "[params]\nn_B = 2.0\n")
         assert run_cli("point", "--config", cfg, "--param", "temperature=5") == 0

@@ -6,6 +6,8 @@ import pytest
 from omsteady import figures
 from omsteady.errors import OracleMismatch
 from omsteady.figures import FIGURES, make_figure
+from omsteady.sweep import grid_points
+from omsteady.validation import _FIG3_KAPPA, _columns, fig3_params
 
 
 def read_csv(path):
@@ -90,6 +92,19 @@ class TestFig3:
         _, _, data = read_csv(built[0] / "fig3.csv")
         assert np.all(data[:, 3] >= 0.0)
         assert np.all(data[:, 4] >= 0.0)
+
+    def test_point_grid_gives_the_record_lists_columns(self, tmp_path, grid_columns_calls):
+        # the map evaluates the (G_o, G_m) points of one fig3_params record;
+        # a list of each point's own fig3_params record gives the same bits
+        calls = grid_columns_calls(figures)
+        make_figure("fig3", tmp_path)
+        ((model, solver, _, names, _, got),) = calls
+        assert (model, solver, names) == ("rwa", "lyapunov", ["G_o", "G_m"])
+        want = _columns(model, solver, [
+            fig3_params(ro * _FIG3_KAPPA, rm * _FIG3_KAPPA)
+            for ro, rm in grid_points([figures._FIG3_RATIO] * 2).tolist()])
+        for q in ("purity_2d", "N_plus", "N_minus"):
+            assert got[q].tobytes() == want[q].tobytes()
 
 
 class TestFig4:

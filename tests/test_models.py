@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from omsteady.models import (
     _SETTABLE,
     _ZERO_POINT,
     _bright_scales,
-    _check,
+    _flag,
     _rate_per_gradient,
     _with_values,
     BrightDark,
@@ -207,6 +208,20 @@ class TestDerivedScales:
         with pytest.raises(InvalidParams):
             resonant_2d_design(omega=1.0, G_o=0.1, G_m=0.51, kappa=0.2)
 
+    @pytest.mark.parametrize("scale, message", [
+        ({"mass": 0.0}, "mass must be positive"), ({"mass": -1.0}, "mass must be positive"),
+        ({"hbar": 0.0}, "hbar must be positive"), ({"hbar": -1.0}, "hbar must be positive"),
+        ({"mass": 1e-200, "omega": 1e-150, "G_m": 1e-152},
+         "2 mass omega_b underflows to 0 at these scales"),
+    ])
+    def test_resonant_design_scales_without_a_conversion_raise_the_record_error(
+            self, scale, message):
+        # the record's own error, not a Python error of the G_o -> lambda_o
+        # conversion
+        kwargs = {"omega": 1.0, "G_o": 0.1, "G_m": 0.05, "kappa": 0.2, **scale}
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            resonant_2d_design(**kwargs)
+
     def test_bright_dark_record_fields(self):
         bd = BrightDark(omega_b=1.0, omega_d=1.0, gamma_b=0.0, gamma_d=0.0,
                         delta_m=0.1, eta_m=0.0, omega_bar_m=1.0, G_m=0.05)
@@ -360,15 +375,24 @@ def _set_at_once(base, values):
         if isinstance(base, SystemParams2D) and "G_o" in values:
             rate = values.pop("G_o")
             base = dataclasses.replace(base, **values)
-            _check(SimpleNamespace(G_o=rate), _GIVEN_RATE)
+            _raise_flagged({"G_o": rate}, _GIVEN_RATE)
             scales = _bright_scales(base)
-            _check(scales, _ZERO_POINT)
+            _raise_flagged(vars(scales), _ZERO_POINT)
             if "lambda_o" in values:
-                _check(SimpleNamespace(**vars(scales), lambda_o=base.lambda_o, G_o=rate),
-                       (_CONSISTENT,))
+                _raise_flagged({**vars(scales), "lambda_o": base.lambda_o, "G_o": rate},
+                               (_CONSISTENT,))
                 return base
             values = {"lambda_o": rate / float(_rate_per_gradient(scales))}
         return dataclasses.replace(base, **values)
+
+
+def _raise_flagged(values, table):
+    """Raise the error _flag gives the values as one item of columns."""
+    errors = [None]
+    _flag(SimpleNamespace(**{n: np.array([v], dtype=float) for n, v in values.items()}),
+          errors, table)
+    if errors[0] is not None:
+        raise errors[0]
 
 
 @st.composite

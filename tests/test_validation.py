@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from omsteady import spectral
-from omsteady.validation import CHECK_NAMES, run_validation
+from omsteady import spectral, validation
+from omsteady.models import SystemParams1D
+from omsteady.validation import _FIG3_KAPPA, CHECK_NAMES, _columns, fig3_params, run_validation
 
 
 class TestRunValidation:
@@ -64,3 +66,24 @@ class TestRunValidation:
         assert result.passed and result.worst > 0.0
         assert len(finals) == 4
         assert any(coarse != fine for coarse, fine in zip(finals[::2], finals[1::2]))
+
+
+def test_point_grids_give_the_record_lists_columns(grid_columns_calls):
+    # bare-occupation-dominates and rwa-optimum-location evaluate the points
+    # of one record; a list of each point's own record gives the same bits
+    calls = grid_columns_calls(validation)
+    assert all(r.passed for r in run_validation(
+        ("bare-occupation-dominates", "rwa-optimum-location")))
+    records_1d = [SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=float(g))
+                  for g in np.linspace(0.005, 0.45, 90)]
+    g_o = [2.0 * _FIG3_KAPPA, 5.0 * _FIG3_KAPPA]
+    target = _columns("rwa", "closed_form", [fig3_params(g, _FIG3_KAPPA) for g in g_o])["G_m_opt"]
+    records_rwa = [fig3_params(g, g_m) for g, row in zip(g_o, np.linspace(
+        0.3 * target, 2.0 * target, 120, axis=1)) for g_m in row.tolist()]
+    expect = {("oneD", "lyapunov"): records_1d, ("oneD", "closed_form"): records_1d,
+              ("rwa", "lyapunov"): records_rwa}
+    assert [call[:2] for call in calls] == list(expect)
+    for model, solver, *_, got in calls:
+        want = _columns(model, solver, expect[(model, solver)])
+        assert {q: c.tobytes() for q, c in got.items()} == {
+            q: c.tobytes() for q, c in want.items()}
