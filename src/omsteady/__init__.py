@@ -40,7 +40,6 @@ from .gaussian import (
 from .langevin import (
     CovarianceMatrix,
     LinearSystem,
-    NoiseMode,
     build_1d,
     build_2d,
     build_rwa,

@@ -21,6 +21,12 @@ Quadrature convention: X = (a + a^dagger)/sqrt(2), P = i(a^dagger -
 a)/sqrt(2), so a vacuum input of rate kappa produces diffusion
 kappa/2 per cavity quadrature. This fixes every factor of two below.
 
+Each build carries the white thermal force of its damped modes, the
+Markovian Langevin model of Genes et al. (PRA 77, 033804, 2008): a
+mechanical mode of damping gamma > 0 gets the force diffusion of
+_thermal_force, and an undamped one none. The quantum backaction limit
+is gamma = 0, as in closedform.
+
 The Lyapunov solve is a dense linear solve over the independent
 entries of the symmetric unknown: its n(n+1)/2 upper-triangle entries
 (the vech basis), or n^2/4 of them where the drift and the diffusion
@@ -75,7 +81,6 @@ all run on the full n x n V, which the reduced basis expands once.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -95,7 +100,6 @@ from .models import (
 )
 
 __all__ = [
-    "NoiseMode",
     "LinearSystem",
     "CovarianceMatrix",
     "build_1d",
@@ -135,19 +139,6 @@ _LU_BLOCK = 64
 #:   eigenvalue below -1e-8 ||V||, while the rounding of the LDL^T pivots
 #:   moves V by about n^2 eps ||V||.
 STABILITY_CERTIFICATE_RTOL = 1e-8
-
-
-class NoiseMode(enum.Enum):
-    """Which noise sources enter the diffusion matrix.
-
-    VacuumOnly keeps mechanical damping in the drift but drops the
-    corresponding thermal noise from the diffusion (the backaction
-    limit). MarkovianThermal adds white mechanical noise with the
-    symmetrized strength evaluated at the mode frequency.
-    """
-
-    VacuumOnly = "vacuum"
-    MarkovianThermal = "thermal"
 
 
 @dataclass(frozen=True)
@@ -250,7 +241,7 @@ def _system(batch: Batch, labels: tuple[str, ...]) -> LinearSystem:
     return LinearSystem(labels=labels, warnings=batch.warnings[0], **batch.only())
 
 
-def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> Batch:
+def build_1d_batch(grid: ParamsGrid) -> Batch:
     """One mechanical mode and one cavity mode per item of a 1D grid,
     ordering (x_b, p_b, X_c, P_c).
 
@@ -271,17 +262,16 @@ def build_1d_batch(grid: ParamsGrid, noise: NoiseMode) -> Batch:
         A[:, 3, 0] = -_SQRT2 * lam
         A[:, 3, 2] = -grid.delta
         D[:, 2, 2] = D[:, 3, 3] = grid.kappa / 2.0
-        if noise is NoiseMode.MarkovianThermal:
-            D[:, 1, 1] = _thermal_force(m, grid.gamma_b, hbar, grid.omega_b, grid.temperature)
+        D[:, 1, 1] = _thermal_force(m, grid.gamma_b, hbar, grid.omega_b, grid.temperature)
     return Batch([None] * B, [()] * B, {"drift": A, "hbar": hbar}).then(_checked_diffusion(A, D))
 
 
-def build_1d(params: SystemParams1D, noise: NoiseMode) -> LinearSystem:
+def build_1d(params: SystemParams1D) -> LinearSystem:
     """build_1d_batch of one record, as a LinearSystem."""
-    return _system(build_1d_batch(ParamsGrid.from_records([params]), noise), _LABELS_1D)
+    return _system(build_1d_batch(ParamsGrid.from_records([params])), _LABELS_1D)
 
 
-def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> Batch:
+def build_2d_batch(grid: ParamsGrid) -> Batch:
     """Bright and dark mechanical modes plus cavity per item of a 2D grid, 6x6.
 
     Ordering (x_b, p_b, x_d, p_d, X_c, P_c). The bright/dark rotation
@@ -289,10 +279,11 @@ def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> Batch:
     unequal axis damping, a dissipative one eta_m. Only the bright
     mode feels the cavity force.
 
-    The Markovian thermal surrogate assumes the two rotated baths are
-    uncorrelated, which holds when gamma_x = gamma_y. If the damping
-    rates differ and the modes actually mix (eta_m != 0), the rotated
-    baths are correlated and no white-noise surrogate is attempted.
+    The thermal force of each rotated mode assumes the two rotated
+    baths are uncorrelated, which holds when gamma_x = gamma_y. If the
+    damping rates differ and the modes actually mix (eta_m != 0), the
+    rotated baths are correlated: no white-noise surrogate is attempted
+    and the item gets CorrelatedBathUnsupported.
     """
     B, m, hbar, lam = len(grid), grid.mass, grid.hbar, grid.lambda_o
     errors: list = [None] * B
@@ -318,19 +309,18 @@ def build_2d_batch(grid: ParamsGrid, noise: NoiseMode) -> Batch:
         A[:, 5, 4] = -grid.delta
         A[:, 5, 5] = -grid.kappa / 2.0
         D[:, 4, 4] = D[:, 5, 5] = grid.kappa / 2.0
-        if noise is NoiseMode.MarkovianThermal:
-            flag_first(errors, (grid.gamma_x != grid.gamma_y) & (bd.eta_m != 0.0),
-                       lambda k: CorrelatedBathUnsupported(
-                           "unequal axis damping with mode mixing correlates the "
-                           "bright and dark baths; no white-noise surrogate exists"))
-            for row, w, g in ((1, bd.omega_b, bd.gamma_b), (3, bd.omega_d, bd.gamma_d)):
-                D[:, row, row] = _thermal_force(m, g, hbar, w, grid.temperature)
+        flag_first(errors, (grid.gamma_x != grid.gamma_y) & (bd.eta_m != 0.0),
+                   lambda k: CorrelatedBathUnsupported(
+                       "unequal axis damping with mode mixing correlates the "
+                       "bright and dark baths; no white-noise surrogate exists"))
+        for row, w, g in ((1, bd.omega_b, bd.gamma_b), (3, bd.omega_d, bd.gamma_d)):
+            D[:, row, row] = _thermal_force(m, g, hbar, w, grid.temperature)
     return Batch(errors, [()] * B, {"drift": A, "hbar": hbar}).then(_checked_diffusion(A, D))
 
 
-def build_2d(params: SystemParams2D, noise: NoiseMode) -> LinearSystem:
+def build_2d(params: SystemParams2D) -> LinearSystem:
     """build_2d_batch of one record, as a LinearSystem."""
-    return _system(build_2d_batch(ParamsGrid.from_records([params]), noise), _LABELS_2D)
+    return _system(build_2d_batch(ParamsGrid.from_records([params])), _LABELS_2D)
 
 
 _RWA_REGIME = ("rotating-wave build outside its regime: kappa, G_o, G_m "

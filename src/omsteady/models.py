@@ -314,9 +314,19 @@ def _implied_rate(r):
     return r.lambda_o * _rate_per_gradient(r)
 
 
+def _misses(a, b):
+    """True where a and b differ by more than _COUPLING_CONSISTENCY_RTOL of the larger."""
+    return abs(a - b) > _COUPLING_CONSISTENCY_RTOL * np.maximum(abs(a), abs(b))
+
+
+#: A pair disagrees only where both directions miss. A form derived from
+#: the other agrees exactly in its own direction, even where it lost
+#: digits (a subnormal lambda_o, whose lambda_o * rate misses G_o), so no
+#: floor on the tolerance is needed, and a given pair of tiny numbers is
+#: still compared to 1e-9.
 _CONSISTENT = (
-    lambda r: abs(_implied_rate(r) - r.G_o) > _COUPLING_CONSISTENCY_RTOL * np.maximum(
-        np.maximum(abs(_implied_rate(r)), abs(r.G_o)), 1e-300),
+    lambda r: (_misses(_implied_rate(r), r.G_o)
+               & _misses(r.G_o / _rate_per_gradient(r), r.lambda_o)),
     lambda r: "lambda_o and G_o are inconsistent: "
               f"G_o={r.G_o} but lambda_o implies {float(_implied_rate(r))}",
 )
@@ -621,10 +631,10 @@ def resonant_2d_design(
     G_o is converted to lambda_o at the bright-mode frequency. Scales
     that admit no conversion raise the record's InvalidParams.
     """
-    if not (omega > 0 and omega**2 > 2.0 * abs(G_m) * omega):
+    if not (omega > 0 and omega * omega > 2.0 * abs(G_m) * omega):
         raise InvalidParams("need omega > 0 and |G_m| < omega/2 for real trap frequencies")
-    trap = dict(omega_x=math.sqrt(omega**2 + 2.0 * G_m * omega),
-                omega_y=math.sqrt(omega**2 - 2.0 * G_m * omega),
+    trap = dict(omega_x=math.sqrt(omega * omega + 2.0 * G_m * omega),
+                omega_y=math.sqrt(omega * omega - 2.0 * G_m * omega),
                 gamma_x=gamma, gamma_y=gamma, phi=math.pi / 4.0, kappa=kappa, delta=omega,
                 mass=mass, temperature=temperature, hbar=hbar)
     # a numpy hbar, so that a quotient by 0 is inf rather than an exception

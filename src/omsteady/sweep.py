@@ -74,8 +74,7 @@ from .closedform import (backaction_1d_batch, backaction_2d_batch, bare_occupati
                          rwa_optimum_batch)
 from .errors import Batch, InvalidParams, UncertaintyViolation, flag_first
 from .gaussian import occupation_and_purity_1d_batch, summary_2d_batch
-from .langevin import (NoiseMode, build_1d_batch, build_2d_batch, build_rwa_batch,
-                       steady_covariance_batch)
+from .langevin import build_1d_batch, build_2d_batch, build_rwa_batch, steady_covariance_batch
 from .models import ParamsGrid, SystemParams1D, SystemParams2D, SystemParamsRWA, with_param
 from .spectral import integrate_moments_batch
 
@@ -220,13 +219,13 @@ def _summary_block(block: Batch, W, head: dict) -> Batch:
 
 
 def _batch_oneD_lyapunov(grid) -> Batch:
-    block, V = _covariances(grid, lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal))
+    block, V = _covariances(grid, build_1d_batch)
     block.columns.update(xx=V[:, 0, 0], pp=V[:, 1, 1], xp=V[:, 0, 1])
     return block
 
 
 def _batch_twoD_lyapunov(grid) -> Batch:
-    block, V = _covariances(grid, lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal))
+    block, V = _covariances(grid, build_2d_batch)
     head = {"xx_b": V[:, 0, 0], "pp_b": V[:, 1, 1], "xx_d": V[:, 2, 2], "pp_d": V[:, 3, 3],
             "x_b_x_d": V[:, 0, 2], "p_b_p_d": V[:, 1, 3]}
     return _summary_block(block, V[:, :4, :4], head)

@@ -27,13 +27,7 @@ import numpy as np
 
 from .closedform import strong_coupling
 from .gaussian import Cov1D, decompose_1d
-from .langevin import (
-    LYAPUNOV_RESIDUAL_RTOL,
-    NoiseMode,
-    build_1d,
-    build_2d,
-    steady_covariance,
-)
+from .langevin import LYAPUNOV_RESIDUAL_RTOL, build_1d, build_2d, steady_covariance
 from .models import (
     SystemParams1D,
     SystemParamsRWA,
@@ -189,8 +183,7 @@ def _check_oracle_chain_2d() -> CheckResult:
 def _check_structure_zeros_2d() -> CheckResult:
     """Position-momentum cross moments that must vanish at steady state."""
     tol = 1e-10
-    V = np.array([steady_covariance(build_2d(p, NoiseMode.VacuumOnly)).mechanical_2d().matrix
-                  for p in _grid_2d()])
+    V = np.array([steady_covariance(build_2d(p)).mechanical_2d().matrix for p in _grid_2d()])
     scale = np.sqrt(np.maximum(V[:, 0, 0], V[:, 2, 2]) * np.maximum(V[:, 1, 1], V[:, 3, 3]))
     names = ("x_b p_b", "x_d p_d", "x_b p_d", "x_d p_b")
     errs = abs(V[:, [0, 2, 0, 2], [1, 3, 3, 1]]) / scale[:, None]
@@ -329,8 +322,8 @@ def _check_sideband_asymmetry() -> CheckResult:
 
 def _check_lyapunov_residual() -> CheckResult:
     """Residual of A V + V A^T + D = 0 stays within the solver's bound."""
-    systems = [build_1d(p, NoiseMode.VacuumOnly) for p in _grid_1d()]
-    systems += [build_2d(p, NoiseMode.VacuumOnly) for p in _grid_2d()]
+    systems = [build_1d(p) for p in _grid_1d()]
+    systems += [build_2d(p) for p in _grid_2d()]
     covariances = [steady_covariance(sys).matrix for sys in systems]
     scaled = np.array([np.abs(s.drift @ V + V @ s.drift.T + s.diffusion).max()
                        / np.abs(s.diffusion).max() for s, V in zip(systems, covariances)])

@@ -8,8 +8,8 @@ def perturbed_diffusion(monkeypatch):
     """Scale the diffusion of every registry 1D Lyapunov build by 1 + 1e-6."""
     build = sweep.build_1d_batch
 
-    def perturbed(grid, noise):
-        systems = build(grid, noise)
+    def perturbed(grid):
+        systems = build(grid)
         systems.columns["diffusion"] = systems.columns["diffusion"] * (1.0 + 1e-6)
         return systems
 

@@ -41,7 +41,6 @@ from omsteady.gaussian import (
     wavefunction,
 )
 from omsteady.langevin import (
-    NoiseMode,
     build_1d,
     build_rwa,
     stability,
@@ -73,7 +72,7 @@ def test_lyapunov_reproduces_closed_form_occupation():
     for kappa in (0.1, 0.2, 1.0):
         for g_o in (0.01, 0.1, 0.3, 0.45):
             p = _params_1d(g_o, kappa)
-            cov = steady_covariance(build_1d(p, NoiseMode.VacuumOnly))
+            cov = steady_covariance(build_1d(p))
             n_num, _ = occupation_and_purity_1d(cov.mechanical_1d())
             n_exact = backaction_1d(p).n_bar
             worst = max(worst, abs(n_num - n_exact) / n_exact)
@@ -211,7 +210,7 @@ def test_spectral_integration_cross_checks():
     for kappa, g_o in ((0.2, 0.4), (1.0, 0.3), (0.1, 0.05)):
         p = _params_1d(g_o, kappa)
         mom = integrate_moments(p)
-        ref = steady_covariance(build_1d(p, NoiseMode.VacuumOnly)).mechanical_1d()
+        ref = steady_covariance(build_1d(p)).mechanical_1d()
         worst_vac = max(worst_vac,
                         abs(mom.xx - ref.xx) / ref.xx,
                         abs(mom.pp - ref.pp) / ref.pp)
@@ -345,8 +344,7 @@ def test_stability_flip_location():
     # frequency crosses zero: omega_b^2 = 2 g_o^2, solved for G_o
     g_star = math.sqrt(1.0 / (2.0 * g_o_squared(with_param(base, "G_o", 1.0))))
     grid = np.arange(0.49, 0.52 + 1e-12, 1e-4)
-    flags = [stability(build_1d(with_param(base, "G_o", float(g)),
-                                NoiseMode.VacuumOnly)) for g in grid]
+    flags = [stability(build_1d(with_param(base, "G_o", float(g)))) for g in grid]
     flips = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
     elapsed = time.perf_counter() - t0
 

@@ -15,7 +15,7 @@ from omsteady.errors import Batch, DegenerateState, InvalidParams, UnstableRegim
 from omsteady.gaussian import (Cov1D, Cov2D, occupation_and_purity_1d,
                                occupation_and_purity_1d_batch, purity_2d_general,
                                summary_2d_batch)
-from omsteady.langevin import (LinearSystem, NoiseMode, build_1d, build_1d_batch, build_2d,
+from omsteady.langevin import (LinearSystem, build_1d, build_1d_batch, build_2d,
                                build_2d_batch, build_rwa, build_rwa_batch, steady_covariance,
                                steady_covariance_batch)
 from omsteady.models import (ParamsGrid, SystemParams1D, SystemParamsRWA, resonant_2d_design,
@@ -56,9 +56,8 @@ BUILD_RWA = RECORDS_RWA + [HOT_RWA, UNCHECKED_RWA, with_param(P_RWA, "G_o", 0.5)
 # drift, that drift times 1e308, whose operator overflows (the
 # residual gate fails), and a settled thermal build.
 _DEFECTIVE = np.kron(np.eye(2), [[1.0, 1.0], [-1.0, -1.0]])
-_VACUUM, _UNSTABLE, _THERMAL = (build_1d(p, n) for p, n in (
-    (P_1D, NoiseMode.VacuumOnly), (with_param(P_1D, "G_o", 0.75), NoiseMode.VacuumOnly),
-    (RECORDS_1D[4], NoiseMode.MarkovianThermal)))
+_VACUUM, _UNSTABLE, _THERMAL = (build_1d(p) for p in (
+    P_1D, with_param(P_1D, "G_o", 0.75), RECORDS_1D[4]))
 SYSTEMS_4 = [(_VACUUM.drift, _VACUUM.diffusion), (_UNSTABLE.drift, _UNSTABLE.diffusion),
              (_DEFECTIVE, np.eye(4)), (np.where(np.eye(4) > 0, math.nan, -np.eye(4)), np.eye(4)),
              (1e308 * _DEFECTIVE, np.eye(4)),
@@ -139,10 +138,8 @@ CASES = {
                                      [COVS_2D[k].hbar for k in idx]),
         lambda c: (asdict(purity_2d_general(c)), ()),
         COVS_2D),
-    "build_1d": _grid_case(lambda g: build_1d_batch(g, NoiseMode.MarkovianThermal),
-                           lambda p: _system(build_1d(p, NoiseMode.MarkovianThermal)), BUILD_1D),
-    "build_2d": _grid_case(lambda g: build_2d_batch(g, NoiseMode.MarkovianThermal),
-                           lambda p: _system(build_2d(p, NoiseMode.MarkovianThermal)), RECORDS_2D),
+    "build_1d": _grid_case(build_1d_batch, lambda p: _system(build_1d(p)), BUILD_1D),
+    "build_2d": _grid_case(build_2d_batch, lambda p: _system(build_2d(p)), RECORDS_2D),
     "build_rwa": _grid_case(build_rwa_batch, lambda p: _system(build_rwa(p)), BUILD_RWA),
     "steady_covariance": (_stacked_systems, _steady_covariance, SYSTEMS_4),
     "bare_occupation": (

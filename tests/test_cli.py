@@ -890,6 +890,29 @@ def test_subcommand_options_are_pinned():
     }
 
 
+@pytest.mark.parametrize("argv, optimize, message", [
+    (["point", "--param", "model=threeD"], None,
+     "unknown model 'threeD'; choose from ('oneD', 'twoD', 'rwa')"),
+    (["point", "--param", "solver=bogus"], None,
+     "unknown solver 'bogus'; choose from ('lyapunov', 'spectral', 'closed_form')"),
+    (["sweep", "--axis", "G_o,0,1,x"], None,
+     "bad axis spec 'G_o,0,1,x': invalid literal for int() with base 10: 'x'"),
+    (["optimize"], "free = G_o, delta\nlo = 0.1\nhi = 0.4\n",
+     "optimize needs 1-3 free names with aligned lo/hi lists"),
+    # a configparser.Error, which main maps to a config error as well
+    (["optimize"], "lo = 0.1\nhi = 0.4\n", "No option 'free' in section: 'optimize'"),
+], ids=["unknown-model", "unknown-solver", "axis-count", "unaligned-bounds", "no-free-key"])
+def test_config_error_is_one_line(argv, optimize, message, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    cfg = tmp_path / "opt.ini"
+    if optimize is not None:
+        cfg.write_text("[optimize]\n" + optimize, encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         exe = shutil.which("omsteady")

@@ -18,7 +18,6 @@ from omsteady.gaussian import occupation_and_purity_1d, purity_2d_general
 from omsteady.langevin import (
     LYAPUNOV_RESIDUAL_RTOL,
     LinearSystem,
-    NoiseMode,
     build_1d,
     build_2d,
     build_rwa,
@@ -40,7 +39,7 @@ P_1D = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=0.4)
 
 class TestBuild1D:
     def test_drift_structure(self):
-        sys = build_1d(P_1D, NoiseMode.VacuumOnly)
+        sys = build_1d(P_1D)
         A = sys.drift
         lam = P_1D.lambda_o
         assert sys.labels == ("x_b", "p_b", "X_c", "P_c")
@@ -54,7 +53,7 @@ class TestBuild1D:
         assert A[0, 2] == A[0, 3] == A[2, 0] == A[2, 1] == 0.0
 
     def test_vacuum_diffusion(self):
-        sys = build_1d(P_1D, NoiseMode.VacuumOnly)
+        sys = build_1d(P_1D)
         expect = np.zeros((4, 4))
         expect[2, 2] = expect[3, 3] = 0.1
         np.testing.assert_array_equal(sys.diffusion, expect)
@@ -64,28 +63,28 @@ class TestBuild1D:
         p = SystemParams1D(
             omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=0.4,
             temperature=temperature_for_occupation(n_B, 1.0))
-        sys = build_1d(p, NoiseMode.MarkovianThermal)
+        sys = build_1d(p)
         assert sys.diffusion[1, 1] == pytest.approx(2e-3 * (n_B + 0.5), rel=1e-12)
 
     def test_thermal_mode_without_damping_adds_nothing(self):
-        sys = build_1d(P_1D, NoiseMode.MarkovianThermal)
+        sys = build_1d(P_1D)
         assert sys.diffusion[1, 1] == 0.0
 
     def test_mass_scaling(self):
         p = SystemParams1D(omega_b=2.0, gamma_b=0.0, kappa=0.2, delta=1.0,
                            G_o=0.1, mass=3.0)
-        A = build_1d(p, NoiseMode.VacuumOnly).drift
+        A = build_1d(p).drift
         assert A[0, 1] == pytest.approx(1.0 / 3.0)
         assert A[1, 0] == pytest.approx(-12.0)
 
 
 class TestStability:
     def test_below_threshold_stable(self):
-        assert stability(build_1d(P_1D, NoiseMode.VacuumOnly))
+        assert stability(build_1d(P_1D))
 
     def test_above_threshold_unstable(self):
         p = with_param(P_1D, "G_o", 0.55)
-        assert not stability(build_1d(p, NoiseMode.VacuumOnly))
+        assert not stability(build_1d(p))
 
     def test_marginal_rotation_classed_unstable(self):
         # an undamped oscillator only rotates; its covariance never settles
@@ -102,40 +101,38 @@ class TestStability:
         # stability is lost where omega_b^2 = 2 g_o^2
         k = (P_1D.kappa / 2.0) ** 2 + P_1D.delta**2
         g_crit = math.sqrt(k / (4.0 * P_1D.delta))
-        assert stability(build_1d(with_param(P_1D, "G_o", g_crit * (1 - 1e-6)),
-                                  NoiseMode.VacuumOnly))
-        assert not stability(build_1d(with_param(P_1D, "G_o", g_crit * (1 + 1e-6)),
-                                      NoiseMode.VacuumOnly))
+        assert stability(build_1d(with_param(P_1D, "G_o", g_crit * (1 - 1e-6))))
+        assert not stability(build_1d(with_param(P_1D, "G_o", g_crit * (1 + 1e-6))))
 
 
 class TestSteadyCovariance:
     def test_matches_scipy_lyapunov(self):
-        sys = build_1d(P_1D, NoiseMode.VacuumOnly)
+        sys = build_1d(P_1D)
         v_own = steady_covariance(sys).matrix
         v_ref = scipy.linalg.solve_continuous_lyapunov(sys.drift, -sys.diffusion)
         np.testing.assert_allclose(v_own, v_ref, rtol=1e-9, atol=1e-14)
 
     def test_matches_scipy_lyapunov_6x6(self):
         p = resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2)
-        sys = build_2d(p, NoiseMode.VacuumOnly)
+        sys = build_2d(p)
         v_own = steady_covariance(sys).matrix
         v_ref = scipy.linalg.solve_continuous_lyapunov(sys.drift, -sys.diffusion)
         np.testing.assert_allclose(v_own, v_ref, rtol=1e-9, atol=1e-14)
 
     def test_residual_bound_holds(self):
-        sys = build_1d(P_1D, NoiseMode.VacuumOnly)
+        sys = build_1d(P_1D)
         V = steady_covariance(sys).matrix
         resid = np.abs(sys.drift @ V + V @ sys.drift.T + sys.diffusion).max()
         assert resid <= LYAPUNOV_RESIDUAL_RTOL * np.abs(sys.diffusion).max()
 
     def test_deterministic_bit_for_bit(self):
-        sys = build_1d(P_1D, NoiseMode.VacuumOnly)
+        sys = build_1d(P_1D)
         a = steady_covariance(sys).matrix
         b = steady_covariance(sys).matrix
         assert np.array_equal(a, b)
 
     def test_unstable_raises(self):
-        sys = build_1d(with_param(P_1D, "G_o", 0.55), NoiseMode.VacuumOnly)
+        sys = build_1d(with_param(P_1D, "G_o", 0.55))
         with pytest.raises(UnstableSystem):
             steady_covariance(sys)
 
@@ -144,13 +141,13 @@ class TestSteadyCovariance:
         p = SystemParams1D(
             omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=1e-8,
             temperature=temperature_for_occupation(n_B, 1.0))
-        cov = steady_covariance(build_1d(p, NoiseMode.MarkovianThermal))
+        cov = steady_covariance(build_1d(p))
         n_bar, _ = occupation_and_purity_1d(cov.mechanical_1d())
         assert n_bar == pytest.approx(n_B, rel=1e-6)
         assert cov.mechanical_1d().xx == pytest.approx(2.5, rel=1e-6)
 
     def test_mechanical_block_extraction(self):
-        cov = steady_covariance(build_1d(P_1D, NoiseMode.VacuumOnly))
+        cov = steady_covariance(build_1d(P_1D))
         c1 = cov.mechanical_1d()
         assert c1.xx == cov.matrix[0, 0]
         assert c1.pp == cov.matrix[1, 1]
@@ -267,12 +264,10 @@ def _random_stable_system(rng, n):
 
 
 MODEL_BUILDS = [
-    build_1d(P_1D, NoiseMode.VacuumOnly),
+    build_1d(P_1D),
     build_1d(SystemParams1D(omega_b=1.0, gamma_b=1e-3, kappa=0.2, delta=1.0, G_o=0.4,
-                            temperature=temperature_for_occupation(2.0, 1.0)),
-             NoiseMode.MarkovianThermal),
-    build_2d(resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2),
-             NoiseMode.VacuumOnly),
+                            temperature=temperature_for_occupation(2.0, 1.0))),
+    build_2d(resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2)),
     build_rwa(SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=1e-6, gamma_d=1e-6,
                               kappa=1e-3, delta=1.0, G_o=2e-3, G_m=2e-3 / math.sqrt(2.0),
                               n_B_b=25.0, n_B_d=25.0)),
@@ -294,7 +289,7 @@ class TestVechAssemblyMatchesLoop:
             assert np.array_equal(steady_covariance(sys).matrix, _loop_reference(sys))
 
     def test_unstable_raises_like_loop(self):
-        sys = build_1d(with_param(P_1D, "G_o", 0.55), NoiseMode.VacuumOnly)
+        sys = build_1d(with_param(P_1D, "G_o", 0.55))
         for solve in (steady_covariance, _loop_reference):
             with pytest.raises(UnstableSystem):
                 solve(sys)
@@ -378,7 +373,7 @@ class TestGatheredVechFill:
     def test_model_drifts_with_zero_detuning_and_damping(self):
         # delta = 0 and gamma = 0 write -0.0 into the drifts
         drifts = [
-            build_1d(replace(P_1D, delta=0.0), NoiseMode.VacuumOnly).drift,
+            build_1d(replace(P_1D, delta=0.0)).drift,
             build_rwa(SystemParamsRWA(omega_b=1.0, omega_d=1.0, gamma_b=0.0, gamma_d=0.0,
                                       kappa=1e-3, delta=0.0, G_o=2e-3, G_m=1e-3)).drift,
         ]
@@ -585,7 +580,7 @@ class TestStackedSolve:
             singular_items + [10, 20, 70, 100, 129, 140])
 
     def test_scalar_errors_come_from_the_batch_outcome(self):
-        sys = build_1d(with_param(P_1D, "G_o", 0.55), NoiseMode.VacuumOnly)
+        sys = build_1d(with_param(P_1D, "G_o", 0.55))
         batch = _stack([sys])
         with pytest.raises(UnstableSystem, match="non-decaying eigenvalue") as exc:
             steady_covariance(sys)
@@ -598,7 +593,7 @@ class TestResidualGateScale:
     def test_tiny_mass_has_a_finite_backward_error(self):
         # max|A| = 1/m = 1e200 and max|V| = hbar/(2 m omega) ~ 5e199:
         # their product overflows, which made the old scale inf
-        sys = build_1d(with_param(P_1D, "mass", 1e-200), NoiseMode.MarkovianThermal)
+        sys = build_1d(with_param(P_1D, "mass", 1e-200))
         batch = _stack([sys])
         a, v = float(np.abs(sys.drift).max()), float(np.abs(batch.columns["matrix"]).max())
         assert a * v == math.inf
@@ -837,7 +832,7 @@ class TestBuild2D:
     P = resonant_2d_design(omega=1.0, G_o=0.2, G_m=0.1, kappa=0.2)
 
     def test_labels_and_coupling_structure(self):
-        sys = build_2d(self.P, NoiseMode.VacuumOnly)
+        sys = build_2d(self.P)
         A = sys.drift
         assert sys.labels == ("x_b", "p_b", "x_d", "p_d", "X_c", "P_c")
         # only the bright mode drives (and is driven by) the cavity
@@ -853,15 +848,13 @@ class TestBuild2D:
                            phi=math.pi / 4, kappa=0.2, delta=1.0, lambda_o=0.1,
                            temperature=1.0)
         with pytest.raises(CorrelatedBathUnsupported):
-            build_2d(p, NoiseMode.MarkovianThermal)
-        # vacuum-only never touches the bath correlation question
-        build_2d(p, NoiseMode.VacuumOnly)
+            build_2d(p)
 
     def test_equal_damping_thermal_ok(self):
         p = SystemParams2D(omega_x=1.1, omega_y=0.9, gamma_x=1e-3, gamma_y=1e-3,
                            phi=math.pi / 4, kappa=0.2, delta=1.0, lambda_o=0.1,
                            temperature=1.0)
-        sys = build_2d(p, NoiseMode.MarkovianThermal)
+        sys = build_2d(p)
         assert sys.diffusion[1, 1] > 0.0
         assert sys.diffusion[3, 3] > 0.0
 
@@ -870,11 +863,11 @@ class TestBuild2D:
         p = SystemParams2D(omega_x=1.1, omega_y=0.9, gamma_x=1e-3, gamma_y=1e-4,
                            phi=0.0, kappa=0.2, delta=1.0, lambda_o=0.1,
                            temperature=1.0)
-        sys = build_2d(p, NoiseMode.MarkovianThermal)
+        sys = build_2d(p)
         assert sys.diffusion[1, 1] > sys.diffusion[3, 3] > 0.0
 
     def test_steady_state_block_structure(self):
-        cov = steady_covariance(build_2d(self.P, NoiseMode.VacuumOnly))
+        cov = steady_covariance(build_2d(self.P))
         m = cov.mechanical_2d().matrix
         # position-position and momentum-momentum correlations survive,
         # same-mode cross moments vanish at steady state

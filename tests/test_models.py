@@ -208,6 +208,12 @@ class TestDerivedScales:
         with pytest.raises(InvalidParams):
             resonant_2d_design(omega=1.0, G_o=0.1, G_m=0.51, kappa=0.2)
 
+    @pytest.mark.parametrize("omega", [1e160, 1e200])
+    def test_resonant_design_past_the_float_range_raises_the_record_error(self, omega):
+        # omega^2 overflows to inf, which the record rejects, not an OverflowError
+        with pytest.raises(InvalidParams, match="^omega_x must be finite, got inf$"):
+            resonant_2d_design(omega, 0.1, 0.05, 0.2)
+
     @pytest.mark.parametrize("scale, message", [
         ({"mass": 0.0}, "mass must be positive"), ({"mass": -1.0}, "mass must be positive"),
         ({"hbar": 0.0}, "hbar must be positive"), ({"hbar": -1.0}, "hbar must be positive"),
@@ -479,16 +485,38 @@ def test_record_derives_the_coupling_form_the_grid_derived():
     assert record.lambda_o == 2e-318 and record.temperature == temperature_for_occupation(1.0, 0.5)
 
 
+def _overridden_as_the_grid_item(base, name, value):
+    """with_param(base, name, value), asserted equal to the one item of its grid."""
+    grid = ParamsGrid.from_axes(base, [name], [(value,)])
+    record = with_param(base, name, value)
+    assert grid.errors == (None,)
+    assert [getattr(record, f) for f in grid.columns] == [
+        float(column[0]) for column in grid.columns.values()]
+    return record
+
+
 def test_grid_checks_the_pair_a_derived_coupling_made():
     # lambda_o = G_o / 1.1e115 underflows to 0 in the base record; the
-    # record the delta override makes gives both forms, which disagree
+    # record the delta override makes gives both forms, and G_o / 1.1e115
+    # reproduces that lambda_o although lambda_o * 1.1e115 misses G_o
     base = SystemParams1D(omega_b=1.0, gamma_b=1.0, kappa=1.0, delta=1.0, G_o=1e-308,
                           mass=1e-308, temperature=1.0, hbar=_HBAR_MIN)
-    with pytest.raises(InvalidParams) as exc:
-        with_param(base, "delta", 0.5)
-    (error,) = ParamsGrid.from_axes(base, ["delta"], [(0.5,)]).errors
-    assert str(error) == str(exc.value) == ("lambda_o and G_o are inconsistent: G_o=1e-308 "
-                                             "but lambda_o implies 0.0")
+    record = _overridden_as_the_grid_item(base, "delta", 0.5)
+    assert (record.delta, record.lambda_o, record.G_o) == (0.5, 0.0, 1e-308)
+
+
+def test_override_keeps_a_subnormal_derived_coupling():
+    # lambda_o = G_o / 1e28 = 2e-318 is subnormal and lost digits, so only
+    # the direction G_o / 1e28 against lambda_o agrees
+    base = SystemParams1D(omega_b=0.5, gamma_b=0.0, kappa=0.2, delta=1.0, G_o=2e-290,
+                          mass=1e-56)
+    record = _overridden_as_the_grid_item(base, "delta", 0.5)
+    assert (record.delta, record.lambda_o, record.G_o) == (0.5, 2e-318, 2e-290)
+    # a pair that misses in both directions still disagrees, subnormal
+    # lambda_o or not: G_o / 1e28 = 2e-318 is 1e-312 to within 1e-309
+    for lambda_o in (1e-300, 1e-312):
+        with pytest.raises(InvalidParams, match="lambda_o and G_o are inconsistent"):
+            dataclasses.replace(base, lambda_o=lambda_o)
 
 
 def test_grid_sets_a_point_at_once():

@@ -10,7 +10,7 @@ from omsteady import spectral
 from omsteady.closedform import backaction_1d, weak_coupling
 from omsteady.errors import AssumptionViolated, InvalidParams, QuadratureFailure, UnstableSystem
 from omsteady.gaussian import occupation_and_purity_1d
-from omsteady.langevin import NoiseMode, build_1d, stability, steady_covariance
+from omsteady.langevin import build_1d, stability, steady_covariance
 from omsteady.models import ParamsGrid, SystemParams1D, temperature_for_occupation
 from omsteady.spectral import (
     brownian_psd,
@@ -41,7 +41,7 @@ class TestResponses:
     def test_poles_match_time_domain_eigenvalues(self):
         # the dressed-response poles are the drift eigenvalues rotated
         # onto the frequency axis, w = i s
-        a = build_1d(P_REF, NoiseMode.VacuumOnly).drift
+        a = build_1d(P_REF).drift
         from_time = np.sort_complex(1j * np.linalg.eigvals(a))
         from_freq = np.sort_complex(response_poles(P_REF))
         np.testing.assert_allclose(from_freq, from_time, rtol=1e-9, atol=1e-12)
@@ -55,8 +55,7 @@ class TestResponses:
     def test_stability_agrees_with_time_domain(self):
         for g in (0.1, 0.4, 0.502, 0.503, 0.6):
             p = with_param(P_REF, "G_o", g)
-            assert spectral_stability(p) == stability(
-                build_1d(p, NoiseMode.VacuumOnly))
+            assert spectral_stability(p) == stability(build_1d(p))
 
 
 class TestBrownianPsd:
@@ -140,7 +139,7 @@ class TestPositionPsd:
 class TestMomentIntegration:
     def test_matches_lyapunov_backaction_limit(self):
         cov_s = integrate_moments(P_REF)
-        cov_l = steady_covariance(build_1d(P_REF, NoiseMode.VacuumOnly)).mechanical_1d()
+        cov_l = steady_covariance(build_1d(P_REF)).mechanical_1d()
         assert cov_s.xx == pytest.approx(cov_l.xx, rel=1e-6)
         assert cov_s.pp == pytest.approx(cov_l.pp, rel=1e-6)
         assert cov_s.xp == 0.0
@@ -172,6 +171,10 @@ class TestMomentIntegration:
                            G_o=0.1)
         with pytest.raises(InvalidParams):
             integrate_moments_residue(p)
+
+    def test_residue_route_rejects_an_unstable_system(self):
+        with pytest.raises(UnstableSystem):
+            integrate_moments_residue(with_param(P_REF, "G_o", 0.6))
 
     def test_thermal_oscillator_textbook_values(self):
         n_B = 2.0
@@ -404,8 +407,7 @@ def test_narrow_cavity_settles():
     # kappa = 1e-8 still exhausts the panel rule
     p = SystemParams1D(omega_b=1.0, gamma_b=0.0, kappa=3e-8, delta=1.0, G_o=0.1)
     _, purity = occupation_and_purity_1d(integrate_moments(p))
-    _, expected = occupation_and_purity_1d(
-        steady_covariance(build_1d(p, NoiseMode.VacuumOnly)).mechanical_1d())
+    _, expected = occupation_and_purity_1d(steady_covariance(build_1d(p)).mechanical_1d())
     assert purity == pytest.approx(expected, rel=1e-6)
 
 

@@ -12,7 +12,7 @@ from omsteady.closedform import backaction_1d, bare_occupation
 from omsteady.errors import (Batch, CorrelatedBathUnsupported, InvalidParams, OmsteadyError,
                              QuadratureFailure)
 from omsteady.gaussian import Cov1D, Cov2D, occupation_and_purity_1d, purity_2d_general
-from omsteady.langevin import (NoiseMode, build_1d, build_1d_batch, build_2d, build_2d_batch,
+from omsteady.langevin import (build_1d, build_1d_batch, build_2d, build_2d_batch,
                                build_rwa, build_rwa_batch, stability, steady_covariance,
                                steady_covariance_batch)
 from omsteady.models import (_SETTABLE, ParamsGrid, SystemParams1D, SystemParams2D,
@@ -304,13 +304,13 @@ def _assert_same_rows(got, expect):
 def _scalar_values(model, p):
     """A Lyapunov record's quantities and regime warnings through the public scalar chain."""
     if model == "oneD":
-        system = build_1d(p, NoiseMode.MarkovianThermal)
+        system = build_1d(p)
         cov = steady_covariance(system).mechanical_1d()
         n, mu = occupation_and_purity_1d(cov)
         values = {"xx": cov.xx, "pp": cov.pp, "xp": cov.xp, "n_bar": n, "purity": mu,
                   "n_bar_0": bare_occupation(cov, p.omega_b, p.mass)}
         return values, system.warnings
-    system = build_2d(p, NoiseMode.MarkovianThermal) if model == "twoD" else build_rwa(p)
+    system = build_2d(p) if model == "twoD" else build_rwa(p)
     full = steady_covariance(system)
     V = full.matrix
     s = purity_2d_general(full.mechanical_2d())
@@ -384,7 +384,7 @@ class TestStackedSweep:
         for point in spec.grid().tolist():
             try:
                 record = _with_values(base, dict(zip(names, point)))
-                system = build_2d(record, NoiseMode.MarkovianThermal)
+                system = build_2d(record)
             except CorrelatedBathUnsupported:
                 continue
             reach += stability(system)
@@ -540,9 +540,8 @@ class TestFullLengthColumns:
         base, axes = EVALUATOR_FLAGS[(model, "lyapunov")]
         full = ParamsGrid.from_axes(base, [a.name for a in axes], SweepSpec(axes).grid())
         grid = full.take([k for k, e in enumerate(full.errors) if e is None])
-        systems = {"oneD": lambda: build_1d_batch(grid, NoiseMode.MarkovianThermal),
-                   "twoD": lambda: build_2d_batch(grid, NoiseMode.MarkovianThermal),
-                   "rwa": lambda: build_rwa_batch(grid)}[model]()
+        systems = {"oneD": build_1d_batch, "twoD": build_2d_batch,
+                   "rwa": build_rwa_batch}[model](grid)
         solved = steady_covariance_batch(systems.columns["drift"], systems.columns["diffusion"])
         block = sweep._EVALUATORS[(model, "lyapunov")].evaluate(grid)
         # the solve of an item its build flagged sees a NaN drift instead
